@@ -34,6 +34,8 @@ spi_gbench(micro_spi)
 spi_gbench(micro_compile)
 spi_gbench(micro_flight)
 spi_gbench(micro_channel)
+# BM_ColocatedAppSteadyStateAllocs runs the served models' plans.
+target_link_libraries(micro_channel PRIVATE spi_serve)
 spi_gbench(micro_obs)
 # BM_ServeBurst* drive PlanServer::handle_burst socketlessly (the
 # traced-vs-bare overhead gate in perf_smoke.sh / BENCH_results.json).

@@ -13,19 +13,30 @@
 /// this translation unit replaces global operator new/delete with
 /// counting versions, and the benchmark fails (SkipWithError) if a
 /// steady-state send/receive cycle performs any heap allocation.
+/// BM_ColocatedAppSteadyStateAllocs asserts the same one layer up: a
+/// warm colocated iteration of either served model, real computes
+/// included, allocates nothing.
 ///
 /// bench/perf_smoke.sh gates CI on the Stream pair: SPSC throughput
 /// regressing below the BlockingChannel baseline fails the build.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <new>
 #include <thread>
 
+#include "apps/particle_app.hpp"
+#include "apps/speech_app.hpp"
 #include "core/blocking_channel.hpp"
+#include "core/job_instance.hpp"
 #include "core/spsc_channel.hpp"
+#include "dsp/lpc.hpp"
+#include "dsp/particle_filter.hpp"
+#include "dsp/rng.hpp"
+#include "serve/plan_server.hpp"
 
 namespace {
 std::atomic<std::int64_t> g_alloc_count{0};
@@ -179,6 +190,80 @@ void BM_SpscSteadyStateAllocs(benchmark::State& state) {
     state.SkipWithError("steady-state SPSC send/receive allocated on the heap");
 }
 BENCHMARK(BM_SpscSteadyStateAllocs);
+
+/// Fails the benchmark when the measured window allocated at all.
+void report_allocs(benchmark::State& state, std::int64_t delta, std::int64_t graph_iterations,
+                   const char* error) {
+  state.counters["allocs"] = static_cast<double>(delta);
+  state.counters["allocs_per_iter"] =
+      static_cast<double>(delta) / static_cast<double>(std::max<std::int64_t>(1, graph_iterations));
+  if (delta != 0) state.SkipWithError(error);
+}
+
+/// The allocation-free colocated firing path, enforced on both served
+/// models (PlanServer's built-in shapes) with their real computes:
+/// once the instance's token buffers are warm, run_colocated must not
+/// touch the heap. Arg 0 = speech (one batch of mixed frame sizes,
+/// re-run), 1 = particle (one long batch stepped an iteration at a
+/// time, since job state advances).
+void BM_ColocatedAppSteadyStateAllocs(benchmark::State& state) {
+  const serve::PlanServerOptions served;
+  if (state.range(0) == 0) {
+    const apps::ErrorGenApp app(served.speech_pes, served.speech_params);
+    core::JobInstance instance(app.system().plan());
+    dsp::Rng rng(9);
+    std::vector<apps::ErrorGenApp::SpeechJobSpec> jobs;
+    for (const std::size_t size : {64, 256, 17, 200}) {
+      apps::ErrorGenApp::SpeechJobSpec job;
+      job.frame = dsp::synthetic_speech(size, rng);
+      job.coeffs.assign(served.speech_params.max_order - size % 5, 0.125);
+      jobs.push_back(std::move(job));
+    }
+    std::vector<std::vector<double>> results;
+    for (const auto& job : jobs) results.emplace_back(job.frame.size(), 0.0);
+    app.bind_batch(jobs, instance, results);
+    const auto batch = static_cast<std::int64_t>(jobs.size());
+    for (int warm = 0; warm < 4; ++warm) {
+      instance.reset_invocations();
+      instance.run_colocated(batch);
+    }
+
+    std::int64_t graph_iterations = 0;
+    const std::int64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    for (auto _ : state) {
+      instance.reset_invocations();
+      instance.run_colocated(batch);
+      graph_iterations += batch;
+    }
+    report_allocs(state, g_alloc_count.load(std::memory_order_relaxed) - before, graph_iterations,
+                  "warm colocated speech iteration allocated on the heap");
+    return;
+  }
+
+  const apps::ParticleFilterApp app(served.particle_pes, served.particle_params);
+  core::JobInstance instance(app.system().plan());
+  // Jobs of the serve-heavy lengths, enough of them for the warm-up job
+  // plus every measured iteration.
+  constexpr std::int64_t kSteps = 320;
+  const std::int64_t needed = kSteps + static_cast<std::int64_t>(state.max_iterations);
+  std::vector<apps::ParticleFilterApp::ParticleJobSpec> jobs;
+  for (std::int64_t j = 0; j * kSteps < needed; ++j) {
+    apps::ParticleFilterApp::ParticleJobSpec job;
+    job.seed = 100 + static_cast<std::uint64_t>(j);
+    dsp::Rng rng(job.seed + 1);
+    job.trajectory = dsp::simulate_crack(served.particle_params.model, kSteps, rng);
+    jobs.push_back(std::move(job));
+  }
+  app.bind_batch(jobs, instance);
+  instance.run_colocated(kSteps);  // the whole first job warms the buffers
+
+  const std::int64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (auto _ : state) instance.run_colocated(1);
+  report_allocs(state, g_alloc_count.load(std::memory_order_relaxed) - before,
+                static_cast<std::int64_t>(state.iterations()),
+                "warm colocated particle iteration allocated on the heap");
+}
+BENCHMARK(BM_ColocatedAppSteadyStateAllocs)->Arg(0)->Arg(1)->Iterations(4000);
 
 }  // namespace
 

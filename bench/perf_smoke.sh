@@ -4,7 +4,8 @@
 # baseline measured in the same run):
 #
 #  * micro_channel: fails when the lock-free SpscChannel's streaming
-#    throughput drops below the BlockingChannel baseline;
+#    throughput drops below the BlockingChannel baseline, or when a warm
+#    SPSC cycle or served-app colocated iteration allocates;
 #  * micro_obs serve bursts: fails when request tracing costs the plan
 #    server more than MAX_TRACE_OVERHEAD_PCT of burst throughput
 #    (BM_ServeBurstTraced vs BM_ServeBurstBare — the tracer's headline
@@ -35,8 +36,10 @@ fi
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-# The alloc-assertion benchmark runs too: a nonzero steady-state
-# allocation count surfaces as an error_occurred in the JSON.
+# The alloc-assertion benchmarks run too (BM_SpscSteadyStateAllocs and
+# BM_ColocatedAppSteadyStateAllocs, the served apps' warm colocated
+# iterations): a nonzero allocation count surfaces as an error_occurred
+# in the JSON.
 "$bin" --benchmark_min_time="$MIN_TIME" --benchmark_format=json > "$TMP/out.json"
 
 python3 - "$TMP/out.json" "$MIN_SPEEDUP" <<'PY'

@@ -54,26 +54,27 @@ int main() {
   double low_sum = 0.0, high_sum = 0.0, merged_sum = 0.0, source_sum = 0.0;
 
   runtime.set_compute(src, [&](core::FiringContext& ctx) {
-    auto& out = ctx.outputs[ctx.output_index(e_in)];
+    const std::size_t out = ctx.output_index(e_in);
     for (std::size_t i = 0; i < kBlock; ++i) {
       const double v = rng.uniform(-1.0, 1.0);
       source_sum += v;
       ++produced;
-      out.push_back(apps::pack_f64(std::vector<double>{v}));
+      apps::pack_f64_into(ctx.emit(out), v);
     }
   });
   runtime.set_compute(split, [&](core::FiringContext& ctx) {
     std::vector<double> lo, hi;
     for (const auto& token : ctx.inputs[ctx.input_index(e_in)]) {
-      const double v = apps::unpack_f64(token).at(0);
+      const double v = apps::f64_at(token, 0);
       (std::abs(v) < 0.5 ? lo : hi).push_back(v);  // the data-dependent route
     }
-    ctx.outputs[ctx.output_index(e_low)] = {apps::pack_f64(lo)};
-    ctx.outputs[ctx.output_index(e_high)] = {apps::pack_f64(hi)};
+    apps::pack_f64_into(ctx.emit(ctx.output_index(e_low)), lo);
+    apps::pack_f64_into(ctx.emit(ctx.output_index(e_high)), hi);
   });
   auto band = [&](df::EdgeId in, df::EdgeId out, std::int64_t& counter, double& sum) {
     return [&, in, out](core::FiringContext& ctx) {
-      const std::vector<double> values = apps::unpack_f64(ctx.inputs[ctx.input_index(in)][0]);
+      std::vector<double> values;
+      apps::unpack_f64_into(ctx.inputs[ctx.input_index(in)][0], values);
       counter += static_cast<std::int64_t>(values.size());
       for (double v : values) sum += v;
       ctx.outputs[ctx.output_index(out)] = {ctx.inputs[ctx.input_index(in)][0]};  // pass through
@@ -83,7 +84,9 @@ int main() {
   runtime.set_compute(high, band(e_high, e_hi_out, high_count, high_sum));
   runtime.set_compute(merge, [&](core::FiringContext& ctx) {
     for (df::EdgeId e : {e_lo_out, e_hi_out}) {
-      for (double v : apps::unpack_f64(ctx.inputs[ctx.input_index(e)][0])) {
+      std::vector<double> values;
+      apps::unpack_f64_into(ctx.inputs[ctx.input_index(e)][0], values);
+      for (double v : values) {
         merged_sum += v;
         ++merged;
       }

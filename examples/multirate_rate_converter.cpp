@@ -57,34 +57,34 @@ std::vector<double> run_converter(const std::vector<double>& input, std::int32_t
   auto output = std::make_shared<std::vector<double>>();
 
   runtime.set_compute(src, [&input, e_in](core::FiringContext& ctx) {
-    auto& out = ctx.outputs[ctx.output_index(e_in)];
+    const std::size_t out = ctx.output_index(e_in);
     for (std::size_t i = 0; i < kBlock; ++i) {
       const std::size_t pos = static_cast<std::size_t>(ctx.invocation) * kBlock + i;
-      out.push_back(apps::pack_f64(std::vector<double>{pos < input.size() ? input[pos] : 0.0}));
+      apps::pack_f64_into(ctx.emit(out), pos < input.size() ? input[pos] : 0.0);
     }
   });
   runtime.set_compute(dec, [dec_filter, e_in, e_mid](core::FiringContext& ctx) {
     std::vector<double> block;
     for (const auto& token : ctx.inputs[ctx.input_index(e_in)])
-      block.push_back(apps::unpack_f64(token).at(0));
+      block.push_back(apps::f64_at(token, 0));
     const auto filtered = dec_filter->process(block);
     const auto decimated = dsp::downsample(filtered, kFactor);
-    auto& out = ctx.outputs[ctx.output_index(e_mid)];
-    for (double v : decimated) out.push_back(apps::pack_f64(std::vector<double>{v}));
+    const std::size_t out = ctx.output_index(e_mid);
+    for (double v : decimated) apps::pack_f64_into(ctx.emit(out), v);
   });
   runtime.set_compute(itp, [itp_filter, e_mid, e_out](core::FiringContext& ctx) {
     std::vector<double> block;
     for (const auto& token : ctx.inputs[ctx.input_index(e_mid)])
-      block.push_back(apps::unpack_f64(token).at(0));
+      block.push_back(apps::f64_at(token, 0));
     const auto stuffed = dsp::upsample(block, kFactor);
     auto filtered = itp_filter->process(stuffed);
     for (double& v : filtered) v *= static_cast<double>(kFactor);  // interpolation gain
-    auto& out = ctx.outputs[ctx.output_index(e_out)];
-    for (double v : filtered) out.push_back(apps::pack_f64(std::vector<double>{v}));
+    const std::size_t out = ctx.output_index(e_out);
+    for (double v : filtered) apps::pack_f64_into(ctx.emit(out), v);
   });
   runtime.set_compute(snk, [output, e_out](core::FiringContext& ctx) {
     for (const auto& token : ctx.inputs[ctx.input_index(e_out)])
-      output->push_back(apps::unpack_f64(token).at(0));
+      output->push_back(apps::f64_at(token, 0));
   });
 
   runtime.run(static_cast<std::int64_t>(input.size() / kBlock));

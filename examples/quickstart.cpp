@@ -47,16 +47,17 @@ int main() {
     std::vector<double> samples(count);
     for (std::size_t i = 0; i < count; ++i)
       samples[i] = static_cast<double>(ctx.invocation) + 0.25 * static_cast<double>(i);
-    ctx.outputs[ctx.output_index(e_dyn)] = {apps::pack_f64(samples)};
+    apps::pack_f64_into(ctx.emit(ctx.output_index(e_dyn)), samples);
   });
   runtime.set_compute(flt, [&](core::FiringContext& ctx) {
-    const std::vector<double> samples = apps::unpack_f64(ctx.inputs[ctx.input_index(e_dyn)][0]);
+    std::vector<double> samples;
+    apps::unpack_f64_into(ctx.inputs[ctx.input_index(e_dyn)][0], samples);
     double sum = 0.0;
     for (double s : samples) sum += s;
-    ctx.outputs[ctx.output_index(e_out)] = {apps::pack_f64(std::vector<double>{sum})};
+    apps::pack_f64_into(ctx.emit(ctx.output_index(e_out)), sum);
   });
   runtime.set_compute(snk, [&](core::FiringContext& ctx) {
-    checksum += apps::unpack_f64(ctx.inputs[ctx.input_index(e_out)][0]).at(0);
+    checksum += apps::f64_at(ctx.inputs[ctx.input_index(e_out)][0], 0);
   });
   runtime.run(32);
   std::printf("functional: 32 iterations, checksum = %.2f\n", checksum);

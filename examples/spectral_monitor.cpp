@@ -42,28 +42,29 @@ int main() {
 
   runtime.set_compute(framer, [&](core::FiringContext& ctx) {
     const std::size_t bin = hop_bins[static_cast<std::size_t>(ctx.invocation) % hop_bins.size()];
-    auto& out = ctx.outputs[ctx.output_index(e_frame)];
+    const std::size_t out = ctx.output_index(e_frame);
     for (std::size_t n = 0; n < kFrame; ++n) {
       const double tone = std::sin(2.0 * std::numbers::pi * static_cast<double>(bin) *
                                    static_cast<double>(n) / static_cast<double>(kFrame));
-      out.push_back(apps::pack_f64(std::vector<double>{tone + rng.gaussian(0.0, 0.2)}));
+      apps::pack_f64_into(ctx.emit(out), tone + rng.gaussian(0.0, 0.2));
     }
   });
   runtime.set_compute(analyzer, [&](core::FiringContext& ctx) {
     std::vector<double> frame;
     frame.reserve(kFrame);
     for (const auto& token : ctx.inputs[ctx.input_index(e_frame)])
-      frame.push_back(apps::unpack_f64(token).at(0));
+      frame.push_back(apps::f64_at(token, 0));
     const std::vector<double> power = dsp::power_spectrum(frame);
     std::size_t peak = 1;
     for (std::size_t k = 2; k < power.size() / 2; ++k)
       if (power[k] > power[peak]) peak = k;
-    ctx.outputs[ctx.output_index(e_peak)] = {
-        apps::pack_f64(std::vector<double>{static_cast<double>(peak), power[peak]})};
+    const double report[2] = {static_cast<double>(peak), power[peak]};
+    apps::pack_f64_into(ctx.emit(ctx.output_index(e_peak)), report);
   });
   int correct = 0, total = 0;
   runtime.set_compute(reporter, [&](core::FiringContext& ctx) {
-    const auto report = apps::unpack_f64(ctx.inputs[ctx.input_index(e_peak)][0]);
+    std::vector<double> report;
+    apps::unpack_f64_into(ctx.inputs[ctx.input_index(e_peak)][0], report);
     const auto expected =
         hop_bins[static_cast<std::size_t>(ctx.invocation) % hop_bins.size()];
     const bool hit = static_cast<std::size_t>(report[0]) == expected;

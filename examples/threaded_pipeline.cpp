@@ -35,21 +35,21 @@ int main() {
   auto wire = [&](auto& runtime, std::vector<double>& sink, auto& filter_state) {
     runtime.set_compute(src, [&, e_raw](core::FiringContext& ctx) {
       dsp::Rng rng(static_cast<std::uint64_t>(ctx.invocation) + 1);
-      auto& out = ctx.outputs[ctx.output_index(e_raw)];
+      const std::size_t out = ctx.output_index(e_raw);
       for (std::size_t i = 0; i < kBlock; ++i)
-        out.push_back(apps::pack_f64(std::vector<double>{rng.uniform(-1, 1)}));
+        apps::pack_f64_into(ctx.emit(out), rng.uniform(-1, 1));
     });
     runtime.set_compute(flt, [&, e_raw, e_out](core::FiringContext& ctx) {
       std::vector<double> block;
       for (const auto& t : ctx.inputs[ctx.input_index(e_raw)])
-        block.push_back(apps::unpack_f64(t).at(0));
+        block.push_back(apps::f64_at(t, 0));
       const auto filtered = filter_state.process(block);
-      auto& out = ctx.outputs[ctx.output_index(e_out)];
-      for (double v : filtered) out.push_back(apps::pack_f64(std::vector<double>{v}));
+      const std::size_t out = ctx.output_index(e_out);
+      for (double v : filtered) apps::pack_f64_into(ctx.emit(out), v);
     });
     runtime.set_compute(snk, [&, e_out](core::FiringContext& ctx) {
       for (const auto& t : ctx.inputs[ctx.input_index(e_out)])
-        sink.push_back(apps::unpack_f64(t).at(0));
+        sink.push_back(apps::f64_at(t, 0));
     });
   };
 

@@ -177,7 +177,7 @@ std::vector<double> BeamformerApp::run_functional(double steer_rad, double sourc
 
   runtime.set_compute(steer_, [this, steer_rad](core::FiringContext& ctx) {
     for (df::EdgeId e : steer_edge_)
-      ctx.outputs[ctx.output_index(e)] = {pack_f64(std::vector<double>{steer_rad})};
+      pack_f64_into(ctx.emit(ctx.output_index(e)), steer_rad);
   });
   for (std::size_t p = 0; p < n; ++p) {
     runtime.set_compute(dist_[p], [this, p](core::FiringContext& ctx) {
@@ -190,17 +190,13 @@ std::vector<double> BeamformerApp::run_functional(double steer_rad, double sourc
       runtime.set_compute(
           sensor_actor_[p][li],
           [this, p, li, m, source_rad, weight, reference](core::FiringContext& ctx) {
-            const double steer =
-                unpack_f64(ctx.inputs[ctx.input_index(feed_edge_[p][li])][0]).at(0);
+            const double steer = f64_at(ctx.in(ctx.input_index(feed_edge_[p][li])), 0);
             // Regenerate this sensor's channel of the shared scene.
             const auto scene = reference.sensor_block(source_rad, ctx.invocation);
-            std::vector<double> aligned = BeamformerReference::steer_channel(
+            const std::vector<double> aligned = BeamformerReference::steer_channel(
                 scene[m], reference.delay_samples(m, steer));
-            for (double& v : aligned) v *= weight;
-            std::vector<core::Bytes> tokens;
-            tokens.reserve(aligned.size());
-            for (double v : aligned) tokens.push_back(pack_f64(std::vector<double>{v}));
-            ctx.outputs[ctx.output_index(sensor_edge_[p][li])] = std::move(tokens);
+            const std::size_t out = ctx.output_index(sensor_edge_[p][li]);
+            for (const double v : aligned) pack_f64_into(ctx.emit(out), v * weight);
           });
     }
     runtime.set_compute(psum_[p], [this, p](core::FiringContext& ctx) {
@@ -208,19 +204,17 @@ std::vector<double> BeamformerApp::run_functional(double steer_rad, double sourc
       for (df::EdgeId e : sensor_edge_[p]) {
         const auto& tokens = ctx.inputs[ctx.input_index(e)];
         for (std::size_t i = 0; i < tokens.size(); ++i)
-          partial[i] += unpack_f64(tokens[i]).at(0);
+          partial[i] += f64_at(tokens[i], 0);
       }
-      std::vector<core::Bytes> tokens;
-      tokens.reserve(partial.size());
-      for (double v : partial) tokens.push_back(pack_f64(std::vector<double>{v}));
-      ctx.outputs[ctx.output_index(partial_edge_[p])] = std::move(tokens);
+      const std::size_t out = ctx.output_index(partial_edge_[p]);
+      for (const double v : partial) pack_f64_into(ctx.emit(out), v);
     });
   }
   runtime.set_compute(sum_, [this, output, n](core::FiringContext& ctx) {
     std::vector<double> block(params_.block, 0.0);
     for (df::EdgeId e : partial_edge_) {
       const auto& tokens = ctx.inputs[ctx.input_index(e)];
-      for (std::size_t i = 0; i < tokens.size(); ++i) block[i] += unpack_f64(tokens[i]).at(0);
+      for (std::size_t i = 0; i < tokens.size(); ++i) block[i] += f64_at(tokens[i], 0);
     }
     output->insert(output->end(), block.begin(), block.end());
   });

@@ -1,6 +1,7 @@
 #include "apps/particle_app.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 #include "apps/serialization.hpp"
@@ -10,15 +11,17 @@ namespace spi::apps {
 
 namespace {
 
-/// Deterministic transfer plan for phase 3: donors (targets above quota)
-/// ship their excess to receivers (below quota), both walked in PE order.
-/// Every PE computes the identical plan from the shared weight sums.
-/// transfer[i][j] = particles PE i sends to PE j.
-std::vector<std::vector<std::int64_t>> transfer_plan(const std::vector<std::int64_t>& targets,
-                                                     std::int64_t quota) {
+/// Phase 3's deterministic transfer plan, one row of it: donors
+/// (targets above quota) ship their excess to receivers (below quota),
+/// both walked in PE order. Every PE walks the identical plan from the
+/// shared weight sums and keeps only its own row: row[j] = particles PE
+/// `donor_pe` sends to PE j. `surplus` is scratch.
+void transfer_row(std::span<const std::int64_t> targets, std::int64_t quota,
+                  std::size_t donor_pe, std::vector<std::int64_t>& row,
+                  std::vector<std::int64_t>& surplus) {
   const std::size_t n = targets.size();
-  std::vector<std::vector<std::int64_t>> plan(n, std::vector<std::int64_t>(n, 0));
-  std::vector<std::int64_t> surplus(n);
+  row.assign(n, 0);
+  surplus.resize(n);
   for (std::size_t i = 0; i < n; ++i) surplus[i] = targets[i] - quota;
   std::size_t donor = 0, receiver = 0;
   while (true) {
@@ -26,11 +29,17 @@ std::vector<std::vector<std::int64_t>> transfer_plan(const std::vector<std::int6
     while (receiver < n && surplus[receiver] >= 0) ++receiver;
     if (donor >= n || receiver >= n) break;
     const std::int64_t amount = std::min(surplus[donor], -surplus[receiver]);
-    plan[donor][receiver] += amount;
+    if (donor == donor_pe) row[receiver] += amount;
     surplus[donor] -= amount;
     surplus[receiver] += amount;
   }
-  return plan;
+}
+
+/// Appends a token's doubles to `out` (capacity permitting, in place).
+void append_f64(std::span<const std::uint8_t> bytes, std::vector<double>& out) {
+  const std::size_t old = out.size();
+  out.resize(old + f64_count(bytes));
+  if (!bytes.empty()) std::memcpy(out.data() + old, bytes.data(), bytes.size());
 }
 
 /// Deterministic per-iteration exchange volume for the timed model:
@@ -109,15 +118,23 @@ ParticleFilterApp::ParticleFilterApp(std::int32_t pe_count, ParticleParams param
 }
 
 /// Per-PE mutable tracking state. Each instance is touched only by its
-/// PE's actors — on the threaded engine, only by that PE's thread.
+/// PE's actors — on the threaded engine, only by that PE's thread. The
+/// scratch vectors are reserved to their bounds up front, so a firing
+/// never grows them.
 struct ParticleFilterApp::TrackState {
   struct PeState {
     std::vector<double> particles;
     std::vector<double> weights;
-    std::vector<double> kept;                        // phase-2 survivors
-    std::vector<std::vector<double>> exports;        // per destination PE
-    std::int64_t exported = 0;                       // phase-3 particles shipped out
+    std::vector<double> kept;      // phase-2 survivors (swaps with particles in Xch)
+    std::int64_t exported = 0;     // phase-3 particles shipped out
     dsp::Rng rng;
+    // Res scratch: global sums, apportionment, transfer row, resampled set.
+    std::vector<double> w_sums;
+    std::vector<std::int64_t> targets;
+    dsp::ApportionScratch apportion;
+    std::vector<std::int64_t> row;
+    std::vector<std::int64_t> surplus;
+    std::vector<double> resampled;
     explicit PeState(std::uint64_t seed) : rng(seed) {}
   };
   std::vector<PeState> pe;
@@ -147,6 +164,8 @@ std::shared_ptr<ParticleFilterApp::TrackState> ParticleFilterApp::make_track_sta
   const std::size_t quota = params.particles / n;
   auto shared = std::make_shared<ParticleFilterApp::TrackState>();
   shared->traj = &trajectory;
+  shared->estimates.reserve(trajectory.observations.size());
+  shared->pe.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto& st = shared->pe.emplace_back(params.seed + 1000 * i);
     st.particles.reserve(quota);
@@ -155,7 +174,13 @@ std::shared_ptr<ParticleFilterApp::TrackState> ParticleFilterApp::make_track_sta
           1e-6, params.model.initial_length +
                     st.rng.gaussian(0.0, 5.0 * params.model.process_noise)));
     st.weights.assign(quota, 1.0 / static_cast<double>(params.particles));
-    st.exports.assign(n, {});
+    st.kept.reserve(quota);
+    st.w_sums.reserve(n);
+    st.targets.reserve(n);
+    st.apportion.reserve(n);
+    st.row.reserve(n);
+    st.surplus.reserve(n);
+    st.resampled.reserve(params.particles);  // a PE's target never exceeds N
   }
   return shared;
 }
@@ -167,57 +192,78 @@ void ParticleFilterApp::wire_tracking(Runtime& runtime,
   const std::size_t quota = params_.particles / n;
   const dsp::CrackModel model = params_.model;
   const auto total = static_cast<std::int64_t>(params_.particles);
+  const double ess_fraction = params_.resample_ess_fraction;
 
-  runtime.set_compute(obs_, [this, batch](core::FiringContext& ctx) {
+  // Port slots resolved once here: both engines present an actor's edges
+  // in graph order, so a firing indexes its tokens directly.
+  const df::Graph& graph = system_->plan().vts.graph;
+  const auto in_slot = [&graph](df::ActorId a, df::EdgeId e) {
+    return core::slot_of(graph.in_edges(a), e);
+  };
+  const auto out_slot = [&graph](df::ActorId a, df::EdgeId e) {
+    return core::slot_of(graph.out_edges(a), e);
+  };
+
+  std::vector<std::size_t> obs_out(n);
+  for (std::size_t i = 0; i < n; ++i) obs_out[i] = out_slot(obs_, obs_edge_[i]);
+  runtime.set_compute(obs_, [batch, obs_out](core::FiringContext& ctx) {
     const TrackState& shared = batch->at(ctx.invocation);
     const double obs =
         shared.traj->observations.at(static_cast<std::size_t>(batch->local_step(ctx.invocation)));
-    for (std::size_t i = 0; i < obs_edge_.size(); ++i)
-      ctx.outputs[ctx.output_index(obs_edge_[i])] = {pack_f64(std::vector<double>{obs})};
+    for (const std::size_t slot : obs_out) pack_f64_into(ctx.emit(slot), obs);
   });
 
   for (std::size_t i = 0; i < n; ++i) {
-    runtime.set_compute(est_[i], [this, batch, i, model](core::FiringContext& ctx) {
+    const std::size_t eu_out = out_slot(est_[i], chain_eu_[i]);
+    runtime.set_compute(est_[i], [batch, i, model, eu_out](core::FiringContext& ctx) {
       auto& st = batch->at(ctx.invocation).pe[i];
       for (double& p : st.particles) p = model.step(p, st.rng);
-      ctx.outputs[ctx.output_index(chain_eu_[i])] = {core::Bytes(4, 0)};
+      ctx.emit(eu_out).assign(4, 0);
     });
 
-    runtime.set_compute(upd_[i], [this, batch, i, model](core::FiringContext& ctx) {
+    const std::size_t upd_obs_in = in_slot(upd_[i], obs_edge_[i]);
+    const std::size_t ul_out = out_slot(upd_[i], chain_ul_[i]);
+    runtime.set_compute(upd_[i], [batch, i, model, upd_obs_in, ul_out](core::FiringContext& ctx) {
       auto& st = batch->at(ctx.invocation).pe[i];
-      const double obs = unpack_f64(ctx.inputs[ctx.input_index(obs_edge_[i])][0]).at(0);
+      const double obs = f64_at(ctx.in(upd_obs_in), 0);
       // Weight accumulation (weights are globally normalized after every
       // iteration, so this composes across skipped resampling steps).
       for (std::size_t p = 0; p < st.particles.size(); ++p)
         st.weights[p] *= model.likelihood(obs, st.particles[p]);
-      ctx.outputs[ctx.output_index(chain_ul_[i])] = {core::Bytes(4, 0)};
+      ctx.emit(ul_out).assign(4, 0);
     });
 
-    runtime.set_compute(lws_[i], [this, batch, i, n](core::FiringContext& ctx) {
+    std::vector<std::size_t> lws_out(n);
+    for (std::size_t j = 0; j < n; ++j) lws_out[j] = out_slot(lws_[i], lws_edge_[i][j]);
+    runtime.set_compute(lws_[i], [batch, i, lws_out](core::FiringContext& ctx) {
       auto& st = batch->at(ctx.invocation).pe[i];
-      double w_sum = 0.0, wp_sum = 0.0, w2_sum = 0.0;
+      double sums[3] = {0.0, 0.0, 0.0};  // weight, weighted-particle, squared-weight
       for (std::size_t p = 0; p < st.particles.size(); ++p) {
-        w_sum += st.weights[p];
-        wp_sum += st.weights[p] * st.particles[p];
-        w2_sum += st.weights[p] * st.weights[p];
+        sums[0] += st.weights[p];
+        sums[1] += st.weights[p] * st.particles[p];
+        sums[2] += st.weights[p] * st.weights[p];
       }
-      for (std::size_t j = 0; j < n; ++j)
-        ctx.outputs[ctx.output_index(lws_edge_[i][j])] = {
-            pack_f64(std::vector<double>{w_sum, wp_sum, w2_sum})};
+      for (const std::size_t slot : lws_out) pack_f64_into(ctx.emit(slot), sums);
     });
 
-    runtime.set_compute(res_[i], [this, batch, i, n, quota, total](core::FiringContext& ctx) {
+    std::vector<std::size_t> res_lws_in(n);
+    for (std::size_t j = 0; j < n; ++j) res_lws_in[j] = in_slot(res_[i], lws_edge_[j][i]);
+    std::vector<std::size_t> res_particle_out(n, 0);  // [j], j != i
+    for (std::size_t j = 0; j < n; ++j)
+      if (j != i) res_particle_out[j] = out_slot(res_[i], particle_edge_[i][j]);
+    const std::size_t rx_out = out_slot(res_[i], chain_rx_[i]);
+    runtime.set_compute(res_[i], [batch, i, n, quota, total, ess_fraction, res_lws_in,
+                                  res_particle_out, rx_out](core::FiringContext& ctx) {
       TrackState& shared = batch->at(ctx.invocation);
       auto& st = shared.pe[i];
-      std::vector<double> w_sums(n);
+      st.w_sums.resize(n);
       double w_total = 0.0, wp_acc = 0.0, w2_acc = 0.0;
       for (std::size_t j = 0; j < n; ++j) {
-        const std::vector<double> sums =
-            unpack_f64(ctx.inputs[ctx.input_index(lws_edge_[j][i])][0]);
-        w_sums[j] = sums.at(0);
-        w_total += sums.at(0);
-        wp_acc += sums.at(1);
-        w2_acc += sums.at(2);
+        const std::span<const std::uint8_t> sums = ctx.in(res_lws_in[j]);
+        st.w_sums[j] = f64_at(sums, 0);
+        w_total += f64_at(sums, 0);
+        wp_acc += f64_at(sums, 1);
+        w2_acc += f64_at(sums, 2);
       }
       if (i == 0)  // the global posterior-mean estimate (identical on all PEs)
         shared.estimates.push_back(w_total > 0.0 ? wp_acc / w_total : 0.0);
@@ -226,71 +272,69 @@ void ParticleFilterApp::wire_tracking(Runtime& runtime,
       // reaches the same decision with no extra communication.
       const double ess = w2_acc > 0.0 ? (w_total * w_total) / w2_acc : 0.0;
       const bool do_resample =
-          w_total > 0.0 &&
-          ess <= params_.resample_ess_fraction * static_cast<double>(total);
+          w_total > 0.0 && ess <= ess_fraction * static_cast<double>(total);
       if (i == 0 && do_resample) ++shared.resample_steps;
 
-      st.exports.assign(n, {});
       if (do_resample) {
-        std::vector<std::int64_t> targets = dsp::proportional_targets(w_sums, total);
-        const auto plan = transfer_plan(targets, static_cast<std::int64_t>(quota));
+        dsp::proportional_targets_into(st.w_sums, total, st.targets, st.apportion);
+        transfer_row(st.targets, static_cast<std::int64_t>(quota), i, st.row, st.surplus);
 
         // Phase 2: local resampling to this PE's target count.
-        std::vector<double> resampled;
-        const auto t_i = static_cast<std::size_t>(targets[i]);
-        if (t_i > 0 && w_sums[i] > 0.0) {
-          resampled = dsp::systematic_resample(st.particles, st.weights, targets[i],
-                                               st.rng.uniform());
-        } else if (t_i > 0) {
-          resampled.assign(t_i, st.particles.empty() ? 1e-6 : st.particles[0]);
+        const auto t_i = static_cast<std::size_t>(st.targets[i]);
+        if (t_i > 0 && st.w_sums[i] > 0.0) {
+          dsp::systematic_resample_into(st.particles, st.weights, st.targets[i],
+                                        st.rng.uniform(), st.resampled);
+        } else {
+          st.resampled.assign(t_i, st.particles.empty() ? 1e-6 : st.particles[0]);
         }
         const std::size_t keep = std::min(t_i, quota);
-        st.kept.assign(resampled.begin(),
-                       resampled.begin() + static_cast<std::ptrdiff_t>(keep));
-        // Phase 3 exports: slices of the excess, walked in receiver order.
+        st.kept.assign(st.resampled.begin(),
+                       st.resampled.begin() + static_cast<std::ptrdiff_t>(keep));
+        // Phase 3 exports: slices of the excess, walked in receiver order
+        // (row[i] is always 0 — a donor never receives).
+        const std::span<const double> excess(st.resampled);
         std::size_t cursor = keep;
         for (std::size_t j = 0; j < n; ++j) {
-          const auto amount = static_cast<std::size_t>(plan[i][j]);
-          if (amount == 0) continue;
-          st.exports[j].assign(
-              resampled.begin() + static_cast<std::ptrdiff_t>(cursor),
-              resampled.begin() + static_cast<std::ptrdiff_t>(cursor + amount));
+          if (j == i) continue;
+          const auto amount = static_cast<std::size_t>(st.row[j]);
+          pack_f64_into(ctx.emit(res_particle_out[j]), excess.subspan(cursor, amount));
           cursor += amount;
+          st.exported += static_cast<std::int64_t>(amount);
         }
       } else {
         // Skip: keep the particle set, normalize weights globally (the
-        // degenerate w_total <= 0 case resets to uniform instead).
-        st.kept = st.particles;
+        // degenerate w_total <= 0 case resets to uniform instead), and
+        // ship empty packed tokens.
+        st.kept.assign(st.particles.begin(), st.particles.end());
         if (w_total > 0.0) {
           for (double& w : st.weights) w /= w_total;
         } else {
           st.weights.assign(quota, 1.0 / static_cast<double>(total));
         }
+        for (std::size_t j = 0; j < n; ++j)
+          if (j != i) ctx.emit(res_particle_out[j]).clear();
       }
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == i) continue;
-        st.exported += static_cast<std::int64_t>(st.exports[j].size());
-        ctx.outputs[ctx.output_index(particle_edge_[i][j])] = {pack_f64(st.exports[j])};
-      }
-      ctx.outputs[ctx.output_index(chain_rx_[i])] = {
-          core::Bytes(4, do_resample ? 1 : 0)};  // flag for Xch
+      ctx.emit(rx_out).assign(4, do_resample ? 1 : 0);  // flag for Xch
     });
 
-    runtime.set_compute(xch_[i], [this, batch, i, n, quota, total](core::FiringContext& ctx) {
+    const std::size_t xch_rx_in = in_slot(xch_[i], chain_rx_[i]);
+    std::vector<std::size_t> xch_particle_in(n, 0);  // [j], j != i
+    for (std::size_t j = 0; j < n; ++j)
+      if (j != i) xch_particle_in[j] = in_slot(xch_[i], particle_edge_[j][i]);
+    const std::size_t xe_out = out_slot(xch_[i], loop_xe_[i]);
+    runtime.set_compute(xch_[i], [batch, i, n, quota, total, xch_rx_in, xch_particle_in,
+                                  xe_out](core::FiringContext& ctx) {
       auto& st = batch->at(ctx.invocation).pe[i];
-      const bool resampled = ctx.inputs[ctx.input_index(chain_rx_[i])][0][0] != 0;
-      std::vector<double> merged = std::move(st.kept);
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == i) continue;
-        const std::vector<double> imported =
-            unpack_f64(ctx.inputs[ctx.input_index(particle_edge_[j][i])][0]);
-        merged.insert(merged.end(), imported.begin(), imported.end());
-      }
-      if (merged.size() != quota)
+      const bool resampled = ctx.in(xch_rx_in)[0] != 0;
+      // The survivors become the particle set; the old set's buffer is
+      // next iteration's survivor scratch.
+      st.particles.swap(st.kept);
+      for (std::size_t j = 0; j < n; ++j)
+        if (j != i) append_f64(ctx.in(xch_particle_in[j]), st.particles);
+      if (st.particles.size() != quota)
         throw std::logic_error("ParticleFilterApp: intra-resampling did not rebalance to N/n");
-      st.particles = std::move(merged);
       if (resampled) st.weights.assign(quota, 1.0 / static_cast<double>(total));
-      ctx.outputs[ctx.output_index(loop_xe_[i])] = {core::Bytes(4, 0)};
+      ctx.emit(xe_out).assign(4, 0);
     });
   }
 }
@@ -356,26 +400,39 @@ TrackResult ParticleFilterApp::track_threaded(const dsp::CrackTrajectory& trajec
   return result;
 }
 
-std::vector<TrackResult> ParticleFilterApp::track_batch(std::span<const ParticleJobSpec> jobs,
-                                                        core::JobInstance& instance,
-                                                        const core::RunOptions* run_options) const {
-  if (jobs.empty()) return {};
-  const auto n = static_cast<std::size_t>(pe_count_);
+std::shared_ptr<ParticleFilterApp::BatchTrackState> ParticleFilterApp::make_batch(
+    std::span<const ParticleJobSpec> jobs) const {
   const auto steps = static_cast<std::int64_t>(jobs.front().trajectory.observations.size());
   if (steps <= 0)
-    throw std::invalid_argument("ParticleFilterApp::track_batch: empty trajectory");
-
+    throw std::invalid_argument("ParticleFilterApp: empty trajectory in a batch");
   auto batch = std::make_shared<BatchTrackState>();
   batch->steps_per_job = steps;
   batch->jobs.reserve(jobs.size());
   for (const ParticleJobSpec& job : jobs) {
     if (static_cast<std::int64_t>(job.trajectory.observations.size()) != steps)
       throw std::invalid_argument(
-          "ParticleFilterApp::track_batch: jobs must share one trajectory length");
+          "ParticleFilterApp: batched jobs must share one trajectory length");
     ParticleParams params = params_;
     params.seed = job.seed;
-    batch->jobs.push_back(make_track_state(params, n, job.trajectory));
+    batch->jobs.push_back(
+        make_track_state(params, static_cast<std::size_t>(pe_count_), job.trajectory));
   }
+  return batch;
+}
+
+void ParticleFilterApp::bind_batch(std::span<const ParticleJobSpec> jobs,
+                                   core::JobInstance& instance) const {
+  if (jobs.empty()) throw std::invalid_argument("ParticleFilterApp::bind_batch: no jobs");
+  wire_tracking(instance, make_batch(jobs));
+  instance.reset_invocations();
+}
+
+std::vector<TrackResult> ParticleFilterApp::track_batch(std::span<const ParticleJobSpec> jobs,
+                                                        core::JobInstance& instance,
+                                                        const core::RunOptions* run_options) const {
+  if (jobs.empty()) return {};
+  const std::shared_ptr<BatchTrackState> batch = make_batch(jobs);
+  const std::int64_t steps = batch->steps_per_job;
 
   wire_tracking(instance, batch);
   instance.reset_invocations();

@@ -128,6 +128,15 @@ class ParticleFilterApp {
       std::span<const ParticleJobSpec> jobs, core::JobInstance& instance,
       const core::RunOptions* run_options = nullptr) const;
 
+  /// The wiring half of track_batch: registers the batch's computes on
+  /// `instance` and resets its invocation counters without running, so
+  /// the caller drives instance.run_colocated(...) itself — iteration k
+  /// is step k % T of job k / T, for up to jobs.size() * T iterations.
+  /// The answers are not collected. `jobs` must outlive those runs. The
+  /// allocation gate (bench/micro_channel.cpp) times warm iterations
+  /// through it.
+  void bind_batch(std::span<const ParticleJobSpec> jobs, core::JobInstance& instance) const;
+
   /// Figure 7: timed execution at a given run-time particle count.
   [[nodiscard]] sim::ExecStats run_timed(std::size_t particles,
                                          const ParticleTimingModel& timing,
@@ -142,6 +151,9 @@ class ParticleFilterApp {
   struct BatchTrackState;  // ordered job states + the invocation->job mapping
   [[nodiscard]] static std::shared_ptr<TrackState> make_track_state(
       const ParticleParams& params, std::size_t n, const dsp::CrackTrajectory& trajectory);
+  /// Fresh job states for a non-empty batch sharing one trajectory length.
+  [[nodiscard]] std::shared_ptr<BatchTrackState> make_batch(
+      std::span<const ParticleJobSpec> jobs) const;
   /// Registers all compute functions on either execution engine
   /// (FunctionalRuntime, ThreadedRuntime or JobInstance — same ComputeFn
   /// contract). Each firing resolves its job's TrackState from

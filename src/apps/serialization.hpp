@@ -1,7 +1,10 @@
 /// \file serialization.hpp
 /// Token (de)serialization helpers for the application actors: dataflow
-/// tokens are raw bytes on SPI channels; the applications move doubles,
-/// floats and int32s through them.
+/// tokens are raw bytes on SPI channels; the applications move doubles
+/// through them. Every helper works in place: packing writes into a
+/// caller's token (typically FiringContext::emit, whose recycled buffer
+/// already has the capacity) and unpacking reads a token span into a
+/// caller's scratch, so a warm firing allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -16,46 +19,40 @@ namespace spi::apps {
 
 using core::Bytes;
 
-inline void append_f64(Bytes& out, double v) {
-  std::uint8_t buf[sizeof(double)];
-  std::memcpy(buf, &v, sizeof(double));
-  out.insert(out.end(), buf, buf + sizeof(double));
+/// Overwrites `out` with `values` (native byte order), reusing its
+/// capacity.
+inline void pack_f64_into(Bytes& out, std::span<const double> values) {
+  const auto* raw = reinterpret_cast<const std::uint8_t*>(values.data());
+  out.assign(raw, raw + values.size_bytes());
 }
 
-inline void append_i32(Bytes& out, std::int32_t v) {
-  std::uint8_t buf[sizeof(std::int32_t)];
-  std::memcpy(buf, &v, sizeof(std::int32_t));
-  out.insert(out.end(), buf, buf + sizeof(std::int32_t));
+/// One-value form of pack_f64_into.
+inline void pack_f64_into(Bytes& out, double value) {
+  pack_f64_into(out, std::span<const double>(&value, 1));
 }
 
-[[nodiscard]] inline Bytes pack_f64(std::span<const double> values) {
-  Bytes out;
-  out.reserve(values.size() * sizeof(double));
-  for (double v : values) append_f64(out, v);
-  return out;
-}
-
-[[nodiscard]] inline Bytes pack_i32(std::span<const std::int32_t> values) {
-  Bytes out;
-  out.reserve(values.size() * sizeof(std::int32_t));
-  for (std::int32_t v : values) append_i32(out, v);
-  return out;
-}
-
-[[nodiscard]] inline std::vector<double> unpack_f64(std::span<const std::uint8_t> bytes) {
+/// How many doubles a token carries; throws std::invalid_argument when
+/// its size is not a whole number of doubles.
+[[nodiscard]] inline std::size_t f64_count(std::span<const std::uint8_t> bytes) {
   if (bytes.size() % sizeof(double) != 0)
-    throw std::invalid_argument("unpack_f64: byte count not a multiple of 8");
-  std::vector<double> out(bytes.size() / sizeof(double));
-  std::memcpy(out.data(), bytes.data(), bytes.size());
-  return out;
+    throw std::invalid_argument("f64_count: byte count not a multiple of 8");
+  return bytes.size() / sizeof(double);
 }
 
-[[nodiscard]] inline std::vector<std::int32_t> unpack_i32(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() % sizeof(std::int32_t) != 0)
-    throw std::invalid_argument("unpack_i32: byte count not a multiple of 4");
-  std::vector<std::int32_t> out(bytes.size() / sizeof(std::int32_t));
-  std::memcpy(out.data(), bytes.data(), bytes.size());
-  return out;
+/// Copies a token's doubles into `out` (resized to fit; a warm scratch
+/// vector keeps its capacity).
+inline void unpack_f64_into(std::span<const std::uint8_t> bytes, std::vector<double>& out) {
+  out.resize(f64_count(bytes));
+  if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
+}
+
+/// The `index`-th double of a token; throws std::out_of_range past its
+/// end.
+[[nodiscard]] inline double f64_at(std::span<const std::uint8_t> bytes, std::size_t index) {
+  if (index >= f64_count(bytes)) throw std::out_of_range("f64_at: index past the token");
+  double v;
+  std::memcpy(&v, bytes.data() + index * sizeof(double), sizeof(double));
+  return v;
 }
 
 }  // namespace spi::apps

@@ -1,5 +1,6 @@
 #include "apps/speech_app.hpp"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "apps/serialization.hpp"
@@ -196,59 +197,83 @@ ErrorGenApp::Section ErrorGenApp::section(std::int32_t pe, std::size_t sample_co
   return s;
 }
 
-template <class Runtime>
-void ErrorGenApp::wire_error_gen(Runtime& runtime, std::span<const double> frame,
-                                 std::span<const double> coeffs,
-                                 const std::shared_ptr<std::vector<double>>& result) const {
-  const std::vector<double> frame_copy(frame.begin(), frame.end());
-  const std::vector<double> coeff_copy(coeffs.begin(), coeffs.end());
+void ErrorGenApp::check_bounds(std::span<const double> frame,
+                               std::span<const double> coeffs) const {
+  if (frame.size() > params_.max_frame_size)
+    throw std::length_error("ErrorGenApp: frame exceeds the declared bound");
+  if (coeffs.size() > params_.max_order)
+    throw std::length_error("ErrorGenApp: order exceeds the declared bound");
+}
 
+template <class Runtime>
+void ErrorGenApp::wire_jobs(Runtime& runtime, std::span<const SpeechJobSpec> jobs,
+                            std::span<std::vector<double>> results) const {
+  // Every speech actor fires exactly once per graph iteration, so
+  // invocation k fires job k % jobs.size(): after reset_invocations() a
+  // batch walks its queue in order, and a one-job wiring repeats the
+  // same job on every iteration. The lambdas hold the caller's spans,
+  // which must outlive the runs.
+  const df::Graph& graph = system_->plan().vts.graph;
+  const std::size_t count = jobs.size();
   for (std::int32_t i = 0; i < pe_count_; ++i) {
     const auto idx = static_cast<std::size_t>(i);
-    const Section sec = section(i, frame.size(), coeffs.size());
+    const std::size_t frame_out = core::slot_of(graph.out_edges(send_frame_[idx]), frame_edge_[idx]);
+    const std::size_t coeff_out = core::slot_of(graph.out_edges(send_coeff_[idx]), coeff_edge_[idx]);
+    const std::size_t frame_in = core::slot_of(graph.in_edges(pe_[idx]), frame_edge_[idx]);
+    const std::size_t coeff_in = core::slot_of(graph.in_edges(pe_[idx]), coeff_edge_[idx]);
+    const std::size_t err_out = core::slot_of(graph.out_edges(pe_[idx]), err_edge_[idx]);
+    const std::size_t err_in = core::slot_of(graph.in_edges(recv_err_[idx]), err_edge_[idx]);
 
-    runtime.set_compute(send_frame_[idx], [this, idx, sec, frame_copy](core::FiringContext& ctx) {
-      const std::span<const double> data(frame_copy);
-      const auto shipped = data.subspan(sec.begin - sec.history, sec.history + sec.count);
-      ctx.outputs[ctx.output_index(frame_edge_[idx])] = {pack_f64(shipped)};
+    runtime.set_compute(send_frame_[idx], [this, i, jobs, count, frame_out](core::FiringContext& ctx) {
+      const SpeechJobSpec& job = jobs[static_cast<std::size_t>(ctx.invocation) % count];
+      const Section sec = section(i, job.frame.size(), job.coeffs.size());
+      const std::span<const double> data(job.frame);
+      pack_f64_into(ctx.emit(frame_out),
+                    data.subspan(sec.begin - sec.history, sec.history + sec.count));
     });
-    runtime.set_compute(send_coeff_[idx], [this, idx, coeff_copy](core::FiringContext& ctx) {
-      ctx.outputs[ctx.output_index(coeff_edge_[idx])] = {pack_f64(coeff_copy)};
+    runtime.set_compute(send_coeff_[idx], [jobs, count, coeff_out](core::FiringContext& ctx) {
+      const SpeechJobSpec& job = jobs[static_cast<std::size_t>(ctx.invocation) % count];
+      pack_f64_into(ctx.emit(coeff_out), job.coeffs);
     });
-    runtime.set_compute(pe_[idx], [this, idx, sec](core::FiringContext& ctx) {
-      const std::vector<double> samples =
-          unpack_f64(ctx.inputs[ctx.input_index(frame_edge_[idx])][0]);
-      const std::vector<double> coeffs_in =
-          unpack_f64(ctx.inputs[ctx.input_index(coeff_edge_[idx])][0]);
-      // The shipped section starts `history` samples before the section;
-      // errors are produced only for the section proper.
-      const std::vector<double> errors =
-          dsp::prediction_error(samples, coeffs_in, sec.history, sec.count);
-      ctx.outputs[ctx.output_index(err_edge_[idx])] = {pack_f64(errors)};
-    });
-    // All RecvErr actors live on processor 0, so `result` is written by
+    // D's unpacked inputs and its errors live in the lambda: one PE
+    // fires it, and the buffers stay warm across the batch.
+    runtime.set_compute(
+        pe_[idx], [this, i, jobs, count, frame_in, coeff_in, err_out, samples = std::vector<double>(),
+                   coeffs = std::vector<double>(),
+                   errors = std::vector<double>()](core::FiringContext& ctx) mutable {
+          const SpeechJobSpec& job = jobs[static_cast<std::size_t>(ctx.invocation) % count];
+          const Section sec = section(i, job.frame.size(), job.coeffs.size());
+          unpack_f64_into(ctx.in(frame_in), samples);
+          unpack_f64_into(ctx.in(coeff_in), coeffs);
+          // The shipped section starts `history` samples before the
+          // section; errors are produced only for the section proper.
+          errors.resize(sec.count);
+          dsp::prediction_error_into(samples, coeffs, sec.history, sec.count, errors);
+          pack_f64_into(ctx.emit(err_out), errors);
+        });
+    // All RecvErr actors live on processor 0, so `results` is written by
     // one thread; the runtime's join orders the writes before the read.
-    runtime.set_compute(recv_err_[idx], [this, idx, sec, result](core::FiringContext& ctx) {
-      const std::vector<double> errors =
-          unpack_f64(ctx.inputs[ctx.input_index(err_edge_[idx])][0]);
-      std::copy(errors.begin(), errors.end(),
-                result->begin() + static_cast<std::ptrdiff_t>(sec.begin));
+    runtime.set_compute(recv_err_[idx], [this, i, jobs, results, count,
+                                         err_in](core::FiringContext& ctx) {
+      const std::size_t k = static_cast<std::size_t>(ctx.invocation) % count;
+      const Section sec = section(i, jobs[k].frame.size(), jobs[k].coeffs.size());
+      const std::span<const std::uint8_t> errors = ctx.in(err_in);
+      if (f64_count(errors) != sec.count)
+        throw std::logic_error("ErrorGenApp: error token does not cover the section");
+      if (!errors.empty()) std::memcpy(results[k].data() + sec.begin, errors.data(), errors.size());
     });
   }
 }
 
 std::vector<double> ErrorGenApp::compute_errors_parallel(std::span<const double> frame,
                                                          std::span<const double> coeffs) const {
-  if (frame.size() > params_.max_frame_size)
-    throw std::length_error("ErrorGenApp: frame exceeds the declared bound");
-  if (coeffs.size() > params_.max_order)
-    throw std::length_error("ErrorGenApp: order exceeds the declared bound");
-
+  check_bounds(frame, coeffs);
+  const SpeechJobSpec job{{frame.begin(), frame.end()}, {coeffs.begin(), coeffs.end()}};
+  std::vector<std::vector<double>> result(1, std::vector<double>(frame.size(), 0.0));
   core::FunctionalRuntime runtime(*system_);
-  auto result = std::make_shared<std::vector<double>>(frame.size(), 0.0);
-  wire_error_gen(runtime, frame, coeffs, result);
+  wire_jobs(runtime, std::span(&job, 1), result);
   runtime.run(1);
-  return std::move(*result);
+  return std::move(result.front());
 }
 
 std::vector<double> ErrorGenApp::compute_errors_threaded(std::span<const double> frame,
@@ -256,16 +281,7 @@ std::vector<double> ErrorGenApp::compute_errors_threaded(std::span<const double>
                                                          core::ReliabilityOptions reliability,
                                                          obs::MetricRegistry* metrics,
                                                          core::ChannelPolicy policy) const {
-  if (frame.size() > params_.max_frame_size)
-    throw std::length_error("ErrorGenApp: frame exceeds the declared bound");
-  if (coeffs.size() > params_.max_order)
-    throw std::length_error("ErrorGenApp: order exceeds the declared bound");
-
-  core::ThreadedRuntime runtime(system_->plan(), policy, reliability, metrics);
-  auto result = std::make_shared<std::vector<double>>(frame.size(), 0.0);
-  wire_error_gen(runtime, frame, coeffs, result);
-  runtime.run(1);
-  return std::move(*result);
+  return compute_errors_threaded(frame, coeffs, core::RunOptions{}, reliability, metrics, policy);
 }
 
 std::vector<double> ErrorGenApp::compute_errors_threaded(std::span<const double> frame,
@@ -274,71 +290,37 @@ std::vector<double> ErrorGenApp::compute_errors_threaded(std::span<const double>
                                                          core::ReliabilityOptions reliability,
                                                          obs::MetricRegistry* metrics,
                                                          core::ChannelPolicy policy) const {
-  if (frame.size() > params_.max_frame_size)
-    throw std::length_error("ErrorGenApp: frame exceeds the declared bound");
-  if (coeffs.size() > params_.max_order)
-    throw std::length_error("ErrorGenApp: order exceeds the declared bound");
-
+  check_bounds(frame, coeffs);
+  const SpeechJobSpec job{{frame.begin(), frame.end()}, {coeffs.begin(), coeffs.end()}};
+  std::vector<std::vector<double>> result(1, std::vector<double>(frame.size(), 0.0));
   core::ThreadedRuntime runtime(system_->plan(), policy, reliability, metrics);
-  auto result = std::make_shared<std::vector<double>>(frame.size(), 0.0);
-  wire_error_gen(runtime, frame, coeffs, result);
+  wire_jobs(runtime, std::span(&job, 1), result);
   runtime.run(run_options);
-  return std::move(*result);
+  return std::move(result.front());
+}
+
+void ErrorGenApp::bind_batch(std::span<const SpeechJobSpec> jobs, core::JobInstance& instance,
+                             std::span<std::vector<double>> results) const {
+  if (jobs.empty()) throw std::invalid_argument("ErrorGenApp::bind_batch: no jobs");
+  if (results.size() != jobs.size())
+    throw std::invalid_argument("ErrorGenApp::bind_batch: one result per job");
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    check_bounds(jobs[k].frame, jobs[k].coeffs);
+    if (results[k].size() != jobs[k].frame.size())
+      throw std::invalid_argument("ErrorGenApp::bind_batch: result not sized to its frame");
+  }
+  wire_jobs(instance, jobs, results);
+  instance.reset_invocations();
 }
 
 std::vector<std::vector<double>> ErrorGenApp::compute_errors_batch(
     std::span<const SpeechJobSpec> jobs, core::JobInstance& instance,
     const core::RunOptions* run_options) const {
-  for (const SpeechJobSpec& job : jobs) {
-    if (job.frame.size() > params_.max_frame_size)
-      throw std::length_error("ErrorGenApp: frame exceeds the declared bound");
-    if (job.coeffs.size() > params_.max_order)
-      throw std::length_error("ErrorGenApp: order exceeds the declared bound");
-  }
-  auto results = std::make_shared<std::vector<std::vector<double>>>();
-  results->reserve(jobs.size());
-  for (const SpeechJobSpec& job : jobs) results->emplace_back(job.frame.size(), 0.0);
-
-  // Every speech actor fires exactly once per graph iteration, so after
-  // reset_invocations() ctx.invocation names the queued job being fired.
-  // The lambdas hold the caller's span — valid because the whole batch
-  // runs to completion before this function returns.
-  for (std::int32_t i = 0; i < pe_count_; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    instance.set_compute(send_frame_[idx], [this, i, idx, jobs](core::FiringContext& ctx) {
-      const SpeechJobSpec& job = jobs[static_cast<std::size_t>(ctx.invocation)];
-      const Section sec = section(i, job.frame.size(), job.coeffs.size());
-      const std::span<const double> data(job.frame);
-      const auto shipped = data.subspan(sec.begin - sec.history, sec.history + sec.count);
-      ctx.outputs[ctx.output_index(frame_edge_[idx])] = {pack_f64(shipped)};
-    });
-    instance.set_compute(send_coeff_[idx], [this, idx, jobs](core::FiringContext& ctx) {
-      const SpeechJobSpec& job = jobs[static_cast<std::size_t>(ctx.invocation)];
-      ctx.outputs[ctx.output_index(coeff_edge_[idx])] = {pack_f64(job.coeffs)};
-    });
-    instance.set_compute(pe_[idx], [this, i, idx, jobs](core::FiringContext& ctx) {
-      const SpeechJobSpec& job = jobs[static_cast<std::size_t>(ctx.invocation)];
-      const Section sec = section(i, job.frame.size(), job.coeffs.size());
-      const std::vector<double> samples =
-          unpack_f64(ctx.inputs[ctx.input_index(frame_edge_[idx])][0]);
-      const std::vector<double> coeffs_in =
-          unpack_f64(ctx.inputs[ctx.input_index(coeff_edge_[idx])][0]);
-      const std::vector<double> errors =
-          dsp::prediction_error(samples, coeffs_in, sec.history, sec.count);
-      ctx.outputs[ctx.output_index(err_edge_[idx])] = {pack_f64(errors)};
-    });
-    instance.set_compute(recv_err_[idx], [this, i, idx, jobs, results](core::FiringContext& ctx) {
-      const auto job_index = static_cast<std::size_t>(ctx.invocation);
-      const SpeechJobSpec& job = jobs[job_index];
-      const Section sec = section(i, job.frame.size(), job.coeffs.size());
-      const std::vector<double> errors =
-          unpack_f64(ctx.inputs[ctx.input_index(err_edge_[idx])][0]);
-      std::copy(errors.begin(), errors.end(),
-                (*results)[job_index].begin() + static_cast<std::ptrdiff_t>(sec.begin));
-    });
-  }
-
-  instance.reset_invocations();
+  if (jobs.empty()) return {};
+  std::vector<std::vector<double>> results;
+  results.reserve(jobs.size());
+  for (const SpeechJobSpec& job : jobs) results.emplace_back(job.frame.size(), 0.0);
+  bind_batch(jobs, instance, results);
   if (run_options) {
     core::RunOptions options = *run_options;
     options.iterations = static_cast<std::int64_t>(jobs.size());
@@ -346,7 +328,7 @@ std::vector<std::vector<double>> ErrorGenApp::compute_errors_batch(
   } else {
     instance.run_colocated(static_cast<std::int64_t>(jobs.size()));
   }
-  return std::move(*results);
+  return results;
 }
 
 sim::ExecStats ErrorGenApp::run_timed(std::size_t sample_size, std::size_t order,

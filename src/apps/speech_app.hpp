@@ -173,6 +173,16 @@ class ErrorGenApp {
       std::span<const SpeechJobSpec> jobs, core::JobInstance& instance,
       const core::RunOptions* run_options = nullptr) const;
 
+  /// The wiring half of compute_errors_batch: registers the batch's
+  /// computes on `instance` and resets its invocation counters without
+  /// running. Job k's errors land in results[k], which must already be
+  /// sized to its frame; `jobs` and `results` must outlive the caller's
+  /// instance.run_colocated(...) calls (iteration k fires job
+  /// k % jobs.size()). The allocation gate (bench/micro_channel.cpp)
+  /// times warm iterations through it.
+  void bind_batch(std::span<const SpeechJobSpec> jobs, core::JobInstance& instance,
+                  std::span<std::vector<double>> results) const;
+
   /// Figure 6: timed execution at a given run-time sample size and
   /// predictor order; returns per-iteration statistics. `backend`
   /// defaults to this system's SPI backend (pass an MpiBackend for the
@@ -202,13 +212,15 @@ class ErrorGenApp {
   [[nodiscard]] static sim::AreaReport full_hardware_area(std::int32_t pipelines);
 
  private:
-  /// Registers the four per-PE compute functions on either execution
-  /// engine (FunctionalRuntime or ThreadedRuntime — same ComputeFn
-  /// contract). `result` collects the error values by section.
+  /// Throws std::length_error when a job exceeds the compile-time bounds.
+  void check_bounds(std::span<const double> frame, std::span<const double> coeffs) const;
+  /// Registers the four per-PE compute functions on any execution engine
+  /// (FunctionalRuntime, ThreadedRuntime or JobInstance — same ComputeFn
+  /// contract): invocation k fires jobs[k % jobs.size()], whose errors
+  /// are written by section into results[k % jobs.size()].
   template <class Runtime>
-  void wire_error_gen(Runtime& runtime, std::span<const double> frame,
-                      std::span<const double> coeffs,
-                      const std::shared_ptr<std::vector<double>>& result) const;
+  void wire_jobs(Runtime& runtime, std::span<const SpeechJobSpec> jobs,
+                 std::span<std::vector<double>> results) const;
 
   std::int32_t pe_count_;
   SpeechParams params_;

@@ -5,16 +5,38 @@
 
 namespace spi::core {
 
-std::size_t FiringContext::input_index(df::EdgeId e) const {
-  const auto it = std::find(in_edges.begin(), in_edges.end(), e);
-  if (it == in_edges.end()) throw std::out_of_range("FiringContext: not an input edge");
-  return static_cast<std::size_t>(it - in_edges.begin());
+std::size_t slot_of(std::span<const df::EdgeId> edges, df::EdgeId edge) {
+  const auto it = std::find(edges.begin(), edges.end(), edge);
+  if (it == edges.end()) throw std::out_of_range("slot_of: edge is not a port of the actor");
+  return static_cast<std::size_t>(it - edges.begin());
 }
 
-std::size_t FiringContext::output_index(df::EdgeId e) const {
-  const auto it = std::find(out_edges.begin(), out_edges.end(), e);
-  if (it == out_edges.end()) throw std::out_of_range("FiringContext: not an output edge");
-  return static_cast<std::size_t>(it - out_edges.begin());
+std::size_t FiringContext::input_index(df::EdgeId e) const { return slot_of(in_edges, e); }
+
+std::size_t FiringContext::output_index(df::EdgeId e) const { return slot_of(out_edges, e); }
+
+Bytes& FiringContext::emit(std::size_t out_slot) {
+  std::vector<Bytes>& out = outputs[out_slot];
+  if (out_slot < spare.size() && !spare[out_slot].empty()) {
+    out.push_back(std::move(spare[out_slot].back()));
+    spare[out_slot].pop_back();
+    out.back().clear();  // keeps the capacity
+  } else {
+    out.emplace_back();
+  }
+  return out.back();
+}
+
+void FiringContext::recycle_outputs() {
+  spare.resize(outputs.size());
+  for (std::size_t i = 0; i < outputs.size(); ++i) {
+    // At most one firing's worth of buffers per slot: a compute that
+    // assigns fresh tokens instead of emitting cannot grow spare[].
+    const std::size_t cap = outputs[i].size();
+    for (Bytes& token : outputs[i])
+      if (spare[i].size() < cap) spare[i].push_back(std::move(token));
+    outputs[i].clear();
+  }
 }
 
 FunctionalRuntime::FunctionalRuntime(const ExecutablePlan& plan)

@@ -27,6 +27,13 @@ namespace spi::core {
 /// dynamic edges are *packed* tokens (variable size up to b_max; build
 /// them with TokenPacker); tokens on static edges have the edge's exact
 /// token size.
+///
+/// Buffer lifecycle (docs/architecture.md): outputs[i] is empty when the
+/// compute starts. emit(i) appends one token whose storage is recycled
+/// from this context's earlier firings. A persistent context (JobInstance)
+/// keeps its token buffers across firings, so a warm compute that writes
+/// through emit() and reads through in() allocates nothing. Assigning or
+/// pushing fresh Bytes into outputs[i] stays valid; it just allocates.
 struct FiringContext {
   df::ActorId actor = df::kInvalidActor;
   std::int64_t invocation = 0;  ///< k-th firing of this actor (0-based, global)
@@ -37,11 +44,33 @@ struct FiringContext {
   /// Edge ids aligned with inputs / outputs.
   std::span<const df::EdgeId> in_edges;
   std::span<const df::EdgeId> out_edges;
+  /// Recycled token buffers per output slot, refilled by the engine
+  /// after routing and drained by emit().
+  std::vector<std::vector<Bytes>> spare;
 
-  /// Convenience: index of edge `e` within in_edges / out_edges.
+  /// Convenience: index of edge `e` within in_edges / out_edges. Linear
+  /// searches — resolve them once when wiring, not on every firing.
   [[nodiscard]] std::size_t input_index(df::EdgeId e) const;
   [[nodiscard]] std::size_t output_index(df::EdgeId e) const;
+
+  /// Appends one empty token to outputs[out_slot] and returns it for the
+  /// compute to fill. Its capacity is a recycled buffer's, if any.
+  Bytes& emit(std::size_t out_slot);
+  /// The bytes of token `token` consumed from in_edges[in_slot].
+  [[nodiscard]] std::span<const std::uint8_t> in(std::size_t in_slot,
+                                                 std::size_t token = 0) const {
+    return inputs[in_slot][token];
+  }
+  /// Moves the routed outputs[] tokens into spare[] and empties
+  /// outputs[]: what an engine calls between firings so the next emit()
+  /// reuses the storage.
+  void recycle_outputs();
 };
+
+/// Index of `edge` within `edges` — an actor's in_edges / out_edges in
+/// graph order, which is the slot order both engines present. Throws
+/// std::out_of_range when absent.
+[[nodiscard]] std::size_t slot_of(std::span<const df::EdgeId> edges, df::EdgeId edge);
 
 using ComputeFn = std::function<void(FiringContext&)>;
 

@@ -22,7 +22,7 @@ JobInstance::JobInstance(const ExecutablePlan& plan, JobInstanceOptions options)
       owned_registry_(options.metrics ? nullptr : std::make_unique<obs::MetricRegistry>()),
       registry_(options.metrics ? options.metrics : owned_registry_.get()),
       compute_(graph_.actor_count()),
-      local_fifo_(graph_.edge_count()),
+      local_(graph_.edge_count()),
       spsc_(graph_.edge_count()),
       blocking_(graph_.edge_count()),
       edge_messages_(graph_.edge_count(), nullptr),
@@ -139,6 +139,36 @@ void JobInstance::init() {
     }
   }
 
+  // Every token buffer the firing path circulates (context input slots,
+  // emit() spares, local ring slots) is reserved to its edge's token
+  // bound up front: a packed token never exceeds b_max, so no buffer
+  // ever grows and even the first firing allocates nothing.
+  std::vector<std::size_t> token_bound(graph_.edge_count());
+  for (std::size_t i = 0; i < graph_.edge_count(); ++i) {
+    const df::VtsEdgeInfo& info = plan_.vts.edges[i];
+    token_bound[i] = static_cast<std::size_t>(
+        info.converted ? info.b_max_bytes : graph_.edge(static_cast<df::EdgeId>(i)).token_bytes);
+  }
+  const auto reserved_tokens = [&token_bound](std::size_t count, df::EdgeId edge) {
+    std::vector<Bytes> tokens(count);
+    for (Bytes& token : tokens) token.reserve(token_bound[static_cast<std::size_t>(edge)]);
+    return tokens;
+  };
+
+  // Local rings hold at most one iteration's tokens plus the delays: a
+  // processor runs its program sequentially, so every local edge is
+  // back to its delay count at each iteration boundary.
+  std::vector<std::int64_t> firings(graph_.actor_count(), 0);
+  for (const df::ActorId actor : plan_.pass.firings) ++firings[static_cast<std::size_t>(actor)];
+  for (std::size_t i = 0; i < graph_.edge_count(); ++i) {
+    if (spsc_[i] || blocking_[i]) continue;
+    const df::Edge& e = graph_.edge(static_cast<df::EdgeId>(i));
+    const std::int64_t tokens =
+        e.delay + e.prod.value() * firings[static_cast<std::size_t>(e.src)];
+    local_[i].slots = reserved_tokens(static_cast<std::size_t>(std::max<std::int64_t>(1, tokens)),
+                                      static_cast<df::EdgeId>(i));
+  }
+
   // Initial tokens. Placed through the faultless path: delay tokens are
   // part of the compiled system, not traffic the fault plan may eat.
   // Plain channels no longer count per token, so account for the
@@ -154,7 +184,7 @@ void JobInstance::init() {
       } else if (blocking_[i]) {
         blocking_[i]->push_faultless(Bytes(token_bytes, 0));
       } else {
-        local_fifo_[i].push_back(Bytes(token_bytes, 0));
+        local_[i].push_slot().assign(token_bytes, 0);
         continue;
       }
       if (edge_messages_[i]) {
@@ -170,10 +200,9 @@ void JobInstance::init() {
   worker_state_ = std::make_unique<WorkerState[]>(worker_count_);
   colocated_epochs_.assign(worker_count_, 0);
 
-  // Persistent per-(proc, step) firing contexts: the outer vectors and
-  // the input token buffers are built once and keep their heap capacity
-  // across iterations, so a warmed-up firing's channel path allocates
-  // nothing.
+  // Persistent per-(proc, step) firing contexts: the outer vectors, the
+  // input slots and one firing's worth of emit() spares per output are
+  // built once and keep their capacity across iterations.
   contexts_.resize(plan_.programs.size());
   for (std::size_t p = 0; p < plan_.programs.size(); ++p) {
     const std::vector<FiringStep>& program = plan_.programs[p];
@@ -187,9 +216,16 @@ void JobInstance::init() {
       ctx.inputs.resize(ctx.in_edges.size());
       for (std::size_t i = 0; i < ctx.in_edges.size(); ++i) {
         const df::Edge& e = graph_.edge(ctx.in_edges[i]);
-        ctx.inputs[i].resize(static_cast<std::size_t>(e.cons.value()));
+        ctx.inputs[i] = reserved_tokens(static_cast<std::size_t>(e.cons.value()), ctx.in_edges[i]);
       }
       ctx.outputs.resize(ctx.out_edges.size());
+      ctx.spare.resize(ctx.out_edges.size());
+      for (std::size_t i = 0; i < ctx.out_edges.size(); ++i) {
+        const df::Edge& e = graph_.edge(ctx.out_edges[i]);
+        const auto prod = static_cast<std::size_t>(e.prod.value());
+        ctx.outputs[i].reserve(prod);
+        ctx.spare[i] = reserved_tokens(prod, ctx.out_edges[i]);
+      }
     }
   }
 
@@ -214,6 +250,24 @@ void JobInstance::init() {
   for (std::size_t p = 0; p < plan_.programs.size(); ++p)
     if (cursor[p] != plan_.programs[p].size())
       throw std::logic_error("JobInstance: PASS shorter than the per-processor programs");
+}
+
+Bytes& JobInstance::LocalRing::push_slot() {
+  if (count == slots.size()) {
+    // Unroll the ring so the queued tokens stay in order, then grow.
+    std::rotate(slots.begin(), slots.begin() + static_cast<std::ptrdiff_t>(head), slots.end());
+    head = 0;
+    slots.resize(std::max<std::size_t>(1, 2 * slots.size()));
+  }
+  Bytes& slot = slots[(head + count) % slots.size()];
+  ++count;
+  return slot;
+}
+
+void JobInstance::LocalRing::pop_into(Bytes& dest) {
+  std::swap(dest, slots[head]);
+  head = (head + 1) % slots.size();
+  --count;
 }
 
 std::int64_t JobInstance::resident_channel_bytes(const ExecutablePlan& plan) {
@@ -347,11 +401,10 @@ void JobInstance::fire(const FiringStep& step, FiringContext& ctx, std::int32_t 
       } else if (blocking_[ei]) {
         slot = blocking_[ei]->pop(flight);
       } else {
-        auto& fifo = local_fifo_[ei];
-        if (fifo.empty())
+        LocalRing& ring = local_[ei];
+        if (ring.count == 0)
           throw std::logic_error("JobInstance: local token underflow on " + e.name);
-        slot = std::move(fifo.front());
-        fifo.pop_front();
+        ring.pop_into(slot);
       }
     }
   }
@@ -364,7 +417,9 @@ void JobInstance::fire(const FiringStep& step, FiringContext& ctx, std::int32_t 
 
   const bool have_compute = static_cast<bool>(compute_[a]);
   if (have_compute) {
-    for (auto& out : ctx.outputs) out.clear();
+    // The previous firing's routed tokens become this firing's emit()
+    // buffers (docs/architecture.md, "Token buffer lifecycle").
+    ctx.recycle_outputs();
     compute_[a](ctx);
   }
 
@@ -388,7 +443,7 @@ void JobInstance::fire(const FiringStep& step, FiringContext& ctx, std::int32_t 
         } else if (blocking_[ei]) {
           blocking_[ei]->push(Bytes(token_bytes, 0), flight);
         } else {
-          local_fifo_[ei].emplace_back(token_bytes, 0);
+          local_[ei].push_slot().assign(token_bytes, 0);
         }
         batch_bytes += static_cast<std::int64_t>(token_bytes);
       }
@@ -404,7 +459,7 @@ void JobInstance::fire(const FiringStep& step, FiringContext& ctx, std::int32_t 
         else if (blocking_[ei])
           blocking_[ei]->push(std::move(token), flight);
         else
-          local_fifo_[ei].push_back(std::move(token));
+          std::swap(local_[ei].push_slot(), token);  // token takes the slot's old buffer
       }
     }
     // One batched registry update per (firing, edge) instead of two

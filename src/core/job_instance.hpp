@@ -28,7 +28,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -290,6 +289,21 @@ class JobInstance {
   [[nodiscard]] std::string actor_display_name(std::int32_t actor) const;
   [[nodiscard]] std::string channel_display_name(std::int32_t edge) const;
 
+  /// A processor-local edge's FIFO: a ring of token buffers that trade
+  /// places with the producer's output token and the consumer's input
+  /// slot, so storage circulates instead of being freed and reallocated.
+  /// init() sizes it for one iteration's traffic plus the delays; it
+  /// grows only if a schedule ever needs more.
+  struct LocalRing {
+    std::vector<Bytes> slots;
+    std::size_t head = 0;
+    std::size_t count = 0;
+    /// The tail slot, counted as queued; the caller fills or swaps it.
+    Bytes& push_slot();
+    /// Swaps the head token into `dest` (which hands back its buffer).
+    void pop_into(Bytes& dest);
+  };
+
   const ExecutablePlan& plan_;
   const df::Graph& graph_;  ///< the VTS-converted graph
   ReliabilityOptions reliability_;
@@ -300,12 +314,12 @@ class JobInstance {
   obs::RuntimeTraceRecorder* trace_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   std::vector<ComputeFn> compute_;
-  /// Per-edge local FIFOs (touched only by the owning processor's
+  /// Per-edge local rings (touched only by the owning processor's
   /// thread) and cross-processor channels, all indexed by edge id.
   /// Exactly one of spsc_/blocking_ is non-null for an IPC edge; both
   /// null = processor-local edge. Direct indexing keeps the per-token
   /// hot path free of map lookups.
-  std::vector<std::deque<Bytes>> local_fifo_;
+  std::vector<LocalRing> local_;
   std::vector<std::unique_ptr<SpscChannel>> spsc_;
   std::vector<std::unique_ptr<BlockingChannel>> blocking_;
   std::int64_t spsc_count_ = 0;
@@ -316,9 +330,10 @@ class JobInstance {
   std::vector<obs::Counter*> edge_payload_bytes_;
   std::vector<ChannelCounters> channel_counters_;  ///< for stats aggregation
   /// Per-(proc, step) firing contexts, built once and reused every
-  /// iteration so input/output buffers keep their heap capacity —
-  /// steady-state firings allocate nothing on the channel path. Each
-  /// context is touched only by its processor's thread.
+  /// iteration so input/output token buffers keep their heap capacity —
+  /// a warm firing whose compute emits through FiringContext::emit
+  /// allocates nothing. Each context is touched only by its processor's
+  /// thread.
   std::vector<std::vector<FiringContext>> contexts_;
   std::vector<std::int64_t> fired_;  ///< per actor, owned by its processor's thread
   /// The PASS as (proc, step) pairs — the colocated traversal order.

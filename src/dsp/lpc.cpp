@@ -74,14 +74,22 @@ std::vector<double> prediction_error(std::span<const double> frame,
   if (begin + count > frame.size())
     throw std::out_of_range("prediction_error: section exceeds frame");
   std::vector<double> error(count);
+  prediction_error_into(frame, coeffs, begin, count, error);
+  return error;
+}
+
+void prediction_error_into(std::span<const double> frame, std::span<const double> coeffs,
+                           std::size_t begin, std::size_t count, std::span<double> out) {
+  if (begin + count > frame.size())
+    throw std::out_of_range("prediction_error: section exceeds frame");
+  if (out.size() != count) throw std::invalid_argument("prediction_error: output size mismatch");
   for (std::size_t n = begin; n < begin + count; ++n) {
     double pred = 0.0;
     for (std::size_t k = 1; k <= coeffs.size(); ++k) {
       if (n >= k) pred += coeffs[k - 1] * frame[n - k];
     }
-    error[n - begin] = frame[n] - pred;
+    out[n - begin] = frame[n] - pred;
   }
-  return error;
 }
 
 std::vector<double> lpc_reconstruct(std::span<const double> error,

@@ -43,6 +43,10 @@ void hamming_window(std::span<double> frame);
 [[nodiscard]] std::vector<double> prediction_error(std::span<const double> frame,
                                                    std::span<const double> coeffs,
                                                    std::size_t begin, std::size_t count);
+/// prediction_error writing into `out`, which must hold exactly `count`
+/// values (the allocation-free form the speech PEs use).
+void prediction_error_into(std::span<const double> frame, std::span<const double> coeffs,
+                           std::size_t begin, std::size_t count, std::span<double> out);
 
 /// Reconstructs samples from the prediction error (decoder side; used by
 /// round-trip tests): x[n] = e[n] + sum a[k-1] x[n-k].

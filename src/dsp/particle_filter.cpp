@@ -43,12 +43,19 @@ CrackTrajectory simulate_crack(const CrackModel& model, std::size_t steps, Rng& 
 std::vector<double> systematic_resample(std::span<const double> particles,
                                         std::span<const double> weights, std::int64_t count,
                                         double u0) {
+  std::vector<double> out;
+  systematic_resample_into(particles, weights, count, u0, out);
+  return out;
+}
+
+void systematic_resample_into(std::span<const double> particles, std::span<const double> weights,
+                              std::int64_t count, double u0, std::vector<double>& out) {
   if (particles.size() != weights.size())
     throw std::invalid_argument("systematic_resample: size mismatch");
   if (count < 0) throw std::invalid_argument("systematic_resample: negative count");
   if (u0 < 0.0 || u0 >= 1.0) throw std::invalid_argument("systematic_resample: u0 not in [0,1)");
-  std::vector<double> out;
-  if (count == 0) return out;
+  out.clear();
+  if (count == 0) return;
   if (particles.empty()) throw std::invalid_argument("systematic_resample: empty input");
 
   const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
@@ -67,30 +74,36 @@ std::vector<double> systematic_resample(std::span<const double> particles,
     out.push_back(particles[index]);
     pointer += stride;
   }
-  return out;
 }
 
 std::vector<std::int64_t> proportional_targets(std::span<const double> local_weight_sums,
                                                std::int64_t total) {
+  std::vector<std::int64_t> targets;
+  ApportionScratch scratch;
+  proportional_targets_into(local_weight_sums, total, targets, scratch);
+  return targets;
+}
+
+void proportional_targets_into(std::span<const double> local_weight_sums, std::int64_t total,
+                               std::vector<std::int64_t>& targets, ApportionScratch& scratch) {
   if (local_weight_sums.empty())
     throw std::invalid_argument("proportional_targets: no processors");
   const double sum = std::accumulate(local_weight_sums.begin(), local_weight_sums.end(), 0.0);
   if (sum <= 0.0) throw std::domain_error("proportional_targets: non-positive weight sum");
 
   const std::size_t p = local_weight_sums.size();
-  std::vector<std::int64_t> targets(p, 0);
-  std::vector<std::pair<double, std::size_t>> remainders;  // (-remainder, pe) for sorting
+  targets.assign(p, 0);
+  scratch.clear();  // (-remainder, pe) for sorting
   std::int64_t assigned = 0;
   for (std::size_t i = 0; i < p; ++i) {
     const double exact = static_cast<double>(total) * local_weight_sums[i] / sum;
     targets[i] = static_cast<std::int64_t>(std::floor(exact));
     assigned += targets[i];
-    remainders.emplace_back(-(exact - std::floor(exact)), i);
+    scratch.emplace_back(-(exact - std::floor(exact)), i);
   }
-  std::sort(remainders.begin(), remainders.end());  // largest remainder first, pe id tie-break
+  std::sort(scratch.begin(), scratch.end());  // largest remainder first, pe id tie-break
   for (std::int64_t extra = total - assigned; extra > 0; --extra)
-    targets[remainders[static_cast<std::size_t>(total - assigned - extra)].second] += 1;
-  return targets;
+    targets[scratch[static_cast<std::size_t>(total - assigned - extra)].second] += 1;
 }
 
 ParticleFilter::ParticleFilter(std::size_t particle_count, CrackModel model, std::uint64_t seed)

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "dsp/rng.hpp"
@@ -53,12 +54,23 @@ struct CrackTrajectory {
 [[nodiscard]] std::vector<double> systematic_resample(std::span<const double> particles,
                                                       std::span<const double> weights,
                                                       std::int64_t count, double u0);
+/// systematic_resample writing into `out` (replaced; a warm vector keeps
+/// its capacity, so the call allocates nothing).
+void systematic_resample_into(std::span<const double> particles, std::span<const double> weights,
+                              std::int64_t count, double u0, std::vector<double>& out);
 
 /// Largest-remainder apportionment of `total` particles across PEs
 /// proportionally to their local weight sums; the result sums to exactly
 /// `total` (phase 1+2 arithmetic of the distributed resampling scheme).
 [[nodiscard]] std::vector<std::int64_t> proportional_targets(
     std::span<const double> local_weight_sums, std::int64_t total);
+/// Working storage of proportional_targets_into: the (-remainder, PE)
+/// pairs it sorts.
+using ApportionScratch = std::vector<std::pair<double, std::size_t>>;
+/// proportional_targets writing into `targets`, with `scratch` as
+/// reusable working storage (warm vectors: no allocation).
+void proportional_targets_into(std::span<const double> local_weight_sums, std::int64_t total,
+                               std::vector<std::int64_t>& targets, ApportionScratch& scratch);
 
 /// Sequential (single-processor) bootstrap particle filter — the
 /// reference implementation and the n=1 configuration of Figure 7.

@@ -176,6 +176,12 @@ std::int64_t FlightRecorder::dropped_total() const {
   return total;
 }
 
+std::size_t FlightRecorder::pending_events() const {
+  std::size_t total = 0;
+  for (const auto& ring : rings_) total += ring->size();
+  return total;
+}
+
 void FlightRecorder::publish_metrics(MetricRegistry& registry) const {
   registry
       .gauge("spi_flight_events_recorded", {},

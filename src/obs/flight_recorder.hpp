@@ -105,6 +105,11 @@ class FlightRing {
     return dropped_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
+  /// Events pushed and not yet drained or discarded.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return static_cast<std::size_t>(tail_.load(std::memory_order_acquire) -
+                                    head_.load(std::memory_order_acquire));
+  }
 
  private:
   std::vector<FlightEvent> slots_;
@@ -138,8 +143,8 @@ class FlightRecorder {
   /// Arms / disarms capture. Disarmed, record() is one relaxed load —
   /// for recorders that stay attached to a long-lived engine but whose
   /// events only matter in windows somebody will actually collect (the
-  /// serve layer arms around captured batches and stall-watchdogged
-  /// runs; writing events nobody drains costs real ring traffic).
+  /// serve layer arms only around the batches its trace bridge
+  /// captures; writing events nobody drains costs real ring traffic).
   /// Armed by default.
   void set_armed(bool armed) noexcept { armed_.store(armed, std::memory_order_relaxed); }
   [[nodiscard]] bool armed() const noexcept { return armed_.load(std::memory_order_relaxed); }
@@ -170,6 +175,8 @@ class FlightRecorder {
   }
 
   [[nodiscard]] std::int64_t dropped_total() const;
+  /// Events recorded and not yet collected or discarded, over all rings.
+  [[nodiscard]] std::size_t pending_events() const;
 
   /// spi_flight_events_recorded / spi_flight_events_dropped gauges —
   /// exported so truncation is never silent.

@@ -81,9 +81,8 @@ constexpr auto kStReply = static_cast<std::size_t>(obs::RequestStage::kReply);
 }  // namespace
 
 /// A built-in model: the app, one persistent JobInstance executing every
-/// batch, and that instance's flight recorder (armed continuously when
-/// the stall watchdog may dump a post-mortem, else only around the
-/// trace bridge's captured batches).
+/// batch, and that instance's flight recorder (armed only around the
+/// trace bridge's captured batches — nothing else reads its events).
 struct PlanServer::SpeechModel {
   apps::ErrorGenApp app;
   obs::FlightRecorder flight;
@@ -131,12 +130,12 @@ PlanServer::PlanServer(PlanServerOptions options)
   speech_ = std::make_unique<SpeechModel>(options_, metrics_);
   particle_ = std::make_unique<ParticleModel>(options_, metrics_);
   // The recorders stay attached for the server's lifetime but record
-  // only when somebody will drain the events: continuously when the
-  // stall watchdog may dump a post-mortem, else just around captured
-  // batches (the flight bridge arms/disarms per capture).
-  const bool continuous_flight = options_.watchdog_ms > 0;
-  speech_->flight.set_armed(continuous_flight);
-  particle_->flight.set_armed(continuous_flight);
+  // only around the batches the flight bridge captures (it arms and
+  // disarms per capture): the trace bridge is their only reader. A
+  // stalled batch's watchdog writes the stall report and /runtime
+  // snapshot, never a flight log, so the watchdog needs no recording.
+  speech_->flight.set_armed(false);
+  particle_->flight.set_armed(false);
   for (auto* run_options : {&speech_->run_options, &particle_->run_options}) {
     if (options_.watchdog_ms > 0) {
       run_options->watchdog.enabled = true;
@@ -498,7 +497,7 @@ void PlanServer::drain_queue(TenantState& tenant, std::vector<obs::HttpResponse>
       const std::int64_t reply_ns = tracer_->now_ns();
       if (capture_flight) {
         tracer_->note_flight(batch_id, speech_->flight.collect());
-        speech_->flight.set_armed(options_.watchdog_ms > 0);
+        speech_->flight.set_armed(false);
       }
       span_ids_scratch_.clear();
       for (const SpeechParsed& m : speech_meta)
@@ -584,7 +583,7 @@ void PlanServer::drain_queue(TenantState& tenant, std::vector<obs::HttpResponse>
       const std::int64_t reply_ns = tracer_->now_ns();
       if (capture_flight) {
         tracer_->note_flight(batch_id, particle_->flight.collect());
-        particle_->flight.set_armed(options_.watchdog_ms > 0);
+        particle_->flight.set_armed(false);
       }
       span_ids_scratch_.clear();
       for (const ParticleParsed& m : meta)
@@ -646,6 +645,13 @@ void PlanServer::handle_burst(std::span<obs::HttpRequest> requests,
   metrics_
       ->histogram("spi_serve_burst_seconds", obs::Histogram::exponential_bounds(1e-6, 4.0, 10))
       .observe(seconds);
+}
+
+std::int64_t PlanServer::flight_events_held() const {
+  std::int64_t held = 0;
+  for (const obs::FlightRecorder* flight : {&speech_->flight, &particle_->flight})
+    held += static_cast<std::int64_t>(flight->pending_events()) + flight->dropped_total();
+  return held;
 }
 
 std::string PlanServer::runtime_json() const {

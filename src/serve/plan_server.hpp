@@ -58,10 +58,12 @@ struct PlanServerOptions {
   std::int32_t particle_pes = 2;
   apps::ParticleParams particle_params{.particles = 16, .max_particles = 64, .model = {}};
   /// Watchdog over each batch run (0 = off): a batch making no progress
-  /// for this window dumps a flight post-mortem into
-  /// `flight_dump_dir` and counts spi_serve_stalls_total — without
-  /// aborting the batch (abort_on_stall stays false so one wedged job
-  /// cannot take the server down with it).
+  /// for this window writes spi_stall.<kind>.json (the stall report plus
+  /// a /runtime snapshot) into `flight_dump_dir` and counts
+  /// spi_serve_stalls_total — without aborting the batch (abort_on_stall
+  /// stays false so one wedged job cannot take the server down with
+  /// it). No flight log is written: the served flight recorders are
+  /// armed only around trace-bridge captures.
   std::int64_t watchdog_ms = 0;
   std::string flight_dump_dir;
   obs::MetricRegistry* metrics = nullptr;  ///< optional external registry
@@ -100,6 +102,10 @@ class PlanServer {
   /// tracer's per-stage rollups.
   [[nodiscard]] std::string tenants_json() const;
   [[nodiscard]] const obs::RequestTracer& tracer() const { return *tracer_; }
+  /// Flight events the built-in models' recorders hold (recorded, not
+  /// yet collected or discarded) plus those they dropped. Zero outside
+  /// a trace-bridge capture: the recorders are armed only around one.
+  [[nodiscard]] std::int64_t flight_events_held() const;
   /// Content hashes of the built-in model plans (pre-cached at startup).
   [[nodiscard]] const std::string& speech_plan_key() const { return speech_plan_key_; }
   [[nodiscard]] const std::string& particle_plan_key() const { return particle_plan_key_; }

@@ -7,8 +7,9 @@
 namespace spi::core {
 namespace {
 
-using apps::pack_f64;
-using apps::unpack_f64;
+using apps::f64_at;
+using apps::pack_f64_into;
+using apps::unpack_f64_into;
 
 struct Fixture {
   df::Graph g{"func"};
@@ -36,16 +37,17 @@ TEST(Functional, DataFlowsCorrectly) {
   runtime.set_compute(f.src, [&](FiringContext& ctx) {
     const std::size_t count = static_cast<std::size_t>(ctx.invocation % 8) + 1;
     std::vector<double> values(count, 1.5);
-    ctx.outputs[ctx.output_index(f.dyn)] = {pack_f64(values)};
+    pack_f64_into(ctx.emit(ctx.output_index(f.dyn)), values);
   });
   runtime.set_compute(f.mid, [&](FiringContext& ctx) {
-    const auto values = unpack_f64(ctx.inputs[ctx.input_index(f.dyn)][0]);
+    std::vector<double> values;
+    unpack_f64_into(ctx.inputs[ctx.input_index(f.dyn)][0], values);
     double sum = 0;
     for (double v : values) sum += v;
-    ctx.outputs[ctx.output_index(f.stat)] = {pack_f64(std::vector<double>{sum})};
+    pack_f64_into(ctx.emit(ctx.output_index(f.stat)), sum);
   });
   runtime.set_compute(f.dst, [&](FiringContext& ctx) {
-    sums.push_back(unpack_f64(ctx.inputs[ctx.input_index(f.stat)][0]).at(0));
+    sums.push_back(f64_at(ctx.inputs[ctx.input_index(f.stat)][0], 0));
   });
   runtime.run(10);
   ASSERT_EQ(sums.size(), 10u);
@@ -59,13 +61,48 @@ TEST(Functional, ChannelStatsReflectTraffic) {
   const SpiSystem system(f.g, f.assignment);
   FunctionalRuntime runtime(system);
   runtime.set_compute(f.src, [&](FiringContext& ctx) {
-    ctx.outputs[ctx.output_index(f.dyn)] = {pack_f64(std::vector<double>{1.0, 2.0})};
+    pack_f64_into(ctx.emit(ctx.output_index(f.dyn)), std::vector<double>{1.0, 2.0});
   });
   runtime.run(5);
   const SpiChannel& dyn = runtime.channel(f.dyn);
   EXPECT_EQ(dyn.stats().messages, 5);
   EXPECT_EQ(dyn.stats().payload_bytes, 5 * 16);
   EXPECT_EQ(dyn.stats().wire_bytes, 5 * (16 + kDynamicHeaderBytes));
+}
+
+TEST(FiringContext, EmitRecyclesRoutedBuffers) {
+  FiringContext ctx;
+  ctx.outputs.resize(2);
+  ctx.emit(0).assign(32, 1);
+  ctx.emit(1).assign(16, 2);
+  ctx.emit(1).assign(16, 3);
+  const std::uint8_t* first = ctx.outputs[0][0].data();
+  ctx.recycle_outputs();
+  ASSERT_TRUE(ctx.outputs[0].empty());
+  ASSERT_TRUE(ctx.outputs[1].empty());
+  Bytes& again = ctx.emit(0);
+  EXPECT_TRUE(again.empty()) << "a recycled token starts empty";
+  EXPECT_GE(again.capacity(), 32u);
+  again.assign(24, 4);
+  EXPECT_EQ(again.data(), first) << "emit must hand back the routed buffer";
+  EXPECT_EQ(ctx.spare[1].size(), 2u);
+}
+
+TEST(FiringContext, RecycleKeepsAtMostOneFiringOfBuffers) {
+  FiringContext ctx;
+  ctx.outputs.resize(1);
+  for (int firing = 0; firing < 5; ++firing) {
+    ctx.outputs[0] = {Bytes(8, 0), Bytes(8, 0)};  // assigned, never emitted
+    ctx.recycle_outputs();
+  }
+  EXPECT_EQ(ctx.spare[0].size(), 2u);
+}
+
+TEST(FiringContext, SlotOfResolvesPortOrder) {
+  const std::vector<df::EdgeId> edges = {4, 9, 2};
+  EXPECT_EQ(slot_of(edges, 9), 1u);
+  EXPECT_EQ(slot_of(edges, 2), 2u);
+  EXPECT_THROW((void)slot_of(edges, 5), std::out_of_range);
 }
 
 TEST(Functional, DefaultComputeProducesZeroTokens) {
@@ -80,7 +117,7 @@ TEST(Functional, BmaxViolationDetected) {
   const SpiSystem system(f.g, f.assignment);
   FunctionalRuntime runtime(system);
   runtime.set_compute(f.src, [&](FiringContext& ctx) {
-    ctx.outputs[ctx.output_index(f.dyn)] = {pack_f64(std::vector<double>(9, 0.0))};  // bound is 8
+    pack_f64_into(ctx.emit(ctx.output_index(f.dyn)), std::vector<double>(9, 0.0));  // bound is 8
   });
   EXPECT_THROW(runtime.run(1), std::length_error);
 }

@@ -117,18 +117,17 @@ TEST(Integration, MultirateParallelEqualsSequential) {
     core::FunctionalRuntime runtime(system);
     auto result = std::make_shared<std::vector<double>>();
     runtime.set_compute(src, [&](core::FiringContext& ctx) {
-      ctx.outputs[ctx.output_index(e1)] = {
-          apps::pack_f64(std::vector<double>{static_cast<double>(ctx.invocation)})};
+      apps::pack_f64_into(ctx.emit(ctx.output_index(e1)), static_cast<double>(ctx.invocation));
     });
     runtime.set_compute(exp, [&](core::FiringContext& ctx) {
-      const double v = apps::unpack_f64(ctx.inputs[ctx.input_index(e1)][0]).at(0);
-      auto& out = ctx.outputs[ctx.output_index(e2)];
+      const double v = apps::f64_at(ctx.inputs[ctx.input_index(e1)][0], 0);
+      const std::size_t out = ctx.output_index(e2);
       for (int k = 0; k < 3; ++k)
-        out.push_back(apps::pack_f64(std::vector<double>{v * 10 + k}));
+        apps::pack_f64_into(ctx.emit(out), v * 10 + k);
     });
     runtime.set_compute(col, [result, e2](core::FiringContext& ctx) {
       for (const auto& token : ctx.inputs[ctx.input_index(e2)])
-        result->push_back(apps::unpack_f64(token).at(0));
+        result->push_back(apps::f64_at(token, 0));
     });
     runtime.run(8);
     return *result;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "apps/serialization.hpp"
 #include "core/message.hpp"
 #include "core/packing.hpp"
 #include "dsp/rng.hpp"
@@ -157,6 +158,49 @@ TEST_P(PackingProperty, RandomRoundTrips) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PackingProperty, ::testing::Values(3, 9, 27, 81, 243));
+
+TEST(Serialization, F64RoundTripInPlace) {
+  const std::vector<double> values = {1.5, -0.0, 3.25e-300, 42.0};
+  Bytes token;
+  apps::pack_f64_into(token, values);
+  ASSERT_EQ(token.size(), values.size() * sizeof(double));
+  EXPECT_EQ(apps::f64_count(token), values.size());
+  std::vector<double> back;
+  apps::unpack_f64_into(token, back);
+  EXPECT_EQ(back, values);
+  for (std::size_t k = 0; k < values.size(); ++k) EXPECT_EQ(apps::f64_at(token, k), values[k]);
+  apps::pack_f64_into(token, 7.0);
+  EXPECT_EQ(apps::f64_count(token), 1u);
+  EXPECT_EQ(apps::f64_at(token, 0), 7.0);
+}
+
+TEST(Serialization, PackAndUnpackReuseCapacity) {
+  Bytes token;
+  token.reserve(64);
+  const std::uint8_t* storage = token.data();
+  const std::vector<double> values(8, 2.0);
+  apps::pack_f64_into(token, values);
+  EXPECT_EQ(token.data(), storage) << "a warm token must not reallocate";
+  std::vector<double> scratch;
+  scratch.reserve(8);
+  const double* scratch_storage = scratch.data();
+  apps::unpack_f64_into(token, scratch);
+  EXPECT_EQ(scratch.data(), scratch_storage);
+  apps::pack_f64_into(token, std::span<const double>());
+  EXPECT_TRUE(token.empty());
+  apps::unpack_f64_into(token, scratch);
+  EXPECT_TRUE(scratch.empty());
+}
+
+TEST(Serialization, RejectsPartialDoubles) {
+  const Bytes token(7, 0);
+  std::vector<double> out;
+  EXPECT_THROW((void)apps::f64_count(token), std::invalid_argument);
+  EXPECT_THROW(apps::unpack_f64_into(token, out), std::invalid_argument);
+  Bytes one;
+  apps::pack_f64_into(one, 1.0);
+  EXPECT_THROW((void)apps::f64_at(one, 1), std::out_of_range);
+}
 
 }  // namespace
 }  // namespace spi::core

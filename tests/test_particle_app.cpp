@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/job_instance.hpp"
+
 namespace spi::apps {
 namespace {
 
@@ -25,6 +27,20 @@ TEST(ParticleFilterApp, Validation) {
   over.particles = over.max_particles + 2;
   EXPECT_THROW(ParticleFilterApp(2, over), std::invalid_argument);
   EXPECT_THROW(ParticleFilterApp(3, small_params(64)), std::invalid_argument);  // 64 % 3 != 0
+}
+
+TEST(ParticleFilterApp, BindBatchValidatesAndRunsTheWholeBatch) {
+  const ParticleFilterApp app(2, small_params());
+  core::JobInstance instance(app.system().plan());
+  EXPECT_THROW(app.bind_batch({}, instance), std::invalid_argument);
+  std::vector<ParticleFilterApp::ParticleJobSpec> jobs(2);
+  jobs[0].trajectory = trajectory(10);
+  jobs[1].trajectory = trajectory(12, 34);
+  EXPECT_THROW(app.bind_batch(jobs, instance), std::invalid_argument)
+      << "jobs must share one trajectory length";
+  jobs[1].trajectory = trajectory(10, 34);
+  app.bind_batch(jobs, instance);
+  EXPECT_NO_THROW(instance.run_colocated(20));  // both jobs, one step per iteration
 }
 
 TEST(ParticleFilterApp, ChannelPlanMatchesPaper) {

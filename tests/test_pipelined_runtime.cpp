@@ -62,14 +62,14 @@ struct PipelineFixture {
   void wire(Runtime& runtime, std::vector<double>& sink) const {
     runtime.set_compute(src, [this](FiringContext& ctx) {
       const double v = static_cast<double>(ctx.invocation) * 1.25 + 0.5;
-      ctx.outputs[ctx.output_index(first)] = {apps::pack_f64(std::vector<double>{v})};
+      apps::pack_f64_into(ctx.emit(ctx.output_index(first)), v);
     });
     runtime.set_compute(mid, [this](FiringContext& ctx) {
-      const double v = apps::unpack_f64(ctx.inputs[ctx.input_index(first)][0]).at(0);
-      ctx.outputs[ctx.output_index(second)] = {apps::pack_f64(std::vector<double>{v * 3.0 - 1.0})};
+      const double v = apps::f64_at(ctx.inputs[ctx.input_index(first)][0], 0);
+      apps::pack_f64_into(ctx.emit(ctx.output_index(second)), v * 3.0 - 1.0);
     });
     runtime.set_compute(dst, [this, &sink](FiringContext& ctx) {
-      sink.push_back(apps::unpack_f64(ctx.inputs[ctx.input_index(second)][0]).at(0));
+      sink.push_back(apps::f64_at(ctx.inputs[ctx.input_index(second)][0], 0));
     });
   }
 };

@@ -187,6 +187,48 @@ TEST(PlanServer, BatchedSpeechFiringBitIdenticalToSingleJobRuns) {
   EXPECT_EQ(server.jobs_served(), static_cast<std::int64_t>(kJobs));
 }
 
+TEST(PlanServer, WatchdogBurstsLeaveTheFlightRecordersEmpty) {
+  // The watchdog writes only the stall report + /runtime snapshot, so
+  // it needs no flight recording: bursts outside a trace-bridge capture
+  // must not record a single event, whatever watchdog_ms is.
+  const std::vector<std::string> bodies = {
+      R"({"app":"speech","frame_size":48,"seed":1})", R"({"app":"particle","steps":12,"seed":2})",
+      R"({"app":"speech","frame_size":64,"seed":3})", R"({"app":"particle","steps":12,"seed":4})"};
+  {
+    PlanServerOptions options;
+    options.watchdog_ms = 2000;
+    options.trace.enabled = false;  // no capture can happen
+    PlanServer server(options);
+    std::vector<obs::HttpResponse> responses;
+    for (int burst = 0; burst < 3; ++burst) {
+      std::vector<obs::HttpRequest> requests = job_burst(bodies);
+      server.handle_burst(requests, responses);
+      for (const auto& r : responses) ASSERT_EQ(r.status, 200) << r.body;
+      EXPECT_EQ(server.flight_events_held(), 0) << "burst " << burst;
+    }
+  }
+  {
+    // Traced: the first sampled batch is captured (and drained); the
+    // bursts after it are outside any capture and record nothing.
+    PlanServerOptions options;
+    options.watchdog_ms = 2000;
+    options.trace.sample_every = 1;
+    options.trace.flight_every = 1000;
+    PlanServer server(options);
+    std::vector<obs::HttpResponse> responses;
+    std::vector<obs::HttpRequest> first = job_burst(bodies);
+    server.handle_burst(first, responses);
+    ASSERT_TRUE(server.tracer().has_flight()) << "the first sampled batch must be captured";
+    EXPECT_EQ(server.flight_events_held(), 0) << "a capture is drained and disarmed";
+    for (int burst = 0; burst < 3; ++burst) {
+      std::vector<obs::HttpRequest> requests = job_burst(bodies);
+      server.handle_burst(requests, responses);
+      for (const auto& r : responses) ASSERT_EQ(r.status, 200) << r.body;
+      EXPECT_EQ(server.flight_events_held(), 0) << "burst " << burst;
+    }
+  }
+}
+
 TEST(PlanServer, BatchedParticleFiringBitIdenticalToSingleJobRuns) {
   const apps::ParticleFilterApp reference_app(2, server_particle_params());
   const auto& model = server_particle_params().model;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/job_instance.hpp"
 #include "dsp/lpc.hpp"
 #include "dsp/rng.hpp"
 
@@ -140,6 +141,39 @@ TEST(ErrorGenApp, BoundsEnforced) {
   EXPECT_THROW((void)app.compute_errors_parallel(frame, too_many_coeffs), std::length_error);
   EXPECT_THROW((void)app.run_timed(513, 8, SpeechTimingModel{}, 10), std::length_error);
   EXPECT_THROW(ErrorGenApp(0, small_params()), std::invalid_argument);
+}
+
+TEST(ErrorGenApp, BoundBatchRerunsMatchTheBatchedEntryPoint) {
+  const ErrorGenApp app(2, small_params());
+  const SpeechCompressor codec(small_params());
+  std::vector<ErrorGenApp::SpeechJobSpec> jobs;
+  for (std::size_t size : {96, 40, 128}) {
+    dsp::Rng rng(7 + size);
+    ErrorGenApp::SpeechJobSpec job;
+    job.frame = dsp::synthetic_speech(size, rng);
+    job.coeffs = codec.frame_coefficients(job.frame);
+    jobs.push_back(std::move(job));
+  }
+  core::JobInstance reference_instance(app.system().plan());
+  const auto reference = app.compute_errors_batch(jobs, reference_instance);
+
+  // Bound once, run twice: the computes are pure functions of the job,
+  // so a re-run reproduces the same bits into the same result vectors.
+  core::JobInstance instance(app.system().plan());
+  std::vector<std::vector<double>> results;
+  for (const auto& job : jobs) results.emplace_back(job.frame.size(), 0.0);
+  app.bind_batch(jobs, instance, results);
+  for (int run = 0; run < 2; ++run) {
+    instance.reset_invocations();
+    instance.run_colocated(static_cast<std::int64_t>(jobs.size()));
+    EXPECT_EQ(results, reference) << "run " << run;
+  }
+
+  std::vector<std::vector<double>> short_results(jobs.size());
+  EXPECT_THROW(app.bind_batch(jobs, instance, short_results), std::invalid_argument);
+  EXPECT_THROW(app.bind_batch(jobs, instance, std::span(results).first(1)),
+               std::invalid_argument);
+  EXPECT_THROW(app.bind_batch({}, instance, {}), std::invalid_argument);
 }
 
 TEST(ErrorGenApp, TimedSpeedupWithMorePes) {

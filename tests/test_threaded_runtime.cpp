@@ -39,16 +39,17 @@ TEST(ThreadedRuntime, MatchesSequentialFunctionalRun) {
       std::vector<double> values(count);
       for (std::size_t i = 0; i < count; ++i)
         values[i] = static_cast<double>(ctx.invocation) * 0.5 + static_cast<double>(i);
-      ctx.outputs[ctx.output_index(f.dyn)] = {apps::pack_f64(values)};
+      apps::pack_f64_into(ctx.emit(ctx.output_index(f.dyn)), values);
     });
     runtime.set_compute(f.mid, [&f](FiringContext& ctx) {
-      const auto values = apps::unpack_f64(ctx.inputs[ctx.input_index(f.dyn)][0]);
+      std::vector<double> values;
+      apps::unpack_f64_into(ctx.inputs[ctx.input_index(f.dyn)][0], values);
       double sum = 0;
       for (double v : values) sum += v;
-      ctx.outputs[ctx.output_index(f.stat)] = {apps::pack_f64(std::vector<double>{sum})};
+      apps::pack_f64_into(ctx.emit(ctx.output_index(f.stat)), sum);
     });
     runtime.set_compute(f.dst, [&f, &sink](FiringContext& ctx) {
-      sink.push_back(apps::unpack_f64(ctx.inputs[ctx.input_index(f.stat)][0]).at(0));
+      sink.push_back(apps::f64_at(ctx.inputs[ctx.input_index(f.stat)][0], 0));
     });
   };
 

@@ -40,7 +40,7 @@ int usage(const char* argv0) {
                "  --speech-pes N       speech model PEs (default 2)\n"
                "  --particle-pes N     particle model PEs (default 2)\n"
                "  --watchdog-ms N      per-batch stall watchdog window (default 2000)\n"
-               "  --dump-dir DIR       flight post-mortem directory (default .)\n"
+               "  --dump-dir DIR       stall report directory (default .)\n"
                "  --max-seconds N      exit after N seconds (default: run until signal)\n"
                "  --no-trace           disable request-lifecycle tracing (/trace, /tenants)\n"
                "  --trace-sample N     head-sample 1 in N requests (default 64)\n"
