@@ -15,10 +15,12 @@
 /// steady-state send/receive cycle performs any heap allocation.
 /// BM_ColocatedAppSteadyStateAllocs asserts the same one layer up: a
 /// warm colocated iteration of either served model, real computes
-/// included, allocates nothing.
+/// included, allocates nothing. BM_ColocatedBatchWatchdog times a served
+/// speech batch with the progress watchdog off and on.
 ///
-/// bench/perf_smoke.sh gates CI on the Stream pair: SPSC throughput
-/// regressing below the BlockingChannel baseline fails the build.
+/// bench/perf_smoke.sh gates CI on the Stream pair (SPSC throughput
+/// regressing below the BlockingChannel baseline fails the build) and on
+/// the watchdog pair (a watched batch costing over 1.2x an unwatched one).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -200,6 +202,20 @@ void report_allocs(benchmark::State& state, std::int64_t delta, std::int64_t gra
   if (delta != 0) state.SkipWithError(error);
 }
 
+/// A 4-job speech batch of mixed frame sizes within the served speech
+/// model's bounds.
+std::vector<apps::ErrorGenApp::SpeechJobSpec> speech_batch(const serve::PlanServerOptions& served) {
+  dsp::Rng rng(9);
+  std::vector<apps::ErrorGenApp::SpeechJobSpec> jobs;
+  for (const std::size_t size : {64, 256, 17, 200}) {
+    apps::ErrorGenApp::SpeechJobSpec job;
+    job.frame = dsp::synthetic_speech(size, rng);
+    job.coeffs.assign(served.speech_params.max_order - size % 5, 0.125);
+    jobs.push_back(std::move(job));
+  }
+  return jobs;
+}
+
 /// The allocation-free colocated firing path, enforced on both served
 /// models (PlanServer's built-in shapes) with their real computes:
 /// once the instance's token buffers are warm, run_colocated must not
@@ -211,14 +227,7 @@ void BM_ColocatedAppSteadyStateAllocs(benchmark::State& state) {
   if (state.range(0) == 0) {
     const apps::ErrorGenApp app(served.speech_pes, served.speech_params);
     core::JobInstance instance(app.system().plan());
-    dsp::Rng rng(9);
-    std::vector<apps::ErrorGenApp::SpeechJobSpec> jobs;
-    for (const std::size_t size : {64, 256, 17, 200}) {
-      apps::ErrorGenApp::SpeechJobSpec job;
-      job.frame = dsp::synthetic_speech(size, rng);
-      job.coeffs.assign(served.speech_params.max_order - size % 5, 0.125);
-      jobs.push_back(std::move(job));
-    }
+    const auto jobs = speech_batch(served);
     std::vector<std::vector<double>> results;
     for (const auto& job : jobs) results.emplace_back(job.frame.size(), 0.0);
     app.bind_batch(jobs, instance, results);
@@ -264,6 +273,32 @@ void BM_ColocatedAppSteadyStateAllocs(benchmark::State& state) {
                 "warm colocated particle iteration allocated on the heap");
 }
 BENCHMARK(BM_ColocatedAppSteadyStateAllocs)->Arg(0)->Arg(1)->Iterations(4000);
+
+/// What the progress watchdog adds to one served batch: the 4-job speech
+/// batch wired by bind_batch and run by run_colocated, with the watchdog
+/// off (Arg 0) and on (Arg 1, with spi_served's settings: a 2 s window
+/// that never aborts). bench/perf_smoke.sh gates watched <= 1.2x
+/// unwatched: arming must cost a batch next to nothing.
+void BM_ColocatedBatchWatchdog(benchmark::State& state) {
+  const serve::PlanServerOptions served;
+  const apps::ErrorGenApp app(served.speech_pes, served.speech_params);
+  core::JobInstance instance(app.system().plan());
+  const auto jobs = speech_batch(served);
+  std::vector<std::vector<double>> results;
+  for (const auto& job : jobs) results.emplace_back(job.frame.size(), 0.0);
+  core::RunOptions options;
+  options.iterations = static_cast<std::int64_t>(jobs.size());
+  options.watchdog.enabled = state.range(0) == 1;
+  options.watchdog.window_ms = 2000;
+  options.watchdog.abort_on_stall = false;
+  for (auto _ : state) {
+    app.bind_batch(jobs, instance, results);
+    instance.run_colocated(options);
+    benchmark::DoNotOptimize(results.front().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ColocatedBatchWatchdog)->Arg(0)->Arg(1)->UseRealTime();
 
 }  // namespace
 

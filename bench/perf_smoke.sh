@@ -4,8 +4,10 @@
 # baseline measured in the same run):
 #
 #  * micro_channel: fails when the lock-free SpscChannel's streaming
-#    throughput drops below the BlockingChannel baseline, or when a warm
-#    SPSC cycle or served-app colocated iteration allocates;
+#    throughput drops below the BlockingChannel baseline, when a warm
+#    SPSC cycle or served-app colocated iteration allocates, or when an
+#    armed progress watchdog makes a served batch more than 1.2 times
+#    slower;
 #  * micro_obs serve bursts: fails when request tracing costs the plan
 #    server more than MAX_TRACE_OVERHEAD_PCT of burst throughput
 #    (BM_ServeBurstTraced vs BM_ServeBurstBare — the tracer's headline
@@ -82,6 +84,51 @@ else:
 
 sys.exit(1 if failed else 0)
 PY
+
+# --- progress-watchdog cost gate (docs/observability.md) -----------------
+# A served speech batch run with the watchdog armed must cost at most
+# 1.2 times the same batch unwatched (BM_ColocatedBatchWatchdog
+# Arg 1 vs Arg 0). A JobInstance keeps one monitor thread and only arms
+# it per run; a thread started and joined per run costs several times
+# the ~10 us batch. Medians of interleaved repetitions, re-measured once
+# before the gate fails the build.
+MAX_WATCHDOG_RATIO=1.2
+
+measure_watchdog_cost() {
+  "$bin" --benchmark_filter='BM_ColocatedBatchWatchdog/' \
+    --benchmark_min_time="$MIN_TIME" --benchmark_repetitions=9 \
+    --benchmark_enable_random_interleaving=true \
+    --benchmark_format=json > "$TMP/watchdog.json"
+  python3 - "$TMP/watchdog.json" "$MAX_WATCHDOG_RATIO" <<'PY'
+import json, statistics, sys
+
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+max_ratio = float(sys.argv[2])
+times = {}
+for b in doc.get("benchmarks", []):
+    if b.get("run_type") != "iteration":
+        continue
+    times.setdefault(b["name"].split("/")[1], []).append(b["real_time"])
+if "0" not in times or "1" not in times:
+    print("perf_smoke.sh: FAIL missing BM_ColocatedBatchWatchdog/0 or /1 rows",
+          file=sys.stderr)
+    sys.exit(1)
+off, on = statistics.median(times["0"]), statistics.median(times["1"])
+print(f"perf_smoke.sh: watched served batch {on / off:.2f}x unwatched "
+      f"({on:.0f} vs {off:.0f} ns; gate: <= {max_ratio}x)", file=sys.stderr)
+sys.exit(0 if on <= max_ratio * off else 1)
+PY
+}
+
+if ! measure_watchdog_cost; then
+  echo "perf_smoke.sh: watchdog cost above budget; re-measuring once" >&2
+  if ! measure_watchdog_cost; then
+    echo "perf_smoke.sh: FAIL an armed progress watchdog costs a served batch more" \
+      "than ${MAX_WATCHDOG_RATIO}x" >&2
+    exit 1
+  fi
+fi
 
 # --- request-tracing overhead gate (docs/observability.md) ---------------
 obs_bin="$BUILD_DIR/bench/micro_obs"

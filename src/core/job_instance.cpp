@@ -563,6 +563,36 @@ void JobInstance::colocated_body(std::int64_t iterations) {
     worker_state_[i].done.store(true, std::memory_order_relaxed);
 }
 
+namespace {
+
+/// Disarms the watchdog a run armed when that run exits, normally or by
+/// an exception.
+struct ArmedWatchdog {
+  obs::ProgressWatchdog* watchdog = nullptr;
+  ArmedWatchdog() = default;
+  ArmedWatchdog(const ArmedWatchdog&) = delete;
+  ArmedWatchdog& operator=(const ArmedWatchdog&) = delete;
+  ~ArmedWatchdog() { disarm(); }
+  void disarm() {
+    if (watchdog) watchdog->disarm();
+    watchdog = nullptr;
+  }
+};
+
+}  // namespace
+
+void JobInstance::ensure_watchdog(const obs::WatchdogOptions& options) {
+  if (watchdog_) return;
+  obs::ProgressWatchdog::Hooks hooks;
+  hooks.snapshot = [this] { return worker_snapshots(); };
+  hooks.actor_name = [this](std::int32_t a) { return actor_display_name(a); };
+  hooks.channel_name = [this](std::int32_t e) { return channel_display_name(e); };
+  hooks.on_stall = [this](const obs::StallReport& report, const obs::WatchdogOptions& armed) {
+    handle_stall(report, armed);
+  };
+  watchdog_.emplace(options, std::move(hooks));
+}
+
 void JobInstance::run(WorkerPool& pool, const RunOptions& options) {
   const std::int64_t iterations = options.iterations;
   std::vector<std::function<void()>> tasks;
@@ -613,20 +643,7 @@ void JobInstance::run_with(const RunOptions& options, const std::function<void()
   std::fill(colocated_epochs_.begin(), colocated_epochs_.end(), 0);
   const ThreadedRunStats base = counter_totals();
 
-  // The watchdog is declared before the server on purpose: destruction
-  // runs in reverse order, so the server (whose /healthz hook reads the
-  // watchdog) always dies first.
-  std::optional<obs::ProgressWatchdog> watchdog;
-  if (options.watchdog.enabled) {
-    obs::ProgressWatchdog::Hooks hooks;
-    hooks.snapshot = [this] { return worker_snapshots(); };
-    hooks.actor_name = [this](std::int32_t a) { return actor_display_name(a); };
-    hooks.channel_name = [this](std::int32_t e) { return channel_display_name(e); };
-    hooks.on_stall = [this, &options](const obs::StallReport& report) {
-      handle_stall(report, options.watchdog);
-    };
-    watchdog.emplace(options.watchdog, std::move(hooks));
-  }
+  if (options.watchdog.enabled) ensure_watchdog(options.watchdog);
   std::optional<obs::ObsServer> server;
   if (options.obs_port >= 0) {
     obs::ObsServer::Options server_options;
@@ -635,20 +652,27 @@ void JobInstance::run_with(const RunOptions& options, const std::function<void()
     server_options.registry = registry_;
     server_options.refresh = [this] { refresh_channel_gauges(); };
     server_options.runtime_json = [this] { return runtime_status_json(); };
-    if (watchdog)
-      server_options.health = [w = &*watchdog] { return w->health(); };
+    if (options.watchdog.enabled)
+      server_options.health = [w = &*watchdog_] { return w->health(); };
     server.emplace(std::move(server_options));
     server->start();
     if (options.on_obs_start) options.on_obs_start(server->port());
   }
+  // The instance's one monitor thread is armed for this run only; the
+  // guard disarms it on every exit path, so no stall hook of this run is
+  // running or can still fire once run_with returns or throws.
+  ArmedWatchdog armed;
+  if (options.watchdog.enabled) {
+    watchdog_->arm(options.watchdog);
+    armed.watchdog = &*watchdog_;
+  }
   running_.store(true, std::memory_order_relaxed);
-  if (watchdog) watchdog->start();
 
   // The execute callable must leave every worker body finished on every
   // normal return (the gang joins; the colocated body is synchronous).
   // If it throws at the pool level instead, abort + interrupt first so
-  // any started bodies unwind, then let the stack optionals tear down
-  // the watchdog and server before the exception escapes.
+  // any started bodies unwind, then let the stack objects disarm the
+  // watchdog and tear down the server before the exception escapes.
   // Serve-batch bracketing (request_trace.hpp): when the caller tagged
   // this run with a batch id, bookend the firing stream with batch
   // markers so a sampled request's span can be matched to its causal
@@ -672,7 +696,7 @@ void JobInstance::run_with(const RunOptions& options, const std::function<void()
     flight_->record(0, obs::FlightEventKind::kBatchEnd, -1, -1, options.batch_id, 0,
                     static_cast<std::int32_t>(iterations));
 
-  if (watchdog) watchdog->stop();
+  armed.disarm();
   if (server) server->stop();
   running_.store(false, std::memory_order_relaxed);
 

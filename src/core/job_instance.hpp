@@ -31,6 +31,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -270,6 +271,9 @@ class JobInstance {
   /// watchdog + telemetry mounts, error rethrow) around `execute`,
   /// which must leave every worker body finished on every exit path.
   void run_with(const RunOptions& options, const std::function<void()>& execute);
+  /// Creates the instance's watchdog on the first watched run; every
+  /// later run re-arms the same monitor thread.
+  void ensure_watchdog(const obs::WatchdogOptions& options);
   void worker(std::int32_t proc, std::int64_t iterations);
   /// The colocated worker body: PASS order, one thread, all procs.
   void colocated_body(std::int64_t iterations);
@@ -363,6 +367,10 @@ class JobInstance {
   std::mutex error_mutex_;
   std::exception_ptr first_error_;
   ThreadedRunStats stats_;
+  /// One monitor thread for the instance's lifetime, armed per watched
+  /// run. Declared last: it is destroyed (and its thread joined) before
+  /// any state its hooks read.
+  std::optional<obs::ProgressWatchdog> watchdog_;
 };
 
 }  // namespace spi::core

@@ -77,27 +77,42 @@ ProgressWatchdog::ProgressWatchdog(WatchdogOptions options, Hooks hooks)
   last_progress_ns_.store(monotonic_ns(), std::memory_order_relaxed);
 }
 
-ProgressWatchdog::~ProgressWatchdog() { stop(); }
-
-void ProgressWatchdog::start() {
-  std::lock_guard lock(mutex_);
-  if (running_) return;
-  stop_ = false;
-  running_ = true;
-  last_progress_ns_.store(monotonic_ns(), std::memory_order_relaxed);
-  thread_ = std::thread([this] { monitor(); });
-}
-
-void ProgressWatchdog::stop() {
+ProgressWatchdog::~ProgressWatchdog() {
   {
     std::lock_guard lock(mutex_);
-    if (!running_) return;
-    stop_ = true;
+    shutdown_ = true;
   }
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
+}
+
+void ProgressWatchdog::arm(WatchdogOptions options) {
+  if (options.window_ms <= 0)
+    throw std::invalid_argument("ProgressWatchdog: window_ms must be positive");
+  disarm();
   std::lock_guard lock(mutex_);
-  running_ = false;
+  options_ = std::move(options);
+  last_progress_ns_.store(monotonic_ns(), std::memory_order_relaxed);
+  stalled_.store(false, std::memory_order_relaxed);
+  ++generation_;
+  armed_ = true;
+  if (!thread_.joinable()) {
+    thread_ = std::thread([this] { monitor(); });
+  } else if (idle_ || options_.effective_poll_ms() < poll_ms_) {
+    // A monitor still in the previous arming's poll wait needs no wake
+    // when that wait is no longer than this arming's own poll period:
+    // it sees the new generation when the wait times out.
+    cv_.notify_all();
+  }
+}
+
+void ProgressWatchdog::disarm() {
+  std::unique_lock lock(mutex_);
+  if (!armed_) return;
+  armed_ = false;
+  // The monitor checks armed_ under the lock before every sample, so
+  // once the sample in progress (if any) ends, no hook can fire again.
+  cv_.wait(lock, [this] { return !sampling_; });
 }
 
 StallReport ProgressWatchdog::last_report() const {
@@ -107,11 +122,11 @@ StallReport ProgressWatchdog::last_report() const {
 
 HealthStatus ProgressWatchdog::health() const {
   HealthStatus status;
+  std::lock_guard lock(mutex_);
   status.window_ms = options_.window_ms;
   status.last_progress_ms =
       (monotonic_ns() - last_progress_ns_.load(std::memory_order_relaxed)) / 1'000'000;
   if (stalled_.load(std::memory_order_relaxed)) {
-    std::lock_guard lock(mutex_);
     status.ok = false;
     status.verdict = "stalled: " + last_report_.message;
   }
@@ -209,58 +224,70 @@ StallReport ProgressWatchdog::classify(const std::vector<WorkerSnapshot>& worker
 }
 
 void ProgressWatchdog::monitor() {
-  const std::int64_t poll_ms = options_.effective_poll_ms();
-  const std::int64_t window_ns = options_.window_ms * 1'000'000;
   std::vector<std::uint64_t> last_epochs;
-  bool fired = false;
-
   std::unique_lock lock(mutex_);
-  while (!stop_) {
-    cv_.wait_for(lock, std::chrono::milliseconds(poll_ms), [this] { return stop_; });
-    if (stop_) break;
-
-    lock.unlock();
-    const std::vector<WorkerSnapshot> workers = hooks_.snapshot();
-    const std::int64_t now = monotonic_ns();
-
-    bool progressed = last_epochs.size() != workers.size();
-    bool all_done = !workers.empty();
-    for (std::size_t i = 0; i < workers.size(); ++i) {
-      if (!workers[i].done) all_done = false;
-      if (!progressed && (workers[i].epoch != last_epochs[i] || workers[i].done))
-        progressed = true;
+  for (;;) {
+    if (!armed_ && !shutdown_) {
+      idle_ = true;
+      cv_.wait(lock, [this] { return armed_ || shutdown_; });
+      idle_ = false;
     }
-    last_epochs.resize(workers.size());
-    for (std::size_t i = 0; i < workers.size(); ++i) last_epochs[i] = workers[i].epoch;
-
-    if (progressed || all_done) {
-      last_progress_ns_.store(now, std::memory_order_relaxed);
-      if (fired || stalled_.load(std::memory_order_relaxed)) {
-        // Progress resumed after a (non-aborting) stall: re-arm.
-        stalled_.store(false, std::memory_order_relaxed);
-        fired = false;
-      }
+    if (shutdown_) return;
+    // One arming: the first sample is the epoch baseline, then one
+    // sample per poll period until disarm(), a re-arm or shutdown.
+    const std::uint64_t generation = generation_;
+    poll_ms_ = options_.effective_poll_ms();
+    const auto poll = std::chrono::milliseconds(poll_ms_);
+    const auto watching = [&] { return armed_ && generation_ == generation && !shutdown_; };
+    last_epochs.clear();
+    bool fired = false;
+    do {
+      sampling_ = true;
+      lock.unlock();
+      sample(last_epochs, fired);
       lock.lock();
-      continue;
-    }
-
-    const std::int64_t stalled_ns =
-        now - last_progress_ns_.load(std::memory_order_relaxed);
-    if (!fired && stalled_ns >= window_ns) {
-      const StallReport report = classify(workers, stalled_ns / 1'000'000);
-      if (report.kind != StallKind::kNone) {
-        {
-          std::lock_guard report_lock(mutex_);
-          last_report_ = report;
-        }
-        stalled_.store(true, std::memory_order_relaxed);
-        fired = true;
-        if (options_.on_stall) options_.on_stall(report);
-        if (hooks_.on_stall) hooks_.on_stall(report);
-      }
-    }
-    lock.lock();
+      sampling_ = false;
+      cv_.notify_all();  // a disarm() may be waiting for this sample
+    } while (!cv_.wait_for(lock, poll, [&] { return !watching(); }));
   }
+}
+
+void ProgressWatchdog::sample(std::vector<std::uint64_t>& last_epochs, bool& fired) {
+  const std::vector<WorkerSnapshot> workers = hooks_.snapshot();
+  const std::int64_t now = monotonic_ns();
+
+  bool progressed = last_epochs.size() != workers.size();
+  bool all_done = !workers.empty();
+  for (std::size_t i = 0; i < workers.size(); ++i) {
+    if (!workers[i].done) all_done = false;
+    if (!progressed && (workers[i].epoch != last_epochs[i] || workers[i].done))
+      progressed = true;
+  }
+  last_epochs.resize(workers.size());
+  for (std::size_t i = 0; i < workers.size(); ++i) last_epochs[i] = workers[i].epoch;
+
+  if (progressed || all_done) {
+    last_progress_ns_.store(now, std::memory_order_relaxed);
+    if (fired || stalled_.load(std::memory_order_relaxed)) {
+      // Progress resumed after a (non-aborting) stall: re-arm.
+      stalled_.store(false, std::memory_order_relaxed);
+      fired = false;
+    }
+    return;
+  }
+
+  const std::int64_t stalled_ns = now - last_progress_ns_.load(std::memory_order_relaxed);
+  if (fired || stalled_ns < options_.window_ms * 1'000'000) return;
+  const StallReport report = classify(workers, stalled_ns / 1'000'000);
+  if (report.kind == StallKind::kNone) return;
+  {
+    std::lock_guard report_lock(mutex_);
+    last_report_ = report;
+  }
+  stalled_.store(true, std::memory_order_relaxed);
+  fired = true;
+  if (options_.on_stall) options_.on_stall(report);
+  if (hooks_.on_stall) hooks_.on_stall(report, options_);
 }
 
 }  // namespace spi::obs

@@ -22,11 +22,11 @@
 ///
 /// The watchdog itself is runtime-agnostic: it sees the world only
 /// through the `Hooks` (a snapshot function plus name resolvers), so it
-/// lives in obs without a dependency on core. ThreadedRuntime wires it
-/// up in run(), dumps a flight-recorder post-mortem + /runtime snapshot
-/// when it fires, and turns the report into a StallError when
-/// `abort_on_stall` is set. docs/observability.md ("Live telemetry")
-/// covers tuning.
+/// lives in obs without a dependency on core. A JobInstance keeps one
+/// for its lifetime and arms it around each watched run, dumps a
+/// flight-recorder post-mortem + /runtime snapshot when it fires, and
+/// turns the report into a StallError when `abort_on_stall` is set.
+/// docs/observability.md ("Progress watchdog") covers tuning.
 #pragma once
 
 #include <atomic>
@@ -132,9 +132,13 @@ class StallError : public std::runtime_error {
   StallReport report_;
 };
 
-/// The monitor: samples worker snapshots on its own thread, detects
-/// no-progress windows, classifies them and fires the hooks. Re-arms
-/// when progress resumes (each stall episode fires once).
+/// The monitor: one thread, created by the first arm() and joined by the
+/// destructor. While armed it samples worker snapshots every poll
+/// period, detects no-progress windows, classifies them and fires the
+/// hooks; each stall episode fires once and re-arms when progress
+/// resumes. While disarmed it blocks with no timeout, and arm()/disarm()
+/// wake it only when they must, so back-to-back runs start and join no
+/// thread and usually cause no context switch at all.
 class ProgressWatchdog {
  public:
   struct Hooks {
@@ -145,18 +149,27 @@ class ProgressWatchdog {
     std::function<std::string(std::int32_t)> actor_name;
     std::function<std::string(std::int32_t)> channel_name;
     /// Fired once per stall episode from the monitor thread (after the
-    /// user callback in `options.on_stall`, which fires first). The
-    /// runtime uses this to dump post-mortems and abort.
-    std::function<void(const StallReport&)> on_stall;
+    /// user callback in `options.on_stall`, which fires first), with the
+    /// options the watchdog was armed with. The runtime uses this to
+    /// dump post-mortems and abort.
+    std::function<void(const StallReport&, const WatchdogOptions&)> on_stall;
   };
 
+  /// `options` serve classify() and health() until the first arm().
   ProgressWatchdog(WatchdogOptions options, Hooks hooks);
   ProgressWatchdog(const ProgressWatchdog&) = delete;
   ProgressWatchdog& operator=(const ProgressWatchdog&) = delete;
   ~ProgressWatchdog();
 
-  void start();
-  void stop();
+  /// Starts watching under `options` (window, poll period, callbacks),
+  /// with the progress clock and the stalled flag reset; the first call
+  /// creates the monitor thread. Arming an armed watchdog disarms it
+  /// first. Throws std::invalid_argument on a non-positive window.
+  void arm(WatchdogOptions options);
+  /// Stops watching. Once it returns no hook is running and none will
+  /// fire for this arming, so a late stall never reaches the next run.
+  /// Must not be called from a hook.
+  void disarm();
 
   [[nodiscard]] bool stalled() const { return stalled_.load(std::memory_order_relaxed); }
   /// Last stall report (kind == kNone when no stall ever fired).
@@ -172,19 +185,30 @@ class ProgressWatchdog {
 
  private:
   void monitor();
+  /// One sample of the armed run: tracks progress against `last_epochs`
+  /// and fires the hooks when the window elapses (`fired` latches one
+  /// firing per episode).
+  void sample(std::vector<std::uint64_t>& last_epochs, bool& fired);
 
+  /// Written by arm() under mutex_ while no sample runs; read by the
+  /// monitor without the lock while armed.
   WatchdogOptions options_;
   Hooks hooks_;
 
-  std::thread thread_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  bool stop_ = false;
-  bool running_ = false;
+  // Guarded by mutex_:
+  bool armed_ = false;
+  bool shutdown_ = false;
+  bool idle_ = false;             ///< monitor blocked with no timeout
+  bool sampling_ = false;         ///< monitor inside sample(), hooks included
+  std::uint64_t generation_ = 0;  ///< bumped by every arm()
+  std::int64_t poll_ms_ = 0;      ///< poll period of the monitor's current arming
 
   std::atomic<bool> stalled_{false};
   std::atomic<std::int64_t> last_progress_ns_{0};
   StallReport last_report_;  ///< guarded by mutex_
+  std::thread thread_;       ///< the monitor; declared after all it uses
 };
 
 }  // namespace spi::obs

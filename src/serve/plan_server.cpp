@@ -1,7 +1,7 @@
 #include "serve/plan_server.hpp"
 
 #include <chrono>
-#include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "core/job_instance.hpp"
@@ -34,17 +34,11 @@ std::vector<double> synth_coeffs(std::size_t order) {
   return coeffs;
 }
 
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
 void append_doubles(std::string& out, std::span<const double> values) {
   out += '[';
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i != 0) out += ',';
-    append_double(out, values[i]);
+    append_json_number(out, values[i]);
   }
   out += ']';
 }
@@ -340,14 +334,16 @@ void PlanServer::drain_queue(TenantState& tenant, std::vector<obs::HttpResponse>
     std::int64_t enqueued_ns;
   };
 
-  // Completes a span for a job rejected while parsing at drain time:
-  // its lifecycle ends inside the batch-formation stage.
-  const auto complete_drain_reject = [&](const QueuedJob& job, int status) {
+  // Answers a job 400 at parse time (a present but malformed field is
+  // rejected, never replaced by its default) and completes its span:
+  // the lifecycle ends inside the batch-formation stage.
+  const auto reject = [&](const QueuedJob& job, const char* what) {
+    responses[job.request_index] = bad_request(what);
     if (!traced || job.span_id == 0) return;
     obs::RequestSpan span;
     span.id = job.span_id;
     span.sampled = tracer_->is_sampled(job.span_id);
-    span.status = status;
+    span.status = 400;
     span.ingest_ns = job.ingest_ns;
     span.stage_ns[kStAdmission] = job.enqueued_ns - job.ingest_ns;
     span.stage_ns[kStQueue] = drain_ns - job.enqueued_ns;
@@ -365,36 +361,47 @@ void PlanServer::drain_queue(TenantState& tenant, std::vector<obs::HttpResponse>
   const auto& particle_params = particle_->app.params();
   std::int64_t drained = 0;
 
+  constexpr std::uint64_t kAnySeed = std::numeric_limits<std::uint64_t>::max();
+
   while (!queue.empty()) {
     const QueuedJob job = queue.pop();
     ++drained;
     if (job.app == "speech") {
       apps::ErrorGenApp::SpeechJobSpec spec;
-      const auto frame = json_array_field(job.body, "frame");
+      auto frame = json_array_field(job.body, "frame");
       const bool explicit_io = frame.has_value();
       if (explicit_io) {
-        spec.frame = *frame;
-        spec.coeffs = json_array_field(job.body, "coeffs").value_or(synth_coeffs(speech_params.order));
+        spec.frame = std::move(*frame);
+        auto coeffs = json_array_field(job.body, "coeffs");
+        if (coeffs) {
+          spec.coeffs = std::move(*coeffs);
+        } else if (json_has_field(job.body, "coeffs")) {
+          reject(job, "speech job coeffs must be an array of numbers");
+          continue;
+        } else {
+          spec.coeffs = synth_coeffs(speech_params.order);
+        }
       } else {
-        const auto n = static_cast<std::size_t>(
-            json_number_field(job.body, "frame_size").value_or(static_cast<double>(speech_params.frame_size)));
-        const auto order = static_cast<std::size_t>(
-            json_number_field(job.body, "order").value_or(static_cast<double>(speech_params.order)));
-        const auto seed =
-            static_cast<std::uint64_t>(json_number_field(job.body, "seed").value_or(0.0));
-        if (n == 0 || n > speech_params.max_frame_size || order == 0 ||
-            order > speech_params.max_order) {
-          responses[job.request_index] = bad_request("speech job exceeds the model bounds");
-          complete_drain_reject(job, 400);
+        if (json_has_field(job.body, "frame")) {
+          reject(job, "speech job frame must be an array of numbers");
           continue;
         }
-        spec.frame = synth_frame(seed, n);
-        spec.coeffs = synth_coeffs(order);
+        const auto n = json_integer_field(job.body, "frame_size", 1,
+                                          speech_params.max_frame_size, speech_params.frame_size);
+        const auto order =
+            json_integer_field(job.body, "order", 1, speech_params.max_order, speech_params.order);
+        const auto seed = json_integer_field(job.body, "seed", 0, kAnySeed, 0);
+        if (!n || !order || !seed) {
+          reject(job, "speech job frame_size, order and seed must be integers within the model "
+                      "bounds");
+          continue;
+        }
+        spec.frame = synth_frame(*seed, *n);
+        spec.coeffs = synth_coeffs(*order);
       }
       if (spec.frame.empty() || spec.frame.size() > speech_params.max_frame_size ||
           spec.coeffs.empty() || spec.coeffs.size() > speech_params.max_order) {
-        responses[job.request_index] = bad_request("speech job exceeds the model bounds");
-        complete_drain_reject(job, 400);
+        reject(job, "speech job exceeds the model bounds");
         continue;
       }
       speech_meta.push_back(
@@ -402,28 +409,40 @@ void PlanServer::drain_queue(TenantState& tenant, std::vector<obs::HttpResponse>
       speech_jobs.push_back(std::move(spec));
     } else {
       apps::ParticleFilterApp::ParticleJobSpec spec;
-      spec.seed = static_cast<std::uint64_t>(
-          json_number_field(job.body, "seed").value_or(static_cast<double>(particle_params.seed)));
-      const auto observations = json_array_field(job.body, "observations");
+      const auto seed = json_integer_field(job.body, "seed", 0, kAnySeed, particle_params.seed);
+      if (!seed) {
+        reject(job, "particle job seed must be a non-negative integer");
+        continue;
+      }
+      spec.seed = *seed;
+      auto observations = json_array_field(job.body, "observations");
       const bool explicit_io = observations.has_value();
       if (explicit_io) {
-        spec.trajectory.observations = *observations;
-        spec.trajectory.truth = json_array_field(job.body, "truth")
-                                    .value_or(std::vector<double>(spec.trajectory.observations.size(), 0.0));
+        spec.trajectory.observations = std::move(*observations);
+        auto truth = json_array_field(job.body, "truth");
+        if (truth) {
+          spec.trajectory.truth = std::move(*truth);
+        } else if (json_has_field(job.body, "truth")) {
+          reject(job, "particle job truth must be an array of numbers");
+          continue;
+        } else {
+          spec.trajectory.truth.assign(spec.trajectory.observations.size(), 0.0);
+        }
       } else {
-        const auto steps = static_cast<std::size_t>(
-            json_number_field(job.body, "steps").value_or(8.0));
-        if (steps == 0 || steps > 4096) {
-          responses[job.request_index] = bad_request("particle job steps out of range");
-          complete_drain_reject(job, 400);
+        if (json_has_field(job.body, "observations")) {
+          reject(job, "particle job observations must be an array of numbers");
+          continue;
+        }
+        const auto steps = json_integer_field(job.body, "steps", 1, 4096, 8);
+        if (!steps) {
+          reject(job, "particle job steps must be an integer in [1, 4096]");
           continue;
         }
         dsp::Rng rng(spec.seed + 1);
-        spec.trajectory = dsp::simulate_crack(particle_params.model, steps, rng);
+        spec.trajectory = dsp::simulate_crack(particle_params.model, *steps, rng);
       }
       if (spec.trajectory.observations.empty()) {
-        responses[job.request_index] = bad_request("particle job has no observations");
-        complete_drain_reject(job, 400);
+        reject(job, "particle job has no observations");
         continue;
       }
       const auto steps = static_cast<std::int64_t>(spec.trajectory.observations.size());
@@ -476,7 +495,7 @@ void PlanServer::drain_queue(TenantState& tenant, std::vector<obs::HttpResponse>
           double checksum = 0.0;
           for (const double e : results[k]) checksum += e;
           body += "\"n\": " + std::to_string(results[k].size()) + ", \"checksum\": ";
-          append_double(body, checksum);
+          append_json_number(body, checksum);
         }
         body += "}\n";
         responses[speech_meta[k].index] = json_response(200, std::move(body));
@@ -558,14 +577,14 @@ void PlanServer::drain_queue(TenantState& tenant, std::vector<obs::HttpResponse>
           body += "\"estimates\": ";
           append_doubles(body, r.estimates);
           body += ", \"rmse\": ";
-          append_double(body, r.rmse_vs_truth);
+          append_json_number(body, r.rmse_vs_truth);
           body += ", \"resample_steps\": " + std::to_string(r.resample_steps);
           body += ", \"particles_exchanged\": " + std::to_string(r.particles_exchanged);
         } else {
           body += "\"steps\": " + std::to_string(steps) + ", \"estimate\": ";
-          append_double(body, r.estimates.empty() ? 0.0 : r.estimates.back());
+          append_json_number(body, r.estimates.empty() ? 0.0 : r.estimates.back());
           body += ", \"rmse\": ";
-          append_double(body, r.rmse_vs_truth);
+          append_json_number(body, r.rmse_vs_truth);
         }
         body += "}\n";
         responses[meta[k].index] = json_response(200, std::move(body));

@@ -1,5 +1,6 @@
 /// \file request.hpp
-/// Minimal flat-JSON field scanner for serve-layer request bodies.
+/// The serve layer's number text format: a minimal flat-JSON field
+/// scanner for request bodies and the number formatter for replies.
 ///
 /// Job bodies are small flat objects ({"app":"speech","frame":[...]});
 /// at a >=100k req/s service rate a DOM parse per request would dominate
@@ -8,8 +9,23 @@
 /// "<key>": at top nesting depth only; absent or malformed fields are
 /// std::nullopt (the server answers 400). Not a general JSON parser —
 /// strings must not contain escaped quotes, arrays are numbers only.
+///
+/// Request number grammar: a JSON number, `-?digits[.digits][(e|E)[+-]digits]`,
+/// parsed with std::from_chars inside the view — nothing past the view's
+/// end is ever read, so a view need not be NUL-terminated. A number must
+/// be followed, inside the view, by whitespace, ',', '}' or ']'. The
+/// scanner rejects what JSON does not allow: a leading '+' or '.',
+/// leading zeros (007), a '.' with no digit after it (1., 1.e5), hex
+/// floats (0x1p3), inf/nan, and literals outside the range of double
+/// (1e999).
+///
+/// Reply number format: append_json_number writes exactly what
+/// snprintf("%.17g") prints, 17 significant digits, so every double
+/// round-trips. Clients and tools/golden/served_answers.txt compare reply
+/// bodies byte for byte, so this text is part of the serve contract.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -17,10 +33,26 @@
 
 namespace spi::serve {
 
+/// True when `"key":` appears in the body.
+[[nodiscard]] bool json_has_field(std::string_view body, std::string_view key);
 [[nodiscard]] std::optional<std::string> json_string_field(std::string_view body,
                                                            std::string_view key);
-[[nodiscard]] std::optional<double> json_number_field(std::string_view body, std::string_view key);
 [[nodiscard]] std::optional<std::vector<double>> json_array_field(std::string_view body,
                                                                   std::string_view key);
+/// An integral field checked against [lo, hi]: `fallback` when the key is
+/// absent; std::nullopt when it is present but not a finite integral
+/// number in range (1.5, -1, 1e300, "x" — the server answers 400).
+/// The server reads the synthetic-job fields only for jobs that carry no
+/// explicit input: a speech job with `frame` ignores frame_size, order
+/// and seed, and a particle job with `observations` ignores steps,
+/// malformed or not (docs/serving.md, "Number format").
+[[nodiscard]] std::optional<std::uint64_t> json_integer_field(std::string_view body,
+                                                              std::string_view key,
+                                                              std::uint64_t lo, std::uint64_t hi,
+                                                              std::uint64_t fallback);
+
+/// Appends `v` exactly as snprintf("%.17g") prints it, via std::to_chars
+/// (std::chars_format::general with precision 17 is specified to match).
+void append_json_number(std::string& out, double v);
 
 }  // namespace spi::serve

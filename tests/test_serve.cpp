@@ -13,7 +13,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -260,8 +263,9 @@ TEST(PlanServer, BatchedParticleFiringBitIdenticalToSingleJobRuns) {
     // the batched result bit for bit.
     const apps::TrackResult reference = reference_app.track(*trajs[j]);
     EXPECT_EQ(*estimates, reference.estimates) << "batched job " << j;
-    const auto resamples = json_number_field(responses[j].body, "resample_steps");
-    ASSERT_TRUE(resamples.has_value());
+    const auto resamples = json_integer_field(responses[j].body, "resample_steps", 0,
+                                              std::numeric_limits<std::uint64_t>::max(), 0);
+    ASSERT_TRUE(resamples.has_value() && json_has_field(responses[j].body, "resample_steps"));
     EXPECT_EQ(static_cast<std::int64_t>(*resamples), reference.resample_steps);
   }
 }
@@ -335,6 +339,144 @@ TEST(PlanServer, BadJobsAnswer400WithoutPoisoningTheBatch) {
   EXPECT_EQ(responses[2].status, 400);
   EXPECT_EQ(responses[3].status, 400);
   EXPECT_EQ(responses[4].status, 200) << "valid job must survive its burst-mates";
+}
+
+// Each integral field, present but malformed or out of range, answers
+// 400 instead of falling back to its default or reaching an unchecked
+// double-to-integer cast (undefined behaviour for -1, 1e300 and 2^64).
+TEST(PlanServer, MalformedIntegerFieldsAnswer400) {
+  const std::vector<std::string> bad_values = {"-1", "1e300", "1.5", "\"x\"", "18446744073709551616"};
+  const std::vector<std::pair<std::string, std::string>> fields = {
+      {"{\"app\":\"speech\",\"order\":4,\"seed\":1,\"frame_size\":", "}"},
+      {"{\"app\":\"speech\",\"frame_size\":8,\"seed\":1,\"order\":", "}"},
+      {"{\"app\":\"speech\",\"frame_size\":8,\"order\":2,\"seed\":", "}"},
+      {"{\"app\":\"particle\",\"seed\":1,\"steps\":", "}"},
+      {"{\"app\":\"particle\",\"steps\":8,\"seed\":", "}"},
+  };
+  std::vector<std::string> bodies;
+  for (const auto& [head, tail] : fields)
+    for (const std::string& value : bad_values) bodies.push_back(head + value + tail);
+  bodies.push_back("{\"app\":\"speech\",\"frame\":[1,x],\"coeffs\":[0.5]}");
+  bodies.push_back("{\"app\":\"speech\",\"frame\":[0.1,0.2],\"coeffs\":[0.5,+1]}");
+  bodies.push_back("{\"app\":\"particle\",\"observations\":[1,2],\"truth\":[0x1p3,1]}");
+  const std::size_t rejected = bodies.size();
+  // Integral spellings JSON allows still parse, and these jobs are
+  // witnesses that the rejects did not poison the batch. A job with
+  // explicit input ignores the synthetic-job fields, malformed or not.
+  bodies.push_back("{\"app\":\"speech\",\"frame_size\":8.0,\"order\":2e0,\"seed\":1}");
+  bodies.push_back("{\"app\":\"particle\",\"steps\":8,\"seed\":18446744073709549568}");
+  bodies.push_back("{\"app\":\"speech\",\"frame\":[1],\"seed\":\"x\",\"order\":-1}");
+  bodies.push_back("{\"app\":\"particle\",\"observations\":[1,2],\"steps\":1.5}");
+
+  PlanServer server;
+  std::vector<obs::HttpRequest> requests = job_burst(bodies);
+  std::vector<obs::HttpResponse> responses;
+  server.handle_burst(requests, responses);
+  ASSERT_EQ(responses.size(), bodies.size());
+  for (std::size_t i = 0; i < bodies.size(); ++i)
+    EXPECT_EQ(responses[i].status, i < rejected ? 400 : 200)
+        << bodies[i] << " -> " << responses[i].body;
+}
+
+/// A heap copy of `text` with no terminating NUL, viewed up to `length`:
+/// a parse that reads past the view's end reads past the allocation,
+/// which AddressSanitizer reports.
+struct UnterminatedView {
+  std::unique_ptr<char[]> bytes;
+  std::string_view view;
+  UnterminatedView(std::string_view text, std::size_t length)
+      : bytes(new char[text.size()]), view(bytes.get(), length) {
+    std::memcpy(bytes.get(), text.data(), text.size());
+  }
+};
+
+TEST(RequestScanner, NumberCutByTheViewIsNotReadPastItsEnd) {
+  // The whole body is {"n":12}; the view ends inside the value. A scan
+  // bounded by the view must not see the '2' (an unbounded strtod reads
+  // it and returns 12), and a value with no delimiter is not a number.
+  const UnterminatedView cut("{\"n\":12}", 6);
+  EXPECT_EQ(json_integer_field(cut.view, "n", 0, 100, 7), std::nullopt);
+  const UnterminatedView at_end("{\"n\":12", 7);
+  EXPECT_EQ(json_integer_field(at_end.view, "n", 0, 100, 7), std::nullopt);
+  EXPECT_EQ(json_integer_field("{\"n\":12}", "n", 0, 100, 7), 12u);
+}
+
+TEST(RequestScanner, ArrayCutByTheViewIsRejected) {
+  const UnterminatedView cut("{\"a\":[1,23]}", 9);  // {"a":[1,2
+  EXPECT_EQ(json_array_field(cut.view, "a"), std::nullopt);
+  const UnterminatedView open("{\"a\":[1,2", 9);
+  EXPECT_EQ(json_array_field(open.view, "a"), std::nullopt);
+  EXPECT_EQ(json_array_field("{\"a\":[1, 23 ,\r\n-4.5e1]}", "a"),
+            (std::vector<double>{1.0, 23.0, -45.0}));
+  EXPECT_EQ(json_array_field("{\"a\":[]}", "a"), std::vector<double>{});
+}
+
+TEST(RequestScanner, RejectsNumbersJsonDoesNotAllow) {
+  for (const char* text : {"+1", "0x1p3", "-0x10", "inf", "-inf", "nan", "1e999", "-1e999", ".5",
+                           "-", "1x", "\"1\"", "007", "-01", "00", "1.", "1.e5", "-2.E1", "1e",
+                           "1e+"}) {
+    const std::string body = std::string("{\"n\":") + text + "}";
+    EXPECT_EQ(json_integer_field(body, "n", 0, 1000, 7), std::nullopt) << body;
+    EXPECT_EQ(json_array_field(std::string("{\"a\":[") + text + "]}", "a"), std::nullopt) << text;
+  }
+  EXPECT_EQ(json_array_field("{\"a\":[ -0.25e-2 , 0, -0, 0.5, 10.0E0 ]}", "a"),
+            (std::vector<double>{-0.0025, 0.0, -0.0, 0.5, 10.0}));
+  EXPECT_EQ(json_integer_field("{\"n\":1E+2,\"m\":3}", "n", 0, 1000, 7), 100u);
+}
+
+TEST(RequestScanner, IntegerFieldChecksFiniteIntegralAndRange) {
+  EXPECT_EQ(json_integer_field("{}", "k", 1, 9, 5), 5u);  // absent: the fallback
+  EXPECT_EQ(json_integer_field("{\"k\":9}", "k", 1, 9, 5), 9u);
+  EXPECT_EQ(json_integer_field("{\"k\":3e0}", "k", 1, 9, 5), 3u);
+  for (const char* text : {"0", "10", "-1", "1.5", "1e300", "-1e300", "null", "\"3\""})
+    EXPECT_EQ(json_integer_field(std::string("{\"k\":") + text + "}", "k", 1, 9, 5), std::nullopt)
+        << text;
+  constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+  // 2^64 - 2048 is the largest double below 2^64; 2^64 itself is out.
+  EXPECT_EQ(json_integer_field("{\"k\":18446744073709549568}", "k", 0, kMax, 0),
+            18446744073709549568ull);
+  EXPECT_EQ(json_integer_field("{\"k\":18446744073709551616}", "k", 0, kMax, 0), std::nullopt);
+}
+
+std::string printf_17g(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+std::string formatted(double v) {
+  std::string out;
+  append_json_number(out, v);
+  return out;
+}
+
+// The reply format is a contract: clients (the perfbench byte compare)
+// and tools/golden/served_answers.txt compare reply bodies as strings.
+TEST(ReplyFormat, MatchesPrintfPercent17gByteForByte) {
+  const std::vector<double> edges = {
+      0.0, -0.0, 1.0, -1.0, 0.1, -0.1, 1e21, 1e-7, 1e-5, 123456789.0, 1e16, 1e17,
+      9007199254740993.0, 12345678901234567890.0, 0.5, 2.5e-300,
+      std::numeric_limits<double>::denorm_min(), -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(), std::numeric_limits<double>::epsilon()};
+  for (const double v : edges) EXPECT_EQ(formatted(v), printf_17g(v)) << printf_17g(v);
+  for (std::int64_t i = -1000; i <= 1000; ++i)
+    EXPECT_EQ(formatted(static_cast<double>(i)), printf_17g(static_cast<double>(i)));
+
+  // Seeded sweep: random bit patterns cover every exponent (non-finite
+  // patterns skipped), random decimals the range replies actually carry.
+  dsp::Rng rng(2024);
+  int mismatches = 0;
+  for (int k = 0; k < 20000; ++k) {
+    const std::uint64_t bits = rng.engine()();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    if (!std::isfinite(v)) continue;
+    for (const double x : {v, rng.uniform(-4.0, 4.0)})
+      if (formatted(x) != printf_17g(x) && ++mismatches <= 5)
+        ADD_FAILURE() << formatted(x) << " != " << printf_17g(x);
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(PlanServer, PlanPostCachesByContentAndBudgetsMemory) {

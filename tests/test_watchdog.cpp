@@ -4,15 +4,20 @@
 /// a deliberately deadlocked reliable run (one dropped-forever edge via
 /// a FaultPlan) detected within 2x the configured window, classified as
 /// a deadlock with the blocking channel named, with a loadable flight
-/// post-mortem and a /runtime snapshot dumped to disk.
+/// post-mortem and a /runtime snapshot dumped to disk. A JobInstance
+/// keeps one monitor thread across its runs: stalls of successive runs
+/// report from that thread, and no stall state or error leaks from one
+/// run into the next.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/threaded_runtime.hpp"
@@ -122,8 +127,8 @@ TEST(Watchdog, FiresOnFrozenEpochsAndReArmsOnProgress) {
     w.epoch = epoch.load();
     return std::vector<WorkerSnapshot>{w};
   };
-  ProgressWatchdog wd(std::move(options), std::move(hooks));
-  wd.start();
+  ProgressWatchdog wd(options, std::move(hooks));
+  wd.arm(options);
 
   // Frozen epoch: the stall must fire within 2x the window.
   const auto start = std::chrono::steady_clock::now();
@@ -150,7 +155,7 @@ TEST(Watchdog, FiresOnFrozenEpochsAndReArmsOnProgress) {
          std::chrono::steady_clock::now() - again < std::chrono::seconds(5))
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_EQ(fired.load(), 2);
-  wd.stop();
+  wd.disarm();
 }
 
 TEST(Watchdog, RequiresSnapshotHookAndPositiveWindow) {
@@ -340,6 +345,137 @@ TEST(WatchdogRuntime, NonAbortingWatchdogObservesStallAndLetsTransportFail) {
   EXPECT_THROW(runtime.run(options), sim::ChannelError);
   EXPECT_GE(fired.load(), 1);
   std::remove((::testing::TempDir() + "/spi_stall.deadlock.json").c_str());
+}
+
+/// The Fixture's plan on one JobInstance whose Mid actor sleeps for
+/// `mid_sleep_ms` per firing: a slow actor, stalled for as long as the
+/// test asks, on the colocated path the serve layer uses.
+struct SlowMidInstance {
+  Fixture f;
+  SpiSystem system{f.g, f.assignment};
+  JobInstance instance{system.plan()};
+  std::atomic<int> mid_sleep_ms{0};
+
+  SlowMidInstance() {
+    instance.set_compute(f.src, [this](FiringContext& ctx) {
+      ctx.outputs[ctx.output_index(f.first)] = {std::vector<std::uint8_t>(sizeof(double))};
+    });
+    instance.set_compute(f.mid, [this](FiringContext& ctx) {
+      if (const int ms = mid_sleep_ms.load()) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+      ctx.outputs[ctx.output_index(f.second)] = {ctx.inputs[ctx.input_index(f.first)][0]};
+    });
+  }
+
+  /// Watched options with a short window, dumping into the test tempdir.
+  static RunOptions watched(std::int64_t iterations, bool abort_on_stall) {
+    RunOptions options;
+    options.iterations = iterations;
+    options.watchdog.enabled = true;
+    options.watchdog.window_ms = 40;
+    options.watchdog.poll_ms = 5;
+    options.watchdog.abort_on_stall = abort_on_stall;
+    options.watchdog.dump_dir = ::testing::TempDir();
+    return options;
+  }
+};
+
+constexpr int kStallSleepMs = 300;  // several windows: the stall always fires
+
+// One monitor thread per JobInstance: every watched run arms the same
+// thread instead of starting its own.
+TEST(WatchdogRuntime, StallsOfSuccessiveRunsReportFromOneMonitorThread) {
+  SlowMidInstance s;
+  s.mid_sleep_ms = kStallSleepMs;
+  std::mutex mutex;
+  std::vector<std::thread::id> threads;
+  RunOptions options = SlowMidInstance::watched(1, /*abort_on_stall=*/false);
+  options.watchdog.on_stall = [&](const obs::StallReport& report) {
+    EXPECT_EQ(report.kind, obs::StallKind::kSlowActor);
+    const std::lock_guard lock(mutex);
+    threads.push_back(std::this_thread::get_id());
+  };
+  s.instance.run_colocated(options);
+  s.instance.run_colocated(options);
+  ASSERT_EQ(threads.size(), 2u);
+  EXPECT_EQ(threads[0], threads[1]);
+  EXPECT_NE(threads[0], std::this_thread::get_id());
+  std::remove((::testing::TempDir() + "/spi_stall.slow-actor.json").c_str());
+}
+
+TEST(WatchdogRuntime, HealthyRunAfterANonAbortingStallIsNotFlagged) {
+  SlowMidInstance s;
+  std::atomic<int> fired{0};
+  RunOptions options = SlowMidInstance::watched(1, /*abort_on_stall=*/false);
+  options.watchdog.on_stall = [&](const obs::StallReport&) { fired.fetch_add(1); };
+  s.mid_sleep_ms = kStallSleepMs;
+  s.instance.run_colocated(options);
+  ASSERT_EQ(fired.load(), 1);
+
+  // Long enough for dozens of samples, each firing well inside the window.
+  s.mid_sleep_ms = 2;
+  options.iterations = 60;
+  s.instance.run_colocated(options);
+  EXPECT_EQ(fired.load(), 1) << "the healthy run was flagged";
+  std::remove((::testing::TempDir() + "/spi_stall.slow-actor.json").c_str());
+}
+
+TEST(WatchdogRuntime, RunAfterAnAbortingStallStartsWithNoStaleError) {
+  SlowMidInstance s;
+  RunOptions options = SlowMidInstance::watched(3, /*abort_on_stall=*/true);
+  s.mid_sleep_ms = kStallSleepMs;
+  EXPECT_THROW(s.instance.run_colocated(options), obs::StallError);
+
+  s.mid_sleep_ms = 0;
+  options.iterations = 50;
+  EXPECT_NO_THROW(s.instance.run_colocated(options));
+  EXPECT_EQ(s.instance.stats().messages, 2 * 50);
+  std::remove((::testing::TempDir() + "/spi_stall.slow-actor.json").c_str());
+}
+
+// A run armed with a shorter poll period than the run before it wakes a
+// monitor still waiting out the old period (a 15 s wait for a 60 s
+// window) and is watched on its own schedule from its start.
+TEST(WatchdogRuntime, ShortWindowRunAfterALongWindowRunFiresOnItsOwnWindow) {
+  SlowMidInstance s;
+  RunOptions long_window = SlowMidInstance::watched(1, /*abort_on_stall=*/false);
+  long_window.watchdog.window_ms = 60'000;
+  long_window.watchdog.poll_ms = 0;  // max(10, window/4): 15 s
+  s.mid_sleep_ms = 50;  // the monitor takes its first sample, then waits
+  s.instance.run_colocated(long_window);
+
+  std::atomic<std::int64_t> fired_after_ms{-1};
+  RunOptions short_window = SlowMidInstance::watched(1, /*abort_on_stall=*/false);
+  short_window.watchdog.window_ms = 100;
+  short_window.watchdog.poll_ms = 10;
+  const auto start = std::chrono::steady_clock::now();
+  short_window.watchdog.on_stall = [&](const obs::StallReport&) {
+    fired_after_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+  };
+  s.mid_sleep_ms = kStallSleepMs;
+  s.instance.run_colocated(short_window);
+  ASSERT_GE(fired_after_ms.load(), 0) << "the stall never fired";
+  EXPECT_GE(fired_after_ms.load(), short_window.watchdog.window_ms);
+  EXPECT_LE(fired_after_ms.load(), 2 * short_window.watchdog.window_ms);
+  std::remove((::testing::TempDir() + "/spi_stall.slow-actor.json").c_str());
+}
+
+// The serve pattern: short watched batches back to back with idle gaps
+// between bursts, lasting several windows in all, while the monitor
+// samples every millisecond across arm/disarm boundaries.
+TEST(WatchdogRuntime, BackToBackWatchedColocatedRunsNeverStall) {
+  SlowMidInstance s;
+  std::atomic<int> fired{0};
+  RunOptions options = SlowMidInstance::watched(4, /*abort_on_stall=*/false);
+  options.watchdog.poll_ms = 1;
+  options.watchdog.on_stall = [&](const obs::StallReport&) { fired.fetch_add(1); };
+  for (int run = 0; run < 400; ++run) {
+    s.instance.run_colocated(options);
+    if (run % 4 == 3) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(fired.load(), 0);
+  EXPECT_EQ(s.instance.stats().messages, 2 * 4);
 }
 
 }  // namespace
