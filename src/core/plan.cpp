@@ -317,7 +317,7 @@ std::unique_ptr<SpiBackend> ExecutablePlan::make_backend() const {
 std::uint64_t ExecutablePlan::content_hash() const {
   // FNV-1a over (schema, topology, exec), little-endian byte order. The
   // schema version participates so a breaking encoding change can never
-  // produce a stale PlanCache hit across daemon upgrades.
+  // leave two different encodings under one key.
   std::uint64_t h = 14695981039346656037ull;
   const auto mix = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {

@@ -138,13 +138,13 @@ struct ExecutablePlan {
   /// Stable identity of this compiled plan: one FNV-1a round over the
   /// schema version and the topology/exec input fingerprints. Two plans
   /// share a content hash exactly when they were compiled from identical
-  /// inputs under the same schema — the key the serving layer's
-  /// PlanCache deduplicates on, surfaced in the spi_compile report and
-  /// in the plan JSON (fingerprints.content). Stable across processes
-  /// and serialization round-trips.
+  /// inputs under the same schema — the key spi_served's /runtime
+  /// reports for each model, surfaced in the spi_compile report and in
+  /// the plan JSON (fingerprints.content). Stable across processes and
+  /// serialization round-trips.
   [[nodiscard]] std::uint64_t content_hash() const;
   /// content_hash() as the fixed-width lowercase hex string used in
-  /// JSON, reports and cache-lookup requests.
+  /// JSON and reports.
   [[nodiscard]] std::string content_hash_hex() const;
 
   [[nodiscard]] sched::Proc proc_of(df::ActorId a) const {

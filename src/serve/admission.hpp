@@ -1,14 +1,7 @@
 /// \file admission.hpp
 /// Admission control for the plan server (docs/serving.md).
 ///
-/// Two resources are budgeted, each producing a typed 429 reject:
-///
-///  * "memory-budget" — resident channel memory. Every cached plan
-///    reserves its equation-2 bound (sum over interprocessor channels of
-///    capacity x frame size — exactly what a JobInstance of that plan
-///    allocates, computable from the plan alone, before instantiation).
-///    A submission that would push the reserved total past the budget is
-///    rejected instead of OOM-killing the co-tenants.
+/// One resource is budgeted, producing a typed 429 reject:
 ///
 ///  * "queue-depth" — per-tenant queued jobs. A tenant whose queue is
 ///    full is rejected without touching other tenants' budgets
@@ -25,8 +18,8 @@ namespace spi::serve {
 
 struct AdmissionDecision {
   bool admitted = true;
-  /// Machine-readable reject reason ("memory-budget" or "queue-depth"),
-  /// empty when admitted. Servers surface it in the 429 body and in the
+  /// Machine-readable reject reason ("queue-depth"), empty when
+  /// admitted. Servers surface it in the 429 body and in the
   /// spi_serve_rejects_total{reason=...} counter.
   std::string reason;
 };
@@ -34,27 +27,11 @@ struct AdmissionDecision {
 class AdmissionController {
  public:
   struct Options {
-    std::int64_t memory_budget_bytes = 64ll << 20;  ///< reserved-resident cap
-    std::int64_t max_queue_depth = 4096;            ///< per tenant
+    std::int64_t max_queue_depth = 4096;  ///< per tenant
   };
 
   AdmissionController() : AdmissionController(Options{}) {}
   explicit AdmissionController(Options options) : options_(options) {}
-
-  /// Reserve `resident_bytes` of channel memory for a new plan; rejects
-  /// with "memory-budget" when the reservation would exceed the budget.
-  /// A single plan larger than the whole budget is always rejected.
-  AdmissionDecision admit_plan(std::int64_t resident_bytes) {
-    if (reserved_bytes_ + resident_bytes > options_.memory_budget_bytes) {
-      ++rejected_memory_;
-      return {false, "memory-budget"};
-    }
-    reserved_bytes_ += resident_bytes;
-    return {};
-  }
-
-  /// Return an evicted/released plan's reservation to the budget.
-  void release_plan(std::int64_t resident_bytes) { reserved_bytes_ -= resident_bytes; }
 
   /// Admit one job into a tenant queue currently holding `queued` jobs.
   AdmissionDecision admit_job(std::int64_t queued) {
@@ -66,14 +43,10 @@ class AdmissionController {
   }
 
   [[nodiscard]] const Options& options() const { return options_; }
-  [[nodiscard]] std::int64_t reserved_bytes() const { return reserved_bytes_; }
-  [[nodiscard]] std::int64_t rejected_memory() const { return rejected_memory_; }
   [[nodiscard]] std::int64_t rejected_queue() const { return rejected_queue_; }
 
  private:
   Options options_;
-  std::int64_t reserved_bytes_ = 0;
-  std::int64_t rejected_memory_ = 0;
   std::int64_t rejected_queue_ = 0;
 };
 

@@ -19,14 +19,17 @@
 
 namespace spi::serve {
 
+/// The built-in model a job runs on, resolved once when it is routed.
+enum class App : std::uint8_t { kSpeech, kParticle };
+
 /// One admitted job waiting for its batch: which burst slot to answer,
-/// which app to run, and the raw request body (parsed at drain time).
+/// which model runs it, and the raw request body (parsed at drain time).
 /// The trace fields are the job's request-lifecycle context
 /// (obs/request_trace.hpp): span id plus the ingest and enqueue stamps,
 /// carried through the queue so the drain can attribute queue wait.
 struct QueuedJob {
   std::size_t request_index = 0;  ///< slot in the burst's response vector
-  std::string app;                ///< "speech" or "particle"
+  App app = App::kSpeech;
   std::string body;               ///< request JSON
   std::uint64_t span_id = 0;      ///< 0 = untraced
   std::int64_t ingest_ns = 0;     ///< burst entry (tracer clock)

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <limits>
-#include <stdexcept>
 
 #include "core/job_instance.hpp"
 #include "dsp/particle_filter.hpp"
@@ -43,6 +42,136 @@ void append_doubles(std::string& out, std::span<const double> values) {
   out += ']';
 }
 
+constexpr std::uint64_t kAnySeed = std::numeric_limits<std::uint64_t>::max();
+
+/// The per-app half of a served model: parse a job body into a spec,
+/// run a batch of specs, render one result as reply fields. Everything
+/// else about a firing is shared (PlanServer::fire_groups). Parsing
+/// answers a present but malformed field with its 400 message, never
+/// with the field's default; nullptr means the spec is valid.
+template <class AppT>
+struct AppTraits;
+
+template <>
+struct AppTraits<apps::ErrorGenApp> {
+  using Spec = apps::ErrorGenApp::SpeechJobSpec;
+  using Result = std::vector<double>;
+
+  static const char* parse(const apps::ErrorGenApp& app, std::string_view body, Spec& spec,
+                           bool& explicit_io) {
+    const apps::SpeechParams& params = app.params();
+    auto frame = json_array_field(body, "frame");
+    explicit_io = frame.has_value();
+    if (explicit_io) {
+      spec.frame = std::move(*frame);
+      auto coeffs = json_array_field(body, "coeffs");
+      if (coeffs) {
+        spec.coeffs = std::move(*coeffs);
+      } else if (json_has_field(body, "coeffs")) {
+        return "speech job coeffs must be an array of numbers";
+      } else {
+        spec.coeffs = synth_coeffs(params.order);
+      }
+    } else {
+      if (json_has_field(body, "frame")) return "speech job frame must be an array of numbers";
+      const auto n =
+          json_integer_field(body, "frame_size", 1, params.max_frame_size, params.frame_size);
+      const auto order = json_integer_field(body, "order", 1, params.max_order, params.order);
+      const auto seed = json_integer_field(body, "seed", 0, kAnySeed, 0);
+      if (!n || !order || !seed)
+        return "speech job frame_size, order and seed must be integers within the model bounds";
+      spec.frame = synth_frame(*seed, *n);
+      spec.coeffs = synth_coeffs(*order);
+    }
+    if (spec.frame.empty() || spec.frame.size() > params.max_frame_size ||
+        spec.coeffs.empty() || spec.coeffs.size() > params.max_order)
+      return "speech job exceeds the model bounds";
+    return nullptr;
+  }
+
+  /// Every speech job shares one batch.
+  static std::int64_t group_of(const Spec&) { return 0; }
+
+  static std::vector<Result> run(const apps::ErrorGenApp& app, std::span<const Spec> specs,
+                                 core::JobInstance& instance, const core::RunOptions* options) {
+    return app.compute_errors_batch(specs, instance, options);
+  }
+
+  static void render(std::string& body, const Result& errors, bool explicit_io, std::int64_t) {
+    if (explicit_io) {
+      body += "\"errors\": ";
+      append_doubles(body, errors);
+      return;
+    }
+    double checksum = 0.0;
+    for (const double e : errors) checksum += e;
+    body += "\"n\": " + std::to_string(errors.size()) + ", \"checksum\": ";
+    append_json_number(body, checksum);
+  }
+};
+
+template <>
+struct AppTraits<apps::ParticleFilterApp> {
+  using Spec = apps::ParticleFilterApp::ParticleJobSpec;
+  using Result = apps::TrackResult;
+
+  static const char* parse(const apps::ParticleFilterApp& app, std::string_view body, Spec& spec,
+                           bool& explicit_io) {
+    const apps::ParticleParams& params = app.params();
+    const auto seed = json_integer_field(body, "seed", 0, kAnySeed, params.seed);
+    if (!seed) return "particle job seed must be a non-negative integer";
+    spec.seed = *seed;
+    auto observations = json_array_field(body, "observations");
+    explicit_io = observations.has_value();
+    if (explicit_io) {
+      spec.trajectory.observations = std::move(*observations);
+      auto truth = json_array_field(body, "truth");
+      if (truth) {
+        spec.trajectory.truth = std::move(*truth);
+      } else if (json_has_field(body, "truth")) {
+        return "particle job truth must be an array of numbers";
+      } else {
+        spec.trajectory.truth.assign(spec.trajectory.observations.size(), 0.0);
+      }
+    } else {
+      if (json_has_field(body, "observations"))
+        return "particle job observations must be an array of numbers";
+      const auto steps = json_integer_field(body, "steps", 1, 4096, 8);
+      if (!steps) return "particle job steps must be an integer in [1, 4096]";
+      dsp::Rng rng(spec.seed + 1);
+      spec.trajectory = dsp::simulate_crack(params.model, *steps, rng);
+    }
+    if (spec.trajectory.observations.empty()) return "particle job has no observations";
+    return nullptr;
+  }
+
+  /// A particle batch must share one trajectory length.
+  static std::int64_t group_of(const Spec& spec) {
+    return static_cast<std::int64_t>(spec.trajectory.observations.size());
+  }
+
+  static std::vector<Result> run(const apps::ParticleFilterApp& app, std::span<const Spec> specs,
+                                 core::JobInstance& instance, const core::RunOptions* options) {
+    return app.track_batch(specs, instance, options);
+  }
+
+  static void render(std::string& body, const Result& r, bool explicit_io, std::int64_t steps) {
+    if (explicit_io) {
+      body += "\"estimates\": ";
+      append_doubles(body, r.estimates);
+      body += ", \"rmse\": ";
+      append_json_number(body, r.rmse_vs_truth);
+      body += ", \"resample_steps\": " + std::to_string(r.resample_steps);
+      body += ", \"particles_exchanged\": " + std::to_string(r.particles_exchanged);
+      return;
+    }
+    body += "\"steps\": " + std::to_string(steps) + ", \"estimate\": ";
+    append_json_number(body, r.estimates.empty() ? 0.0 : r.estimates.back());
+    body += ", \"rmse\": ";
+    append_json_number(body, r.rmse_vs_truth);
+  }
+};
+
 obs::HttpResponse json_response(int status, std::string body) {
   obs::HttpResponse response;
   response.status = status;
@@ -75,44 +204,80 @@ constexpr auto kStReply = static_cast<std::size_t>(obs::RequestStage::kReply);
 }  // namespace
 
 /// A built-in model: the app, one persistent JobInstance executing every
-/// batch, and that instance's flight recorder (armed only around the
-/// trace bridge's captured batches — nothing else reads its events).
-struct PlanServer::SpeechModel {
-  apps::ErrorGenApp app;
+/// batch, that instance's flight recorder (armed only around the trace
+/// bridge's captured batches — nothing else reads its events), the
+/// model's batch instruments, and the groups staged by the drain in
+/// progress, keyed by AppTraits::group_of in firing order.
+template <class AppT>
+struct PlanServer::Model {
+  using Traits = AppTraits<AppT>;
+  using Spec = typename Traits::Spec;
+
+  /// A staged job: its burst slot, whether its reply echoes explicit
+  /// I/O, and its trace context.
+  struct Staged {
+    std::size_t index;
+    bool explicit_io;
+    std::uint64_t span_id;
+    std::int64_t ingest_ns;
+    std::int64_t enqueued_ns;
+  };
+  /// One batched firing's jobs; staged[k] is the reply context of specs[k].
+  struct Group {
+    std::vector<Staged> staged;
+    std::vector<Spec> specs;
+  };
+
+  std::string name;
+  std::string reply_head;  ///< {"app": "<name>", — every 200 body starts so
+  AppT app;
+  std::string plan_key;  ///< content hash of the compiled plan
   obs::FlightRecorder flight;
   core::JobInstance instance;
   core::RunOptions run_options;
+  obs::Counter& batches;
+  obs::Histogram& batch_jobs;
+  std::map<std::int64_t, Group> groups;
 
-  SpeechModel(const PlanServerOptions& options, obs::MetricRegistry* metrics)
-      : app(options.speech_pes, options.speech_params),
+  template <class Params>
+  Model(std::string model_name, std::int32_t pes, const Params& params,
+        obs::MetricRegistry& metrics)
+      : name(std::move(model_name)),
+        reply_head("{\"app\": \"" + name + "\", "),
+        app(pes, params),
+        plan_key(app.system().plan().content_hash_hex()),
         flight(app.system().plan().proc_count),
         instance(app.system().plan(),
-                 core::JobInstanceOptions{
-                     core::ChannelPolicy::kAuto, {}, metrics, "speech"}) {
+                 core::JobInstanceOptions{core::ChannelPolicy::kAuto, {}, &metrics, name}),
+        batches(metrics.counter("spi_serve_batches_total", {{"app", name}})),
+        batch_jobs(metrics.histogram("spi_serve_batch_jobs",
+                                     obs::Histogram::exponential_bounds(1.0, 2.0, 11),
+                                     {{"app", name}})) {
     instance.set_flight_recorder(&flight);
+    // The recorder stays attached for the server's lifetime but records
+    // only around the batches the flight bridge captures (it arms and
+    // disarms per capture): the trace bridge is its only reader. A
+    // stalled batch's watchdog writes the stall report and /runtime
+    // snapshot, never a flight log, so the watchdog needs no recording.
+    flight.set_armed(false);
   }
-};
 
-struct PlanServer::ParticleModel {
-  apps::ParticleFilterApp app;
-  obs::FlightRecorder flight;
-  core::JobInstance instance;
-  core::RunOptions run_options;
-
-  ParticleModel(const PlanServerOptions& options, obs::MetricRegistry* metrics)
-      : app(options.particle_pes, options.particle_params),
-        flight(app.system().plan().proc_count),
-        instance(app.system().plan(),
-                 core::JobInstanceOptions{
-                     core::ChannelPolicy::kAuto, {}, metrics, "particle"}) {
-    instance.set_flight_recorder(&flight);
+  /// Parses one queued job into its group; returns the 400 message of a
+  /// malformed job (staging nothing), nullptr otherwise.
+  const char* stage(const QueuedJob& job) {
+    Spec spec;
+    bool explicit_io = false;
+    if (const char* error = Traits::parse(app, job.body, spec, explicit_io)) return error;
+    Group& group = groups[Traits::group_of(spec)];
+    group.staged.push_back(
+        {job.request_index, explicit_io, job.span_id, job.ingest_ns, job.enqueued_ns});
+    group.specs.push_back(std::move(spec));
+    return nullptr;
   }
 };
 
 PlanServer::PlanServer(PlanServerOptions options)
-    : options_(std::move(options)),
-      cache_(options_.plan_cache_capacity),
-      admission_(options_.admission) {
+    : options_(std::move(options)), admission_(options_.admission) {
   if (options_.metrics) {
     metrics_ = options_.metrics;
   } else {
@@ -121,15 +286,10 @@ PlanServer::PlanServer(PlanServerOptions options)
   }
   tracer_ = std::make_unique<obs::RequestTracer>(options_.trace, *metrics_);
 
-  speech_ = std::make_unique<SpeechModel>(options_, metrics_);
-  particle_ = std::make_unique<ParticleModel>(options_, metrics_);
-  // The recorders stay attached for the server's lifetime but record
-  // only around the batches the flight bridge captures (it arms and
-  // disarms per capture): the trace bridge is their only reader. A
-  // stalled batch's watchdog writes the stall report and /runtime
-  // snapshot, never a flight log, so the watchdog needs no recording.
-  speech_->flight.set_armed(false);
-  particle_->flight.set_armed(false);
+  speech_ = std::make_unique<Model<apps::ErrorGenApp>>("speech", options_.speech_pes,
+                                                       options_.speech_params, *metrics_);
+  particle_ = std::make_unique<Model<apps::ParticleFilterApp>>(
+      "particle", options_.particle_pes, options_.particle_params, *metrics_);
   for (auto* run_options : {&speech_->run_options, &particle_->run_options}) {
     if (options_.watchdog_ms > 0) {
       run_options->watchdog.enabled = true;
@@ -142,19 +302,6 @@ PlanServer::PlanServer(PlanServerOptions options)
       };
     }
   }
-
-  // The built-in plans take the same admission + cache path tenant plans
-  // do — the server refuses to start with a budget its own models bust.
-  for (const auto* plan :
-       {&speech_->app.system().plan(), &particle_->app.system().plan()}) {
-    const auto resident = core::JobInstance::resident_channel_bytes(*plan);
-    if (!admission_.admit_plan(resident).admitted)
-      throw std::invalid_argument(
-          "PlanServer: memory budget below the built-in models' resident bytes");
-    (void)cache_.insert(*plan);
-  }
-  speech_plan_key_ = speech_->app.system().plan().content_hash_hex();
-  particle_plan_key_ = particle_->app.system().plan().content_hash_hex();
 }
 
 PlanServer::~PlanServer() { stop(); }
@@ -188,12 +335,6 @@ obs::HttpResponse PlanServer::handle_get(const obs::HttpRequest& request) {
   }
   if (path == "/metrics" || path == "/metrics.json") {
     metrics_->counter("spi_serve_requests_total", {{"route", "metrics"}}).inc();
-    metrics_->gauge("spi_serve_plan_cache_entries").set(static_cast<double>(cache_.size()));
-    metrics_->gauge("spi_serve_plan_cache_hits").set(static_cast<double>(cache_.hits()));
-    metrics_->gauge("spi_serve_plan_cache_misses").set(static_cast<double>(cache_.misses()));
-    metrics_->gauge("spi_serve_plan_cache_evictions").set(static_cast<double>(cache_.evictions()));
-    metrics_->gauge("spi_serve_resident_reserved_bytes")
-        .set(static_cast<double>(admission_.reserved_bytes()));
     speech_->instance.refresh_channel_gauges();
     particle_->instance.refresh_channel_gauges();
     for (const auto& [tenant, state] : tenants_) {
@@ -235,45 +376,20 @@ obs::HttpResponse PlanServer::handle_get(const obs::HttpRequest& request) {
   return json_response(404, "{\"error\": \"not found\"}\n");
 }
 
-obs::HttpResponse PlanServer::handle_plan_post(const obs::HttpRequest& request) {
-  metrics_->counter("spi_serve_requests_total", {{"route", "plan"}}).inc();
-  core::ExecutablePlan plan;
-  try {
-    plan = core::ExecutablePlan::from_json(request.body);
-  } catch (const std::exception& e) {
-    return bad_request(e.what());
-  }
-
-  const std::string key = plan.content_hash_hex();
-  const bool cached = cache_.contains(key);
-  std::int64_t resident = 0;
-  if (!cached) {
-    resident = core::JobInstance::resident_channel_bytes(plan);
-    const AdmissionDecision decision = admission_.admit_plan(resident);
-    if (!decision.admitted) {
-      metrics_->counter("spi_serve_rejects_total", {{"reason", decision.reason}}).inc();
-      return reject_response(decision.reason);
-    }
-  }
-  const auto entry = cache_.insert(std::move(plan));
-  // Evictions hand their reservation back to the budget.
-  admission_.release_plan(cache_.take_evicted_bytes());
-
-  std::string body = "{\"plan\": \"" + entry->key + "\", \"cached\": ";
-  body += cached ? "true" : "false";
-  body += ", \"resident_bytes\": " + std::to_string(entry->resident_bytes) + "}\n";
-  return json_response(cached ? 200 : 201, std::move(body));
-}
-
 void PlanServer::route_job(std::size_t index, const obs::HttpRequest& request,
                            std::vector<obs::HttpResponse>& responses) {
   metrics_->counter("spi_serve_requests_total", {{"route", "job"}}).inc();
   const auto app = json_string_field(request.body, "app");
-  if (!app || (*app != "speech" && *app != "particle")) {
+  if (app != "speech" && app != "particle") {
     responses[index] = bad_request("job requires \"app\": \"speech\" or \"particle\"");
     return;
   }
-  std::string tenant = json_string_field(request.body, "tenant").value_or("default");
+  auto tenant_field = json_string_field(request.body, "tenant");
+  if (!tenant_field && json_has_field(request.body, "tenant")) {
+    responses[index] = bad_request("job tenant must be a string without escapes");
+    return;
+  }
+  std::string tenant = std::move(tenant_field).value_or("default");
   auto [it, inserted] = tenants_.try_emplace(tenant, TenantState(tenant));
   TenantState& state = it->second;
   if (inserted) state.series = tracer_->tenant_series(tenant);
@@ -295,7 +411,7 @@ void PlanServer::route_job(std::size_t index, const obs::HttpRequest& request,
     }
     return;
   }
-  QueuedJob job{index, *app, request.body, 0, 0, 0};
+  QueuedJob job{index, *app == "speech" ? App::kSpeech : App::kParticle, request.body, 0, 0, 0};
   if (state.series != nullptr) {
     job.span_id = tracer_->begin_span();
     job.ingest_ns = burst_ingest_ns_;
@@ -314,32 +430,19 @@ void PlanServer::route_job(std::size_t index, const obs::HttpRequest& request,
 void PlanServer::drain_queue(TenantState& tenant, std::vector<obs::HttpResponse>& responses) {
   JobQueue& queue = tenant.queue;
   if (queue.empty()) return;
-  obs::TenantSeries* series = tenant.series;
-  const bool traced = series != nullptr;
-  const std::int64_t drain_ns = traced ? tracer_->now_ns() : 0;
+  const std::int64_t drain_ns = tenant.series != nullptr ? tracer_->now_ns() : 0;
 
-  struct SpeechParsed {
-    std::size_t index;
-    bool explicit_io;
-    std::uint64_t span_id;
-    std::int64_t ingest_ns;
-    std::int64_t enqueued_ns;
-  };
-  struct ParticleParsed {
-    std::size_t index;
-    bool explicit_io;
-    std::int64_t steps;
-    std::uint64_t span_id;
-    std::int64_t ingest_ns;
-    std::int64_t enqueued_ns;
-  };
-
-  // Answers a job 400 at parse time (a present but malformed field is
-  // rejected, never replaced by its default) and completes its span:
-  // the lifecycle ends inside the batch-formation stage.
-  const auto reject = [&](const QueuedJob& job, const char* what) {
-    responses[job.request_index] = bad_request(what);
-    if (!traced || job.span_id == 0) return;
+  std::int64_t drained = 0;
+  while (!queue.empty()) {
+    const QueuedJob job = queue.pop();
+    ++drained;
+    const bool speech = job.app == App::kSpeech;
+    const char* error = speech ? speech_->stage(job) : particle_->stage(job);
+    if (error == nullptr) continue;
+    // Answered 400 at parse time; the lifecycle ends inside the
+    // batch-formation stage.
+    responses[job.request_index] = bad_request(error);
+    if (tenant.series == nullptr || job.span_id == 0) continue;
     obs::RequestSpan span;
     span.id = job.span_id;
     span.sampled = tracer_->is_sampled(job.span_id);
@@ -348,123 +451,29 @@ void PlanServer::drain_queue(TenantState& tenant, std::vector<obs::HttpResponse>
     span.stage_ns[kStAdmission] = job.enqueued_ns - job.ingest_ns;
     span.stage_ns[kStQueue] = drain_ns - job.enqueued_ns;
     span.stage_ns[kStBatch] = tracer_->now_ns() - drain_ns;
-    tracer_->complete(*series, span, queue.tenant(), job.app);
-  };
-  std::vector<SpeechParsed> speech_meta;
-  std::vector<apps::ErrorGenApp::SpeechJobSpec> speech_jobs;
-  // Particle batches must share one trajectory length — group by it.
-  std::map<std::int64_t,
-           std::pair<std::vector<ParticleParsed>, std::vector<apps::ParticleFilterApp::ParticleJobSpec>>>
-      particle_groups;
-
-  const auto& speech_params = speech_->app.params();
-  const auto& particle_params = particle_->app.params();
-  std::int64_t drained = 0;
-
-  constexpr std::uint64_t kAnySeed = std::numeric_limits<std::uint64_t>::max();
-
-  while (!queue.empty()) {
-    const QueuedJob job = queue.pop();
-    ++drained;
-    if (job.app == "speech") {
-      apps::ErrorGenApp::SpeechJobSpec spec;
-      auto frame = json_array_field(job.body, "frame");
-      const bool explicit_io = frame.has_value();
-      if (explicit_io) {
-        spec.frame = std::move(*frame);
-        auto coeffs = json_array_field(job.body, "coeffs");
-        if (coeffs) {
-          spec.coeffs = std::move(*coeffs);
-        } else if (json_has_field(job.body, "coeffs")) {
-          reject(job, "speech job coeffs must be an array of numbers");
-          continue;
-        } else {
-          spec.coeffs = synth_coeffs(speech_params.order);
-        }
-      } else {
-        if (json_has_field(job.body, "frame")) {
-          reject(job, "speech job frame must be an array of numbers");
-          continue;
-        }
-        const auto n = json_integer_field(job.body, "frame_size", 1,
-                                          speech_params.max_frame_size, speech_params.frame_size);
-        const auto order =
-            json_integer_field(job.body, "order", 1, speech_params.max_order, speech_params.order);
-        const auto seed = json_integer_field(job.body, "seed", 0, kAnySeed, 0);
-        if (!n || !order || !seed) {
-          reject(job, "speech job frame_size, order and seed must be integers within the model "
-                      "bounds");
-          continue;
-        }
-        spec.frame = synth_frame(*seed, *n);
-        spec.coeffs = synth_coeffs(*order);
-      }
-      if (spec.frame.empty() || spec.frame.size() > speech_params.max_frame_size ||
-          spec.coeffs.empty() || spec.coeffs.size() > speech_params.max_order) {
-        reject(job, "speech job exceeds the model bounds");
-        continue;
-      }
-      speech_meta.push_back(
-          {job.request_index, explicit_io, job.span_id, job.ingest_ns, job.enqueued_ns});
-      speech_jobs.push_back(std::move(spec));
-    } else {
-      apps::ParticleFilterApp::ParticleJobSpec spec;
-      const auto seed = json_integer_field(job.body, "seed", 0, kAnySeed, particle_params.seed);
-      if (!seed) {
-        reject(job, "particle job seed must be a non-negative integer");
-        continue;
-      }
-      spec.seed = *seed;
-      auto observations = json_array_field(job.body, "observations");
-      const bool explicit_io = observations.has_value();
-      if (explicit_io) {
-        spec.trajectory.observations = std::move(*observations);
-        auto truth = json_array_field(job.body, "truth");
-        if (truth) {
-          spec.trajectory.truth = std::move(*truth);
-        } else if (json_has_field(job.body, "truth")) {
-          reject(job, "particle job truth must be an array of numbers");
-          continue;
-        } else {
-          spec.trajectory.truth.assign(spec.trajectory.observations.size(), 0.0);
-        }
-      } else {
-        if (json_has_field(job.body, "observations")) {
-          reject(job, "particle job observations must be an array of numbers");
-          continue;
-        }
-        const auto steps = json_integer_field(job.body, "steps", 1, 4096, 8);
-        if (!steps) {
-          reject(job, "particle job steps must be an integer in [1, 4096]");
-          continue;
-        }
-        dsp::Rng rng(spec.seed + 1);
-        spec.trajectory = dsp::simulate_crack(particle_params.model, *steps, rng);
-      }
-      if (spec.trajectory.observations.empty()) {
-        reject(job, "particle job has no observations");
-        continue;
-      }
-      const auto steps = static_cast<std::int64_t>(spec.trajectory.observations.size());
-      auto& [meta, specs] = particle_groups[steps];
-      meta.push_back(
-          {job.request_index, explicit_io, steps, job.span_id, job.ingest_ns, job.enqueued_ns});
-      specs.push_back(std::move(spec));
-    }
+    tracer_->complete(*tenant.series, span, queue.tenant(),
+                      speech ? speech_->name : particle_->name);
   }
   queue.count_served(drained);
 
-  if (!speech_jobs.empty()) {
-    metrics_->counter("spi_serve_batches_total", {{"app", "speech"}}).inc();
-    metrics_
-        ->histogram("spi_serve_batch_jobs", obs::Histogram::exponential_bounds(1.0, 2.0, 11),
-                    {{"app", "speech"}})
-        .observe(static_cast<double>(speech_jobs.size()));
+  fire_groups(*speech_, tenant, drain_ns, responses);
+  fire_groups(*particle_, tenant, drain_ns, responses);
+}
+
+template <class AppT>
+void PlanServer::fire_groups(Model<AppT>& model, const TenantState& tenant, std::int64_t drain_ns,
+                             std::vector<obs::HttpResponse>& responses) {
+  const bool traced = tenant.series != nullptr;
+  for (auto& [key, group] : model.groups) {
+    const auto& staged = group.staged;
+    const auto jobs = static_cast<std::int64_t>(staged.size());
+    model.batches.inc();
+    model.batch_jobs.observe(static_cast<double>(jobs));
     const std::int64_t batch_id = next_batch_id_++;
     bool sample_batch = false;
     if (traced)
-      for (const SpeechParsed& m : speech_meta)
-        if (m.span_id != 0 && tracer_->is_sampled(m.span_id)) {
+      for (const auto& s : staged)
+        if (s.span_id != 0 && tracer_->is_sampled(s.span_id)) {
           sample_batch = true;
           break;
         }
@@ -474,155 +483,65 @@ void PlanServer::drain_queue(TenantState& tenant, std::vector<obs::HttpResponse>
     // exactly this batch's causal firing stream (GET /trace/flight).
     const bool capture_flight = sample_batch && tracer_->want_flight();
     if (capture_flight) {
-      speech_->flight.set_armed(true);
-      speech_->flight.discard_all();
-      speech_->run_options.batch_id = batch_id;
+      model.flight.set_armed(true);
+      model.flight.discard_all();
+      model.run_options.batch_id = batch_id;
     } else {
-      speech_->run_options.batch_id = -1;
-    }
-    const std::int64_t formed_ns = traced ? tracer_->now_ns() : 0;
-    std::int64_t exec_end_ns = formed_ns;
-    try {
-      const auto results = speech_->app.compute_errors_batch(
-          speech_jobs, speech_->instance, &speech_->run_options);
-      exec_end_ns = traced ? tracer_->now_ns() : 0;
-      for (std::size_t k = 0; k < speech_meta.size(); ++k) {
-        std::string body = "{\"app\": \"speech\", ";
-        if (speech_meta[k].explicit_io) {
-          body += "\"errors\": ";
-          append_doubles(body, results[k]);
-        } else {
-          double checksum = 0.0;
-          for (const double e : results[k]) checksum += e;
-          body += "\"n\": " + std::to_string(results[k].size()) + ", \"checksum\": ";
-          append_json_number(body, checksum);
-        }
-        body += "}\n";
-        responses[speech_meta[k].index] = json_response(200, std::move(body));
-      }
-      jobs_served_ += static_cast<std::int64_t>(speech_jobs.size());
-      metrics_->counter("spi_serve_jobs_total", {{"app", "speech"}, {"tenant", queue.tenant()}})
-          .inc(static_cast<std::int64_t>(speech_jobs.size()));
-    } catch (const std::exception& e) {
-      exec_end_ns = traced ? tracer_->now_ns() : 0;
-      for (const SpeechParsed& meta : speech_meta)
-        responses[meta.index] =
-            json_response(500, "{\"error\": \"" + obs::detail::json_escaped(e.what()) + "\"}\n");
-    }
-    if (traced) {
-      // Reply stamp first: flight collection is tracer bookkeeping, not
-      // part of any request's lifecycle (serialization waits for the
-      // GET /trace/flight scrape).
-      const std::int64_t reply_ns = tracer_->now_ns();
-      if (capture_flight) {
-        tracer_->note_flight(batch_id, speech_->flight.collect());
-        speech_->flight.set_armed(false);
-      }
-      span_ids_scratch_.clear();
-      for (const SpeechParsed& m : speech_meta)
-        if (m.span_id != 0) span_ids_scratch_.push_back(m.span_id);
-      if (!span_ids_scratch_.empty()) {
-        // One representative span for the whole batch: the jobs share
-        // every stage boundary (batch stamps, the burst's enqueue stamp,
-        // one status for the batched firing), so only the ids differ.
-        const SpeechParsed& front = speech_meta.front();
-        obs::RequestSpan span;
-        span.status = responses[front.index].status;
-        span.batch_id = batch_id;
-        span.batch_size = static_cast<std::int32_t>(speech_jobs.size());
-        span.ingest_ns = front.ingest_ns;
-        span.stage_ns[kStAdmission] = front.enqueued_ns - front.ingest_ns;
-        span.stage_ns[kStQueue] = drain_ns - front.enqueued_ns;
-        span.stage_ns[kStBatch] = formed_ns - drain_ns;
-        span.stage_ns[kStExec] = exec_end_ns - formed_ns;
-        span.stage_ns[kStReply] = reply_ns - exec_end_ns;
-        tracer_->complete_batch(*series, span, span_ids_scratch_, queue.tenant(), "speech");
-      }
-    }
-  }
-
-  for (auto& [steps, group] : particle_groups) {
-    auto& [meta, specs] = group;
-    metrics_->counter("spi_serve_batches_total", {{"app", "particle"}}).inc();
-    metrics_
-        ->histogram("spi_serve_batch_jobs", obs::Histogram::exponential_bounds(1.0, 2.0, 11),
-                    {{"app", "particle"}})
-        .observe(static_cast<double>(specs.size()));
-    const std::int64_t batch_id = next_batch_id_++;
-    bool sample_batch = false;
-    if (traced)
-      for (const ParticleParsed& m : meta)
-        if (m.span_id != 0 && tracer_->is_sampled(m.span_id)) {
-          sample_batch = true;
-          break;
-        }
-    const bool capture_flight = sample_batch && tracer_->want_flight();
-    if (capture_flight) {
-      particle_->flight.set_armed(true);
-      particle_->flight.discard_all();
-      particle_->run_options.batch_id = batch_id;
-    } else {
-      particle_->run_options.batch_id = -1;
+      model.run_options.batch_id = -1;
     }
     const std::int64_t formed_ns = traced ? tracer_->now_ns() : 0;
     std::int64_t exec_end_ns = formed_ns;
     try {
       const auto results =
-          particle_->app.track_batch(specs, particle_->instance, &particle_->run_options);
+          Model<AppT>::Traits::run(model.app, group.specs, model.instance, &model.run_options);
       exec_end_ns = traced ? tracer_->now_ns() : 0;
-      for (std::size_t k = 0; k < meta.size(); ++k) {
-        const apps::TrackResult& r = results[k];
-        std::string body = "{\"app\": \"particle\", ";
-        if (meta[k].explicit_io) {
-          body += "\"estimates\": ";
-          append_doubles(body, r.estimates);
-          body += ", \"rmse\": ";
-          append_json_number(body, r.rmse_vs_truth);
-          body += ", \"resample_steps\": " + std::to_string(r.resample_steps);
-          body += ", \"particles_exchanged\": " + std::to_string(r.particles_exchanged);
-        } else {
-          body += "\"steps\": " + std::to_string(steps) + ", \"estimate\": ";
-          append_json_number(body, r.estimates.empty() ? 0.0 : r.estimates.back());
-          body += ", \"rmse\": ";
-          append_json_number(body, r.rmse_vs_truth);
-        }
+      for (std::size_t k = 0; k < staged.size(); ++k) {
+        std::string body = model.reply_head;
+        Model<AppT>::Traits::render(body, results[k], staged[k].explicit_io, key);
         body += "}\n";
-        responses[meta[k].index] = json_response(200, std::move(body));
+        responses[staged[k].index] = json_response(200, std::move(body));
       }
-      jobs_served_ += static_cast<std::int64_t>(specs.size());
-      metrics_->counter("spi_serve_jobs_total", {{"app", "particle"}, {"tenant", queue.tenant()}})
-          .inc(static_cast<std::int64_t>(specs.size()));
+      jobs_served_ += jobs;
+      metrics_
+          ->counter("spi_serve_jobs_total", {{"app", model.name}, {"tenant", tenant.queue.tenant()}})
+          .inc(jobs);
     } catch (const std::exception& e) {
       exec_end_ns = traced ? tracer_->now_ns() : 0;
-      for (const ParticleParsed& m : meta)
-        responses[m.index] =
+      for (const auto& s : staged)
+        responses[s.index] =
             json_response(500, "{\"error\": \"" + obs::detail::json_escaped(e.what()) + "\"}\n");
     }
-    if (traced) {
-      const std::int64_t reply_ns = tracer_->now_ns();
-      if (capture_flight) {
-        tracer_->note_flight(batch_id, particle_->flight.collect());
-        particle_->flight.set_armed(false);
-      }
-      span_ids_scratch_.clear();
-      for (const ParticleParsed& m : meta)
-        if (m.span_id != 0) span_ids_scratch_.push_back(m.span_id);
-      if (!span_ids_scratch_.empty()) {
-        const ParticleParsed& front = meta.front();
-        obs::RequestSpan span;
-        span.status = responses[front.index].status;
-        span.batch_id = batch_id;
-        span.batch_size = static_cast<std::int32_t>(specs.size());
-        span.ingest_ns = front.ingest_ns;
-        span.stage_ns[kStAdmission] = front.enqueued_ns - front.ingest_ns;
-        span.stage_ns[kStQueue] = drain_ns - front.enqueued_ns;
-        span.stage_ns[kStBatch] = formed_ns - drain_ns;
-        span.stage_ns[kStExec] = exec_end_ns - formed_ns;
-        span.stage_ns[kStReply] = reply_ns - exec_end_ns;
-        tracer_->complete_batch(*series, span, span_ids_scratch_, queue.tenant(), "particle");
-      }
+    if (!traced) continue;
+    // Reply stamp first: flight collection is tracer bookkeeping, not
+    // part of any request's lifecycle (serialization waits for the
+    // GET /trace/flight scrape).
+    const std::int64_t reply_ns = tracer_->now_ns();
+    if (capture_flight) {
+      tracer_->note_flight(batch_id, model.flight.collect());
+      model.flight.set_armed(false);
     }
+    span_ids_scratch_.clear();
+    for (const auto& s : staged)
+      if (s.span_id != 0) span_ids_scratch_.push_back(s.span_id);
+    if (span_ids_scratch_.empty()) continue;
+    // One representative span for the whole batch: the jobs share every
+    // stage boundary (batch stamps, the burst's enqueue stamp, one
+    // status for the batched firing), so only the ids differ.
+    const auto& front = staged.front();
+    obs::RequestSpan span;
+    span.status = responses[front.index].status;
+    span.batch_id = batch_id;
+    span.batch_size = static_cast<std::int32_t>(jobs);
+    span.ingest_ns = front.ingest_ns;
+    span.stage_ns[kStAdmission] = front.enqueued_ns - front.ingest_ns;
+    span.stage_ns[kStQueue] = drain_ns - front.enqueued_ns;
+    span.stage_ns[kStBatch] = formed_ns - drain_ns;
+    span.stage_ns[kStExec] = exec_end_ns - formed_ns;
+    span.stage_ns[kStReply] = reply_ns - exec_end_ns;
+    tracer_->complete_batch(*tenant.series, span, span_ids_scratch_, tenant.queue.tenant(),
+                            model.name);
   }
+  model.groups.clear();
 }
 
 void PlanServer::handle_burst(std::span<obs::HttpRequest> requests,
@@ -644,9 +563,7 @@ void PlanServer::handle_burst(std::span<obs::HttpRequest> requests,
       continue;
     }
     const std::string_view path = path_of(request);
-    if (path == "/plan") {
-      responses[i] = handle_plan_post(request);
-    } else if (path == "/job") {
+    if (path == "/job") {
       route_job(i, request, responses);
     } else {
       metrics_->counter("spi_serve_requests_total", {{"route", "other"}}).inc();
@@ -673,26 +590,21 @@ std::int64_t PlanServer::flight_events_held() const {
   return held;
 }
 
+const std::string& PlanServer::speech_plan_key() const { return speech_->plan_key; }
+const std::string& PlanServer::particle_plan_key() const { return particle_->plan_key; }
+
 std::string PlanServer::runtime_json() const {
   std::string out = "{\n  \"server\": \"spi_served\",\n";
   out += "  \"jobs_served\": " + std::to_string(jobs_served_) + ",\n";
   out += "  \"bursts\": " + std::to_string(bursts_) + ",\n";
   out += "  \"stalls\": " + std::to_string(stalls_) + ",\n";
-  out += "  \"plan_cache\": {\"entries\": " + std::to_string(cache_.size()) +
-         ", \"capacity\": " + std::to_string(cache_.capacity()) +
-         ", \"hits\": " + std::to_string(cache_.hits()) +
-         ", \"misses\": " + std::to_string(cache_.misses()) +
-         ", \"evictions\": " + std::to_string(cache_.evictions()) +
-         ", \"resident_bytes\": " + std::to_string(cache_.resident_bytes()) + "},\n";
-  out += "  \"admission\": {\"reserved_bytes\": " + std::to_string(admission_.reserved_bytes()) +
-         ", \"memory_budget_bytes\": " + std::to_string(admission_.options().memory_budget_bytes) +
-         ", \"max_queue_depth\": " + std::to_string(admission_.options().max_queue_depth) +
-         ", \"rejected_memory\": " + std::to_string(admission_.rejected_memory()) +
+  out += "  \"admission\": {\"max_queue_depth\": " +
+         std::to_string(admission_.options().max_queue_depth) +
          ", \"rejected_queue\": " + std::to_string(admission_.rejected_queue()) + "},\n";
   out += "  \"models\": [\n";
-  out += "    {\"app\": \"speech\", \"plan\": \"" + speech_plan_key_ +
+  out += "    {\"app\": \"speech\", \"plan\": \"" + speech_->plan_key +
          "\", \"resident_bytes\": " + std::to_string(speech_->instance.resident_bytes()) + "},\n";
-  out += "    {\"app\": \"particle\", \"plan\": \"" + particle_plan_key_ +
+  out += "    {\"app\": \"particle\", \"plan\": \"" + particle_->plan_key +
          "\", \"resident_bytes\": " + std::to_string(particle_->instance.resident_bytes()) + "}\n";
   out += "  ],\n";
   out += "  \"tenants\": [";

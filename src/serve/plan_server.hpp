@@ -1,19 +1,18 @@
 /// \file plan_server.hpp
 /// The multi-tenant plan server (docs/serving.md).
 ///
-/// One persistent process serves many plan instances:
+/// One persistent process serves the built-in models, whose plans are
+/// compiled at startup with every compute bound:
 ///
-///   POST /plan      — submit a compiled plan JSON; cached by content
-///                     hash (PlanCache), its equation-2 resident channel
-///                     memory reserved against the admission budget.
 ///   POST /job       — run one job on a built-in model ("speech" or
 ///                     "particle"); jobs admitted from one HTTP read
 ///                     burst are queued per tenant and drained as ONE
-///                     batched colocated firing per app.
+///                     batched colocated firing per app (per trajectory
+///                     length for particle).
 ///   GET  /metrics   — Prometheus exposition of the serve + runtime
 ///                     counters; /metrics.json for the JSON form.
-///   GET  /runtime   — live server status JSON (cache, admission,
-///                     tenants, models).
+///   GET  /runtime   — live server status JSON (admission, models,
+///                     tenants).
 ///   GET  /healthz   — liveness.
 ///
 /// The server is synchronous and single-threaded by design: the target
@@ -22,7 +21,7 @@
 /// (HTTP/1.1 pipelining + BatchHandler + JobInstance::run_colocated)
 /// rather than to context-switch between worker threads. Every request
 /// is serialized through the poll thread, which is what makes the
-/// single-threaded PlanCache/JobQueue/BufferPool contracts sound.
+/// single-threaded JobQueue/BufferPool contracts sound.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +38,6 @@
 #include "obs/request_trace.hpp"
 #include "serve/admission.hpp"
 #include "serve/job_queue.hpp"
-#include "serve/plan_cache.hpp"
 
 namespace spi::serve {
 
@@ -47,7 +45,6 @@ struct PlanServerOptions {
   int port = 0;  ///< 0 = ephemeral
   std::string bind_address = "127.0.0.1";
   AdmissionController::Options admission;
-  std::size_t plan_cache_capacity = 64;
   /// Built-in model shapes (small defaults sized for one serving core;
   /// the bounds cap per-job input sizes).
   std::int32_t speech_pes = 2;
@@ -93,7 +90,6 @@ class PlanServer {
   void handle_burst(std::span<obs::HttpRequest> requests,
                     std::vector<obs::HttpResponse>& responses);
 
-  [[nodiscard]] const PlanCache& plan_cache() const { return cache_; }
   [[nodiscard]] const AdmissionController& admission() const { return admission_; }
   [[nodiscard]] obs::MetricRegistry& metrics() { return *metrics_; }
   [[nodiscard]] std::int64_t jobs_served() const { return jobs_served_; }
@@ -106,13 +102,14 @@ class PlanServer {
   /// yet collected or discarded) plus those they dropped. Zero outside
   /// a trace-bridge capture: the recorders are armed only around one.
   [[nodiscard]] std::int64_t flight_events_held() const;
-  /// Content hashes of the built-in model plans (pre-cached at startup).
-  [[nodiscard]] const std::string& speech_plan_key() const { return speech_plan_key_; }
-  [[nodiscard]] const std::string& particle_plan_key() const { return particle_plan_key_; }
+  /// Content hashes of the built-in model plans.
+  [[nodiscard]] const std::string& speech_plan_key() const;
+  [[nodiscard]] const std::string& particle_plan_key() const;
 
  private:
-  struct SpeechModel;
-  struct ParticleModel;
+  /// A built-in model: the app plus the instance that fires its batches.
+  template <class AppT>
+  struct Model;
 
   /// One tenant's serving state: the queue plus the tracer's cached
   /// instrument handles (resolved once — per-request stamping must not
@@ -124,18 +121,23 @@ class PlanServer {
   };
 
   [[nodiscard]] obs::HttpResponse handle_get(const obs::HttpRequest& request);
-  [[nodiscard]] obs::HttpResponse handle_plan_post(const obs::HttpRequest& request);
   /// Parses and queues one POST /job, or answers it immediately (400 /
   /// 429) in `responses`.
   void route_job(std::size_t index, const obs::HttpRequest& request,
                  std::vector<obs::HttpResponse>& responses);
+  /// Parses every job queued by `tenant` into its model's groups, then
+  /// fires the groups: speech first, then particle by ascending length.
   void drain_queue(TenantState& tenant, std::vector<obs::HttpResponse>& responses);
+  /// Fires each of `model`'s staged groups as one batch and answers its
+  /// jobs (200 each, or 500 for all when the batch throws).
+  template <class AppT>
+  void fire_groups(Model<AppT>& model, const TenantState& tenant, std::int64_t drain_ns,
+                   std::vector<obs::HttpResponse>& responses);
 
   PlanServerOptions options_;
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
   obs::MetricRegistry* metrics_ = nullptr;
 
-  PlanCache cache_;
   AdmissionController admission_;
   std::map<std::string, TenantState> tenants_;
   std::unique_ptr<obs::RequestTracer> tracer_;
@@ -146,10 +148,8 @@ class PlanServer {
   std::int64_t burst_admit_ns_ = -1;
   std::vector<std::uint64_t> span_ids_scratch_;  ///< reused per drained batch
 
-  std::unique_ptr<SpeechModel> speech_;
-  std::unique_ptr<ParticleModel> particle_;
-  std::string speech_plan_key_;
-  std::string particle_plan_key_;
+  std::unique_ptr<Model<apps::ErrorGenApp>> speech_;
+  std::unique_ptr<Model<apps::ParticleFilterApp>> particle_;
 
   std::unique_ptr<obs::HttpServer> http_;
   std::int64_t jobs_served_ = 0;

@@ -61,7 +61,9 @@ std::optional<std::string> json_string_field(std::string_view body, std::string_
   if (p == std::string_view::npos || p >= body.size() || body[p] != '"') return std::nullopt;
   const std::size_t end = body.find('"', p + 1);
   if (end == std::string_view::npos) return std::nullopt;
-  return std::string(body.substr(p + 1, end - p - 1));
+  const std::string_view value = body.substr(p + 1, end - p - 1);
+  if (value.find('\\') != std::string_view::npos) return std::nullopt;  // escapes unsupported
+  return std::string(value);
 }
 
 std::optional<std::vector<double>> json_array_field(std::string_view body, std::string_view key) {
@@ -74,15 +76,20 @@ std::optional<std::vector<double>> json_array_field(std::string_view body, std::
                      std::count(body.begin() + static_cast<std::ptrdiff_t>(p),
                                 body.begin() + static_cast<std::ptrdiff_t>(close), ',')) +
                  1);
-  const char* cursor = body.data() + p + 1;
-  const char* const end = body.data() + body.size();
+  std::size_t at = skip_space(body, p + 1);
+  if (at < body.size() && body[at] == ']') return values;
+  // Elements are separated by exactly one ',': no leading, doubled or
+  // trailing comma, and no bare whitespace between two numbers.
   for (;;) {
-    while (cursor < end && (is_space(*cursor) || *cursor == ',')) ++cursor;
-    if (cursor >= end) return std::nullopt;
-    if (*cursor == ']') return values;
-    const auto value = parse_number(cursor, end);
+    const char* cursor = body.data() + at;
+    const auto value = parse_number(cursor, body.data() + body.size());
     if (!value) return std::nullopt;
     values.push_back(*value);
+    at = skip_space(body, static_cast<std::size_t>(cursor - body.data()));
+    if (at >= body.size()) return std::nullopt;
+    if (body[at] == ']') return values;
+    if (body[at] != ',') return std::nullopt;
+    at = skip_space(body, at + 1);
   }
 }
 

@@ -7,8 +7,17 @@
 /// the batch handler, so fields are extracted by key scan, the same
 /// technique core::ExecutablePlan::from_json uses. Keys are matched as
 /// "<key>": at top nesting depth only; absent or malformed fields are
-/// std::nullopt (the server answers 400). Not a general JSON parser —
-/// strings must not contain escaped quotes, arrays are numbers only.
+/// std::nullopt (the server answers 400). Not a general JSON parser:
+///
+///  * A string value is `"` then any characters but `"` and `\` then
+///    `"`. Escapes are not supported, so a value holding a backslash is
+///    malformed rather than cut at an escaped quote. `app` and `tenant`
+///    are strings; a `tenant` that is present but not such a string
+///    (5, "a\"b") answers 400 rather than defaulting to "default".
+///  * An array value is `[`, then numbers separated by exactly one `,`
+///    (whitespace allowed around each), then `]`. `[]` is valid; a
+///    leading, doubled or trailing comma ([,1], [1,,2], [1,]) and bare
+///    whitespace between two numbers ([1 2]) are malformed.
 ///
 /// Request number grammar: a JSON number, `-?digits[.digits][(e|E)[+-]digits]`,
 /// parsed with std::from_chars inside the view — nothing past the view's

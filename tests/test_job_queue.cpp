@@ -2,8 +2,7 @@
 /// Unit tests for the per-tenant job queue (serve/job_queue.hpp) — FIFO
 /// order, trace-context carriage, the depth watermark's
 /// monotonic-between-resets contract — and the admission controller's
-/// 429 edges (serve/admission.hpp): exact-budget boundaries for both
-/// the memory-budget and queue-depth reject reasons.
+/// 429 edge (serve/admission.hpp): the exact queue-depth boundary.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +15,7 @@ namespace {
 QueuedJob job(std::size_t index) {
   QueuedJob j;
   j.request_index = index;
-  j.app = "speech";
+  j.app = App::kParticle;
   j.body = "{}";
   j.span_id = index + 1;
   j.ingest_ns = 100;
@@ -34,6 +33,7 @@ TEST(JobQueueTest, FifoOrderAndTraceContextCarried) {
 
   const QueuedJob first = queue.pop();
   EXPECT_EQ(first.request_index, 4u);
+  EXPECT_EQ(first.app, App::kParticle);
   EXPECT_EQ(first.span_id, 5u);
   EXPECT_EQ(first.ingest_ns, 100);
   EXPECT_EQ(first.enqueued_ns, 204);
@@ -99,34 +99,6 @@ TEST(AdmissionTest, QueueDepthRejectsExactlyAtTheLimit) {
   EXPECT_FALSE(rejected.admitted);
   EXPECT_EQ(rejected.reason, "queue-depth");
   EXPECT_EQ(admission.rejected_queue(), 1);
-  EXPECT_EQ(admission.rejected_memory(), 0);
-}
-
-TEST(AdmissionTest, MemoryBudgetBoundaryAndRelease) {
-  AdmissionController::Options options;
-  options.memory_budget_bytes = 100;
-  AdmissionController admission(options);
-
-  EXPECT_TRUE(admission.admit_plan(60).admitted);
-  EXPECT_TRUE(admission.admit_plan(40).admitted) << "exact fit is admitted";
-  EXPECT_EQ(admission.reserved_bytes(), 100);
-
-  const AdmissionDecision rejected = admission.admit_plan(1);
-  EXPECT_FALSE(rejected.admitted);
-  EXPECT_EQ(rejected.reason, "memory-budget");
-  EXPECT_EQ(admission.rejected_memory(), 1);
-
-  admission.release_plan(40);
-  EXPECT_EQ(admission.reserved_bytes(), 60);
-  EXPECT_TRUE(admission.admit_plan(40).admitted) << "released budget is reusable";
-}
-
-TEST(AdmissionTest, OversizedPlanAlwaysRejected) {
-  AdmissionController::Options options;
-  options.memory_budget_bytes = 100;
-  AdmissionController admission(options);
-  EXPECT_FALSE(admission.admit_plan(101).admitted);
-  EXPECT_EQ(admission.reserved_bytes(), 0) << "a reject reserves nothing";
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-/// Tests of the serving layer (docs/serving.md): PlanCache hit / miss /
-/// LRU eviction and deduplication, AdmissionController memory and
-/// queue-depth budgets, the PlanServer's socketless burst contract —
-/// including the headline guarantee that a batched colocated firing is
-/// bit-identical to running each job alone, for both built-in models —
-/// and a multi-client soak over real sockets (TSan-clean in CI).
+/// Tests of the serving layer (docs/serving.md): the PlanServer's
+/// socketless burst contract — routing, per-tenant admission, batch
+/// accounting and 400s for malformed jobs, including the headline
+/// guarantee that a batched colocated firing is bit-identical to
+/// running each job alone, for both built-in models — the request
+/// scanner, and a multi-client soak over real sockets (TSan-clean in CI).
 #include "serve/plan_server.hpp"
 
 #include <gtest/gtest.h>
@@ -45,72 +45,6 @@ apps::ParticleParams server_particle_params() {
   return params;
 }
 
-core::ExecutablePlan speech_plan(std::int32_t pes, std::size_t max_frame) {
-  apps::SpeechParams params = server_speech_params();
-  params.max_frame_size = max_frame;
-  params.frame_size = std::min(params.frame_size, max_frame);
-  const apps::ErrorGenApp app(pes, params);
-  // Plans are value types: from_json(to_json) round-trips through the
-  // same path POST /plan uses.
-  return core::ExecutablePlan::from_json(app.system().plan().to_json());
-}
-
-TEST(PlanCache, DedupesHitsAndEvictsLeastRecentlyUsed) {
-  PlanCache cache(2);
-  const auto a = cache.insert(speech_plan(2, 128));
-  const auto b = cache.insert(speech_plan(2, 256));
-  ASSERT_NE(a->key, b->key) << "distinct bounds must hash differently";
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.misses(), 0);
-
-  // Re-inserting cached content is a hit, not a new entry.
-  EXPECT_EQ(cache.insert(speech_plan(2, 128))->key, a->key);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.hits(), 1);
-
-  EXPECT_NE(cache.find(a->key), nullptr);  // touches a: b is now LRU
-  EXPECT_EQ(cache.find("no-such-key"), nullptr);
-  EXPECT_EQ(cache.misses(), 1);
-
-  const auto c = cache.insert(speech_plan(3, 128));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 1);
-  EXPECT_TRUE(cache.contains(a->key));
-  EXPECT_TRUE(cache.contains(c->key));
-  EXPECT_FALSE(cache.contains(b->key)) << "LRU entry must be the one evicted";
-  EXPECT_EQ(cache.take_evicted_bytes(), b->resident_bytes);
-  EXPECT_EQ(cache.take_evicted_bytes(), 0) << "take must drain";
-  EXPECT_EQ(cache.resident_bytes(), a->resident_bytes + c->resident_bytes);
-}
-
-TEST(PlanCache, RejectsZeroCapacity) {
-  EXPECT_THROW(PlanCache(0), std::invalid_argument);
-}
-
-TEST(AdmissionController, BudgetsMemoryAndQueueDepth) {
-  AdmissionController::Options options;
-  options.memory_budget_bytes = 1000;
-  options.max_queue_depth = 2;
-  AdmissionController admission(options);
-
-  EXPECT_TRUE(admission.admit_plan(600).admitted);
-  const AdmissionDecision over = admission.admit_plan(500);
-  EXPECT_FALSE(over.admitted);
-  EXPECT_EQ(over.reason, "memory-budget");
-  EXPECT_EQ(admission.reserved_bytes(), 600);
-  EXPECT_EQ(admission.rejected_memory(), 1);
-
-  admission.release_plan(600);
-  EXPECT_TRUE(admission.admit_plan(500).admitted);
-
-  EXPECT_TRUE(admission.admit_job(0).admitted);
-  EXPECT_TRUE(admission.admit_job(1).admitted);
-  const AdmissionDecision full = admission.admit_job(2);
-  EXPECT_FALSE(full.admitted);
-  EXPECT_EQ(full.reason, "queue-depth");
-  EXPECT_EQ(admission.rejected_queue(), 1);
-}
-
 /// Builds a burst of POST /job requests from raw JSON bodies.
 std::vector<obs::HttpRequest> job_burst(const std::vector<std::string>& bodies) {
   std::vector<obs::HttpRequest> requests;
@@ -139,6 +73,7 @@ TEST(PlanServer, RoutesGetEndpointsWithoutSockets) {
       {"GET", "/nope", "HTTP/1.1", "", true},
       {"PUT", "/job", "HTTP/1.1", "{}", true},
       {"POST", "/elsewhere", "HTTP/1.1", "{}", true},
+      {"POST", "/plan", "HTTP/1.1", "{}", true},  // no upload path: only built-ins run
   };
   std::vector<obs::HttpResponse> responses;
   server.handle_burst(requests, responses);
@@ -151,6 +86,7 @@ TEST(PlanServer, RoutesGetEndpointsWithoutSockets) {
   EXPECT_EQ(responses[3].status, 404);
   EXPECT_EQ(responses[4].status, 405);
   EXPECT_EQ(responses[5].status, 404);
+  EXPECT_EQ(responses[6].status, 404);
 }
 
 TEST(PlanServer, BatchedSpeechFiringBitIdenticalToSingleJobRuns) {
@@ -298,6 +234,51 @@ TEST(PlanServer, MixedBatchRepeatedBurstsReuseTheInstances) {
   EXPECT_EQ(server.jobs_served(), 6);
 }
 
+// perfbench's serve.jobs_per_batch divides spi_serve_jobs_total by
+// spi_serve_batches_total: one batch per (tenant, app), and per
+// trajectory length for particle; a malformed job counts in neither.
+TEST(PlanServer, BatchAccountingCountsOneBatchPerTenantAppAndLength) {
+  std::vector<std::string> bodies;
+  for (const std::string tenant : {"t0", "t1"}) {
+    const std::string head = "{\"tenant\":\"" + tenant + "\",";
+    bodies.push_back(head + R"("app":"speech","frame_size":16,"order":3,"seed":1})");
+    bodies.push_back(head + R"("app":"speech","frame":[0.5,-0.25,1,0.125],"coeffs":[0.5,0.25]})");
+    bodies.push_back(head + R"("app":"particle","steps":4,"seed":2})");
+    bodies.push_back(head + R"("app":"particle","steps":7,"seed":3})");
+  }
+  bodies.push_back(R"({"tenant":"t0","app":"particle","steps":0,"seed":1})");
+
+  PlanServer server;
+  std::vector<obs::HttpRequest> requests = job_burst(bodies);
+  std::vector<obs::HttpResponse> responses;
+  server.handle_burst(requests, responses);
+  ASSERT_EQ(responses.size(), bodies.size());
+  for (std::size_t i = 0; i + 1 < bodies.size(); ++i)
+    ASSERT_EQ(responses[i].status, 200) << bodies[i] << " -> " << responses[i].body;
+  EXPECT_EQ(responses.back().status, 400);
+
+  obs::MetricRegistry& metrics = server.metrics();
+  EXPECT_EQ(metrics.counter_value("spi_serve_batches_total", {{"app", "speech"}}), 2);
+  EXPECT_EQ(metrics.counter_value("spi_serve_batches_total", {{"app", "particle"}}), 4);
+  for (const std::string tenant : {"t0", "t1"})
+    for (const std::string app : {"speech", "particle"})
+      EXPECT_EQ(metrics.counter_value("spi_serve_jobs_total", {{"app", app}, {"tenant", tenant}}),
+                2)
+          << app << "/" << tenant;
+  EXPECT_EQ(metrics.counter_total("spi_serve_jobs_total"), 8);
+  // Every batch observes its size once: two speech batches of 2, four
+  // particle batches of 1.
+  const obs::Histogram& speech_sizes =
+      metrics.histogram("spi_serve_batch_jobs", {}, {{"app", "speech"}});
+  const obs::Histogram& particle_sizes =
+      metrics.histogram("spi_serve_batch_jobs", {}, {{"app", "particle"}});
+  EXPECT_EQ(speech_sizes.count(), 2);
+  EXPECT_EQ(speech_sizes.sum(), 4.0);
+  EXPECT_EQ(particle_sizes.count(), 4);
+  EXPECT_EQ(particle_sizes.sum(), 4.0);
+  EXPECT_EQ(server.jobs_served(), 8);
+}
+
 TEST(PlanServer, RejectsOverDeepTenantQueuesPerTenant) {
   PlanServerOptions options;
   options.admission.max_queue_depth = 2;
@@ -329,16 +310,19 @@ TEST(PlanServer, BadJobsAnswer400WithoutPoisoningTheBatch) {
       "{\"frame_size\":8}",
       "{\"app\":\"speech\",\"frame_size\":100000,\"order\":4,\"seed\":1}",
       "{\"app\":\"particle\",\"steps\":0,\"seed\":1}",
+      // A present tenant that is not a plain string is never defaulted.
+      "{\"app\":\"speech\",\"tenant\":5,\"frame_size\":8,\"order\":2,\"seed\":1}",
+      "{\"app\":\"speech\",\"tenant\":\"a\\\"b\",\"frame_size\":8,\"order\":2,\"seed\":1}",
       "{\"app\":\"speech\",\"frame_size\":8,\"order\":2,\"seed\":1}",
   });
   std::vector<obs::HttpResponse> responses;
   server.handle_burst(requests, responses);
-  ASSERT_EQ(responses.size(), 5u);
-  EXPECT_EQ(responses[0].status, 400);
-  EXPECT_EQ(responses[1].status, 400);
-  EXPECT_EQ(responses[2].status, 400);
-  EXPECT_EQ(responses[3].status, 400);
-  EXPECT_EQ(responses[4].status, 200) << "valid job must survive its burst-mates";
+  ASSERT_EQ(responses.size(), 7u);
+  for (std::size_t i = 0; i < 6; ++i)
+    EXPECT_EQ(responses[i].status, 400) << requests[i].body << " -> " << responses[i].body;
+  EXPECT_EQ(responses[6].status, 200) << "valid job must survive its burst-mates";
+  EXPECT_EQ(server.tenants_json().find("\"tenant\": \"a"), std::string::npos)
+      << "a rejected tenant must not get a queue";
 }
 
 // Each integral field, present but malformed or out of range, answers
@@ -357,6 +341,7 @@ TEST(PlanServer, MalformedIntegerFieldsAnswer400) {
   for (const auto& [head, tail] : fields)
     for (const std::string& value : bad_values) bodies.push_back(head + value + tail);
   bodies.push_back("{\"app\":\"speech\",\"frame\":[1,x],\"coeffs\":[0.5]}");
+  bodies.push_back("{\"app\":\"speech\",\"frame\":[1 2],\"coeffs\":[0.5]}");
   bodies.push_back("{\"app\":\"speech\",\"frame\":[0.1,0.2],\"coeffs\":[0.5,+1]}");
   bodies.push_back("{\"app\":\"particle\",\"observations\":[1,2],\"truth\":[0x1p3,1]}");
   const std::size_t rejected = bodies.size();
@@ -409,6 +394,21 @@ TEST(RequestScanner, ArrayCutByTheViewIsRejected) {
   EXPECT_EQ(json_array_field("{\"a\":[1, 23 ,\r\n-4.5e1]}", "a"),
             (std::vector<double>{1.0, 23.0, -45.0}));
   EXPECT_EQ(json_array_field("{\"a\":[]}", "a"), std::vector<double>{});
+}
+
+TEST(RequestScanner, ArrayElementsAreSeparatedByExactlyOneComma) {
+  for (const char* text : {"[,1]", "[1,,2]", "[1 2]", "[1,]", "[,]", "[ , ]"})
+    EXPECT_EQ(json_array_field(std::string("{\"a\":") + text + "}", "a"), std::nullopt) << text;
+  EXPECT_EQ(json_array_field("{\"a\":[ ]}", "a"), std::vector<double>{});
+  EXPECT_EQ(json_array_field("{\"a\":[ 1 ,2\t, 3 ]}", "a"), (std::vector<double>{1, 2, 3}));
+}
+
+TEST(RequestScanner, StringFieldRejectsEscapes) {
+  EXPECT_EQ(json_string_field(R"({"t":"ab"})", "t"), "ab");
+  EXPECT_EQ(json_string_field(R"({"t":""})", "t"), "");
+  EXPECT_EQ(json_string_field(R"({"t":"a\"b"})", "t"), std::nullopt);
+  EXPECT_EQ(json_string_field(R"({"t":"a\\b"})", "t"), std::nullopt);
+  EXPECT_EQ(json_string_field(R"({"t":5})", "t"), std::nullopt);
 }
 
 TEST(RequestScanner, RejectsNumbersJsonDoesNotAllow) {
@@ -477,84 +477,6 @@ TEST(ReplyFormat, MatchesPrintfPercent17gByteForByte) {
         ADD_FAILURE() << formatted(x) << " != " << printf_17g(x);
   }
   EXPECT_EQ(mismatches, 0);
-}
-
-TEST(PlanServer, PlanPostCachesByContentAndBudgetsMemory) {
-  // Budget: both built-ins + the small plan fit; the big plan does not.
-  const auto big = speech_plan(2, 256 * 4);
-  const auto small = speech_plan(2, 128);
-  const std::int64_t builtin_bytes = [&] {
-    PlanServer probe;  // defaults
-    return probe.admission().reserved_bytes();
-  }();
-  PlanServerOptions options;
-  options.admission.memory_budget_bytes =
-      builtin_bytes + core::JobInstance::resident_channel_bytes(big) - 1;
-  PlanServer server(options);
-
-  const auto post_plan = [&](const core::ExecutablePlan& plan) {
-    std::vector<obs::HttpRequest> requests = {
-        {"POST", "/plan", "HTTP/1.1", plan.to_json(), true}};
-    std::vector<obs::HttpResponse> responses;
-    server.handle_burst(requests, responses);
-    return responses.at(0);
-  };
-
-  // The server's own speech plan is already cached at startup.
-  const obs::HttpResponse own = post_plan(
-      core::ExecutablePlan::from_json(
-          apps::ErrorGenApp(2, server_speech_params()).system().plan().to_json()));
-  EXPECT_EQ(own.status, 200);
-  EXPECT_NE(own.body.find("\"cached\": true"), std::string::npos);
-  EXPECT_NE(own.body.find(server.speech_plan_key()), std::string::npos);
-
-  const obs::HttpResponse rejected = post_plan(big);
-  EXPECT_EQ(rejected.status, 429);
-  EXPECT_NE(rejected.body.find("memory-budget"), std::string::npos);
-  EXPECT_EQ(server.admission().rejected_memory(), 1);
-
-  const obs::HttpResponse created = post_plan(small);
-  EXPECT_EQ(created.status, 201);
-  EXPECT_NE(created.body.find("\"cached\": false"), std::string::npos);
-  const obs::HttpResponse repeat = post_plan(small);
-  EXPECT_EQ(repeat.status, 200);
-  EXPECT_NE(repeat.body.find("\"cached\": true"), std::string::npos);
-  EXPECT_EQ(server.plan_cache().hits(), 2);  // own plan + the repeat
-
-  // Malformed plan JSON answers 400.
-  std::vector<obs::HttpRequest> bad = {{"POST", "/plan", "HTTP/1.1", "{not json", true}};
-  std::vector<obs::HttpResponse> bad_responses;
-  server.handle_burst(bad, bad_responses);
-  EXPECT_EQ(bad_responses.at(0).status, 400);
-}
-
-TEST(PlanServer, EvictionReturnsReservationToTheBudget) {
-  PlanServerOptions options;
-  options.plan_cache_capacity = 2;  // the two built-ins fill the cache
-  PlanServer server(options);
-  const std::int64_t before = server.admission().reserved_bytes();
-
-  const auto plan = speech_plan(2, 128);
-  const std::int64_t plan_bytes = core::JobInstance::resident_channel_bytes(plan);
-  std::vector<obs::HttpRequest> requests = {
-      {"POST", "/plan", "HTTP/1.1", plan.to_json(), true}};
-  std::vector<obs::HttpResponse> responses;
-  server.handle_burst(requests, responses);
-  ASSERT_EQ(responses.at(0).status, 201);
-
-  EXPECT_EQ(server.plan_cache().evictions(), 1);
-  EXPECT_EQ(server.plan_cache().size(), 2u);
-  // Net reservation: + new plan - evicted LRU built-in (the speech plan,
-  // inserted first at startup).
-  const std::int64_t speech_bytes = core::JobInstance::resident_channel_bytes(
-      apps::ErrorGenApp(2, server_speech_params()).system().plan());
-  EXPECT_EQ(server.admission().reserved_bytes(), before + plan_bytes - speech_bytes);
-}
-
-TEST(PlanServer, RefusesToStartBelowBuiltInResidentBytes) {
-  PlanServerOptions options;
-  options.admission.memory_budget_bytes = 16;
-  EXPECT_THROW(PlanServer{options}, std::invalid_argument);
 }
 
 // --- request-lifecycle tracing (docs/observability.md) --------------------

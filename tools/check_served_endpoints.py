@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Checks that docs/serving.md lists only endpoints spi_served serves.
+
+Reads every `METHOD /path` row of the endpoint table in the "Endpoints"
+section of docs/serving.md and probes a running spi_served on
+127.0.0.1:PORT:
+
+  * POST /job with a small synthetic speech job answers 200 (probed
+    first, so the first sampled batch fills GET /trace/flight);
+  * every documented GET answers anything but 404;
+  * POST /plan, the removed plan-upload path, answers 404.
+
+A documented POST other than /job fails the check until a probe for it
+is added here. Exit status 0 when every probe passes.
+
+Usage: tools/check_served_endpoints.py PORT [docs/serving.md]
+"""
+import re
+import sys
+import urllib.error
+import urllib.request
+
+ROW = re.compile(r"^\|\s*`([A-Z]+) (/[^`\s]*)`\s*\|")
+JOB = b'{"app":"speech","frame_size":16,"order":3,"seed":1}'
+
+
+def documented_endpoints(doc_path):
+    endpoints = []
+    in_section = False
+    with open(doc_path, encoding="utf-8") as doc:
+        for line in doc:
+            if line.startswith("## "):
+                in_section = line.strip() == "## Endpoints"
+            elif in_section and (match := ROW.match(line)):
+                endpoints.append((match.group(1), match.group(2)))
+    return endpoints
+
+
+def status(port, method, path, body=None):
+    request = urllib.request.Request(f"http://127.0.0.1:{port}{path}", data=body, method=method)
+    try:
+        with urllib.request.urlopen(request, timeout=10) as response:
+            return response.status
+    except urllib.error.HTTPError as error:
+        return error.code
+
+
+def main(argv):
+    if len(argv) not in (2, 3):
+        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+        return 2
+    port = int(argv[1])
+    endpoints = documented_endpoints(argv[2] if len(argv) == 3 else "docs/serving.md")
+    if ("POST", "/job") not in endpoints:
+        print("check_served_endpoints: POST /job is not documented", file=sys.stderr)
+        return 1
+    # POST /job first: its batch is the first sampled one, so the flight
+    # bridge has a capture before GET /trace/flight is probed.
+    probes = [("POST", "/job", JOB, lambda code: code == 200, "200")]
+    for method, path in endpoints:
+        if method == "GET":
+            probes.append((method, path, None, lambda code: code != 404, "not 404"))
+        elif (method, path) != ("POST", "/job"):
+            probes.append((method, path, None, lambda code: False, "a probe in this script"))
+    probes.append(("POST", "/plan", b"{}", lambda code: code == 404, "404 (removed)"))
+
+    failures = 0
+    for method, path, body, ok, want in probes:
+        code = status(port, method, path, body)
+        passed = ok(code)
+        failures += not passed
+        print(f"{'ok  ' if passed else 'FAIL'} {method} {path} -> {code} (want {want})")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -1,17 +1,17 @@
 /// \file spi_served.cpp
 /// The standalone multi-tenant plan-serving daemon (docs/serving.md).
 ///
-/// Hosts the serve::PlanServer — plan cache, admission control, built-in
-/// speech + particle models with batched colocated firing — behind one
-/// HTTP/1.1 endpoint. Announces the bound port on stderr as
+/// Hosts the serve::PlanServer — per-tenant admission control and the
+/// built-in speech + particle models with batched colocated firing —
+/// behind one HTTP/1.1 endpoint. Announces the bound port on stderr as
 /// "listening on 127.0.0.1:PORT" (the same convention spi_compile's
 /// telemetry server uses, so CI scrapes both with one pattern), then
 /// serves until SIGINT/SIGTERM or --max-seconds elapses.
 ///
-///   spi_served --port 0 --memory-budget-mb 64 --watchdog-ms 2000
+///   spi_served --port 0 --max-queue-depth 4096 --watchdog-ms 2000
 ///
-/// Endpoints: POST /plan, POST /job, GET /metrics[.json], GET /runtime,
-/// GET /healthz, GET /trace, GET /trace/flight, GET /tenants.
+/// Endpoints: POST /job, GET /metrics[.json], GET /runtime, GET /healthz,
+/// GET /trace, GET /trace/flight, GET /tenants.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -34,9 +34,7 @@ int usage(const char* argv0) {
                "usage: %s [options]\n"
                "  --port N             listen port (default 0 = ephemeral)\n"
                "  --bind ADDR          bind address (default 127.0.0.1)\n"
-               "  --memory-budget-mb N admission memory budget (default 64)\n"
                "  --max-queue-depth N  per-tenant queued-job cap (default 4096)\n"
-               "  --plan-cache N       plan cache capacity (default 64)\n"
                "  --speech-pes N       speech model PEs (default 2)\n"
                "  --particle-pes N     particle model PEs (default 2)\n"
                "  --watchdog-ms N      per-batch stall watchdog window (default 2000)\n"
@@ -70,12 +68,8 @@ int main(int argc, char** argv) {
       options.port = std::atoi(next());
     } else if (arg == "--bind") {
       options.bind_address = next();
-    } else if (arg == "--memory-budget-mb") {
-      options.admission.memory_budget_bytes = std::atoll(next()) << 20;
     } else if (arg == "--max-queue-depth") {
       options.admission.max_queue_depth = std::atoll(next());
-    } else if (arg == "--plan-cache") {
-      options.plan_cache_capacity = static_cast<std::size_t>(std::atoll(next()));
     } else if (arg == "--speech-pes") {
       options.speech_pes = std::atoi(next());
     } else if (arg == "--particle-pes") {
