@@ -95,6 +95,7 @@ ParseResult parse_request(std::string& inbox, HttpRequest& out) {
   // Headers we act on: Content-Length frames the body, Connection
   // overrides the version's keep-alive default.
   std::size_t content_length = 0;
+  bool have_length = false;
   bool have_connection = false;
   std::string_view connection;
   std::size_t pos = line_end == std::string_view::npos ? head.size() : line_end + 2;
@@ -108,12 +109,18 @@ ParseResult parse_request(std::string& inbox, HttpRequest& out) {
     const std::string_view name = trimmed(line.substr(0, colon));
     const std::string_view value = trimmed(line.substr(colon + 1));
     if (iequals(name, "content-length")) {
-      content_length = 0;
+      // Ambiguous framing is a 400 (RFC 9112 §6.3): an empty value, or a
+      // repeated header whose value differs. Identical repeats agree.
+      if (value.empty()) return ParseResult::kBad;
+      std::size_t length = 0;
       for (const char c : value) {
         if (c < '0' || c > '9') return ParseResult::kBad;
-        content_length = content_length * 10 + static_cast<std::size_t>(c - '0');
-        if (content_length > kMaxBodyBytes) return ParseResult::kBad;
+        length = length * 10 + static_cast<std::size_t>(c - '0');
+        if (length > kMaxBodyBytes) return ParseResult::kBad;
       }
+      if (have_length && length != content_length) return ParseResult::kBad;
+      have_length = true;
+      content_length = length;
     } else if (iequals(name, "connection")) {
       have_connection = true;
       connection = value;
@@ -215,10 +222,9 @@ void HttpServer::stop() {
 }
 
 bool HttpServer::process_input(Connection& conn) {
-  // Drain every complete pipelined request out of the inbox, dispatch
-  // them as one batch, and answer with one send. The burst size is the
-  // client's pipeline depth — this is where the per-request cost
-  // amortizes.
+  // Drain every complete pipelined request out of the inbox and dispatch
+  // them as one batch. The burst size is the client's pipeline depth —
+  // this is where the per-request cost amortizes.
   std::vector<HttpRequest> requests;
   bool bad = false;
   for (;;) {
@@ -235,13 +241,17 @@ bool HttpServer::process_input(Connection& conn) {
   }
 
   std::vector<HttpResponse> responses;
+  call_ = {&conn, requests, &responses, 0, false};
   if (!requests.empty()) {
     responses.reserve(requests.size());
     if (options_.batch_handler) {
       options_.batch_handler({requests.data(), requests.size()}, responses);
       if (responses.size() != requests.size()) {
-        responses.assign(requests.size(),
-                         {500, "application/json", "{\"error\": \"batch handler miscount\"}\n"});
+        // A miscount voids every response that has not left yet.
+        responses.resize(requests.size());
+        std::fill(responses.begin() + static_cast<std::ptrdiff_t>(call_.sent), responses.end(),
+                  HttpResponse{500, "application/json",
+                               "{\"error\": \"batch handler miscount\"}\n"});
       }
     } else if (options_.handler) {
       for (const HttpRequest& request : requests) responses.push_back(options_.handler(request));
@@ -251,21 +261,35 @@ bool HttpServer::process_input(Connection& conn) {
     }
   }
 
-  std::string wire;
-  for (std::size_t i = 0; i < requests.size(); ++i)
-    serialize_response(wire, requests[i], responses[i]);
+  const bool sent = send_through(requests.size(), bad);
+  call_ = {};
+  if (!sent || bad) return false;
+  return requests.empty() || requests.back().keep_alive;
+}
+
+void HttpServer::release(std::size_t n) {
+  if (call_.responses == nullptr) return;  // outside a handler call
+  n = std::min({n, call_.requests.size(), call_.responses->size()});
+  if (n > call_.sent) send_through(n, false);
+}
+
+bool HttpServer::send_through(std::size_t n, bool bad) {
+  if (call_.failed) return false;
+  wire_.clear();
+  for (std::size_t i = call_.sent; i < n; ++i)
+    serialize_response(wire_, call_.requests[i], (*call_.responses)[i]);
   if (bad) {
     static const HttpRequest kBadRequest{"GET", "/", "HTTP/1.0", "", false};
-    serialize_response(wire, kBadRequest,
+    serialize_response(wire_, kBadRequest,
                        {400, "application/json", "{\"error\": \"malformed request\"}\n"});
   }
   // Counted before the reply leaves: a client that has read a full
   // response can rely on requests_served() already covering it.
-  requests_.fetch_add(static_cast<std::int64_t>(requests.size()) + (bad ? 1 : 0),
+  requests_.fetch_add(static_cast<std::int64_t>(n - call_.sent) + (bad ? 1 : 0),
                       std::memory_order_relaxed);
-  if (!wire.empty() && !send_all(conn.fd, wire)) return false;
-  if (bad) return false;
-  return requests.empty() || requests.back().keep_alive;
+  call_.sent = n;
+  if (!wire_.empty() && !send_all(call_.conn->fd, wire_)) call_.failed = true;
+  return !call_.failed;
 }
 
 void HttpServer::serve() {

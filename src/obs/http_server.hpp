@@ -8,7 +8,11 @@
 /// pipelining — a client may write many requests back-to-back on one
 /// connection; the server parses every complete request out of each read
 /// burst, dispatches them (batched, if a BatchHandler is installed),
-/// and answers in order with correct Content-Length framing. HTTP/1.0
+/// and answers in request order with correct Content-Length framing.
+/// A batch handler may release an in-order prefix of its responses
+/// while it still runs (release()): that prefix is sent at once, and the
+/// end of the call sends only the rest, so an early answer does not
+/// wait for the last one of its burst. HTTP/1.0
 /// clients keep the old single-request contract: one request, one
 /// response, `Connection: close` — existing scrapers and the curl-less
 /// CI probes work unchanged.
@@ -56,8 +60,9 @@ class HttpServer {
   /// Per-request dispatch.
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
   /// Per-burst dispatch: every complete pipelined request parsed from
-  /// one read, in arrival order; the handler must append exactly one
-  /// response per request, in the same order. When installed it takes
+  /// one read, in arrival order; the handler must leave exactly one
+  /// response per request, in the same order. While it runs it may call
+  /// release() to send a final prefix early. When installed it takes
   /// precedence over Handler (and is also used for bursts of one).
   using BatchHandler =
       std::function<void(std::span<HttpRequest>, std::vector<HttpResponse>&)>;
@@ -90,6 +95,15 @@ class HttpServer {
     return requests_.load(std::memory_order_relaxed);
   }
 
+  /// Declares responses [0, n) of the handler call in progress final
+  /// and sends those not sent yet, in order. Call it from inside a
+  /// handler (the event-loop thread); the handler must not change a
+  /// released response afterwards. A no-op outside a handler call, for
+  /// a count that does not advance the sent prefix, and after a send of
+  /// this call failed (the connection then closes when the call
+  /// returns). `n` is capped at the responses the handler holds.
+  void release(std::size_t n);
+
  private:
   /// Per-connection parse state: bytes read but not yet consumed.
   struct Connection {
@@ -97,11 +111,24 @@ class HttpServer {
     std::string inbox;
   };
 
+  /// One dispatch of a read burst: the responses already sent and
+  /// whether a send failed.
+  struct Call {
+    Connection* conn = nullptr;
+    std::span<const HttpRequest> requests;
+    const std::vector<HttpResponse>* responses = nullptr;
+    std::size_t sent = 0;  ///< responses [0, sent) have left
+    bool failed = false;   ///< a send failed: nothing more leaves
+  };
+
   void serve();
   /// Parses every complete request out of conn.inbox (consuming them),
-  /// dispatches, and writes the serialized responses in one send.
-  /// Returns false when the connection must be closed.
+  /// dispatches, and sends the responses the handler did not release,
+  /// in one send. Returns false when the connection must be closed.
   bool process_input(Connection& conn);
+  /// Serializes responses [call_.sent, n), plus a 400 when `bad`, and
+  /// sends them in one send. Returns false once a send of the call failed.
+  bool send_through(std::size_t n, bool bad);
 
   Options options_;
   int listen_fd_ = -1;
@@ -109,6 +136,8 @@ class HttpServer {
   std::thread thread_;
   std::atomic<bool> stop_{false};
   std::atomic<std::int64_t> requests_{0};
+  Call call_;         ///< the dispatch in progress (event-loop thread only)
+  std::string wire_;  ///< reused serialization buffer
 };
 
 }  // namespace spi::obs

@@ -1,5 +1,6 @@
 #include "serve/plan_server.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 
@@ -207,7 +208,7 @@ constexpr auto kStReply = static_cast<std::size_t>(obs::RequestStage::kReply);
 /// batch, that instance's flight recorder (armed only around the trace
 /// bridge's captured batches — nothing else reads its events), the
 /// model's batch instruments, and the groups staged by the drain in
-/// progress, keyed by AppTraits::group_of in firing order.
+/// progress, one per (tenant, AppTraits::group_of) in staging order.
 template <class AppT>
 struct PlanServer::Model {
   using Traits = AppTraits<AppT>;
@@ -222,8 +223,11 @@ struct PlanServer::Model {
     std::int64_t ingest_ns;
     std::int64_t enqueued_ns;
   };
-  /// One batched firing's jobs; staged[k] is the reply context of specs[k].
+  /// One batched firing's jobs, all of one tenant; staged[k] is the
+  /// reply context of specs[k], in arrival order.
   struct Group {
+    const TenantState* tenant;
+    std::int64_t key;
     std::vector<Staged> staged;
     std::vector<Spec> specs;
   };
@@ -237,7 +241,7 @@ struct PlanServer::Model {
   core::RunOptions run_options;
   obs::Counter& batches;
   obs::Histogram& batch_jobs;
-  std::map<std::int64_t, Group> groups;
+  std::vector<Group> groups;
 
   template <class Params>
   Model(std::string model_name, std::int32_t pes, const Params& params,
@@ -262,17 +266,27 @@ struct PlanServer::Model {
     flight.set_armed(false);
   }
 
-  /// Parses one queued job into its group; returns the 400 message of a
-  /// malformed job (staging nothing), nullptr otherwise.
-  const char* stage(const QueuedJob& job) {
+  /// Parses one queued job of `tenant` into its group; returns the 400
+  /// message of a malformed job (staging nothing), nullptr otherwise.
+  const char* stage(const TenantState& tenant, const QueuedJob& job) {
     Spec spec;
     bool explicit_io = false;
     if (const char* error = Traits::parse(app, job.body, spec, explicit_io)) return error;
-    Group& group = groups[Traits::group_of(spec)];
-    group.staged.push_back(
+    const std::int64_t key = Traits::group_of(spec);
+    auto group = std::find_if(groups.begin(), groups.end(), [&](const Group& g) {
+      return g.tenant == &tenant && g.key == key;
+    });
+    if (group == groups.end()) group = groups.insert(groups.end(), Group{&tenant, key, {}, {}});
+    group->staged.push_back(
         {job.request_index, explicit_io, job.span_id, job.ingest_ns, job.enqueued_ns});
-    group.specs.push_back(std::move(spec));
+    group->specs.push_back(std::move(spec));
     return nullptr;
+  }
+
+  /// Lists every staged group for the firing order.
+  void list_firings(std::vector<Firing>& firings, bool particle) const {
+    for (std::size_t g = 0; g < groups.size(); ++g)
+      firings.push_back({groups[g].staged.front().index, particle, g});
   }
 };
 
@@ -313,7 +327,7 @@ void PlanServer::start() {
   http.bind_address = options_.bind_address;
   http.batch_handler = [this](std::span<obs::HttpRequest> requests,
                               std::vector<obs::HttpResponse>& responses) {
-    handle_burst(requests, responses);
+    handle_burst(requests, responses, [this](std::size_t n) { http_->release(n); });
   };
   http_ = std::make_unique<obs::HttpServer>(std::move(http));
   http_->start();
@@ -425,23 +439,26 @@ void PlanServer::route_job(std::size_t index, const obs::HttpRequest& request,
     job.enqueued_ns = burst_admit_ns_;
   }
   queue.push(std::move(job));
+  answered_[index] = 0;
 }
 
-void PlanServer::drain_queue(TenantState& tenant, std::vector<obs::HttpResponse>& responses) {
+void PlanServer::stage_queue(TenantState& tenant, std::int64_t drain_ns,
+                             std::vector<obs::HttpResponse>& responses, const ReleaseFn& ready) {
   JobQueue& queue = tenant.queue;
   if (queue.empty()) return;
-  const std::int64_t drain_ns = tenant.series != nullptr ? tracer_->now_ns() : 0;
 
   std::int64_t drained = 0;
   while (!queue.empty()) {
     const QueuedJob job = queue.pop();
     ++drained;
     const bool speech = job.app == App::kSpeech;
-    const char* error = speech ? speech_->stage(job) : particle_->stage(job);
+    const char* error = speech ? speech_->stage(tenant, job) : particle_->stage(tenant, job);
     if (error == nullptr) continue;
     // Answered 400 at parse time; the lifecycle ends inside the
     // batch-formation stage.
     responses[job.request_index] = bad_request(error);
+    answered_[job.request_index] = 1;
+    release_prefix(ready);
     if (tenant.series == nullptr || job.span_id == 0) continue;
     obs::RequestSpan span;
     span.id = job.span_id;
@@ -455,102 +472,111 @@ void PlanServer::drain_queue(TenantState& tenant, std::vector<obs::HttpResponse>
                       speech ? speech_->name : particle_->name);
   }
   queue.count_served(drained);
-
-  fire_groups(*speech_, tenant, drain_ns, responses);
-  fire_groups(*particle_, tenant, drain_ns, responses);
 }
 
 template <class AppT>
-void PlanServer::fire_groups(Model<AppT>& model, const TenantState& tenant, std::int64_t drain_ns,
-                             std::vector<obs::HttpResponse>& responses) {
+void PlanServer::fire_group(Model<AppT>& model, std::size_t group_index, std::int64_t start_ns,
+                            std::vector<obs::HttpResponse>& responses, const ReleaseFn& ready) {
+  auto& group = model.groups[group_index];
+  const TenantState& tenant = *group.tenant;
   const bool traced = tenant.series != nullptr;
-  for (auto& [key, group] : model.groups) {
-    const auto& staged = group.staged;
-    const auto jobs = static_cast<std::int64_t>(staged.size());
-    model.batches.inc();
-    model.batch_jobs.observe(static_cast<double>(jobs));
-    const std::int64_t batch_id = next_batch_id_++;
-    bool sample_batch = false;
-    if (traced)
-      for (const auto& s : staged)
-        if (s.span_id != 0 && tracer_->is_sampled(s.span_id)) {
-          sample_batch = true;
-          break;
-        }
-    // Flight bridge, paced much coarser than span sampling (collect is
-    // the one expensive capture): drop whatever the rings still hold,
-    // tag the run, and collect right after — the captured log is
-    // exactly this batch's causal firing stream (GET /trace/flight).
-    const bool capture_flight = sample_batch && tracer_->want_flight();
-    if (capture_flight) {
-      model.flight.set_armed(true);
-      model.flight.discard_all();
-      model.run_options.batch_id = batch_id;
-    } else {
-      model.run_options.batch_id = -1;
-    }
-    const std::int64_t formed_ns = traced ? tracer_->now_ns() : 0;
-    std::int64_t exec_end_ns = formed_ns;
-    try {
-      const auto results =
-          Model<AppT>::Traits::run(model.app, group.specs, model.instance, &model.run_options);
-      exec_end_ns = traced ? tracer_->now_ns() : 0;
-      for (std::size_t k = 0; k < staged.size(); ++k) {
-        std::string body = model.reply_head;
-        Model<AppT>::Traits::render(body, results[k], staged[k].explicit_io, key);
-        body += "}\n";
-        responses[staged[k].index] = json_response(200, std::move(body));
-      }
-      jobs_served_ += jobs;
-      metrics_
-          ->counter("spi_serve_jobs_total", {{"app", model.name}, {"tenant", tenant.queue.tenant()}})
-          .inc(jobs);
-    } catch (const std::exception& e) {
-      exec_end_ns = traced ? tracer_->now_ns() : 0;
-      for (const auto& s : staged)
-        responses[s.index] =
-            json_response(500, "{\"error\": \"" + obs::detail::json_escaped(e.what()) + "\"}\n");
-    }
-    if (!traced) continue;
-    // Reply stamp first: flight collection is tracer bookkeeping, not
-    // part of any request's lifecycle (serialization waits for the
-    // GET /trace/flight scrape).
-    const std::int64_t reply_ns = tracer_->now_ns();
-    if (capture_flight) {
-      tracer_->note_flight(batch_id, model.flight.collect());
-      model.flight.set_armed(false);
-    }
-    span_ids_scratch_.clear();
+  const auto& staged = group.staged;
+  const auto jobs = static_cast<std::int64_t>(staged.size());
+  model.batches.inc();
+  model.batch_jobs.observe(static_cast<double>(jobs));
+  const std::int64_t batch_id = next_batch_id_++;
+  bool sample_batch = false;
+  if (traced)
     for (const auto& s : staged)
-      if (s.span_id != 0) span_ids_scratch_.push_back(s.span_id);
-    if (span_ids_scratch_.empty()) continue;
-    // One representative span for the whole batch: the jobs share every
-    // stage boundary (batch stamps, the burst's enqueue stamp, one
-    // status for the batched firing), so only the ids differ.
-    const auto& front = staged.front();
-    obs::RequestSpan span;
-    span.status = responses[front.index].status;
-    span.batch_id = batch_id;
-    span.batch_size = static_cast<std::int32_t>(jobs);
-    span.ingest_ns = front.ingest_ns;
-    span.stage_ns[kStAdmission] = front.enqueued_ns - front.ingest_ns;
-    span.stage_ns[kStQueue] = drain_ns - front.enqueued_ns;
-    span.stage_ns[kStBatch] = formed_ns - drain_ns;
-    span.stage_ns[kStExec] = exec_end_ns - formed_ns;
-    span.stage_ns[kStReply] = reply_ns - exec_end_ns;
-    tracer_->complete_batch(*tenant.series, span, span_ids_scratch_, tenant.queue.tenant(),
-                            model.name);
+      if (s.span_id != 0 && tracer_->is_sampled(s.span_id)) {
+        sample_batch = true;
+        break;
+      }
+  // Flight bridge, paced much coarser than span sampling (collect is
+  // the one expensive capture): drop whatever the rings still hold,
+  // tag the run, and collect right after — the captured log is
+  // exactly this batch's causal firing stream (GET /trace/flight).
+  const bool capture_flight = sample_batch && tracer_->want_flight();
+  if (capture_flight) {
+    model.flight.set_armed(true);
+    model.flight.discard_all();
+    model.run_options.batch_id = batch_id;
+  } else {
+    model.run_options.batch_id = -1;
   }
-  model.groups.clear();
+  const std::int64_t formed_ns = traced ? tracer_->now_ns() : 0;
+  std::int64_t exec_end_ns = formed_ns;
+  try {
+    const auto results =
+        Model<AppT>::Traits::run(model.app, group.specs, model.instance, &model.run_options);
+    exec_end_ns = traced ? tracer_->now_ns() : 0;
+    for (std::size_t k = 0; k < staged.size(); ++k) {
+      std::string body = model.reply_head;
+      Model<AppT>::Traits::render(body, results[k], staged[k].explicit_io, group.key);
+      body += "}\n";
+      responses[staged[k].index] = json_response(200, std::move(body));
+    }
+    jobs_served_ += jobs;
+    metrics_
+        ->counter("spi_serve_jobs_total", {{"app", model.name}, {"tenant", tenant.queue.tenant()}})
+        .inc(jobs);
+  } catch (const std::exception& e) {
+    exec_end_ns = traced ? tracer_->now_ns() : 0;
+    for (const auto& s : staged)
+      responses[s.index] =
+          json_response(500, "{\"error\": \"" + obs::detail::json_escaped(e.what()) + "\"}\n");
+  }
+  // Reply stamp first: the send and the flight collection are not
+  // part of any request's lifecycle (serialization of the flight log
+  // waits for the GET /trace/flight scrape).
+  const std::int64_t reply_ns = traced ? tracer_->now_ns() : 0;
+  for (const auto& s : staged) answered_[s.index] = 1;
+  release_prefix(ready);
+  if (!traced) return;
+  if (capture_flight) {
+    tracer_->note_flight(batch_id, model.flight.collect());
+    model.flight.set_armed(false);
+  }
+  span_ids_scratch_.clear();
+  for (const auto& s : staged)
+    if (s.span_id != 0) span_ids_scratch_.push_back(s.span_id);
+  if (span_ids_scratch_.empty()) return;
+  // One representative span for the whole batch: the jobs share every
+  // stage boundary (batch stamps, the burst's enqueue stamp, one
+  // status for the batched firing), so only the ids differ. The queue
+  // stage runs until this batch's formation opens, so it covers the
+  // batches that fired before it, of any tenant.
+  const auto& front = staged.front();
+  obs::RequestSpan span;
+  span.status = responses[front.index].status;
+  span.batch_id = batch_id;
+  span.batch_size = static_cast<std::int32_t>(jobs);
+  span.ingest_ns = front.ingest_ns;
+  span.stage_ns[kStAdmission] = front.enqueued_ns - front.ingest_ns;
+  span.stage_ns[kStQueue] = start_ns - front.enqueued_ns;
+  span.stage_ns[kStBatch] = formed_ns - start_ns;
+  span.stage_ns[kStExec] = exec_end_ns - formed_ns;
+  span.stage_ns[kStReply] = reply_ns - exec_end_ns;
+  tracer_->complete_batch(*tenant.series, span, span_ids_scratch_, tenant.queue.tenant(),
+                          model.name);
+}
+
+void PlanServer::release_prefix(const ReleaseFn& ready) {
+  if (!ready) return;
+  const std::size_t before = released_;
+  while (released_ < answered_.size() && answered_[released_] != 0) ++released_;
+  if (released_ != before) ready(released_);
 }
 
 void PlanServer::handle_burst(std::span<obs::HttpRequest> requests,
-                              std::vector<obs::HttpResponse>& responses) {
+                              std::vector<obs::HttpResponse>& responses, const ReleaseFn& ready) {
   const auto start = std::chrono::steady_clock::now();
   ++bursts_;
   burst_ingest_ns_ = tracer_->enabled() ? tracer_->now_ns() : 0;
   burst_admit_ns_ = -1;
   responses.resize(requests.size());
+  answered_.assign(requests.size(), 1);  // route_job clears the slots it queues
+  released_ = 0;
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const obs::HttpRequest& request = requests[i];
@@ -570,10 +596,32 @@ void PlanServer::handle_burst(std::span<obs::HttpRequest> requests,
       responses[i] = json_response(404, "{\"error\": \"not found\"}\n");
     }
   }
+  release_prefix(ready);
 
-  // Batched firing: each tenant queue drains as one colocated batch per
-  // app (one program traversal amortized over all its queued jobs).
-  for (auto& [tenant, state] : tenants_) drain_queue(state, responses);
+  // Batched firing: every tenant queue stages into one group per (app,
+  // group key), then the groups fire in order of their earliest request
+  // (one program traversal amortized over all their jobs). Arrival
+  // order across tenants is what lets the first in-order reply prefix
+  // leave after the first batch, instead of behind a whole tenant.
+  const std::int64_t drain_ns = tracer_->enabled() ? tracer_->now_ns() : 0;
+  for (auto& [tenant, state] : tenants_) stage_queue(state, drain_ns, responses, ready);
+  firings_.clear();
+  speech_->list_firings(firings_, false);
+  particle_->list_firings(firings_, true);
+  std::sort(firings_.begin(), firings_.end(),
+            [](const Firing& a, const Firing& b) { return a.first < b.first; });
+  // The first batch's formation includes the staging; each later batch
+  // opens when the one before it is done.
+  std::int64_t start_ns = drain_ns;
+  for (const Firing& firing : firings_) {
+    if (firing.particle)
+      fire_group(*particle_, firing.group, start_ns, responses, ready);
+    else
+      fire_group(*speech_, firing.group, start_ns, responses, ready);
+    start_ns = tracer_->enabled() ? tracer_->now_ns() : 0;
+  }
+  speech_->groups.clear();
+  particle_->groups.clear();
 
   const double seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)

@@ -7,8 +7,9 @@
 ///   POST /job       — run one job on a built-in model ("speech" or
 ///                     "particle"); jobs admitted from one HTTP read
 ///                     burst are queued per tenant and drained as ONE
-///                     batched colocated firing per app (per trajectory
-///                     length for particle).
+///                     batched colocated firing per tenant and app (per
+///                     trajectory length for particle), fired in arrival
+///                     order; each reply leaves as its batch completes.
 ///   GET  /metrics   — Prometheus exposition of the serve + runtime
 ///                     counters; /metrics.json for the JSON form.
 ///   GET  /runtime   — live server status JSON (admission, models,
@@ -25,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <span>
@@ -82,13 +84,21 @@ class PlanServer {
   [[nodiscard]] bool running() const { return http_ && http_->running(); }
   [[nodiscard]] int port() const { return http_ ? http_->port() : -1; }
 
-  /// The batch handler: routes every request of one read burst, then
-  /// drains the tenant queues app by app as batched firings. Public so
-  /// tests (and in-process embedders) can drive the server without a
+  /// Told that responses [0, n) of the burst in progress are final.
+  using ReleaseFn = std::function<void(std::size_t n)>;
+
+  /// The batch handler: routes every request of one read burst, stages
+  /// every tenant queue into batches — one per (tenant, app, group key)
+  /// — and fires them in order of each batch's earliest request. Public
+  /// so tests (and in-process embedders) can drive the server without a
   /// socket — `responses` is filled with exactly one response per
-  /// request, in order.
+  /// request, in order. When `ready` is set, it is called with the
+  /// burst's answered in-order prefix whenever that prefix grows (after
+  /// routing, after a staging 400, after each batch); start() wires it
+  /// to HttpServer::release so a reply leaves as its batch fires.
+  /// Without it every response is final only on return.
   void handle_burst(std::span<obs::HttpRequest> requests,
-                    std::vector<obs::HttpResponse>& responses);
+                    std::vector<obs::HttpResponse>& responses, const ReleaseFn& ready = {});
 
   [[nodiscard]] const AdmissionController& admission() const { return admission_; }
   [[nodiscard]] obs::MetricRegistry& metrics() { return *metrics_; }
@@ -120,19 +130,32 @@ class PlanServer {
     obs::TenantSeries* series = nullptr;
   };
 
+  /// One staged batch in firing order: its earliest request, its model
+  /// and its slot in that model's groups.
+  struct Firing {
+    std::size_t first;
+    bool particle;
+    std::size_t group;
+  };
+
   [[nodiscard]] obs::HttpResponse handle_get(const obs::HttpRequest& request);
   /// Parses and queues one POST /job, or answers it immediately (400 /
   /// 429) in `responses`.
   void route_job(std::size_t index, const obs::HttpRequest& request,
                  std::vector<obs::HttpResponse>& responses);
-  /// Parses every job queued by `tenant` into its model's groups, then
-  /// fires the groups: speech first, then particle by ascending length.
-  void drain_queue(TenantState& tenant, std::vector<obs::HttpResponse>& responses);
-  /// Fires each of `model`'s staged groups as one batch and answers its
-  /// jobs (200 each, or 500 for all when the batch throws).
+  /// Parses every job queued by `tenant` into its model's groups (one
+  /// per tenant and group key), answering a malformed one 400. Fires
+  /// nothing: handle_burst fires every tenant's groups in arrival order.
+  void stage_queue(TenantState& tenant, std::int64_t drain_ns,
+                   std::vector<obs::HttpResponse>& responses, const ReleaseFn& ready);
+  /// Fires one staged group as one batch and answers its jobs (200 each,
+  /// or 500 for all when the batch throws). `start_ns` opens the batch's
+  /// formation: its jobs queued until then.
   template <class AppT>
-  void fire_groups(Model<AppT>& model, const TenantState& tenant, std::int64_t drain_ns,
-                   std::vector<obs::HttpResponse>& responses);
+  void fire_group(Model<AppT>& model, std::size_t group, std::int64_t start_ns,
+                  std::vector<obs::HttpResponse>& responses, const ReleaseFn& ready);
+  /// Hands `ready` the burst's answered in-order prefix if it grew.
+  void release_prefix(const ReleaseFn& ready);
 
   PlanServerOptions options_;
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
@@ -147,6 +170,11 @@ class PlanServer {
   /// job (-1 = not yet): one clock read per burst, not per job.
   std::int64_t burst_admit_ns_ = -1;
   std::vector<std::uint64_t> span_ids_scratch_;  ///< reused per drained batch
+  std::vector<Firing> firings_;                   ///< reused per burst
+  /// Per request of the burst in progress: answered yet (a queued job
+  /// is not until its batch fires or its staging fails).
+  std::vector<char> answered_;
+  std::size_t released_ = 0;  ///< the answered in-order prefix handed to `ready`
 
   std::unique_ptr<Model<apps::ErrorGenApp>> speech_;
   std::unique_ptr<Model<apps::ParticleFilterApp>> particle_;

@@ -1,8 +1,9 @@
 /// Tests of the reusable embedded HTTP server (obs/http_server.hpp):
-/// HTTP/1.1 keep-alive with correct Content-Length framing, request
-/// pipelining dispatched as one batch, POST body assembly, the
-/// preserved HTTP/1.0 one-request/close contract, and the bounded-poll
-/// 503 connection shed.
+/// HTTP/1.1 keep-alive with correct Content-Length framing, ambiguous
+/// framing answered 400, request pipelining dispatched as one batch,
+/// early release of a batch's in-order reply prefix, POST body
+/// assembly, the preserved HTTP/1.0 one-request/close contract, and the
+/// bounded-poll 503 connection shed.
 #include "obs/http_server.hpp"
 
 #include <gtest/gtest.h>
@@ -13,17 +14,25 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace spi::obs {
 namespace {
 
+/// Connects to the server on loopback. Reads time out after a few
+/// seconds, so a response that never comes fails a test, not hangs it.
 int connect_to(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -47,10 +56,10 @@ struct ParsedResponse {
 };
 
 /// Reads exactly `count` Content-Length-framed responses off `fd`.
-/// Returns fewer on EOF/error.
-std::vector<ParsedResponse> read_responses(int fd, std::size_t count) {
+/// Returns fewer on EOF/error. Bytes read past the last of them are
+/// left in `inbox`.
+std::vector<ParsedResponse> read_responses(int fd, std::size_t count, std::string& inbox) {
   std::vector<ParsedResponse> out;
-  std::string inbox;
   char buf[8192];
   while (out.size() < count) {
     const std::size_t head_end = inbox.find("\r\n\r\n");
@@ -79,6 +88,21 @@ std::vector<ParsedResponse> read_responses(int fd, std::size_t count) {
     out.push_back(std::move(response));
   }
   return out;
+}
+
+std::vector<ParsedResponse> read_responses(int fd, std::size_t count) {
+  std::string inbox;
+  return read_responses(fd, count, inbox);
+}
+
+/// Reads every response up to EOF, plus the bytes `inbox` already holds.
+std::vector<ParsedResponse> read_until_eof(int fd, std::string& inbox) {
+  return read_responses(fd, static_cast<std::size_t>(-1), inbox);
+}
+
+/// Waits for `future` for a few seconds; false when it never became ready.
+bool arrives(const std::future<void>& future) {
+  return future.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
 }
 
 /// An echo server: the response body names the method, target and body,
@@ -150,6 +174,132 @@ TEST(HttpServer, PipelinedBurstAnsweredInOrderThroughOneBatchCall) {
   EXPECT_LT(batch_calls.load(), kPipeline);
 }
 
+TEST(HttpServer, ReleasedPrefixLeavesBeforeTheHandlerReturns) {
+  HttpServer* self = nullptr;
+  std::promise<void> client_read_first;
+  const std::future<void> first_read = client_read_first.get_future();
+  std::atomic<bool> left_early{false};
+  HttpServer::Options options;
+  options.batch_handler = [&](std::span<HttpRequest> requests,
+                              std::vector<HttpResponse>& responses) {
+    for (const HttpRequest& request : requests) {
+      HttpResponse response;
+      response.body = "echo " + request.target;
+      responses.push_back(std::move(response));
+    }
+    self->release(1);
+    self->release(1);  // no advance: nothing is sent again
+    self->release(0);
+    if (requests.front().target == "/r0") left_early = arrives(first_read);
+    self->release(requests.size() + 7);  // capped at the responses held
+  };
+  HttpServer server(std::move(options));
+  self = &server;
+  server.release(1);  // outside any handler call: a no-op
+  server.start();
+  const int fd = connect_to(server.port());
+  ASSERT_GE(fd, 0);
+
+  ASSERT_TRUE(send_all(fd, "GET /r0 HTTP/1.1\r\n\r\nGET /r1 HTTP/1.1\r\n\r\n"
+                           "GET /r2 HTTP/1.1\r\nConnection: close\r\n\r\n"));
+  std::string inbox;
+  const auto first = read_responses(fd, 1, inbox);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].body, "echo /r0");
+  client_read_first.set_value();
+
+  // The rest, up to the close after /r2: every response exactly once.
+  const auto rest = read_until_eof(fd, inbox);
+  ASSERT_EQ(rest.size(), 2u);
+  EXPECT_EQ(rest[0].body, "echo /r1");
+  EXPECT_EQ(rest[1].body, "echo /r2");
+  EXPECT_TRUE(inbox.empty()) << "stray bytes after the last response: " << inbox;
+  EXPECT_TRUE(left_early.load()) << "response 0 must leave while its handler still runs";
+  ::close(fd);
+  server.stop();
+  server.release(1);  // after stop: a no-op
+  EXPECT_EQ(server.requests_served(), 3);
+}
+
+TEST(HttpServer, HandlerMiscountReplacesOnlyUnsentResponsesWith500) {
+  HttpServer* self = nullptr;
+  HttpServer::Options options;
+  options.batch_handler = [&](std::span<HttpRequest>, std::vector<HttpResponse>& responses) {
+    HttpResponse zero;
+    zero.body = "zero";
+    responses.push_back(std::move(zero));
+    self->release(1);
+    responses.emplace_back();  // one response short for three requests
+  };
+  HttpServer server(std::move(options));
+  self = &server;
+  server.start();
+  const int fd = connect_to(server.port());
+  ASSERT_GE(fd, 0);
+
+  ASSERT_TRUE(send_all(fd, "GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n"
+                           "GET /c HTTP/1.1\r\nConnection: close\r\n\r\n"));
+  std::string inbox;
+  const auto responses = read_until_eof(fd, inbox);
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(responses[0].status, 200);
+  EXPECT_EQ(responses[0].body, "zero") << "a response already sent stays sent";
+  EXPECT_EQ(responses[1].status, 500);
+  EXPECT_EQ(responses[2].status, 500);
+  ::close(fd);
+  server.stop();
+}
+
+TEST(HttpServer, FailedMidCallSendClosesTheConnectionAndSkipsLaterSends) {
+  HttpServer* self = nullptr;
+  std::promise<void> burst_arrived;
+  std::promise<void> client_reset;
+  const std::future<void> reset = client_reset.get_future();
+  std::atomic<std::int64_t> served_after_release{-1};
+  HttpServer::Options options = echo_options();
+  options.max_connections = 1;  // a leaked connection would shed the next one
+  options.batch_handler = [&](std::span<HttpRequest> requests,
+                              std::vector<HttpResponse>& responses) {
+    responses.resize(requests.size());
+    if (requests.front().target != "/doomed") return;
+    burst_arrived.set_value();
+    if (!arrives(reset)) return;
+    // Loopback delivers the client's RST before close() returns; the
+    // pause only keeps the test independent of that.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    self->release(1);  // fails: the peer is gone
+    self->release(2);  // skipped
+    served_after_release = self->requests_served();
+  };
+  HttpServer server(std::move(options));
+  self = &server;
+  server.start();
+
+  const int doomed = connect_to(server.port());
+  ASSERT_GE(doomed, 0);
+  ASSERT_TRUE(send_all(doomed, "GET /doomed HTTP/1.1\r\n\r\nGET /x HTTP/1.1\r\n\r\n"
+                               "GET /y HTTP/1.1\r\n\r\n"));
+  ASSERT_TRUE(arrives(burst_arrived.get_future()));
+  const linger reset_on_close{1, 0};
+  ::setsockopt(doomed, SOL_SOCKET, SO_LINGER, &reset_on_close, sizeof reset_on_close);
+  ::close(doomed);
+  client_reset.set_value();
+
+  // Served, not shed: the failed connection was closed.
+  const int next = connect_to(server.port());
+  ASSERT_GE(next, 0);
+  ASSERT_TRUE(send_all(next, "GET /next HTTP/1.1\r\n\r\n"));
+  const auto responses = read_responses(next, 1);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].status, 200);
+  ::close(next);
+  server.stop();
+  // Only the failed send counted: neither the skipped release nor the
+  // end of the call sent anything.
+  EXPECT_EQ(served_after_release.load(), 1);
+  EXPECT_EQ(server.requests_served(), 2);
+}
+
 TEST(HttpServer, PostBodyAssembledFromContentLength) {
   HttpServer server(echo_options());
   server.start();
@@ -167,6 +317,37 @@ TEST(HttpServer, PostBodyAssembledFromContentLength) {
   const auto responses = read_responses(fd, 1);
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_EQ(responses[0].body, "POST /job [" + body + "]");
+  ::close(fd);
+  server.stop();
+}
+
+// RFC 9112 §6.3: differing Content-Length values (or an empty one)
+// leave the body's end ambiguous, so they answer 400 and close; a
+// repeated identical value frames the body as one would.
+TEST(HttpServer, AmbiguousContentLengthAnswers400AndCloses) {
+  HttpServer server(echo_options());
+  server.start();
+  for (const std::string head : {"Content-Length: 3\r\nContent-Length: 4", "Content-Length:",
+                                 "Content-Length: \t"}) {
+    const int fd = connect_to(server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(send_all(fd, "POST /job HTTP/1.1\r\n" + head + "\r\n\r\nabcd"));
+    const auto responses = read_responses(fd, 1);
+    ASSERT_EQ(responses.size(), 1u) << head;
+    EXPECT_EQ(responses[0].status, 400) << head << " -> " << responses[0].body;
+    char buf[16];
+    EXPECT_EQ(::recv(fd, buf, sizeof buf, 0), 0) << head << ": ambiguous framing must close";
+    ::close(fd);
+  }
+
+  const int fd = connect_to(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, "POST /job HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3"
+                           "\r\n\r\nabcGET /after HTTP/1.1\r\n\r\n"));
+  const auto responses = read_responses(fd, 2);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].body, "POST /job [abc]");
+  EXPECT_EQ(responses[1].body, "GET /after []");
   ::close(fd);
   server.stop();
 }

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -558,6 +559,71 @@ TEST(PlanServer, TraceSpansTileEndToEndAndTenantsRollUp) {
     if (e.kind == obs::FlightEventKind::kBatchBegin && e.seq == server.tracer().flight_batch())
       batch_begin = true;
   EXPECT_TRUE(batch_begin) << "captured log must carry its batch-begin marker";
+}
+
+/// The string value following `"key": "` at or after `from`.
+std::string span_string(const std::string& json, std::size_t from, const std::string& key) {
+  const std::size_t at = json.find("\"" + key + "\": \"", from);
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return {};
+  const std::size_t begin = at + key.size() + 5;
+  return json.substr(begin, json.find('"', begin) - begin);
+}
+
+// The drain rule: every tenant's queue stages first, then the (tenant,
+// app, group key) batches fire in order of their earliest request, and
+// each batch's completion releases the burst's answered in-order prefix.
+TEST(PlanServer, BatchesFireInArrivalOrderAndReleaseFinalPrefixes) {
+  PlanServerOptions options;
+  options.trace.sample_every = 1;
+  PlanServer server(options);
+  std::vector<obs::HttpRequest> jobs = job_burst({
+      R"({"app":"particle","tenant":"t1","steps":4,"seed":1})",
+      R"({"app":"speech","tenant":"t0","frame_size":12,"order":3,"seed":2})",
+      R"({"app":"particle","tenant":"t0","steps":0,"seed":3})",  // staging 400
+      R"({"app":"speech","tenant":"t1","frame_size":12,"order":3,"seed":4})",
+      R"({"app":"particle","tenant":"t0","steps":4,"seed":5})",
+  });
+  jobs.push_back({"GET", "/healthz", "HTTP/1.1", "", true});  // answered at routing
+  std::vector<obs::HttpResponse> responses;
+  std::vector<std::size_t> released;
+  std::vector<std::vector<obs::HttpResponse>> snapshots;
+  server.handle_burst(jobs, responses, [&](std::size_t n) {
+    released.push_back(n);
+    snapshots.emplace_back(responses.begin(), responses.begin() + static_cast<std::ptrdiff_t>(n));
+  });
+  ASSERT_EQ(responses.size(), jobs.size());
+  EXPECT_EQ(responses[2].status, 400);
+  for (const std::size_t i : {0, 1, 3, 4, 5}) EXPECT_EQ(responses[i].status, 200) << i;
+
+  // Each batch completes the next pending request: t1's particle batch
+  // (request 0) fires first, t0's speech batch then also releases the
+  // 400 behind it, and t0's particle batch the GET behind it.
+  EXPECT_EQ(released, (std::vector<std::size_t>{1, 3, 4, 6}));
+  for (std::size_t k = 1; k < released.size(); ++k) EXPECT_GT(released[k], released[k - 1]);
+  // A released response is final: byte-identical to its value at return.
+  for (const auto& prefix : snapshots)
+    for (std::size_t i = 0; i < prefix.size(); ++i) {
+      EXPECT_EQ(prefix[i].status, responses[i].status) << i;
+      EXPECT_EQ(prefix[i].content_type, responses[i].content_type) << i;
+      EXPECT_EQ(prefix[i].body, responses[i].body) << i;
+    }
+
+  // Batch ids follow the firing order.
+  std::vector<obs::HttpRequest> scrape = {{"GET", "/trace", "HTTP/1.1", "", true}};
+  server.handle_burst(scrape, responses);
+  const std::string& trace = responses[0].body;
+  std::map<std::string, std::int64_t> batch_of;
+  const std::size_t spans_end = trace.find("\"outliers\": [");
+  for (std::size_t at = trace.find("{\"id\": "); at != std::string::npos && at < spans_end;
+       at = trace.find("{\"id\": ", at + 1))
+    if (span_int(trace, at, "status") == 200)
+      batch_of[span_string(trace, at, "tenant") + "/" + span_string(trace, at, "app")] =
+          span_int(trace, at, "batch");
+  ASSERT_EQ(batch_of.size(), 4u) << trace;
+  EXPECT_LT(batch_of["t1/particle"], batch_of["t0/speech"]);
+  EXPECT_LT(batch_of["t0/speech"], batch_of["t1/speech"]);
+  EXPECT_LT(batch_of["t1/speech"], batch_of["t0/particle"]);
 }
 
 TEST(PlanServer, TracingDisabledStillServesEndpoints) {

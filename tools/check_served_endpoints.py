@@ -8,7 +8,12 @@ section of docs/serving.md and probes a running spi_served on
   * POST /job with a small synthetic speech job answers 200 (probed
     first, so the first sampled batch fills GET /trace/flight);
   * every documented GET answers anything but 404;
-  * POST /plan, the removed plan-upload path, answers 404.
+  * POST /plan, the removed plan-upload path, answers 404;
+  * replies stream per batch: on one connection, one speech job
+    pipelined ahead of 8 particle jobs of 4096 steps gets its reply
+    while the particle batch is still running (a zero-timeout select
+    after the speech reply sees no particle reply bytes yet), and every
+    reply of the burst answers 200.
 
 A documented POST other than /job fails the check until a probe for it
 is added here. Exit status 0 when every probe passes.
@@ -16,12 +21,15 @@ is added here. Exit status 0 when every probe passes.
 Usage: tools/check_served_endpoints.py PORT [docs/serving.md]
 """
 import re
+import select
+import socket
 import sys
 import urllib.error
 import urllib.request
 
 ROW = re.compile(r"^\|\s*`([A-Z]+) (/[^`\s]*)`\s*\|")
 JOB = b'{"app":"speech","frame_size":16,"order":3,"seed":1}'
+LONG_PARTICLE = b'{"app":"particle","steps":4096,"seed":%d}'
 
 
 def documented_endpoints(doc_path):
@@ -43,6 +51,47 @@ def status(port, method, path, body=None):
             return response.status
     except urllib.error.HTTPError as error:
         return error.code
+
+
+def post_job(body):
+    return b"POST /job HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: %d\r\n\r\n%s" % (
+        len(body), body)
+
+
+def read_reply(sock, inbox):
+    """Reads one Content-Length-framed reply; returns (status, rest of inbox)."""
+    while b"\r\n\r\n" not in inbox:
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("connection closed mid-reply")
+        inbox += chunk
+    head, _, inbox = inbox.partition(b"\r\n\r\n")
+    length = int(re.search(rb"(?im)^content-length:\s*(\d+)", head).group(1))
+    while len(inbox) < length:
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("connection closed mid-reply")
+        inbox += chunk
+    return int(head.split(b" ", 2)[1]), inbox[length:]
+
+
+def streaming_probe(port):
+    """True when a speech reply leaves before the particle batch behind it ends."""
+    particles = 8
+    wire = post_job(JOB) + b"".join(post_job(LONG_PARTICLE % seed) for seed in range(particles))
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(wire)
+        speech, inbox = read_reply(sock, b"")
+        early = not inbox and not select.select([sock], [], [], 0)[0]
+        statuses = [speech]
+        for _ in range(particles):
+            status, inbox = read_reply(sock, inbox)
+            statuses.append(status)
+    print(f"{'ok  ' if early else 'FAIL'} pipelined speech reply leaves before the "
+          f"{particles}-job particle batch behind it")
+    answered = statuses == [200] * (particles + 1)
+    print(f"{'ok  ' if answered else 'FAIL'} pipelined burst answers 200 each -> {statuses}")
+    return early and answered
 
 
 def main(argv):
@@ -70,6 +119,7 @@ def main(argv):
         passed = ok(code)
         failures += not passed
         print(f"{'ok  ' if passed else 'FAIL'} {method} {path} -> {code} (want {want})")
+    failures += not streaming_probe(port)
     return 1 if failures else 0
 
 
