@@ -139,6 +139,7 @@ struct ParticleFilterApp::TrackState {
   };
   std::vector<PeState> pe;
   const dsp::CrackTrajectory* traj = nullptr;
+  dsp::CrackTrajectory synthesized;  ///< what `traj` points at for a synthetic job
   std::vector<double> estimates;  ///< appended only by Res0
   std::int64_t resample_steps = 0;
 };
@@ -160,11 +161,10 @@ struct ParticleFilterApp::BatchTrackState {
 };
 
 std::shared_ptr<ParticleFilterApp::TrackState> ParticleFilterApp::make_track_state(
-    const ParticleParams& params, std::size_t n, const dsp::CrackTrajectory& trajectory) {
+    const ParticleParams& params, std::size_t n, std::size_t steps) {
   const std::size_t quota = params.particles / n;
   auto shared = std::make_shared<ParticleFilterApp::TrackState>();
-  shared->traj = &trajectory;
-  shared->estimates.reserve(trajectory.observations.size());
+  shared->estimates.reserve(steps);
   shared->pe.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto& st = shared->pe.emplace_back(params.seed + 1000 * i);
@@ -183,6 +183,15 @@ std::shared_ptr<ParticleFilterApp::TrackState> ParticleFilterApp::make_track_sta
     st.resampled.reserve(params.particles);  // a PE's target never exceeds N
   }
   return shared;
+}
+
+TrackResult ParticleFilterApp::take_result(TrackState& state) {
+  TrackResult result;
+  result.estimates = std::move(state.estimates);
+  result.resample_steps = state.resample_steps;
+  result.rmse_vs_truth = dsp::rmse(state.traj->truth, result.estimates);
+  for (const auto& pe : state.pe) result.particles_exchanged += pe.exported;
+  return result;
 }
 
 template <class Runtime>
@@ -351,8 +360,9 @@ std::shared_ptr<Batch> one_job_batch(std::shared_ptr<State> state, std::size_t s
 }  // namespace
 
 TrackResult ParticleFilterApp::track(const dsp::CrackTrajectory& trajectory) const {
-  auto shared =
-      make_track_state(params_, static_cast<std::size_t>(pe_count_), trajectory);
+  auto shared = make_track_state(params_, static_cast<std::size_t>(pe_count_),
+                                 trajectory.observations.size());
+  shared->traj = &trajectory;
 
   core::FunctionalRuntime runtime(*system_);
   wire_tracking(runtime, one_job_batch<BatchTrackState>(shared, trajectory.observations.size()));
@@ -383,78 +393,82 @@ TrackResult ParticleFilterApp::track_threaded(const dsp::CrackTrajectory& trajec
 TrackResult ParticleFilterApp::track_threaded(const dsp::CrackTrajectory& trajectory,
                                               const core::RunOptions& run_options,
                                               core::ChannelPolicy policy) const {
-  auto shared =
-      make_track_state(params_, static_cast<std::size_t>(pe_count_), trajectory);
+  auto shared = make_track_state(params_, static_cast<std::size_t>(pe_count_),
+                                 trajectory.observations.size());
+  shared->traj = &trajectory;
 
   core::ThreadedRuntime runtime(system_->plan(), policy);
   wire_tracking(runtime, one_job_batch<BatchTrackState>(shared, trajectory.observations.size()));
   core::RunOptions options = run_options;
   options.iterations = static_cast<std::int64_t>(trajectory.observations.size());
   runtime.run(options);
-
-  TrackResult result;
-  result.estimates = std::move(shared->estimates);
-  result.resample_steps = shared->resample_steps;
-  result.rmse_vs_truth = dsp::rmse(trajectory.truth, result.estimates);
-  for (const auto& pe : shared->pe) result.particles_exchanged += pe.exported;
-  return result;
+  return take_result(*shared);
 }
 
 std::shared_ptr<ParticleFilterApp::BatchTrackState> ParticleFilterApp::make_batch(
     std::span<const ParticleJobSpec> jobs) const {
-  const auto steps = static_cast<std::int64_t>(jobs.front().trajectory.observations.size());
-  if (steps <= 0)
-    throw std::invalid_argument("ParticleFilterApp: empty trajectory in a batch");
+  const std::size_t steps = jobs.front().steps();
+  if (steps == 0) throw std::invalid_argument("ParticleFilterApp: empty trajectory in a batch");
   auto batch = std::make_shared<BatchTrackState>();
-  batch->steps_per_job = steps;
+  batch->steps_per_job = static_cast<std::int64_t>(steps);
   batch->jobs.reserve(jobs.size());
   for (const ParticleJobSpec& job : jobs) {
-    if (static_cast<std::int64_t>(job.trajectory.observations.size()) != steps)
+    if (job.steps() != steps)
       throw std::invalid_argument(
           "ParticleFilterApp: batched jobs must share one trajectory length");
     ParticleParams params = params_;
     params.seed = job.seed;
-    batch->jobs.push_back(
-        make_track_state(params, static_cast<std::size_t>(pe_count_), job.trajectory));
+    batch->jobs.push_back(make_track_state(params, static_cast<std::size_t>(pe_count_), steps));
   }
   return batch;
+}
+
+void ParticleFilterApp::bind_trajectory(BatchTrackState& batch,
+                                        std::span<const ParticleJobSpec> jobs,
+                                        std::size_t k) const {
+  TrackState& state = *batch.jobs[k];
+  const ParticleJobSpec& job = jobs[k];
+  if (job.synthetic_steps == 0) {
+    state.traj = &job.trajectory;
+    return;
+  }
+  dsp::Rng rng(job.seed + 1);
+  state.synthesized = dsp::simulate_crack(params_.model, job.synthetic_steps, rng);
+  state.traj = &state.synthesized;
 }
 
 void ParticleFilterApp::bind_batch(std::span<const ParticleJobSpec> jobs,
                                    core::JobInstance& instance) const {
   if (jobs.empty()) throw std::invalid_argument("ParticleFilterApp::bind_batch: no jobs");
-  wire_tracking(instance, make_batch(jobs));
+  const std::shared_ptr<BatchTrackState> batch = make_batch(jobs);
+  for (std::size_t k = 0; k < jobs.size(); ++k) bind_trajectory(*batch, jobs, k);
+  wire_tracking(instance, batch);
   instance.reset_invocations();
 }
 
 std::vector<TrackResult> ParticleFilterApp::track_batch(std::span<const ParticleJobSpec> jobs,
                                                         core::JobInstance& instance,
-                                                        const core::RunOptions* run_options) const {
+                                                        const core::RunOptions* run_options,
+                                                        const JobDoneFn& on_job) const {
   if (jobs.empty()) return {};
   const std::shared_ptr<BatchTrackState> batch = make_batch(jobs);
-  const std::int64_t steps = batch->steps_per_job;
-
   wire_tracking(instance, batch);
   instance.reset_invocations();
-  if (run_options) {
-    core::RunOptions options = *run_options;
-    options.iterations = steps * static_cast<std::int64_t>(jobs.size());
-    instance.run_colocated(options);
-  } else {
-    instance.run_colocated(steps * static_cast<std::int64_t>(jobs.size()));
-  }
 
+  // One run, one segment of T iterations per job: job k is done when
+  // segment k ends, and job k + 1's trajectory is built only then.
   std::vector<TrackResult> results;
   results.reserve(jobs.size());
-  for (std::size_t k = 0; k < jobs.size(); ++k) {
-    TrackState& shared = *batch->jobs[k];
-    TrackResult result;
-    result.estimates = std::move(shared.estimates);
-    result.resample_steps = shared.resample_steps;
-    result.rmse_vs_truth = dsp::rmse(jobs[k].trajectory.truth, result.estimates);
-    for (const auto& pe : shared.pe) result.particles_exchanged += pe.exported;
-    results.push_back(std::move(result));
-  }
+  bind_trajectory(*batch, jobs, 0);
+  const core::JobInstance::SegmentFn job_done = [&](std::int64_t segment) {
+    const auto k = static_cast<std::size_t>(segment);
+    results.push_back(take_result(*batch->jobs[k]));
+    if (on_job) on_job(k, results.back());
+    if (k + 1 < jobs.size()) bind_trajectory(*batch, jobs, k + 1);
+  };
+  core::RunOptions options = run_options ? *run_options : core::RunOptions{};
+  options.iterations = batch->steps_per_job * static_cast<std::int64_t>(jobs.size());
+  instance.run_colocated(options, batch->steps_per_job, job_done);
   return results;
 }
 

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -109,7 +110,19 @@ class ParticleFilterApp {
   struct ParticleJobSpec {
     dsp::CrackTrajectory trajectory;
     std::uint64_t seed = 42;
+    /// > 0: a synthetic job. `trajectory` stays empty; the batch builds
+    /// it just before the job runs, as this many steps of the app's
+    /// crack model simulated from dsp::Rng(seed + 1).
+    std::size_t synthetic_steps = 0;
+
+    /// The job's trajectory length T.
+    [[nodiscard]] std::size_t steps() const {
+      return synthetic_steps > 0 ? synthetic_steps : trajectory.observations.size();
+    }
   };
+
+  /// Told that job `job` of a batch has finished, with its final result.
+  using JobDoneFn = std::function<void(std::size_t job, const TrackResult& result)>;
 
   /// Batched firing (docs/serving.md): tracks jobs.size() independent
   /// trajectories colocated on the calling thread through `instance`
@@ -119,22 +132,28 @@ class ParticleFilterApp {
   /// batch. Jobs must share one trajectory length T. Dataflow
   /// determinacy makes each result bit-identical to a one-job
   /// track()/track_threaded() run with that job's seed (the serve tests
-  /// assert it). Rewires the instance's computes and resets its
-  /// invocation counters; call again to reuse the instance.
+  /// assert it). Wires the instance's computes and resets its invocation
+  /// counters once per call; call again to reuse the instance.
+  /// Jobs run one after another, and job k's result is final as soon as
+  /// its T iterations end: `on_job` (optional) receives it right then,
+  /// before job k + 1 starts, and a synthetic job's trajectory is built
+  /// only just before the job's own iterations. The returned vector
+  /// holds every result again, in job order.
   /// `run_options` (optional) configures the batch run — watchdog,
   /// flight recorder dump directory — its iteration count is overridden
-  /// by the batch size.
+  /// by the batch size. If job k fails, jobs before it have reached
+  /// `on_job` and the call throws.
   [[nodiscard]] std::vector<TrackResult> track_batch(
       std::span<const ParticleJobSpec> jobs, core::JobInstance& instance,
-      const core::RunOptions* run_options = nullptr) const;
+      const core::RunOptions* run_options = nullptr, const JobDoneFn& on_job = {}) const;
 
   /// The wiring half of track_batch: registers the batch's computes on
-  /// `instance` and resets its invocation counters without running, so
-  /// the caller drives instance.run_colocated(...) itself — iteration k
-  /// is step k % T of job k / T, for up to jobs.size() * T iterations.
-  /// The answers are not collected. `jobs` must outlive those runs. The
-  /// allocation gate (bench/micro_channel.cpp) times warm iterations
-  /// through it.
+  /// `instance`, builds every synthetic trajectory and resets the
+  /// invocation counters without running, so the caller drives
+  /// instance.run_colocated(...) itself — iteration k is step k % T of
+  /// job k / T, for up to jobs.size() * T iterations. The answers are
+  /// not collected. `jobs` must outlive those runs. The allocation gate
+  /// (bench/micro_channel.cpp) times warm iterations through it.
   void bind_batch(std::span<const ParticleJobSpec> jobs, core::JobInstance& instance) const;
 
   /// Figure 7: timed execution at a given run-time particle count.
@@ -149,11 +168,19 @@ class ParticleFilterApp {
  private:
   struct TrackState;       // per-job mutable state shared by the compute fns
   struct BatchTrackState;  // ordered job states + the invocation->job mapping
+  /// A job's initial particle state; its trajectory is bound separately
+  /// (`steps` sizes the estimates).
   [[nodiscard]] static std::shared_ptr<TrackState> make_track_state(
-      const ParticleParams& params, std::size_t n, const dsp::CrackTrajectory& trajectory);
-  /// Fresh job states for a non-empty batch sharing one trajectory length.
+      const ParticleParams& params, std::size_t n, std::size_t steps);
+  /// The job's answer, moved out of its finished state.
+  [[nodiscard]] static TrackResult take_result(TrackState& state);
+  /// Fresh job states for a non-empty batch sharing one trajectory
+  /// length; a job's trajectory is bound by bind_trajectory.
   [[nodiscard]] std::shared_ptr<BatchTrackState> make_batch(
       std::span<const ParticleJobSpec> jobs) const;
+  /// Points job `k`'s state at its trajectory, building a synthetic one.
+  void bind_trajectory(BatchTrackState& batch, std::span<const ParticleJobSpec> jobs,
+                       std::size_t k) const;
   /// Registers all compute functions on either execution engine
   /// (FunctionalRuntime, ThreadedRuntime or JobInstance — same ComputeFn
   /// contract). Each firing resolves its job's TrackState from

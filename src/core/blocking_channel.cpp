@@ -188,6 +188,12 @@ Bytes BlockingChannel::pop(const ChannelFlightCtx* flight) {
   }
 }
 
+void BlockingChannel::clear() {
+  std::lock_guard lock(mutex_);
+  queue_.clear();
+  recv_seq_ = send_seq_;
+}
+
 void BlockingChannel::interrupt() {
   std::lock_guard lock(mutex_);
   not_full_.notify_all();

@@ -87,6 +87,9 @@ class BlockingChannel {
   void push_faultless(Bytes token);
   [[nodiscard]] Bytes pop(const ChannelFlightCtx* flight = nullptr);
   void interrupt();  ///< wake all waiters (used on abort)
+  /// Drops every queued frame, as if each were received. Only while
+  /// neither end runs (a failed run's recovery).
+  void clear();
 
  private:
   void enqueue(Bytes frame, const ChannelFlightCtx* flight);  ///< capacity-blocking raw enqueue

@@ -169,30 +169,7 @@ void JobInstance::init() {
                                       static_cast<df::EdgeId>(i));
   }
 
-  // Initial tokens. Placed through the faultless path: delay tokens are
-  // part of the compiled system, not traffic the fault plan may eat.
-  // Plain channels no longer count per token, so account for the
-  // placement here (reliable execute() counts for itself).
-  for (std::size_t i = 0; i < graph_.edge_count(); ++i) {
-    const df::Edge& e = graph_.edge(static_cast<df::EdgeId>(i));
-    const bool dynamic = plan_.vts.edges[i].converted;
-    const std::size_t token_bytes = dynamic ? 0 : static_cast<std::size_t>(e.token_bytes);
-    for (std::int64_t d = 0; d < e.delay; ++d) {
-      if (spsc_[i]) {
-        Bytes token(token_bytes, 0);
-        spsc_[i]->push({token.data(), token.size()});
-      } else if (blocking_[i]) {
-        blocking_[i]->push_faultless(Bytes(token_bytes, 0));
-      } else {
-        local_[i].push_slot().assign(token_bytes, 0);
-        continue;
-      }
-      if (edge_messages_[i]) {
-        edge_messages_[i]->inc();
-        edge_payload_bytes_[i]->inc(static_cast<std::int64_t>(token_bytes));
-      }
-    }
-  }
+  reset_tokens();
 
   // One published heartbeat/wait-state slot per worker, cache-line
   // aligned so the per-firing stores stay worker-private.
@@ -250,6 +227,51 @@ void JobInstance::init() {
   for (std::size_t p = 0; p < plan_.programs.size(); ++p)
     if (cursor[p] != plan_.programs[p].size())
       throw std::logic_error("JobInstance: PASS shorter than the per-processor programs");
+}
+
+void JobInstance::reset_tokens() {
+  // Empty first: a run that failed mid-iteration left tokens of that
+  // iteration on some edges and took delay tokens off others. Both ends
+  // are idle, so one thread may drain each channel from the consumer
+  // side.
+  for (std::size_t i = 0; i < graph_.edge_count(); ++i) {
+    if (spsc_[i]) {
+      std::span<const std::uint8_t> token;
+      while (spsc_[i]->try_front(token)) spsc_[i]->pop();
+    } else if (blocking_[i]) {
+      blocking_[i]->clear();
+      // The reliable protocol restarts at sequence 0 on both ends.
+      if (blocking_[i]->reliable())
+        blocking_[i]->enable_reliability(reliability_.faults, reliability_.policy());
+    } else {
+      local_[i].head = 0;
+      local_[i].count = 0;
+    }
+  }
+  // Delay tokens, placed through the faultless path: they are part of
+  // the compiled system, not traffic the fault plan may eat. Plain
+  // channels no longer count per token, so account for the placement
+  // here (reliable execute() counts for itself).
+  for (std::size_t i = 0; i < graph_.edge_count(); ++i) {
+    const df::Edge& e = graph_.edge(static_cast<df::EdgeId>(i));
+    const bool dynamic = plan_.vts.edges[i].converted;
+    const std::size_t token_bytes = dynamic ? 0 : static_cast<std::size_t>(e.token_bytes);
+    for (std::int64_t d = 0; d < e.delay; ++d) {
+      if (spsc_[i]) {
+        Bytes token(token_bytes, 0);
+        spsc_[i]->push({token.data(), token.size()});
+      } else if (blocking_[i]) {
+        blocking_[i]->push_faultless(Bytes(token_bytes, 0));
+      } else {
+        local_[i].push_slot().assign(token_bytes, 0);
+        continue;
+      }
+      if (edge_messages_[i]) {
+        edge_messages_[i]->inc();
+        edge_payload_bytes_[i]->inc(static_cast<std::int64_t>(token_bytes));
+      }
+    }
+  }
 }
 
 Bytes& JobInstance::LocalRing::push_slot() {
@@ -526,7 +548,8 @@ void JobInstance::worker(std::int32_t proc, std::int64_t iterations) {
   ws.done.store(true, std::memory_order_relaxed);
 }
 
-void JobInstance::colocated_body(std::int64_t iterations) {
+void JobInstance::colocated_body(std::int64_t iterations, std::int64_t segment,
+                                 const SegmentFn* on_segment) {
   // The whole plan on the calling thread, in PASS order. Admissibility
   // plus the eq.-2 capacities mean no channel operation here ever waits
   // — a wait with one thread would be a deadlock, and handing the plan
@@ -547,6 +570,7 @@ void JobInstance::colocated_body(std::int64_t iterations) {
       }
       for (std::size_t i = 0; i < worker_count_; ++i)
         worker_state_[i].completed.store(iter + 1, std::memory_order_relaxed);
+      if (on_segment && (iter + 1) % segment == 0) (*on_segment)(iter / segment);
     }
   } catch (const ChannelInterrupted&) {
     // Interrupted by the watchdog (or an embedded-server teardown);
@@ -614,7 +638,14 @@ void JobInstance::run_colocated(std::int64_t iterations) {
 }
 
 void JobInstance::run_colocated(const RunOptions& options) {
-  run_with(options, [&] { colocated_body(options.iterations); });
+  run_with(options, [&] { colocated_body(options.iterations, 0, nullptr); });
+}
+
+void JobInstance::run_colocated(const RunOptions& options, std::int64_t segment_iterations,
+                                const SegmentFn& on_segment) {
+  if (segment_iterations <= 0)
+    throw std::invalid_argument("JobInstance::run_colocated: segments must be positive");
+  run_with(options, [&] { colocated_body(options.iterations, segment_iterations, &on_segment); });
 }
 
 void JobInstance::run_with(const RunOptions& options, const std::function<void()>& execute) {
@@ -715,6 +746,7 @@ void JobInstance::run_with(const RunOptions& options, const std::function<void()
   stats_.backoff_micros = now.backoff_micros - base.backoff_micros;
   if (first_error_) {
     maybe_dump_flight_postmortem();
+    reset_tokens();
     std::rethrow_exception(first_error_);
   }
 }

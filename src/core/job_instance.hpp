@@ -171,10 +171,11 @@ class JobInstance {
   /// plan.programs.size() workers borrowed from `pool`, joining the gang
   /// on every exit path. Exceptions thrown by compute functions or by
   /// the reliable transport (sim::ChannelError) are rethrown on the
-  /// caller thread (first one wins). stats() is reset on entry and
-  /// aggregated on every exit path. Optionally mounts the embedded
-  /// telemetry server (options.obs_port) and the progress watchdog
-  /// (options.watchdog) for the duration of the run.
+  /// caller thread (first one wins), after every edge is restored to
+  /// its delay tokens, so the instance runs again cleanly. stats() is
+  /// reset on entry and aggregated on every exit path. Optionally
+  /// mounts the embedded telemetry server (options.obs_port) and the
+  /// progress watchdog (options.watchdog) for the duration of the run.
   void run(WorkerPool& pool, const RunOptions& options);
 
   /// Colocated execution: the *calling* thread walks the plan's PASS —
@@ -186,6 +187,16 @@ class JobInstance {
   /// HTTP front instead and leaves obs_port negative).
   void run_colocated(const RunOptions& options);
   void run_colocated(std::int64_t iterations);
+
+  /// Told that segment k of a segmented colocated run has completed.
+  using SegmentFn = std::function<void(std::int64_t segment)>;
+  /// run_colocated in segments of `segment_iterations` iterations:
+  /// `on_segment(k)` runs on the calling thread as soon as iteration
+  /// (k + 1) * segment_iterations - 1 completes, before the next one
+  /// starts. It runs inside the run: the watchdog stays armed through it
+  /// and a throw from it fails the run like a compute's.
+  void run_colocated(const RunOptions& options, std::int64_t segment_iterations,
+                     const SegmentFn& on_segment);
 
   /// Resets the per-actor invocation counters that feed
   /// FiringContext::invocation. The classic runtime never calls this
@@ -236,7 +247,8 @@ class JobInstance {
 
   /// The registry the channel counters live in (the caller-provided one,
   /// or the instance's own). Counters are cumulative across runs and
-  /// include initial-token placement at construction.
+  /// include initial-token placement, at construction and again after
+  /// a failed run.
   [[nodiscard]] obs::MetricRegistry& metrics() { return *registry_; }
   [[nodiscard]] const obs::MetricRegistry& metrics() const { return *registry_; }
 
@@ -267,6 +279,10 @@ class JobInstance {
   /// run's in-flight cap (run_inflight_cap_); returns false when the run
   /// aborted while waiting. No-op when the cap is 0 (unbounded).
   [[nodiscard]] bool await_inflight_slot(std::int64_t iter);
+  /// Empties every edge and puts its delay tokens on it: the state a
+  /// run starts from. init() and the failure path (a failed run leaves
+  /// edges mid-iteration). Only while no worker body runs.
+  void reset_tokens();
   /// Shared run prologue/epilogue (abort/error/stats/heartbeat reset,
   /// watchdog + telemetry mounts, error rethrow) around `execute`,
   /// which must leave every worker body finished on every exit path.
@@ -275,8 +291,10 @@ class JobInstance {
   /// later run re-arms the same monitor thread.
   void ensure_watchdog(const obs::WatchdogOptions& options);
   void worker(std::int32_t proc, std::int64_t iterations);
-  /// The colocated worker body: PASS order, one thread, all procs.
-  void colocated_body(std::int64_t iterations);
+  /// The colocated worker body: PASS order, one thread, all procs;
+  /// `on_segment` (nullable) every `segment` iterations.
+  void colocated_body(std::int64_t iterations, std::int64_t segment,
+                      const SegmentFn* on_segment);
   void fire(const FiringStep& step, FiringContext& ctx, std::int32_t proc,
             std::int64_t iteration, WorkerState& ws);
   [[nodiscard]] ThreadedRunStats counter_totals() const;

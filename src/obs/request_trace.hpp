@@ -149,10 +149,12 @@ class RequestTracer {
   void complete(TenantSeries& series, const RequestSpan& span, const std::string& tenant,
                 const std::string& app);
 
-  /// Completes one drained batch as `ids.size()` copies of `span`. A
-  /// batch's jobs share every stage boundary by construction — the
-  /// stage stamps are taken once per batch, the enqueue stamp once per
-  /// burst, and the whole batch answers with one status — so the
+  /// Completes `ids.size()` jobs of one drained batch that share every
+  /// stage boundary as copies of `span`. The jobs of a batch that
+  /// answers once share them by construction — the stage stamps are
+  /// taken once per batch, the enqueue stamp once per burst, and the
+  /// whole batch answers with one status; a job answered on its own
+  /// (its exec ends with its own iterations) is a call with one id. The
   /// aggregate counters collapse to one multiplied add per instrument
   /// and the only per-job work left is the head-sampling check on each
   /// id. Sampled ids are stored individually (ring + histograms +

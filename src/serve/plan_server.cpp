@@ -5,8 +5,6 @@
 #include <limits>
 
 #include "core/job_instance.hpp"
-#include "dsp/particle_filter.hpp"
-#include "dsp/rng.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/text_escape.hpp"
 #include "serve/request.hpp"
@@ -46,10 +44,11 @@ void append_doubles(std::string& out, std::span<const double> values) {
 constexpr std::uint64_t kAnySeed = std::numeric_limits<std::uint64_t>::max();
 
 /// The per-app half of a served model: parse a job body into a spec,
-/// run a batch of specs, render one result as reply fields. Everything
-/// else about a firing is shared (PlanServer::fire_groups). Parsing
-/// answers a present but malformed field with its 400 message, never
-/// with the field's default; nullptr means the spec is valid.
+/// run a batch of specs handing each job's result to `done`, render one
+/// result as reply fields. Everything else about a firing is shared
+/// (PlanServer::fire_group). Parsing answers a present but malformed
+/// field with its 400 message, never with the field's default; nullptr
+/// means the spec is valid.
 template <class AppT>
 struct AppTraits;
 
@@ -92,10 +91,14 @@ struct AppTraits<apps::ErrorGenApp> {
 
   /// Every speech job shares one batch.
   static std::int64_t group_of(const Spec&) { return 0; }
+  /// A speech job is one graph iteration.
+  static std::int64_t iterations_per_job(std::int64_t) { return 1; }
 
-  static std::vector<Result> run(const apps::ErrorGenApp& app, std::span<const Spec> specs,
-                                 core::JobInstance& instance, const core::RunOptions* options) {
-    return app.compute_errors_batch(specs, instance, options);
+  template <class Done>
+  static void run(const apps::ErrorGenApp& app, std::span<const Spec> specs,
+                  core::JobInstance& instance, const core::RunOptions* options, const Done& done) {
+    const std::vector<Result> results = app.compute_errors_batch(specs, instance, options);
+    for (std::size_t k = 0; k < results.size(); ++k) done(k, results[k]);
   }
 
   static void render(std::string& body, const Result& errors, bool explicit_io, std::int64_t) {
@@ -139,21 +142,24 @@ struct AppTraits<apps::ParticleFilterApp> {
         return "particle job observations must be an array of numbers";
       const auto steps = json_integer_field(body, "steps", 1, 4096, 8);
       if (!steps) return "particle job steps must be an integer in [1, 4096]";
-      dsp::Rng rng(spec.seed + 1);
-      spec.trajectory = dsp::simulate_crack(params.model, *steps, rng);
+      // Built by track_batch just before the job runs.
+      spec.synthetic_steps = static_cast<std::size_t>(*steps);
     }
-    if (spec.trajectory.observations.empty()) return "particle job has no observations";
+    if (spec.steps() == 0) return "particle job has no observations";
     return nullptr;
   }
 
   /// A particle batch must share one trajectory length.
   static std::int64_t group_of(const Spec& spec) {
-    return static_cast<std::int64_t>(spec.trajectory.observations.size());
+    return static_cast<std::int64_t>(spec.steps());
   }
+  /// A particle job is one graph iteration per trajectory step.
+  static std::int64_t iterations_per_job(std::int64_t steps) { return steps; }
 
-  static std::vector<Result> run(const apps::ParticleFilterApp& app, std::span<const Spec> specs,
-                                 core::JobInstance& instance, const core::RunOptions* options) {
-    return app.track_batch(specs, instance, options);
+  template <class Done>
+  static void run(const apps::ParticleFilterApp& app, std::span<const Spec> specs,
+                  core::JobInstance& instance, const core::RunOptions* options, const Done& done) {
+    static_cast<void>(app.track_batch(specs, instance, options, std::cref(done)));
   }
 
   static void render(std::string& body, const Result& r, bool explicit_io, std::int64_t steps) {
@@ -477,11 +483,12 @@ void PlanServer::stage_queue(TenantState& tenant, std::int64_t drain_ns,
 template <class AppT>
 void PlanServer::fire_group(Model<AppT>& model, std::size_t group_index, std::int64_t start_ns,
                             std::vector<obs::HttpResponse>& responses, const ReleaseFn& ready) {
+  using Traits = typename Model<AppT>::Traits;
   auto& group = model.groups[group_index];
   const TenantState& tenant = *group.tenant;
   const bool traced = tenant.series != nullptr;
   const auto& staged = group.staged;
-  const auto jobs = static_cast<std::int64_t>(staged.size());
+  const std::size_t jobs = staged.size();
   model.batches.inc();
   model.batch_jobs.observe(static_cast<double>(jobs));
   const std::int64_t batch_id = next_batch_id_++;
@@ -504,27 +511,43 @@ void PlanServer::fire_group(Model<AppT>& model, std::size_t group_index, std::in
   } else {
     model.run_options.batch_id = -1;
   }
+  // A job that spans several graph iterations is answered and released
+  // as soon as its own iterations end, each with its own exec and reply
+  // stamps (job_ends_). A batch of one-iteration jobs releases once, at
+  // its end: one send per such job would cost more than the job.
+  const bool release_per_job = Traits::iterations_per_job(group.key) > 1;
+  job_ends_.clear();
   const std::int64_t formed_ns = traced ? tracer_->now_ns() : 0;
   std::int64_t exec_end_ns = formed_ns;
+  std::size_t served = 0;
+  const auto answer = [&](std::size_t k, const typename Traits::Result& result) {
+    if (traced && (release_per_job || k == 0)) exec_end_ns = tracer_->now_ns();
+    std::string body = model.reply_head;
+    Traits::render(body, result, staged[k].explicit_io, group.key);
+    body += "}\n";
+    responses[staged[k].index] = json_response(200, std::move(body));
+    answered_[staged[k].index] = 1;
+    ++served;
+    if (!release_per_job) return;
+    // Reply stamp first: the send is not part of the request's lifecycle.
+    job_ends_.emplace_back(exec_end_ns, traced ? tracer_->now_ns() : 0);
+    release_prefix(ready);
+  };
   try {
-    const auto results =
-        Model<AppT>::Traits::run(model.app, group.specs, model.instance, &model.run_options);
-    exec_end_ns = traced ? tracer_->now_ns() : 0;
-    for (std::size_t k = 0; k < staged.size(); ++k) {
-      std::string body = model.reply_head;
-      Model<AppT>::Traits::render(body, results[k], staged[k].explicit_io, group.key);
-      body += "}\n";
-      responses[staged[k].index] = json_response(200, std::move(body));
-    }
-    jobs_served_ += jobs;
-    metrics_
-        ->counter("spi_serve_jobs_total", {{"app", model.name}, {"tenant", tenant.queue.tenant()}})
-        .inc(jobs);
+    Traits::run(model.app, group.specs, model.instance, &model.run_options, answer);
   } catch (const std::exception& e) {
+    // The jobs answered before the failure keep their 200s.
     exec_end_ns = traced ? tracer_->now_ns() : 0;
     for (const auto& s : staged)
-      responses[s.index] =
-          json_response(500, "{\"error\": \"" + obs::detail::json_escaped(e.what()) + "\"}\n");
+      if (answered_[s.index] == 0)
+        responses[s.index] =
+            json_response(500, "{\"error\": \"" + obs::detail::json_escaped(e.what()) + "\"}\n");
+  }
+  if (served > 0) {
+    jobs_served_ += static_cast<std::int64_t>(served);
+    metrics_
+        ->counter("spi_serve_jobs_total", {{"app", model.name}, {"tenant", tenant.queue.tenant()}})
+        .inc(static_cast<std::int64_t>(served));
   }
   // Reply stamp first: the send and the flight collection are not
   // part of any request's lifecycle (serialization of the flight log
@@ -537,28 +560,34 @@ void PlanServer::fire_group(Model<AppT>& model, std::size_t group_index, std::in
     tracer_->note_flight(batch_id, model.flight.collect());
     model.flight.set_armed(false);
   }
-  span_ids_scratch_.clear();
-  for (const auto& s : staged)
-    if (s.span_id != 0) span_ids_scratch_.push_back(s.span_id);
-  if (span_ids_scratch_.empty()) return;
-  // One representative span for the whole batch: the jobs share every
-  // stage boundary (batch stamps, the burst's enqueue stamp, one
-  // status for the batched firing), so only the ids differ. The queue
-  // stage runs until this batch's formation opens, so it covers the
-  // batches that fired before it, of any tenant.
-  const auto& front = staged.front();
-  obs::RequestSpan span;
-  span.status = responses[front.index].status;
-  span.batch_id = batch_id;
-  span.batch_size = static_cast<std::int32_t>(jobs);
-  span.ingest_ns = front.ingest_ns;
-  span.stage_ns[kStAdmission] = front.enqueued_ns - front.ingest_ns;
-  span.stage_ns[kStQueue] = start_ns - front.enqueued_ns;
-  span.stage_ns[kStBatch] = formed_ns - start_ns;
-  span.stage_ns[kStExec] = exec_end_ns - formed_ns;
-  span.stage_ns[kStReply] = reply_ns - exec_end_ns;
-  tracer_->complete_batch(*tenant.series, span, span_ids_scratch_, tenant.queue.tenant(),
-                          model.name);
+  // Jobs [first, last) share every stage boundary (batch stamps, the
+  // burst's enqueue stamp, the same exec end), so one representative
+  // span covers them and only the ids differ. The queue stage runs
+  // until this batch's formation opens, so it covers the batches that
+  // fired before it, of any tenant.
+  const auto complete = [&](std::size_t first, std::size_t last, std::int64_t exec_end,
+                            std::int64_t reply) {
+    span_ids_scratch_.clear();
+    for (std::size_t k = first; k < last; ++k)
+      if (staged[k].span_id != 0) span_ids_scratch_.push_back(staged[k].span_id);
+    if (span_ids_scratch_.empty()) return;
+    const auto& front = staged[first];
+    obs::RequestSpan span;
+    span.status = responses[front.index].status;
+    span.batch_id = batch_id;
+    span.batch_size = static_cast<std::int32_t>(jobs);
+    span.ingest_ns = front.ingest_ns;
+    span.stage_ns[kStAdmission] = front.enqueued_ns - front.ingest_ns;
+    span.stage_ns[kStQueue] = start_ns - front.enqueued_ns;
+    span.stage_ns[kStBatch] = formed_ns - start_ns;
+    span.stage_ns[kStExec] = exec_end - formed_ns;
+    span.stage_ns[kStReply] = reply - exec_end;
+    tracer_->complete_batch(*tenant.series, span, span_ids_scratch_, tenant.queue.tenant(),
+                            model.name);
+  };
+  for (std::size_t k = 0; k < job_ends_.size(); ++k)
+    complete(k, k + 1, job_ends_[k].first, job_ends_[k].second);
+  complete(job_ends_.size(), jobs, exec_end_ns, reply_ns);
 }
 
 void PlanServer::release_prefix(const ReleaseFn& ready) {

@@ -9,7 +9,8 @@
 ///                     burst are queued per tenant and drained as ONE
 ///                     batched colocated firing per tenant and app (per
 ///                     trajectory length for particle), fired in arrival
-///                     order; each reply leaves as its batch completes.
+///                     order; a particle reply leaves as its own job's
+///                     iterations end, a speech reply as its batch ends.
 ///   GET  /metrics   — Prometheus exposition of the serve + runtime
 ///                     counters; /metrics.json for the JSON form.
 ///   GET  /runtime   — live server status JSON (admission, models,
@@ -31,6 +32,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/particle_app.hpp"
@@ -94,8 +96,9 @@ class PlanServer {
   /// socket — `responses` is filled with exactly one response per
   /// request, in order. When `ready` is set, it is called with the
   /// burst's answered in-order prefix whenever that prefix grows (after
-  /// routing, after a staging 400, after each batch); start() wires it
-  /// to HttpServer::release so a reply leaves as its batch fires.
+  /// routing, after a staging 400, after each multi-iteration job,
+  /// after each batch); start() wires it
+  /// to HttpServer::release so a reply leaves as soon as it is final.
   /// Without it every response is final only on return.
   void handle_burst(std::span<obs::HttpRequest> requests,
                     std::vector<obs::HttpResponse>& responses, const ReleaseFn& ready = {});
@@ -148,9 +151,13 @@ class PlanServer {
   /// nothing: handle_burst fires every tenant's groups in arrival order.
   void stage_queue(TenantState& tenant, std::int64_t drain_ns,
                    std::vector<obs::HttpResponse>& responses, const ReleaseFn& ready);
-  /// Fires one staged group as one batch and answers its jobs (200 each,
-  /// or 500 for all when the batch throws). `start_ns` opens the batch's
-  /// formation: its jobs queued until then.
+  /// Fires one staged group as one batch and answers its jobs: 200 for
+  /// each job that finished, 500 for the job that threw and every job
+  /// after it. A job spanning several graph iterations (particle, steps
+  /// > 1) is answered and released through `ready` as soon as its own
+  /// iterations end, and its span's exec stage ends there; a batch of
+  /// one-iteration jobs is answered and released once, at its end.
+  /// `start_ns` opens the batch's formation: its jobs queued until then.
   template <class AppT>
   void fire_group(Model<AppT>& model, std::size_t group, std::int64_t start_ns,
                   std::vector<obs::HttpResponse>& responses, const ReleaseFn& ready);
@@ -170,6 +177,9 @@ class PlanServer {
   /// job (-1 = not yet): one clock read per burst, not per job.
   std::int64_t burst_admit_ns_ = -1;
   std::vector<std::uint64_t> span_ids_scratch_;  ///< reused per drained batch
+  /// (exec end, reply) stamps of each job the batch in progress has
+  /// released on its own, in job order.
+  std::vector<std::pair<std::int64_t, std::int64_t>> job_ends_;
   std::vector<Firing> firings_;                   ///< reused per burst
   /// Per request of the burst in progress: answered yet (a queued job
   /// is not until its batch fires or its staging fails).

@@ -43,6 +43,49 @@ TEST(ParticleFilterApp, BindBatchValidatesAndRunsTheWholeBatch) {
   EXPECT_NO_THROW(instance.run_colocated(20));  // both jobs, one step per iteration
 }
 
+// track_batch hands each job's result over as soon as its iterations
+// end, in job order, and a synthetic job tracks the very trajectory
+// simulate_crack builds from Rng(seed + 1).
+TEST(ParticleFilterApp, TrackBatchReportsEachJobAsItEndsAndSynthesizesAtItsTurn) {
+  const ParticleFilterApp app(2, small_params());
+  std::vector<ParticleFilterApp::ParticleJobSpec> explicit_jobs(3), synthetic_jobs(3);
+  for (std::size_t k = 0; k < 3; ++k) {
+    explicit_jobs[k].seed = synthetic_jobs[k].seed = 7 + k;
+    dsp::Rng rng(explicit_jobs[k].seed + 1);
+    explicit_jobs[k].trajectory = dsp::simulate_crack(app.params().model, 9, rng);
+    synthetic_jobs[k].synthetic_steps = 9;
+  }
+  core::JobInstance explicit_instance(app.system().plan());
+  const std::vector<TrackResult> expected = app.track_batch(explicit_jobs, explicit_instance);
+
+  core::JobInstance instance(app.system().plan());
+  std::vector<std::size_t> order;
+  std::vector<TrackResult> reported;
+  const std::vector<TrackResult> returned = app.track_batch(
+      synthetic_jobs, instance, nullptr, [&](std::size_t job, const TrackResult& result) {
+        order.push_back(job);
+        reported.push_back(result);
+      });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
+  ASSERT_EQ(returned.size(), 3u);
+  ASSERT_EQ(reported.size(), 3u);
+  for (std::size_t k = 0; k < 3; ++k) {
+    ASSERT_EQ(returned[k].estimates.size(), 9u) << k;
+    EXPECT_EQ(returned[k].estimates, expected[k].estimates) << k;
+    EXPECT_EQ(returned[k].rmse_vs_truth, expected[k].rmse_vs_truth) << k;
+    EXPECT_EQ(returned[k].resample_steps, expected[k].resample_steps) << k;
+    EXPECT_EQ(returned[k].particles_exchanged, expected[k].particles_exchanged) << k;
+    EXPECT_EQ(reported[k].estimates, returned[k].estimates) << k;
+  }
+
+  // A synthetic job batches with explicit jobs of its length.
+  std::vector<ParticleFilterApp::ParticleJobSpec> mixed{explicit_jobs[0], synthetic_jobs[1]};
+  const std::vector<TrackResult> mixed_results = app.track_batch(mixed, instance);
+  EXPECT_EQ(mixed_results[1].estimates, expected[1].estimates);
+  mixed[1].synthetic_steps = 8;
+  EXPECT_THROW(static_cast<void>(app.track_batch(mixed, instance)), std::invalid_argument);
+}
+
 TEST(ParticleFilterApp, ChannelPlanMatchesPaper) {
   // Two messages between the PEs per iteration: local sums are
   // known-length -> SPI_static; particle exchange varies -> SPI_dynamic.

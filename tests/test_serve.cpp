@@ -626,6 +626,96 @@ TEST(PlanServer, BatchesFireInArrivalOrderAndReleaseFinalPrefixes) {
   EXPECT_LT(batch_of["t1/speech"], batch_of["t0/particle"]);
 }
 
+// A particle job spans one graph iteration per step, so its reply is
+// final and released as soon as its own iterations end, not when its
+// batch ends; a batch of one-iteration speech jobs releases once.
+TEST(PlanServer, ParticleJobsReleaseAsTheirOwnIterationsEnd) {
+  PlanServerOptions options;
+  options.trace.sample_every = 1;
+  PlanServer server(options);
+  std::vector<obs::HttpRequest> jobs = job_burst({
+      R"({"app":"particle","tenant":"t0","steps":6,"seed":1})",
+      R"({"app":"particle","tenant":"t0","steps":6,"seed":2})",
+      R"({"app":"particle","tenant":"t0","steps":6,"seed":3})",
+      R"({"app":"speech","tenant":"t0","frame_size":12,"order":3,"seed":4})",
+  });
+  obs::Counter& particle_batches =
+      server.metrics().counter("spi_serve_batches_total", {{"app", "particle"}});
+  const std::int64_t batches_before = particle_batches.value();
+  std::vector<obs::HttpResponse> responses;
+  std::vector<std::size_t> released;
+  std::vector<std::vector<obs::HttpResponse>> snapshots;
+  server.handle_burst(jobs, responses, [&](std::size_t n) {
+    released.push_back(n);
+    snapshots.emplace_back(responses.begin(), responses.begin() + static_cast<std::ptrdiff_t>(n));
+  });
+  ASSERT_EQ(responses.size(), jobs.size());
+  for (const auto& response : responses) EXPECT_EQ(response.status, 200) << response.body;
+  EXPECT_EQ(released, (std::vector<std::size_t>{1, 2, 3, 4}));
+  for (const auto& prefix : snapshots)
+    for (std::size_t i = 0; i < prefix.size(); ++i) {
+      EXPECT_EQ(prefix[i].status, responses[i].status) << i;
+      EXPECT_EQ(prefix[i].content_type, responses[i].content_type) << i;
+      EXPECT_EQ(prefix[i].body, responses[i].body) << i;
+    }
+  EXPECT_EQ(particle_batches.value(), batches_before + 1) << "still one batch";
+
+  // Each particle span tiles its request, and its exec stage ends with
+  // its own job: later jobs in the batch read strictly longer exec.
+  std::vector<obs::HttpRequest> scrape = {{"GET", "/trace", "HTTP/1.1", "", true}};
+  server.handle_burst(scrape, responses);
+  const std::string& trace = responses[0].body;
+  std::vector<std::int64_t> exec_ns;
+  const std::size_t spans_end = trace.find("\"outliers\": [");
+  for (std::size_t at = trace.find("{\"id\": "); at != std::string::npos && at < spans_end;
+       at = trace.find("{\"id\": ", at + 1)) {
+    if (span_string(trace, at, "app") != "particle") continue;
+    std::int64_t sum = 0;
+    for (const char* stage : {"admission_ns", "queue_ns", "batch_ns", "exec_ns", "reply_ns"})
+      sum += span_int(trace, at, stage);
+    EXPECT_EQ(sum, span_int(trace, at, "e2e_ns")) << "stages must tile the request exactly";
+    EXPECT_EQ(span_int(trace, at, "batch_size"), 3);
+    exec_ns.push_back(span_int(trace, at, "exec_ns"));
+  }
+  ASSERT_EQ(exec_ns.size(), 3u) << trace;
+  EXPECT_LT(exec_ns[0], exec_ns[1]);
+  EXPECT_LT(exec_ns[1], exec_ns[2]);
+}
+
+// If job k of a particle batch fails, the jobs before it keep their
+// already-released 200s; job k and the jobs after it answer 500, and the
+// model's instance serves the next burst as if nothing had happened.
+TEST(PlanServer, FailedParticleJobKeepsEarlierRepliesAndFailsTheRest) {
+  const auto& model = server_particle_params().model;
+  dsp::Rng traj_rng(5);
+  const auto traj = dsp::simulate_crack(model, 5, traj_rng);
+  const std::string good = "{\"app\":\"particle\",\"observations\":" +
+                           frame_json(traj.observations) + ",\"truth\":" +
+                           frame_json(traj.truth) + "}";
+  // A truth shorter than the observations fails the job's RMSE only
+  // once its iterations have run.
+  const std::string bad = "{\"app\":\"particle\",\"observations\":" +
+                          frame_json(traj.observations) + ",\"truth\":[1.5]}";
+  PlanServer server;
+  std::vector<obs::HttpRequest> jobs = job_burst({good, bad, good});
+  std::vector<obs::HttpResponse> responses;
+  std::vector<std::size_t> released;
+  server.handle_burst(jobs, responses, [&](std::size_t n) { released.push_back(n); });
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(responses[0].status, 200) << responses[0].body;
+  EXPECT_EQ(responses[1].status, 500);
+  EXPECT_EQ(responses[2].status, 500);
+  EXPECT_EQ(released, (std::vector<std::size_t>{1, 3}));
+  EXPECT_EQ(server.jobs_served(), 1);
+
+  std::vector<obs::HttpRequest> again = job_burst({good, good});
+  std::vector<obs::HttpResponse> again_responses;
+  server.handle_burst(again, again_responses);
+  ASSERT_EQ(again_responses.size(), 2u);
+  EXPECT_EQ(again_responses[0].body, responses[0].body);
+  EXPECT_EQ(again_responses[1].body, responses[0].body);
+}
+
 TEST(PlanServer, TracingDisabledStillServesEndpoints) {
   PlanServerOptions options;
   options.trace.enabled = false;

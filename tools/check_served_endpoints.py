@@ -13,7 +13,11 @@ section of docs/serving.md and probes a running spi_served on
     pipelined ahead of 8 particle jobs of 4096 steps gets its reply
     while the particle batch is still running (a zero-timeout select
     after the speech reply sees no particle reply bytes yet), and every
-    reply of the burst answers 200.
+    reply of the burst answers 200;
+  * replies stream per particle job: on one connection, two particle
+    jobs of one tenant and 4096 steps each (one batch) get the first
+    reply while the second job is still running (the same select sees
+    no bytes of the second reply), and both answer 200.
 
 A documented POST other than /job fails the check until a probe for it
 is added here. Exit status 0 when every probe passes.
@@ -75,22 +79,41 @@ def read_reply(sock, inbox):
     return int(head.split(b" ", 2)[1]), inbox[length:]
 
 
+def pipelined(port, bodies):
+    """Sends `bodies` as jobs pipelined on one connection. Returns whether
+    no byte of the second reply had arrived once the first was read in
+    full, and every reply's status."""
+    wire = b"".join(post_job(body) for body in bodies)
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(wire)
+        first, inbox = read_reply(sock, b"")
+        early = not inbox and not select.select([sock], [], [], 0)[0]
+        statuses = [first]
+        for _ in bodies[1:]:
+            status, inbox = read_reply(sock, inbox)
+            statuses.append(status)
+    return early, statuses
+
+
 def streaming_probe(port):
     """True when a speech reply leaves before the particle batch behind it ends."""
     particles = 8
-    wire = post_job(JOB) + b"".join(post_job(LONG_PARTICLE % seed) for seed in range(particles))
-    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
-        sock.sendall(wire)
-        speech, inbox = read_reply(sock, b"")
-        early = not inbox and not select.select([sock], [], [], 0)[0]
-        statuses = [speech]
-        for _ in range(particles):
-            status, inbox = read_reply(sock, inbox)
-            statuses.append(status)
+    early, statuses = pipelined(
+        port, [JOB] + [LONG_PARTICLE % seed for seed in range(particles)])
     print(f"{'ok  ' if early else 'FAIL'} pipelined speech reply leaves before the "
           f"{particles}-job particle batch behind it")
     answered = statuses == [200] * (particles + 1)
     print(f"{'ok  ' if answered else 'FAIL'} pipelined burst answers 200 each -> {statuses}")
+    return early and answered
+
+
+def per_job_probe(port):
+    """True when a particle job's reply leaves before the next job of its batch ends."""
+    early, statuses = pipelined(port, [LONG_PARTICLE % seed for seed in (1, 2)])
+    print(f"{'ok  ' if early else 'FAIL'} particle reply leaves before the next job "
+          f"of its batch ends")
+    answered = statuses == [200, 200]
+    print(f"{'ok  ' if answered else 'FAIL'} per-job burst answers 200 each -> {statuses}")
     return early and answered
 
 
@@ -120,6 +143,7 @@ def main(argv):
         failures += not passed
         print(f"{'ok  ' if passed else 'FAIL'} {method} {path} -> {code} (want {want})")
     failures += not streaming_probe(port)
+    failures += not per_job_probe(port)
     return 1 if failures else 0
 
 
