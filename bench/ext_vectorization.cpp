@@ -11,8 +11,8 @@
 /// A second sweep covers the *intra-actor* form of the same idea: the
 /// SIMD-friendly DSP kernel paths (SoA FFT butterflies, blocked FIR and
 /// mat-vec loops, word-at-a-time Huffman packing) against their scalar
-/// references via dsp::set_scalar_kernels — the per-firing analogue of
-/// per-message batching.
+/// references (the dsp *_reference functions) — the per-firing analogue
+/// of per-message batching.
 #include <chrono>
 #include <cmath>
 #include <complex>
@@ -23,7 +23,6 @@
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/huffman.hpp"
-#include "dsp/kernels.hpp"
 #include "dsp/linalg.hpp"
 #include "dsp/rng.hpp"
 #include "mpi/mpi_backend.hpp"
@@ -76,16 +75,13 @@ struct KernelRow {
   double vector_us;
 };
 
-/// Times one kernel under both paths (dsp::set_scalar_kernels toggles
-/// the whole process, so the two timings interleave per kernel).
-template <typename Body>
-KernelRow sweep_kernel(const char* name, std::int64_t reps, Body&& body) {
-  using spi::dsp::set_scalar_kernels;
+/// Times one kernel's scalar reference and production path back to
+/// back, so the two timings interleave per kernel.
+template <typename Scalar, typename Vector>
+KernelRow sweep_kernel(const char* name, std::int64_t reps, Scalar&& scalar, Vector&& vector) {
   KernelRow row{name, 0.0, 0.0};
-  set_scalar_kernels(true);
-  row.scalar_us = time_us(reps, body);
-  set_scalar_kernels(false);
-  row.vector_us = time_us(reps, body);
+  row.scalar_us = time_us(reps, scalar);
+  row.vector_us = time_us(reps, vector);
   return row;
 }
 
@@ -111,18 +107,32 @@ void kernel_path_sweep() {
   for (auto& s : symbols) s = static_cast<std::size_t>(rng.uniform_int(0, 255));
 
   const KernelRow rows[] = {
-      sweep_kernel("fft 1024", 50,
-                   [&] {
-                     auto scratch = signal;
-                     fft_inplace(scratch);
-                   }),
-      sweep_kernel("fir 31x8192", 50, [&] { (void)fir_filter(samples, taps); }),
-      sweep_kernel("matvec 256", 200, [&] { (void)m.multiply(x); }),
-      sweep_kernel("huffman 8192", 50,
-                   [&] {
-                     BitWriter w;
-                     code.encode(symbols, w);
-                   }),
+      sweep_kernel(
+          "fft 1024", 50,
+          [&] {
+            auto scratch = signal;
+            fft_inplace_reference(scratch);
+          },
+          [&] {
+            auto scratch = signal;
+            fft_inplace(scratch);
+          }),
+      sweep_kernel(
+          "fir 31x8192", 50, [&] { (void)fir_filter_reference(samples, taps); },
+          [&] { (void)fir_filter(samples, taps); }),
+      sweep_kernel(
+          "matvec 256", 200, [&] { (void)m.multiply_reference(x); },
+          [&] { (void)m.multiply(x); }),
+      sweep_kernel(
+          "huffman 8192", 50,
+          [&] {
+            BitWriter w;
+            code.encode_reference(symbols, w);
+          },
+          [&] {
+            BitWriter w;
+            code.encode(symbols, w);
+          }),
   };
   double geomean = 1.0;
   for (const KernelRow& row : rows) {

@@ -7,7 +7,6 @@
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/huffman.hpp"
-#include "dsp/kernels.hpp"
 #include "dsp/linalg.hpp"
 #include "dsp/lpc.hpp"
 #include "dsp/particle_filter.hpp"
@@ -52,7 +51,7 @@ void BM_FftCached(benchmark::State& state) {
 }
 BENCHMARK(BM_FftCached)->RangeMultiplier(4)->Range(64, 4096)->Complexity(benchmark::oNLogN);
 
-/// Scalar-reference twin of BM_FftCached (SPI_SCALAR_KERNELS path): the
+/// Scalar-reference twin of BM_FftCached (fft_inplace_reference): the
 /// original per-call w *= wlen recurrence. The FftCached/FftScalar pair
 /// feeds derived.kernel_simd_speedup in BENCH_results.json.
 void BM_FftScalar(benchmark::State& state) {
@@ -60,13 +59,11 @@ void BM_FftScalar(benchmark::State& state) {
   Rng rng(n);
   std::vector<Complex> x(n), scratch(n);
   for (auto& v : x) v = Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
-  set_scalar_kernels(true);
   for (auto _ : state) {
     scratch = x;
-    fft_inplace(scratch);
+    fft_inplace_reference(scratch);
     benchmark::DoNotOptimize(scratch);
   }
-  set_scalar_kernels(false);
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_FftScalar)->RangeMultiplier(4)->Range(64, 4096)->Complexity(benchmark::oNLogN);
@@ -87,9 +84,7 @@ void BM_FirFilterScalar(benchmark::State& state) {
   std::vector<double> taps(31), x(n);
   for (auto& t : taps) t = rng.uniform(-1, 1);
   for (auto& v : x) v = rng.uniform(-1, 1);
-  set_scalar_kernels(true);
-  for (auto _ : state) benchmark::DoNotOptimize(fir_filter(x, taps));
-  set_scalar_kernels(false);
+  for (auto _ : state) benchmark::DoNotOptimize(fir_filter_reference(x, taps));
 }
 BENCHMARK(BM_FirFilterScalar)->Arg(1024)->Arg(8192);
 
@@ -111,9 +106,7 @@ void BM_MatVecScalar(benchmark::State& state) {
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t c = 0; c < n; ++c) a.at(r, c) = rng.uniform(-1, 1);
   std::vector<double> x(n, 1.0);
-  set_scalar_kernels(true);
-  for (auto _ : state) benchmark::DoNotOptimize(a.multiply(x));
-  set_scalar_kernels(false);
+  for (auto _ : state) benchmark::DoNotOptimize(a.multiply_reference(x));
 }
 BENCHMARK(BM_MatVecScalar)->Arg(64)->Arg(256);
 
@@ -170,7 +163,7 @@ void BM_HuffmanEncode(benchmark::State& state) {
 BENCHMARK(BM_HuffmanEncode)->Arg(1024)->Arg(8192);
 
 /// Scalar-reference twin of BM_HuffmanEncode: per-symbol bit-by-bit
-/// put_bits instead of the word-at-a-time packer.
+/// put_bits_reference instead of the word-at-a-time packer.
 void BM_HuffmanEncodeScalar(benchmark::State& state) {
   Rng rng(6);
   std::vector<std::uint64_t> freq(256);
@@ -178,13 +171,11 @@ void BM_HuffmanEncodeScalar(benchmark::State& state) {
   const HuffmanCode code = HuffmanCode::from_frequencies(freq);
   std::vector<std::size_t> symbols(static_cast<std::size_t>(state.range(0)));
   for (auto& s : symbols) s = static_cast<std::size_t>(rng.uniform_int(0, 255));
-  set_scalar_kernels(true);
   for (auto _ : state) {
     BitWriter w;
-    code.encode(symbols, w);
+    code.encode_reference(symbols, w);
     benchmark::DoNotOptimize(w);
   }
-  set_scalar_kernels(false);
 }
 BENCHMARK(BM_HuffmanEncodeScalar)->Arg(1024)->Arg(8192);
 

@@ -69,7 +69,7 @@ BENCHMARK(BM_HeartbeatStore);
 void BM_ObsSnapshot(benchmark::State& state) {
   const core::ExecutablePlan& plan = pipeline_plan();
   obs::MetricRegistry registry;
-  core::ThreadedRuntime runtime(plan, core::ChannelPolicy::kAuto, {}, &registry);
+  core::ThreadedRuntime runtime(plan, &registry);
   runtime.run(8);  // populate counters, gauges and watermarks
 
   obs::ObsServer::Options options;
@@ -136,7 +136,7 @@ void BM_ThreadedRunWatched(benchmark::State& state) {
   const core::ExecutablePlan& plan = pipeline_plan();
   obs::MetricRegistry registry;
   for (auto _ : state) {
-    core::ThreadedRuntime runtime(plan, core::ChannelPolicy::kAuto, {}, &registry);
+    core::ThreadedRuntime runtime(plan, &registry);
     install_spin_computes(runtime, plan);
     core::RunOptions options;
     options.iterations = kRunIterations;

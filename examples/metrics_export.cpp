@@ -1,19 +1,20 @@
 /// \file metrics_export.cpp
 /// The unified observability layer end to end (docs/observability.md):
 /// one MetricRegistry shared by the compile pipeline and the threaded
-/// runtime, a wall-clock trace of the real-thread execution, and both
-/// exporter formats.
+/// runtime, a flight-recorder capture of the real-thread execution
+/// rendered as a wall-clock Chrome trace, and both exporter formats.
 ///
 /// Output: the Prometheus text exposition of everything recorded, a
 /// JSON snippet, a per-iteration latency histogram summary, and the
-/// first spans of the Chrome trace (pipe the full trace into a file and
+/// first slices of the Chrome trace (pipe the full trace into a file and
 /// open it in Perfetto).
 #include <cstdio>
 #include <vector>
 
 #include "core/threaded_runtime.hpp"
+#include "obs/critical_path.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/runtime_trace.hpp"
 
 int main() {
   using namespace spi;
@@ -37,21 +38,21 @@ int main() {
   const core::SpiSystem system(g, assignment, options);
 
   // Run on real threads with the same registry: per-channel message,
-  // byte and block counters land beside the compile metrics. A
-  // wall-clock recorder captures every firing for Perfetto.
+  // byte and block counters land beside the compile metrics. The
+  // flight recorder captures every firing for Perfetto.
   core::ThreadedRuntime runtime(system, &registry);
-  obs::RuntimeTraceRecorder trace;
-  runtime.set_trace(&trace);
+  obs::FlightRecorder flight(3);
+  runtime.set_flight_recorder(&flight);
 
   // Per-iteration sink-side latency histogram (microsecond buckets).
   obs::Histogram& latency = registry.histogram(
       "demo_iteration_micros", obs::Histogram::exponential_bounds(1.0, 2.0, 12), {},
       "Wall-clock microseconds between consecutive sink firings");
-  std::int64_t last_us = trace.now_us();
+  std::int64_t last_ns = obs::monotonic_ns();
   runtime.set_compute(snk, [&](core::FiringContext&) {
-    const std::int64_t now = trace.now_us();
-    latency.observe(static_cast<double>(now - last_us));
-    last_us = now;
+    const std::int64_t now = obs::monotonic_ns();
+    latency.observe(static_cast<double>(now - last_ns) / 1e3);
+    last_ns = now;
   });
   runtime.run(kIterations);
 
@@ -65,7 +66,8 @@ int main() {
               static_cast<long long>(runtime.stats().producer_blocks),
               static_cast<long long>(runtime.stats().consumer_blocks));
 
-  const std::string chrome = trace.to_chrome_trace_json();
+  const obs::FlightLog log = flight.collect();
+  const std::string chrome = obs::analyze_critical_path(log).to_chrome_trace_json(log);
   std::printf("=== Chrome trace (first 400 chars; load the full JSON in Perfetto) ===\n%.400s...\n",
               chrome.c_str());
   return 0;

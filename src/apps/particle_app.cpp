@@ -385,19 +385,17 @@ TrackResult ParticleFilterApp::track(const dsp::CrackTrajectory& trajectory) con
   return result;
 }
 
-TrackResult ParticleFilterApp::track_threaded(const dsp::CrackTrajectory& trajectory,
-                                              core::ChannelPolicy policy) const {
-  return track_threaded(trajectory, core::RunOptions{}, policy);
+TrackResult ParticleFilterApp::track_threaded(const dsp::CrackTrajectory& trajectory) const {
+  return track_threaded(trajectory, core::RunOptions{});
 }
 
 TrackResult ParticleFilterApp::track_threaded(const dsp::CrackTrajectory& trajectory,
-                                              const core::RunOptions& run_options,
-                                              core::ChannelPolicy policy) const {
+                                              const core::RunOptions& run_options) const {
   auto shared = make_track_state(params_, static_cast<std::size_t>(pe_count_),
                                  trajectory.observations.size());
   shared->traj = &trajectory;
 
-  core::ThreadedRuntime runtime(system_->plan(), policy);
+  core::ThreadedRuntime runtime(system_->plan());
   wire_tracking(runtime, one_job_batch<BatchTrackState>(shared, trajectory.observations.size()));
   core::RunOptions options = run_options;
   options.iterations = static_cast<std::int64_t>(trajectory.observations.size());

@@ -86,14 +86,10 @@ class ParticleFilterApp {
   /// Same tracking on real host threads — one per PE, with the phases
   /// communicating through runtime channels. Dataflow determinacy makes
   /// the estimates bit-identical to track() whatever the thread schedule
-  /// (the parity tests assert it). `policy` selects the channel
-  /// implementation: lock-free SPSC (default) or the blocking fallback.
-  /// static_messages/dynamic_messages are zero here — the threaded
+  /// (the parity tests assert it). static_messages/dynamic_messages are zero here — the threaded
   /// engine aggregates per-channel counters in its MetricRegistry
   /// instead of per wire format.
-  [[nodiscard]] TrackResult track_threaded(
-      const dsp::CrackTrajectory& trajectory,
-      core::ChannelPolicy policy = core::ChannelPolicy::kAuto) const;
+  [[nodiscard]] TrackResult track_threaded(const dsp::CrackTrajectory& trajectory) const;
 
   /// track_threaded with full control of the run — watchdog, flight
   /// recorder, telemetry and the cross-iteration pipelining window
@@ -101,8 +97,7 @@ class ParticleFilterApp {
   /// the trajectory length. Estimates stay bit-identical to track()
   /// at every in-flight cap (the pipelined-runtime tests assert it).
   [[nodiscard]] TrackResult track_threaded(
-      const dsp::CrackTrajectory& trajectory, const core::RunOptions& run_options,
-      core::ChannelPolicy policy = core::ChannelPolicy::kAuto) const;
+      const dsp::CrackTrajectory& trajectory, const core::RunOptions& run_options) const;
 
   /// One queued tracking job: a trajectory to filter and the RNG seed of
   /// its particle population (the default matches ParticleParams::seed,

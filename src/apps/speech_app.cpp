@@ -279,21 +279,19 @@ std::vector<double> ErrorGenApp::compute_errors_parallel(std::span<const double>
 std::vector<double> ErrorGenApp::compute_errors_threaded(std::span<const double> frame,
                                                          std::span<const double> coeffs,
                                                          core::ReliabilityOptions reliability,
-                                                         obs::MetricRegistry* metrics,
-                                                         core::ChannelPolicy policy) const {
-  return compute_errors_threaded(frame, coeffs, core::RunOptions{}, reliability, metrics, policy);
+                                                         obs::MetricRegistry* metrics) const {
+  return compute_errors_threaded(frame, coeffs, core::RunOptions{}, reliability, metrics);
 }
 
 std::vector<double> ErrorGenApp::compute_errors_threaded(std::span<const double> frame,
                                                          std::span<const double> coeffs,
                                                          const core::RunOptions& run_options,
                                                          core::ReliabilityOptions reliability,
-                                                         obs::MetricRegistry* metrics,
-                                                         core::ChannelPolicy policy) const {
+                                                         obs::MetricRegistry* metrics) const {
   check_bounds(frame, coeffs);
   const SpeechJobSpec job{{frame.begin(), frame.end()}, {coeffs.begin(), coeffs.end()}};
   std::vector<std::vector<double>> result(1, std::vector<double>(frame.size(), 0.0));
-  core::ThreadedRuntime runtime(system_->plan(), policy, reliability, metrics);
+  core::ThreadedRuntime runtime(system_->plan(), reliability, metrics);
   wire_jobs(runtime, std::span(&job, 1), result);
   runtime.run(run_options);
   return std::move(result.front());

@@ -128,13 +128,9 @@ class ErrorGenApp {
   /// bit-identical to compute_errors_parallel whenever the plan's retry
   /// budget suffices; a persistent fault surfaces sim::ChannelError.
   /// `metrics` (optional) receives the spi_reliable_* counters.
-  /// `policy` selects the channel implementation for plain edges
-  /// (lock-free SPSC by default; kBlockingOnly forces the mutex fallback
-  /// — the parity tests run both and assert identical bits).
   [[nodiscard]] std::vector<double> compute_errors_threaded(
       std::span<const double> frame, std::span<const double> coeffs,
-      core::ReliabilityOptions reliability = {}, obs::MetricRegistry* metrics = nullptr,
-      core::ChannelPolicy policy = core::ChannelPolicy::kAuto) const;
+      core::ReliabilityOptions reliability = {}, obs::MetricRegistry* metrics = nullptr) const;
 
   /// compute_errors_threaded with full control of the run — iteration
   /// count, live telemetry endpoint, watchdog (core::RunOptions,
@@ -146,8 +142,7 @@ class ErrorGenApp {
   [[nodiscard]] std::vector<double> compute_errors_threaded(
       std::span<const double> frame, std::span<const double> coeffs,
       const core::RunOptions& run_options, core::ReliabilityOptions reliability = {},
-      obs::MetricRegistry* metrics = nullptr,
-      core::ChannelPolicy policy = core::ChannelPolicy::kAuto) const;
+      obs::MetricRegistry* metrics = nullptr) const;
 
   /// One queued speech job: a frame and its predictor coefficients
   /// (sizes may vary per job up to the compile-time bounds — the

@@ -56,7 +56,6 @@ std::optional<Bytes> SpiChannel::receive() {
 }
 
 Bytes SpiChannel::take_buffer(std::size_t size) {
-  if (pool_) return pool_->take(size);
   Bytes wire;
   if (!freelist_.empty()) {
     wire = std::move(freelist_.back());
@@ -69,10 +68,6 @@ Bytes SpiChannel::take_buffer(std::size_t size) {
 }
 
 void SpiChannel::recycle(Bytes&& buffer) {
-  if (pool_) {
-    pool_->recycle(std::move(buffer));
-    return;
-  }
   // A small cap bounds idle memory; under it the send/receive cycle of a
   // warmed-up channel never touches the allocator.
   constexpr std::size_t kMaxFreeBuffers = 16;

@@ -15,8 +15,8 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <vector>
 
-#include "core/buffer_pool.hpp"
 #include "core/message.hpp"
 #include "sched/sync_graph.hpp"
 
@@ -61,13 +61,6 @@ class SpiChannel {
  public:
   explicit SpiChannel(ChannelConfig config);
 
-  /// Shares a per-job BufferPool: consumed wire buffers are recycled
-  /// through `pool` instead of the channel's private freelist, so every
-  /// channel of one job draws from one warm pool — and never from
-  /// another job's (the pool must belong to exactly this channel's job
-  /// and outlive it). Null reverts to the private freelist.
-  void set_buffer_pool(BufferPool* pool) { pool_ = pool; }
-
   [[nodiscard]] const ChannelConfig& config() const { return config_; }
   [[nodiscard]] const ChannelStats& stats() const { return stats_; }
   [[nodiscard]] std::int64_t occupancy() const { return static_cast<std::int64_t>(queue_.size()); }
@@ -92,10 +85,10 @@ class SpiChannel {
   std::deque<Bytes> queue_;  ///< encoded wire messages, FIFO
   /// Consumed wire buffers kept for reuse: in steady state send()
   /// encodes into a recycled buffer instead of allocating one per
-  /// message. Bounded so a bursty channel cannot hoard memory. Unused
-  /// (and empty) while a per-job BufferPool is attached.
+  /// message. Bounded so a bursty channel cannot hoard memory. Owned by
+  /// the channel, and so by the one runtime that owns the channel: two
+  /// concurrent runtimes never share a buffer.
   std::vector<Bytes> freelist_;
-  BufferPool* pool_ = nullptr;  ///< per-job pool; not owned
 };
 
 }  // namespace spi::core

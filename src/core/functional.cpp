@@ -58,11 +58,7 @@ FunctionalRuntime::FunctionalRuntime(const ExecutablePlan& plan)
       config.capacity_messages = *spec.bbs_capacity_tokens * spec.src_firings_per_iteration;
     }
     config.ack_elided = spec.acks_total > 0 && spec.acks_elided == spec.acks_total;
-    auto [it, inserted] = channels_.emplace(spec.edge, SpiChannel(config));
-    // All of this runtime's channels recycle wire buffers through one
-    // pool owned by this runtime — per-job by construction, so two
-    // concurrent runtimes can never cross-recycle a buffer.
-    if (inserted) it->second.set_buffer_pool(&pool_);
+    channels_.emplace(spec.edge, SpiChannel(config));
   }
   // Initial tokens (delays) start in the receiver-side FIFOs.
   for (std::size_t i = 0; i < graph_.edge_count(); ++i) {

@@ -100,10 +100,6 @@ class FunctionalRuntime {
     return fired_.at(static_cast<std::size_t>(actor));
   }
 
-  /// This runtime's (per-job) wire-buffer pool — shared by its channels,
-  /// never by another runtime's.
-  [[nodiscard]] const BufferPool& buffer_pool() const { return pool_; }
-
  private:
   void fire(df::ActorId actor);
   [[nodiscard]] Bytes take_token(df::EdgeId edge);
@@ -116,9 +112,6 @@ class FunctionalRuntime {
   /// Receiver-side raw FIFOs, one per edge (interprocessor edges refill
   /// from their SpiChannel on demand).
   std::vector<std::deque<Bytes>> fifo_;
-  /// Per-job wire-buffer pool shared by every channel of this runtime
-  /// (declared before channels_ so it outlives their teardown).
-  BufferPool pool_;
   std::map<df::EdgeId, SpiChannel> channels_;
 };
 

@@ -17,7 +17,6 @@ JobInstance::JobInstance(const ExecutablePlan& plan, JobInstanceOptions options)
     : plan_(plan),
       graph_(plan.vts.graph),
       reliability_(options.reliability),
-      policy_(options.policy),
       label_(std::move(options.label)),
       owned_registry_(options.metrics ? nullptr : std::make_unique<obs::MetricRegistry>()),
       registry_(options.metrics ? options.metrics : owned_registry_.get()),
@@ -117,14 +116,13 @@ void JobInstance::init() {
     }
 
     // Channel selection (docs/architecture.md): the lock-free slab
-    // channel wherever the plan's static knowledge allows it; the
-    // mutex-based fallback where the reliable protocol needs requeue and
-    // deadline waits, or when the policy forces it.
-    if (reliable || policy_ == ChannelPolicy::kBlockingOnly) {
+    // channel for every plain edge; the mutex-based channel where the
+    // reliable protocol needs requeue and deadline waits.
+    if (reliable) {
       auto channel = std::make_unique<BlockingChannel>(
           spec.edge, static_cast<std::size_t>(std::max<std::int64_t>(1, capacity)), abort_,
           counters);
-      if (reliable) channel->enable_reliability(reliability_.faults, reliability_.policy());
+      channel->enable_reliability(reliability_.faults, reliability_.policy());
       blocking_[ei] = std::move(channel);
     } else {
       const df::VtsEdgeInfo& info = plan_.vts.edges[ei];
@@ -395,7 +393,6 @@ void JobInstance::fire(const FiringStep& step, FiringContext& ctx, std::int32_t 
                        std::int64_t iteration, WorkerState& ws) {
   const df::ActorId actor = step.actor;
   const auto a = static_cast<std::size_t>(actor);
-  const std::int64_t span_start_us = trace_ ? trace_->now_us() : 0;
   const ChannelFlightCtx flight_ctx{flight_, proc, actor, iteration};
   const ChannelFlightCtx* flight = flight_ ? &flight_ctx : nullptr;
   if (flight)
@@ -488,7 +485,7 @@ void JobInstance::fire(const FiringStep& step, FiringContext& ctx, std::int32_t 
     // atomic RMWs per token — the per-token hot path touches no shared
     // counters. Null entries: local edges (uncounted, as before) and
     // reliable channels (count per attempt themselves).
-    if ((spsc_[ei] || blocking_[ei]) && edge_messages_[ei]) {
+    if (edge_messages_[ei]) {
       edge_messages_[ei]->inc(e.prod.value());
       edge_payload_bytes_[ei]->inc(batch_bytes);
     }
@@ -500,9 +497,6 @@ void JobInstance::fire(const FiringStep& step, FiringContext& ctx, std::int32_t 
 
   if (flight)
     flight_->record(proc, obs::FlightEventKind::kFireEnd, actor, -1, 0, iteration);
-  if (trace_)
-    trace_->record({graph_.actor(actor).name, "firing", proc, span_start_us, trace_->now_us(),
-                    iteration});
 }
 
 void JobInstance::worker(std::int32_t proc, std::int64_t iterations) {

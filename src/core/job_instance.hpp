@@ -40,7 +40,6 @@
 #include "core/spsc_channel.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/runtime_trace.hpp"
 #include "obs/watchdog.hpp"
 #include "sim/fault.hpp"
 
@@ -62,14 +61,6 @@ struct ReliabilityOptions {
   [[nodiscard]] const sim::RetryPolicy& policy() const {
     return faults ? faults->retry() : retry;
   }
-};
-
-/// Which channel implementation plain (non-reliable) IPC edges get.
-enum class ChannelPolicy : std::uint8_t {
-  kAuto,          ///< lock-free SpscChannel; BlockingChannel only where the
-                  ///< reliable protocol demands it (the default)
-  kBlockingOnly,  ///< mutex-based BlockingChannel everywhere (the
-                  ///< pre-slab behavior; parity tests and fallback)
 };
 
 /// Aggregated channel statistics of one run() (see JobInstance::stats).
@@ -129,7 +120,6 @@ struct RunOptions {
 
 /// Construction knobs beyond the plan itself.
 struct JobInstanceOptions {
-  ChannelPolicy policy = ChannelPolicy::kAuto;
   ReliabilityOptions reliability;
   /// Registry receiving the per-channel counters (spi_threaded_* — see
   /// docs/observability.md). Not owned; must outlive the instance.
@@ -156,11 +146,6 @@ class JobInstance {
   /// state without their own synchronization. Re-registering between
   /// runs is allowed (the serve layer rewires per batch).
   void set_compute(df::ActorId actor, ComputeFn fn);
-
-  /// Attaches a wall-clock trace recorder: every firing is recorded as a
-  /// span (tid = processor). Not owned; must outlive run(). Null
-  /// detaches.
-  void set_trace(obs::RuntimeTraceRecorder* trace) { trace_ = trace; }
 
   /// Attaches a flight recorder (docs/observability.md). The recorder's
   /// proc_count must cover the plan's. Not owned; must outlive run().
@@ -229,7 +214,6 @@ class JobInstance {
   [[nodiscard]] std::int64_t last_run_ns() const { return last_run_ns_; }
 
   [[nodiscard]] const ReliabilityOptions& reliability() const { return reliability_; }
-  [[nodiscard]] ChannelPolicy channel_policy() const { return policy_; }
   /// How many IPC edges ride the lock-free SPSC path.
   [[nodiscard]] std::int64_t spsc_channel_count() const { return spsc_count_; }
   [[nodiscard]] const ExecutablePlan& plan() const { return plan_; }
@@ -329,11 +313,9 @@ class JobInstance {
   const ExecutablePlan& plan_;
   const df::Graph& graph_;  ///< the VTS-converted graph
   ReliabilityOptions reliability_;
-  ChannelPolicy policy_ = ChannelPolicy::kAuto;
   std::string label_;
   std::unique_ptr<obs::MetricRegistry> owned_registry_;  ///< when none was provided
   obs::MetricRegistry* registry_ = nullptr;
-  obs::RuntimeTraceRecorder* trace_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   std::vector<ComputeFn> compute_;
   /// Per-edge local rings (touched only by the owning processor's

@@ -1,10 +1,12 @@
 #include "core/plan.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -122,6 +124,21 @@ struct JsonValue {
     std::vector<std::int64_t> values;
     values.reserve(as_array(what).size());
     for (const JsonValue& v : array) values.push_back(v.as_int(what));
+    return values;
+  }
+  /// as_int for 32-bit ids and counts: out-of-range values are rejected,
+  /// never wrapped into a different (possibly valid) id.
+  [[nodiscard]] std::int32_t as_int32(const char* what) const {
+    const std::int64_t value = as_int(what);
+    if (value < std::numeric_limits<std::int32_t>::min() ||
+        value > std::numeric_limits<std::int32_t>::max())
+      throw std::invalid_argument(std::string("ExecutablePlan: '") + what + "' is out of range");
+    return static_cast<std::int32_t>(value);
+  }
+  [[nodiscard]] std::vector<std::int32_t> as_int32_vector(const char* what) const {
+    std::vector<std::int32_t> values;
+    values.reserve(as_array(what).size());
+    for (const JsonValue& v : array) values.push_back(v.as_int32(what));
     return values;
   }
 };
@@ -602,7 +619,7 @@ ExecutablePlan ExecutablePlan::from_json(std::string_view text) {
 
   ExecutablePlan plan;
   plan.graph_name = root.at("graph").as_string("graph");
-  plan.proc_count = static_cast<std::int32_t>(root.at("processors").as_int("processors"));
+  plan.proc_count = root.at("processors").as_int32("processors");
   plan.messages_per_iteration =
       static_cast<std::size_t>(root.at("messages_per_iteration").as_int("messages_per_iteration"));
 
@@ -616,8 +633,7 @@ ExecutablePlan ExecutablePlan::from_json(std::string_view text) {
     report.mcm_before = r->at("mcm_before").as_double("mcm_before");
     report.mcm_after = r->at("mcm_after").as_double("mcm_after");
     if (const JsonValue* cycle = r->find("critical_cycle"))
-      for (std::int64_t t : cycle->as_int_vector("critical_cycle"))
-        report.critical_cycle.push_back(static_cast<std::int32_t>(t));
+      report.critical_cycle = cycle->as_int32_vector("critical_cycle");
     plan.resync = report;
   }
 
@@ -645,9 +661,9 @@ ExecutablePlan ExecutablePlan::from_json(std::string_view text) {
     plan.vts.graph.add_actor(a.at("name").as_string("actor.name"),
                              a.at("exec_cycles").as_int("actor.exec_cycles"));
   for (const JsonValue& e : vts.at("edges").as_array("vts.edges")) {
-    plan.vts.graph.connect(static_cast<df::ActorId>(e.at("src").as_int("edge.src")),
+    plan.vts.graph.connect(e.at("src").as_int32("edge.src"),
                            df::Rate::fixed(e.at("prod").as_int("edge.prod")),
-                           static_cast<df::ActorId>(e.at("snk").as_int("edge.snk")),
+                           e.at("snk").as_int32("edge.snk"),
                            df::Rate::fixed(e.at("cons").as_int("edge.cons")),
                            e.at("delay").as_int("edge.delay"),
                            e.at("token_bytes").as_int("edge.token_bytes"),
@@ -673,8 +689,8 @@ ExecutablePlan ExecutablePlan::from_json(std::string_view text) {
   std::vector<sched::Proc> proc_of_task;
   for (const JsonValue& t : sync.at("tasks").as_array("sync_graph.tasks")) {
     sched::TaskNode task;
-    task.actor = static_cast<df::ActorId>(t.at("actor").as_int("task.actor"));
-    task.firing = static_cast<std::int32_t>(t.at("firing").as_int("task.firing"));
+    task.actor = t.at("actor").as_int32("task.actor");
+    task.firing = t.at("firing").as_int32("task.firing");
     task.exec_cycles = t.at("exec_cycles").as_int("task.exec_cycles");
     task.name = t.at("name").as_string("task.name");
     tasks.push_back(std::move(task));
@@ -682,36 +698,31 @@ ExecutablePlan ExecutablePlan::from_json(std::string_view text) {
   }
   plan.sync_graph =
       sched::SyncGraph(std::move(tasks), std::move(proc_of_task),
-                       static_cast<std::int32_t>(sync.at("proc_count").as_int("proc_count")));
+                       sync.at("proc_count").as_int32("proc_count"));
   for (const JsonValue& e : sync.at("edges").as_array("sync_graph.edges")) {
     sched::SyncEdge edge;
-    edge.src = static_cast<std::int32_t>(e.at("src").as_int("sync_edge.src"));
-    edge.snk = static_cast<std::int32_t>(e.at("snk").as_int("sync_edge.snk"));
+    edge.src = e.at("src").as_int32("sync_edge.src");
+    edge.snk = e.at("snk").as_int32("sync_edge.snk");
     edge.delay = e.at("delay").as_int("sync_edge.delay");
     edge.kind = kind_from_name(e.at("kind").as_string("sync_edge.kind"));
     edge.dataflow_edge =
-        static_cast<df::EdgeId>(e.at("dataflow_edge").as_int("sync_edge.dataflow_edge"));
+        e.at("dataflow_edge").as_int32("sync_edge.dataflow_edge");
     edge.removed = e.at("removed").as_bool("sync_edge.removed");
     plan.sync_graph.add_edge(edge);
   }
 
   for (const JsonValue& p : root.at("proc_order").as_array("proc_order")) {
-    std::vector<std::int32_t> order;
-    for (std::int64_t t : p.as_int_vector("proc_order[p]"))
-      order.push_back(static_cast<std::int32_t>(t));
-    plan.proc_order.push_back(std::move(order));
+    plan.proc_order.push_back(p.as_int32_vector("proc_order[p]"));
   }
 
   for (const JsonValue& p : root.at("programs").as_array("programs")) {
     std::vector<FiringStep> program;
     for (const JsonValue& s : p.as_array("programs[p]")) {
       FiringStep step;
-      step.actor = static_cast<df::ActorId>(s.at("actor").as_int("step.actor"));
-      step.invocation = static_cast<std::int32_t>(s.at("invocation").as_int("step.invocation"));
-      for (std::int64_t e : s.at("in").as_int_vector("step.in"))
-        step.in_edges.push_back(static_cast<df::EdgeId>(e));
-      for (std::int64_t e : s.at("out").as_int_vector("step.out"))
-        step.out_edges.push_back(static_cast<df::EdgeId>(e));
+      step.actor = s.at("actor").as_int32("step.actor");
+      step.invocation = s.at("invocation").as_int32("step.invocation");
+      step.in_edges = s.at("in").as_int32_vector("step.in");
+      step.out_edges = s.at("out").as_int32_vector("step.out");
       program.push_back(std::move(step));
     }
     plan.programs.push_back(std::move(program));
@@ -719,7 +730,7 @@ ExecutablePlan ExecutablePlan::from_json(std::string_view text) {
 
   for (const JsonValue& c : root.at("channels").as_array("channels")) {
     ChannelSpec spec;
-    spec.edge = static_cast<df::EdgeId>(c.at("edge").as_int("channel.edge"));
+    spec.edge = c.at("edge").as_int32("channel.edge");
     spec.name = c.at("name").as_string("channel.name");
     const std::string& mode = c.at("mode").as_string("channel.mode");
     if (mode != "SPI_static" && mode != "SPI_dynamic")
@@ -787,6 +798,14 @@ void ExecutablePlan::validate() const {
       require(step.invocation >= 0 &&
                   step.invocation < repetitions.of(step.actor),
               "program step invocation exceeds the repetitions vector");
+      // JobInstance indexes its per-edge channels by these ids, so they
+      // must be exactly the actor's edges, in graph order.
+      const auto in = vts.graph.in_edges(step.actor);
+      const auto out = vts.graph.out_edges(step.actor);
+      require(std::equal(step.in_edges.begin(), step.in_edges.end(), in.begin(), in.end()),
+              "program step input edges are not its actor's input edges");
+      require(std::equal(step.out_edges.begin(), step.out_edges.end(), out.begin(), out.end()),
+              "program step output edges are not its actor's output edges");
     }
   }
   require(program_steps == pass.firings.size(),

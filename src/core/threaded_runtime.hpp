@@ -24,10 +24,8 @@
 /// Channel selection (docs/architecture.md): plain edges ride the
 /// lock-free zero-copy SpscChannel — a slab sized from the plan's
 /// equation-2 bound, no lock and no heap allocation in steady state.
-/// Reliability-enabled edges keep the mutex-based BlockingChannel, whose
-/// requeue/timeout semantics the retry protocol needs. ChannelPolicy
-/// can force the blocking fallback everywhere (parity tests, paranoid
-/// deployments).
+/// Reliability-enabled edges use the mutex-based BlockingChannel, whose
+/// requeue/timeout semantics the retry protocol needs.
 ///
 /// Actor compute functions are the same ComputeFn used by
 /// FunctionalRuntime, so an application wires up once and runs on either
@@ -49,8 +47,9 @@
 /// either a registry the caller provides (shared with the compile
 /// pipeline) or a private one. Message/byte counters are batched per
 /// firing, so the per-token hot path touches no atomics. Attach a
-/// RuntimeTraceRecorder to get wall-clock Chrome trace JSON of every
-/// firing, diffable in Perfetto against the timed simulator's trace of
+/// FlightRecorder to capture every firing, send, receive and park;
+/// obs::analyze_critical_path turns the log into a wall-clock Chrome
+/// trace that loads in Perfetto beside the timed simulator's trace of
 /// the same system.
 #pragma once
 
@@ -68,22 +67,14 @@ class ThreadedRuntime {
   /// outlive the runtime. Null = the runtime owns a private registry,
   /// reachable through metrics(). The plan must outlive the runtime.
   explicit ThreadedRuntime(const ExecutablePlan& plan, obs::MetricRegistry* metrics = nullptr)
-      : ThreadedRuntime(plan, ChannelPolicy::kAuto, ReliabilityOptions{}, metrics) {}
+      : ThreadedRuntime(plan, ReliabilityOptions{}, metrics) {}
 
   /// Reliable-transport variant: reliable interprocessor channels speak
   /// the sequenced retry protocol (spi_reliable_* counters), optionally
   /// over the fault plan in `reliability`.
   ThreadedRuntime(const ExecutablePlan& plan, ReliabilityOptions reliability,
                   obs::MetricRegistry* metrics = nullptr)
-      : ThreadedRuntime(plan, ChannelPolicy::kAuto, reliability, metrics) {}
-
-  /// Full-control variant: additionally picks the channel implementation
-  /// for plain edges (ChannelPolicy::kBlockingOnly forces the mutex
-  /// fallback everywhere — the parity tests compare both paths).
-  ThreadedRuntime(const ExecutablePlan& plan, ChannelPolicy policy,
-                  ReliabilityOptions reliability = {}, obs::MetricRegistry* metrics = nullptr)
-      : job_(plan, JobInstanceOptions{policy, reliability, metrics, {}}),
-        pool_(plan.programs.size()) {}
+      : job_(plan, JobInstanceOptions{reliability, metrics, {}}), pool_(plan.programs.size()) {}
 
   /// Convenience overloads running the facade's plan().
   explicit ThreadedRuntime(const SpiSystem& system, obs::MetricRegistry* metrics = nullptr)
@@ -98,11 +89,6 @@ class ThreadedRuntime {
   /// concurrently — they must not share mutable state without their own
   /// synchronization.
   void set_compute(df::ActorId actor, ComputeFn fn) { job_.set_compute(actor, std::move(fn)); }
-
-  /// Attaches a wall-clock trace recorder: every firing is recorded as a
-  /// span (tid = processor). Not owned; must outlive run(). Null
-  /// detaches.
-  void set_trace(obs::RuntimeTraceRecorder* trace) { job_.set_trace(trace); }
 
   /// Attaches a flight recorder (docs/observability.md): every firing,
   /// interprocessor send/receive and blocking wait becomes a causal
@@ -160,7 +146,6 @@ class ThreadedRuntime {
   [[nodiscard]] const ThreadedRunStats& stats() const { return job_.stats(); }
 
   [[nodiscard]] const ReliabilityOptions& reliability() const { return job_.reliability(); }
-  [[nodiscard]] ChannelPolicy channel_policy() const { return job_.channel_policy(); }
   /// How many IPC edges ride the lock-free SPSC path this run.
   [[nodiscard]] std::int64_t spsc_channel_count() const { return job_.spsc_channel_count(); }
 

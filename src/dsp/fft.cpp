@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "dsp/kernels.hpp"
-
 namespace spi::dsp {
 
 bool is_power_of_two(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
@@ -22,8 +20,8 @@ std::size_t next_power_of_two(std::size_t n) {
 
 namespace {
 
-/// Scalar reference transform (SPI_SCALAR_KERNELS). Recomputes wlen powers
-/// per butterfly — kept verbatim as the differential-testing baseline.
+/// Scalar reference transform. Recomputes wlen powers per butterfly —
+/// kept verbatim as the differential-testing baseline.
 void transform_scalar(std::span<Complex> data, bool inverse) {
   const std::size_t n = data.size();
 
@@ -176,15 +174,12 @@ void transform_vectorized(std::span<Complex> data, bool inverse) {
   }
 }
 
-void transform(std::span<Complex> data, bool inverse) {
-  const std::size_t n = data.size();
-  if (n == 0) return;
-  if (!is_power_of_two(n)) throw std::invalid_argument("fft: size must be a power of two");
-  if (n == 1 || scalar_kernels()) {
-    transform_scalar(data, inverse);
-    return;
-  }
-  transform_vectorized(data, inverse);
+/// Validates the size; false when there is nothing to transform (n <= 1
+/// is the identity).
+bool needs_transform(std::span<const Complex> data) {
+  if (data.size() > 1 && !is_power_of_two(data.size()))
+    throw std::invalid_argument("fft: size must be a power of two");
+  return data.size() > 1;
 }
 
 }  // namespace
@@ -199,8 +194,18 @@ void fft_plan_cache_clear() {
   plan_cache().clear();
 }
 
-void fft_inplace(std::span<Complex> data) { transform(data, /*inverse=*/false); }
-void ifft_inplace(std::span<Complex> data) { transform(data, /*inverse=*/true); }
+void fft_inplace(std::span<Complex> data) {
+  if (needs_transform(data)) transform_vectorized(data, /*inverse=*/false);
+}
+void ifft_inplace(std::span<Complex> data) {
+  if (needs_transform(data)) transform_vectorized(data, /*inverse=*/true);
+}
+void fft_inplace_reference(std::span<Complex> data) {
+  if (needs_transform(data)) transform_scalar(data, /*inverse=*/false);
+}
+void ifft_inplace_reference(std::span<Complex> data) {
+  if (needs_transform(data)) transform_scalar(data, /*inverse=*/true);
+}
 
 std::vector<Complex> fft(std::span<const Complex> data) {
   std::vector<Complex> out(data.begin(), data.end());

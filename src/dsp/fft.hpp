@@ -21,6 +21,13 @@ void fft_inplace(std::span<Complex> data);
 /// In-place inverse FFT (includes the 1/N normalization).
 void ifft_inplace(std::span<Complex> data);
 
+/// Scalar references for fft_inplace / ifft_inplace: the original
+/// butterflies with iterated w *= wlen twiddles. The production path's
+/// cached twiddles differ from them by a few ULP (fft.cpp documents the
+/// bound); the differential tests and the *Scalar benchmarks call these.
+void fft_inplace_reference(std::span<Complex> data);
+void ifft_inplace_reference(std::span<Complex> data);
+
 /// Out-of-place convenience wrappers.
 [[nodiscard]] std::vector<Complex> fft(std::span<const Complex> data);
 [[nodiscard]] std::vector<Complex> ifft(std::span<const Complex> data);

@@ -4,8 +4,6 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "dsp/kernels.hpp"
-
 namespace spi::dsp {
 
 namespace {
@@ -35,10 +33,14 @@ void fir_tap_outer(const double* sig, std::size_t offset, std::span<const double
 std::vector<double> fir_filter(std::span<const double> x, std::span<const double> taps) {
   if (taps.empty()) throw std::invalid_argument("fir_filter: empty taps");
   std::vector<double> y(x.size(), 0.0);
-  if (!scalar_kernels()) {
-    fir_tap_outer(x.data(), 0, taps, y);
-    return y;
-  }
+  fir_tap_outer(x.data(), 0, taps, y);
+  return y;
+}
+
+std::vector<double> fir_filter_reference(std::span<const double> x,
+                                         std::span<const double> taps) {
+  if (taps.empty()) throw std::invalid_argument("fir_filter: empty taps");
+  std::vector<double> y(x.size(), 0.0);
   for (std::size_t n = 0; n < x.size(); ++n) {
     double acc = 0.0;
     const std::size_t kmax = std::min(taps.size() - 1, n);
@@ -92,27 +94,37 @@ FirState::FirState(std::vector<double> taps) : taps_(std::move(taps)) {
   history_.assign(taps_.size() - 1, 0.0);
 }
 
-std::vector<double> FirState::process(std::span<const double> block) {
-  // Filter over [history | block] and emit only the block's span.
+std::vector<double> FirState::extend(std::span<const double> block) const {
   std::vector<double> extended;
   extended.reserve(history_.size() + block.size());
   extended.insert(extended.end(), history_.begin(), history_.end());
   extended.insert(extended.end(), block.begin(), block.end());
+  return extended;
+}
 
+std::vector<double> FirState::process(std::span<const double> block) {
+  // Filter over [history | block] and emit only the block's span.
   std::vector<double> y(block.size(), 0.0);
-  if (!scalar_kernels()) {
-    fir_tap_outer(extended.data(), history_.size(), taps_, y);
-  } else {
-    for (std::size_t n = 0; n < block.size(); ++n) {
-      const std::size_t pos = n + history_.size();
-      double acc = 0.0;
-      for (std::size_t k = 0; k < taps_.size() && k <= pos; ++k)
-        acc += taps_[k] * extended[pos - k];
-      y[n] = acc;
-    }
-  }
+  fir_tap_outer(extend(block).data(), history_.size(), taps_, y);
+  advance(block);
+  return y;
+}
 
-  // Slide the history window.
+std::vector<double> FirState::process_reference(std::span<const double> block) {
+  const std::vector<double> extended = extend(block);
+  std::vector<double> y(block.size(), 0.0);
+  for (std::size_t n = 0; n < block.size(); ++n) {
+    const std::size_t pos = n + history_.size();
+    double acc = 0.0;
+    for (std::size_t k = 0; k < taps_.size() && k <= pos; ++k)
+      acc += taps_[k] * extended[pos - k];
+    y[n] = acc;
+  }
+  advance(block);
+  return y;
+}
+
+void FirState::advance(std::span<const double> block) {
   if (block.size() >= history_.size()) {
     std::copy(block.end() - static_cast<std::ptrdiff_t>(history_.size()), block.end(),
               history_.begin());
@@ -120,7 +132,6 @@ std::vector<double> FirState::process(std::span<const double> block) {
     history_.erase(history_.begin(), history_.begin() + static_cast<std::ptrdiff_t>(block.size()));
     history_.insert(history_.end(), block.begin(), block.end());
   }
-  return y;
 }
 
 void FirState::reset() { history_.assign(history_.size(), 0.0); }

@@ -17,6 +17,12 @@ namespace spi::dsp {
 [[nodiscard]] std::vector<double> fir_filter(std::span<const double> x,
                                              std::span<const double> taps);
 
+/// Scalar reference for fir_filter: the n-outer direct form. The
+/// production tap-outer loop performs the same additions in the same
+/// order, so the two are bit-identical.
+[[nodiscard]] std::vector<double> fir_filter_reference(std::span<const double> x,
+                                                       std::span<const double> taps);
+
 /// Windowed-sinc lowpass design. `cutoff` is the normalized cutoff in
 /// (0, 0.5) (fraction of the sample rate); `taps` must be odd for a
 /// symmetric (linear-phase) filter.
@@ -40,10 +46,17 @@ class FirState {
 
   /// Filters one block, carrying history across calls.
   [[nodiscard]] std::vector<double> process(std::span<const double> block);
+  /// Scalar reference for process(), bit-identical to it.
+  [[nodiscard]] std::vector<double> process_reference(std::span<const double> block);
 
   void reset();
 
  private:
+  /// [history | block]: the signal one block is filtered over.
+  [[nodiscard]] std::vector<double> extend(std::span<const double> block) const;
+  /// Slides the history window past `block`.
+  void advance(std::span<const double> block);
+
   std::vector<double> taps_;
   std::vector<double> history_;  ///< last taps-1 input samples
 };

@@ -5,17 +5,15 @@
 #include <queue>
 #include <stdexcept>
 
-#include "dsp/kernels.hpp"
-
 namespace spi::dsp {
 
 void BitWriter::put_bits(std::uint32_t value, int count) {
   if (count < 0 || count > 32) throw std::invalid_argument("BitWriter: bad bit count");
-  if (!scalar_kernels()) {
-    put_bits64(value, count);
-    return;
-  }
-  // Scalar reference: one bit per pass (SPI_SCALAR_KERNELS).
+  put_bits64(value, count);
+}
+
+void BitWriter::put_bits_reference(std::uint32_t value, int count) {
+  if (count < 0 || count > 32) throw std::invalid_argument("BitWriter: bad bit count");
   for (int i = count - 1; i >= 0; --i) {
     const int bit = static_cast<int>((value >> i) & 1U);
     const std::size_t byte_index = bit_count_ / 8;
@@ -170,17 +168,15 @@ void HuffmanCode::build_canonical() {
   }
 }
 
-void HuffmanCode::encode(std::span<const std::size_t> symbols, BitWriter& out) const {
-  if (scalar_kernels()) {
-    // Scalar reference: one put_bits call (one bit-at-a-time append) per
-    // symbol.
-    for (std::size_t s : symbols) {
-      if (s >= lengths_.size() || lengths_[s] == 0)
-        throw std::invalid_argument("HuffmanCode::encode: symbol has no codeword");
-      out.put_bits(codes_[s], lengths_[s]);
-    }
-    return;
+void HuffmanCode::encode_reference(std::span<const std::size_t> symbols, BitWriter& out) const {
+  for (std::size_t s : symbols) {
+    if (s >= lengths_.size() || lengths_[s] == 0)
+      throw std::invalid_argument("HuffmanCode::encode: symbol has no codeword");
+    out.put_bits_reference(codes_[s], lengths_[s]);
   }
+}
+
+void HuffmanCode::encode(std::span<const std::size_t> symbols, BitWriter& out) const {
   // Table-driven packing: shift each codeword (codes_/lengths_ lookup, no
   // per-bit branching) into a 64-bit accumulator and flush whole words.
   // Concatenating MSB-first codewords commutes with the split into

@@ -12,7 +12,10 @@ namespace spi::dsp {
 /// MSB-first bit stream.
 class BitWriter {
  public:
+  /// Appends the low `count` (<= 32) bits of `value` MSB-first.
   void put_bits(std::uint32_t value, int count);
+  /// Scalar reference for put_bits: one bit per pass, byte-identical.
+  void put_bits_reference(std::uint32_t value, int count);
 
   /// Appends the low `count` bits of `value` MSB-first, up to 64 at a
   /// time. Produces the byte-identical stream of the equivalent put_bits
@@ -58,6 +61,9 @@ class HuffmanCode {
   /// Encodes a symbol sequence; throws std::invalid_argument for symbols
   /// without a codeword.
   void encode(std::span<const std::size_t> symbols, BitWriter& out) const;
+  /// Scalar reference for encode(): one put_bits_reference call per
+  /// symbol, byte-identical.
+  void encode_reference(std::span<const std::size_t> symbols, BitWriter& out) const;
 
   /// Decodes exactly `count` symbols.
   [[nodiscard]] std::vector<std::size_t> decode(BitReader& in, std::size_t count) const;

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dsp/kernels.hpp"
-
 namespace spi::dsp {
 
 Matrix Matrix::identity(std::size_t n) {
@@ -16,39 +14,42 @@ Matrix Matrix::identity(std::size_t n) {
 std::vector<double> Matrix::multiply(std::span<const double> x) const {
   if (x.size() != cols_) throw std::invalid_argument("Matrix::multiply: dimension mismatch");
   std::vector<double> y(rows_, 0.0);
-  if (!scalar_kernels()) {
-    // Four rows per pass: each row keeps its own accumulator (the same
-    // c-ascending addition order as the scalar path, so bit-identical),
-    // and the shared x[c] load plus four independent FMA chains give the
-    // vectorizer/scheduler real ILP to work with.
-    const double* a = data_.data();
-    std::size_t r = 0;
-    for (; r + 4 <= rows_; r += 4) {
-      const double* r0 = a + r * cols_;
-      const double* r1 = r0 + cols_;
-      const double* r2 = r1 + cols_;
-      const double* r3 = r2 + cols_;
-      double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-      for (std::size_t c = 0; c < cols_; ++c) {
-        const double xc = x[c];
-        a0 += r0[c] * xc;
-        a1 += r1[c] * xc;
-        a2 += r2[c] * xc;
-        a3 += r3[c] * xc;
-      }
-      y[r] = a0;
-      y[r + 1] = a1;
-      y[r + 2] = a2;
-      y[r + 3] = a3;
+  // Four rows per pass: each row keeps its own accumulator (the same
+  // c-ascending addition order as the scalar path, so bit-identical),
+  // and the shared x[c] load plus four independent FMA chains give the
+  // vectorizer/scheduler real ILP to work with.
+  const double* a = data_.data();
+  std::size_t r = 0;
+  for (; r + 4 <= rows_; r += 4) {
+    const double* r0 = a + r * cols_;
+    const double* r1 = r0 + cols_;
+    const double* r2 = r1 + cols_;
+    const double* r3 = r2 + cols_;
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    for (std::size_t c = 0; c < cols_; ++c) {
+      const double xc = x[c];
+      a0 += r0[c] * xc;
+      a1 += r1[c] * xc;
+      a2 += r2[c] * xc;
+      a3 += r3[c] * xc;
     }
-    for (; r < rows_; ++r) {
-      const double* row = a + r * cols_;
-      double acc = 0.0;
-      for (std::size_t c = 0; c < cols_; ++c) acc += row[c] * x[c];
-      y[r] = acc;
-    }
-    return y;
+    y[r] = a0;
+    y[r + 1] = a1;
+    y[r + 2] = a2;
+    y[r + 3] = a3;
   }
+  for (; r < rows_; ++r) {
+    const double* row = a + r * cols_;
+    double acc = 0.0;
+    for (std::size_t c = 0; c < cols_; ++c) acc += row[c] * x[c];
+    y[r] = acc;
+  }
+  return y;
+}
+
+std::vector<double> Matrix::multiply_reference(std::span<const double> x) const {
+  if (x.size() != cols_) throw std::invalid_argument("Matrix::multiply: dimension mismatch");
+  std::vector<double> y(rows_, 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {
     double acc = 0.0;
     for (std::size_t c = 0; c < cols_; ++c) acc += at(r, c) * x[c];

@@ -27,6 +27,8 @@ class Matrix {
 
   /// Matrix-vector product (x.size() must equal cols()).
   [[nodiscard]] std::vector<double> multiply(std::span<const double> x) const;
+  /// Scalar reference for multiply(): one row at a time, bit-identical.
+  [[nodiscard]] std::vector<double> multiply_reference(std::span<const double> x) const;
 
  private:
   std::size_t rows_ = 0;

@@ -14,13 +14,15 @@
 /// queue + batch + exec + reply == end-to-end, by construction, so the
 /// per-stage attribution always sums to the measured request latency.
 ///
-/// Cost model (the serve bench enforces < 2% traced-vs-bare regression):
+/// Cost model (measured as derived.serve_trace_overhead_pct in
+/// BENCH_results.json; bench/perf_smoke.sh gates it):
 ///
 ///  * every completed request: a handful of relaxed counter adds into
 ///    cached per-tenant instruments (spi_serve_stage_ns_total{tenant,
 ///    stage} et al) — complete accounting, no sampling error in totals;
-///  * head-sampled requests (1 in sample_every, decided at ingest from
-///    the span id): a full span copy into a bounded overwrite ring plus
+///  * head-sampled requests (1 in sample_every, decided at ingest from a
+///    mixed hash of the span id, so no tenant interleave aliases with
+///    the period): a full span copy into a bounded overwrite ring plus
 ///    per-stage histogram observations;
 ///  * tail outliers: the slowest-N reservoir captures a span regardless
 ///    of the sampling decision — the requests worth debugging are never
@@ -89,8 +91,9 @@ struct StoredRequestSpan {
 
 struct RequestTracerOptions {
   bool enabled = true;
-  /// Head-sampling period: 1 span in `sample_every` is kept in the ring
-  /// (and observed into the per-stage histograms). Clamped to >= 1.
+  /// Head-sampling rate: on average 1 span in `sample_every` is kept in
+  /// the ring (and observed into the per-stage histograms). Clamped to
+  /// >= 1; 1 keeps every span.
   std::int64_t sample_every = 64;
   /// Bounded ring of recent sampled spans (oldest overwritten).
   std::size_t ring_capacity = 512;
@@ -135,8 +138,19 @@ class RequestTracer {
   /// Allocates the next span id (1-based). The sampling decision is a
   /// pure function of the id — "head" sampling: decided at ingest.
   [[nodiscard]] std::uint64_t begin_span();
+  /// Keeps the span when a mixed hash of its id is 0 mod sample_every.
+  /// Sampling `id % sample_every` directly would alias with any
+  /// round robin of tenants whose period divides sample_every, leaving
+  /// some tenants with no sampled span at all; the mix (the splitmix64
+  /// finalizer) spreads consecutive ids so every tenant of any
+  /// interleave is sampled at the same rate.
   [[nodiscard]] bool is_sampled(std::uint64_t id) const {
-    return options_.enabled && (id - 1) % static_cast<std::uint64_t>(sample_every_) == 0;
+    return options_.enabled && mix_span_id(id) % static_cast<std::uint64_t>(sample_every_) == 0;
+  }
+  [[nodiscard]] static std::uint64_t mix_span_id(std::uint64_t id) {
+    id = (id ^ (id >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    id = (id ^ (id >> 27)) * 0x94d049bb133111ebULL;
+    return id ^ (id >> 31);
   }
 
   /// Resolves (and caches) the instrument handles for `tenant`; returns

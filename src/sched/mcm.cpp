@@ -369,10 +369,4 @@ McmResult max_cycle_ratio_lawler(std::size_t node_count, const std::vector<McmAr
   return result;
 }
 
-McmResult max_cycle_ratio(std::size_t node_count, const std::vector<McmArc>& arcs,
-                          McmAlgorithm algorithm) {
-  return algorithm == McmAlgorithm::kHoward ? max_cycle_ratio_howard(node_count, arcs)
-                                            : max_cycle_ratio_lawler(node_count, arcs);
-}
-
 }  // namespace spi::sched

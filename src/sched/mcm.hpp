@@ -7,7 +7,7 @@
 /// cycle *ratio* problem where node exec times are attributed to outgoing
 /// arcs. Two solvers are provided:
 ///
-///  * Howard's policy iteration (the default): the empirically fastest
+///  * Howard's policy iteration (the production solver): the empirically fastest
 ///    known MCR algorithm (Dasdan's survey). A policy picks one outgoing
 ///    arc per node; the induced functional graph is evaluated exactly
 ///    (every policy cycle's ratio plus node potentials) and then greedily
@@ -16,8 +16,9 @@
 ///    sweeps, each O(V + E) — versus the ~64 Bellman–Ford passes of the
 ///    binary search it replaces.
 ///  * Lawler's binary search over Bellman–Ford feasibility checks — the
-///    historical solver, retained as a differential-test oracle
-///    (tests/test_mcm.cpp) and selectable via McmAlgorithm::kLawler.
+///    historical solver, retained as the differential-test oracle
+///    (tests/test_mcm.cpp) and as HowardSolver's fallback should policy
+///    iteration ever fail to converge.
 ///
 /// Both return a *witness*: the critical cycle (node sequence plus the
 /// arc indices realizing it) whose exact ratio is the reported MCM, so
@@ -51,11 +52,6 @@ struct McmResult {
   std::vector<std::size_t> cycle_arcs;  ///< indices into the input arc list
 };
 
-enum class McmAlgorithm : std::uint8_t {
-  kHoward,  ///< policy iteration (default)
-  kLawler,  ///< binary search oracle
-};
-
 /// Exact ratio (total weight / total delay) of the witness cycle in
 /// `result` re-evaluated against `arcs`; 0 for an empty witness.
 [[nodiscard]] double witness_ratio(const McmResult& result, const std::vector<McmArc>& arcs);
@@ -72,10 +68,6 @@ enum class McmAlgorithm : std::uint8_t {
 /// exact ratio.
 [[nodiscard]] McmResult max_cycle_ratio_lawler(std::size_t node_count,
                                                const std::vector<McmArc>& arcs);
-
-/// Dispatch on the algorithm flag.
-[[nodiscard]] McmResult max_cycle_ratio(std::size_t node_count, const std::vector<McmArc>& arcs,
-                                        McmAlgorithm algorithm = McmAlgorithm::kHoward);
 
 /// Incremental wrapper for callers that probe many single-arc edits of
 /// the same graph (the resynchronizer's preserve-throughput check): the

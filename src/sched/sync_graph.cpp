@@ -71,11 +71,9 @@ bool SyncGraph::is_deadlock_free() const {
   return df::topological_order(zero).has_value();
 }
 
-double SyncGraph::max_cycle_mean(McmAlgorithm algorithm) const {
-  return max_cycle_mean_witness(algorithm).mcm;
-}
+double SyncGraph::max_cycle_mean() const { return max_cycle_mean_witness().mcm; }
 
-McmResult SyncGraph::max_cycle_mean_witness(McmAlgorithm algorithm) const {
+McmResult SyncGraph::max_cycle_mean_witness() const {
   if (!is_deadlock_free())
     throw std::logic_error("SyncGraph::max_cycle_mean: zero-delay cycle (deadlock)");
 
@@ -93,7 +91,7 @@ McmResult SyncGraph::max_cycle_mean_witness(McmAlgorithm algorithm) const {
                           e.delay});
     edge_of_arc.push_back(i);
   }
-  McmResult result = max_cycle_ratio(tasks_.size(), arcs, algorithm);
+  McmResult result = max_cycle_ratio_howard(tasks_.size(), arcs);
   for (std::size_t& a : result.cycle_arcs) a = edge_of_arc[a];
   return result;
 }

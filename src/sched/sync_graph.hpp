@@ -98,14 +98,12 @@ class SyncGraph {
   /// Maximum cycle mean: max over cycles of (sum of task exec times) /
   /// (sum of edge delays) — the asymptotic iteration period of self-timed
   /// execution. Returns 0 for acyclic graphs. Solved with Howard's policy
-  /// iteration by default (mcm.hpp); kLawler selects the binary-search
-  /// oracle.
-  [[nodiscard]] double max_cycle_mean(McmAlgorithm algorithm = McmAlgorithm::kHoward) const;
+  /// iteration (mcm.hpp).
+  [[nodiscard]] double max_cycle_mean() const;
 
   /// As max_cycle_mean(), but also returns the witness critical cycle:
   /// cycle_nodes are task ids, cycle_arcs are indices into edges().
-  [[nodiscard]] McmResult max_cycle_mean_witness(
-      McmAlgorithm algorithm = McmAlgorithm::kHoward) const;
+  [[nodiscard]] McmResult max_cycle_mean_witness() const;
 
  private:
   std::vector<TaskNode> tasks_;

@@ -258,7 +258,7 @@ struct PlanServer::Model {
         plan_key(app.system().plan().content_hash_hex()),
         flight(app.system().plan().proc_count),
         instance(app.system().plan(),
-                 core::JobInstanceOptions{core::ChannelPolicy::kAuto, {}, &metrics, name}),
+                 core::JobInstanceOptions{{}, &metrics, name}),
         batches(metrics.counter("spi_serve_batches_total", {{"app", name}})),
         batch_jobs(metrics.histogram("spi_serve_batch_jobs",
                                      obs::Histogram::exponential_bounds(1.0, 2.0, 11),

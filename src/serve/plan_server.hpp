@@ -23,7 +23,7 @@
 /// (HTTP/1.1 pipelining + BatchHandler + JobInstance::run_colocated)
 /// rather than to context-switch between worker threads. Every request
 /// is serialized through the poll thread, which is what makes the
-/// single-threaded JobQueue/BufferPool contracts sound.
+/// single-threaded JobQueue contract sound.
 #pragma once
 
 #include <cstdint>
@@ -69,8 +69,8 @@ struct PlanServerOptions {
   std::string flight_dump_dir;
   obs::MetricRegistry* metrics = nullptr;  ///< optional external registry
   /// Request-lifecycle tracing (GET /trace, /tenants — see
-  /// obs/request_trace.hpp). On by default; the serve bench holds the
-  /// traced-vs-bare throughput regression under 2%.
+  /// obs/request_trace.hpp). On by default; its cost is
+  /// derived.serve_trace_overhead_pct in BENCH_results.json.
   obs::RequestTracerOptions trace;
 };
 

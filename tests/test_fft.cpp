@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "dsp/kernels.hpp"
 #include "dsp/rng.hpp"
 
 namespace spi::dsp {
@@ -119,14 +118,6 @@ TEST(PowerSpectrum, PadsAndSquares) {
 }
 
 
-/// Restores the default (vectorized) kernel path on scope exit so a
-/// failing differential test cannot leak the scalar override into the
-/// rest of the binary.
-struct ScalarKernelGuard {
-  ScalarKernelGuard() { set_scalar_kernels(true); }
-  ~ScalarKernelGuard() { set_scalar_kernels(false); }
-};
-
 // The cached-twiddle SoA path is the one documented ULP exception to
 // the bit-identity rule: its direct cos/sin twiddles differ from the
 // scalar reference's iterated w *= wlen recurrence by a few ULP. The
@@ -138,12 +129,10 @@ TEST(Fft, VectorizedMatchesScalarReferenceWithinUlp) {
     std::vector<Complex> x(n);
     for (auto& v : x) v = Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
 
-    std::vector<Complex> scalar_fwd, scalar_inv;
-    {
-      ScalarKernelGuard scalar;
-      scalar_fwd = fft(x);
-      scalar_inv = ifft(scalar_fwd);
-    }
+    std::vector<Complex> scalar_fwd = x;
+    fft_inplace_reference(scalar_fwd);
+    std::vector<Complex> scalar_inv = scalar_fwd;
+    ifft_inplace_reference(scalar_inv);
     const auto vec_fwd = fft(x);
     const auto vec_inv = ifft(vec_fwd);
     expect_close(vec_fwd, scalar_fwd, 1e-10);

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "dsp/kernels.hpp"
 #include "dsp/rng.hpp"
 
 namespace spi::dsp {
@@ -106,14 +105,6 @@ TEST(FirState, ResetClearsHistory) {
 }
 
 
-/// Restores the default (vectorized) kernel path on scope exit so a
-/// failing differential test cannot leak the scalar override into the
-/// rest of the binary.
-struct ScalarKernelGuard {
-  ScalarKernelGuard() { set_scalar_kernels(true); }
-  ~ScalarKernelGuard() { set_scalar_kernels(false); }
-};
-
 // The tap-outer vectorized path performs the same additions in the
 // same k-ascending order per output sample as the scalar reference, so
 // the streams must match bit for bit — including across uneven blocks
@@ -124,17 +115,14 @@ TEST(Fir, VectorizedMatchesScalarReferenceBitExact) {
   for (auto& t : taps) t = rng.uniform(-1, 1);
   for (auto& v : x) v = rng.uniform(-1, 1);
 
-  std::vector<double> scalar_whole, scalar_blocked;
-  {
-    ScalarKernelGuard scalar;
-    scalar_whole = fir_filter(x, taps);
-    FirState state(taps);
-    for (std::size_t pos = 0; pos < x.size();) {
-      const std::size_t size = std::min<std::size_t>(113, x.size() - pos);
-      const auto chunk = state.process(std::span(x).subspan(pos, size));
-      scalar_blocked.insert(scalar_blocked.end(), chunk.begin(), chunk.end());
-      pos += size;
-    }
+  const std::vector<double> scalar_whole = fir_filter_reference(x, taps);
+  std::vector<double> scalar_blocked;
+  FirState scalar_state(taps);
+  for (std::size_t pos = 0; pos < x.size();) {
+    const std::size_t size = std::min<std::size_t>(113, x.size() - pos);
+    const auto chunk = scalar_state.process_reference(std::span(x).subspan(pos, size));
+    scalar_blocked.insert(scalar_blocked.end(), chunk.begin(), chunk.end());
+    pos += size;
   }
 
   EXPECT_EQ(fir_filter(x, taps), scalar_whole);

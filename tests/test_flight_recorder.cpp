@@ -12,6 +12,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/spi_system.hpp"
+#include "core/threaded_runtime.hpp"
+#include "obs/critical_path.hpp"
 #include "obs/metrics.hpp"
 
 namespace spi::obs {
@@ -198,6 +201,64 @@ TEST(FlightLog, FromJsonRejectsMalformedInput) {
   FlightLog bad = ok;
   bad.events[0].proc = 5;
   EXPECT_THROW(FlightLog::from_json(bad.to_json()), std::invalid_argument);
+}
+
+/// The flight recorder is the one wall-clock trace producer: a threaded
+/// run of a 3-processor pipeline logs exactly one kFireBegin/kFireEnd
+/// pair per firing, and the Chrome trace spi_compile --trace-out writes
+/// from that log names every actor's compute slices.
+TEST(FlightRecorder, ThreadedRuntimeRecordsOneFirePairPerFiring) {
+  constexpr std::int64_t kIterations = 40;
+  df::Graph g{"parity"};
+  const df::ActorId a = g.add_actor("Alpha", 10);
+  const df::ActorId b = g.add_actor("Beta", 20);
+  const df::ActorId c = g.add_actor("Gamma", 5);
+  g.connect_simple(a, b, 0, 16);
+  g.connect_simple(b, c, 0, 16);
+  sched::Assignment assignment{3, 3};
+  assignment.assign(b, 1);
+  assignment.assign(c, 2);
+  const core::SpiSystem system(g, assignment);
+
+  core::ThreadedRuntime runtime(system);
+  FlightRecorder recorder(3);
+  runtime.set_flight_recorder(&recorder);
+  runtime.run(kIterations);
+  const FlightLog log = recorder.collect();
+  EXPECT_EQ(log.dropped, 0);
+
+  // Per processor, firings never nest: each begin is closed by the end
+  // of the same actor and iteration before the next begin.
+  std::int64_t begins = 0, ends = 0;
+  std::vector<const FlightEvent*> open(3, nullptr);
+  for (const FlightEvent& e : log.events) {
+    if (e.kind != FlightEventKind::kFireBegin && e.kind != FlightEventKind::kFireEnd) continue;
+    ASSERT_GE(e.proc, 0);
+    ASSERT_LT(e.proc, 3);
+    EXPECT_GE(e.iteration, 0);
+    EXPECT_LT(e.iteration, kIterations);
+    const FlightEvent*& pending = open[static_cast<std::size_t>(e.proc)];
+    if (e.kind == FlightEventKind::kFireBegin) {
+      ++begins;
+      EXPECT_EQ(pending, nullptr) << "nested firing on proc " << e.proc;
+      pending = &e;
+    } else {
+      ++ends;
+      ASSERT_NE(pending, nullptr) << "end without begin on proc " << e.proc;
+      EXPECT_EQ(pending->actor, e.actor);
+      EXPECT_EQ(pending->iteration, e.iteration);
+      EXPECT_GE(e.t, pending->t);
+      pending = nullptr;
+    }
+  }
+  EXPECT_EQ(begins, 3 * kIterations);
+  EXPECT_EQ(ends, 3 * kIterations);
+
+  const std::string chrome = analyze_critical_path(log).to_chrome_trace_json(log);
+  for (const char* actor : {"Alpha", "Beta", "Gamma"})
+    EXPECT_NE(chrome.find(std::string("{\"name\":\"") + actor + "\",\"cat\":\"compute\""),
+              std::string::npos)
+        << actor;
 }
 
 }  // namespace

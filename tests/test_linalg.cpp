@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "dsp/kernels.hpp"
 #include "dsp/rng.hpp"
 
 namespace spi::dsp {
@@ -102,14 +101,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LuProperty,
                          ::testing::Values(101, 202, 303, 404, 505, 606, 707, 808));
 
 
-/// Restores the default (vectorized) kernel path on scope exit so a
-/// failing differential test cannot leak the scalar override into the
-/// rest of the binary.
-struct ScalarKernelGuard {
-  ScalarKernelGuard() { set_scalar_kernels(true); }
-  ~ScalarKernelGuard() { set_scalar_kernels(false); }
-};
-
 // The 4-row-blocked matvec keeps each row's accumulation order
 // unchanged (independent accumulators, one per row), so the result is
 // bit-identical to the scalar reference — including the remainder rows
@@ -122,12 +113,7 @@ TEST(Matrix, VectorizedMultiplyMatchesScalarBitExact) {
   std::vector<double> x(m.cols());
   for (auto& v : x) v = rng.uniform(-1, 1);
 
-  std::vector<double> scalar_y;
-  {
-    ScalarKernelGuard scalar;
-    scalar_y = m.multiply(x);
-  }
-  EXPECT_EQ(m.multiply(x), scalar_y);
+  EXPECT_EQ(m.multiply(x), m.multiply_reference(x));
 }
 }  // namespace
 }  // namespace spi::dsp

@@ -98,7 +98,6 @@ TEST(Mcm, ZeroDelayCycleThrowsAtSyncGraphLevel) {
   g.add_edge(SyncEdge{0, 1, 0, SyncEdgeKind::kIpc, df::kInvalidEdge, false});
   g.add_edge(SyncEdge{1, 0, 0, SyncEdgeKind::kIpc, df::kInvalidEdge, false});
   EXPECT_THROW((void)g.max_cycle_mean(), std::logic_error);
-  EXPECT_THROW((void)g.max_cycle_mean(McmAlgorithm::kLawler), std::logic_error);
 }
 
 /// The tentpole differential test: Howard against the Lawler oracle on

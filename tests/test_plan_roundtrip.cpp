@@ -156,6 +156,56 @@ TEST(PlanRoundTrip, ValidateRejectsCorruptPlans) {
   }
 }
 
+/// A program step's edge lists are what JobInstance::fire indexes its
+/// per-edge channels with: a loaded plan whose step names an edge past
+/// the graph, another actor's edge, or an id that only fits after 32-bit
+/// wraparound must be rejected, never executed.
+TEST(PlanRoundTrip, ValidateRejectsStepEdgesOutsideTheActor) {
+  df::Graph g("steps");
+  const df::ActorId a = g.add_actor("A", 10);
+  const df::ActorId b = g.add_actor("B", 20);
+  const df::ActorId c = g.add_actor("C", 5);
+  g.connect_simple(a, b, 0, 8);
+  g.connect_simple(b, c, 0, 8);
+  sched::Assignment assignment(3, 3);
+  assignment.assign(b, 1);
+  assignment.assign(c, 2);
+  const core::ExecutablePlan plan = core::compile_plan(g, assignment);
+  const std::string json = plan.to_json();
+  const std::string step_b = "{\"actor\": 1, \"invocation\": 0, \"in\": [0], \"out\": [1]}";
+  const std::size_t at = json.find(step_b);
+  ASSERT_NE(at, std::string::npos) << "step encoding changed; update this test";
+
+  const auto tampered = [&](const std::string& in, const std::string& out) {
+    std::string text = json;
+    text.replace(at, step_b.size(),
+                 "{\"actor\": 1, \"invocation\": 0, \"in\": " + in + ", \"out\": " + out + "}");
+    return text;
+  };
+  const std::string edge_count = std::to_string(plan.vts.graph.edge_count());
+  ASSERT_NO_THROW((void)core::ExecutablePlan::from_json(tampered("[0]", "[1]")));
+  EXPECT_THROW((void)core::ExecutablePlan::from_json(tampered("[" + edge_count + "]", "[1]")),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::ExecutablePlan::from_json(tampered("[0]", "[" + edge_count + "]")),
+               std::invalid_argument);
+  // Edge 1 is C's input, edge 0 is A's output.
+  EXPECT_THROW((void)core::ExecutablePlan::from_json(tampered("[1]", "[1]")),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::ExecutablePlan::from_json(tampered("[0]", "[0]")),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::ExecutablePlan::from_json(tampered("[]", "[1]")),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::ExecutablePlan::from_json(tampered("[0, 0]", "[1]")),
+               std::invalid_argument);
+  // 2^32 wraps to edge 0 under an unchecked narrowing.
+  EXPECT_THROW((void)core::ExecutablePlan::from_json(tampered("[4294967296]", "[1]")),
+               std::invalid_argument);
+
+  core::ExecutablePlan broken = plan;
+  broken.programs[1].front().in_edges = {static_cast<df::EdgeId>(plan.vts.graph.edge_count())};
+  EXPECT_THROW(broken.validate(), std::invalid_argument);
+}
+
 TEST(PlanRoundTrip, FromJsonRejectsMalformedDocuments) {
   EXPECT_THROW((void)core::ExecutablePlan::from_json(""), std::invalid_argument);
   EXPECT_THROW((void)core::ExecutablePlan::from_json("{"), std::invalid_argument);

@@ -2,7 +2,6 @@
 
 #include "dsp/huffman.hpp"
 #include "dsp/quantize.hpp"
-#include "dsp/kernels.hpp"
 #include "dsp/rng.hpp"
 
 namespace spi::dsp {
@@ -197,14 +196,6 @@ TEST_P(HuffmanProperty, RandomRoundTripsAndOptimality) {
 INSTANTIATE_TEST_SUITE_P(Seeds, HuffmanProperty, ::testing::Values(2, 4, 8, 16, 32, 64, 128));
 
 
-/// Restores the default (vectorized) kernel path on scope exit so a
-/// failing differential test cannot leak the scalar override into the
-/// rest of the binary.
-struct ScalarKernelGuard {
-  ScalarKernelGuard() { set_scalar_kernels(true); }
-  ~ScalarKernelGuard() { set_scalar_kernels(false); }
-};
-
 // The word-at-a-time bit packer must produce the byte-identical stream
 // of the equivalent bit-by-bit put_bits sequence, for codeword
 // sequences and for raw put_bits64 calls at every alignment.
@@ -217,10 +208,7 @@ TEST(Huffman, VectorizedEncodeMatchesScalarByteExact) {
     s = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(freq.size()) - 1));
 
   BitWriter scalar_out;
-  {
-    ScalarKernelGuard scalar;
-    code.encode(symbols, scalar_out);
-  }
+  code.encode_reference(symbols, scalar_out);
   BitWriter vectorized_out;
   code.encode(symbols, vectorized_out);
   EXPECT_EQ(vectorized_out.bit_count(), scalar_out.bit_count());
@@ -240,10 +228,7 @@ TEST(BitStream, PutBits64MatchesPutBitsStream) {
   }
 
   BitWriter bitwise, wordwise;
-  for (const auto& [value, count] : chunks) {
-    ScalarKernelGuard scalar;  // force the bit-by-bit reference path
-    bitwise.put_bits(value, count);
-  }
+  for (const auto& [value, count] : chunks) bitwise.put_bits_reference(value, count);
   for (const auto& [value, count] : chunks) wordwise.put_bits64(value, count);
   EXPECT_EQ(wordwise.bytes(), bitwise.bytes());
   EXPECT_EQ(wordwise.bit_count(), bitwise.bit_count());

@@ -1,6 +1,6 @@
 /// \file test_request_trace.cpp
 /// Unit tests for the request-lifecycle tracer (obs/request_trace.hpp):
-/// head-sampling cadence, ring wrap, the slowest-N outlier reservoir,
+/// head-sampling rate and per-tenant coverage, ring wrap, the slowest-N outlier reservoir,
 /// the tenant-cardinality cap, batch-vs-single completion equivalence,
 /// flight-bridge pacing and the /trace JSON shape. The companion serve
 /// integration tests (test_serve.cpp) exercise the same tracer through
@@ -46,16 +46,51 @@ TEST(RequestSpanTest, StagesTileEndToEnd) {
   EXPECT_EQ(span.e2e_ns(), 12'345);
 }
 
-TEST(RequestTracerTest, HeadSamplingIsPeriodicFromSpanOne) {
+TEST(RequestTracerTest, HeadSamplingHashesTheSpanIdAtTheConfiguredRate) {
   MetricRegistry registry;
   RequestTracerOptions options;
-  options.sample_every = 4;
+  options.sample_every = 64;
   RequestTracer tracer(options, registry);
-  std::vector<bool> sampled;
-  for (int i = 0; i < 9; ++i) sampled.push_back(tracer.is_sampled(tracer.begin_span()));
-  EXPECT_EQ(sampled, (std::vector<bool>{true, false, false, false, true, false, false, false,
-                                        true}));
-  EXPECT_EQ(tracer.requests_total(), 9);
+  constexpr int kSpans = 64 * 1024;
+  int sampled = 0;
+  for (int i = 0; i < kSpans; ++i) {
+    const std::uint64_t id = tracer.begin_span();
+    const bool keep = tracer.is_sampled(id);
+    // A pure function of the id: the hash rule, nothing stateful.
+    EXPECT_EQ(keep, RequestTracer::mix_span_id(id) % 64 == 0) << "id " << id;
+    sampled += keep ? 1 : 0;
+  }
+  EXPECT_EQ(tracer.requests_total(), kSpans);
+  // 1 in 64 on average: 1024 expected, well inside +-20%.
+  EXPECT_GT(sampled, 1024 * 8 / 10);
+  EXPECT_LT(sampled, 1024 * 12 / 10);
+}
+
+/// The rollup of every tenant of a round robin reports nonzero
+/// quantiles. Sampling (id - 1) % 64 kept only the first tenant of any
+/// round robin whose period divides 64: the others read p50 = p99 = 0.
+TEST(RequestTracerTest, RoundRobinTenantsAllGetNonzeroQuantiles) {
+  for (const int tenants : {2, 4, 8}) {
+    MetricRegistry registry;
+    RequestTracerOptions options;
+    options.sample_every = 64;
+    RequestTracer tracer(options, registry);
+    std::vector<TenantSeries*> series;
+    for (int t = 0; t < tenants; ++t)
+      series.push_back(tracer.tenant_series("t" + std::to_string(t)));
+    for (int i = 0; i < tenants * 64 * 16; ++i) {
+      const std::uint64_t id = tracer.begin_span();
+      const std::string tenant = "t" + std::to_string(i % tenants);
+      tracer.complete(*series[static_cast<std::size_t>(i % tenants)],
+                      make_span(id, 10'000, tracer.is_sampled(id)), tenant, "speech");
+    }
+    for (int t = 0; t < tenants; ++t) {
+      const TenantSeries& s = *series[static_cast<std::size_t>(t)];
+      EXPECT_GT(s.e2e_seconds->count(), 0) << tenants << " tenants, t" << t;
+      EXPECT_GT(s.e2e_seconds->quantile(0.50), 0.0) << tenants << " tenants, t" << t;
+      EXPECT_GT(s.e2e_seconds->quantile(0.99), 0.0) << tenants << " tenants, t" << t;
+    }
+  }
 }
 
 TEST(RequestTracerTest, OptionClampsAndDisabledTracer) {
@@ -157,10 +192,14 @@ TEST(RequestTracerTest, CompleteBatchMatchesPerSpanCompletion) {
 
   // One drained batch = identical spans, distinct ids (1..5).
   const std::vector<std::uint64_t> ids = {1, 2, 3, 4, 5};
+  std::int64_t sampled = 0;
   for (const std::uint64_t id : ids) {
-    RequestSpan span = make_span(id, 10'000, (id - 1) % 2 == 0);
+    RequestSpan span = make_span(id, 10'000, single.is_sampled(id));
+    sampled += span.sampled ? 1 : 0;
     single.complete(*ss, span, "t0", "speech");
   }
+  ASSERT_GT(sampled, 0) << "the batch should mix sampled and unsampled ids";
+  ASSERT_LT(sampled, 5) << "the batch should mix sampled and unsampled ids";
   batch.complete_batch(*bs, make_span(0, 10'000, false), ids, "t0", "speech");
 
   EXPECT_EQ(ss->requests->value(), bs->requests->value());
@@ -169,7 +208,7 @@ TEST(RequestTracerTest, CompleteBatchMatchesPerSpanCompletion) {
   for (std::size_t k = 0; k < kRequestStageCount; ++k)
     EXPECT_EQ(ss->stage_ns[k]->value(), bs->stage_ns[k]->value()) << "stage " << k;
   EXPECT_EQ(single.sampled_total(), batch.sampled_total());
-  EXPECT_EQ(batch.sampled_total(), 3) << "ids 1, 3, 5 head-sample at every-2";
+  EXPECT_EQ(batch.sampled_total(), sampled);
   EXPECT_EQ(ss->e2e_ns->value(), 50'000);
 }
 
@@ -181,9 +220,8 @@ TEST(RequestTracerTest, CompleteBatchCounts429AndOffersOutlierWhenUnsampled) {
   RequestTracer tracer(options, registry);
   TenantSeries* series = tracer.tenant_series("t0");
 
-  // Span id 1 always head-samples ((id - 1) % N == 0), so an entirely
-  // unsampled batch starts at id 2.
   const std::vector<std::uint64_t> ids = {2, 3, 4};
+  for (const std::uint64_t id : ids) ASSERT_FALSE(tracer.is_sampled(id));
   tracer.complete_batch(*series, make_span(0, 80'000, false, 429), ids, "t0", "speech");
   EXPECT_EQ(series->rejects->value(), 3);
   EXPECT_EQ(tracer.sampled_total(), 0);

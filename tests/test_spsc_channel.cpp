@@ -236,22 +236,18 @@ TEST(ThreadedRuntimeChannels, PolicySelectsSpscForPlainEdges) {
   params.max_frame_size = 256;
   const apps::ErrorGenApp app(2, params);
 
-  const ThreadedRuntime auto_rt(app.system().plan(), ChannelPolicy::kAuto);
-  EXPECT_GT(auto_rt.spsc_channel_count(), 0);
+  const ThreadedRuntime plain_rt(app.system().plan());
+  EXPECT_GT(plain_rt.spsc_channel_count(), 0);
 
-  const ThreadedRuntime blocking_rt(app.system().plan(), ChannelPolicy::kBlockingOnly);
-  EXPECT_EQ(blocking_rt.spsc_channel_count(), 0);
-
-  // Reliability claims its edges for the blocking protocol channel even
-  // under kAuto.
+  // Reliability claims its edges for the blocking protocol channel.
   ReliabilityOptions reliability;
   reliability.enabled = true;
-  const ThreadedRuntime reliable_rt(app.system().plan(), ChannelPolicy::kAuto, reliability);
+  const ThreadedRuntime reliable_rt(app.system().plan(), reliability);
   EXPECT_EQ(reliable_rt.spsc_channel_count(), 0);
 }
 
 /// Plan-parity: the speech app produces bit-identical error values on
-/// the SPSC path, the blocking fallback and the sequential reference.
+/// the SPSC path and the sequential reference.
 TEST(ThreadedRuntimeChannels, SpeechAppBitIdenticalAcrossChannelPolicies) {
   apps::SpeechParams params;
   params.frame_size = 128;
@@ -265,22 +261,16 @@ TEST(ThreadedRuntimeChannels, SpeechAppBitIdenticalAcrossChannelPolicies) {
   const std::vector<double> coeffs = reference.frame_coefficients(frame);
 
   const std::vector<double> parallel = app.compute_errors_parallel(frame, coeffs);
-  const std::vector<double> spsc =
-      app.compute_errors_threaded(frame, coeffs, {}, nullptr, ChannelPolicy::kAuto);
-  const std::vector<double> blocking =
-      app.compute_errors_threaded(frame, coeffs, {}, nullptr, ChannelPolicy::kBlockingOnly);
+  const std::vector<double> spsc = app.compute_errors_threaded(frame, coeffs);
 
   ASSERT_EQ(spsc.size(), parallel.size());
-  ASSERT_EQ(blocking.size(), parallel.size());
-  for (std::size_t i = 0; i < parallel.size(); ++i) {
+  for (std::size_t i = 0; i < parallel.size(); ++i)
     EXPECT_EQ(spsc[i], parallel[i]) << "sample " << i;
-    EXPECT_EQ(blocking[i], parallel[i]) << "sample " << i;
-  }
 }
 
 /// Plan-parity on the second application: distributed particle tracking
-/// produces bit-identical estimates on both channel implementations and
-/// the sequential functional engine.
+/// produces bit-identical estimates on the SPSC path and the sequential
+/// functional engine.
 TEST(ThreadedRuntimeChannels, ParticleAppBitIdenticalAcrossChannelPolicies) {
   apps::ParticleParams params;
   params.particles = 64;
@@ -290,19 +280,13 @@ TEST(ThreadedRuntimeChannels, ParticleAppBitIdenticalAcrossChannelPolicies) {
   const dsp::CrackTrajectory trajectory = dsp::simulate_crack(params.model, /*steps=*/25, rng);
 
   const apps::TrackResult functional = app.track(trajectory);
-  const apps::TrackResult spsc = app.track_threaded(trajectory, ChannelPolicy::kAuto);
-  const apps::TrackResult blocking =
-      app.track_threaded(trajectory, ChannelPolicy::kBlockingOnly);
+  const apps::TrackResult spsc = app.track_threaded(trajectory);
 
   ASSERT_EQ(spsc.estimates.size(), functional.estimates.size());
-  ASSERT_EQ(blocking.estimates.size(), functional.estimates.size());
-  for (std::size_t i = 0; i < functional.estimates.size(); ++i) {
+  for (std::size_t i = 0; i < functional.estimates.size(); ++i)
     EXPECT_EQ(spsc.estimates[i], functional.estimates[i]) << "step " << i;
-    EXPECT_EQ(blocking.estimates[i], functional.estimates[i]) << "step " << i;
-  }
   EXPECT_EQ(spsc.resample_steps, functional.resample_steps);
   EXPECT_EQ(spsc.particles_exchanged, functional.particles_exchanged);
-  EXPECT_EQ(blocking.particles_exchanged, functional.particles_exchanged);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "apps/serialization.hpp"
 #include "apps/speech_app.hpp"
 #include "dsp/lpc.hpp"
+#include "obs/metrics.hpp"
 
 namespace spi::core {
 namespace {
@@ -168,6 +169,47 @@ TEST(ThreadedRuntime, RepeatedRunsAccumulateInvocations) {
   runtime.run(10);
   EXPECT_EQ(last.load(), 19);  // invocation counters persist across runs
   EXPECT_THROW(runtime.run(-1), std::invalid_argument);
+}
+
+/// One single-rate pipeline over 3 processors, run by both engines.
+struct PipelineFixture {
+  df::Graph g{"parity"};
+  df::ActorId a, b, c;
+  sched::Assignment assignment{3, 3};
+  static constexpr std::int64_t kIterations = 40;
+
+  PipelineFixture() {
+    a = g.add_actor("Alpha", 10);
+    b = g.add_actor("Beta", 20);
+    c = g.add_actor("Gamma", 5);
+    g.connect_simple(a, b, 0, 16);
+    g.connect_simple(b, c, 0, 16);
+    assignment.assign(b, 1);
+    assignment.assign(c, 2);
+  }
+};
+
+TEST(ThreadedRuntime, ThreadedRegistryCountersMatchSimulatorMessages) {
+  PipelineFixture f;
+  const SpiSystem system(f.g, f.assignment);
+
+  // Simulated execution: data messages of the timed platform model.
+  sim::TimedExecutorOptions options;
+  options.iterations = PipelineFixture::kIterations;
+  const sim::ExecStats sim_stats = system.run_timed(options);
+
+  // Real-thread execution of the same system and iteration count.
+  obs::MetricRegistry registry;
+  ThreadedRuntime runtime(system, &registry);
+  runtime.run(PipelineFixture::kIterations);
+
+  EXPECT_EQ(registry.counter_total("spi_threaded_messages_total"), sim_stats.data_messages);
+  EXPECT_EQ(registry.counter_total("spi_threaded_messages_total"), runtime.stats().messages);
+  EXPECT_GT(registry.counter_total("spi_threaded_payload_bytes_total"), 0);
+  // Per-channel series carry the channel label.
+  EXPECT_EQ(registry.counter_value("spi_threaded_messages_total",
+                                   {{"channel", f.g.edge(df::EdgeId{0}).name}}),
+            PipelineFixture::kIterations);
 }
 
 }  // namespace

@@ -76,7 +76,6 @@
 #include "obs/critical_path.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/runtime_trace.hpp"
 #include "sched/sync_dot.hpp"
 #include "sim/fault.hpp"
 #include "sim/flight_adapter.hpp"
@@ -454,15 +453,16 @@ int main(int argc, char** argv) {
       rel.enabled = reliability;
       rel.faults = fault_plan ? &*fault_plan : nullptr;
       spi::core::ThreadedRuntime runtime(plan, rel, &registry);
-      spi::obs::RuntimeTraceRecorder recorder;
-      if (!trace_out.empty()) runtime.set_trace(&recorder);
+      // The flight recorder is the one wall-clock trace producer: it
+      // serves --flight-out directly and --trace-out through its
+      // critical-path Chrome export.
       std::optional<spi::obs::FlightRecorder> flight;
       const std::string flight_path = engine_path(flight_out, "wallclock", both_engines);
-      if (!flight_out.empty()) {
+      if (!flight_out.empty() || !trace_out.empty()) {
         flight.emplace(static_cast<std::int32_t>(plan.proc_count));
         // On a ChannelError the runtime dumps the log post-mortem to the
         // same path the success case would have used.
-        flight->set_postmortem_path(flight_path);
+        if (!flight_out.empty()) flight->set_postmortem_path(flight_path);
         runtime.set_flight_recorder(&*flight);
       }
       spi::core::RunOptions run_options;
@@ -526,29 +526,31 @@ int main(int argc, char** argv) {
                      static_cast<long long>(ts.duplicates),
                      static_cast<long long>(ts.timeouts),
                      static_cast<long long>(ts.backoff_micros));
-      if (!trace_out.empty() &&
-          !write_file(engine_path(trace_out, "wallclock", both_engines),
-                      recorder.to_chrome_trace_json()))
-        return 1;
       if (flight) {
         const spi::obs::FlightLog log = flight->collect();
-        if (!write_file(flight_path, log.to_json())) return 1;
         // Wall-clock time and the plan's cycle-domain MCM have no fixed
         // exchange rate for the default computes, so the predicted MCM is
         // left unknown here; spi_trace_analyze accepts an explicit
         // --mcm-scale when the mapping is known.
         const spi::obs::CriticalPathReport cp = spi::obs::analyze_critical_path(log);
-        cp.publish_metrics(registry);
-        flight->publish_metrics(registry);
-        std::fprintf(report_out,
-                     "  critical path   : %lld ns (compute %lld, blocked %lld, "
-                     "comm %lld, idle %lld; %lld events, %lld dropped)\n",
-                     static_cast<long long>(cp.cp_length), static_cast<long long>(cp.cp_compute),
-                     static_cast<long long>(cp.cp_blocked), static_cast<long long>(cp.cp_comm),
-                     static_cast<long long>(cp.cp_idle), static_cast<long long>(cp.events),
-                     static_cast<long long>(cp.dropped));
-        if (!cp.bottleneck_channel.empty())
-          std::fprintf(report_out, "  bottleneck      : %s\n", cp.bottleneck_channel.c_str());
+        if (!trace_out.empty() &&
+            !write_file(engine_path(trace_out, "wallclock", both_engines),
+                        cp.to_chrome_trace_json(log)))
+          return 1;
+        if (!flight_out.empty()) {
+          if (!write_file(flight_path, log.to_json())) return 1;
+          cp.publish_metrics(registry);
+          flight->publish_metrics(registry);
+          std::fprintf(report_out,
+                       "  critical path   : %lld ns (compute %lld, blocked %lld, "
+                       "comm %lld, idle %lld; %lld events, %lld dropped)\n",
+                       static_cast<long long>(cp.cp_length), static_cast<long long>(cp.cp_compute),
+                       static_cast<long long>(cp.cp_blocked), static_cast<long long>(cp.cp_comm),
+                       static_cast<long long>(cp.cp_idle), static_cast<long long>(cp.events),
+                       static_cast<long long>(cp.dropped));
+          if (!cp.bottleneck_channel.empty())
+            std::fprintf(report_out, "  bottleneck      : %s\n", cp.bottleneck_channel.c_str());
+        }
       }
     }
 
