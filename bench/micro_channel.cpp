@@ -1,7 +1,8 @@
 /// \file micro_channel.cpp
-/// google-benchmark microbenchmarks of the threaded runtime's channels:
-/// the lock-free slab-backed SpscChannel against the mutex+condvar
-/// BlockingChannel it replaced on plain edges.
+/// google-benchmark microbenchmarks of the threaded runtime's channel:
+/// the lock-free slab-backed SpscChannel against a bounded mutex+condvar
+/// deque of Bytes defined here (MutexQueue) — the structure the runtime's
+/// channels used before the slab ring, kept as the Blocking* baseline.
 ///
 /// Two shapes per payload size (8 B / 256 B / 4 KiB):
 ///  * PingPong — request/response across two channels; measures one
@@ -19,20 +20,22 @@
 /// speech batch with the progress watchdog off and on.
 ///
 /// bench/perf_smoke.sh gates CI on the Stream pair (SPSC throughput
-/// regressing below the BlockingChannel baseline fails the build) and on
+/// regressing below the MutexQueue baseline fails the build) and on
 /// the watchdog pair (a watched batch costing over 1.2x an unwatched one).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
+#include <mutex>
 #include <new>
 #include <thread>
 
 #include "apps/particle_app.hpp"
 #include "apps/speech_app.hpp"
-#include "core/blocking_channel.hpp"
 #include "core/job_instance.hpp"
 #include "core/spsc_channel.hpp"
 #include "dsp/lpc.hpp"
@@ -46,17 +49,20 @@ std::atomic<std::int64_t> g_alloc_count{0};
 
 // Counting global allocator (TU-wide): lets BM_SpscSteadyStateAllocs
 // assert zero allocations on the hot path instead of trusting a code
-// read. Counting is relaxed — the assertion runs single-threaded.
-void* operator new(std::size_t size) {
+// read. Counting is relaxed — the assertion runs single-threaded. None
+// of them is inlined: GCC would otherwise see malloc'd memory from an
+// inlined operator new reach operator delete (or free) and flag it as
+// mismatched (-Wmismatched-new-delete), failing -Werror builds.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -64,6 +70,36 @@ using namespace spi;
 using core::Bytes;
 
 constexpr std::size_t kQueueDepth = 64;
+
+/// The baseline: a bounded FIFO of Bytes behind one mutex and two
+/// condition variables, plain push/pop only.
+class MutexQueue {
+ public:
+  explicit MutexQueue(std::size_t capacity) : capacity_(capacity) {}
+
+  void push(Bytes token) {
+    std::unique_lock lock(mutex_);
+    not_full_.wait(lock, [&] { return queue_.size() < capacity_; });
+    queue_.push_back(std::move(token));
+    not_empty_.notify_one();
+  }
+
+  Bytes pop() {
+    std::unique_lock lock(mutex_);
+    not_empty_.wait(lock, [&] { return !queue_.empty(); });
+    Bytes token = std::move(queue_.front());
+    queue_.pop_front();
+    not_full_.notify_one();
+    return token;
+  }
+
+ private:
+  std::size_t capacity_;
+  std::mutex mutex_;
+  std::condition_variable not_full_;
+  std::condition_variable not_empty_;
+  std::deque<Bytes> queue_;
+};
 
 void BM_SpscPingPong(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
@@ -101,9 +137,8 @@ BENCHMARK(BM_SpscPingPong)->Arg(8)->Arg(256)->Arg(4096)->UseRealTime();
 
 void BM_BlockingPingPong(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
-  std::atomic<bool> abort{false};
-  core::BlockingChannel fwd(/*edge=*/0, kQueueDepth, abort);
-  core::BlockingChannel rev(/*edge=*/1, kQueueDepth, abort);
+  MutexQueue fwd(kQueueDepth);
+  MutexQueue rev(kQueueDepth);
 
   std::thread echo([&] {
     for (;;) {
@@ -149,8 +184,7 @@ BENCHMARK(BM_SpscStream)->Arg(8)->Arg(256)->Arg(4096)->UseRealTime();
 
 void BM_BlockingStream(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
-  std::atomic<bool> abort{false};
-  core::BlockingChannel channel(/*edge=*/0, kQueueDepth, abort);
+  MutexQueue channel(kQueueDepth);
 
   std::thread drain([&] {
     for (;;)

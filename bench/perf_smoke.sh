@@ -4,7 +4,8 @@
 # baseline measured in the same run):
 #
 #  * micro_channel: fails when the lock-free SpscChannel's streaming
-#    throughput drops below the BlockingChannel baseline, when a warm
+#    throughput drops below the bench-local mutex+condvar baseline
+#    (BM_BlockingStream over micro_channel.cpp's MutexQueue), when a warm
 #    SPSC cycle or served-app colocated iteration allocates, or when an
 #    armed progress watchdog makes a served batch more than 1.2 times
 #    slower;
@@ -17,7 +18,7 @@
 #
 #   bench/perf_smoke.sh [BUILD_DIR] [MIN_SPEEDUP]
 #
-# MIN_SPEEDUP is the minimum required ratio of BlockingChannel mean
+# MIN_SPEEDUP is the minimum required ratio of the mutex baseline's mean
 # streaming time to SpscChannel mean streaming time (default 1.0 — SPSC
 # must at least match the mutex path; locally it is several times
 # faster, see BENCH_results.json's derived.spsc_stream_speedup).
@@ -79,7 +80,7 @@ else:
           f"(gate: >= {min_speedup}x)", file=sys.stderr)
     if speedup < min_speedup:
         print("perf_smoke.sh: FAIL SPSC streaming throughput regressed below "
-              "the BlockingChannel baseline", file=sys.stderr)
+              "the mutex+condvar baseline", file=sys.stderr)
         failed = True
 
 sys.exit(1 if failed else 0)

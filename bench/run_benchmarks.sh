@@ -34,7 +34,7 @@
 #                                           #   (BM_ServeBurstTraced/Bare;
 #                                           #   gated by bench/perf_smoke.sh)
 #       "flight_recorder_overhead_pct": P,  # recorded vs bare threaded run
-#       "spsc_stream_speedup": S,           # BlockingChannel / SpscChannel
+#       "spsc_stream_speedup": S,           # mutex+condvar baseline / SpscChannel
 #                                           #   mean streaming time ratio
 #       "obs_snapshot_us": U,               # one /metrics + /runtime render
 #       "heartbeat_overhead_pct": H,        # watchdog + telemetry server
@@ -248,7 +248,7 @@ if "flight_recorder_overhead_pct" in derived:
           f"{derived['flight_recorder_overhead_pct']}%", file=sys.stderr)
 if "spsc_stream_speedup" in derived:
     print(f"run_benchmarks.sh: SPSC streaming speedup "
-          f"{derived['spsc_stream_speedup']}x vs BlockingChannel", file=sys.stderr)
+          f"{derived['spsc_stream_speedup']}x vs the mutex+condvar baseline", file=sys.stderr)
 if "obs_snapshot_us" in derived:
     print(f"run_benchmarks.sh: telemetry snapshot render "
           f"{derived['obs_snapshot_us']} us", file=sys.stderr)

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "core/worker_pool.hpp"
 #include "obs/obs_server.hpp"
@@ -23,22 +23,39 @@ JobInstance::JobInstance(const ExecutablePlan& plan, JobInstanceOptions options)
       compute_(graph_.actor_count()),
       local_(graph_.edge_count()),
       spsc_(graph_.edge_count()),
-      blocking_(graph_.edge_count()),
-      edge_messages_(graph_.edge_count(), nullptr),
-      edge_payload_bytes_(graph_.edge_count(), nullptr),
+      senders_(graph_.edge_count()),
+      receivers_(graph_.edge_count()),
+      channel_counters_(graph_.edge_count()),
       fired_(graph_.actor_count(), 0) {
   if (reliability_.enabled) reliability_.policy().validate();
   init();
 }
 
 void JobInstance::init() {
-  // Bounded channels for every interprocessor edge. Capacity: the BBS
-  // bound (equation 2, converted to tokens) or the UBS credit window,
-  // plus the edge's initial tokens.
+  // Every token buffer the firing path circulates (context input slots,
+  // emit() spares, local ring slots, channel slots) is reserved to its
+  // edge's token bound up front: a packed token never exceeds b_max, so
+  // no buffer ever grows and even the first firing allocates nothing.
+  std::vector<std::size_t> token_bound(graph_.edge_count());
+  std::size_t max_token_bytes = 0;
+  for (std::size_t i = 0; i < graph_.edge_count(); ++i) {
+    const auto edge = static_cast<df::EdgeId>(i);
+    token_bound[i] = static_cast<std::size_t>(plan_.token_bound_bytes(edge));
+    max_token_bytes =
+        std::max(max_token_bytes, static_cast<std::size_t>(graph_.edge(edge).token_bytes));
+  }
+  zero_token_.assign(max_token_bytes, 0);
+  const auto reserved_tokens = [&token_bound](std::size_t count, df::EdgeId edge) {
+    std::vector<Bytes> tokens(count);
+    for (Bytes& token : tokens) token.reserve(token_bound[static_cast<std::size_t>(edge)]);
+    return tokens;
+  };
+
+  // One SPSC ring for every interprocessor edge, of the plan's capacity
+  // (ChannelSpec::capacity_tokens: the eq.-2 bound or UBS credit window
+  // plus the initial tokens).
   for (const ChannelSpec& spec : plan_.channels) {
-    const std::int64_t per_iter = spec.prod_tokens * spec.src_firings_per_iteration;
-    const std::int64_t window = spec.bbs_capacity_tokens.value_or(1);
-    const std::int64_t capacity = window * per_iter + spec.delay_tokens;
+    const std::int64_t capacity = spec.capacity_tokens();
     const auto ei = static_cast<std::size_t>(spec.edge);
     const bool reliable = reliability_.enabled && spec.reliable;
 
@@ -91,7 +108,7 @@ void JobInstance::init() {
           "spi_reliable_backoff_micros", obs::Histogram::exponential_bounds(50.0, 2.0, 10),
           labels, "Distribution of individual retry backoff pauses (microseconds)");
     }
-    channel_counters_.push_back(counters);
+    channel_counters_[ei] = counters;
 
     // Live occupancy gauges (refreshed on scrape, never on the hot
     // path): depth right now, the high watermark so far, and the static
@@ -106,52 +123,17 @@ void JobInstance::init() {
     registry_
         ->gauge("spi_channel_capacity_tokens", labels,
                 "Configured token capacity of one SPI channel (eq.-2 bound + delays)")
-        .set(static_cast<double>(std::max<std::int64_t>(1, capacity)));
+        .set(static_cast<double>(capacity));
 
-    if (!reliable) {
-      // Plain edges batch message/byte accounting per firing in fire();
-      // reliable channels count per attempt inside the protocol.
-      edge_messages_[ei] = counters.messages;
-      edge_payload_bytes_[ei] = counters.payload_bytes;
-    }
-
-    // Channel selection (docs/architecture.md): the lock-free slab
-    // channel for every plain edge; the mutex-based channel where the
-    // reliable protocol needs requeue and deadline waits.
-    if (reliable) {
-      auto channel = std::make_unique<BlockingChannel>(
-          spec.edge, static_cast<std::size_t>(std::max<std::int64_t>(1, capacity)), abort_,
-          counters);
-      channel->enable_reliability(reliability_.faults, reliability_.policy());
-      blocking_[ei] = std::move(channel);
-    } else {
-      const df::VtsEdgeInfo& info = plan_.vts.edges[ei];
-      const std::int64_t frame_bound =
-          info.converted ? info.b_max_bytes : spec.token_bytes;
-      auto channel = std::make_unique<SpscChannel>(
-          spec.edge, static_cast<std::size_t>(std::max<std::int64_t>(1, capacity)),
-          static_cast<std::size_t>(std::max<std::int64_t>(1, frame_bound)), &abort_);
-      channel->set_counters(counters.spsc());
-      spsc_[ei] = std::move(channel);
-      ++spsc_count_;
-    }
+    // A reliable edge's ring carries sequenced frames, plus spare slots
+    // for the frames its receiver will discard (play_transmit).
+    const std::size_t slots =
+        static_cast<std::size_t>(capacity) + (reliable ? kDiscardableSlots : 0);
+    const std::size_t frame_bound =
+        token_bound[ei] + (reliable ? static_cast<std::size_t>(kSequencedOverheadBytes) : 0);
+    spsc_[ei] = std::make_unique<SpscChannel>(spec.edge, slots, frame_bound, &abort_);
+    spsc_[ei]->set_counters(counters.spsc());
   }
-
-  // Every token buffer the firing path circulates (context input slots,
-  // emit() spares, local ring slots) is reserved to its edge's token
-  // bound up front: a packed token never exceeds b_max, so no buffer
-  // ever grows and even the first firing allocates nothing.
-  std::vector<std::size_t> token_bound(graph_.edge_count());
-  for (std::size_t i = 0; i < graph_.edge_count(); ++i) {
-    const df::VtsEdgeInfo& info = plan_.vts.edges[i];
-    token_bound[i] = static_cast<std::size_t>(
-        info.converted ? info.b_max_bytes : graph_.edge(static_cast<df::EdgeId>(i)).token_bytes);
-  }
-  const auto reserved_tokens = [&token_bound](std::size_t count, df::EdgeId edge) {
-    std::vector<Bytes> tokens(count);
-    for (Bytes& token : tokens) token.reserve(token_bound[static_cast<std::size_t>(edge)]);
-    return tokens;
-  };
 
   // Local rings hold at most one iteration's tokens plus the delays: a
   // processor runs its program sequentially, so every local edge is
@@ -159,7 +141,7 @@ void JobInstance::init() {
   std::vector<std::int64_t> firings(graph_.actor_count(), 0);
   for (const df::ActorId actor : plan_.pass.firings) ++firings[static_cast<std::size_t>(actor)];
   for (std::size_t i = 0; i < graph_.edge_count(); ++i) {
-    if (spsc_[i] || blocking_[i]) continue;
+    if (spsc_[i]) continue;
     const df::Edge& e = graph_.edge(static_cast<df::EdgeId>(i));
     const std::int64_t tokens =
         e.delay + e.prod.value() * firings[static_cast<std::size_t>(e.src)];
@@ -236,37 +218,36 @@ void JobInstance::reset_tokens() {
     if (spsc_[i]) {
       std::span<const std::uint8_t> token;
       while (spsc_[i]->try_front(token)) spsc_[i]->pop();
-    } else if (blocking_[i]) {
-      blocking_[i]->clear();
-      // The reliable protocol restarts at sequence 0 on both ends.
-      if (blocking_[i]->reliable())
-        blocking_[i]->enable_reliability(reliability_.faults, reliability_.policy());
+      // The reliable protocol (re)starts at sequence 0 on both ends.
+      const auto edge = static_cast<df::EdgeId>(i);
+      if (reliability_.enabled && plan_.find_channel(edge)->reliable) {
+        senders_[i] = std::make_unique<ReliableSender>(edge, reliability_.faults,
+                                                       reliability_.policy());
+        receivers_[i] = std::make_unique<ReliableReceiver>(edge);
+      }
     } else {
       local_[i].head = 0;
       local_[i].count = 0;
     }
   }
   // Delay tokens, placed through the faultless path: they are part of
-  // the compiled system, not traffic the fault plan may eat. Plain
-  // channels no longer count per token, so account for the placement
-  // here (reliable execute() counts for itself).
+  // the compiled system, not traffic the fault plan may eat.
   for (std::size_t i = 0; i < graph_.edge_count(); ++i) {
     const df::Edge& e = graph_.edge(static_cast<df::EdgeId>(i));
     const bool dynamic = plan_.vts.edges[i].converted;
     const std::size_t token_bytes = dynamic ? 0 : static_cast<std::size_t>(e.token_bytes);
+    const std::span<const std::uint8_t> token{zero_token_.data(), token_bytes};
     for (std::int64_t d = 0; d < e.delay; ++d) {
-      if (spsc_[i]) {
-        Bytes token(token_bytes, 0);
-        spsc_[i]->push({token.data(), token.size()});
-      } else if (blocking_[i]) {
-        blocking_[i]->push_faultless(Bytes(token_bytes, 0));
-      } else {
+      if (!spsc_[i]) {
         local_[i].push_slot().assign(token_bytes, 0);
-        continue;
-      }
-      if (edge_messages_[i]) {
-        edge_messages_[i]->inc();
-        edge_payload_bytes_[i]->inc(static_cast<std::int64_t>(token_bytes));
+      } else {
+        if (senders_[i])
+          play_transmit(*spsc_[i], senders_[i]->plan_transmit_faultless(token),
+                        channel_counters_[i], nullptr);
+        else
+          spsc_[i]->push(token);
+        channel_counters_[i].messages->inc();
+        channel_counters_[i].payload_bytes->inc(static_cast<std::int64_t>(token_bytes));
       }
     }
   }
@@ -297,22 +278,23 @@ std::int64_t JobInstance::resident_channel_bytes(const ExecutablePlan& plan) {
   // slab reserves. Computable from the plan alone, so admission control
   // can reject a job before anything is allocated.
   std::int64_t total = 0;
-  for (const ChannelSpec& spec : plan.channels) {
-    const std::int64_t per_iter = spec.prod_tokens * spec.src_firings_per_iteration;
-    const std::int64_t window = spec.bbs_capacity_tokens.value_or(1);
-    const std::int64_t capacity = std::max<std::int64_t>(1, window * per_iter + spec.delay_tokens);
-    const df::VtsEdgeInfo& info = plan.vts.edges[static_cast<std::size_t>(spec.edge)];
-    const std::int64_t frame_bound =
-        std::max<std::int64_t>(1, info.converted ? info.b_max_bytes : spec.token_bytes);
-    total += capacity * frame_bound;
-  }
+  for (const ChannelSpec& spec : plan.channels)
+    total += spec.capacity_tokens() *
+             std::max<std::int64_t>(1, plan.token_bound_bytes(spec.edge));
   return total;
+}
+
+void JobInstance::fail(std::exception_ptr error) {
+  {
+    std::lock_guard lock(error_mutex_);
+    if (!first_error_) first_error_ = std::move(error);
+  }
+  abort_.store(true);
+  interrupt_all();
 }
 
 void JobInstance::interrupt_all() {
   for (auto& channel : spsc_)
-    if (channel) channel->interrupt();
-  for (auto& channel : blocking_)
     if (channel) channel->interrupt();
   // Wake workers parked on the in-flight cap too: abort_ is already set
   // by every caller, and the empty critical section pairs with the
@@ -368,24 +350,33 @@ void JobInstance::set_flight_recorder(obs::FlightRecorder* recorder) {
   flight_->set_names(std::move(actor_names), std::move(edge_names));
 }
 
+namespace {
+
+/// Each ThreadedRunStats field and the per-channel counter it totals.
+constexpr std::pair<std::int64_t ThreadedRunStats::*, obs::Counter* ChannelCounters::*>
+    kRunStats[] = {
+        {&ThreadedRunStats::messages, &ChannelCounters::messages},
+        {&ThreadedRunStats::payload_bytes, &ChannelCounters::payload_bytes},
+        {&ThreadedRunStats::producer_blocks, &ChannelCounters::producer_blocks},
+        {&ThreadedRunStats::consumer_blocks, &ChannelCounters::consumer_blocks},
+        {&ThreadedRunStats::producer_block_micros, &ChannelCounters::producer_block_micros},
+        {&ThreadedRunStats::consumer_block_micros, &ChannelCounters::consumer_block_micros},
+        {&ThreadedRunStats::retries, &ChannelCounters::retries},
+        {&ThreadedRunStats::dropped_frames, &ChannelCounters::dropped_frames},
+        {&ThreadedRunStats::crc_failures, &ChannelCounters::crc_failures},
+        {&ThreadedRunStats::duplicates, &ChannelCounters::duplicates},
+        {&ThreadedRunStats::timeouts, &ChannelCounters::timeouts},
+        {&ThreadedRunStats::backoff_micros, &ChannelCounters::backoff_micros},
+};
+
+}  // namespace
+
 ThreadedRunStats JobInstance::counter_totals() const {
   ThreadedRunStats totals;
-  for (const ChannelCounters& c : channel_counters_) {
-    totals.messages += c.messages->value();
-    totals.payload_bytes += c.payload_bytes->value();
-    totals.producer_blocks += c.producer_blocks->value();
-    totals.consumer_blocks += c.consumer_blocks->value();
-    totals.producer_block_micros += c.producer_block_micros->value();
-    totals.consumer_block_micros += c.consumer_block_micros->value();
-    if (c.retries) {
-      totals.retries += c.retries->value();
-      totals.dropped_frames += c.dropped_frames->value();
-      totals.crc_failures += c.crc_failures->value();
-      totals.duplicates += c.duplicates->value();
-      totals.timeouts += c.timeouts->value();
-      totals.backoff_micros += c.backoff_micros->value();
-    }
-  }
+  for (const ChannelSpec& spec : plan_.channels)
+    for (const auto& [stat, counter] : kRunStats)
+      if (const obs::Counter* c = channel_counters_[static_cast<std::size_t>(spec.edge)].*counter)
+        totals.*stat += c->value();
   return totals;
 }
 
@@ -416,9 +407,7 @@ void JobInstance::fire(const FiringStep& step, FiringContext& ctx, std::int32_t 
     for (std::int64_t t = 0; t < e.cons.value(); ++t) {
       Bytes& slot = ctx.inputs[i][static_cast<std::size_t>(t)];
       if (spsc_[ei]) {
-        spsc_[ei]->pop_into(slot, flight);
-      } else if (blocking_[ei]) {
-        slot = blocking_[ei]->pop(flight);
+        receive(ei, slot, flight);
       } else {
         LocalRing& ring = local_[ei];
         if (ring.count == 0)
@@ -451,19 +440,13 @@ void JobInstance::fire(const FiringStep& step, FiringContext& ctx, std::int32_t 
     const df::VtsEdgeInfo& info = plan_.vts.edges[ei];
     std::int64_t batch_bytes = 0;
     if (!have_compute) {
-      // Default compute: full-rate zero tokens. On the SPSC path they go
-      // straight into the slab — acquire, zero-fill, publish; no Bytes.
+      // Default compute: full-rate zero tokens.
       const auto token_bytes = static_cast<std::size_t>(e.token_bytes);
       for (std::int64_t t = 0; t < e.prod.value(); ++t) {
-        if (spsc_[ei]) {
-          const std::span<std::uint8_t> slot = spsc_[ei]->acquire(flight);
-          std::memset(slot.data(), 0, token_bytes);
-          spsc_[ei]->publish(token_bytes, flight);
-        } else if (blocking_[ei]) {
-          blocking_[ei]->push(Bytes(token_bytes, 0), flight);
-        } else {
+        if (spsc_[ei])
+          send(ei, {zero_token_.data(), token_bytes}, flight);
+        else
           local_[ei].push_slot().assign(token_bytes, 0);
-        }
         batch_bytes += static_cast<std::int64_t>(token_bytes);
       }
     } else {
@@ -474,20 +457,17 @@ void JobInstance::fire(const FiringStep& step, FiringContext& ctx, std::int32_t 
           throw std::length_error("JobInstance: packed token exceeds b_max on " + e.name);
         batch_bytes += static_cast<std::int64_t>(token.size());
         if (spsc_[ei])
-          spsc_[ei]->push({token.data(), token.size()}, flight);
-        else if (blocking_[ei])
-          blocking_[ei]->push(std::move(token), flight);
+          send(ei, {token.data(), token.size()}, flight);
         else
           std::swap(local_[ei].push_slot(), token);  // token takes the slot's old buffer
       }
     }
     // One batched registry update per (firing, edge) instead of two
     // atomic RMWs per token — the per-token hot path touches no shared
-    // counters. Null entries: local edges (uncounted, as before) and
-    // reliable channels (count per attempt themselves).
-    if (edge_messages_[ei]) {
-      edge_messages_[ei]->inc(e.prod.value());
-      edge_payload_bytes_[ei]->inc(batch_bytes);
+    // counters. Local edges have none (uncounted).
+    if (const ChannelCounters& c = channel_counters_[ei]; c.messages) {
+      c.messages->inc(e.prod.value());
+      c.payload_bytes->inc(batch_bytes);
     }
   }
 
@@ -497,6 +477,22 @@ void JobInstance::fire(const FiringStep& step, FiringContext& ctx, std::int32_t 
 
   if (flight)
     flight_->record(proc, obs::FlightEventKind::kFireEnd, actor, -1, 0, iteration);
+}
+
+void JobInstance::send(std::size_t ei, std::span<const std::uint8_t> token,
+                       const ChannelFlightCtx* flight) {
+  if (senders_[ei])
+    play_transmit(*spsc_[ei], senders_[ei]->plan_transmit(token), channel_counters_[ei], flight);
+  else
+    spsc_[ei]->push(token, flight);
+}
+
+void JobInstance::receive(std::size_t ei, Bytes& slot, const ChannelFlightCtx* flight) {
+  if (receivers_[ei])
+    receive_reliable(*spsc_[ei], *receivers_[ei], reliability_.policy().timeout_us,
+                     channel_counters_[ei], slot, flight);
+  else
+    spsc_[ei]->pop_into(slot, flight);
 }
 
 void JobInstance::worker(std::int32_t proc, std::int64_t iterations) {
@@ -532,12 +528,7 @@ void JobInstance::worker(std::int32_t proc, std::int64_t iterations) {
   } catch (const ChannelInterrupted&) {
     // Unwound by another worker's failure; nothing to record.
   } catch (...) {
-    {
-      std::lock_guard lock(error_mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    abort_.store(true);
-    interrupt_all();
+    fail(std::current_exception());
   }
   ws.done.store(true, std::memory_order_relaxed);
 }
@@ -570,12 +561,7 @@ void JobInstance::colocated_body(std::int64_t iterations, std::int64_t segment,
     // Interrupted by the watchdog (or an embedded-server teardown);
     // the recorded StallError is what run() rethrows.
   } catch (...) {
-    {
-      std::lock_guard lock(error_mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    abort_.store(true);
-    interrupt_all();
+    fail(std::current_exception());
   }
   for (std::size_t i = 0; i < worker_count_; ++i)
     worker_state_[i].done.store(true, std::memory_order_relaxed);
@@ -726,18 +712,7 @@ void JobInstance::run_with(const RunOptions& options, const std::function<void()
   running_.store(false, std::memory_order_relaxed);
 
   const ThreadedRunStats now = counter_totals();
-  stats_.messages = now.messages - base.messages;
-  stats_.payload_bytes = now.payload_bytes - base.payload_bytes;
-  stats_.producer_blocks = now.producer_blocks - base.producer_blocks;
-  stats_.consumer_blocks = now.consumer_blocks - base.consumer_blocks;
-  stats_.producer_block_micros = now.producer_block_micros - base.producer_block_micros;
-  stats_.consumer_block_micros = now.consumer_block_micros - base.consumer_block_micros;
-  stats_.retries = now.retries - base.retries;
-  stats_.dropped_frames = now.dropped_frames - base.dropped_frames;
-  stats_.crc_failures = now.crc_failures - base.crc_failures;
-  stats_.duplicates = now.duplicates - base.duplicates;
-  stats_.timeouts = now.timeouts - base.timeouts;
-  stats_.backoff_micros = now.backoff_micros - base.backoff_micros;
+  for (const auto& [stat, counter] : kRunStats) stats_.*stat = now.*stat - base.*stat;
   if (first_error_) {
     maybe_dump_flight_postmortem();
     reset_tokens();
@@ -800,12 +775,7 @@ void JobInstance::handle_stall(const obs::StallReport& report,
                          "{\"report\":" + report.to_json() +
                              ",\"runtime\":" + runtime_status_json() + "}\n");
   if (options.abort_on_stall) {
-    {
-      std::lock_guard lock(error_mutex_);
-      if (!first_error_) first_error_ = std::make_exception_ptr(obs::StallError(report));
-    }
-    abort_.store(true);
-    interrupt_all();
+    fail(std::make_exception_ptr(obs::StallError(report)));
   } else if (flight_ && !flight_->postmortem_path().empty()) {
     write_file_best_effort(
         stall_dump_path(flight_->postmortem_path(), report.classification),
@@ -844,18 +814,9 @@ std::string JobInstance::channel_display_name(std::int32_t edge) const {
 
 void JobInstance::refresh_channel_gauges() {
   for (std::size_t c = 0; c < plan_.channels.size(); ++c) {
-    const auto ei = static_cast<std::size_t>(plan_.channels[c].edge);
-    std::size_t depth = 0;
-    std::size_t watermark = 0;
-    if (spsc_[ei]) {
-      depth = spsc_[ei]->size();
-      watermark = spsc_[ei]->high_watermark();
-    } else if (blocking_[ei]) {
-      depth = blocking_[ei]->size();
-      watermark = blocking_[ei]->high_watermark();
-    }
-    depth_gauges_[c]->set(static_cast<double>(depth));
-    watermark_gauges_[c]->set(static_cast<double>(watermark));
+    const SpscChannel& ring = *spsc_[static_cast<std::size_t>(plan_.channels[c].edge)];
+    depth_gauges_[c]->set(static_cast<double>(ring.size()));
+    watermark_gauges_[c]->set(static_cast<double>(ring.high_watermark()));
   }
 }
 
@@ -911,30 +872,15 @@ std::string JobInstance::runtime_status_json() const {
   out += ",\"channels\":[";
   for (std::size_t c = 0; c < plan_.channels.size(); ++c) {
     const ChannelSpec& spec = plan_.channels[c];
-    const auto ei = static_cast<std::size_t>(spec.edge);
-    std::size_t depth = 0;
-    std::size_t watermark = 0;
-    std::size_t capacity = 0;
-    const char* kind = "local";
-    if (spsc_[ei]) {
-      kind = "spsc";
-      depth = spsc_[ei]->size();
-      watermark = spsc_[ei]->high_watermark();
-      capacity = spsc_[ei]->capacity();
-    } else if (blocking_[ei]) {
-      kind = "blocking";
-      depth = blocking_[ei]->size();
-      watermark = blocking_[ei]->high_watermark();
-      capacity = blocking_[ei]->capacity();
-    }
+    const SpscChannel& ring = *spsc_[static_cast<std::size_t>(spec.edge)];
     if (c) out += ",";
     out += "{\"edge\":" + std::to_string(spec.edge);
     out += ",\"name\":\"" + obs::detail::json_escaped(spec.name);
-    out += "\",\"kind\":\"" + std::string(kind);
-    out += "\",\"depth_tokens\":" + std::to_string(depth);
-    out += ",\"high_watermark_tokens\":" + std::to_string(watermark);
-    out += ",\"capacity_tokens\":" + std::to_string(capacity);
-    out += std::string(",\"reliable\":") + (spec.reliable ? "true" : "false") + "}";
+    out += "\",\"depth_tokens\":" + std::to_string(ring.size());
+    out += ",\"high_watermark_tokens\":" + std::to_string(ring.high_watermark());
+    out += ",\"capacity_tokens\":" + std::to_string(spec.capacity_tokens());
+    const bool reliable = reliability_.enabled && spec.reliable;
+    out += std::string(",\"reliable\":") + (reliable ? "true" : "false") + "}";
   }
   out += "]}";
   return out;

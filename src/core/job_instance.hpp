@@ -35,8 +35,8 @@
 #include <string>
 #include <vector>
 
-#include "core/blocking_channel.hpp"
 #include "core/functional.hpp"
+#include "core/reliable_link.hpp"
 #include "core/spsc_channel.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -47,6 +47,9 @@ namespace spi::core {
 
 class WorkerPool;
 
+/// Retry/backoff/timeout knobs of a reliable run without a fault plan.
+inline const sim::RetryPolicy kDefaultRetryPolicy{};
+
 /// Turns the runtime's interprocessor channels into reliable links.
 struct ReliabilityOptions {
   bool enabled = false;
@@ -54,12 +57,12 @@ struct ReliabilityOptions {
   /// owned; must outlive the runtime. Null = perfect wire (the protocol
   /// still frames, sequences and CRC-checks every message).
   const sim::FaultPlan* faults = nullptr;
-  /// Retry/backoff/timeout knobs. When `faults` is set its embedded
-  /// retry() policy wins, so one fault-plan file configures everything.
-  sim::RetryPolicy retry;
 
+  /// Retry/backoff/timeout knobs: the fault plan's embedded retry()
+  /// policy, so one fault-plan file configures everything; without a
+  /// plan, kDefaultRetryPolicy.
   [[nodiscard]] const sim::RetryPolicy& policy() const {
-    return faults ? faults->retry() : retry;
+    return faults ? faults->retry() : kDefaultRetryPolicy;
   }
 };
 
@@ -214,8 +217,6 @@ class JobInstance {
   [[nodiscard]] std::int64_t last_run_ns() const { return last_run_ns_; }
 
   [[nodiscard]] const ReliabilityOptions& reliability() const { return reliability_; }
-  /// How many IPC edges ride the lock-free SPSC path.
-  [[nodiscard]] std::int64_t spsc_channel_count() const { return spsc_count_; }
   [[nodiscard]] const ExecutablePlan& plan() const { return plan_; }
   /// Workers a gang run needs (= the plan's processor count).
   [[nodiscard]] std::size_t proc_count() const { return worker_count_; }
@@ -254,6 +255,9 @@ class JobInstance {
   };
 
   void init();
+  /// Records `error` as the run's error unless one is already recorded,
+  /// then aborts the run and wakes every channel wait.
+  void fail(std::exception_ptr error);
   void interrupt_all();
   /// Smallest completed-iteration count over all workers — the floor of
   /// the pipelining window (relaxed reads; callers that need wake-up
@@ -281,6 +285,10 @@ class JobInstance {
                       const SegmentFn* on_segment);
   void fire(const FiringStep& step, FiringContext& ctx, std::int32_t proc,
             std::int64_t iteration, WorkerState& ws);
+  /// One token over IPC edge `ei`'s ring: plain, or through the reliable
+  /// protocol when the edge has a sender/receiver.
+  void send(std::size_t ei, std::span<const std::uint8_t> token, const ChannelFlightCtx* flight);
+  void receive(std::size_t ei, Bytes& slot, const ChannelFlightCtx* flight);
   [[nodiscard]] ThreadedRunStats counter_totals() const;
   /// Writes the flight recorder's post-mortem dump when the pending
   /// first_error_ is a sim::ChannelError (recorder's postmortem_path
@@ -320,19 +328,21 @@ class JobInstance {
   std::vector<ComputeFn> compute_;
   /// Per-edge local rings (touched only by the owning processor's
   /// thread) and cross-processor channels, all indexed by edge id.
-  /// Exactly one of spsc_/blocking_ is non-null for an IPC edge; both
-  /// null = processor-local edge. Direct indexing keeps the per-token
-  /// hot path free of map lookups.
+  /// spsc_ is non-null exactly for IPC edges; null = processor-local
+  /// edge. Direct indexing keeps the per-token hot path free of map
+  /// lookups.
   std::vector<LocalRing> local_;
   std::vector<std::unique_ptr<SpscChannel>> spsc_;
-  std::vector<std::unique_ptr<BlockingChannel>> blocking_;
-  std::int64_t spsc_count_ = 0;
-  /// Per-edge message counters for the per-firing batch increments
-  /// (indexed by edge id; null entries = local edge or reliable channel,
-  /// which counts for itself).
-  std::vector<obs::Counter*> edge_messages_;
-  std::vector<obs::Counter*> edge_payload_bytes_;
-  std::vector<ChannelCounters> channel_counters_;  ///< for stats aggregation
+  /// The reliable protocol's two ends per IPC edge, non-null only on
+  /// reliable edges. The sender is touched only by the edge's producing
+  /// thread, the receiver only by its consuming thread.
+  std::vector<std::unique_ptr<ReliableSender>> senders_;
+  std::vector<std::unique_ptr<ReliableReceiver>> receivers_;
+  /// Per-edge registry handles (indexed by edge id; all null on local
+  /// edges). Message/byte counters are bumped once per (firing, edge).
+  std::vector<ChannelCounters> channel_counters_;
+  /// Zeros for default-compute and initial tokens (the widest token).
+  Bytes zero_token_;
   /// Per-(proc, step) firing contexts, built once and reused every
   /// iteration so input/output token buffers keep their heap capacity —
   /// a warm firing whose compute emits through FiringContext::emit
@@ -350,7 +360,7 @@ class JobInstance {
   std::size_t worker_count_ = 0;
   std::vector<std::uint64_t> colocated_epochs_;  ///< per-proc scratch
   /// Depth/watermark gauges per plan channel (indexed like
-  /// channel_counters_), refreshed on scrape — never on the hot path.
+  /// plan_.channels), refreshed on scrape — never on the hot path.
   std::vector<obs::Gauge*> depth_gauges_;
   std::vector<obs::Gauge*> watermark_gauges_;
   std::int64_t run_iterations_ = 0;  ///< written before workers/server start

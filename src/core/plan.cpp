@@ -10,6 +10,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/reliable_link.hpp"
+
 namespace spi::core {
 
 namespace {
@@ -301,6 +303,22 @@ const ChannelSpec* ExecutablePlan::find_channel(df::EdgeId edge) const {
   if (edge < 0 || static_cast<std::size_t>(edge) >= channel_index.size()) return nullptr;
   const std::int32_t slot = channel_index[static_cast<std::size_t>(edge)];
   return slot < 0 ? nullptr : &channels[static_cast<std::size_t>(slot)];
+}
+
+std::int64_t ChannelSpec::capacity_tokens() const {
+  std::int64_t per_iteration = 0;
+  std::int64_t window = 0;
+  std::int64_t capacity = 0;
+  if (__builtin_mul_overflow(prod_tokens, src_firings_per_iteration, &per_iteration) ||
+      __builtin_mul_overflow(bbs_capacity_tokens.value_or(1), per_iteration, &window) ||
+      __builtin_add_overflow(window, delay_tokens, &capacity))
+    return -1;
+  return capacity;
+}
+
+std::int64_t ExecutablePlan::token_bound_bytes(df::EdgeId edge) const {
+  const df::VtsEdgeInfo& info = vts.edges.at(static_cast<std::size_t>(edge));
+  return info.converted ? info.b_max_bytes : vts.graph.edge(edge).token_bytes;
 }
 
 const ChannelSpec& ExecutablePlan::channel_for(df::EdgeId edge) const {
@@ -821,6 +839,15 @@ void ExecutablePlan::validate() const {
       require(s < sync_graph.edges().size(), "channel references an unknown sync edge");
     require(spec.bbs_capacity_tokens.has_value() == spec.bbs_capacity_bytes.has_value(),
             "BBS capacity tokens and bytes must be set together");
+    // The runtime's ring for this channel: capacity slots (plus the
+    // reliable ring's discardable ones) of the token bound plus the
+    // sequenced-frame overhead each.
+    const std::int64_t capacity = spec.capacity_tokens();
+    require(capacity >= 1, "channel capacity must be at least one token");
+    const std::int64_t bound = token_bound_bytes(spec.edge);
+    const __int128 slab = (static_cast<__int128>(capacity) + kDiscardableSlots) *
+                          (static_cast<__int128>(bound) + kSequencedOverheadBytes);
+    require(bound >= 0 && slab <= kMaxChannelSlabBytes, "channel slab exceeds the size ceiling");
   }
   const std::size_t expected = sync_graph.count_active(sched::SyncEdgeKind::kIpc) +
                                sync_graph.count_active(sched::SyncEdgeKind::kAck) +

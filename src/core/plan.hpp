@@ -76,11 +76,21 @@ struct ChannelSpec {
 
   /// Worst-case payload of one message (prod tokens of token_bytes each).
   [[nodiscard]] std::int64_t payload_bound_bytes() const { return prod_tokens * token_bytes; }
+  /// Token capacity of the channel's ring: the BBS window (equation 2)
+  /// — or the UBS credit window of one — times the producer's tokens per
+  /// graph iteration, plus the initial tokens. -1 when that overflows.
+  [[nodiscard]] std::int64_t capacity_tokens() const;
   /// The sim-layer channel descriptor, derived here and nowhere else.
   [[nodiscard]] sim::ChannelInfo channel_info() const {
     return sim::ChannelInfo{edge, mode == SpiMode::kDynamic};
   }
 };
+
+/// Ceiling on one channel's ring slab in bytes. validate() rejects a
+/// plan whose channel would need more, framing overhead and the reliable
+/// ring's discardable slots included, so a tampered plan file cannot
+/// make the runtime allocate (or miscompute) an absurd slab.
+inline constexpr std::int64_t kMaxChannelSlabBytes = std::int64_t{1} << 30;
 
 /// Historical name, kept so existing callers of SpiSystem::channels()
 /// keep compiling; the plan IR superset is the same type.
@@ -158,6 +168,10 @@ struct ExecutablePlan {
   /// Rebuilds channel_index from channels (called by the pipeline's plan
   /// emission and by from_json()).
   void rebuild_channel_index();
+  /// Bytes of the largest token `edge` carries: b_max for VTS-converted
+  /// edges, the token size otherwise — what a channel slot or a local
+  /// token buffer must hold.
+  [[nodiscard]] std::int64_t token_bound_bytes(df::EdgeId edge) const;
 
   /// The schedule's predicted iteration-period bound: the sync graph's
   /// maximum cycle mean after resynchronization (cycles/iteration, the
@@ -187,8 +201,9 @@ struct ExecutablePlan {
   /// or schema mismatch. The result passes validate().
   [[nodiscard]] static ExecutablePlan from_json(std::string_view text);
 
-  /// Internal-consistency check (sizes, index maps, message budget).
-  /// Throws std::invalid_argument naming the first violated invariant.
+  /// Internal-consistency check (sizes, index maps, message budget,
+  /// channel slab sizes). Throws std::invalid_argument naming the first
+  /// violated invariant.
   void validate() const;
 
   /// Publishes the compile-time plan as gauges (spi_plan_*); see

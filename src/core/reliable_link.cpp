@@ -1,6 +1,9 @@
 #include "core/reliable_link.hpp"
 
+#include <chrono>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 namespace spi::core {
 
@@ -18,6 +21,23 @@ std::uint32_t get_u32(std::span<const std::uint8_t> in, std::size_t offset) {
          (static_cast<std::uint32_t>(in[offset + 1]) << 8) |
          (static_cast<std::uint32_t>(in[offset + 2]) << 16) |
          (static_cast<std::uint32_t>(in[offset + 3]) << 24);
+}
+
+void sleep_us(std::int64_t micros) {
+  if (micros > 0) std::this_thread::sleep_for(std::chrono::microseconds(micros));
+}
+
+void inc(obs::Counter* counter, std::int64_t by = 1) {
+  if (counter) counter->inc(by);
+}
+
+/// Publishes a frame the receiver will discard, or discards it at once
+/// when the ring has no spare slot for it (see play_transmit).
+void offer_discardable(SpscChannel& ring, const Bytes& frame, obs::Counter* discarded) {
+  if (ring.size() < kDiscardableSlots)
+    ring.push({frame.data(), frame.size()});
+  else
+    inc(discarded);
 }
 
 }  // namespace
@@ -131,6 +151,73 @@ ReliableReceiver::Result ReliableReceiver::accept(std::span<const std::uint8_t> 
   result.verdict = Verdict::kAccept;
   result.payload = std::move(m.payload);
   return result;
+}
+
+void play_transmit(SpscChannel& ring, const TransmitScript& script,
+                   const ChannelCounters& counters, const ChannelFlightCtx* flight) {
+  for (const TransmitStep& step : script.steps) {
+    // A long retransmission script (many attempts with backoff) must
+    // not outlive a run abort — the watchdog relies on senders
+    // unwinding at the next attempt boundary.
+    if (ring.aborted()) throw ChannelInterrupted{};
+    sleep_us(step.delay_us);
+    if (!step.dropped()) {
+      if (step.corrupted)
+        offer_discardable(ring, step.frame, counters.crc_failures);
+      else
+        ring.push({step.frame.data(), step.frame.size()}, flight);
+      if (step.duplicate)
+        offer_discardable(ring, step.frame,
+                          step.corrupted ? counters.crc_failures : counters.duplicates);
+    }
+    if (step.backoff_us > 0) {
+      sleep_us(step.backoff_us);
+      if (counters.backoff_histogram)
+        counters.backoff_histogram->observe(static_cast<double>(step.backoff_us));
+    }
+  }
+  if (script.retries() > 0) {
+    inc(counters.retries, script.retries());
+    if (flight && flight->recorder)
+      flight->recorder->record(flight->proc, obs::FlightEventKind::kRetry, flight->actor,
+                               ring.edge(), script.retries(), flight->iteration);
+  }
+  if (script.dropped > 0) inc(counters.dropped_frames, script.dropped);
+  if (script.total_backoff_us > 0) inc(counters.backoff_micros, script.total_backoff_us);
+  if (!script.delivered) {
+    inc(counters.send_failures);
+    throw sim::ChannelError(sim::ChannelErrorKind::kRetriesExhausted, ring.edge(),
+                            script.attempts(), "every transmission dropped or corrupted");
+  }
+}
+
+void receive_reliable(SpscChannel& ring, ReliableReceiver& receiver, std::int64_t timeout_us,
+                      const ChannelCounters& counters, Bytes& out,
+                      const ChannelFlightCtx* flight) {
+  for (;;) {
+    // An empty ring past the deadline means the peer is lost (or the
+    // wire eats everything): degrade with a typed error instead of
+    // hanging the worker forever.
+    std::span<const std::uint8_t> frame;
+    if (!ring.front_until(
+            std::chrono::steady_clock::now() + std::chrono::microseconds(timeout_us), frame,
+            flight)) {
+      inc(counters.timeouts);
+      throw sim::ChannelError(sim::ChannelErrorKind::kReceiveTimeout, ring.edge(), 0,
+                              "no frame within " + std::to_string(timeout_us) + "us");
+    }
+    ReliableReceiver::Result result = receiver.accept(frame);
+    if (result.verdict == ReliableReceiver::Verdict::kAccept) {
+      ring.pop(flight);
+      out = std::move(result.payload);
+      return;
+    }
+    // Discarded: the sender already scheduled a retransmission (or the
+    // payload already arrived, for a duplicate).
+    ring.pop();
+    inc(result.verdict == ReliableReceiver::Verdict::kCorrupt ? counters.crc_failures
+                                                              : counters.duplicates);
+  }
 }
 
 }  // namespace spi::core

@@ -20,6 +20,11 @@
 ///    discards duplicates by sequence number, and releases payloads
 ///    exactly once, in order.
 ///
+/// Over a threaded runtime's SpscChannel the protocol is two free
+/// functions: play_transmit plays a sender's script onto the ring and
+/// receive_reliable runs the receiver over it, the ring knowing nothing
+/// of the protocol beyond a deadline on the consumer's wait.
+///
 /// Because every fault decision is keyed by (edge, sequence, attempt) —
 /// not by wall clock or thread interleaving — a lossy run delivers
 /// exactly the same payload sequence as a lossless run, whatever the
@@ -33,12 +38,17 @@
 #include <vector>
 
 #include "core/message.hpp"
+#include "core/spsc_channel.hpp"
 #include "sim/fault.hpp"
 
 namespace spi::core {
 
 /// Header + trailer bytes of a sequenced frame.
 inline constexpr std::int64_t kSequencedOverheadBytes = 16;
+
+/// Ring slots a reliable edge holds beyond its plan capacity, for frames
+/// the receiver will discard (corrupted attempts, stale duplicates).
+inline constexpr std::size_t kDiscardableSlots = 2;
 
 struct SequencedMessage {
   std::uint32_t seq = 0;
@@ -139,5 +149,27 @@ class ReliableReceiver {
   df::EdgeId edge_;
   std::uint32_t expected_seq_ = 0;
 };
+
+/// Plays one message's transmit `script` onto `ring` attempt by attempt
+/// — abort check, transport delay, publish (twice for a duplicate;
+/// dropped attempts never enter the ring), backoff — and keeps the
+/// per-attempt counters. A frame the receiver will discard is published
+/// only while the ring holds fewer than kDiscardableSlots frames, so
+/// such frames never take a slot an intact one needs (a colocated run's
+/// single thread could otherwise wait on itself); past that the receiver
+/// discards it on arrival and it is counted as receive_reliable counts
+/// it. Throws ChannelInterrupted on abort and sim::ChannelError
+/// (kRetriesExhausted) when the script was not delivered.
+void play_transmit(SpscChannel& ring, const TransmitScript& script,
+                   const ChannelCounters& counters, const ChannelFlightCtx* flight);
+
+/// Receives the next accepted payload from `ring` into `out`, discarding
+/// (and counting) corrupted frames and stale duplicates on the way. Each
+/// frame wait ends at `timeout_us`: the timeouts counter is bumped and
+/// sim::ChannelError (kReceiveTimeout) is thrown. Throws
+/// ChannelInterrupted on abort.
+void receive_reliable(SpscChannel& ring, ReliableReceiver& receiver, std::int64_t timeout_us,
+                      const ChannelCounters& counters, Bytes& out,
+                      const ChannelFlightCtx* flight);
 
 }  // namespace spi::core

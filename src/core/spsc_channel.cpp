@@ -39,14 +39,18 @@ SpscChannel::SpscChannel(df::EdgeId edge, std::size_t capacity, std::size_t fram
     : edge_(edge),
       capacity_(capacity == 0 ? 1 : capacity),
       frame_bound_(frame_bound == 0 ? 1 : frame_bound),
-      slab_(capacity_ * frame_bound_, 0),
       sizes_(capacity_, 0),
       abort_(abort) {
   if (edge < 0) throw std::invalid_argument("SpscChannel: invalid edge id");
+  std::size_t slab_bytes = 0;
+  if (__builtin_mul_overflow(capacity_, frame_bound_, &slab_bytes))
+    throw std::length_error("SpscChannel: capacity x frame bound overflows the slab size");
+  slab_.assign(slab_bytes, 0);
 }
 
 template <class Ready>
-bool SpscChannel::wait(Side side, Ready&& ready, const ChannelFlightCtx* flight) {
+bool SpscChannel::wait(Side side, Ready&& ready, const ChannelFlightCtx* flight,
+                       const Deadline* deadline) {
   const bool producer = side == Side::kProducer;
   obs::Counter* blocks = producer ? counters_.producer_blocks : counters_.consumer_blocks;
   obs::Counter* micros =
@@ -82,11 +86,17 @@ bool SpscChannel::wait(Side side, Ready&& ready, const ChannelFlightCtx* flight)
     if (flight && flight->recorder)
       flight->recorder->record(flight->proc, obs::FlightEventKind::kBlockBegin, flight->actor,
                                edge_, seq, flight->iteration, aux);
+    // Register, then re-check (ready() loads the peer's index seq_cst):
+    // either the re-check sees the peer's new index, or the peer's read
+    // of waiters_ in wake_peer sees this registration and wakes us.
     waiters_.fetch_add(1, std::memory_order_seq_cst);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
     if (!ready() && !aborted()) {
       std::unique_lock lock(park_mutex_);
-      park_cv_.wait(lock, [&] { return ready() || aborted(); });
+      const auto woken = [&] { return ready() || aborted(); };
+      if (deadline)
+        park_cv_.wait_until(lock, *deadline, woken);
+      else
+        park_cv_.wait(lock, woken);
     }
     waiters_.fetch_sub(1, std::memory_order_release);
     ok = ready();
@@ -100,12 +110,14 @@ bool SpscChannel::wait(Side side, Ready&& ready, const ChannelFlightCtx* flight)
 }
 
 void SpscChannel::wake_peer() noexcept {
-  // Eventcount handshake, signal side: the index store above (release)
-  // plus this fence pairs with the waiter's registration fence — either
-  // the waiter's re-check sees the new index, or this load sees the
-  // waiter and takes the (cold) lock to wake it.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (waiters_.load(std::memory_order_relaxed) != 0) {
+  // Eventcount handshake, signal side: the index store above and this
+  // load are seq_cst, like the waiter's registration RMW and re-check,
+  // so the single total order over the four rules out both sides missing
+  // each other — either the waiter's re-check sees the new index, or
+  // this load sees the waiter and takes the (cold) lock to wake it. No
+  // standalone fence, which ThreadSanitizer cannot model; on x86 the
+  // seq_cst store costs what the release store plus fence did.
+  if (waiters_.load(std::memory_order_seq_cst) != 0) {
     std::lock_guard lock(park_mutex_);
     park_cv_.notify_all();
   }
@@ -118,7 +130,7 @@ std::span<std::uint8_t> SpscChannel::acquire(const ChannelFlightCtx* flight) {
       const bool ok = wait(
           Side::kProducer,
           [&]() noexcept {
-            head_cache_ = head_.load(std::memory_order_acquire);
+            head_cache_ = head_.load(std::memory_order_seq_cst);
             return tail_local_ - head_cache_ < capacity_;
           },
           flight);
@@ -153,7 +165,7 @@ void SpscChannel::publish(std::size_t frame_bytes, const ChannelFlightCtx* fligh
     watermark_local_ = depth;
     high_watermark_.store(depth, std::memory_order_relaxed);
   }
-  tail_.store(tail_local_, std::memory_order_release);
+  tail_.store(tail_local_, std::memory_order_seq_cst);
   wake_peer();
   if (flight && flight->recorder) {
     // The token is now visible to the receiver: this is the causal send
@@ -172,21 +184,32 @@ void SpscChannel::push(std::span<const std::uint8_t> token, const ChannelFlightC
   publish(token.size(), flight);
 }
 
+bool SpscChannel::await_token(const ChannelFlightCtx* flight, const Deadline* deadline) {
+  if (head_local_ != tail_cache_) return true;
+  tail_cache_ = tail_.load(std::memory_order_acquire);
+  if (head_local_ != tail_cache_) return true;
+  return wait(
+      Side::kConsumer,
+      [&]() noexcept {
+        tail_cache_ = tail_.load(std::memory_order_seq_cst);
+        return head_local_ != tail_cache_;
+      },
+      flight, deadline);
+}
+
 std::span<const std::uint8_t> SpscChannel::front(const ChannelFlightCtx* flight) {
-  if (head_local_ == tail_cache_) {
-    tail_cache_ = tail_.load(std::memory_order_acquire);
-    if (head_local_ == tail_cache_) {
-      const bool ok = wait(
-          Side::kConsumer,
-          [&]() noexcept {
-            tail_cache_ = tail_.load(std::memory_order_acquire);
-            return head_local_ != tail_cache_;
-          },
-          flight);
-      if (!ok) throw ChannelInterrupted{};
-    }
-  }
+  if (!await_token(flight, nullptr)) throw ChannelInterrupted{};
   return {slab_.data() + head_idx_ * frame_bound_, sizes_[head_idx_]};
+}
+
+bool SpscChannel::front_until(Deadline deadline, std::span<const std::uint8_t>& token,
+                              const ChannelFlightCtx* flight) {
+  if (!await_token(flight, &deadline)) {
+    if (aborted()) throw ChannelInterrupted{};
+    return false;
+  }
+  token = {slab_.data() + head_idx_ * frame_bound_, sizes_[head_idx_]};
+  return true;
 }
 
 bool SpscChannel::try_front(std::span<const std::uint8_t>& token) noexcept {
@@ -205,7 +228,7 @@ void SpscChannel::pop(const ChannelFlightCtx* flight) {
   ++recv_seq_;
   if (++head_idx_ == capacity_) head_idx_ = 0;
   ++head_local_;
-  head_.store(head_local_, std::memory_order_release);
+  head_.store(head_local_, std::memory_order_seq_cst);
   wake_peer();
 }
 

@@ -12,9 +12,9 @@
 ///    at construction — equation 2 sizes it, so steady-state send and
 ///    receive perform **zero heap allocations**.
 ///  * The producer *acquires* a fixed-size slot span, packs/encodes its
-///    token directly into it, and *publishes* with one release store; the
+///    token directly into it, and *publishes* with one seq_cst store; the
 ///    consumer reads the published span in place and *releases* the slot
-///    with one release store. No mutex, no condition variable, no memcpy
+///    with one seq_cst store. No mutex, no condition variable, no memcpy
 ///    beyond the one the caller chooses to perform.
 ///  * Indices are cache-line-separated and each side caches the opposing
 ///    index, so an uncontended transfer touches one shared cache line per
@@ -23,21 +23,25 @@
 /// Blocking degrades gracefully: a bounded spin (cheap, keeps the
 /// back-pressure latency in the tens of nanoseconds when the peer is
 /// active), then a few sched yields, then a futex-style park on a
-/// condition variable. The park handshake uses the standard eventcount
-/// fence protocol: the waiter registers in `waiters_` before re-checking,
-/// the signaler publishes before checking `waiters_`, both separated by
-/// seq_cst fences — so the fast path never takes a lock and a wakeup is
-/// never lost. Flight-recorder kBlockBegin/kBlockEnd events are emitted
-/// only when the wait actually parks (spin waits are not "blocked" in any
-/// sense the critical-path analyzer should attribute).
+/// condition variable. The park handshake is an eventcount: the waiter
+/// registers in `waiters_` (seq_cst RMW) before re-checking the peer's
+/// index, the signaler publishes its index before checking `waiters_`,
+/// all seq_cst and without a standalone fence — so the fast path never
+/// takes a lock, a wakeup is never lost, and ThreadSanitizer models the
+/// whole handshake. Flight-recorder kBlockBegin/kBlockEnd events are
+/// emitted only when the wait actually parks (spin waits are not
+/// "blocked" in any sense the critical-path analyzer should attribute).
+/// A consumer may bound its wait with a deadline (front_until); the park
+/// then ends at the deadline.
 ///
-/// ThreadedRuntime selects this channel for every IPC edge of the plan
-/// except reliability-enabled ones (retry/timeout needs the requeue
-/// semantics of BlockingChannel — see docs/architecture.md, "Channel
-/// selection").
+/// ThreadedRuntime builds one of these for every IPC edge of the plan.
+/// Reliability-enabled edges carry sequenced frames over the same ring;
+/// the protocol itself lives in reliable_link.hpp (docs/architecture.md,
+/// "Threaded-runtime channels").
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -80,6 +84,31 @@ struct SpscCounters {
   obs::Counter* consumer_block_micros = nullptr;
 };
 
+/// Lock-free registry handles of one channel's counters. All nullable:
+/// a null handle skips that accounting entirely. Reliability pointers
+/// are null when the protocol is off.
+struct ChannelCounters {
+  obs::Counter* messages = nullptr;
+  obs::Counter* payload_bytes = nullptr;
+  obs::Counter* producer_blocks = nullptr;
+  obs::Counter* consumer_blocks = nullptr;
+  obs::Counter* producer_block_micros = nullptr;
+  obs::Counter* consumer_block_micros = nullptr;
+  obs::Counter* retries = nullptr;
+  obs::Counter* dropped_frames = nullptr;
+  obs::Counter* crc_failures = nullptr;
+  obs::Counter* duplicates = nullptr;
+  obs::Counter* timeouts = nullptr;
+  obs::Counter* send_failures = nullptr;
+  obs::Counter* backoff_micros = nullptr;
+  obs::Histogram* backoff_histogram = nullptr;
+
+  [[nodiscard]] SpscCounters spsc() const {
+    return SpscCounters{producer_blocks, consumer_blocks, producer_block_micros,
+                        consumer_block_micros};
+  }
+};
+
 /// Lock-free single-producer / single-consumer token channel over a
 /// preallocated slab. Exactly one thread may call the producer API
 /// (acquire/publish/push) and exactly one thread the consumer API
@@ -91,7 +120,9 @@ class SpscChannel {
   ///                     BBS, UBS credit window otherwise (plus delay
   ///                     tokens); clamped to >= 1
   /// \param frame_bound  bytes of the largest token the edge can carry
-  ///                     (b_max for VTS-converted edges); clamped to >= 1
+  ///                     (b_max for VTS-converted edges); clamped to >= 1.
+  ///                     Throws std::length_error when capacity ×
+  ///                     frame_bound overflows size_t.
   /// \param abort        optional run-abort flag checked while waiting;
   ///                     a blocked call throws ChannelInterrupted once it
   ///                     is set (after interrupt() wakes parked waiters)
@@ -131,7 +162,7 @@ class SpscChannel {
   [[nodiscard]] bool try_acquire(std::span<std::uint8_t>& slot) noexcept;
 
   /// Publishes the acquired slot's first `frame_bytes` bytes with one
-  /// release store (this is the kSend instant). Throws std::length_error
+  /// seq_cst store (this is the kSend instant). Throws std::length_error
   /// beyond frame_bound.
   void publish(std::size_t frame_bytes, const ChannelFlightCtx* flight = nullptr);
 
@@ -147,11 +178,18 @@ class SpscChannel {
   /// non-empty when the abort lands, the remaining tokens stay readable.
   [[nodiscard]] std::span<const std::uint8_t> front(const ChannelFlightCtx* flight = nullptr);
 
+  /// front() with a deadline on the wait: false once `deadline` passes
+  /// with the channel still empty (never earlier). An abort still wins:
+  /// ChannelInterrupted, whether or not the deadline has passed.
+  [[nodiscard]] bool front_until(std::chrono::steady_clock::time_point deadline,
+                                 std::span<const std::uint8_t>& token,
+                                 const ChannelFlightCtx* flight = nullptr);
+
   /// Non-blocking front; false when the channel is empty.
   [[nodiscard]] bool try_front(std::span<const std::uint8_t>& token) noexcept;
 
   /// Consumes the front token (records the kReceive event, then frees the
-  /// slot with one release store).
+  /// slot with one seq_cst store).
   void pop(const ChannelFlightCtx* flight = nullptr);
 
   /// front + copy-out + pop. `out.assign` reuses the caller's buffer
@@ -162,19 +200,26 @@ class SpscChannel {
   /// any thread.
   void interrupt();
 
- private:
-  enum class Side : std::uint8_t { kProducer, kConsumer };
-
-  /// Slow path: spin -> yield -> park until `ready()` (a lambda polling
-  /// the opposing index) holds or abort is set. Returns false on abort
-  /// with the condition still unmet.
-  template <class Ready>
-  bool wait(Side side, Ready&& ready, const ChannelFlightCtx* flight);
-
-  void wake_peer() noexcept;
+  /// Whether the run-abort flag is set (relaxed read).
   [[nodiscard]] bool aborted() const noexcept {
     return abort_ != nullptr && abort_->load(std::memory_order_relaxed);
   }
+
+ private:
+  enum class Side : std::uint8_t { kProducer, kConsumer };
+
+  using Deadline = std::chrono::steady_clock::time_point;
+
+  /// Slow path: spin -> yield -> park until `ready()` (a lambda polling
+  /// the opposing index) holds, abort is set or `deadline` (nullable =
+  /// none) passes. Returns false with the condition still unmet.
+  template <class Ready>
+  bool wait(Side side, Ready&& ready, const ChannelFlightCtx* flight,
+            const Deadline* deadline = nullptr);
+  /// Consumer wait for a published token; false as wait().
+  bool await_token(const ChannelFlightCtx* flight, const Deadline* deadline);
+
+  void wake_peer() noexcept;
 
   const df::EdgeId edge_;
   const std::size_t capacity_;

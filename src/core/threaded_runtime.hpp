@@ -18,14 +18,14 @@
 /// firing contexts and per-run state; a private WorkerPool sized to the
 /// plan's processor count supplies the threads and keeps them across
 /// runs, so repeated run() calls no longer spawn and join. Everything
-/// below — channel selection, reliability, observability — is
-/// JobInstance behavior surfaced unchanged.
+/// below — channels, reliability, observability — is JobInstance
+/// behavior surfaced unchanged.
 ///
-/// Channel selection (docs/architecture.md): plain edges ride the
+/// Channels (docs/architecture.md): every interprocessor edge rides the
 /// lock-free zero-copy SpscChannel — a slab sized from the plan's
 /// equation-2 bound, no lock and no heap allocation in steady state.
-/// Reliability-enabled edges use the mutex-based BlockingChannel, whose
-/// requeue/timeout semantics the retry protocol needs.
+/// Reliability-enabled edges run the retry protocol over the same ring
+/// (reliable_link.hpp).
 ///
 /// Actor compute functions are the same ComputeFn used by
 /// FunctionalRuntime, so an application wires up once and runs on either
@@ -146,8 +146,6 @@ class ThreadedRuntime {
   [[nodiscard]] const ThreadedRunStats& stats() const { return job_.stats(); }
 
   [[nodiscard]] const ReliabilityOptions& reliability() const { return job_.reliability(); }
-  /// How many IPC edges ride the lock-free SPSC path this run.
-  [[nodiscard]] std::int64_t spsc_channel_count() const { return job_.spsc_channel_count(); }
 
   /// The underlying job instance (the serve layer builds these directly;
   /// exposed here so diagnostics and tests can reach the full surface).

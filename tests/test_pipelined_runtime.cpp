@@ -120,9 +120,10 @@ TEST(PipelinedRuntime, InflightCapBoundsRealizedOverlap) {
     EXPECT_GE(report.pipelined_iterations_max, 1);
     EXPECT_LE(report.pipelined_iterations_max, cap)
         << "a worker overran the in-flight window";
-    if (cap == 1)
+    if (cap == 1) {
       EXPECT_EQ(report.pipelined_iterations_max, 1)
           << "cap=1 must be a strict iteration barrier";
+    }
   }
 }
 

@@ -206,6 +206,44 @@ TEST(PlanRoundTrip, ValidateRejectsStepEdgesOutsideTheActor) {
   EXPECT_THROW(broken.validate(), std::invalid_argument);
 }
 
+/// The runtime allocates each channel's ring as capacity x frame bound
+/// bytes from the loaded plan: a tampered b_max whose product wraps (or
+/// is merely absurd) must be rejected at load, never allocated.
+TEST(PlanRoundTrip, FromJsonRejectsAHostileChannelSlab) {
+  df::Graph g("slab");
+  const df::ActorId a = g.add_actor("A", 10);
+  const df::ActorId b = g.add_actor("B", 10);
+  const df::EdgeId e =
+      g.connect(a, df::Rate::dynamic(8), b, df::Rate::dynamic(8), /*delay=*/4, sizeof(double));
+  sched::Assignment assignment(2, 2);
+  assignment.assign(b, 1);
+  const core::ExecutablePlan plan = core::compile_plan(g, assignment);
+  ASSERT_EQ(plan.channels.size(), 1u);
+  ASSERT_TRUE(plan.vts.edges[static_cast<std::size_t>(e)].converted);
+  ASSERT_GE(plan.channels.front().capacity_tokens(), 4);
+
+  const std::string json = plan.to_json();
+  const std::string key =
+      "\"converted\": true, \"b_max_bytes\": " +
+      std::to_string(plan.vts.edges[static_cast<std::size_t>(e)].b_max_bytes) + ",";
+  const std::size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos) << "edge encoding changed; update this test";
+  ASSERT_NO_THROW((void)core::ExecutablePlan::from_json(json));
+
+  const auto tampered = [&](const std::string& b_max) {
+    std::string text = json;
+    text.replace(at, key.size(), "\"converted\": true, \"b_max_bytes\": " + b_max + ",");
+    return text;
+  };
+  // 2^62 bytes per slot: capacity x frame bound wraps size_t.
+  EXPECT_THROW((void)core::ExecutablePlan::from_json(tampered("4611686018427387904")),
+               std::invalid_argument);
+  // No wrap, but far past any sane slab.
+  EXPECT_THROW((void)core::ExecutablePlan::from_json(tampered("1099511627776")),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::ExecutablePlan::from_json(tampered("-1")), std::invalid_argument);
+}
+
 TEST(PlanRoundTrip, FromJsonRejectsMalformedDocuments) {
   EXPECT_THROW((void)core::ExecutablePlan::from_json(""), std::invalid_argument);
   EXPECT_THROW((void)core::ExecutablePlan::from_json("{"), std::invalid_argument);

@@ -1,8 +1,9 @@
 /// End-to-end tests of the reliable transport inside ThreadedRuntime:
 /// retry recovery under deterministic fault injection, typed failure on
 /// persistent faults (no hangs), CRC-driven retransmission, receive
-/// timeouts, duplicate suppression, metric publication, and the seeded
-/// soak test asserting threaded-lossy / functional-lossless parity.
+/// timeouts, duplicate suppression, metric publication, the seeded soak
+/// test asserting threaded-lossy / functional-lossless parity, and a
+/// lossy colocated run matching a lossless gang run.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -325,6 +326,41 @@ TEST(ReliableRuntime, SeededSoakRunsAreReproducible) {
   EXPECT_EQ(s1.crc_failures, s2.crc_failures);
   EXPECT_EQ(s1.duplicates, s2.duplicates);
   EXPECT_GT(s1.retries + s1.duplicates, 0);  // the plan actually bit
+}
+
+TEST(ReliableRuntime, ColocatedLossyRunMatchesLosslessGangRun) {
+  // One thread plays both ends of every reliable ring: frames the
+  // receiver discards must never take a slot an intact frame needs, or
+  // the run would wait on itself.
+  Fixture f;
+  const SpiSystem system(f.g, f.assignment);
+  constexpr std::int64_t kIters = 400;
+
+  std::vector<double> lossless;
+  {
+    ThreadedRuntime gang(system);
+    f.wire(gang, lossless);
+    gang.run(kIters);
+  }
+
+  // examples/lossy_plan.txt's wire, plus duplicates.
+  const sim::FaultPlan plan = sim::parse_fault_plan(
+      "seed 2008\n"
+      "retry attempts=16 base_us=20 multiplier=2 max_us=500 jitter=0.1 timeout_us=2000000\n"
+      "default drop=0.05 corrupt=0.01 duplicate=0.02\n");
+  JobInstanceOptions options;
+  options.reliability.enabled = true;
+  options.reliability.faults = &plan;
+  JobInstance colocated(system.plan(), options);
+  std::vector<double> lossy;
+  f.wire(colocated, lossy);
+  colocated.run_colocated(kIters);
+
+  EXPECT_EQ(lossy, lossless);
+  EXPECT_GT(colocated.stats().dropped_frames, 0);
+  EXPECT_GT(colocated.stats().crc_failures, 0);
+  EXPECT_GT(colocated.stats().duplicates, 0);
+  EXPECT_EQ(colocated.stats().timeouts, 0);
 }
 
 TEST(ReliableRuntime, SpeechPipelineLossyMatchesLosslessReference) {

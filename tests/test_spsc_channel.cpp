@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -95,6 +97,76 @@ TEST(SpscChannel, InterruptUnparksBlockedConsumer) {
   channel.interrupt();
   consumer.join();
   EXPECT_TRUE(threw.load());
+}
+
+TEST(SpscChannel, DeadlineWaitReturnsNoEarlierThanTheDeadline) {
+  SpscChannel channel(/*edge=*/5, /*capacity=*/2, /*frame_bound=*/8);
+  for (const auto wait : {std::chrono::milliseconds(0), std::chrono::milliseconds(30)}) {
+    const auto start = std::chrono::steady_clock::now();
+    const auto deadline = start + wait;
+    std::span<const std::uint8_t> token;
+    EXPECT_FALSE(channel.front_until(deadline, token));
+    EXPECT_GE(std::chrono::steady_clock::now(), deadline);
+    // Timed out, but not stuck: the next wait is its own.
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  }
+  // A published token is returned at once, whatever the deadline.
+  const Bytes token = make_token(8, 0x21);
+  channel.push({token.data(), token.size()});
+  std::span<const std::uint8_t> front;
+  ASSERT_TRUE(channel.front_until(std::chrono::steady_clock::now(), front));
+  EXPECT_EQ(Bytes(front.begin(), front.end()), token);
+}
+
+TEST(SpscChannel, PublishWakesAParkedDeadlineWaiter) {
+  // No lost wakeup: a consumer parked on a distant deadline is woken by
+  // the publish, many times over, each well before the deadline.
+  SpscChannel channel(/*edge=*/6, /*capacity=*/1, /*frame_bound=*/8);
+  constexpr int kRounds = 20;
+  std::thread producer([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      // Long enough for the consumer to pass spin and yield and park.
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      const Bytes token = make_token(8, static_cast<std::uint8_t>(i));
+      channel.push({token.data(), token.size()});
+    }
+  });
+  for (int i = 0; i < kRounds; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    std::span<const std::uint8_t> token;
+    ASSERT_TRUE(channel.front_until(start + std::chrono::seconds(30), token)) << "round " << i;
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+    EXPECT_EQ(token[0], static_cast<std::uint8_t>(i));
+    channel.pop();
+  }
+  producer.join();
+}
+
+TEST(SpscChannel, AbortWinsOverTheDeadline) {
+  std::atomic<bool> abort{false};
+  SpscChannel channel(/*edge=*/7, /*capacity=*/2, /*frame_bound=*/8, &abort);
+  std::atomic<bool> threw{false};
+  const auto start = std::chrono::steady_clock::now();
+  std::thread consumer([&] {
+    try {
+      std::span<const std::uint8_t> token;
+      (void)channel.front_until(start + std::chrono::seconds(30), token);
+    } catch (const ChannelInterrupted&) {
+      threw.store(true);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  abort.store(true);
+  channel.interrupt();
+  consumer.join();
+  EXPECT_TRUE(threw.load());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+
+  // Aborted with the deadline already past: still the abort, not a
+  // timeout.
+  std::span<const std::uint8_t> token;
+  EXPECT_THROW((void)channel.front_until(std::chrono::steady_clock::now(), token),
+               ChannelInterrupted);
 }
 
 TEST(SpscChannel, InterruptUnparksBlockedProducer) {
@@ -230,20 +302,39 @@ TEST(SpscChannel, FlightEventsRecordSendReceiveAndParkOnlyBlocks) {
   EXPECT_EQ(blocks, 0);
 }
 
-TEST(ThreadedRuntimeChannels, PolicySelectsSpscForPlainEdges) {
+TEST(ThreadedRuntimeChannels, RuntimeListsEveryPlanChannelWithItsReliability) {
   apps::SpeechParams params;
   params.frame_size = 64;
   params.max_frame_size = 256;
   const apps::ErrorGenApp app(2, params);
+  const ExecutablePlan& plan = app.system().plan();
+  ASSERT_FALSE(plan.channels.empty());
 
-  const ThreadedRuntime plain_rt(app.system().plan());
-  EXPECT_GT(plain_rt.spsc_channel_count(), 0);
-
-  // Reliability claims its edges for the blocking protocol channel.
-  ReliabilityOptions reliability;
-  reliability.enabled = true;
-  const ThreadedRuntime reliable_rt(app.system().plan(), reliability);
-  EXPECT_EQ(reliable_rt.spsc_channel_count(), 0);
+  // Each plan channel's /runtime entry, by edge id.
+  const auto entry = [](const std::string& status, const ChannelSpec& spec) {
+    const std::size_t at = status.find("{\"edge\":" + std::to_string(spec.edge) + ",");
+    if (at == std::string::npos) return std::string();
+    return status.substr(at, status.find('}', at) - at + 1);
+  };
+  for (const bool enabled : {false, true}) {
+    ReliabilityOptions reliability;
+    reliability.enabled = enabled;
+    ThreadedRuntime runtime(plan, reliability);
+    runtime.run(3);
+    const std::string status = runtime.runtime_status_json();
+    for (const ChannelSpec& spec : plan.channels) {
+      const std::string channel = entry(status, spec);
+      ASSERT_FALSE(channel.empty()) << spec.name << " missing from " << status;
+      EXPECT_NE(channel.find("\"name\":\"" + spec.name + "\""), std::string::npos) << channel;
+      EXPECT_NE(channel.find("\"capacity_tokens\":" + std::to_string(spec.capacity_tokens()) + ","),
+                std::string::npos)
+          << channel;
+      EXPECT_NE(channel.find(std::string("\"reliable\":") + (enabled ? "true" : "false")),
+                std::string::npos)
+          << channel;
+    }
+    EXPECT_GT(runtime.stats().messages, 0);
+  }
 }
 
 /// Plan-parity: the speech app produces bit-identical error values on
