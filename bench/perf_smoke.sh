@@ -16,6 +16,15 @@
 #    and a failing comparison is re-measured once before it fails the
 #    build: the gate hunts real regressions, not scheduler noise.
 #
+# plus one gate against the self-timed model rather than a baseline:
+#
+#  * pipeline_period: fails when a plan's median realized period exceeds
+#    the sync-graph MCM by more than MAX_PERIOD_OVER_BOUND_PCT (default
+#    15; the bound is max(MCM, work/cores) on a host with fewer cores
+#    than the plan has processors), or when chain4's median period is
+#    above half its single-iteration makespan (iterations not
+#    overlapping). Re-measured once before it fails the build.
+#
 #   bench/perf_smoke.sh [BUILD_DIR] [MIN_SPEEDUP]
 #
 # MIN_SPEEDUP is the minimum required ratio of the mutex baseline's mean
@@ -182,57 +191,69 @@ if ! measure_trace_overhead; then
   fi
 fi
 
-# --- cross-iteration pipelining gates (docs/architecture.md) -------------
-# Two comparisons from one pipeline_period run on the paper apps' plans
-# (WCET busy-spin computes, so what's measured is orchestration):
-#  * the free-running pipelined period must not exceed the barriered
-#    (max_inflight_iterations=1) period beyond scheduler noise — the
-#    pipelining must never cost throughput;
-#  * the pipelined period must stay within MAX_PERIOD_OVER_BOUND_PCT of
-#    the effective period bound: max(sync-graph MCM, total-work/cores).
-#    On a host with >= proc_count cores the bound IS the MCM, i.e. the
-#    ROADMAP's "realized period within 10% of the MCM bound" target.
+# --- self-timed period gates (docs/architecture.md) ----------------------
+# One pipeline_period run on the paper apps' plans and on chain4 (WCET
+# busy-spin computes, so what's measured is orchestration; every figure
+# is the median of pipeline_period's repeated runs):
+#  * the realized period must stay within MAX_PERIOD_OVER_BOUND_PCT of
+#    the effective period bound. On a host with >= proc_count cores the
+#    bound IS the raw sync-graph MCM — the guarantee of the self-timed
+#    model; on a smaller host the pinned per-processor programs
+#    time-share cores, so the bound is max(MCM, total-work/cores);
+#  * on a host with enough cores, chain4's period must be at most half
+#    its single-iteration makespan: one iteration spans four processors
+#    end to end, so only overlapped iterations get there (an iteration
+#    barrier would pin the period to the makespan).
 pp_bin="$BUILD_DIR/bench/pipeline_period"
 if [ ! -x "$pp_bin" ]; then
-  echo "perf_smoke.sh: skipping pipelining gates ($pp_bin not built)" >&2
+  echo "perf_smoke.sh: skipping self-timed period gates ($pp_bin not built)" >&2
   exit 0
 fi
-MAX_PERIOD_OVER_BOUND_PCT=${MAX_PERIOD_OVER_BOUND_PCT:-10}
-MAX_PIPELINED_OVER_BARRIERED_PCT=${MAX_PIPELINED_OVER_BARRIERED_PCT:-10}
+MAX_PERIOD_OVER_BOUND_PCT=${MAX_PERIOD_OVER_BOUND_PCT:-15}
+MAX_CHAIN_PERIOD_OVER_MAKESPAN=0.5
 
 measure_pipeline_period() {
   "$pp_bin" --json > "$TMP/pipeline_period.json"
   python3 - "$TMP/pipeline_period.json" "$MAX_PERIOD_OVER_BOUND_PCT" \
-    "$MAX_PIPELINED_OVER_BARRIERED_PCT" <<'PY'
+    "$MAX_CHAIN_PERIOD_OVER_MAKESPAN" <<'PY'
 import json, sys
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 max_over_bound = 1.0 + float(sys.argv[2]) / 100.0
-max_over_barriered = 1.0 + float(sys.argv[3]) / 100.0
+max_over_makespan = float(sys.argv[3])
+host_cpus = doc["host_cpus"]
 
 failed = False
-for app, r in doc["apps"].items():
-    print(f"perf_smoke.sh: {app}: pipelined {r['pipelined_period_us']:.0f} us = "
-          f"{r['pipelined_over_mcm']:.3f}x MCM, {r['pipelined_over_bound']:.3f}x "
-          f"effective bound (gate: <= {max_over_bound:.2f}x); barriered "
-          f"{r['barriered_period_us']:.0f} us", file=sys.stderr)
+for plan, r in doc["apps"].items():
+    enough_cores = host_cpus >= r["proc_count"]
+    bound = "MCM" if enough_cores else "max(MCM, work/cores)"
+    over_bound = "" if enough_cores else f", {r['pipelined_over_bound']:.3f}x {bound}"
+    print(f"perf_smoke.sh: {plan}: median period {r['pipelined_period_us']:.0f} us "
+          f"[{r['pipelined_period_min_us']:.0f}, {r['pipelined_period_max_us']:.0f}] = "
+          f"{r['pipelined_over_mcm']:.3f}x MCM{over_bound} "
+          f"(gate: <= {max_over_bound:.2f}x; {host_cpus} cpus, "
+          f"{r['proc_count']} procs)", file=sys.stderr)
     if r["pipelined_over_bound"] > max_over_bound:
-        print(f"perf_smoke.sh: FAIL {app}: pipelined period exceeds the effective "
-              f"period bound by more than {sys.argv[2]}%", file=sys.stderr)
+        print(f"perf_smoke.sh: FAIL {plan}: realized period exceeds {bound} by more "
+              f"than {sys.argv[2]}%", file=sys.stderr)
         failed = True
-    if r["pipelined_period_us"] > r["barriered_period_us"] * max_over_barriered:
-        print(f"perf_smoke.sh: FAIL {app}: pipelined execution is slower than the "
-              f"per-iteration barrier", file=sys.stderr)
-        failed = True
+    if "makespan_us" in r and enough_cores:
+        print(f"perf_smoke.sh: {plan}: median period {r['pipelined_over_makespan']:.3f}x "
+              f"its {r['makespan_us']:.0f} us makespan (gate: <= {max_over_makespan}x)",
+              file=sys.stderr)
+        if r["pipelined_over_makespan"] > max_over_makespan:
+            print(f"perf_smoke.sh: FAIL {plan}: iterations do not overlap",
+                  file=sys.stderr)
+            failed = True
 sys.exit(1 if failed else 0)
 PY
 }
 
 if ! measure_pipeline_period; then
-  echo "perf_smoke.sh: pipelining gate failed; re-measuring once" >&2
+  echo "perf_smoke.sh: self-timed period gate failed; re-measuring once" >&2
   if ! measure_pipeline_period; then
-    echo "perf_smoke.sh: FAIL cross-iteration pipelining regressed" >&2
+    echo "perf_smoke.sh: FAIL self-timed execution regressed" >&2
     exit 1
   fi
 fi

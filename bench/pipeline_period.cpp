@@ -1,32 +1,38 @@
 /// \file pipeline_period.cpp
-/// Realized-vs-MCM period gate for cross-iteration pipelining, on the
-/// two paper applications' compiled plans (speech error generation and
-/// distributed particle filtering).
+/// Realized-vs-MCM period gate for self-timed execution, on the two
+/// paper applications' compiled plans (speech error generation and
+/// distributed particle filtering) and on `chain4`, a four-actor chain
+/// with one actor per processor.
 ///
 /// Every actor busy-spins its modeled WCET (exec_cycles scaled to wall
 /// time), so the run realizes exactly the workload the sync-graph MCM
 /// bound was computed for — what's measured is the *runtime's*
-/// orchestration: how close the free-running pipelined workers come to
-/// the schedule-theoretic period floor, and how much the per-iteration
-/// barrier (max_inflight_iterations=1) costs by serializing the
-/// cross-processor tail into every iteration. Periods come from the
-/// flight recorder through the critical-path analyzer (the same
-/// realized_period_steady spi_trace_analyze reports).
+/// orchestration: how close the free-running workers come to the
+/// schedule-theoretic period floor. chain4 is the plan where overlap
+/// matters: one iteration takes four firings end to end (its makespan is
+/// about 4x its MCM), so an iteration barrier would pin its period to
+/// the makespan while self-timed overlap reaches the MCM. Periods come
+/// from the flight recorder through the critical-path analyzer (the same
+/// realized_period_steady spi_trace_analyze reports); every plan is
+/// measured kRepetitions times, interleaved, and reported as median,
+/// min and max.
 ///
 ///   pipeline_period [--json] [--iterations N] [--cycle-us C]
 ///
 /// With --json, emits a machine-readable document consumed by
-/// bench/perf_smoke.sh (the pipelined<=barriered and pipelined/MCM
-/// gates) and folded into BENCH_results.json by run_benchmarks.sh.
+/// bench/perf_smoke.sh (the period-over-MCM and chain4 overlap gates)
+/// and folded into BENCH_results.json by run_benchmarks.sh.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "apps/particle_app.hpp"
 #include "apps/speech_app.hpp"
+#include "core/spi_system.hpp"
 #include "core/threaded_runtime.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/flight_recorder.hpp"
@@ -35,8 +41,13 @@ namespace {
 
 using namespace spi;
 
+/// Runs per plan; the median is what the gates read.
+constexpr int kRepetitions = 5;
+/// chain4's per-actor WCET in cycles.
+constexpr std::int64_t kChainExecCycles = 10;
+
 /// Burns wall time without yielding: sleep-based waits overshoot by
-/// scheduler quanta, which would swamp a 10% period gate.
+/// scheduler quanta, which would swamp the 15% period gate.
 void spin_ns(std::int64_t ns) {
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);
   while (std::chrono::steady_clock::now() < deadline) {
@@ -48,10 +59,10 @@ struct PeriodSample {
   std::int64_t pipelined_iterations_max = 0;
 };
 
-/// Runs `plan` with WCET busy-spin computes at the given in-flight cap
-/// and measures the realized steady-state period.
+/// Runs `plan` with WCET busy-spin computes and measures the realized
+/// steady-state period.
 PeriodSample run_once(const core::ExecutablePlan& plan, std::int64_t cycle_ns,
-                      std::int64_t iterations, std::int64_t max_inflight) {
+                      std::int64_t iterations) {
   core::ThreadedRuntime runtime(plan);
   const df::Graph& graph = plan.vts.graph;
   for (df::ActorId a = 0; a < static_cast<df::ActorId>(graph.actor_count()); ++a) {
@@ -69,10 +80,7 @@ PeriodSample run_once(const core::ExecutablePlan& plan, std::int64_t cycle_ns,
 
   obs::FlightRecorder recorder(static_cast<std::int32_t>(plan.proc_count));
   runtime.set_flight_recorder(&recorder);
-  core::RunOptions options;
-  options.iterations = iterations;
-  options.max_inflight_iterations = max_inflight;
-  runtime.run(options);
+  runtime.run(iterations);
 
   obs::AnalyzeOptions analyze;
   analyze.predicted_mcm = plan.predicted_mcm();
@@ -87,26 +95,38 @@ PeriodSample run_once(const core::ExecutablePlan& plan, std::int64_t cycle_ns,
   return sample;
 }
 
-struct AppResult {
+struct PlanResult {
   const char* name;
+  const core::ExecutablePlan* plan = nullptr;
   double mcm_cycles = 0.0;
   double mcm_ns = 0.0;
-  /// The bound the 10% gate compares against: max(MCM, total exec work
-  /// divided by the host cores available to this plan's workers). On a
-  /// host with >= proc_count cores this IS the sync-graph MCM bound; on
-  /// a smaller host the pinned per-processor programs time-share cores,
-  /// so no schedule can realize a period under total_work/cores — the
-  /// classic work/span floor — and gating against raw MCM would fail
-  /// every build on a 1-core CI runner no matter how good the runtime.
+  /// max(MCM, total exec work divided by the host cores available to
+  /// this plan's workers). On a host with >= proc_count cores this IS
+  /// the sync-graph MCM bound; on a smaller host the pinned
+  /// per-processor programs time-share cores, so no schedule can realize
+  /// a period under total_work/cores — the classic work/span floor.
   double bound_ns = 0.0;
-  PeriodSample pipelined;  ///< max_inflight_iterations = 0 (unbounded)
-  PeriodSample barriered;  ///< max_inflight_iterations = 1 (lockstep)
+  /// Modeled single-iteration makespan (chain4 only; 0 = not reported).
+  double makespan_ns = 0.0;
+  std::vector<double> periods_ns;  ///< one per run, sorted once all ran
+  std::int64_t depth = 0;          ///< deepest overlap any run reached
+
+  void add(const PeriodSample& s) {
+    periods_ns.push_back(s.realized_period_ns);
+    depth = std::max(depth, s.pipelined_iterations_max);
+  }
+  [[nodiscard]] double median_ns() const { return periods_ns[periods_ns.size() / 2]; }
+  [[nodiscard]] double min_ns() const { return periods_ns.front(); }
+  [[nodiscard]] double max_ns() const { return periods_ns.back(); }
 };
 
-AppResult measure(const char* name, const core::ExecutablePlan& plan,
-                  std::int64_t cycle_ns, std::int64_t iterations) {
-  AppResult r;
+unsigned host_cpus() { return std::max(1u, std::thread::hardware_concurrency()); }
+
+PlanResult describe(const char* name, const core::ExecutablePlan& plan,
+                    std::int64_t cycle_ns) {
+  PlanResult r;
   r.name = name;
+  r.plan = &plan;
   r.mcm_cycles = plan.predicted_mcm();
   r.mcm_ns = r.mcm_cycles * static_cast<double>(cycle_ns);
 
@@ -114,48 +134,55 @@ AppResult measure(const char* name, const core::ExecutablePlan& plan,
   std::int64_t total_exec_cycles = 0;
   for (df::ActorId a = 0; a < static_cast<df::ActorId>(graph.actor_count()); ++a)
     total_exec_cycles += graph.actor(a).exec_cycles;
-  const auto host = static_cast<std::int64_t>(
-      std::max(1u, std::thread::hardware_concurrency()));
-  const std::int64_t cores = std::min<std::int64_t>(host, plan.proc_count);
+  const std::int64_t cores = std::min<std::int64_t>(host_cpus(), plan.proc_count);
   const double work_floor_ns =
       static_cast<double>(total_exec_cycles) * static_cast<double>(cycle_ns) /
       static_cast<double>(cores);
   r.bound_ns = std::max(r.mcm_ns, work_floor_ns);
-  // Barriered first: its period is the larger, so a warm-up effect
-  // (page faults, frequency ramp) penalizes the baseline, never the
-  // pipelined run the gate protects.
-  r.barriered = run_once(plan, cycle_ns, iterations, /*max_inflight=*/1);
-  r.pipelined = run_once(plan, cycle_ns, iterations, /*max_inflight=*/0);
   return r;
 }
 
-void print_json(const AppResult& r, bool last) {
-  std::printf(
-      "  \"%s\": {\"predicted_mcm_cycles\": %.3f, \"predicted_mcm_us\": %.3f,\n"
-      "   \"effective_bound_us\": %.3f,\n"
-      "   \"pipelined_period_us\": %.3f, \"barriered_period_us\": %.3f,\n"
-      "   \"pipelined_over_mcm\": %.4f, \"barriered_over_mcm\": %.4f,\n"
-      "   \"pipelined_over_bound\": %.4f, \"barriered_over_bound\": %.4f,\n"
-      "   \"pipelined_iterations_max\": %lld}%s\n",
-      r.name, r.mcm_cycles, r.mcm_ns / 1e3, r.bound_ns / 1e3,
-      r.pipelined.realized_period_ns / 1e3,
-      r.barriered.realized_period_ns / 1e3, r.pipelined.realized_period_ns / r.mcm_ns,
-      r.barriered.realized_period_ns / r.mcm_ns,
-      r.pipelined.realized_period_ns / r.bound_ns,
-      r.barriered.realized_period_ns / r.bound_ns,
-      static_cast<long long>(r.pipelined.pipelined_iterations_max), last ? "" : ",");
+/// chain4: A -> B -> C -> D, one actor per processor, equal WCETs.
+df::Graph chain4_graph() {
+  df::Graph g("chain4");
+  df::ActorId prev = g.add_actor("A", kChainExecCycles);
+  for (const char* name : {"B", "C", "D"}) {
+    const df::ActorId next = g.add_actor(name, kChainExecCycles);
+    g.connect_simple(prev, next, 0, sizeof(double));
+    prev = next;
+  }
+  return g;
 }
 
-void print_text(const AppResult& r) {
-  std::printf("%-10s MCM %6.1f us, bound %6.1f us | pipelined %7.1f us "
-              "(%.3fx MCM, %.3fx bound, depth %lld) | barriered %7.1f us (%.3fx MCM)\n",
-              r.name, r.mcm_ns / 1e3, r.bound_ns / 1e3,
-              r.pipelined.realized_period_ns / 1e3,
-              r.pipelined.realized_period_ns / r.mcm_ns,
-              r.pipelined.realized_period_ns / r.bound_ns,
-              static_cast<long long>(r.pipelined.pipelined_iterations_max),
-              r.barriered.realized_period_ns / 1e3,
-              r.barriered.realized_period_ns / r.mcm_ns);
+void print_json(const PlanResult& r, bool last) {
+  std::printf(
+      "  \"%s\": {\"proc_count\": %lld, \"predicted_mcm_cycles\": %.3f, "
+      "\"predicted_mcm_us\": %.3f,\n"
+      "   \"effective_bound_us\": %.3f,\n"
+      "   \"pipelined_period_us\": %.3f, \"pipelined_period_min_us\": %.3f, "
+      "\"pipelined_period_max_us\": %.3f,\n"
+      "   \"pipelined_over_mcm\": %.4f, \"pipelined_over_bound\": %.4f,\n",
+      r.name, static_cast<long long>(r.plan->proc_count), r.mcm_cycles, r.mcm_ns / 1e3,
+      r.bound_ns / 1e3, r.median_ns() / 1e3, r.min_ns() / 1e3, r.max_ns() / 1e3,
+      r.median_ns() / r.mcm_ns, r.median_ns() / r.bound_ns);
+  if (r.makespan_ns > 0.0)
+    std::printf("   \"makespan_us\": %.3f, \"pipelined_over_makespan\": %.4f,\n",
+                r.makespan_ns / 1e3, r.median_ns() / r.makespan_ns);
+  std::printf("   \"pipelined_iterations_max\": %lld}%s\n",
+              static_cast<long long>(r.depth), last ? "" : ",");
+}
+
+void print_text(const PlanResult& r) {
+  std::printf("%-9s %lld procs, MCM %6.1f us, bound %6.1f us | period median %7.1f us "
+              "[%7.1f, %7.1f] (%.3fx MCM, %.3fx bound, depth %lld)",
+              r.name, static_cast<long long>(r.plan->proc_count), r.mcm_ns / 1e3,
+              r.bound_ns / 1e3, r.median_ns() / 1e3, r.min_ns() / 1e3, r.max_ns() / 1e3,
+              r.median_ns() / r.mcm_ns, r.median_ns() / r.bound_ns,
+              static_cast<long long>(r.depth));
+  if (r.makespan_ns > 0.0)
+    std::printf(" | makespan %.1f us (%.3fx)", r.makespan_ns / 1e3,
+                r.median_ns() / r.makespan_ns);
+  std::printf("\n");
 }
 
 }  // namespace
@@ -190,25 +217,40 @@ int main(int argc, char** argv) {
   particle_params.max_particles = 256;
   const apps::ParticleFilterApp particle(2, particle_params);
 
-  const AppResult s = measure("speech", speech.system().plan(), cycle_ns, iterations);
-  const AppResult p = measure("particle", particle.system().plan(), cycle_ns, iterations);
+  const df::Graph chain = chain4_graph();
+  sched::Assignment chain_assignment(chain.actor_count(), 4);
+  for (df::ActorId a = 0; a < static_cast<df::ActorId>(chain.actor_count()); ++a)
+    chain_assignment.assign(a, a);
+  const core::SpiSystem chain4(chain, chain_assignment);
+
+  std::vector<PlanResult> results{describe("speech", speech.system().plan(), cycle_ns),
+                                  describe("particle", particle.system().plan(), cycle_ns),
+                                  describe("chain4", chain4.plan(), cycle_ns)};
+  sim::TimedExecutorOptions one_iteration;
+  one_iteration.iterations = 1;
+  results.back().makespan_ns = static_cast<double>(chain4.run_timed(one_iteration).makespan) *
+                               static_cast<double>(cycle_ns);
+  // Interleaved repetitions: slow drift (frequency ramp, a noisy
+  // neighbour) spreads over every plan instead of biasing one.
+  for (int rep = 0; rep < kRepetitions; ++rep)
+    for (PlanResult& r : results) r.add(run_once(*r.plan, cycle_ns, iterations));
+  for (PlanResult& r : results) std::sort(r.periods_ns.begin(), r.periods_ns.end());
 
   if (json) {
-    std::printf("{\"cycle_us\": %lld, \"iterations\": %lld, \"host_cpus\": %u,\n"
+    std::printf("{\"cycle_us\": %lld, \"iterations\": %lld, \"repetitions\": %d, "
+                "\"host_cpus\": %u,\n"
                 " \"apps\": {\n",
                 static_cast<long long>(cycle_us), static_cast<long long>(iterations),
-                std::max(1u, std::thread::hardware_concurrency()));
-    print_json(s, /*last=*/false);
-    print_json(p, /*last=*/true);
+                kRepetitions, host_cpus());
+    for (std::size_t i = 0; i < results.size(); ++i)
+      print_json(results[i], /*last=*/i + 1 == results.size());
     std::printf(" }}\n");
   } else {
     std::printf("realized period vs sync-graph MCM bound (WCET busy-spin computes,\n"
-                "1 cycle = %lld us, %lld iterations):\n\n",
-                static_cast<long long>(cycle_us), static_cast<long long>(iterations));
-    print_text(s);
-    print_text(p);
-    std::printf("\npipelined = free-running workers (max_inflight_iterations=0);\n"
-                "barriered = per-iteration lockstep (max_inflight_iterations=1).\n");
+                "1 cycle = %lld us, %lld iterations, %d runs per plan, %u host cpus):\n\n",
+                static_cast<long long>(cycle_us), static_cast<long long>(iterations),
+                kRepetitions, host_cpus());
+    for (const PlanResult& r : results) print_text(r);
   }
   return 0;
 }

@@ -20,8 +20,12 @@
 #                                           #   built or SPI_SKIP_SERVE=1
 #     "pipeline": {...},                    # realized-vs-MCM period document
 #                                           #   (bench/pipeline_period --json,
-#                                           #   docs/architecture.md); absent
-#                                           #   when the binary is not built
+#                                           #   docs/architecture.md): median/
+#                                           #   min/max over 5 runs per plan
+#                                           #   (speech, particle, chain4),
+#                                           #   host_cpus, proc_count, chain4's
+#                                           #   makespan; absent when the
+#                                           #   binary is not built
 #     "derived": {
 #       "serve_peak_krps": K,               # closed-loop capacity, kreq/s
 #       "serve_p99_us": U,                  # burst p99 at the top offered rate
@@ -48,11 +52,13 @@
 #       "kernel_simd_speedup": S,           # geomean scalar/vectorized over
 #                                           #   the FFT, FIR, mat-vec and
 #                                           #   Huffman kernel pairs
-#       "speech_pipelined_over_mcm": R,     # realized pipelined period over
-#       "particle_pipelined_over_mcm": R,   #   the sync-graph MCM bound
+#       "speech_pipelined_over_mcm": R,     # median realized self-timed
+#       "particle_pipelined_over_mcm": R,   #   period over the sync-graph
+#       "chain4_pipelined_over_mcm": R,     #   MCM bound
 #       "speech_pipelined_over_bound": R,   # same, over the machine-aware
-#       "particle_pipelined_over_bound": R  #   bound max(MCM, work/cores) —
-#     }                                     #   the perf_smoke.sh 10% gate
+#       "particle_pipelined_over_bound": R, #   bound max(MCM, work/cores) —
+#       "chain4_pipelined_over_bound": R    #   the perf_smoke.sh 15% gate
+#     }
 #   }
 #
 # BENCHMARK_MIN_TIME can shrink runs for smoke use (default 0.05s).
@@ -110,8 +116,8 @@ if [ "${SPI_SKIP_SERVE:-0}" != "1" ] && [ -x "$BUILD_DIR/tools/spi_served" ] \
   wait "$SERVED_PID" 2> /dev/null || true
 fi
 
-# Realized-vs-MCM pipelining periods on the paper apps (the document
-# bench/perf_smoke.sh gates; docs/architecture.md).
+# Realized-vs-MCM self-timed periods on the paper apps and chain4 (the
+# document bench/perf_smoke.sh gates; docs/architecture.md).
 PIPELINE_JSON=""
 if [ -x "$BUILD_DIR/bench/pipeline_period" ]; then
   echo "run_benchmarks.sh: pipeline_period" >&2
@@ -269,7 +275,7 @@ if "kernel_simd_speedup" in derived:
           f"{derived['kernel_simd_speedup']}x vs scalar references "
           f"(FFT 1024 {derived.get('fft_1024_us', '?')} us, Huffman 8192 "
           f"{derived.get('huffman_8192_us', '?')} us)", file=sys.stderr)
-for app in ("speech", "particle"):
+for app in ("speech", "particle", "chain4"):
     key = f"{app}_pipelined_over_mcm"
     if key in derived:
         print(f"run_benchmarks.sh: {app} pipelined period "

@@ -92,10 +92,10 @@ class ParticleFilterApp {
   [[nodiscard]] TrackResult track_threaded(const dsp::CrackTrajectory& trajectory) const;
 
   /// track_threaded with full control of the run — watchdog, flight
-  /// recorder, telemetry and the cross-iteration pipelining window
-  /// (`max_inflight_iterations`). The iteration count is overridden by
-  /// the trajectory length. Estimates stay bit-identical to track()
-  /// at every in-flight cap (the pipelined-runtime tests assert it).
+  /// recorder and telemetry. The iteration count is overridden by the
+  /// trajectory length. The gang free-runs across iterations, and the
+  /// estimates stay bit-identical to track() (the pipelined-runtime
+  /// tests assert it).
   [[nodiscard]] TrackResult track_threaded(
       const dsp::CrackTrajectory& trajectory, const core::RunOptions& run_options) const;
 

@@ -1,7 +1,6 @@
 #include "core/job_instance.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <optional>
 #include <stdexcept>
@@ -296,35 +295,6 @@ void JobInstance::fail(std::exception_ptr error) {
 void JobInstance::interrupt_all() {
   for (auto& channel : spsc_)
     if (channel) channel->interrupt();
-  // Wake workers parked on the in-flight cap too: abort_ is already set
-  // by every caller, and the empty critical section pairs with the
-  // waiters' predicate check under the same mutex.
-  { std::lock_guard lock(inflight_mutex_); }
-  inflight_cv_.notify_all();
-}
-
-std::int64_t JobInstance::min_completed_iterations() const {
-  std::int64_t floor = 0;
-  for (std::size_t i = 0; i < worker_count_; ++i) {
-    const std::int64_t c = worker_state_[i].completed.load(std::memory_order_relaxed);
-    if (i == 0 || c < floor) floor = c;
-  }
-  return floor;
-}
-
-bool JobInstance::await_inflight_slot(std::int64_t iter) {
-  const std::int64_t cap = run_inflight_cap_;
-  if (cap <= 0 || iter < cap) return !abort_.load();
-  // Starting iteration `iter` puts iterations [floor, iter] in flight;
-  // wait until every worker has completed through iter - cap so the
-  // window holds at most `cap` iterations. cap == 1 degenerates to a
-  // full barrier: nobody enters iteration i before all finish i - 1.
-  const std::int64_t need = iter - cap + 1;
-  std::unique_lock lock(inflight_mutex_);
-  inflight_cv_.wait(lock, [&] {
-    return abort_.load() || min_completed_iterations() >= need;
-  });
-  return !abort_.load();
 }
 
 void JobInstance::set_compute(df::ActorId actor, ComputeFn fn) {
@@ -499,16 +469,15 @@ void JobInstance::worker(std::int32_t proc, std::int64_t iterations) {
   const auto p = static_cast<std::size_t>(proc);
   WorkerState& ws = worker_state_[p];
   std::uint64_t epoch = 0;  ///< local heartbeat counter, published per firing
-  const bool capped = run_inflight_cap_ > 0;
   try {
     const std::vector<FiringStep>& program = plan_.programs[p];
     std::vector<FiringContext>& contexts = contexts_[p];
-    // Free-running across iteration boundaries: the only couplings to
-    // the other workers are the channels themselves (whose eq.-2
-    // capacities bound the skew in tokens) and, when the caller set
-    // max_inflight_iterations, the explicit iteration-window gate.
+    // Self-timed across iteration boundaries (paper Section 4): the
+    // only coupling to the other workers is the channels themselves,
+    // whose eq.-2 capacities bound the skew in tokens. No iteration
+    // barrier exists; a worker enters iteration i+1 the moment its own
+    // tokens allow.
     for (std::int64_t iter = 0; iter < iterations && !abort_.load(); ++iter) {
-      if (capped && !await_inflight_slot(iter)) break;
       ws.iteration.store(iter, std::memory_order_relaxed);
       for (std::size_t s = 0; s < program.size(); ++s) {
         ws.step.store(static_cast<std::int32_t>(s), std::memory_order_relaxed);
@@ -518,12 +487,6 @@ void JobInstance::worker(std::int32_t proc, std::int64_t iterations) {
         ws.epoch.store(++epoch, std::memory_order_relaxed);
       }
       ws.completed.store(iter + 1, std::memory_order_relaxed);
-      if (capped) {
-        // Publish-then-notify under the gate mutex so a parked worker
-        // either sees the new floor in its predicate or gets the wake.
-        { std::lock_guard lock(inflight_mutex_); }
-        inflight_cv_.notify_all();
-      }
     }
   } catch (const ChannelInterrupted&) {
     // Unwound by another worker's failure; nothing to record.
@@ -631,15 +594,12 @@ void JobInstance::run_colocated(const RunOptions& options, std::int64_t segment_
 void JobInstance::run_with(const RunOptions& options, const std::function<void()>& execute) {
   const std::int64_t iterations = options.iterations;
   if (iterations < 0) throw std::invalid_argument("JobInstance::run: negative iterations");
-  if (options.max_inflight_iterations < 0)
-    throw std::invalid_argument("JobInstance::run: negative max_inflight_iterations");
   abort_.store(false);
   first_error_ = nullptr;
   // Reset at entry, aggregate on every exit path: stats() is never stale
   // from a previous run, even when this run throws.
   stats_ = ThreadedRunStats{};
   run_iterations_ = iterations;
-  run_inflight_cap_ = options.max_inflight_iterations;
   for (std::size_t i = 0; i < worker_count_; ++i) {
     WorkerState& ws = worker_state_[i];
     ws.epoch.store(0, std::memory_order_relaxed);
@@ -691,7 +651,6 @@ void JobInstance::run_with(const RunOptions& options, const std::function<void()
   if (flight_ && options.batch_id >= 0)
     flight_->record(0, obs::FlightEventKind::kBatchBegin, -1, -1, options.batch_id, 0,
                     static_cast<std::int32_t>(iterations));
-  const auto exec_begin = std::chrono::steady_clock::now();
   try {
     execute();
   } catch (...) {
@@ -700,9 +659,6 @@ void JobInstance::run_with(const RunOptions& options, const std::function<void()
     running_.store(false, std::memory_order_relaxed);
     throw;
   }
-  last_run_ns_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - exec_begin)
-                     .count();
   if (flight_ && options.batch_id >= 0)
     flight_->record(0, obs::FlightEventKind::kBatchEnd, -1, -1, options.batch_id, 0,
                     static_cast<std::int32_t>(iterations));
@@ -843,11 +799,10 @@ std::string JobInstance::runtime_status_json() const {
   }
   out += ",\"min_iteration\":" + std::to_string(min_iteration);
   // Pipelining window: iterations started somewhere but not yet
-  // completed everywhere (0 when idle; bounded by
-  // max_inflight_iterations when the run set a cap).
+  // completed everywhere (0 when idle; bounded only by the channel
+  // capacities).
   out += ",\"inflight_iterations\":" +
          std::to_string(std::max<std::int64_t>(0, max_started - min_completed));
-  out += ",\"max_inflight_iterations\":" + std::to_string(run_inflight_cap_);
 
   out += ",\"workers\":[";
   for (std::size_t i = 0; i < workers.size(); ++i) {

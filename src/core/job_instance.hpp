@@ -27,7 +27,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -88,20 +87,12 @@ struct ThreadedRunStats {
 /// Everything one run() needs beyond the iteration count: the live
 /// telemetry endpoint and the progress watchdog (docs/observability.md,
 /// "Live telemetry"). The plain-iteration overload run(n) is equivalent
-/// to run({.iterations = n}).
+/// to run({.iterations = n}). There is no iteration gate: under
+/// run(pool, ...) every worker free-runs into its next iteration as soon
+/// as its own channels permit, so the eq.-2 channel capacities are the
+/// only bound on cross-iteration overlap (docs/architecture.md).
 struct RunOptions {
   std::int64_t iterations = 1;
-  /// Cross-iteration pipelining cap (docs/architecture.md): under
-  /// run(pool, ...) each worker free-runs into iteration i+1 as soon as
-  /// its own channels permit — the eq.-2 channel capacities already bound
-  /// the skew in tokens. This caps it in *iterations*: a worker may start
-  /// iteration i only once every worker has completed iteration
-  /// i - max_inflight_iterations, so at most that many iterations are
-  /// ever in flight. 0 (default) = unbounded (capacity-limited only);
-  /// 1 = barriered lockstep (every iteration fully drains before the
-  /// next starts — the pipelining-off baseline perf gates compare
-  /// against). Ignored by run_colocated(), which is sequential.
-  std::int64_t max_inflight_iterations = 0;
   /// >= 0: serve /metrics, /metrics.json, /healthz and /runtime on this
   /// TCP port for the duration of the run (0 = kernel-assigned
   /// ephemeral port — see on_obs_start). < 0 (default): no server.
@@ -210,12 +201,6 @@ class JobInstance {
   /// threw).
   [[nodiscard]] const ThreadedRunStats& stats() const { return stats_; }
 
-  /// Wall-clock nanoseconds the last completed run() / run_colocated()
-  /// spent inside plan execution (gang or colocated walk), excluding
-  /// watchdog/server mount and stats aggregation. The serve layer's
-  /// exec-stage spans should closely bound this.
-  [[nodiscard]] std::int64_t last_run_ns() const { return last_run_ns_; }
-
   [[nodiscard]] const ReliabilityOptions& reliability() const { return reliability_; }
   [[nodiscard]] const ExecutablePlan& plan() const { return plan_; }
   /// Workers a gang run needs (= the plan's processor count).
@@ -259,14 +244,6 @@ class JobInstance {
   /// then aborts the run and wakes every channel wait.
   void fail(std::exception_ptr error);
   void interrupt_all();
-  /// Smallest completed-iteration count over all workers — the floor of
-  /// the pipelining window (relaxed reads; callers that need wake-up
-  /// ordering hold inflight_mutex_).
-  [[nodiscard]] std::int64_t min_completed_iterations() const;
-  /// Parks the calling worker until iteration `iter` fits inside the
-  /// run's in-flight cap (run_inflight_cap_); returns false when the run
-  /// aborted while waiting. No-op when the cap is 0 (unbounded).
-  [[nodiscard]] bool await_inflight_slot(std::int64_t iter);
   /// Empties every edge and puts its delay tokens on it: the state a
   /// run starts from. init() and the failure path (a failed run leaves
   /// edges mid-iteration). Only while no worker body runs.
@@ -364,14 +341,6 @@ class JobInstance {
   std::vector<obs::Gauge*> depth_gauges_;
   std::vector<obs::Gauge*> watermark_gauges_;
   std::int64_t run_iterations_ = 0;  ///< written before workers/server start
-  std::int64_t run_inflight_cap_ = 0;  ///< this run's max_inflight_iterations
-  std::int64_t last_run_ns_ = 0;     ///< wall time of the last completed run
-  /// Eventcount for the in-flight cap: workers that would exceed the cap
-  /// park here; every completed iteration (and any abort) notifies. Only
-  /// touched when run_inflight_cap_ > 0 — the unbounded default never
-  /// takes the lock.
-  std::mutex inflight_mutex_;
-  std::condition_variable inflight_cv_;
   std::atomic<bool> running_{false};
   std::atomic<bool> abort_{false};
   std::mutex error_mutex_;

@@ -1,6 +1,5 @@
 #include "core/worker_pool.hpp"
 
-#include <chrono>
 #include <stdexcept>
 
 namespace spi::core {
@@ -32,11 +31,6 @@ std::int64_t WorkerPool::gangs_run() const {
   return gangs_;
 }
 
-std::int64_t WorkerPool::gang_busy_ns() const {
-  std::lock_guard lock(mutex_);
-  return gang_ns_;
-}
-
 void WorkerPool::run(std::span<const std::function<void()>> tasks) {
   if (tasks.empty()) return;
   if (tasks.size() > threads_.size())
@@ -64,17 +58,11 @@ void WorkerPool::run(std::span<const std::function<void()>> tasks) {
   claimed_ += gang.count;
   active_.push_back(&gang);
   ++gangs_;
-  const auto gang_begin = std::chrono::steady_clock::now();
   worker_cv_.notify_all();
   // The next queued caller may also fit once workers free up; it is
   // re-woken by workers returning to idle.
   done_cv_.wait(lock, [&] { return gang.done == gang.count; });
-  gang_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - gang_begin)
-                  .count();
 }
-
-void WorkerPool::run_one(const std::function<void()>& task) { run({&task, 1}); }
 
 void WorkerPool::worker_loop() {
   std::unique_lock lock(mutex_);

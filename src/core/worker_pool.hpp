@@ -45,19 +45,12 @@ class WorkerPool {
   [[nodiscard]] std::size_t idle() const;
   /// Gangs executed since construction.
   [[nodiscard]] std::int64_t gangs_run() const;
-  /// Cumulative wall nanoseconds from gang activation to gang
-  /// completion, summed over every run() — the pool-side "exec" span
-  /// the serving layer's request tracer brackets (request_trace.hpp).
-  [[nodiscard]] std::int64_t gang_busy_ns() const;
 
   /// Runs every task on a pool worker and returns when all of them have
   /// returned. Throws std::invalid_argument when tasks.size() exceeds
   /// the pool width (such a gang could never be co-scheduled). Safe to
   /// call from several threads concurrently — gangs queue FIFO.
   void run(std::span<const std::function<void()>> tasks);
-
-  /// Convenience for a single-task gang (colocated job execution).
-  void run_one(const std::function<void()>& task);
 
  private:
   struct Gang {
@@ -79,7 +72,6 @@ class WorkerPool {
   std::size_t idle_ = 0;    ///< workers parked in worker_cv_
   std::size_t claimed_ = 0; ///< tasks activated but not yet taken by a worker
   std::int64_t gangs_ = 0;
-  std::int64_t gang_ns_ = 0;  ///< cumulative activation-to-done wall ns
   bool stop_ = false;
   std::vector<std::thread> threads_;
 };

@@ -1,16 +1,18 @@
-/// Tests of cross-iteration pipelined execution: the free-running
-/// workers bounded by RunOptions::max_inflight_iterations must stay
-/// bit-identical to the sequential run_colocated() oracle at every
-/// in-flight cap (dataflow determinacy — the cap changes timing, never
-/// data), the realized overlap measured from the flight log must never
-/// exceed the cap (cap=1 is a true iteration barrier), a 100k-iteration
-/// soak pins the synchronization under TSan in CI, and the watchdog
-/// still classifies a dead edge correctly when the stalled workers are
+/// Tests of cross-iteration pipelined execution: the free-running gang
+/// (the only gang mode — no iteration barrier, paper Section 4) must
+/// stay bit-identical to the sequential run_colocated() oracle
+/// (dataflow determinacy — overlap changes timing, never data); a held
+/// sink proves the source really runs ahead and that the eq.-2 ring
+/// capacities, nothing else, bound how far; a 100k-iteration soak pins
+/// the synchronization under TSan in CI; and the watchdog still
+/// classifies a dead edge correctly when the stalled workers are
 /// legitimately spread across different iterations.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <thread>
 #include <vector>
 
@@ -22,20 +24,11 @@
 #include "core/worker_pool.hpp"
 #include "dsp/lpc.hpp"
 #include "dsp/particle_filter.hpp"
-#include "obs/critical_path.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/watchdog.hpp"
 #include "sim/fault.hpp"
 
 namespace spi::core {
 namespace {
-
-RunOptions inflight(std::int64_t cap, std::int64_t iterations = 0) {
-  RunOptions options;
-  options.max_inflight_iterations = cap;
-  options.iterations = iterations;
-  return options;
-}
 
 /// Src -> Mid -> Dst across three processors, one double per message,
 /// value a pure function of the invocation — any reordering or skipped
@@ -74,14 +67,6 @@ struct PipelineFixture {
   }
 };
 
-TEST(PipelinedRuntime, NegativeInflightCapIsRejected) {
-  PipelineFixture f;
-  ThreadedRuntime runtime(*f.system);
-  std::vector<double> sink;
-  f.wire(runtime, sink);
-  EXPECT_THROW(runtime.run(inflight(-1, 10)), std::invalid_argument);
-}
-
 TEST(PipelinedRuntime, PipelinedRunsAreBitIdenticalToColocatedAtEveryCap) {
   PipelineFixture f;
   constexpr std::int64_t kIters = 500;
@@ -94,43 +79,87 @@ TEST(PipelinedRuntime, PipelinedRunsAreBitIdenticalToColocatedAtEveryCap) {
   }
   ASSERT_EQ(reference.size(), static_cast<std::size_t>(kIters));
 
-  for (const std::int64_t cap : {1, 2, 4, 8, 0}) {  // 0 = unbounded
-    ThreadedRuntime runtime(*f.system);
-    std::vector<double> sink;
-    f.wire(runtime, sink);
-    runtime.run(inflight(cap, kIters));
-    EXPECT_EQ(sink, reference) << "max_inflight_iterations = " << cap;
-  }
+  ThreadedRuntime runtime(*f.system);
+  std::vector<double> sink;
+  f.wire(runtime, sink);
+  runtime.run(kIters);
+  EXPECT_EQ(sink, reference);
 }
 
-TEST(PipelinedRuntime, InflightCapBoundsRealizedOverlap) {
+// Self-timed execution, observed directly: with Dst held inside its
+// first firing, Src keeps firing until both rings are full. It stops at
+// exactly c1 + c2 + 3 firings — c1 + c2 buffered tokens, one consumed by
+// each of Mid and Dst, and one last firing blocked on its push. Fewer
+// means something besides the channels gates iterations (a barrier
+// would stop Src after one or two); more means a ring overran its
+// eq.-2 capacity.
+TEST(PipelinedRuntime, SourceRunsAheadOfAHeldSinkByExactlyTheRingCapacities) {
   PipelineFixture f;
-  constexpr std::int64_t kIters = 64;
+  constexpr std::int64_t kIters = 200;
 
-  for (const std::int64_t cap : {1, 4}) {
-    ThreadedRuntime runtime(*f.system);
-    std::vector<double> sink;
-    f.wire(runtime, sink);
-    obs::FlightRecorder recorder(3);
-    runtime.set_flight_recorder(&recorder);
-    runtime.run(inflight(cap, kIters));
-
-    const obs::CriticalPathReport report =
-        obs::analyze_critical_path(recorder.collect());
-    EXPECT_GE(report.pipelined_iterations_max, 1);
-    EXPECT_LE(report.pipelined_iterations_max, cap)
-        << "a worker overran the in-flight window";
-    if (cap == 1) {
-      EXPECT_EQ(report.pipelined_iterations_max, 1)
-          << "cap=1 must be a strict iteration barrier";
-    }
+  std::vector<double> reference;
+  {
+    JobInstance oracle(f.system->plan());
+    f.wire(oracle, reference);
+    oracle.run_colocated(kIters);
   }
+
+  std::int64_t c1 = -1;
+  std::int64_t c2 = -1;
+  for (const ChannelSpec& spec : f.system->plan().channels) {
+    if (spec.edge == f.first) c1 = spec.capacity_tokens();
+    if (spec.edge == f.second) c2 = spec.capacity_tokens();
+  }
+  ASSERT_GE(c1, 1);
+  ASSERT_GE(c2, 1);
+  const std::int64_t expected = c1 + c2 + 3;
+  ASSERT_LT(expected, kIters);
+
+  ThreadedRuntime runtime(*f.system);
+  std::vector<double> sink;
+  f.wire(runtime, sink);
+  std::atomic<std::int64_t> src_firings{0};
+  std::atomic<bool> release{false};
+  runtime.set_compute(f.src, [&](FiringContext& ctx) {
+    src_firings.fetch_add(1);
+    const double v = static_cast<double>(ctx.invocation) * 1.25 + 0.5;
+    apps::pack_f64_into(ctx.emit(ctx.output_index(f.first)), v);
+  });
+  runtime.set_compute(f.dst, [&](FiringContext& ctx) {
+    if (ctx.invocation == 0)
+      while (!release.load()) std::this_thread::sleep_for(std::chrono::microseconds(200));
+    sink.push_back(apps::f64_at(ctx.inputs[ctx.input_index(f.second)][0], 0));
+  });
+
+  std::exception_ptr run_error;
+  std::thread run([&] {
+    try {
+      runtime.run(kIters);
+    } catch (...) {
+      run_error = std::current_exception();
+    }
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (src_firings.load() < expected && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const std::int64_t reached = src_firings.load();
+  // Give an overrunning source time to show itself before judging.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const std::int64_t settled = src_firings.load();
+  release.store(true);
+  run.join();
+  if (run_error) std::rethrow_exception(run_error);
+
+  EXPECT_EQ(reached, expected) << "c1 = " << c1 << ", c2 = " << c2;
+  EXPECT_EQ(settled, expected) << "Src ran past the ring capacities";
+  EXPECT_EQ(src_firings.load(), kIters);
+  EXPECT_EQ(sink, reference);
 }
 
 // The TSan acceptance soak: 100k iterations of free-running overlapped
 // execution across three workers, bit-compared against the sequential
-// oracle. Any missed synchronization in the in-flight gate or the SPSC
-// channels surfaces as a TSan race in CI or as a wrong bit here.
+// oracle. Any missed synchronization in the SPSC channels surfaces as a
+// TSan race in CI or as a wrong bit here.
 TEST(PipelinedRuntime, HundredThousandIterationSoakStaysBitIdentical) {
   PipelineFixture f;
   constexpr std::int64_t kIters = 100'000;
@@ -147,7 +176,7 @@ TEST(PipelinedRuntime, HundredThousandIterationSoakStaysBitIdentical) {
   std::vector<double> sink;
   sink.reserve(kIters);
   f.wire(runtime, sink);
-  runtime.run(inflight(/*cap=*/4, kIters));
+  runtime.run(kIters);
   ASSERT_EQ(sink.size(), reference.size());
   EXPECT_EQ(sink, reference);
 }
@@ -169,10 +198,7 @@ TEST(PipelinedSpeech, ErrorsBitIdenticalToColocatedBatchAtEveryCap) {
   const auto reference = app.compute_errors_batch(jobs, instance)[0];
   ASSERT_EQ(reference.size(), frame.size());
 
-  for (const std::int64_t cap : {1, 2, 4, 8}) {
-    const auto pipelined = app.compute_errors_threaded(frame, coeffs, inflight(cap, 1));
-    EXPECT_EQ(pipelined, reference) << "max_inflight_iterations = " << cap;
-  }
+  EXPECT_EQ(app.compute_errors_threaded(frame, coeffs, RunOptions{}), reference);
 }
 
 TEST(PipelinedParticle, EstimatesBitIdenticalToColocatedBatchAtEveryCap) {
@@ -191,12 +217,9 @@ TEST(PipelinedParticle, EstimatesBitIdenticalToColocatedBatchAtEveryCap) {
   const apps::TrackResult reference = app.track_batch(jobs, instance)[0];
   ASSERT_EQ(reference.estimates.size(), traj.observations.size());
 
-  for (const std::int64_t cap : {1, 2, 4, 8}) {
-    const apps::TrackResult pipelined = app.track_threaded(traj, inflight(cap));
-    EXPECT_EQ(pipelined.estimates, reference.estimates)
-        << "max_inflight_iterations = " << cap;
-    EXPECT_EQ(pipelined.resample_steps, reference.resample_steps);
-  }
+  const apps::TrackResult pipelined = app.track_threaded(traj, RunOptions{});
+  EXPECT_EQ(pipelined.estimates, reference.estimates);
+  EXPECT_EQ(pipelined.resample_steps, reference.resample_steps);
 }
 
 }  // namespace
@@ -247,8 +270,8 @@ TEST(PipelinedWatchdog, DeadEdgeClassifiedCorrectlyUnderOverlap) {
   EXPECT_NE(report.to_json().find("\"inflight_iterations\":4"), std::string::npos);
 }
 
-// End to end: a dropped-forever edge wedges a *pipelined* reliable run
-// (unbounded in-flight window); the watchdog still aborts with a
+// End to end: a dropped-forever edge wedges a *pipelined* reliable run;
+// the watchdog still aborts with a
 // deadlock verdict naming the dead channel.
 TEST(PipelinedWatchdog, DeadEdgeAbortsPipelinedRunWithDeadlockVerdict) {
   core::PipelineFixture f;
@@ -271,7 +294,8 @@ TEST(PipelinedWatchdog, DeadEdgeAbortsPipelinedRunWithDeadlockVerdict) {
   std::vector<double> sink;
   f.wire(runtime, sink);
 
-  core::RunOptions options = core::inflight(/*cap=*/0, /*iterations=*/50);
+  core::RunOptions options;
+  options.iterations = 50;
   options.watchdog.enabled = true;
   options.watchdog.window_ms = 750;
   options.watchdog.dump_dir = ::testing::TempDir();

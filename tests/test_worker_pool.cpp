@@ -36,7 +36,8 @@ TEST(WorkerPool, GangRunsEveryTaskOnce) {
   pool.run(tasks);
   EXPECT_EQ(fired.load(), 3);
   EXPECT_EQ(pool.gangs_run(), 1);
-  pool.run_one([&] { ++fired; });
+  const std::function<void()> one = [&] { ++fired; };
+  pool.run({&one, 1});
   EXPECT_EQ(fired.load(), 4);
   EXPECT_EQ(pool.gangs_run(), 2);
 }
@@ -47,7 +48,8 @@ TEST(WorkerPool, OversizedGangIsRejectedUpFront) {
   EXPECT_THROW(pool.run(tasks), std::invalid_argument);
   // The pool stays usable after the rejection.
   std::atomic<int> fired{0};
-  pool.run_one([&] { ++fired; });
+  const std::function<void()> one = [&] { ++fired; };
+  pool.run({&one, 1});
   EXPECT_EQ(fired.load(), 1);
 }
 
