@@ -8,8 +8,7 @@
 ///
 ///  * closed loop — every connection always has one burst in flight;
 ///    the measured rate is the server's capacity. Burst round-trip time
-///    is the per-request latency (requests in one burst are serviced as
-///    one batched firing, so they complete together).
+///    (send to the burst's last reply) is the per-request latency.
 ///  * open(-ish) loop — the same bursts released on a schedule at an
 ///    offered rate; 429 rejects are counted, not retried. The default
 ///    "curve" mode runs the closed loop first, then offered rates at

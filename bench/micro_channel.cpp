@@ -30,6 +30,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <iterator>
 #include <mutex>
 #include <new>
 #include <thread>
@@ -254,8 +255,8 @@ std::vector<apps::ErrorGenApp::SpeechJobSpec> speech_batch(const serve::PlanServ
 /// models (PlanServer's built-in shapes) with their real computes:
 /// once the instance's token buffers are warm, run_colocated must not
 /// touch the heap. Arg 0 = speech (one batch of mixed frame sizes,
-/// re-run), 1 = particle (one long batch stepped an iteration at a
-/// time, since job state advances).
+/// re-run), 1 = particle (one long batch of mixed trajectory lengths
+/// stepped an iteration at a time, since job state advances).
 void BM_ColocatedAppSteadyStateAllocs(benchmark::State& state) {
   const serve::PlanServerOptions served;
   if (state.range(0) == 0) {
@@ -285,20 +286,25 @@ void BM_ColocatedAppSteadyStateAllocs(benchmark::State& state) {
 
   const apps::ParticleFilterApp app(served.particle_pes, served.particle_params);
   core::JobInstance instance(app.system().plan());
-  // Jobs of the serve-heavy lengths, enough of them for the warm-up job
-  // plus every measured iteration.
-  constexpr std::int64_t kSteps = 320;
-  const std::int64_t needed = kSteps + static_cast<std::int64_t>(state.max_iterations);
+  // Jobs of mixed lengths, as the server runs them in arrival order:
+  // a warm-up job, then enough jobs for every measured iteration, so the
+  // window crosses job boundaries of differing lengths.
+  constexpr std::int64_t kWarmSteps = 320;
+  constexpr std::int64_t kLengths[] = {64, 320, 1, 128, 256, 17};
+  const std::int64_t needed = kWarmSteps + static_cast<std::int64_t>(state.max_iterations);
   std::vector<apps::ParticleFilterApp::ParticleJobSpec> jobs;
-  for (std::int64_t j = 0; j * kSteps < needed; ++j) {
+  for (std::int64_t steps = 0, j = 0; steps < needed; ++j) {
+    const std::int64_t length = j == 0 ? kWarmSteps : kLengths[static_cast<std::size_t>(j - 1) % std::size(kLengths)];
     apps::ParticleFilterApp::ParticleJobSpec job;
     job.seed = 100 + static_cast<std::uint64_t>(j);
     dsp::Rng rng(job.seed + 1);
-    job.trajectory = dsp::simulate_crack(served.particle_params.model, kSteps, rng);
+    job.trajectory = dsp::simulate_crack(served.particle_params.model,
+                                         static_cast<std::size_t>(length), rng);
     jobs.push_back(std::move(job));
+    steps += length;
   }
   app.bind_batch(jobs, instance);
-  instance.run_colocated(kSteps);  // the whole first job warms the buffers
+  instance.run_colocated(kWarmSteps);  // the whole first job warms the buffers
 
   const std::int64_t before = g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) instance.run_colocated(1);

@@ -146,17 +146,23 @@ struct ParticleFilterApp::TrackState {
 
 /// The job states of one batch in queue order. Every actor of the graph
 /// fires exactly once per iteration (q == 1 throughout), so an actor's
-/// cumulative invocation count *is* the merged-PASS iteration index:
-/// iteration k executes step k % steps_per_job of job k / steps_per_job.
+/// cumulative invocation count *is* the merged-PASS iteration index: job
+/// k runs iterations [ends[k - 1], ends[k]) (ends[-1] = 0), one per step
+/// of its trajectory, so the ends are the prefix sums of the lengths.
 struct ParticleFilterApp::BatchTrackState {
   std::vector<std::shared_ptr<TrackState>> jobs;
-  std::int64_t steps_per_job = 1;
+  std::vector<std::int64_t> ends;
 
+  [[nodiscard]] std::size_t job_of(std::int64_t invocation) const {
+    return static_cast<std::size_t>(std::upper_bound(ends.begin(), ends.end(), invocation) -
+                                    ends.begin());
+  }
   [[nodiscard]] TrackState& at(std::int64_t invocation) const {
-    return *jobs[static_cast<std::size_t>(invocation / steps_per_job)];
+    return *jobs[job_of(invocation)];
   }
   [[nodiscard]] std::int64_t local_step(std::int64_t invocation) const {
-    return invocation % steps_per_job;
+    const std::size_t k = job_of(invocation);
+    return k == 0 ? invocation : invocation - ends[k - 1];
   }
 };
 
@@ -353,7 +359,7 @@ namespace {
 template <class Batch, class State>
 std::shared_ptr<Batch> one_job_batch(std::shared_ptr<State> state, std::size_t steps) {
   auto batch = std::make_shared<Batch>();
-  batch->steps_per_job = std::max<std::int64_t>(1, static_cast<std::int64_t>(steps));
+  batch->ends.push_back(static_cast<std::int64_t>(steps));
   batch->jobs.push_back(std::move(state));
   return batch;
 }
@@ -405,27 +411,26 @@ TrackResult ParticleFilterApp::track_threaded(const dsp::CrackTrajectory& trajec
 
 std::shared_ptr<ParticleFilterApp::BatchTrackState> ParticleFilterApp::make_batch(
     std::span<const ParticleJobSpec> jobs) const {
-  const std::size_t steps = jobs.front().steps();
-  if (steps == 0) throw std::invalid_argument("ParticleFilterApp: empty trajectory in a batch");
   auto batch = std::make_shared<BatchTrackState>();
-  batch->steps_per_job = static_cast<std::int64_t>(steps);
-  batch->jobs.reserve(jobs.size());
+  batch->jobs.resize(jobs.size());
+  batch->ends.reserve(jobs.size());
+  std::int64_t end = 0;
   for (const ParticleJobSpec& job : jobs) {
-    if (job.steps() != steps)
-      throw std::invalid_argument(
-          "ParticleFilterApp: batched jobs must share one trajectory length");
-    ParticleParams params = params_;
-    params.seed = job.seed;
-    batch->jobs.push_back(make_track_state(params, static_cast<std::size_t>(pe_count_), steps));
+    if (job.steps() == 0)
+      throw std::invalid_argument("ParticleFilterApp: empty trajectory in a batch");
+    end += static_cast<std::int64_t>(job.steps());
+    batch->ends.push_back(end);
   }
   return batch;
 }
 
-void ParticleFilterApp::bind_trajectory(BatchTrackState& batch,
-                                        std::span<const ParticleJobSpec> jobs,
-                                        std::size_t k) const {
-  TrackState& state = *batch.jobs[k];
+void ParticleFilterApp::start_job(BatchTrackState& batch, std::span<const ParticleJobSpec> jobs,
+                                  std::size_t k) const {
   const ParticleJobSpec& job = jobs[k];
+  ParticleParams params = params_;
+  params.seed = job.seed;
+  batch.jobs[k] = make_track_state(params, static_cast<std::size_t>(pe_count_), job.steps());
+  TrackState& state = *batch.jobs[k];
   if (job.synthetic_steps == 0) {
     state.traj = &job.trajectory;
     return;
@@ -439,7 +444,7 @@ void ParticleFilterApp::bind_batch(std::span<const ParticleJobSpec> jobs,
                                    core::JobInstance& instance) const {
   if (jobs.empty()) throw std::invalid_argument("ParticleFilterApp::bind_batch: no jobs");
   const std::shared_ptr<BatchTrackState> batch = make_batch(jobs);
-  for (std::size_t k = 0; k < jobs.size(); ++k) bind_trajectory(*batch, jobs, k);
+  for (std::size_t k = 0; k < jobs.size(); ++k) start_job(*batch, jobs, k);
   wire_tracking(instance, batch);
   instance.reset_invocations();
 }
@@ -453,20 +458,22 @@ std::vector<TrackResult> ParticleFilterApp::track_batch(std::span<const Particle
   wire_tracking(instance, batch);
   instance.reset_invocations();
 
-  // One run, one segment of T iterations per job: job k is done when
-  // segment k ends, and job k + 1's trajectory is built only then.
+  // One run, one segment per job, as long as the job's trajectory: job
+  // k is done when segment k ends, and job k + 1's state is built only
+  // then, so job 0 never waits for a later job's set-up.
   std::vector<TrackResult> results;
   results.reserve(jobs.size());
-  bind_trajectory(*batch, jobs, 0);
+  start_job(*batch, jobs, 0);
   const core::JobInstance::SegmentFn job_done = [&](std::int64_t segment) {
     const auto k = static_cast<std::size_t>(segment);
     results.push_back(take_result(*batch->jobs[k]));
+    batch->jobs[k].reset();
     if (on_job) on_job(k, results.back());
-    if (k + 1 < jobs.size()) bind_trajectory(*batch, jobs, k + 1);
+    if (k + 1 < jobs.size()) start_job(*batch, jobs, k + 1);
   };
   core::RunOptions options = run_options ? *run_options : core::RunOptions{};
-  options.iterations = batch->steps_per_job * static_cast<std::int64_t>(jobs.size());
-  instance.run_colocated(options, batch->steps_per_job, job_done);
+  options.iterations = batch->ends.back();
+  instance.run_colocated(options, batch->ends, job_done);
   return results;
 }
 

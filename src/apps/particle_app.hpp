@@ -122,32 +122,36 @@ class ParticleFilterApp {
   /// Batched firing (docs/serving.md): tracks jobs.size() independent
   /// trajectories colocated on the calling thread through `instance`
   /// (built from this app's system().plan()). Every actor of this graph
-  /// fires once per iteration, so iteration k of the merged PASS is step
-  /// k % T of job k / T — one program traversal amortized over the whole
-  /// batch. Jobs must share one trajectory length T. Dataflow
-  /// determinacy makes each result bit-identical to a one-job
-  /// track()/track_threaded() run with that job's seed (the serve tests
-  /// assert it). Wires the instance's computes and resets its invocation
-  /// counters once per call; call again to reuse the instance.
-  /// Jobs run one after another, and job k's result is final as soon as
-  /// its T iterations end: `on_job` (optional) receives it right then,
-  /// before job k + 1 starts, and a synthetic job's trajectory is built
-  /// only just before the job's own iterations. The returned vector
-  /// holds every result again, in job order.
+  /// fires once per iteration, so the merged PASS runs job after job,
+  /// one iteration per trajectory step: job k owns the T_k iterations
+  /// after the T_0 + ... + T_{k-1} of the jobs before it, and the lengths
+  /// may differ — the trajectory length is a parameter rebound between
+  /// segments of one fixed graph and schedule. Dataflow determinacy makes
+  /// each result bit-identical to a one-job track()/track_threaded() run
+  /// with that job's seed (the serve and particle tests assert it). Wires
+  /// the instance's computes and resets its invocation counters once per
+  /// call; call again to reuse the instance.
+  /// Job k's result is final as soon as its own iterations end: `on_job`
+  /// (optional) receives it right then, before job k + 1 starts, and job
+  /// k + 1's particle state (and a synthetic job's trajectory) is built
+  /// only then, so no job waits for a later job's set-up. The returned
+  /// vector holds every result again, in job order.
   /// `run_options` (optional) configures the batch run — watchdog,
   /// flight recorder dump directory — its iteration count is overridden
-  /// by the batch size. If job k fails, jobs before it have reached
-  /// `on_job` and the call throws.
+  /// by the summed lengths. A job with no steps throws
+  /// std::invalid_argument before anything runs. If job k fails, jobs
+  /// before it have reached `on_job` and the call throws.
   [[nodiscard]] std::vector<TrackResult> track_batch(
       std::span<const ParticleJobSpec> jobs, core::JobInstance& instance,
       const core::RunOptions* run_options = nullptr, const JobDoneFn& on_job = {}) const;
 
   /// The wiring half of track_batch: registers the batch's computes on
-  /// `instance`, builds every synthetic trajectory and resets the
-  /// invocation counters without running, so the caller drives
-  /// instance.run_colocated(...) itself — iteration k is step k % T of
-  /// job k / T, for up to jobs.size() * T iterations. The answers are
-  /// not collected. `jobs` must outlive those runs. The allocation gate
+  /// `instance`, builds every job's state and synthetic trajectory up
+  /// front and resets the invocation counters without running, so the
+  /// caller drives instance.run_colocated(...) itself — job k's
+  /// iterations follow the jobs before it, as in track_batch, for up to
+  /// T_0 + ... + T_{n-1} iterations. The answers are not collected.
+  /// `jobs` must outlive those runs. The allocation gate
   /// (bench/micro_channel.cpp) times warm iterations through it.
   void bind_batch(std::span<const ParticleJobSpec> jobs, core::JobInstance& instance) const;
 
@@ -162,20 +166,21 @@ class ParticleFilterApp {
 
  private:
   struct TrackState;       // per-job mutable state shared by the compute fns
-  struct BatchTrackState;  // ordered job states + the invocation->job mapping
+  struct BatchTrackState;  // job states + the invocation->job mapping (prefix sums)
   /// A job's initial particle state; its trajectory is bound separately
   /// (`steps` sizes the estimates).
   [[nodiscard]] static std::shared_ptr<TrackState> make_track_state(
       const ParticleParams& params, std::size_t n, std::size_t steps);
   /// The job's answer, moved out of its finished state.
   [[nodiscard]] static TrackResult take_result(TrackState& state);
-  /// Fresh job states for a non-empty batch sharing one trajectory
-  /// length; a job's trajectory is bound by bind_trajectory.
+  /// The job-to-iteration mapping of a batch (every job needs at least
+  /// one step); the job states are built by start_job.
   [[nodiscard]] std::shared_ptr<BatchTrackState> make_batch(
       std::span<const ParticleJobSpec> jobs) const;
-  /// Points job `k`'s state at its trajectory, building a synthetic one.
-  void bind_trajectory(BatchTrackState& batch, std::span<const ParticleJobSpec> jobs,
-                       std::size_t k) const;
+  /// Builds job `k`'s state and points it at its trajectory, simulating
+  /// a synthetic one.
+  void start_job(BatchTrackState& batch, std::span<const ParticleJobSpec> jobs,
+                 std::size_t k) const;
   /// Registers all compute functions on either execution engine
   /// (FunctionalRuntime, ThreadedRuntime or JobInstance — same ComputeFn
   /// contract). Each firing resolves its job's TrackState from

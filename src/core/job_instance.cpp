@@ -496,7 +496,8 @@ void JobInstance::worker(std::int32_t proc, std::int64_t iterations) {
   ws.done.store(true, std::memory_order_relaxed);
 }
 
-void JobInstance::colocated_body(std::int64_t iterations, std::int64_t segment,
+void JobInstance::colocated_body(std::int64_t iterations,
+                                 std::span<const std::int64_t> segment_ends,
                                  const SegmentFn* on_segment) {
   // The whole plan on the calling thread, in PASS order. Admissibility
   // plus the eq.-2 capacities mean no channel operation here ever waits
@@ -504,6 +505,7 @@ void JobInstance::colocated_body(std::int64_t iterations, std::int64_t segment,
   // to this path is an assertion that the schedule proof holds. The same
   // fire()/heartbeat machinery runs, so the watchdog, flight recorder
   // and /runtime endpoint see exactly what they see under the gang.
+  std::size_t segment = 0;
   try {
     for (std::int64_t iter = 0; iter < iterations && !abort_.load(); ++iter) {
       for (std::size_t i = 0; i < worker_count_; ++i)
@@ -518,7 +520,8 @@ void JobInstance::colocated_body(std::int64_t iterations, std::int64_t segment,
       }
       for (std::size_t i = 0; i < worker_count_; ++i)
         worker_state_[i].completed.store(iter + 1, std::memory_order_relaxed);
-      if (on_segment && (iter + 1) % segment == 0) (*on_segment)(iter / segment);
+      if (on_segment && iter + 1 == segment_ends[segment])
+        (*on_segment)(static_cast<std::int64_t>(segment++));
     }
   } catch (const ChannelInterrupted&) {
     // Interrupted by the watchdog (or an embedded-server teardown);
@@ -581,14 +584,22 @@ void JobInstance::run_colocated(std::int64_t iterations) {
 }
 
 void JobInstance::run_colocated(const RunOptions& options) {
-  run_with(options, [&] { colocated_body(options.iterations, 0, nullptr); });
+  run_with(options, [&] { colocated_body(options.iterations, {}, nullptr); });
 }
 
-void JobInstance::run_colocated(const RunOptions& options, std::int64_t segment_iterations,
+void JobInstance::run_colocated(const RunOptions& options,
+                                std::span<const std::int64_t> segment_ends,
                                 const SegmentFn& on_segment) {
-  if (segment_iterations <= 0)
-    throw std::invalid_argument("JobInstance::run_colocated: segments must be positive");
-  run_with(options, [&] { colocated_body(options.iterations, segment_iterations, &on_segment); });
+  std::int64_t previous = 0;
+  for (const std::int64_t end : segment_ends) {
+    if (end <= previous)
+      throw std::invalid_argument("JobInstance::run_colocated: segment ends must increase");
+    previous = end;
+  }
+  if (segment_ends.empty() || previous != options.iterations)
+    throw std::invalid_argument(
+        "JobInstance::run_colocated: the last segment must end at the run's last iteration");
+  run_with(options, [&] { colocated_body(options.iterations, segment_ends, &on_segment); });
 }
 
 void JobInstance::run_with(const RunOptions& options, const std::function<void()>& execute) {

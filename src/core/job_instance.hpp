@@ -31,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -169,12 +170,17 @@ class JobInstance {
 
   /// Told that segment k of a segmented colocated run has completed.
   using SegmentFn = std::function<void(std::int64_t segment)>;
-  /// run_colocated in segments of `segment_iterations` iterations:
-  /// `on_segment(k)` runs on the calling thread as soon as iteration
-  /// (k + 1) * segment_iterations - 1 completes, before the next one
-  /// starts. It runs inside the run: the watchdog stays armed through it
-  /// and a throw from it fails the run like a compute's.
-  void run_colocated(const RunOptions& options, std::int64_t segment_iterations,
+  /// run_colocated in segments of varying length: segment k ends with
+  /// iteration segment_ends[k] - 1, and `on_segment(k)` runs on the
+  /// calling thread as soon as that iteration completes, before the next
+  /// one starts. The ends must be strictly increasing from a first end
+  /// above 0, and the last must equal options.iterations; anything else
+  /// throws std::invalid_argument before the run starts. `on_segment`
+  /// runs inside the run: the watchdog stays armed through it and a
+  /// throw from it fails the run like a compute's. The serve layer runs
+  /// one job per segment, so a segment's length is a parameter rebound
+  /// between segments of one fixed graph and schedule.
+  void run_colocated(const RunOptions& options, std::span<const std::int64_t> segment_ends,
                      const SegmentFn& on_segment);
 
   /// Resets the per-actor invocation counters that feed
@@ -257,8 +263,8 @@ class JobInstance {
   void ensure_watchdog(const obs::WatchdogOptions& options);
   void worker(std::int32_t proc, std::int64_t iterations);
   /// The colocated worker body: PASS order, one thread, all procs;
-  /// `on_segment` (nullable) every `segment` iterations.
-  void colocated_body(std::int64_t iterations, std::int64_t segment,
+  /// `on_segment` (nullable) at each of `segment_ends`.
+  void colocated_body(std::int64_t iterations, std::span<const std::int64_t> segment_ends,
                       const SegmentFn* on_segment);
   void fire(const FiringStep& step, FiringContext& ctx, std::int32_t proc,
             std::int64_t iteration, WorkerState& ws);

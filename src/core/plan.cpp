@@ -696,7 +696,6 @@ ExecutablePlan ExecutablePlan::from_json(std::string_view text) {
   }
 
   const JsonValue& pass = root.at("pass");
-  plan.pass.admissible = true;
   for (std::int64_t a : pass.at("firings").as_int_vector("pass.firings"))
     plan.pass.firings.push_back(static_cast<df::ActorId>(a));
   plan.pass.buffer_bound = pass.at("buffer_bound").as_int_vector("pass.buffer_bound");
@@ -780,9 +779,62 @@ ExecutablePlan ExecutablePlan::from_json(std::string_view text) {
   }
 
   plan.rebuild_channel_index();
-  plan.validate();
+  plan.validate();  // replays the PASS: admissible is proven, not assumed
+  plan.pass.admissible = true;
   return plan;
 }
+
+namespace {
+
+/// validate()'s PASS replay on token counts (plan.hpp): throws naming
+/// the firing and the edge that would make a colocated run wait.
+void replay_pass(const ExecutablePlan& plan) {
+  const df::Graph& graph = plan.vts.graph;
+  const auto fail = [&](std::size_t firing, df::ActorId actor, df::EdgeId edge,
+                        const std::string& what) {
+    throw std::invalid_argument(
+        "ExecutablePlan: invalid plan: PASS firing " + std::to_string(firing) + " (" +
+        graph.actor(actor).name + ") " + what + " on edge " + std::to_string(edge) + " (" +
+        graph.edge(edge).name + ")");
+  };
+  std::vector<std::int64_t> tokens(graph.edge_count());
+  for (std::size_t e = 0; e < tokens.size(); ++e)
+    tokens[e] = graph.edge(static_cast<df::EdgeId>(e)).delay;
+  for (std::size_t f = 0; f < plan.pass.firings.size(); ++f) {
+    const df::ActorId actor = plan.pass.firings[f];
+    if (actor < 0 || static_cast<std::size_t>(actor) >= graph.actor_count())
+      throw std::invalid_argument("ExecutablePlan: invalid plan: PASS firing " +
+                                  std::to_string(f) + " names an unknown actor");
+    for (const df::EdgeId e : graph.in_edges(actor)) {
+      std::int64_t& held = tokens[static_cast<std::size_t>(e)];
+      const std::int64_t cons = graph.edge(e).cons.bound();
+      if (held < cons)
+        fail(f, actor, e,
+             "finds " + std::to_string(held) + " of its " + std::to_string(cons) + " tokens");
+      held -= cons;
+    }
+    for (const df::EdgeId e : graph.out_edges(actor)) {
+      std::int64_t& held = tokens[static_cast<std::size_t>(e)];
+      const std::int32_t channel = plan.channel_index[static_cast<std::size_t>(e)];
+      const std::int64_t capacity =
+          channel < 0 ? std::numeric_limits<std::int64_t>::max()
+                      : plan.channels[static_cast<std::size_t>(channel)].capacity_tokens();
+      if (__builtin_add_overflow(held, graph.edge(e).prod.bound(), &held) || held > capacity)
+        fail(f, actor, e,
+             "overfills the ring capacity of " + std::to_string(capacity) + " tokens");
+    }
+  }
+  for (std::size_t e = 0; e < tokens.size(); ++e) {
+    const df::Edge& edge = graph.edge(static_cast<df::EdgeId>(e));
+    if (tokens[e] != edge.delay)
+      throw std::invalid_argument("ExecutablePlan: invalid plan: the PASS period leaves " +
+                                  std::to_string(tokens[e]) + " tokens on edge " +
+                                  std::to_string(e) + " (" + edge.name + "), not its " +
+                                  std::to_string(edge.delay) + " delay tokens");
+  }
+}
+
+}  // namespace
 
 void ExecutablePlan::validate() const {
   auto require = [](bool ok, const char* what) {
@@ -797,8 +849,7 @@ void ExecutablePlan::validate() const {
   require(proc_of_actor.size() == actors, "assignment does not match the graph");
   for (sched::Proc p : proc_of_actor)
     require(p >= 0 && p < proc_count, "assignment names an unknown processor");
-  require(pass.admissible &&
-              pass.firings.size() == static_cast<std::size_t>(repetitions.total_firings()),
+  require(pass.firings.size() == static_cast<std::size_t>(repetitions.total_firings()),
           "PASS length does not match the repetitions vector");
   require(pass.buffer_bound.size() == edges, "PASS buffer bounds do not match the graph");
   require(sync_graph.task_count() == pass.firings.size(),
@@ -849,6 +900,7 @@ void ExecutablePlan::validate() const {
                           (static_cast<__int128>(bound) + kSequencedOverheadBytes);
     require(bound >= 0 && slab <= kMaxChannelSlabBytes, "channel slab exceeds the size ceiling");
   }
+  replay_pass(*this);
   const std::size_t expected = sync_graph.count_active(sched::SyncEdgeKind::kIpc) +
                                sync_graph.count_active(sched::SyncEdgeKind::kAck) +
                                sync_graph.count_active(sched::SyncEdgeKind::kResync);

@@ -202,8 +202,14 @@ struct ExecutablePlan {
   [[nodiscard]] static ExecutablePlan from_json(std::string_view text);
 
   /// Internal-consistency check (sizes, index maps, message budget,
-  /// channel slab sizes). Throws std::invalid_argument naming the first
-  /// violated invariant.
+  /// channel slab sizes) plus the colocated run's no-wait proof, replayed
+  /// on token counts instead of trusted: from every edge's delays, each
+  /// PASS firing must find `cons` tokens on each input, no IPC edge may
+  /// hold more than its ring's capacity_tokens(), and one period must end
+  /// back at the delays (so every later period replays identically). The
+  /// gang's deadlock freedom is not checked. Throws std::invalid_argument
+  /// naming the first violated invariant (for the replay, the firing and
+  /// the edge).
   void validate() const;
 
   /// Publishes the compile-time plan as gauges (spi_plan_*); see

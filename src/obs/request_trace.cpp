@@ -85,14 +85,14 @@ TenantSeries* RequestTracer::make_series(const std::string& tenant) {
   series->e2e_ns = &registry_.counter("spi_serve_request_ns_total", tenant_label,
                                       "summed end-to-end request ns per tenant");
   series->e2e_seconds = &registry_.histogram("spi_serve_request_seconds", stage_bounds(),
-                                             tenant_label, "sampled end-to-end request latency");
+                                             tenant_label, "end-to-end request latency");
   for (std::size_t k = 0; k < kRequestStageCount; ++k) {
     const char* stage = request_stage_name(static_cast<RequestStage>(k));
     const Labels labels{{"stage", stage}, {"tenant", tenant}};
     series->stage_ns[k] = &registry_.counter("spi_serve_stage_ns_total", labels,
                                              "summed per-stage request ns");
     series->stage_seconds[k] = &registry_.histogram("spi_serve_stage_seconds", stage_bounds(),
-                                                    labels, "sampled per-stage request latency");
+                                                    labels, "per-stage request latency");
   }
   TenantSeries* raw = series.get();
   series_.emplace(tenant, std::move(series));
@@ -111,13 +111,22 @@ TenantSeries* RequestTracer::tenant_series(const std::string& tenant) {
   return make_series(tenant);
 }
 
-void RequestTracer::store_span(TenantSeries& series, const RequestSpan& span, std::int64_t e2e,
-                               const std::string& tenant, const std::string& app) {
+void RequestTracer::complete(TenantSeries& series, const RequestSpan& span,
+                             const std::string& tenant, const std::string& app) {
+  series.requests->inc();
+  if (span.status == 429) series.rejects->inc();
+  std::int64_t e2e = 0;
+  for (std::size_t k = 0; k < kRequestStageCount; ++k) {
+    const std::int64_t ns = span.stage_ns[k];
+    if (ns != 0) series.stage_ns[k]->inc(ns);
+    series.stage_seconds[k]->observe(static_cast<double>(ns) * 1e-9);
+    e2e += ns;
+  }
+  series.e2e_ns->inc(e2e);
+  series.e2e_seconds->observe(static_cast<double>(e2e) * 1e-9);
+
   if (span.sampled) {
     sampled_total_.fetch_add(1, std::memory_order_relaxed);
-    series.e2e_seconds->observe(static_cast<double>(e2e) * 1e-9);
-    for (std::size_t k = 0; k < kRequestStageCount; ++k)
-      series.stage_seconds[k]->observe(static_cast<double>(span.stage_ns[k]) * 1e-9);
     if (ring_.size() < options_.ring_capacity) {
       ring_.push_back({span, tenant, app});
     } else {
@@ -133,50 +142,6 @@ void RequestTracer::store_span(TenantSeries& series, const RequestSpan& span, st
   // reservoir only needs one integer compare on the non-outlier path.
   if (outliers_.size() < options_.outlier_capacity || e2e > outlier_min_ns_)
     store_outlier(span, tenant, app);
-}
-
-void RequestTracer::complete(TenantSeries& series, const RequestSpan& span,
-                             const std::string& tenant, const std::string& app) {
-  series.requests->inc();
-  if (span.status == 429) series.rejects->inc();
-  std::int64_t e2e = 0;
-  for (std::size_t k = 0; k < kRequestStageCount; ++k) {
-    const std::int64_t ns = span.stage_ns[k];
-    if (ns != 0) series.stage_ns[k]->inc(ns);
-    e2e += ns;
-  }
-  series.e2e_ns->inc(e2e);
-  store_span(series, span, e2e, tenant, app);
-}
-
-void RequestTracer::complete_batch(TenantSeries& series, RequestSpan span,
-                                   std::span<const std::uint64_t> ids,
-                                   const std::string& tenant, const std::string& app) {
-  const std::int64_t n = static_cast<std::int64_t>(ids.size());
-  if (n == 0) return;
-  const std::int64_t e2e = span.e2e_ns();
-  series.requests->inc(n);
-  if (span.status == 429) series.rejects->inc(n);
-  for (std::size_t k = 0; k < kRequestStageCount; ++k)
-    if (span.stage_ns[k] != 0) series.stage_ns[k]->inc(span.stage_ns[k] * n);
-  series.e2e_ns->inc(e2e * n);
-
-  bool stored = false;
-  for (const std::uint64_t id : ids) {
-    if (!is_sampled(id)) continue;
-    span.id = id;
-    span.sampled = true;
-    store_span(series, span, e2e, tenant, app);
-    stored = true;
-  }
-  // An unsampled batch still offers one representative to the slowest-N
-  // reservoir (every job of the batch has the same e2e, so one
-  // candidate decides for all of them).
-  if (!stored && (outliers_.size() < options_.outlier_capacity || e2e > outlier_min_ns_)) {
-    span.id = ids.front();
-    span.sampled = false;
-    store_outlier(span, tenant, app);
-  }
 }
 
 void RequestTracer::store_outlier(const RequestSpan& span, const std::string& tenant,

@@ -17,13 +17,14 @@
 /// Cost model (measured as derived.serve_trace_overhead_pct in
 /// BENCH_results.json; bench/perf_smoke.sh gates it):
 ///
-///  * every completed request: a handful of relaxed counter adds into
-///    cached per-tenant instruments (spi_serve_stage_ns_total{tenant,
-///    stage} et al) — complete accounting, no sampling error in totals;
+///  * every completed request: a handful of relaxed counter adds and
+///    histogram observations into cached per-tenant instruments
+///    (spi_serve_stage_ns_total{tenant, stage},
+///    spi_serve_request_seconds et al) — complete accounting, so the
+///    means and the quantiles describe the same requests;
 ///  * head-sampled requests (1 in sample_every, decided at ingest from a
 ///    mixed hash of the span id, so no tenant interleave aliases with
-///    the period): a full span copy into a bounded overwrite ring plus
-///    per-stage histogram observations;
+///    the period): a full span copy into a bounded overwrite ring;
 ///  * tail outliers: the slowest-N reservoir captures a span regardless
 ///    of the sampling decision — the requests worth debugging are never
 ///    the ones head sampling happens to keep.
@@ -92,8 +93,7 @@ struct StoredRequestSpan {
 struct RequestTracerOptions {
   bool enabled = true;
   /// Head-sampling rate: on average 1 span in `sample_every` is kept in
-  /// the ring (and observed into the per-stage histograms). Clamped to
-  /// >= 1; 1 keeps every span.
+  /// the ring. Clamped to >= 1; 1 keeps every span.
   std::int64_t sample_every = 64;
   /// Bounded ring of recent sampled spans (oldest overwritten).
   std::size_t ring_capacity = 512;
@@ -121,7 +121,7 @@ struct TenantSeries {
   Counter* rejects = nullptr;    ///< completed with a 429 verdict
   Counter* e2e_ns = nullptr;     ///< sum of end-to-end ns, all spans
   Counter* stage_ns[kRequestStageCount] = {};
-  Histogram* e2e_seconds = nullptr;  ///< sampled spans only
+  Histogram* e2e_seconds = nullptr;  ///< every completed span
   Histogram* stage_seconds[kRequestStageCount] = {};
 };
 
@@ -157,27 +157,11 @@ class RequestTracer {
   /// nullptr when tracing is disabled. Stable for the tracer's lifetime.
   TenantSeries* tenant_series(const std::string& tenant);
 
-  /// Completes a span: aggregate counters always; ring + histograms when
-  /// sampled; outlier reservoir when slow enough. `tenant`/`app` are
-  /// only copied when the span is actually stored.
+  /// Completes a span: aggregate counters and histograms always; ring
+  /// when sampled; outlier reservoir when slow enough. `tenant`/`app`
+  /// are only copied when the span is actually stored.
   void complete(TenantSeries& series, const RequestSpan& span, const std::string& tenant,
                 const std::string& app);
-
-  /// Completes `ids.size()` jobs of one drained batch that share every
-  /// stage boundary as copies of `span`. The jobs of a batch that
-  /// answers once share them by construction — the stage stamps are
-  /// taken once per batch, the enqueue stamp once per burst, and the
-  /// whole batch answers with one status; a job answered on its own
-  /// (its exec ends with its own iterations) is a call with one id. The
-  /// aggregate counters collapse to one multiplied add per instrument
-  /// and the only per-job work left is the head-sampling check on each
-  /// id. Sampled ids are stored individually (ring + histograms +
-  /// outlier reservoir); an unsampled batch still offers one
-  /// representative to the reservoir, so slow batches are captured
-  /// regardless of the sampling decision.
-  void complete_batch(TenantSeries& series, RequestSpan span,
-                      std::span<const std::uint64_t> ids, const std::string& tenant,
-                      const std::string& app);
 
   /// Flight-bridge pacing: true when the sampled batch being formed
   /// should also capture its firing log (every `flight_every`-th sampled
@@ -209,15 +193,11 @@ class RequestTracer {
   [[nodiscard]] std::string trace_json() const;
 
   /// Appends one tenant's rollup fields (no enclosing braces): request
-  /// totals and per-stage means from the complete counters, percentiles
-  /// from the sampled histograms.
+  /// totals and per-stage means from the counters, percentiles from the
+  /// histograms (both over every completed request).
   void append_rollup_json(std::string& out, const TenantSeries& series) const;
 
  private:
-  /// The storage half of completing a span: sampled ring + histograms,
-  /// outlier reservoir. Shared by complete() and complete_batch().
-  void store_span(TenantSeries& series, const RequestSpan& span, std::int64_t e2e,
-                  const std::string& tenant, const std::string& app);
   void store_outlier(const RequestSpan& span, const std::string& tenant, const std::string& app);
   TenantSeries* make_series(const std::string& tenant);
 

@@ -1,10 +1,11 @@
 /// \file job_queue.hpp
 /// Per-tenant job queues for the plan server (docs/serving.md).
 ///
-/// Jobs admitted from one HTTP read burst are queued per tenant, then
-/// drained app by app so each drain is ONE batched firing: N queued
-/// speech jobs become N colocated graph iterations through one
-/// JobInstance — one program traversal amortized over the whole batch
+/// Jobs admitted from one HTTP read burst are queued per tenant (the
+/// unit of admission), then drained in request order across tenants:
+/// each maximal stretch of consecutive jobs of one app is ONE colocated
+/// run, so N such speech jobs become N graph iterations through one
+/// JobInstance — one program traversal amortized over the whole stretch
 /// (dataflow determinacy makes the per-job results bit-identical to N
 /// separate runs; the serve tests assert it).
 ///
@@ -22,7 +23,7 @@ namespace spi::serve {
 /// The built-in model a job runs on, resolved once when it is routed.
 enum class App : std::uint8_t { kSpeech, kParticle };
 
-/// One admitted job waiting for its batch: which burst slot to answer,
+/// One admitted job waiting for its run: which burst slot to answer,
 /// which model runs it, and the raw request body (parsed at drain time).
 /// The trace fields are the job's request-lifecycle context
 /// (obs/request_trace.hpp): span id plus the ingest and enqueue stamps,
@@ -44,6 +45,8 @@ class JobQueue {
     queue_.push_back(std::move(job));
     depth_watermark_ = std::max<std::int64_t>(depth_watermark_, depth());
   }
+
+  [[nodiscard]] const QueuedJob& front() const { return queue_.front(); }
 
   QueuedJob pop() {
     QueuedJob job = std::move(queue_.front());

@@ -44,9 +44,9 @@ void append_doubles(std::string& out, std::span<const double> values) {
 constexpr std::uint64_t kAnySeed = std::numeric_limits<std::uint64_t>::max();
 
 /// The per-app half of a served model: parse a job body into a spec,
-/// run a batch of specs handing each job's result to `done`, render one
-/// result as reply fields. Everything else about a firing is shared
-/// (PlanServer::fire_group). Parsing answers a present but malformed
+/// run a stretch of specs handing each job's result to `done`, render
+/// one result as reply fields. Everything else about a run is shared
+/// (PlanServer::fire). Parsing answers a present but malformed
 /// field with its 400 message, never with the field's default; nullptr
 /// means the spec is valid.
 template <class AppT>
@@ -89,11 +89,8 @@ struct AppTraits<apps::ErrorGenApp> {
     return nullptr;
   }
 
-  /// Every speech job shares one batch.
-  static std::int64_t group_of(const Spec&) { return 0; }
-  /// A speech job is one graph iteration.
-  static std::int64_t iterations_per_job(std::int64_t) { return 1; }
-
+  /// Speech jobs are one graph iteration each: every result exists when
+  /// the run ends, and `done` renders and releases them one by one.
   template <class Done>
   static void run(const apps::ErrorGenApp& app, std::span<const Spec> specs,
                   core::JobInstance& instance, const core::RunOptions* options, const Done& done) {
@@ -101,7 +98,7 @@ struct AppTraits<apps::ErrorGenApp> {
     for (std::size_t k = 0; k < results.size(); ++k) done(k, results[k]);
   }
 
-  static void render(std::string& body, const Result& errors, bool explicit_io, std::int64_t) {
+  static void render(std::string& body, const Spec&, const Result& errors, bool explicit_io) {
     if (explicit_io) {
       body += "\"errors\": ";
       append_doubles(body, errors);
@@ -149,20 +146,15 @@ struct AppTraits<apps::ParticleFilterApp> {
     return nullptr;
   }
 
-  /// A particle batch must share one trajectory length.
-  static std::int64_t group_of(const Spec& spec) {
-    return static_cast<std::int64_t>(spec.steps());
-  }
-  /// A particle job is one graph iteration per trajectory step.
-  static std::int64_t iterations_per_job(std::int64_t steps) { return steps; }
-
+  /// A particle job is one graph iteration per trajectory step, and its
+  /// result reaches `done` as soon as its own iterations end.
   template <class Done>
   static void run(const apps::ParticleFilterApp& app, std::span<const Spec> specs,
                   core::JobInstance& instance, const core::RunOptions* options, const Done& done) {
     static_cast<void>(app.track_batch(specs, instance, options, std::cref(done)));
   }
 
-  static void render(std::string& body, const Result& r, bool explicit_io, std::int64_t steps) {
+  static void render(std::string& body, const Spec& spec, const Result& r, bool explicit_io) {
     if (explicit_io) {
       body += "\"estimates\": ";
       append_doubles(body, r.estimates);
@@ -172,7 +164,7 @@ struct AppTraits<apps::ParticleFilterApp> {
       body += ", \"particles_exchanged\": " + std::to_string(r.particles_exchanged);
       return;
     }
-    body += "\"steps\": " + std::to_string(steps) + ", \"estimate\": ";
+    body += "\"steps\": " + std::to_string(spec.steps()) + ", \"estimate\": ";
     append_json_number(body, r.estimates.empty() ? 0.0 : r.estimates.back());
     body += ", \"rmse\": ";
     append_json_number(body, r.rmse_vs_truth);
@@ -211,33 +203,26 @@ constexpr auto kStReply = static_cast<std::size_t>(obs::RequestStage::kReply);
 }  // namespace
 
 /// A built-in model: the app, one persistent JobInstance executing every
-/// batch, that instance's flight recorder (armed only around the trace
-/// bridge's captured batches — nothing else reads its events), the
-/// model's batch instruments, and the groups staged by the drain in
-/// progress, one per (tenant, AppTraits::group_of) in staging order.
+/// run, that instance's flight recorder (armed only around the trace
+/// bridge's captured runs — nothing else reads its events), the model's
+/// batch instruments, and the stretch staged by the drain in progress.
 template <class AppT>
 struct PlanServer::Model {
   using Traits = AppTraits<AppT>;
   using Spec = typename Traits::Spec;
 
   /// A staged job: its burst slot, whether its reply echoes explicit
-  /// I/O, and its trace context.
+  /// I/O, its tenant and its trace context.
   struct Staged {
     std::size_t index;
     bool explicit_io;
+    TenantState* tenant;
     std::uint64_t span_id;
     std::int64_t ingest_ns;
     std::int64_t enqueued_ns;
   };
-  /// One batched firing's jobs, all of one tenant; staged[k] is the
-  /// reply context of specs[k], in arrival order.
-  struct Group {
-    const TenantState* tenant;
-    std::int64_t key;
-    std::vector<Staged> staged;
-    std::vector<Spec> specs;
-  };
 
+  App kind;
   std::string name;
   std::string reply_head;  ///< {"app": "<name>", — every 200 body starts so
   AppT app;
@@ -247,12 +232,16 @@ struct PlanServer::Model {
   core::RunOptions run_options;
   obs::Counter& batches;
   obs::Histogram& batch_jobs;
-  std::vector<Group> groups;
+  /// The stretch being formed, in arrival order: staged[k] is the reply
+  /// context of specs[k].
+  std::vector<Staged> staged;
+  std::vector<Spec> specs;
 
   template <class Params>
-  Model(std::string model_name, std::int32_t pes, const Params& params,
+  Model(App model_kind, std::string model_name, std::int32_t pes, const Params& params,
         obs::MetricRegistry& metrics)
-      : name(std::move(model_name)),
+      : kind(model_kind),
+        name(std::move(model_name)),
         reply_head("{\"app\": \"" + name + "\", "),
         app(pes, params),
         plan_key(app.system().plan().content_hash_hex()),
@@ -265,34 +254,23 @@ struct PlanServer::Model {
                                      {{"app", name}})) {
     instance.set_flight_recorder(&flight);
     // The recorder stays attached for the server's lifetime but records
-    // only around the batches the flight bridge captures (it arms and
+    // only around the runs the flight bridge captures (it arms and
     // disarms per capture): the trace bridge is its only reader. A
-    // stalled batch's watchdog writes the stall report and /runtime
+    // stalled run's watchdog writes the stall report and /runtime
     // snapshot, never a flight log, so the watchdog needs no recording.
     flight.set_armed(false);
   }
 
-  /// Parses one queued job of `tenant` into its group; returns the 400
+  /// Parses one queued job of `tenant` into the stretch; returns the 400
   /// message of a malformed job (staging nothing), nullptr otherwise.
-  const char* stage(const TenantState& tenant, const QueuedJob& job) {
+  const char* stage(TenantState& tenant, const QueuedJob& job) {
     Spec spec;
     bool explicit_io = false;
     if (const char* error = Traits::parse(app, job.body, spec, explicit_io)) return error;
-    const std::int64_t key = Traits::group_of(spec);
-    auto group = std::find_if(groups.begin(), groups.end(), [&](const Group& g) {
-      return g.tenant == &tenant && g.key == key;
-    });
-    if (group == groups.end()) group = groups.insert(groups.end(), Group{&tenant, key, {}, {}});
-    group->staged.push_back(
-        {job.request_index, explicit_io, job.span_id, job.ingest_ns, job.enqueued_ns});
-    group->specs.push_back(std::move(spec));
+    staged.push_back(
+        {job.request_index, explicit_io, &tenant, job.span_id, job.ingest_ns, job.enqueued_ns});
+    specs.push_back(std::move(spec));
     return nullptr;
-  }
-
-  /// Lists every staged group for the firing order.
-  void list_firings(std::vector<Firing>& firings, bool particle) const {
-    for (std::size_t g = 0; g < groups.size(); ++g)
-      firings.push_back({groups[g].staged.front().index, particle, g});
   }
 };
 
@@ -306,10 +284,10 @@ PlanServer::PlanServer(PlanServerOptions options)
   }
   tracer_ = std::make_unique<obs::RequestTracer>(options_.trace, *metrics_);
 
-  speech_ = std::make_unique<Model<apps::ErrorGenApp>>("speech", options_.speech_pes,
-                                                       options_.speech_params, *metrics_);
+  speech_ = std::make_unique<Model<apps::ErrorGenApp>>(
+      App::kSpeech, "speech", options_.speech_pes, options_.speech_params, *metrics_);
   particle_ = std::make_unique<Model<apps::ParticleFilterApp>>(
-      "particle", options_.particle_pes, options_.particle_params, *metrics_);
+      App::kParticle, "particle", options_.particle_pes, options_.particle_params, *metrics_);
   for (auto* run_options : {&speech_->run_options, &particle_->run_options}) {
     if (options_.watchdog_ms > 0) {
       run_options->watchdog.enabled = true;
@@ -431,7 +409,11 @@ void PlanServer::route_job(std::size_t index, const obs::HttpRequest& request,
     }
     return;
   }
-  QueuedJob job{index, *app == "speech" ? App::kSpeech : App::kParticle, request.body, 0, 0, 0};
+  const App kind = *app == "speech" ? App::kSpeech : App::kParticle;
+  obs::Counter*& jobs_total = state.jobs_total[static_cast<std::size_t>(kind)];
+  if (jobs_total == nullptr)
+    jobs_total = &metrics_->counter("spi_serve_jobs_total", {{"app", *app}, {"tenant", tenant}});
+  QueuedJob job{index, kind, request.body, 0, 0, 0};
   if (state.series != nullptr) {
     job.span_id = tracer_->begin_span();
     job.ingest_ns = burst_ingest_ns_;
@@ -445,64 +427,53 @@ void PlanServer::route_job(std::size_t index, const obs::HttpRequest& request,
     job.enqueued_ns = burst_admit_ns_;
   }
   queue.push(std::move(job));
+  arrivals_.push_back(&state);
   answered_[index] = 0;
 }
 
-void PlanServer::stage_queue(TenantState& tenant, std::int64_t drain_ns,
-                             std::vector<obs::HttpResponse>& responses, const ReleaseFn& ready) {
-  JobQueue& queue = tenant.queue;
-  if (queue.empty()) return;
-
-  std::int64_t drained = 0;
-  while (!queue.empty()) {
-    const QueuedJob job = queue.pop();
-    ++drained;
-    const bool speech = job.app == App::kSpeech;
-    const char* error = speech ? speech_->stage(tenant, job) : particle_->stage(tenant, job);
-    if (error == nullptr) continue;
-    // Answered 400 at parse time; the lifecycle ends inside the
-    // batch-formation stage.
-    responses[job.request_index] = bad_request(error);
-    answered_[job.request_index] = 1;
-    release_prefix(ready);
-    if (tenant.series == nullptr || job.span_id == 0) continue;
-    obs::RequestSpan span;
-    span.id = job.span_id;
-    span.sampled = tracer_->is_sampled(job.span_id);
-    span.status = 400;
-    span.ingest_ns = job.ingest_ns;
-    span.stage_ns[kStAdmission] = job.enqueued_ns - job.ingest_ns;
-    span.stage_ns[kStQueue] = drain_ns - job.enqueued_ns;
-    span.stage_ns[kStBatch] = tracer_->now_ns() - drain_ns;
-    tracer_->complete(*tenant.series, span, queue.tenant(),
-                      speech ? speech_->name : particle_->name);
-  }
-  queue.count_served(drained);
+void PlanServer::stage_next(TenantState& tenant, std::int64_t start_ns,
+                            std::vector<obs::HttpResponse>& responses, const ReleaseFn& ready) {
+  const QueuedJob job = tenant.queue.pop();
+  tenant.queue.count_served(1);
+  const bool speech = job.app == App::kSpeech;
+  const char* error = speech ? speech_->stage(tenant, job) : particle_->stage(tenant, job);
+  if (error == nullptr) return;
+  // Answered 400 at parse time; the lifecycle ends inside the
+  // batch-formation stage.
+  responses[job.request_index] = bad_request(error);
+  answered_[job.request_index] = 1;
+  release_prefix(ready);
+  if (tenant.series == nullptr || job.span_id == 0) return;
+  obs::RequestSpan span;
+  span.id = job.span_id;
+  span.sampled = tracer_->is_sampled(job.span_id);
+  span.status = 400;
+  span.ingest_ns = job.ingest_ns;
+  span.stage_ns[kStAdmission] = job.enqueued_ns - job.ingest_ns;
+  span.stage_ns[kStQueue] = start_ns - job.enqueued_ns;
+  span.stage_ns[kStBatch] = tracer_->now_ns() - start_ns;
+  tracer_->complete(*tenant.series, span, tenant.queue.tenant(),
+                    speech ? speech_->name : particle_->name);
 }
 
 template <class AppT>
-void PlanServer::fire_group(Model<AppT>& model, std::size_t group_index, std::int64_t start_ns,
-                            std::vector<obs::HttpResponse>& responses, const ReleaseFn& ready) {
+void PlanServer::fire(Model<AppT>& model, std::int64_t start_ns,
+                      std::vector<obs::HttpResponse>& responses, const ReleaseFn& ready) {
   using Traits = typename Model<AppT>::Traits;
-  auto& group = model.groups[group_index];
-  const TenantState& tenant = *group.tenant;
-  const bool traced = tenant.series != nullptr;
-  const auto& staged = group.staged;
+  const auto& staged = model.staged;
   const std::size_t jobs = staged.size();
+  if (jobs == 0) return;  // every job of the stretch answered 400
+  const bool traced = tracer_->enabled();
   model.batches.inc();
   model.batch_jobs.observe(static_cast<double>(jobs));
   const std::int64_t batch_id = next_batch_id_++;
-  bool sample_batch = false;
-  if (traced)
-    for (const auto& s : staged)
-      if (s.span_id != 0 && tracer_->is_sampled(s.span_id)) {
-        sample_batch = true;
-        break;
-      }
+  const bool sample_batch = std::any_of(staged.begin(), staged.end(), [&](const auto& s) {
+    return s.span_id != 0 && tracer_->is_sampled(s.span_id);
+  });
   // Flight bridge, paced much coarser than span sampling (collect is
   // the one expensive capture): drop whatever the rings still hold,
   // tag the run, and collect right after — the captured log is
-  // exactly this batch's causal firing stream (GET /trace/flight).
+  // exactly this run's causal firing stream (GET /trace/flight).
   const bool capture_flight = sample_batch && tracer_->want_flight();
   if (capture_flight) {
     model.flight.set_armed(true);
@@ -511,83 +482,68 @@ void PlanServer::fire_group(Model<AppT>& model, std::size_t group_index, std::in
   } else {
     model.run_options.batch_id = -1;
   }
-  // A job that spans several graph iterations is answered and released
-  // as soon as its own iterations end, each with its own exec and reply
-  // stamps (job_ends_). A batch of one-iteration jobs releases once, at
-  // its end: one send per such job would cost more than the job.
-  const bool release_per_job = Traits::iterations_per_job(group.key) > 1;
-  job_ends_.clear();
+  // Every job is answered and released the moment its result exists,
+  // with its own exec-end and reply stamps.
+  job_ends_.assign(jobs, {0, 0});
   const std::int64_t formed_ns = traced ? tracer_->now_ns() : 0;
-  std::int64_t exec_end_ns = formed_ns;
   std::size_t served = 0;
   const auto answer = [&](std::size_t k, const typename Traits::Result& result) {
-    if (traced && (release_per_job || k == 0)) exec_end_ns = tracer_->now_ns();
+    const std::int64_t exec_end_ns = traced ? tracer_->now_ns() : 0;
+    const auto& s = staged[k];
     std::string body = model.reply_head;
-    Traits::render(body, result, staged[k].explicit_io, group.key);
+    Traits::render(body, model.specs[k], result, s.explicit_io);
     body += "}\n";
-    responses[staged[k].index] = json_response(200, std::move(body));
-    answered_[staged[k].index] = 1;
+    responses[s.index] = json_response(200, std::move(body));
+    answered_[s.index] = 1;
+    s.tenant->jobs_total[static_cast<std::size_t>(model.kind)]->inc();
     ++served;
-    if (!release_per_job) return;
     // Reply stamp first: the send is not part of the request's lifecycle.
-    job_ends_.emplace_back(exec_end_ns, traced ? tracer_->now_ns() : 0);
+    job_ends_[k] = {exec_end_ns, traced ? tracer_->now_ns() : 0};
     release_prefix(ready);
   };
   try {
-    Traits::run(model.app, group.specs, model.instance, &model.run_options, answer);
+    Traits::run(model.app, model.specs, model.instance, &model.run_options, answer);
   } catch (const std::exception& e) {
-    // The jobs answered before the failure keep their 200s.
-    exec_end_ns = traced ? tracer_->now_ns() : 0;
-    for (const auto& s : staged)
-      if (answered_[s.index] == 0)
-        responses[s.index] =
-            json_response(500, "{\"error\": \"" + obs::detail::json_escaped(e.what()) + "\"}\n");
+    // The jobs answered before the failure keep their 200s; the job
+    // that threw and every job after it, of any tenant, answer 500.
+    const obs::HttpResponse failed =
+        json_response(500, "{\"error\": \"" + obs::detail::json_escaped(e.what()) + "\"}\n");
+    const std::int64_t failed_ns = traced ? tracer_->now_ns() : 0;
+    for (std::size_t k = served; k < jobs; ++k) {
+      responses[staged[k].index] = failed;
+      answered_[staged[k].index] = 1;
+      job_ends_[k] = {failed_ns, failed_ns};
+    }
+    release_prefix(ready);
   }
-  if (served > 0) {
-    jobs_served_ += static_cast<std::int64_t>(served);
-    metrics_
-        ->counter("spi_serve_jobs_total", {{"app", model.name}, {"tenant", tenant.queue.tenant()}})
-        .inc(static_cast<std::int64_t>(served));
+  jobs_served_ += static_cast<std::int64_t>(served);
+  if (traced) {
+    if (capture_flight) {
+      tracer_->note_flight(batch_id, model.flight.collect());
+      model.flight.set_armed(false);
+    }
+    // The queue stage runs until this stretch's formation opens, so it
+    // covers the runs that fired before it, of any tenant.
+    for (std::size_t k = 0; k < jobs; ++k) {
+      const auto& s = staged[k];
+      if (s.span_id == 0) continue;
+      obs::RequestSpan span;
+      span.id = s.span_id;
+      span.sampled = tracer_->is_sampled(s.span_id);
+      span.status = responses[s.index].status;
+      span.batch_id = batch_id;
+      span.batch_size = static_cast<std::int32_t>(jobs);
+      span.ingest_ns = s.ingest_ns;
+      span.stage_ns[kStAdmission] = s.enqueued_ns - s.ingest_ns;
+      span.stage_ns[kStQueue] = start_ns - s.enqueued_ns;
+      span.stage_ns[kStBatch] = formed_ns - start_ns;
+      span.stage_ns[kStExec] = job_ends_[k].first - formed_ns;
+      span.stage_ns[kStReply] = job_ends_[k].second - job_ends_[k].first;
+      tracer_->complete(*s.tenant->series, span, s.tenant->queue.tenant(), model.name);
+    }
   }
-  // Reply stamp first: the send and the flight collection are not
-  // part of any request's lifecycle (serialization of the flight log
-  // waits for the GET /trace/flight scrape).
-  const std::int64_t reply_ns = traced ? tracer_->now_ns() : 0;
-  for (const auto& s : staged) answered_[s.index] = 1;
-  release_prefix(ready);
-  if (!traced) return;
-  if (capture_flight) {
-    tracer_->note_flight(batch_id, model.flight.collect());
-    model.flight.set_armed(false);
-  }
-  // Jobs [first, last) share every stage boundary (batch stamps, the
-  // burst's enqueue stamp, the same exec end), so one representative
-  // span covers them and only the ids differ. The queue stage runs
-  // until this batch's formation opens, so it covers the batches that
-  // fired before it, of any tenant.
-  const auto complete = [&](std::size_t first, std::size_t last, std::int64_t exec_end,
-                            std::int64_t reply) {
-    span_ids_scratch_.clear();
-    for (std::size_t k = first; k < last; ++k)
-      if (staged[k].span_id != 0) span_ids_scratch_.push_back(staged[k].span_id);
-    if (span_ids_scratch_.empty()) return;
-    const auto& front = staged[first];
-    obs::RequestSpan span;
-    span.status = responses[front.index].status;
-    span.batch_id = batch_id;
-    span.batch_size = static_cast<std::int32_t>(jobs);
-    span.ingest_ns = front.ingest_ns;
-    span.stage_ns[kStAdmission] = front.enqueued_ns - front.ingest_ns;
-    span.stage_ns[kStQueue] = start_ns - front.enqueued_ns;
-    span.stage_ns[kStBatch] = formed_ns - start_ns;
-    span.stage_ns[kStExec] = exec_end - formed_ns;
-    span.stage_ns[kStReply] = reply - exec_end;
-    tracer_->complete_batch(*tenant.series, span, span_ids_scratch_, tenant.queue.tenant(),
-                            model.name);
-  };
-  for (std::size_t k = 0; k < job_ends_.size(); ++k)
-    complete(k, k + 1, job_ends_[k].first, job_ends_[k].second);
-  complete(job_ends_.size(), jobs, exec_end_ns, reply_ns);
+  model.staged.clear();
+  model.specs.clear();
 }
 
 void PlanServer::release_prefix(const ReleaseFn& ready) {
@@ -627,30 +583,24 @@ void PlanServer::handle_burst(std::span<obs::HttpRequest> requests,
   }
   release_prefix(ready);
 
-  // Batched firing: every tenant queue stages into one group per (app,
-  // group key), then the groups fire in order of their earliest request
-  // (one program traversal amortized over all their jobs). Arrival
-  // order across tenants is what lets the first in-order reply prefix
-  // leave after the first batch, instead of behind a whole tenant.
-  const std::int64_t drain_ns = tracer_->enabled() ? tracer_->now_ns() : 0;
-  for (auto& [tenant, state] : tenants_) stage_queue(state, drain_ns, responses, ready);
-  firings_.clear();
-  speech_->list_firings(firings_, false);
-  particle_->list_firings(firings_, true);
-  std::sort(firings_.begin(), firings_.end(),
-            [](const Firing& a, const Firing& b) { return a.first < b.first; });
-  // The first batch's formation includes the staging; each later batch
-  // opens when the one before it is done.
-  std::int64_t start_ns = drain_ns;
-  for (const Firing& firing : firings_) {
-    if (firing.particle)
-      fire_group(*particle_, firing.group, start_ns, responses, ready);
+  // Arrival-order drain: the admitted jobs, in request order across
+  // tenants, cut into maximal stretches of consecutive jobs of one app;
+  // each stretch is one colocated run (one program traversal amortized
+  // over all its jobs), and each of its jobs answers as its result
+  // exists. The first stretch's formation opens at the drain; each
+  // later one opens when the run before it is done.
+  std::int64_t start_ns = tracer_->enabled() ? tracer_->now_ns() : 0;
+  for (std::size_t next = 0; next < arrivals_.size();) {
+    const App app = arrivals_[next]->queue.front().app;
+    for (; next < arrivals_.size() && arrivals_[next]->queue.front().app == app; ++next)
+      stage_next(*arrivals_[next], start_ns, responses, ready);
+    if (app == App::kSpeech)
+      fire(*speech_, start_ns, responses, ready);
     else
-      fire_group(*speech_, firing.group, start_ns, responses, ready);
+      fire(*particle_, start_ns, responses, ready);
     start_ns = tracer_->enabled() ? tracer_->now_ns() : 0;
   }
-  speech_->groups.clear();
-  particle_->groups.clear();
+  arrivals_.clear();
 
   const double seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)

@@ -6,11 +6,11 @@
 ///
 ///   POST /job       — run one job on a built-in model ("speech" or
 ///                     "particle"); jobs admitted from one HTTP read
-///                     burst are queued per tenant and drained as ONE
-///                     batched colocated firing per tenant and app (per
-///                     trajectory length for particle), fired in arrival
-///                     order; a particle reply leaves as its own job's
-///                     iterations end, a speech reply as its batch ends.
+///                     burst are queued per tenant and drained in
+///                     arrival order across tenants, each maximal
+///                     stretch of consecutive jobs of one app as ONE
+///                     colocated run; every reply leaves as soon as its
+///                     own job's result exists.
 ///   GET  /metrics   — Prometheus exposition of the serve + runtime
 ///                     counters; /metrics.json for the JSON form.
 ///   GET  /runtime   — live server status JSON (admission, models,
@@ -18,7 +18,7 @@
 ///   GET  /healthz   — liveness.
 ///
 /// The server is synchronous and single-threaded by design: the target
-/// is one hardware thread, where the fastest schedule is to batch the
+/// is one hardware thread, where the fastest schedule is to run the
 /// pipelined requests of each read burst through one program traversal
 /// (HTTP/1.1 pipelining + BatchHandler + JobInstance::run_colocated)
 /// rather than to context-switch between worker threads. Every request
@@ -89,17 +89,17 @@ class PlanServer {
   /// Told that responses [0, n) of the burst in progress are final.
   using ReleaseFn = std::function<void(std::size_t n)>;
 
-  /// The batch handler: routes every request of one read burst, stages
-  /// every tenant queue into batches — one per (tenant, app, group key)
-  /// — and fires them in order of each batch's earliest request. Public
-  /// so tests (and in-process embedders) can drive the server without a
-  /// socket — `responses` is filled with exactly one response per
-  /// request, in order. When `ready` is set, it is called with the
-  /// burst's answered in-order prefix whenever that prefix grows (after
-  /// routing, after a staging 400, after each multi-iteration job,
-  /// after each batch); start() wires it
-  /// to HttpServer::release so a reply leaves as soon as it is final.
-  /// Without it every response is final only on return.
+  /// The batch handler: routes every request of one read burst, then
+  /// walks the admitted jobs in request order across tenants and fires
+  /// each maximal stretch of consecutive jobs of one app as one
+  /// colocated run. Public so tests (and in-process embedders) can drive
+  /// the server without a socket — `responses` is filled with exactly
+  /// one response per request, in order. When `ready` is set, it is
+  /// called with the burst's answered in-order prefix whenever that
+  /// prefix grows (after routing, after a staging 400, after each job's
+  /// reply); start() wires it to HttpServer::release so a reply leaves
+  /// as soon as it is final. Without it every response is final only on
+  /// return.
   void handle_burst(std::span<obs::HttpRequest> requests,
                     std::vector<obs::HttpResponse>& responses, const ReleaseFn& ready = {});
 
@@ -124,21 +124,14 @@ class PlanServer {
   template <class AppT>
   struct Model;
 
-  /// One tenant's serving state: the queue plus the tracer's cached
-  /// instrument handles (resolved once — per-request stamping must not
-  /// take the registry lock).
+  /// One tenant's serving state: the queue plus cached instrument
+  /// handles (resolved once — per-request stamping must not take the
+  /// registry lock): the tracer's series and spi_serve_jobs_total per app.
   struct TenantState {
     explicit TenantState(std::string tenant) : queue(std::move(tenant)) {}
     JobQueue queue;
     obs::TenantSeries* series = nullptr;
-  };
-
-  /// One staged batch in firing order: its earliest request, its model
-  /// and its slot in that model's groups.
-  struct Firing {
-    std::size_t first;
-    bool particle;
-    std::size_t group;
+    obs::Counter* jobs_total[2] = {};  ///< by App, resolved at first admission
   };
 
   [[nodiscard]] obs::HttpResponse handle_get(const obs::HttpRequest& request);
@@ -146,21 +139,20 @@ class PlanServer {
   /// 429) in `responses`.
   void route_job(std::size_t index, const obs::HttpRequest& request,
                  std::vector<obs::HttpResponse>& responses);
-  /// Parses every job queued by `tenant` into its model's groups (one
-  /// per tenant and group key), answering a malformed one 400. Fires
-  /// nothing: handle_burst fires every tenant's groups in arrival order.
-  void stage_queue(TenantState& tenant, std::int64_t drain_ns,
-                   std::vector<obs::HttpResponse>& responses, const ReleaseFn& ready);
-  /// Fires one staged group as one batch and answers its jobs: 200 for
-  /// each job that finished, 500 for the job that threw and every job
-  /// after it. A job spanning several graph iterations (particle, steps
-  /// > 1) is answered and released through `ready` as soon as its own
-  /// iterations end, and its span's exec stage ends there; a batch of
-  /// one-iteration jobs is answered and released once, at its end.
-  /// `start_ns` opens the batch's formation: its jobs queued until then.
-  template <class AppT>
-  void fire_group(Model<AppT>& model, std::size_t group, std::int64_t start_ns,
+  /// Pops the next job of `tenant` and parses it into its model's
+  /// stretch, or answers it 400 if it is malformed. `start_ns` opens the
+  /// stretch's formation.
+  void stage_next(TenantState& tenant, std::int64_t start_ns,
                   std::vector<obs::HttpResponse>& responses, const ReleaseFn& ready);
+  /// Fires the model's staged stretch as one colocated run and answers
+  /// its jobs one by one as each result exists: 200 for each job that
+  /// finished, 500 for the job that threw and every job after it. Each
+  /// reply is released through `ready` at once, and each job's span
+  /// gets its own exec-end and reply stamps. `start_ns` opens the
+  /// stretch's formation: its jobs queued until then.
+  template <class AppT>
+  void fire(Model<AppT>& model, std::int64_t start_ns,
+            std::vector<obs::HttpResponse>& responses, const ReleaseFn& ready);
   /// Hands `ready` the burst's answered in-order prefix if it grew.
   void release_prefix(const ReleaseFn& ready);
 
@@ -176,13 +168,13 @@ class PlanServer {
   /// Shared enqueue stamp, taken lazily at the burst's first admitted
   /// job (-1 = not yet): one clock read per burst, not per job.
   std::int64_t burst_admit_ns_ = -1;
-  std::vector<std::uint64_t> span_ids_scratch_;  ///< reused per drained batch
-  /// (exec end, reply) stamps of each job the batch in progress has
-  /// released on its own, in job order.
+  /// The tenant of each admitted job of the burst in progress, in
+  /// request order: the drain pops each tenant's queue in this order.
+  std::vector<TenantState*> arrivals_;
+  /// (exec end, reply) stamps of each job of the run in progress.
   std::vector<std::pair<std::int64_t, std::int64_t>> job_ends_;
-  std::vector<Firing> firings_;                   ///< reused per burst
   /// Per request of the burst in progress: answered yet (a queued job
-  /// is not until its batch fires or its staging fails).
+  /// is not until its run answers it or its staging fails).
   std::vector<char> answered_;
   std::size_t released_ = 0;  ///< the answered in-order prefix handed to `ready`
 

@@ -35,12 +35,40 @@ TEST(ParticleFilterApp, BindBatchValidatesAndRunsTheWholeBatch) {
   EXPECT_THROW(app.bind_batch({}, instance), std::invalid_argument);
   std::vector<ParticleFilterApp::ParticleJobSpec> jobs(2);
   jobs[0].trajectory = trajectory(10);
-  jobs[1].trajectory = trajectory(12, 34);
+  jobs[1].trajectory = {};
   EXPECT_THROW(app.bind_batch(jobs, instance), std::invalid_argument)
-      << "jobs must share one trajectory length";
-  jobs[1].trajectory = trajectory(10, 34);
+      << "every job needs at least one step";
+  jobs[1].trajectory = trajectory(12, 34);  // lengths may differ
   app.bind_batch(jobs, instance);
-  EXPECT_NO_THROW(instance.run_colocated(20));  // both jobs, one step per iteration
+  EXPECT_NO_THROW(instance.run_colocated(22));  // both jobs, one step per iteration
+}
+
+// Jobs of different trajectory lengths share one run, each in its own
+// segment, and each result is bit-identical to tracking that job alone.
+TEST(ParticleFilterApp, MixedLengthTrackBatchMatchesTrackOnEachJob) {
+  const ParticleFilterApp app(2, small_params());
+  std::vector<ParticleFilterApp::ParticleJobSpec> jobs;
+  for (const std::size_t steps : {10, 3, 17, 1, 6}) {
+    ParticleFilterApp::ParticleJobSpec job;
+    job.seed = app.params().seed;  // track() runs with the app's own seed
+    job.trajectory = trajectory(steps, 40 + steps);
+    jobs.push_back(std::move(job));
+  }
+  core::JobInstance instance(app.system().plan());
+  std::vector<std::size_t> order;
+  const std::vector<TrackResult> results = app.track_batch(
+      jobs, instance, nullptr,
+      [&](std::size_t job, const TrackResult&) { order.push_back(job); });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  ASSERT_EQ(results.size(), jobs.size());
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    const TrackResult alone = app.track(jobs[k].trajectory);
+    ASSERT_EQ(results[k].estimates.size(), jobs[k].steps()) << k;
+    EXPECT_EQ(results[k].estimates, alone.estimates) << k;
+    EXPECT_EQ(results[k].rmse_vs_truth, alone.rmse_vs_truth) << k;
+    EXPECT_EQ(results[k].resample_steps, alone.resample_steps) << k;
+    EXPECT_EQ(results[k].particles_exchanged, alone.particles_exchanged) << k;
+  }
 }
 
 // track_batch hands each job's result over as soon as its iterations
@@ -78,12 +106,14 @@ TEST(ParticleFilterApp, TrackBatchReportsEachJobAsItEndsAndSynthesizesAtItsTurn)
     EXPECT_EQ(reported[k].estimates, returned[k].estimates) << k;
   }
 
-  // A synthetic job batches with explicit jobs of its length.
+  // A synthetic job batches with explicit jobs of any length.
   std::vector<ParticleFilterApp::ParticleJobSpec> mixed{explicit_jobs[0], synthetic_jobs[1]};
   const std::vector<TrackResult> mixed_results = app.track_batch(mixed, instance);
   EXPECT_EQ(mixed_results[1].estimates, expected[1].estimates);
   mixed[1].synthetic_steps = 8;
-  EXPECT_THROW(static_cast<void>(app.track_batch(mixed, instance)), std::invalid_argument);
+  const std::vector<TrackResult> shorter = app.track_batch(mixed, instance);
+  EXPECT_EQ(shorter[0].estimates, expected[0].estimates);
+  EXPECT_EQ(shorter[1].estimates.size(), 8u);
 }
 
 TEST(ParticleFilterApp, ChannelPlanMatchesPaper) {

@@ -6,6 +6,9 @@
 /// when the deserialized plan is run instead of the compiled one.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "core/functional.hpp"
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
@@ -242,6 +245,89 @@ TEST(PlanRoundTrip, FromJsonRejectsAHostileChannelSlab) {
   EXPECT_THROW((void)core::ExecutablePlan::from_json(tampered("1099511627776")),
                std::invalid_argument);
   EXPECT_THROW((void)core::ExecutablePlan::from_json(tampered("-1")), std::invalid_argument);
+}
+
+std::string golden_plan(const std::string& name) {
+  std::ifstream file(std::string(SPI_GOLDEN_DIR) + "/" + name);
+  std::stringstream text;
+  text << file.rdbuf();
+  return text.str();
+}
+
+/// `json` with every occurrence of `from` replaced by `to`.
+std::string edited(std::string json, const std::string& from, const std::string& to) {
+  std::size_t at = json.find(from);
+  EXPECT_NE(at, std::string::npos) << "plan encoding changed; update this test: " << from;
+  for (; at != std::string::npos; at = json.find(from, at + to.size()))
+    json.replace(at, from.size(), to);
+  return json;
+}
+
+/// from_json's std::invalid_argument message, or "" when the plan loads.
+std::string load_error(const std::string& json) {
+  try {
+    (void)core::ExecutablePlan::from_json(json);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Hostile but well-formed edits of the golden plans: the colocated run
+// walks the PASS on one thread, so a PASS that consumes before anything
+// is produced, or a ring too small for one firing's tokens, would wait
+// on itself forever. validate() replays the PASS on token counts and
+// rejects both at load, naming the firing and the edge.
+TEST(PlanRoundTrip, FromJsonReplaysThePassOfThreadedPipeline) {
+  const std::string json = golden_plan("threaded_pipeline.plan.json");
+  ASSERT_EQ(load_error(json), "");
+
+  const std::string reversed =
+      load_error(edited(json, "\"firings\": [0, 1, 2]", "\"firings\": [2, 1, 0]"));
+  EXPECT_NE(reversed.find("PASS firing 0 (Sink) finds 0 of its 32 tokens"), std::string::npos)
+      << reversed;
+  EXPECT_NE(reversed.find("Filter->Sink"), std::string::npos) << reversed;
+
+  const std::string one_token =
+      load_error(edited(json, "\"prod_tokens\": 32", "\"prod_tokens\": 1"));
+  EXPECT_NE(one_token.find("PASS firing 0 (Source) overfills the ring capacity of 1 tokens"),
+            std::string::npos)
+      << one_token;
+  EXPECT_NE(one_token.find("Source->Filter"), std::string::npos) << one_token;
+}
+
+TEST(PlanRoundTrip, FromJsonReplaysThePassOfSpeechErrorgen) {
+  const std::string json = golden_plan("speech_errorgen.plan.json");
+  ASSERT_EQ(load_error(json), "");
+
+  const std::string reversed =
+      load_error(edited(json, "\"firings\": [0, 1, 2, 4, 5, 6, 7, 3]",
+                        "\"firings\": [3, 7, 6, 5, 4, 2, 1, 0]"));
+  EXPECT_NE(reversed.find("PASS firing 0 (Huff) finds 0 of its 1 tokens"), std::string::npos)
+      << reversed;
+  EXPECT_NE(reversed.find("D0->Huff"), std::string::npos) << reversed;
+
+  // Every channel of this plan already produces one token per firing, so
+  // setting every prod_tokens to 1 changes nothing and the plan loads.
+  EXPECT_EQ(load_error(edited(json, "\"prod_tokens\": 1", "\"prod_tokens\": 1")), "");
+  // The same overfill on this plan: Read emits two tokens per firing
+  // into Read->D0, whose ring holds one.
+  const std::string overfill =
+      load_error(edited(json, "{\"src\": 0, \"snk\": 4, \"prod\": 1,",
+                        "{\"src\": 0, \"snk\": 4, \"prod\": 2,"));
+  EXPECT_NE(overfill.find("PASS firing 0 (Read) overfills the ring capacity of 1 tokens"),
+            std::string::npos)
+      << overfill;
+  EXPECT_NE(overfill.find("Read->D0"), std::string::npos) << overfill;
+  // An unbalanced local edge: Read emits 2 tokens per firing into
+  // Read->Fft, whose consumer takes 1, so every period would pile one up.
+  const std::string unbalanced =
+      load_error(edited(json, "{\"src\": 0, \"snk\": 1, \"prod\": 1,",
+                        "{\"src\": 0, \"snk\": 1, \"prod\": 2,"));
+  EXPECT_NE(unbalanced.find("the PASS period leaves 1 tokens on edge 0 (Read->Fft), not its 0 "
+                            "delay tokens"),
+            std::string::npos)
+      << unbalanced;
 }
 
 TEST(PlanRoundTrip, FromJsonRejectsMalformedDocuments) {

@@ -1,7 +1,7 @@
 /// \file test_request_trace.cpp
 /// Unit tests for the request-lifecycle tracer (obs/request_trace.hpp):
 /// head-sampling rate and per-tenant coverage, ring wrap, the slowest-N outlier reservoir,
-/// the tenant-cardinality cap, batch-vs-single completion equivalence,
+/// the tenant-cardinality cap, quantiles over every completed request,
 /// flight-bridge pacing and the /trace JSON shape. The companion serve
 /// integration tests (test_serve.cpp) exercise the same tracer through
 /// PlanServer::handle_burst.
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -180,58 +181,33 @@ TEST(RequestTracerTest, TenantCardinalityCapSharesOtherSeries) {
   EXPECT_EQ(tracer.tenant_series("a"), a) << "cached handles are stable";
 }
 
-TEST(RequestTracerTest, CompleteBatchMatchesPerSpanCompletion) {
-  MetricRegistry registry_single;
-  MetricRegistry registry_batch;
-  RequestTracerOptions options;
-  options.sample_every = 2;
-  RequestTracer single(options, registry_single);
-  RequestTracer batch(options, registry_batch);
-  TenantSeries* ss = single.tenant_series("t0");
-  TenantSeries* bs = batch.tenant_series("t0");
-
-  // One drained batch = identical spans, distinct ids (1..5).
-  const std::vector<std::uint64_t> ids = {1, 2, 3, 4, 5};
-  std::int64_t sampled = 0;
-  for (const std::uint64_t id : ids) {
-    RequestSpan span = make_span(id, 10'000, single.is_sampled(id));
-    sampled += span.sampled ? 1 : 0;
-    single.complete(*ss, span, "t0", "speech");
-  }
-  ASSERT_GT(sampled, 0) << "the batch should mix sampled and unsampled ids";
-  ASSERT_LT(sampled, 5) << "the batch should mix sampled and unsampled ids";
-  batch.complete_batch(*bs, make_span(0, 10'000, false), ids, "t0", "speech");
-
-  EXPECT_EQ(ss->requests->value(), bs->requests->value());
-  EXPECT_EQ(ss->rejects->value(), bs->rejects->value());
-  EXPECT_EQ(ss->e2e_ns->value(), bs->e2e_ns->value());
-  for (std::size_t k = 0; k < kRequestStageCount; ++k)
-    EXPECT_EQ(ss->stage_ns[k]->value(), bs->stage_ns[k]->value()) << "stage " << k;
-  EXPECT_EQ(single.sampled_total(), batch.sampled_total());
-  EXPECT_EQ(batch.sampled_total(), sampled);
-  EXPECT_EQ(ss->e2e_ns->value(), 50'000);
-}
-
-TEST(RequestTracerTest, CompleteBatchCounts429AndOffersOutlierWhenUnsampled) {
+// Quantiles and means describe the same requests: every completed span
+// feeds the e2e and per-stage histograms, sampled or not, so a tenant
+// none of whose spans head-sampled still reads non-zero quantiles.
+TEST(RequestTracerTest, UnsampledRequestsFeedTheQuantiles) {
   MetricRegistry registry;
   RequestTracerOptions options;
-  options.sample_every = 1'000'000;  // nothing head-samples
-  options.outlier_capacity = 4;
+  options.sample_every = 1'000'000;  // head sampling keeps (almost) nothing
   RequestTracer tracer(options, registry);
-  TenantSeries* series = tracer.tenant_series("t0");
-
-  const std::vector<std::uint64_t> ids = {2, 3, 4};
-  for (const std::uint64_t id : ids) ASSERT_FALSE(tracer.is_sampled(id));
-  tracer.complete_batch(*series, make_span(0, 80'000, false, 429), ids, "t0", "speech");
-  EXPECT_EQ(series->rejects->value(), 3);
+  TenantSeries* series = tracer.tenant_series("quiet");
+  ASSERT_NE(series, nullptr);
+  constexpr std::int64_t kRequests = 40;
+  for (std::int64_t i = 0; i < kRequests; ++i) {
+    const std::uint64_t id = tracer.begin_span();
+    ASSERT_FALSE(tracer.is_sampled(id));
+    tracer.complete(*series, make_span(id, 20'000 + 1'000 * i, false), "quiet", "speech");
+  }
   EXPECT_EQ(tracer.sampled_total(), 0);
-  // Exactly one representative of the unsampled batch reached the
-  // reservoir (all three jobs share one e2e — one candidate decides).
-  const std::string json = tracer.trace_json();
-  const std::size_t outliers = json.find("\"outliers\"");
-  ASSERT_NE(outliers, std::string::npos);
-  EXPECT_NE(json.find("\"id\": 2", outliers), std::string::npos);
-  EXPECT_EQ(json.find("\"id\": 3", outliers), std::string::npos);
+  EXPECT_EQ(registry.histogram("spi_serve_request_seconds", {}, {{"tenant", "quiet"}}).count(),
+            kRequests);
+  for (std::size_t k = 0; k < kRequestStageCount; ++k)
+    EXPECT_EQ(series->stage_seconds[k]->count(), kRequests) << "stage " << k;
+
+  std::string rollup;
+  tracer.append_rollup_json(rollup, *series);
+  const std::size_t p50 = rollup.find("\"us_p50\": ");
+  ASSERT_NE(p50, std::string::npos) << rollup;
+  EXPECT_GT(std::atof(rollup.c_str() + p50 + 10), 0.0) << rollup;
 }
 
 TEST(RequestTracerTest, FlightPacingFirstSampledBatchAlwaysCaptures) {

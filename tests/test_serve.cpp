@@ -175,7 +175,7 @@ TEST(PlanServer, BatchedParticleFiringBitIdenticalToSingleJobRuns) {
   dsp::Rng traj_rng_a(5), traj_rng_b(6);
   const auto traj_a = dsp::simulate_crack(model, 10, traj_rng_a);
   const auto traj_b = dsp::simulate_crack(model, 10, traj_rng_b);
-  // A third job with a different length lands in its own length group.
+  // A third job of a different length shares the run, in its own segment.
   dsp::Rng traj_rng_c(7);
   const auto traj_c = dsp::simulate_crack(model, 6, traj_rng_c);
 
@@ -236,9 +236,10 @@ TEST(PlanServer, MixedBatchRepeatedBurstsReuseTheInstances) {
 }
 
 // perfbench's serve.jobs_per_batch divides spi_serve_jobs_total by
-// spi_serve_batches_total: one batch per (tenant, app), and per
-// trajectory length for particle; a malformed job counts in neither.
-TEST(PlanServer, BatchAccountingCountsOneBatchPerTenantAppAndLength) {
+// spi_serve_batches_total: one batch per maximal stretch of consecutive
+// same-app jobs in request order, whatever their tenants and lengths; a
+// malformed job counts in neither.
+TEST(PlanServer, BatchAccountingCountsOneBatchPerSameAppStretch) {
   std::vector<std::string> bodies;
   for (const std::string tenant : {"t0", "t1"}) {
     const std::string head = "{\"tenant\":\"" + tenant + "\",";
@@ -258,26 +259,76 @@ TEST(PlanServer, BatchAccountingCountsOneBatchPerTenantAppAndLength) {
     ASSERT_EQ(responses[i].status, 200) << bodies[i] << " -> " << responses[i].body;
   EXPECT_EQ(responses.back().status, 400);
 
+  // Stretches in request order: t0 speech x2, t0 particle x2 (lengths 4
+  // and 7), t1 speech x2, then t1 particle x2 plus the malformed job.
   obs::MetricRegistry& metrics = server.metrics();
   EXPECT_EQ(metrics.counter_value("spi_serve_batches_total", {{"app", "speech"}}), 2);
-  EXPECT_EQ(metrics.counter_value("spi_serve_batches_total", {{"app", "particle"}}), 4);
+  EXPECT_EQ(metrics.counter_value("spi_serve_batches_total", {{"app", "particle"}}), 2);
   for (const std::string tenant : {"t0", "t1"})
     for (const std::string app : {"speech", "particle"})
       EXPECT_EQ(metrics.counter_value("spi_serve_jobs_total", {{"app", app}, {"tenant", tenant}}),
                 2)
           << app << "/" << tenant;
   EXPECT_EQ(metrics.counter_total("spi_serve_jobs_total"), 8);
-  // Every batch observes its size once: two speech batches of 2, four
-  // particle batches of 1.
+  // Every batch observes its size once: two batches of 2 per app.
   const obs::Histogram& speech_sizes =
       metrics.histogram("spi_serve_batch_jobs", {}, {{"app", "speech"}});
   const obs::Histogram& particle_sizes =
       metrics.histogram("spi_serve_batch_jobs", {}, {{"app", "particle"}});
   EXPECT_EQ(speech_sizes.count(), 2);
   EXPECT_EQ(speech_sizes.sum(), 4.0);
-  EXPECT_EQ(particle_sizes.count(), 4);
+  EXPECT_EQ(particle_sizes.count(), 2);
   EXPECT_EQ(particle_sizes.sum(), 4.0);
   EXPECT_EQ(server.jobs_served(), 8);
+}
+
+// The arrival-order rule: interleaved particle jobs of two tenants and
+// different lengths share one run; a speech job between them cuts the
+// burst into three runs; and every reply is byte-identical to the same
+// job served alone.
+TEST(PlanServer, ArrivalOrderRunsOneBatchPerSameAppStretch) {
+  const std::vector<std::string> particles = {
+      R"({"app":"particle","tenant":"t0","steps":5,"seed":1})",
+      R"({"app":"particle","tenant":"t1","steps":3,"seed":2})",
+      R"({"app":"particle","tenant":"t0","steps":7,"seed":3})",
+      R"({"app":"particle","tenant":"t1","steps":2,"seed":4})",
+  };
+  const std::string speech = R"({"app":"speech","tenant":"t1","frame_size":12,"order":3,"seed":5})";
+
+  PlanServer server;
+  obs::MetricRegistry& metrics = server.metrics();
+  obs::Counter& particle_runs =
+      metrics.counter("spi_serve_batches_total", {{"app", "particle"}});
+  obs::Counter& speech_runs = metrics.counter("spi_serve_batches_total", {{"app", "speech"}});
+
+  std::vector<obs::HttpRequest> shared = job_burst(particles);
+  std::vector<obs::HttpResponse> shared_responses;
+  server.handle_burst(shared, shared_responses);
+  EXPECT_EQ(particle_runs.value(), 1) << "two tenants, four lengths, one run";
+
+  std::vector<obs::HttpRequest> split =
+      job_burst({particles[0], particles[1], speech, particles[2], particles[3]});
+  std::vector<obs::HttpResponse> split_responses;
+  server.handle_burst(split, split_responses);
+  EXPECT_EQ(particle_runs.value(), 3) << "the speech job splits the particle stretch";
+  EXPECT_EQ(speech_runs.value(), 1);
+  EXPECT_EQ(metrics.histogram("spi_serve_batch_jobs", {}, {{"app", "particle"}}).sum(), 8.0);
+
+  const auto alone = [&server](const std::string& body) {
+    std::vector<obs::HttpRequest> one = job_burst({body});
+    std::vector<obs::HttpResponse> reply;
+    server.handle_burst(one, reply);
+    return reply.at(0);
+  };
+  ASSERT_EQ(shared_responses.size(), particles.size());
+  ASSERT_EQ(split_responses.size(), particles.size() + 1);
+  for (std::size_t j = 0; j < particles.size(); ++j) {
+    const obs::HttpResponse solo = alone(particles[j]);
+    ASSERT_EQ(solo.status, 200) << solo.body;
+    EXPECT_EQ(shared_responses[j].body, solo.body) << "job " << j;
+    EXPECT_EQ(split_responses[j < 2 ? j : j + 1].body, solo.body) << "job " << j;
+  }
+  EXPECT_EQ(split_responses[2].body, alone(speech).body);
 }
 
 TEST(PlanServer, RejectsOverDeepTenantQueuesPerTenant) {
@@ -570,9 +621,10 @@ std::string span_string(const std::string& json, std::size_t from, const std::st
   return json.substr(begin, json.find('"', begin) - begin);
 }
 
-// The drain rule: every tenant's queue stages first, then the (tenant,
-// app, group key) batches fire in order of their earliest request, and
-// each batch's completion releases the burst's answered in-order prefix.
+// The drain rule: the admitted jobs run in request order across tenants,
+// one batch per same-app stretch, and every reply releases the burst's
+// answered in-order prefix as soon as it exists, so the prefix grows by
+// one per job.
 TEST(PlanServer, BatchesFireInArrivalOrderAndReleaseFinalPrefixes) {
   PlanServerOptions options;
   options.trace.sample_every = 1;
@@ -596,10 +648,10 @@ TEST(PlanServer, BatchesFireInArrivalOrderAndReleaseFinalPrefixes) {
   EXPECT_EQ(responses[2].status, 400);
   for (const std::size_t i : {0, 1, 3, 4, 5}) EXPECT_EQ(responses[i].status, 200) << i;
 
-  // Each batch completes the next pending request: t1's particle batch
-  // (request 0) fires first, t0's speech batch then also releases the
-  // 400 behind it, and t0's particle batch the GET behind it.
-  EXPECT_EQ(released, (std::vector<std::size_t>{1, 3, 4, 6}));
+  // Each job completes the next pending request: t1's particle job
+  // (request 0) runs first, then t0's speech job, then the 400 staged
+  // alone, t1's speech job, and t0's particle job with the GET behind it.
+  EXPECT_EQ(released, (std::vector<std::size_t>{1, 2, 3, 4, 6}));
   for (std::size_t k = 1; k < released.size(); ++k) EXPECT_GT(released[k], released[k - 1]);
   // A released response is final: byte-identical to its value at return.
   for (const auto& prefix : snapshots)
@@ -628,20 +680,23 @@ TEST(PlanServer, BatchesFireInArrivalOrderAndReleaseFinalPrefixes) {
 
 // A particle job spans one graph iteration per step, so its reply is
 // final and released as soon as its own iterations end, not when its
-// batch ends; a batch of one-iteration speech jobs releases once.
+// batch ends; jobs of a speech batch are answered and released one by
+// one after their run, each with its own reply stamp.
 TEST(PlanServer, ParticleJobsReleaseAsTheirOwnIterationsEnd) {
   PlanServerOptions options;
   options.trace.sample_every = 1;
   PlanServer server(options);
   std::vector<obs::HttpRequest> jobs = job_burst({
       R"({"app":"particle","tenant":"t0","steps":6,"seed":1})",
-      R"({"app":"particle","tenant":"t0","steps":6,"seed":2})",
-      R"({"app":"particle","tenant":"t0","steps":6,"seed":3})",
+      R"({"app":"particle","tenant":"t1","steps":3,"seed":2})",
+      R"({"app":"particle","tenant":"t0","steps":9,"seed":3})",
       R"({"app":"speech","tenant":"t0","frame_size":12,"order":3,"seed":4})",
+      R"({"app":"speech","tenant":"t1","frame_size":12,"order":3,"seed":5})",
   });
   obs::Counter& particle_batches =
       server.metrics().counter("spi_serve_batches_total", {{"app", "particle"}});
-  const std::int64_t batches_before = particle_batches.value();
+  obs::Counter& speech_batches =
+      server.metrics().counter("spi_serve_batches_total", {{"app", "speech"}});
   std::vector<obs::HttpResponse> responses;
   std::vector<std::size_t> released;
   std::vector<std::vector<obs::HttpResponse>> snapshots;
@@ -651,35 +706,41 @@ TEST(PlanServer, ParticleJobsReleaseAsTheirOwnIterationsEnd) {
   });
   ASSERT_EQ(responses.size(), jobs.size());
   for (const auto& response : responses) EXPECT_EQ(response.status, 200) << response.body;
-  EXPECT_EQ(released, (std::vector<std::size_t>{1, 2, 3, 4}));
+  EXPECT_EQ(released, (std::vector<std::size_t>{1, 2, 3, 4, 5}));
   for (const auto& prefix : snapshots)
     for (std::size_t i = 0; i < prefix.size(); ++i) {
       EXPECT_EQ(prefix[i].status, responses[i].status) << i;
       EXPECT_EQ(prefix[i].content_type, responses[i].content_type) << i;
       EXPECT_EQ(prefix[i].body, responses[i].body) << i;
     }
-  EXPECT_EQ(particle_batches.value(), batches_before + 1) << "still one batch";
+  EXPECT_EQ(particle_batches.value(), 1) << "still one batch";
+  EXPECT_EQ(speech_batches.value(), 1);
 
-  // Each particle span tiles its request, and its exec stage ends with
-  // its own job: later jobs in the batch read strictly longer exec.
+  // Each span tiles its request. A particle job's exec stage ends with
+  // its own job: later jobs in the batch read strictly longer exec. A
+  // speech job's exec and reply end after the replies before it.
   std::vector<obs::HttpRequest> scrape = {{"GET", "/trace", "HTTP/1.1", "", true}};
   server.handle_burst(scrape, responses);
   const std::string& trace = responses[0].body;
-  std::vector<std::int64_t> exec_ns;
+  std::map<std::string, std::vector<std::int64_t>> exec_ns, e2e_ns;
   const std::size_t spans_end = trace.find("\"outliers\": [");
   for (std::size_t at = trace.find("{\"id\": "); at != std::string::npos && at < spans_end;
        at = trace.find("{\"id\": ", at + 1)) {
-    if (span_string(trace, at, "app") != "particle") continue;
+    const std::string app = span_string(trace, at, "app");
     std::int64_t sum = 0;
     for (const char* stage : {"admission_ns", "queue_ns", "batch_ns", "exec_ns", "reply_ns"})
       sum += span_int(trace, at, stage);
     EXPECT_EQ(sum, span_int(trace, at, "e2e_ns")) << "stages must tile the request exactly";
-    EXPECT_EQ(span_int(trace, at, "batch_size"), 3);
-    exec_ns.push_back(span_int(trace, at, "exec_ns"));
+    EXPECT_EQ(span_int(trace, at, "batch_size"), app == "particle" ? 3 : 2);
+    exec_ns[app].push_back(span_int(trace, at, "exec_ns"));
+    e2e_ns[app].push_back(span_int(trace, at, "e2e_ns"));
   }
-  ASSERT_EQ(exec_ns.size(), 3u) << trace;
-  EXPECT_LT(exec_ns[0], exec_ns[1]);
-  EXPECT_LT(exec_ns[1], exec_ns[2]);
+  ASSERT_EQ(exec_ns["particle"].size(), 3u) << trace;
+  EXPECT_LT(exec_ns["particle"][0], exec_ns["particle"][1]);
+  EXPECT_LT(exec_ns["particle"][1], exec_ns["particle"][2]);
+  ASSERT_EQ(e2e_ns["speech"].size(), 2u) << trace;
+  EXPECT_LE(exec_ns["speech"][0], exec_ns["speech"][1]);
+  EXPECT_LT(e2e_ns["speech"][0], e2e_ns["speech"][1]);
 }
 
 // If job k of a particle batch fails, the jobs before it keep their

@@ -129,6 +129,44 @@ TEST(JobInstance, GangAndColocatedRunsAreBitIdentical) {
   EXPECT_EQ(gang_instance.stats().messages, colocated_instance.stats().messages);
 }
 
+// The segment-ends contract of a segmented colocated run: on_segment(k)
+// fires on the calling thread right after iteration ends[k] - 1, in
+// order; ends that do not increase from a first end above 0, or whose
+// last is not the run's iteration count, throw before anything runs.
+TEST(JobInstance, SegmentedColocatedRunFiresAtEachSegmentEnd) {
+  PlanFixture f;
+  std::vector<double> sink;
+  JobInstance instance(f.system->plan());
+  f.wire(instance, sink);
+
+  const std::vector<std::int64_t> ends = {3, 4, 9, 10};
+  std::vector<std::int64_t> fired;
+  std::vector<std::size_t> sunk_at;  // sink size when each segment ended
+  const JobInstance::SegmentFn on_segment = [&](std::int64_t k) {
+    fired.push_back(k);
+    sunk_at.push_back(sink.size());
+  };
+  instance.run_colocated(iterations(10), ends, on_segment);
+  EXPECT_EQ(fired, (std::vector<std::int64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(sunk_at, (std::vector<std::size_t>{3, 4, 9, 10}));
+
+  const auto rejects = [&](std::vector<std::int64_t> bad, std::int64_t iters) {
+    fired.clear();
+    const std::size_t before = sink.size();
+    EXPECT_THROW(instance.run_colocated(iterations(iters), bad, on_segment),
+                 std::invalid_argument);
+    EXPECT_TRUE(fired.empty());
+    EXPECT_EQ(sink.size(), before) << "a rejected run must not fire anything";
+  };
+  rejects({3, 3, 10}, 10);   // repeated end
+  rejects({5, 4, 10}, 10);   // decreasing
+  rejects({0, 4, 10}, 10);   // empty first segment
+  rejects({-2, 4, 10}, 10);  // negative end
+  rejects({3, 4, 9}, 10);    // last end short of the run
+  rejects({3, 4, 11}, 10);   // last end past the run
+  rejects({}, 10);           // no segments at all
+}
+
 TEST(JobInstance, InstanceIsReusableAcrossRunsWithCumulativeInvocations) {
   PlanFixture f;
   WorkerPool pool(3);
