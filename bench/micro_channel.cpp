@@ -17,7 +17,9 @@
 /// BM_ColocatedAppSteadyStateAllocs asserts the same one layer up: a
 /// warm colocated iteration of either served model, real computes
 /// included, allocates nothing. BM_ColocatedBatchWatchdog times a served
-/// speech batch with the progress watchdog off and on.
+/// speech batch with the progress watchdog off and on, and
+/// BM_ServedColocatedIteration one graph iteration of either served
+/// model built exactly as spi_served builds it.
 ///
 /// bench/perf_smoke.sh gates CI on the Stream pair (SPSC throughput
 /// regressing below the MutexQueue baseline fails the build) and on
@@ -339,6 +341,61 @@ void BM_ColocatedBatchWatchdog(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ColocatedBatchWatchdog)->Arg(0)->Arg(1)->UseRealTime();
+
+/// One served graph iteration as spi_served runs it: the instance is
+/// built like PlanServer's model (shared registry, model label, flight
+/// recorder attached but disarmed) and every run arms the watchdog at
+/// spi_served's 2 s window. Arg 0 = speech, a 16-job batch per run;
+/// Arg 1 = particle, one synthetic 128-step job per run through
+/// track_batch. `per_graph_iter` is the wall time of one graph iteration.
+void BM_ServedColocatedIteration(benchmark::State& state) {
+  const serve::PlanServerOptions served;
+  obs::MetricRegistry metrics;
+  core::RunOptions options;
+  options.watchdog.enabled = true;
+  options.watchdog.window_ms = 2000;
+  options.watchdog.abort_on_stall = false;
+  const auto run_served = [&](const core::ExecutablePlan& plan, const char* label,
+                              std::int64_t iterations_per_run, const auto& run) {
+    obs::FlightRecorder flight(plan.proc_count);
+    core::JobInstance instance(plan, core::JobInstanceOptions{{}, &metrics, label});
+    instance.set_flight_recorder(&flight);
+    flight.set_armed(false);
+    run(instance);  // warm the token buffers
+    for (auto _ : state) run(instance);
+    state.counters["per_graph_iter"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * iterations_per_run),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  };
+
+  if (state.range(0) == 0) {
+    const apps::ErrorGenApp app(served.speech_pes, served.speech_params);
+    dsp::Rng rng(11);
+    std::vector<apps::ErrorGenApp::SpeechJobSpec> jobs(16);
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+      jobs[k].frame = dsp::synthetic_speech(16 + 15 * k, rng);
+      jobs[k].coeffs.assign(1 + k % served.speech_params.max_order, 0.125);
+    }
+    options.iterations = static_cast<std::int64_t>(jobs.size());
+    run_served(app.system().plan(), "speech", options.iterations,
+               [&](core::JobInstance& instance) {
+                 const auto errors = app.compute_errors_batch(jobs, instance, &options);
+                 benchmark::DoNotOptimize(errors.data());
+               });
+    return;
+  }
+
+  const apps::ParticleFilterApp app(served.particle_pes, served.particle_params);
+  constexpr std::int64_t kSteps = 128;
+  std::vector<apps::ParticleFilterApp::ParticleJobSpec> jobs(1);
+  jobs[0].seed = 5;
+  jobs[0].synthetic_steps = kSteps;
+  run_served(app.system().plan(), "particle", kSteps, [&](core::JobInstance& instance) {
+    const auto results = app.track_batch(jobs, instance, &options);
+    benchmark::DoNotOptimize(results.data());
+  });
+}
+BENCHMARK(BM_ServedColocatedIteration)->Arg(0)->Arg(1)->UseRealTime();
 
 }  // namespace
 

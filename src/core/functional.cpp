@@ -15,26 +15,20 @@ std::size_t FiringContext::input_index(df::EdgeId e) const { return slot_of(in_e
 
 std::size_t FiringContext::output_index(df::EdgeId e) const { return slot_of(out_edges, e); }
 
-Bytes& FiringContext::emit(std::size_t out_slot) {
-  std::vector<Bytes>& out = outputs[out_slot];
-  if (out_slot < spare.size() && !spare[out_slot].empty()) {
-    out.push_back(std::move(spare[out_slot].back()));
-    spare[out_slot].pop_back();
-    out.back().clear();  // keeps the capacity
-  } else {
-    out.emplace_back();
-  }
-  return out.back();
-}
-
 void FiringContext::recycle_outputs() {
   spare.resize(outputs.size());
   for (std::size_t i = 0; i < outputs.size(); ++i) {
     // At most one firing's worth of buffers per slot: a compute that
     // assigns fresh tokens instead of emitting cannot grow spare[].
-    const std::size_t cap = outputs[i].size();
-    for (Bytes& token : outputs[i])
-      if (spare[i].size() < cap) spare[i].push_back(std::move(token));
+    // The common case, every spare emitted last firing, trades the two
+    // lists whole.
+    if (spare[i].empty()) {
+      std::swap(spare[i], outputs[i]);
+    } else {
+      const std::size_t cap = outputs[i].size();
+      for (Bytes& token : outputs[i])
+        if (spare[i].size() < cap) spare[i].push_back(std::move(token));
+    }
     outputs[i].clear();
   }
 }

@@ -55,7 +55,17 @@ struct FiringContext {
 
   /// Appends one empty token to outputs[out_slot] and returns it for the
   /// compute to fill. Its capacity is a recycled buffer's, if any.
-  Bytes& emit(std::size_t out_slot);
+  Bytes& emit(std::size_t out_slot) {
+    std::vector<Bytes>& out = outputs[out_slot];
+    if (out_slot < spare.size() && !spare[out_slot].empty()) {
+      out.push_back(std::move(spare[out_slot].back()));
+      spare[out_slot].pop_back();
+      out.back().clear();  // keeps the capacity
+    } else {
+      out.emplace_back();
+    }
+    return out.back();
+  }
   /// The bytes of token `token` consumed from in_edges[in_slot].
   [[nodiscard]] std::span<const std::uint8_t> in(std::size_t in_slot,
                                                  std::size_t token = 0) const {

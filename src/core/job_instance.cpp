@@ -20,11 +20,7 @@ JobInstance::JobInstance(const ExecutablePlan& plan, JobInstanceOptions options)
       owned_registry_(options.metrics ? nullptr : std::make_unique<obs::MetricRegistry>()),
       registry_(options.metrics ? options.metrics : owned_registry_.get()),
       compute_(graph_.actor_count()),
-      local_(graph_.edge_count()),
-      spsc_(graph_.edge_count()),
-      senders_(graph_.edge_count()),
-      receivers_(graph_.edge_count()),
-      channel_counters_(graph_.edge_count()),
+      edges_(graph_.edge_count()),
       fired_(graph_.actor_count(), 0) {
   if (reliability_.enabled) reliability_.policy().validate();
   init();
@@ -35,18 +31,20 @@ void JobInstance::init() {
   // emit() spares, local ring slots, channel slots) is reserved to its
   // edge's token bound up front: a packed token never exceeds b_max, so
   // no buffer ever grows and even the first firing allocates nothing.
-  std::vector<std::size_t> token_bound(graph_.edge_count());
   std::size_t max_token_bytes = 0;
-  for (std::size_t i = 0; i < graph_.edge_count(); ++i) {
-    const auto edge = static_cast<df::EdgeId>(i);
-    token_bound[i] = static_cast<std::size_t>(plan_.token_bound_bytes(edge));
-    max_token_bytes =
-        std::max(max_token_bytes, static_cast<std::size_t>(graph_.edge(edge).token_bytes));
+  for (std::size_t i = 0; i < edges_.size(); ++i) {
+    EdgeState& e = edges_[i];
+    e.id = static_cast<df::EdgeId>(i);
+    e.token_bytes = static_cast<std::size_t>(graph_.edge(e.id).token_bytes);
+    if (plan_.vts.edges[i].converted)
+      e.max_bytes = static_cast<std::size_t>(plan_.vts.edges[i].b_max_bytes);
+    max_token_bytes = std::max(max_token_bytes, e.token_bytes);
   }
   zero_token_.assign(max_token_bytes, 0);
-  const auto reserved_tokens = [&token_bound](std::size_t count, df::EdgeId edge) {
+  const auto reserved_tokens = [this](std::size_t count, df::EdgeId edge) {
     std::vector<Bytes> tokens(count);
-    for (Bytes& token : tokens) token.reserve(token_bound[static_cast<std::size_t>(edge)]);
+    for (Bytes& token : tokens)
+      token.reserve(static_cast<std::size_t>(plan_.token_bound_bytes(edge)));
     return tokens;
   };
 
@@ -55,14 +53,16 @@ void JobInstance::init() {
   // plus the initial tokens).
   for (const ChannelSpec& spec : plan_.channels) {
     const std::int64_t capacity = spec.capacity_tokens();
-    const auto ei = static_cast<std::size_t>(spec.edge);
+    EdgeState& e = edges_[static_cast<std::size_t>(spec.edge)];
     const bool reliable = reliability_.enabled && spec.reliable;
+    e.store = reliable ? Store::kReliable : Store::kRing;
+    e.max_bytes = static_cast<std::size_t>(plan_.token_bound_bytes(spec.edge));
 
     obs::Labels labels{{"channel", spec.name}};
     // The job label keeps concurrent instances' series apart when they
     // share one registry (the serving daemon's /metrics).
     if (!label_.empty()) labels.emplace_back("job", label_);
-    ChannelCounters counters;
+    ChannelCounters& counters = e.counters;
     counters.messages = &registry_->counter(
         "spi_threaded_messages_total", labels,
         "Interprocessor tokens moved through one SPI channel");
@@ -107,8 +107,6 @@ void JobInstance::init() {
           "spi_reliable_backoff_micros", obs::Histogram::exponential_bounds(50.0, 2.0, 10),
           labels, "Distribution of individual retry backoff pauses (microseconds)");
     }
-    channel_counters_[ei] = counters;
-
     // Live occupancy gauges (refreshed on scrape, never on the hot
     // path): depth right now, the high watermark so far, and the static
     // capacity the channel was built with — watermark vs. capacity is
@@ -129,23 +127,24 @@ void JobInstance::init() {
     const std::size_t slots =
         static_cast<std::size_t>(capacity) + (reliable ? kDiscardableSlots : 0);
     const std::size_t frame_bound =
-        token_bound[ei] + (reliable ? static_cast<std::size_t>(kSequencedOverheadBytes) : 0);
-    spsc_[ei] = std::make_unique<SpscChannel>(spec.edge, slots, frame_bound, &abort_);
-    spsc_[ei]->set_counters(counters.spsc());
+        e.max_bytes + (reliable ? static_cast<std::size_t>(kSequencedOverheadBytes) : 0);
+    e.ring = std::make_unique<SpscChannel>(spec.edge, slots, frame_bound, &abort_);
+    e.ring->set_counters(counters.spsc());
   }
 
   // Local rings hold at most one iteration's tokens plus the delays: a
-  // processor runs its program sequentially, so every local edge is
-  // back to its delay count at each iteration boundary.
+  // processor runs its program sequentially, and a colocated run walks
+  // the PASS, so every edge is back to its delay count at each
+  // iteration boundary. Plain IPC edges get one for colocated runs.
   std::vector<std::int64_t> firings(graph_.actor_count(), 0);
   for (const df::ActorId actor : plan_.pass.firings) ++firings[static_cast<std::size_t>(actor)];
-  for (std::size_t i = 0; i < graph_.edge_count(); ++i) {
-    if (spsc_[i]) continue;
-    const df::Edge& e = graph_.edge(static_cast<df::EdgeId>(i));
+  for (EdgeState& e : edges_) {
+    if (e.store == Store::kReliable) continue;
+    const df::Edge& edge = graph_.edge(e.id);
     const std::int64_t tokens =
-        e.delay + e.prod.value() * firings[static_cast<std::size_t>(e.src)];
-    local_[i].slots = reserved_tokens(static_cast<std::size_t>(std::max<std::int64_t>(1, tokens)),
-                                      static_cast<df::EdgeId>(i));
+        edge.delay + edge.prod.value() * firings[static_cast<std::size_t>(edge.src)];
+    e.local.slots =
+        reserved_tokens(static_cast<std::size_t>(std::max<std::int64_t>(1, tokens)), e.id);
   }
 
   reset_tokens();
@@ -156,31 +155,32 @@ void JobInstance::init() {
   worker_state_ = std::make_unique<WorkerState[]>(worker_count_);
   colocated_epochs_.assign(worker_count_, 0);
 
-  // Persistent per-(proc, step) firing contexts: the outer vectors, the
-  // input slots and one firing's worth of emit() spares per output are
-  // built once and keep their capacity across iterations.
-  contexts_.resize(plan_.programs.size());
+  // One firing record per (proc, step): the persistent context (its
+  // input slots and one firing's worth of emit() spares per output keep
+  // their capacity across iterations) and each port's edge and rate.
+  programs_.resize(plan_.programs.size());
   for (std::size_t p = 0; p < plan_.programs.size(); ++p) {
     const std::vector<FiringStep>& program = plan_.programs[p];
-    contexts_[p].resize(program.size());
+    programs_[p].resize(program.size());
     for (std::size_t s = 0; s < program.size(); ++s) {
-      FiringContext& ctx = contexts_[p][s];
+      Firing& f = programs_[p][s];
       const FiringStep& step = program[s];
+      f.proc = static_cast<std::int32_t>(p);
+      f.step = static_cast<std::int32_t>(s);
+      FiringContext& ctx = f.ctx;
       ctx.actor = step.actor;
       ctx.in_edges = step.in_edges;
       ctx.out_edges = step.out_edges;
-      ctx.inputs.resize(ctx.in_edges.size());
-      for (std::size_t i = 0; i < ctx.in_edges.size(); ++i) {
-        const df::Edge& e = graph_.edge(ctx.in_edges[i]);
-        ctx.inputs[i] = reserved_tokens(static_cast<std::size_t>(e.cons.value()), ctx.in_edges[i]);
+      for (const df::EdgeId edge : step.in_edges) {
+        const auto cons = static_cast<std::size_t>(graph_.edge(edge).cons.value());
+        f.in.push_back({&edges_[static_cast<std::size_t>(edge)], cons});
+        ctx.inputs.push_back(reserved_tokens(cons, edge));
       }
-      ctx.outputs.resize(ctx.out_edges.size());
-      ctx.spare.resize(ctx.out_edges.size());
-      for (std::size_t i = 0; i < ctx.out_edges.size(); ++i) {
-        const df::Edge& e = graph_.edge(ctx.out_edges[i]);
-        const auto prod = static_cast<std::size_t>(e.prod.value());
-        ctx.outputs[i].reserve(prod);
-        ctx.spare[i] = reserved_tokens(prod, ctx.out_edges[i]);
+      for (const df::EdgeId edge : step.out_edges) {
+        const auto prod = static_cast<std::size_t>(graph_.edge(edge).prod.value());
+        f.out.push_back({&edges_[static_cast<std::size_t>(edge)], prod});
+        ctx.outputs.emplace_back().reserve(prod);
+        ctx.spare.push_back(reserved_tokens(prod, edge));
       }
     }
   }
@@ -201,7 +201,7 @@ void JobInstance::init() {
     if (p < 0 || cursor[static_cast<std::size_t>(p)] >= plan_.programs[p].size() ||
         plan_.programs[p][cursor[static_cast<std::size_t>(p)]].actor != actor)
       throw std::logic_error("JobInstance: programs are not a partition of the PASS");
-    colocated_order_.emplace_back(p, static_cast<std::int32_t>(cursor[static_cast<std::size_t>(p)]++));
+    colocated_order_.push_back(&programs_[p][cursor[static_cast<std::size_t>(p)]++]);
   }
   for (std::size_t p = 0; p < plan_.programs.size(); ++p)
     if (cursor[p] != plan_.programs[p].size())
@@ -209,45 +209,35 @@ void JobInstance::init() {
 }
 
 void JobInstance::reset_tokens() {
-  // Empty first: a run that failed mid-iteration left tokens of that
-  // iteration on some edges and took delay tokens off others. Both ends
-  // are idle, so one thread may drain each channel from the consumer
-  // side.
-  for (std::size_t i = 0; i < graph_.edge_count(); ++i) {
-    if (spsc_[i]) {
-      std::span<const std::uint8_t> token;
-      while (spsc_[i]->try_front(token)) spsc_[i]->pop();
-      // The reliable protocol (re)starts at sequence 0 on both ends.
-      const auto edge = static_cast<df::EdgeId>(i);
-      if (reliability_.enabled && plan_.find_channel(edge)->reliable) {
-        senders_[i] = std::make_unique<ReliableSender>(edge, reliability_.faults,
-                                                       reliability_.policy());
-        receivers_[i] = std::make_unique<ReliableReceiver>(edge);
-      }
-    } else {
-      local_[i].head = 0;
-      local_[i].count = 0;
+  for (EdgeState& e : edges_) {
+    // Empty both stores first: a run that failed mid-iteration left
+    // tokens of that iteration on some edges and took delay tokens off
+    // others. Both ends are idle, so one thread may drain a channel.
+    e.local.head = 0;
+    e.local.count = 0;
+    if (e.ring) e.ring->drain([](std::span<const std::uint8_t>) {});
+    // The reliable protocol (re)starts at sequence 0 on both ends.
+    if (e.store == Store::kReliable) {
+      e.sender = std::make_unique<ReliableSender>(e.id, reliability_.faults, reliability_.policy());
+      e.receiver = std::make_unique<ReliableReceiver>(e.id);
     }
-  }
-  // Delay tokens, placed through the faultless path: they are part of
-  // the compiled system, not traffic the fault plan may eat.
-  for (std::size_t i = 0; i < graph_.edge_count(); ++i) {
-    const df::Edge& e = graph_.edge(static_cast<df::EdgeId>(i));
-    const bool dynamic = plan_.vts.edges[i].converted;
-    const std::size_t token_bytes = dynamic ? 0 : static_cast<std::size_t>(e.token_bytes);
+    // Delay tokens, placed through the faultless path: they are part of
+    // the compiled system, not traffic the fault plan may eat.
+    const std::size_t token_bytes = plan_.vts.edges[static_cast<std::size_t>(e.id)].converted
+                                        ? 0
+                                        : e.token_bytes;
     const std::span<const std::uint8_t> token{zero_token_.data(), token_bytes};
-    for (std::int64_t d = 0; d < e.delay; ++d) {
-      if (!spsc_[i]) {
-        local_[i].push_slot().assign(token_bytes, 0);
-      } else {
-        if (senders_[i])
-          play_transmit(*spsc_[i], senders_[i]->plan_transmit_faultless(token),
-                        channel_counters_[i], nullptr);
-        else
-          spsc_[i]->push(token);
-        channel_counters_[i].messages->inc();
-        channel_counters_[i].payload_bytes->inc(static_cast<std::int64_t>(token_bytes));
+    for (std::int64_t d = 0; d < graph_.edge(e.id).delay; ++d) {
+      if (!e.ring) {
+        e.local.push_slot().assign(token_bytes, 0);
+        continue;
       }
+      if (e.sender)
+        play_transmit(*e.ring, e.sender->plan_transmit_faultless(token), e.counters, nullptr);
+      else
+        e.ring->push(token);
+      e.counters.messages->inc();
+      e.counters.payload_bytes->inc(static_cast<std::int64_t>(token_bytes));
     }
   }
 }
@@ -259,15 +249,10 @@ Bytes& JobInstance::LocalRing::push_slot() {
     head = 0;
     slots.resize(std::max<std::size_t>(1, 2 * slots.size()));
   }
-  Bytes& slot = slots[(head + count) % slots.size()];
+  std::size_t tail = head + count;
+  if (tail >= slots.size()) tail -= slots.size();
   ++count;
-  return slot;
-}
-
-void JobInstance::LocalRing::pop_into(Bytes& dest) {
-  std::swap(dest, slots[head]);
-  head = (head + 1) % slots.size();
-  --count;
+  return slots[tail];
 }
 
 std::int64_t JobInstance::resident_channel_bytes(const ExecutablePlan& plan) {
@@ -293,8 +278,8 @@ void JobInstance::fail(std::exception_ptr error) {
 }
 
 void JobInstance::interrupt_all() {
-  for (auto& channel : spsc_)
-    if (channel) channel->interrupt();
+  for (EdgeState& e : edges_)
+    if (e.ring) e.ring->interrupt();
 }
 
 void JobInstance::set_compute(df::ActorId actor, ComputeFn fn) {
@@ -345,124 +330,129 @@ ThreadedRunStats JobInstance::counter_totals() const {
   ThreadedRunStats totals;
   for (const ChannelSpec& spec : plan_.channels)
     for (const auto& [stat, counter] : kRunStats)
-      if (const obs::Counter* c = channel_counters_[static_cast<std::size_t>(spec.edge)].*counter)
+      if (const obs::Counter* c = edges_[static_cast<std::size_t>(spec.edge)].counters.*counter)
         totals.*stat += c->value();
   return totals;
 }
 
-void JobInstance::fire(const FiringStep& step, FiringContext& ctx, std::int32_t proc,
-                       std::int64_t iteration, WorkerState& ws) {
-  const df::ActorId actor = step.actor;
-  const auto a = static_cast<std::size_t>(actor);
-  const ChannelFlightCtx flight_ctx{flight_, proc, actor, iteration};
-  const ChannelFlightCtx* flight = flight_ ? &flight_ctx : nullptr;
-  if (flight)
-    flight_->record(proc, obs::FlightEventKind::kFireBegin, actor, -1, 0, iteration);
-  ctx.invocation = fired_[a]++;
+void JobInstance::fire(Firing& f, WorkerState& ws, std::int64_t iteration, bool colocated) {
+  FiringContext& ctx = f.ctx;
+  const df::ActorId actor = ctx.actor;
+  const ChannelFlightCtx flight_ctx{flight_, f.proc, actor, iteration};
+  const ChannelFlightCtx* flight = recording_ ? &flight_ctx : nullptr;
+  // The kSend/kReceive a plain IPC edge's ring records itself, recorded
+  // here while a colocated run carries the edge on its local ring.
+  const auto token_event = [&](obs::FlightEventKind kind, const EdgeState& e, std::int64_t seq) {
+    if (flight && e.store == Store::kRing)
+      flight_->record(f.proc, kind, actor, e.id, seq, iteration);
+  };
+  // Publishes which channel op a gang worker is in: if it blocks
+  // forever, this is what lets the watchdog name the edge. Relaxed
+  // stores to the worker's own cache line — no shared traffic. A
+  // colocated run never waits, so it publishes nothing.
+  const auto waiting = [&](std::int32_t edge, std::int32_t side) {
+    if (colocated) return;
+    ws.waiting_edge.store(edge, std::memory_order_relaxed);
+    ws.waiting_side.store(side, std::memory_order_relaxed);
+  };
+  if (flight) flight_->record(f.proc, obs::FlightEventKind::kFireBegin, actor, -1, 0, iteration);
+  ctx.invocation = fired_[static_cast<std::size_t>(actor)]++;
   ws.actor.store(actor, std::memory_order_relaxed);
 
-  ws.waiting_side.store(0, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < ctx.in_edges.size(); ++i) {
-    const df::EdgeId eid = ctx.in_edges[i];
-    const auto ei = static_cast<std::size_t>(eid);
-    const df::Edge& e = graph_.edge(eid);
-    // Publish which channel we are about to consume from: if the pop
-    // blocks forever, this is what lets the watchdog name the edge.
-    // Relaxed stores to the worker's own cache line — no shared traffic.
-    ws.waiting_edge.store(eid, std::memory_order_relaxed);
+  for (std::size_t i = 0; i < f.in.size(); ++i) {
+    EdgeState& e = *f.in[i].edge;
+    waiting(e.id, 0);
     // A compute may have moved tokens out last firing; restore the slot
     // count before refilling (capacity survives, so no steady-state
     // allocation).
-    ctx.inputs[i].resize(static_cast<std::size_t>(e.cons.value()));
-    for (std::int64_t t = 0; t < e.cons.value(); ++t) {
-      Bytes& slot = ctx.inputs[i][static_cast<std::size_t>(t)];
-      if (spsc_[ei]) {
-        receive(ei, slot, flight);
-      } else {
-        LocalRing& ring = local_[ei];
-        if (ring.count == 0)
-          throw std::logic_error("JobInstance: local token underflow on " + e.name);
-        ring.pop_into(slot);
+    std::vector<Bytes>& slots = ctx.inputs[i];
+    slots.resize(f.in[i].rate);
+    if (e.store == Store::kReliable || (e.store == Store::kRing && !colocated)) {
+      for (Bytes& slot : slots) {
+        if (e.receiver)
+          receive_reliable(*e.ring, *e.receiver, reliability_.policy().timeout_us, e.counters,
+                           slot, flight);
+        else
+          e.ring->pop_into(slot, flight);
       }
+      continue;
+    }
+    if (e.local.count < slots.size())
+      throw std::logic_error("JobInstance: local token underflow on " + graph_.edge(e.id).name);
+    for (Bytes& slot : slots) {
+      std::swap(slot, e.local.front());
+      e.local.pop();
+      token_event(obs::FlightEventKind::kReceive, e, e.recv_seq++);
     }
   }
 
   // Inputs consumed: while the compute runs, waiting_edge = -1 with the
   // actor set is the "inside a compute function" state the watchdog
-  // classifies as slow-actor.
-  ws.waiting_edge.store(-1, std::memory_order_relaxed);
-  ws.waiting_side.store(-1, std::memory_order_relaxed);
-
-  const bool have_compute = static_cast<bool>(compute_[a]);
-  if (have_compute) {
-    // The previous firing's routed tokens become this firing's emit()
-    // buffers (docs/architecture.md, "Token buffer lifecycle").
-    ctx.recycle_outputs();
-    compute_[a](ctx);
+  // classifies as slow-actor. The previous firing's routed tokens become
+  // this firing's emit() buffers (docs/architecture.md, "Token buffer
+  // lifecycle"); without a compute the actor emits full-rate zeros.
+  waiting(-1, -1);
+  ctx.recycle_outputs();
+  if (const ComputeFn& compute = compute_[static_cast<std::size_t>(actor)]) {
+    compute(ctx);
+  } else {
+    for (std::size_t i = 0; i < f.out.size(); ++i)
+      for (std::size_t t = 0; t < f.out[i].rate; ++t)
+        ctx.emit(i).assign(f.out[i].edge->token_bytes, 0);
   }
 
-  ws.waiting_side.store(1, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < ctx.out_edges.size(); ++i) {
-    const df::EdgeId eid = ctx.out_edges[i];
-    const auto ei = static_cast<std::size_t>(eid);
-    const df::Edge& e = graph_.edge(eid);
-    ws.waiting_edge.store(eid, std::memory_order_relaxed);
-    const df::VtsEdgeInfo& info = plan_.vts.edges[ei];
-    std::int64_t batch_bytes = 0;
-    if (!have_compute) {
-      // Default compute: full-rate zero tokens.
-      const auto token_bytes = static_cast<std::size_t>(e.token_bytes);
-      for (std::int64_t t = 0; t < e.prod.value(); ++t) {
-        if (spsc_[ei])
-          send(ei, {zero_token_.data(), token_bytes}, flight);
+  for (std::size_t i = 0; i < f.out.size(); ++i) {
+    EdgeState& e = *f.out[i].edge;
+    waiting(e.id, 1);
+    std::vector<Bytes>& tokens = ctx.outputs[i];
+    if (tokens.size() != f.out[i].rate)
+      throw std::logic_error("JobInstance: wrong token count on " + graph_.edge(e.id).name);
+    std::int64_t bytes = 0;
+    for (const Bytes& token : tokens) {
+      if (token.size() > e.max_bytes)
+        throw std::length_error("JobInstance: token exceeds b_max on " + graph_.edge(e.id).name);
+      bytes += static_cast<std::int64_t>(token.size());
+    }
+    if (e.store == Store::kReliable || (e.store == Store::kRing && !colocated)) {
+      for (const Bytes& token : tokens) {
+        if (e.sender)
+          play_transmit(*e.ring, e.sender->plan_transmit(token), e.counters, flight);
         else
-          local_[ei].push_slot().assign(token_bytes, 0);
-        batch_bytes += static_cast<std::int64_t>(token_bytes);
+          e.ring->push(token, flight);
       }
     } else {
-      if (static_cast<std::int64_t>(ctx.outputs[i].size()) != e.prod.value())
-        throw std::logic_error("JobInstance: wrong token count on " + e.name);
-      for (Bytes& token : ctx.outputs[i]) {
-        if (info.converted && static_cast<std::int64_t>(token.size()) > info.b_max_bytes)
-          throw std::length_error("JobInstance: packed token exceeds b_max on " + e.name);
-        batch_bytes += static_cast<std::int64_t>(token.size());
-        if (spsc_[ei])
-          send(ei, {token.data(), token.size()}, flight);
-        else
-          std::swap(local_[ei].push_slot(), token);  // token takes the slot's old buffer
+      for (Bytes& token : tokens) {
+        std::swap(e.local.push_slot(), token);  // token takes the slot's old buffer
+        token_event(obs::FlightEventKind::kSend, e, e.send_seq++);
       }
     }
-    // One batched registry update per (firing, edge) instead of two
-    // atomic RMWs per token — the per-token hot path touches no shared
-    // counters. Local edges have none (uncounted).
-    if (const ChannelCounters& c = channel_counters_[ei]; c.messages) {
-      c.messages->inc(e.prod.value());
-      c.payload_bytes->inc(batch_bytes);
+    // Message/byte counts: a colocated run adds them up here and flushes
+    // them per segment; a gang makes one registry update per (firing,
+    // edge). Local edges have no counters.
+    if (!e.counters.messages) continue;
+    if (colocated) {
+      e.messages += static_cast<std::int64_t>(tokens.size());
+      e.payload_bytes += bytes;
+    } else {
+      e.counters.messages->inc(static_cast<std::int64_t>(tokens.size()));
+      e.counters.payload_bytes->inc(bytes);
     }
   }
 
-  ws.waiting_edge.store(-1, std::memory_order_relaxed);
-  ws.waiting_side.store(-1, std::memory_order_relaxed);
+  waiting(-1, -1);
   ws.actor.store(-1, std::memory_order_relaxed);
-
-  if (flight)
-    flight_->record(proc, obs::FlightEventKind::kFireEnd, actor, -1, 0, iteration);
+  if (flight) flight_->record(f.proc, obs::FlightEventKind::kFireEnd, actor, -1, 0, iteration);
 }
 
-void JobInstance::send(std::size_t ei, std::span<const std::uint8_t> token,
-                       const ChannelFlightCtx* flight) {
-  if (senders_[ei])
-    play_transmit(*spsc_[ei], senders_[ei]->plan_transmit(token), channel_counters_[ei], flight);
-  else
-    spsc_[ei]->push(token, flight);
-}
-
-void JobInstance::receive(std::size_t ei, Bytes& slot, const ChannelFlightCtx* flight) {
-  if (receivers_[ei])
-    receive_reliable(*spsc_[ei], *receivers_[ei], reliability_.policy().timeout_us,
-                     channel_counters_[ei], slot, flight);
-  else
-    spsc_[ei]->pop_into(slot, flight);
+void JobInstance::flush_traffic() {
+  for (const ChannelSpec& spec : plan_.channels) {
+    EdgeState& e = edges_[static_cast<std::size_t>(spec.edge)];
+    if (e.messages == 0) continue;
+    e.counters.messages->inc(e.messages);
+    e.counters.payload_bytes->inc(e.payload_bytes);
+    e.messages = 0;
+    e.payload_bytes = 0;
+  }
 }
 
 void JobInstance::worker(std::int32_t proc, std::int64_t iterations) {
@@ -470,8 +460,7 @@ void JobInstance::worker(std::int32_t proc, std::int64_t iterations) {
   WorkerState& ws = worker_state_[p];
   std::uint64_t epoch = 0;  ///< local heartbeat counter, published per firing
   try {
-    const std::vector<FiringStep>& program = plan_.programs[p];
-    std::vector<FiringContext>& contexts = contexts_[p];
+    std::vector<Firing>& program = programs_[p];
     // Self-timed across iteration boundaries (paper Section 4): the
     // only coupling to the other workers is the channels themselves,
     // whose eq.-2 capacities bound the skew in tokens. No iteration
@@ -479,9 +468,9 @@ void JobInstance::worker(std::int32_t proc, std::int64_t iterations) {
     // tokens allow.
     for (std::int64_t iter = 0; iter < iterations && !abort_.load(); ++iter) {
       ws.iteration.store(iter, std::memory_order_relaxed);
-      for (std::size_t s = 0; s < program.size(); ++s) {
-        ws.step.store(static_cast<std::int32_t>(s), std::memory_order_relaxed);
-        fire(program[s], contexts[s], proc, iter, ws);
+      for (Firing& firing : program) {
+        ws.step.store(firing.step, std::memory_order_relaxed);
+        fire(firing, ws, iter, false);
         // The heartbeat: one relaxed store to a worker-private cache
         // line per completed firing — the watchdog's only hot-path cost.
         ws.epoch.store(++epoch, std::memory_order_relaxed);
@@ -500,34 +489,57 @@ void JobInstance::colocated_body(std::int64_t iterations,
                                  std::span<const std::int64_t> segment_ends,
                                  const SegmentFn* on_segment) {
   // The whole plan on the calling thread, in PASS order. Admissibility
-  // plus the eq.-2 capacities mean no channel operation here ever waits
-  // — a wait with one thread would be a deadlock, and handing the plan
-  // to this path is an assertion that the schedule proof holds. The same
-  // fire()/heartbeat machinery runs, so the watchdog, flight recorder
-  // and /runtime endpoint see exactly what they see under the gang.
+  // plus the eq.-2 capacities mean no token operation here ever waits —
+  // a wait with one thread would be a deadlock, and handing the plan to
+  // this path is an assertion that the schedule proof holds. The same
+  // firing records and heartbeats run, so the watchdog, flight recorder
+  // and /runtime workers see what they see under the gang. Each plain
+  // IPC edge's tokens move to its local ring for the run, flight
+  // sequence numbers continuing the ring's.
+  for (const ChannelSpec& spec : plan_.channels) {
+    EdgeState& e = edges_[static_cast<std::size_t>(spec.edge)];
+    if (e.store != Store::kRing) continue;
+    e.send_seq = e.ring->send_seq();
+    e.recv_seq = e.ring->recv_seq();
+    e.ring->drain([&e](std::span<const std::uint8_t> token) {
+      e.local.push_slot().assign(token.begin(), token.end());
+    });
+  }
   std::size_t segment = 0;
   try {
     for (std::int64_t iter = 0; iter < iterations && !abort_.load(); ++iter) {
       for (std::size_t i = 0; i < worker_count_; ++i)
         worker_state_[i].iteration.store(iter, std::memory_order_relaxed);
-      for (const auto& [proc, step] : colocated_order_) {
-        const auto p = static_cast<std::size_t>(proc);
-        const auto s = static_cast<std::size_t>(step);
-        WorkerState& ws = worker_state_[p];
-        ws.step.store(step, std::memory_order_relaxed);
-        fire(plan_.programs[p][s], contexts_[p][s], proc, iter, ws);
-        ws.epoch.store(++colocated_epochs_[p], std::memory_order_relaxed);
+      for (Firing* firing : colocated_order_) {
+        WorkerState& ws = worker_state_[static_cast<std::size_t>(firing->proc)];
+        ws.step.store(firing->step, std::memory_order_relaxed);
+        fire(*firing, ws, iter, true);
+        ws.epoch.store(++colocated_epochs_[static_cast<std::size_t>(firing->proc)],
+                       std::memory_order_relaxed);
       }
       for (std::size_t i = 0; i < worker_count_; ++i)
         worker_state_[i].completed.store(iter + 1, std::memory_order_relaxed);
-      if (on_segment && iter + 1 == segment_ends[segment])
+      if (on_segment && iter + 1 == segment_ends[segment]) {
+        flush_traffic();
         (*on_segment)(static_cast<std::int64_t>(segment++));
+      }
     }
   } catch (const ChannelInterrupted&) {
     // Interrupted by the watchdog (or an embedded-server teardown);
     // the recorded StallError is what run() rethrows.
   } catch (...) {
     fail(std::current_exception());
+  }
+  flush_traffic();
+  // A clean run leaves every edge at its delay tokens: they go back to
+  // the ring. A failed one is emptied by reset_tokens, its in-flight
+  // tokens counted as consumed.
+  const bool failed = abort_.load();
+  for (const ChannelSpec& spec : plan_.channels) {
+    EdgeState& e = edges_[static_cast<std::size_t>(spec.edge)];
+    if (e.store != Store::kRing) continue;
+    for (; !failed && e.local.count > 0; e.local.pop()) e.ring->push(e.local.front());
+    e.ring->set_seqs(e.send_seq, failed ? e.send_seq : e.recv_seq);
   }
   for (std::size_t i = 0; i < worker_count_; ++i)
     worker_state_[i].done.store(true, std::memory_order_relaxed);
@@ -623,6 +635,7 @@ void JobInstance::run_with(const RunOptions& options, const std::function<void()
     ws.done.store(false, std::memory_order_relaxed);
   }
   std::fill(colocated_epochs_.begin(), colocated_epochs_.end(), 0);
+  recording_ = flight_ && flight_->armed();
   const ThreadedRunStats base = counter_totals();
 
   if (options.watchdog.enabled) ensure_watchdog(options.watchdog);
@@ -781,7 +794,7 @@ std::string JobInstance::channel_display_name(std::int32_t edge) const {
 
 void JobInstance::refresh_channel_gauges() {
   for (std::size_t c = 0; c < plan_.channels.size(); ++c) {
-    const SpscChannel& ring = *spsc_[static_cast<std::size_t>(plan_.channels[c].edge)];
+    const SpscChannel& ring = *edges_[static_cast<std::size_t>(plan_.channels[c].edge)].ring;
     depth_gauges_[c]->set(static_cast<double>(ring.size()));
     watermark_gauges_[c]->set(static_cast<double>(ring.high_watermark()));
   }
@@ -838,7 +851,7 @@ std::string JobInstance::runtime_status_json() const {
   out += ",\"channels\":[";
   for (std::size_t c = 0; c < plan_.channels.size(); ++c) {
     const ChannelSpec& spec = plan_.channels[c];
-    const SpscChannel& ring = *spsc_[static_cast<std::size_t>(spec.edge)];
+    const SpscChannel& ring = *edges_[static_cast<std::size_t>(spec.edge)].ring;
     if (c) out += ",";
     out += "{\"edge\":" + std::to_string(spec.edge);
     out += ",\"name\":\"" + obs::detail::json_escaped(spec.name);

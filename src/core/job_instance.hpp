@@ -15,7 +15,9 @@
 /// as a gang (the pre-serving one-thread-per-processor behavior without
 /// the thread churn), while `run_colocated(...)` executes the whole
 /// iteration on the *calling* thread by walking the plan's PASS in its
-/// admissible sequential order through the very same channels. Dataflow
+/// admissible sequential order. Both run the same resolved firing
+/// records; with one thread at both ends, a plain interprocessor edge is
+/// a local ring whose tokens are swapped, not copied. Dataflow
 /// determinacy makes both orders produce bit-identical token streams —
 /// the serve layer exploits that to batch many queued jobs into one
 /// program traversal without a single cross-thread handoff.
@@ -159,9 +161,13 @@ class JobInstance {
   void run(WorkerPool& pool, const RunOptions& options);
 
   /// Colocated execution: the *calling* thread walks the plan's PASS —
-  /// its admissible sequential order — through the same channels, so a
-  /// whole batch of iterations executes with zero cross-thread traffic.
-  /// Admissibility guarantees no channel operation ever waits. Same
+  /// its admissible sequential order — over the same firing records, so
+  /// a whole batch of iterations executes with zero cross-thread
+  /// traffic. Every plain interprocessor edge becomes a local ring for
+  /// the run (its delay tokens move there at entry and back on a clean
+  /// exit); reliable edges keep their ring and protocol. Admissibility
+  /// guarantees no token operation ever waits. Channel message/byte
+  /// counters are updated at each segment end and at run end. Same
   /// watchdog/stats/error semantics as run(); the embedded telemetry
   /// server is also honored (a serving daemon normally mounts its own
   /// HTTP front instead and leaves obs_port negative).
@@ -245,14 +251,65 @@ class JobInstance {
     std::atomic<bool> done{false};
   };
 
+  /// A processor-local edge's FIFO (and a plain IPC edge's in a
+  /// colocated run): a ring of token buffers that trade places with the
+  /// producer's output token and the consumer's input slot, so storage
+  /// circulates instead of being freed and reallocated. init() sizes it
+  /// for one iteration's traffic plus the delays; it grows only if a
+  /// schedule ever needs more.
+  struct LocalRing {
+    std::vector<Bytes> slots;
+    std::size_t head = 0;
+    std::size_t count = 0;
+    /// The tail slot, counted as queued; the caller fills or swaps it.
+    Bytes& push_slot();
+    Bytes& front() { return slots[head]; }
+    void pop() { --count; if (++head == slots.size()) head = 0; }
+  };
+
+  /// Where an edge's tokens live between firings.
+  enum class Store : std::uint8_t {
+    kLocal,     ///< processor-local: the LocalRing
+    kRing,      ///< plain IPC: the SpscChannel in a gang, else the LocalRing
+    kReliable,  ///< reliable IPC: the protocol over the SpscChannel
+  };
+
+  /// One edge as the firing routine sees it, resolved at init().
+  struct EdgeState {
+    df::EdgeId id = -1;
+    Store store = Store::kLocal;
+    std::size_t token_bytes = 0;  ///< a static token's size (default compute)
+    /// The largest token routing accepts: b_max on a converted edge, the
+    /// frame bound on a static IPC edge, unbounded on a static local one.
+    std::size_t max_bytes = SIZE_MAX;
+    LocalRing local;
+    std::unique_ptr<SpscChannel> ring;           ///< IPC edges only
+    std::unique_ptr<ReliableSender> sender;      ///< reliable edges: producer end
+    std::unique_ptr<ReliableReceiver> receiver;  ///< reliable edges: consumer end
+    ChannelCounters counters;                    ///< all null on local edges
+    /// A colocated run's messages/bytes not yet added to the registry,
+    /// and the flight sequence numbers of its next send / receive.
+    std::int64_t messages = 0, payload_bytes = 0, send_seq = 0, recv_seq = 0;
+  };
+
+  /// One (proc, step) of a program, lowered at init(): its persistent
+  /// firing context (buffers keep their capacity across iterations) and
+  /// each port's edge and token rate. Touched only by proc's thread.
+  struct Firing {
+    struct Port { EdgeState* edge; std::size_t rate; };
+    std::int32_t proc = 0, step = 0;
+    FiringContext ctx;
+    std::vector<Port> in, out;
+  };
+
   void init();
   /// Records `error` as the run's error unless one is already recorded,
   /// then aborts the run and wakes every channel wait.
   void fail(std::exception_ptr error);
   void interrupt_all();
-  /// Empties every edge and puts its delay tokens on it: the state a
-  /// run starts from. init() and the failure path (a failed run leaves
-  /// edges mid-iteration). Only while no worker body runs.
+  /// Empties both stores of every edge and puts its delay tokens on it:
+  /// the state a run starts from. init() and the failure path (a failed
+  /// run leaves edges mid-iteration). Only while no worker body runs.
   void reset_tokens();
   /// Shared run prologue/epilogue (abort/error/stats/heartbeat reset,
   /// watchdog + telemetry mounts, error rethrow) around `execute`,
@@ -266,12 +323,12 @@ class JobInstance {
   /// `on_segment` (nullable) at each of `segment_ends`.
   void colocated_body(std::int64_t iterations, std::span<const std::int64_t> segment_ends,
                       const SegmentFn* on_segment);
-  void fire(const FiringStep& step, FiringContext& ctx, std::int32_t proc,
-            std::int64_t iteration, WorkerState& ws);
-  /// One token over IPC edge `ei`'s ring: plain, or through the reliable
-  /// protocol when the edge has a sender/receiver.
-  void send(std::size_t ei, std::span<const std::uint8_t> token, const ChannelFlightCtx* flight);
-  void receive(std::size_t ei, Bytes& slot, const ChannelFlightCtx* flight);
+  /// The one firing routine of both run kinds. `colocated`: the calling
+  /// thread owns both ends of every edge, so plain IPC edges use their
+  /// local ring and nothing publishes a wait state.
+  void fire(Firing& firing, WorkerState& ws, std::int64_t iteration, bool colocated);
+  /// Adds a colocated run's pending channel traffic to the registry.
+  void flush_traffic();
   [[nodiscard]] ThreadedRunStats counter_totals() const;
   /// Writes the flight recorder's post-mortem dump when the pending
   /// first_error_ is a sim::ChannelError (recorder's postmortem_path
@@ -286,21 +343,6 @@ class JobInstance {
   [[nodiscard]] std::string actor_display_name(std::int32_t actor) const;
   [[nodiscard]] std::string channel_display_name(std::int32_t edge) const;
 
-  /// A processor-local edge's FIFO: a ring of token buffers that trade
-  /// places with the producer's output token and the consumer's input
-  /// slot, so storage circulates instead of being freed and reallocated.
-  /// init() sizes it for one iteration's traffic plus the delays; it
-  /// grows only if a schedule ever needs more.
-  struct LocalRing {
-    std::vector<Bytes> slots;
-    std::size_t head = 0;
-    std::size_t count = 0;
-    /// The tail slot, counted as queued; the caller fills or swaps it.
-    Bytes& push_slot();
-    /// Swaps the head token into `dest` (which hands back its buffer).
-    void pop_into(Bytes& dest);
-  };
-
   const ExecutablePlan& plan_;
   const df::Graph& graph_;  ///< the VTS-converted graph
   ReliabilityOptions reliability_;
@@ -308,35 +350,19 @@ class JobInstance {
   std::unique_ptr<obs::MetricRegistry> owned_registry_;  ///< when none was provided
   obs::MetricRegistry* registry_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
+  /// flight_ is attached and armed: read once per run, before any worker
+  /// body starts, so a disarmed recorder costs the firings nothing.
+  bool recording_ = false;
   std::vector<ComputeFn> compute_;
-  /// Per-edge local rings (touched only by the owning processor's
-  /// thread) and cross-processor channels, all indexed by edge id.
-  /// spsc_ is non-null exactly for IPC edges; null = processor-local
-  /// edge. Direct indexing keeps the per-token hot path free of map
-  /// lookups.
-  std::vector<LocalRing> local_;
-  std::vector<std::unique_ptr<SpscChannel>> spsc_;
-  /// The reliable protocol's two ends per IPC edge, non-null only on
-  /// reliable edges. The sender is touched only by the edge's producing
-  /// thread, the receiver only by its consuming thread.
-  std::vector<std::unique_ptr<ReliableSender>> senders_;
-  std::vector<std::unique_ptr<ReliableReceiver>> receivers_;
-  /// Per-edge registry handles (indexed by edge id; all null on local
-  /// edges). Message/byte counters are bumped once per (firing, edge).
-  std::vector<ChannelCounters> channel_counters_;
-  /// Zeros for default-compute and initial tokens (the widest token).
+  std::vector<EdgeState> edges_;  ///< indexed by edge id
+  /// Zeros for initial tokens (the widest token).
   Bytes zero_token_;
-  /// Per-(proc, step) firing contexts, built once and reused every
-  /// iteration so input/output token buffers keep their heap capacity —
-  /// a warm firing whose compute emits through FiringContext::emit
-  /// allocates nothing. Each context is touched only by its processor's
-  /// thread.
-  std::vector<std::vector<FiringContext>> contexts_;
+  std::vector<std::vector<Firing>> programs_;  ///< per proc, in program order
   std::vector<std::int64_t> fired_;  ///< per actor, owned by its processor's thread
-  /// The PASS as (proc, step) pairs — the colocated traversal order.
-  /// Each processor's program is a subsequence, so the heartbeat and
-  /// context bookkeeping is shared with the gang path.
-  std::vector<std::pair<std::int32_t, std::int32_t>> colocated_order_;
+  /// The PASS as firing records — the colocated traversal order. Each
+  /// processor's program is a subsequence, so the heartbeat and context
+  /// bookkeeping is shared with the gang path.
+  std::vector<Firing*> colocated_order_;
   /// Heartbeat/wait state, one aligned slot per worker (see
   /// WorkerState). Allocated once in init(); reset at run() entry.
   std::unique_ptr<WorkerState[]> worker_state_;

@@ -200,6 +200,31 @@ class SpscChannel {
   /// any thread.
   void interrupt();
 
+  // --- quiescent hand-off (neither end running) -----------------------
+
+  /// Hands each queued token, oldest first, to `take` and empties the
+  /// channel. The producer's view of the consumer is re-synced, so the
+  /// next publishes measure the watermark exactly.
+  template <class Take>
+  void drain(Take&& take) {
+    std::span<const std::uint8_t> token;
+    while (try_front(token)) {
+      take(token);
+      pop();
+    }
+    head_cache_ = head_local_;
+  }
+
+  /// The sequence numbers the next kSend / kReceive flight events carry,
+  /// and their setter, for an owner that carried the edge's traffic on
+  /// its own thread meanwhile (JobInstance's colocated runs).
+  [[nodiscard]] std::int64_t send_seq() const noexcept { return send_seq_; }
+  [[nodiscard]] std::int64_t recv_seq() const noexcept { return recv_seq_; }
+  void set_seqs(std::int64_t send, std::int64_t recv) noexcept {
+    send_seq_ = send;
+    recv_seq_ = recv;
+  }
+
   /// Whether the run-abort flag is set (relaxed read).
   [[nodiscard]] bool aborted() const noexcept {
     return abort_ != nullptr && abort_->load(std::memory_order_relaxed);
