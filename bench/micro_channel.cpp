@@ -19,7 +19,11 @@
 /// included, allocates nothing. BM_ColocatedBatchWatchdog times a served
 /// speech batch with the progress watchdog off and on, and
 /// BM_ServedColocatedIteration one graph iteration of either served
-/// model built exactly as spi_served builds it.
+/// model built exactly as spi_served builds it. BM_JsonArrayField and
+/// BM_AppendJsonNumber time the serve layer's request scanner and reply
+/// renderer on 64 numbers, each next to a std::from_chars /
+/// std::to_chars baseline timed in the same run (`vs_baseline` is their
+/// ratio; no gate reads it).
 ///
 /// bench/perf_smoke.sh gates CI on the Stream pair (SPSC throughput
 /// regressing below the MutexQueue baseline fails the build) and on
@@ -28,7 +32,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -45,6 +52,7 @@
 #include "dsp/particle_filter.hpp"
 #include "dsp/rng.hpp"
 #include "serve/plan_server.hpp"
+#include "serve/request.hpp"
 
 namespace {
 std::atomic<std::int64_t> g_alloc_count{0};
@@ -396,6 +404,91 @@ void BM_ServedColocatedIteration(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_ServedColocatedIteration)->Arg(0)->Arg(1)->UseRealTime();
+
+/// 64 numbers as a speech job's frame carries them ("%.5f" in [-1, 1)).
+std::vector<double> frame_values() {
+  dsp::Rng rng(64);
+  std::vector<double> values(64);
+  for (double& v : values) v = rng.uniform(-1.0, 1.0);
+  return values;
+}
+
+/// Wall ns since `start`.
+double ns_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start).count();
+}
+
+/// Times `baseline` over as many calls as the state loop made, then
+/// reports ns per number of both (`elapsed_ns` is the state loop's wall
+/// time) and `vs_baseline`, their ratio.
+template <class Baseline>
+void report_against_baseline(benchmark::State& state, std::size_t numbers, double elapsed_ns,
+                             const Baseline& baseline) {
+  const std::int64_t calls = std::max<std::int64_t>(1, state.iterations());
+  const auto start = std::chrono::steady_clock::now();
+  for (std::int64_t i = 0; i < calls; ++i) baseline();
+  const double baseline_ns = ns_since(start) / static_cast<double>(calls);
+  const double per_call = elapsed_ns / static_cast<double>(calls);
+  state.counters["ns_per_number"] = per_call / static_cast<double>(numbers);
+  state.counters["baseline_ns_per_number"] = baseline_ns / static_cast<double>(numbers);
+  state.counters["vs_baseline"] = per_call / baseline_ns;
+}
+
+/// The request scanner on one 64-number "%.5f" frame field, against a
+/// bare std::from_chars loop over the same text (no grammar check).
+void BM_JsonArrayField(benchmark::State& state) {
+  const std::vector<double> values = frame_values();
+  std::string body = "{\"app\":\"speech\",\"frame\":[";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, i == 0 ? "%.5f" : ",%.5f", values[i]);
+    body += buf;
+  }
+  body += "]}";
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    auto parsed = serve::json_array_field(body, "frame");
+    benchmark::DoNotOptimize(parsed->data());
+  }
+  report_against_baseline(state, values.size(), ns_since(start), [&] {
+    std::vector<double> parsed;
+    parsed.reserve(values.size());
+    const char* p = body.data() + body.find('[') + 1;
+    const char* end = body.data() + body.size();
+    for (double v = 0.0; p < end && *p != ']'; p += *p == ',') {
+      p = std::from_chars(p, end, v).ptr;
+      parsed.push_back(v);
+    }
+    benchmark::DoNotOptimize(parsed.data());
+  });
+}
+BENCHMARK(BM_JsonArrayField);
+
+/// The reply renderer on 64 error-sized values, against
+/// std::to_chars(general, 17) on the same values.
+void BM_AppendJsonNumber(benchmark::State& state) {
+  std::vector<double> values = frame_values();
+  for (std::size_t i = 0; i < values.size(); i += 4) values[i] *= 1e-3;  // some below 0.1
+  std::string out;
+  out.reserve(64 * 25);
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    out.clear();
+    for (const double v : values) serve::append_json_number(out, v);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  report_against_baseline(state, values.size(), ns_since(start), [&] {
+    out.clear();
+    for (const double v : values) {
+      char buf[32];
+      out.append(buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17).ptr);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  });
+}
+BENCHMARK(BM_AppendJsonNumber);
 
 }  // namespace
 

@@ -1,6 +1,7 @@
 #include "apps/speech_app.hpp"
 
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 
 #include "apps/serialization.hpp"
@@ -313,19 +314,22 @@ void ErrorGenApp::bind_batch(std::span<const SpeechJobSpec> jobs, core::JobInsta
 
 std::vector<std::vector<double>> ErrorGenApp::compute_errors_batch(
     std::span<const SpeechJobSpec> jobs, core::JobInstance& instance,
-    const core::RunOptions* run_options) const {
+    const core::RunOptions* run_options, const JobDoneFn& on_job) const {
   if (jobs.empty()) return {};
   std::vector<std::vector<double>> results;
   results.reserve(jobs.size());
   for (const SpeechJobSpec& job : jobs) results.emplace_back(job.frame.size(), 0.0);
   bind_batch(jobs, instance, results);
-  if (run_options) {
-    core::RunOptions options = *run_options;
-    options.iterations = static_cast<std::int64_t>(jobs.size());
-    instance.run_colocated(options);
-  } else {
-    instance.run_colocated(static_cast<std::int64_t>(jobs.size()));
-  }
+  // One segment per job: iteration k is job k, and with no delay on any
+  // edge its errors are final when the iteration ends.
+  std::vector<std::int64_t> ends(jobs.size());
+  std::iota(ends.begin(), ends.end(), 1);
+  core::RunOptions options = run_options ? *run_options : core::RunOptions{};
+  options.iterations = ends.back();
+  instance.run_colocated(options, ends, [&](std::int64_t segment) {
+    const auto k = static_cast<std::size_t>(segment);
+    if (on_job) on_job(k, results[k]);
+  });
   return results;
 }
 

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -152,6 +153,9 @@ class ErrorGenApp {
     std::vector<double> coeffs;
   };
 
+  /// Told that job `job` of a batch has finished, with its final errors.
+  using JobDoneFn = std::function<void(std::size_t job, const std::vector<double>& errors)>;
+
   /// Batched firing (docs/serving.md): executes jobs.size() graph
   /// iterations colocated on the calling thread through `instance`
   /// (which must have been built from this app's system().plan()), one
@@ -161,12 +165,17 @@ class ErrorGenApp {
   /// compute_errors_parallel/_threaded run of the same inputs (the
   /// serve tests assert it). Rewires the instance's computes and resets
   /// its invocation counters; the instance can be reused for the next
-  /// batch by calling this again. `run_options` (optional) configures
-  /// the batch run — watchdog, flight recorder dump directory — its
-  /// iteration count is overridden by the batch size.
+  /// batch by calling this again. Every edge of the graph has delay 0,
+  /// so job k's errors are final when iteration k ends: `on_job`
+  /// (optional) receives them right then, before iteration k + 1 fires.
+  /// The returned vector holds every job's errors again, in job order.
+  /// `run_options` (optional) configures the batch run — watchdog,
+  /// flight recorder dump directory — its iteration count is overridden
+  /// by the batch size. If job k fails, jobs before it have reached
+  /// `on_job` and the call throws.
   [[nodiscard]] std::vector<std::vector<double>> compute_errors_batch(
       std::span<const SpeechJobSpec> jobs, core::JobInstance& instance,
-      const core::RunOptions* run_options = nullptr) const;
+      const core::RunOptions* run_options = nullptr, const JobDoneFn& on_job = {}) const;
 
   /// The wiring half of compute_errors_batch: registers the batch's
   /// computes on `instance` and resets its invocation counters without

@@ -33,6 +33,7 @@ std::vector<double> synth_coeffs(std::size_t order) {
 }
 
 void append_doubles(std::string& out, std::span<const double> values) {
+  out.reserve(out.size() + 25 * values.size() + 2);  // a "%.17g" number is at most 24 bytes
   out += '[';
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i != 0) out += ',';
@@ -89,13 +90,12 @@ struct AppTraits<apps::ErrorGenApp> {
     return nullptr;
   }
 
-  /// Speech jobs are one graph iteration each: every result exists when
-  /// the run ends, and `done` renders and releases them one by one.
+  /// A speech job is one graph iteration, and its result reaches `done`
+  /// as soon as that iteration ends.
   template <class Done>
   static void run(const apps::ErrorGenApp& app, std::span<const Spec> specs,
                   core::JobInstance& instance, const core::RunOptions* options, const Done& done) {
-    const std::vector<Result> results = app.compute_errors_batch(specs, instance, options);
-    for (std::size_t k = 0; k < results.size(); ++k) done(k, results[k]);
+    static_cast<void>(app.compute_errors_batch(specs, instance, options, std::cref(done)));
   }
 
   static void render(std::string& body, const Spec&, const Result& errors, bool explicit_io) {
@@ -283,6 +283,13 @@ PlanServer::PlanServer(PlanServerOptions options)
     metrics_ = owned_metrics_.get();
   }
   tracer_ = std::make_unique<obs::RequestTracer>(options_.trace, *metrics_);
+  const auto route = [this](const char* name) {
+    return &metrics_->counter("spi_serve_requests_total", {{"route", name}});
+  };
+  route_requests_ = {route("healthz"), route("metrics"), route("runtime"), route("trace"),
+                     route("tenants"),  route("job"),     route("other")};
+  burst_seconds_ = &metrics_->histogram("spi_serve_burst_seconds",
+                                        obs::Histogram::exponential_bounds(1e-6, 4.0, 10));
 
   speech_ = std::make_unique<Model<apps::ErrorGenApp>>(
       App::kSpeech, "speech", options_.speech_pes, options_.speech_params, *metrics_);
@@ -326,13 +333,13 @@ void PlanServer::stop() {
 obs::HttpResponse PlanServer::handle_get(const obs::HttpRequest& request) {
   const std::string_view path = path_of(request);
   if (path == "/healthz") {
-    metrics_->counter("spi_serve_requests_total", {{"route", "healthz"}}).inc();
+    route_requests_.healthz->inc();
     obs::HttpResponse response;
     response.body = "ok\n";
     return response;
   }
   if (path == "/metrics" || path == "/metrics.json") {
-    metrics_->counter("spi_serve_requests_total", {{"route", "metrics"}}).inc();
+    route_requests_.metrics->inc();
     speech_->instance.refresh_channel_gauges();
     particle_->instance.refresh_channel_gauges();
     for (const auto& [tenant, state] : tenants_) {
@@ -353,30 +360,30 @@ obs::HttpResponse PlanServer::handle_get(const obs::HttpRequest& request) {
     return response;
   }
   if (path == "/runtime") {
-    metrics_->counter("spi_serve_requests_total", {{"route", "runtime"}}).inc();
+    route_requests_.runtime->inc();
     return json_response(200, runtime_json());
   }
   if (path == "/trace") {
-    metrics_->counter("spi_serve_requests_total", {{"route", "trace"}}).inc();
+    route_requests_.trace->inc();
     return json_response(200, tracer_->trace_json());
   }
   if (path == "/trace/flight") {
-    metrics_->counter("spi_serve_requests_total", {{"route", "trace"}}).inc();
+    route_requests_.trace->inc();
     if (!tracer_->has_flight())
       return json_response(404, "{\"error\": \"no sampled flight log captured yet\"}\n");
     return json_response(200, tracer_->flight_json());
   }
   if (path == "/tenants") {
-    metrics_->counter("spi_serve_requests_total", {{"route", "tenants"}}).inc();
+    route_requests_.tenants->inc();
     return json_response(200, tenants_json());
   }
-  metrics_->counter("spi_serve_requests_total", {{"route", "other"}}).inc();
+  route_requests_.other->inc();
   return json_response(404, "{\"error\": \"not found\"}\n");
 }
 
 void PlanServer::route_job(std::size_t index, const obs::HttpRequest& request,
                            std::vector<obs::HttpResponse>& responses) {
-  metrics_->counter("spi_serve_requests_total", {{"route", "job"}}).inc();
+  route_requests_.job->inc();
   const auto app = json_string_field(request.body, "app");
   if (app != "speech" && app != "particle") {
     responses[index] = bad_request("job requires \"app\": \"speech\" or \"particle\"");
@@ -388,7 +395,7 @@ void PlanServer::route_job(std::size_t index, const obs::HttpRequest& request,
     return;
   }
   std::string tenant = std::move(tenant_field).value_or("default");
-  auto [it, inserted] = tenants_.try_emplace(tenant, TenantState(tenant));
+  auto [it, inserted] = tenants_.try_emplace(tenant, tenant);
   TenantState& state = it->second;
   if (inserted) state.series = tracer_->tenant_series(tenant);
   JobQueue& queue = state.queue;
@@ -577,7 +584,7 @@ void PlanServer::handle_burst(std::span<obs::HttpRequest> requests,
     if (path == "/job") {
       route_job(i, request, responses);
     } else {
-      metrics_->counter("spi_serve_requests_total", {{"route", "other"}}).inc();
+      route_requests_.other->inc();
       responses[i] = json_response(404, "{\"error\": \"not found\"}\n");
     }
   }
@@ -605,9 +612,7 @@ void PlanServer::handle_burst(std::span<obs::HttpRequest> requests,
   const double seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
-  metrics_
-      ->histogram("spi_serve_burst_seconds", obs::Histogram::exponential_bounds(1e-6, 4.0, 10))
-      .observe(seconds);
+  burst_seconds_->observe(seconds);
 }
 
 std::int64_t PlanServer::flight_events_held() const {

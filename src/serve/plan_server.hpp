@@ -160,6 +160,20 @@ class PlanServer {
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
   obs::MetricRegistry* metrics_ = nullptr;
 
+  /// spi_serve_requests_total by route and spi_serve_burst_seconds,
+  /// resolved once: a registry lookup takes its lock and walks its map.
+  struct RouteCounters {
+    obs::Counter* healthz;
+    obs::Counter* metrics;
+    obs::Counter* runtime;
+    obs::Counter* trace;
+    obs::Counter* tenants;
+    obs::Counter* job;
+    obs::Counter* other;
+  };
+  RouteCounters route_requests_{};
+  obs::Histogram* burst_seconds_ = nullptr;
+
   AdmissionController admission_;
   std::map<std::string, TenantState> tenants_;
   std::unique_ptr<obs::RequestTracer> tracer_;

@@ -20,18 +20,26 @@
 ///    whitespace between two numbers ([1 2]) are malformed.
 ///
 /// Request number grammar: a JSON number, `-?digits[.digits][(e|E)[+-]digits]`,
-/// parsed with std::from_chars inside the view — nothing past the view's
-/// end is ever read, so a view need not be NUL-terminated. A number must
-/// be followed, inside the view, by whitespace, ',', '}' or ']'. The
-/// scanner rejects what JSON does not allow: a leading '+' or '.',
-/// leading zeros (007), a '.' with no digit after it (1., 1.e5), hex
-/// floats (0x1p3), inf/nan, and literals outside the range of double
-/// (1e999).
+/// scanned inside the view — nothing past the view's end is ever read,
+/// so a view need not be NUL-terminated. A number must be followed,
+/// inside the view, by whitespace, ',', '}' or ']'. The scanner rejects
+/// what JSON does not allow: a leading '+' or '.', leading zeros (007),
+/// a '.' with no digit after it (1., 1.e5), hex floats (0x1p3),
+/// inf/nan, and literals outside the range of double (1e999). One pass
+/// checks the grammar and gathers the digits: a number of at most 19
+/// significant digits whose mantissa is at most 2^53 and whose decimal
+/// exponent is within +-22 is one IEEE multiply or divide of two exact
+/// doubles, so correctly rounded; any other number goes to
+/// std::from_chars over its already delimited text. Both give the
+/// double std::from_chars gives.
 ///
 /// Reply number format: append_json_number writes exactly what
 /// snprintf("%.17g") prints, 17 significant digits, so every double
-/// round-trips. Clients and tools/golden/served_answers.txt compare reply
-/// bodies byte for byte, so this text is part of the serve contract.
+/// round-trips. A finite |v| in [1e-6, 2^53) is printed from its exact
+/// binary value (decade, round half to even, trailing zeros stripped);
+/// every other value goes through std::to_chars. Clients and
+/// tools/golden/served_answers.txt compare reply bodies byte for byte,
+/// so this text is part of the serve contract.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +68,10 @@ namespace spi::serve {
                                                               std::uint64_t lo, std::uint64_t hi,
                                                               std::uint64_t fallback);
 
-/// Appends `v` exactly as snprintf("%.17g") prints it, via std::to_chars
-/// (std::chars_format::general with precision 17 is specified to match).
+/// Appends `v` exactly as snprintf("%.17g") prints it: an exact integer
+/// path for finite |v| in [1e-6, 2^53), std::to_chars
+/// (std::chars_format::general with precision 17, specified to match)
+/// for the rest.
 void append_json_number(std::string& out, double v);
 
 }  // namespace spi::serve

@@ -13,11 +13,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -531,6 +536,104 @@ TEST(ReplyFormat, MatchesPrintfPercent17gByteForByte) {
   EXPECT_EQ(mismatches, 0);
 }
 
+/// What std::from_chars makes of the whole of `text`: the reference the
+/// request scanner matches bit for bit on every JSON number.
+std::optional<double> from_chars_value(const std::string& text) {
+  double value = 0.0;
+  const auto [next, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || next != text.data() + text.size()) return std::nullopt;
+  return value;
+}
+
+std::string printf_with(const char* format, double v) {
+  char buf[512];  // "%.5f" of 1.7e308 takes 316 bytes
+  std::snprintf(buf, sizeof buf, format, v);
+  return buf;
+}
+
+/// Parses `text` as the one element of an array and as an integer field
+/// and checks both against std::from_chars: accepted alike, same bits.
+void expect_scans_like_from_chars(const std::string& text) {
+  const std::optional<double> want = from_chars_value(text);
+  const auto got = json_array_field("{\"a\":[" + text + "]}", "a");
+  ASSERT_EQ(got.has_value(), want.has_value()) << text;
+  if (!want) return;
+  ASSERT_EQ(got->size(), 1u) << text;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got->front()), std::bit_cast<std::uint64_t>(*want))
+      << text << " scanned as " << printf_17g(got->front()) << ", from_chars gives "
+      << printf_17g(*want);
+}
+
+// The one-pass scan takes a fast path for short mantissas and small
+// exponents and hands every other number to std::from_chars; either way
+// the double is the one from_chars gives.
+TEST(RequestScanner, NumbersMatchFromCharsBitForBit) {
+  for (const char* text :
+       {"0", "-0", "-0.0", "0.0000", "0.000000000000000000000001", "-0.000000000000000000000001",
+        "1", "-1", "0.1", "0.5", "1e22", "1e23", "1e-22", "1e-23", "-1e22", "-1e-23",
+        "9007199254740992", "9007199254740993", "-9007199254740993", "9007199254740992e22",
+        "9007199254740992e-22", "9007199254740993e22", "9007199254740993e-22",
+        "9007199254740992e23", "9007199254740992e-23", "1234567890123456789",
+        "12345678901234567890", "1234567890123456789e-5", "1234567890123456789e5",
+        "18446744073709551617", "0.18446744073709551617", "36893488147419103233e-2",
+        "0.1234567890123456789", "0.12345678901234567890", "123456789.0123456789",
+        "0.0000000000000000000000000000000000000001234", "100000000000000000000000",
+        "1.7976931348623157e308", "2.2250738585072014e-308", "4.9406564584124654e-324",
+        "1e-400", "0e999", "0E-999", "1E+2", "2.5e-0", "12.50E+001", "0.30000000000000004"})
+    expect_scans_like_from_chars(text);
+
+  // Seeded sweep: the formats clients send, over random bit patterns
+  // (every exponent) and random decimals of the range jobs carry.
+  dsp::Rng rng(28);
+  for (int k = 0; k < 4000; ++k) {
+    const std::uint64_t bits = rng.engine()();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    const double values[] = {v, rng.uniform(-4.0, 4.0),
+                             std::ldexp(rng.uniform(0.5, 1.0), static_cast<int>(k % 140) - 70)};
+    for (const double x : values) {
+      if (!std::isfinite(x)) continue;
+      for (const char* format : {"%.5f", "%.17g", "%e", "%.19g", "%.20g"})
+        expect_scans_like_from_chars(printf_with(format, x));
+    }
+  }
+}
+
+// Replies: the exact fast path and its boundaries against printf.
+TEST(ReplyFormat, FastPathMatchesPrintfAroundEveryPowerOfTen) {
+  std::vector<double> centers = {1e-6, 0x1p53, 0x1p52, 1.0, 0.5};
+  for (int e = -6; e <= 15; ++e)
+    centers.push_back(std::strtod(("1e" + std::to_string(e)).c_str(), nullptr));
+  for (const double center : centers) {
+    double below = center;
+    double above = center;
+    for (int ulp = 0; ulp <= 3; ++ulp) {
+      for (const double v : {below, above, -below, -above})
+        EXPECT_EQ(formatted(v), printf_17g(v)) << printf_17g(v);
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, 1e300);
+    }
+  }
+
+  // Exact ties at the 18th digit round half to even: a 15-digit integer
+  // plus odd eighths, a 14-digit one plus odd sixteenths.
+  dsp::Rng rng(53);
+  for (int k = 0; k < 2000; ++k) {
+    const double a15 = std::floor(rng.uniform(1e14, 1e15));
+    const double a14 = std::floor(rng.uniform(1e13, 1e14));
+    for (const double v : {a15 + (2 * (k % 4) + 1) / 8.0, a14 + (2 * (k % 8) + 1) / 16.0})
+      EXPECT_EQ(formatted(v), printf_17g(v));
+  }
+  // Random values across the whole fast range, every binade.
+  int mismatches = 0;
+  for (int k = 0; k < 40000; ++k) {
+    const double v = std::ldexp(rng.uniform(1.0, 2.0), static_cast<int>(k % 73) - 20);
+    if (formatted(v) != printf_17g(v) && ++mismatches <= 5)
+      ADD_FAILURE() << formatted(v) << " != " << printf_17g(v);
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
 // --- request-lifecycle tracing (docs/observability.md) --------------------
 
 /// Extracts the integer following `"key": ` at or after `from` within
@@ -680,8 +783,8 @@ TEST(PlanServer, BatchesFireInArrivalOrderAndReleaseFinalPrefixes) {
 
 // A particle job spans one graph iteration per step, so its reply is
 // final and released as soon as its own iterations end, not when its
-// batch ends; jobs of a speech batch are answered and released one by
-// one after their run, each with its own reply stamp.
+// batch ends; the jobs of the speech batch after it release one by one
+// too, each with its own reply stamp.
 TEST(PlanServer, ParticleJobsReleaseAsTheirOwnIterationsEnd) {
   PlanServerOptions options;
   options.trace.sample_every = 1;
@@ -741,6 +844,70 @@ TEST(PlanServer, ParticleJobsReleaseAsTheirOwnIterationsEnd) {
   ASSERT_EQ(e2e_ns["speech"].size(), 2u) << trace;
   EXPECT_LE(exec_ns["speech"][0], exec_ns["speech"][1]);
   EXPECT_LT(e2e_ns["speech"][0], e2e_ns["speech"][1]);
+}
+
+// A speech job is one graph iteration, so its reply is final and
+// released as soon as that iteration ends, not when its batch ends: the
+// colocated run's message counts reach the registry at each job's end,
+// and job k's release sees exactly k + 1 iterations' worth.
+TEST(PlanServer, SpeechJobsReleaseAsTheirOwnIterationsEnd) {
+  PlanServerOptions options;
+  options.trace.sample_every = 1;
+  PlanServer server(options);
+  const std::vector<double> frame = {0.5, -0.25, 0.125, 1.0, -1.0, 0.75, 0.0, 0.3, -0.6};
+  std::vector<obs::HttpRequest> jobs = job_burst({
+      R"({"app":"speech","tenant":"t0","frame_size":12,"order":3,"seed":1})",
+      R"({"app":"speech","tenant":"t1","frame_size":40,"order":4,"seed":2})",
+      "{\"app\":\"speech\",\"tenant\":\"t0\",\"frame\":" + frame_json(frame) + "}",
+      R"({"app":"speech","tenant":"t1","frame_size":7,"order":2,"seed":3})",
+      R"({"app":"speech","tenant":"t0","frame_size":64,"order":4,"seed":4})",
+  });
+  obs::MetricRegistry& metrics = server.metrics();
+  obs::Counter& speech_batches = metrics.counter("spi_serve_batches_total", {{"app", "speech"}});
+  std::vector<obs::HttpResponse> responses;
+  std::vector<std::size_t> released;
+  std::vector<std::int64_t> messages_at_release;
+  std::vector<std::vector<obs::HttpResponse>> snapshots;
+  server.handle_burst(jobs, responses, [&](std::size_t n) {
+    released.push_back(n);
+    messages_at_release.push_back(metrics.counter_total("spi_threaded_messages_total"));
+    snapshots.emplace_back(responses.begin(), responses.begin() + static_cast<std::ptrdiff_t>(n));
+  });
+  ASSERT_EQ(responses.size(), jobs.size());
+  for (const auto& response : responses) EXPECT_EQ(response.status, 200) << response.body;
+  EXPECT_EQ(speech_batches.value(), 1) << "one batch";
+  EXPECT_EQ(released, (std::vector<std::size_t>{1, 2, 3, 4, 5}));
+  const std::int64_t per_job = metrics.counter_total("spi_threaded_messages_total") / 5;
+  ASSERT_GT(per_job, 0);
+  ASSERT_EQ(messages_at_release.size(), 5u);
+  for (std::size_t k = 0; k < 5; ++k)
+    EXPECT_EQ(messages_at_release[k], static_cast<std::int64_t>(k + 1) * per_job)
+        << "job " << k << " released after iteration " << k << " and before the next";
+  for (const auto& prefix : snapshots)
+    for (std::size_t i = 0; i < prefix.size(); ++i) {
+      EXPECT_EQ(prefix[i].status, responses[i].status) << i;
+      EXPECT_EQ(prefix[i].content_type, responses[i].content_type) << i;
+      EXPECT_EQ(prefix[i].body, responses[i].body) << i;
+    }
+
+  // Each span tiles its request, and each job's exec stage ends with
+  // its own iteration: later jobs read strictly longer exec.
+  std::vector<obs::HttpRequest> scrape = {{"GET", "/trace", "HTTP/1.1", "", true}};
+  server.handle_burst(scrape, responses);
+  const std::string& trace = responses[0].body;
+  std::vector<std::int64_t> exec_ns;
+  const std::size_t spans_end = trace.find("\"outliers\": [");
+  for (std::size_t at = trace.find("{\"id\": "); at != std::string::npos && at < spans_end;
+       at = trace.find("{\"id\": ", at + 1)) {
+    std::int64_t sum = 0;
+    for (const char* stage : {"admission_ns", "queue_ns", "batch_ns", "exec_ns", "reply_ns"})
+      sum += span_int(trace, at, stage);
+    EXPECT_EQ(sum, span_int(trace, at, "e2e_ns")) << "stages must tile the request exactly";
+    EXPECT_EQ(span_int(trace, at, "batch_size"), 5);
+    exec_ns.push_back(span_int(trace, at, "exec_ns"));
+  }
+  ASSERT_EQ(exec_ns.size(), 5u) << trace;
+  for (std::size_t k = 1; k < exec_ns.size(); ++k) EXPECT_LT(exec_ns[k - 1], exec_ns[k]) << k;
 }
 
 // If job k of a particle batch fails, the jobs before it keep their

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/job_instance.hpp"
 #include "dsp/lpc.hpp"
 #include "dsp/rng.hpp"
@@ -174,6 +176,43 @@ TEST(ErrorGenApp, BoundBatchRerunsMatchTheBatchedEntryPoint) {
   EXPECT_THROW(app.bind_batch(jobs, instance, std::span(results).first(1)),
                std::invalid_argument);
   EXPECT_THROW(app.bind_batch({}, instance, {}), std::invalid_argument);
+}
+
+// Every speech edge has delay 0, so job k's errors are final when
+// iteration k ends: on_job(k) sees them then, before iteration k + 1
+// starts, bit-identical to what the batch returns and to a one-job run.
+TEST(ErrorGenApp, ComputeErrorsBatchReportsEachJobAsItEnds) {
+  const ErrorGenApp app(2, small_params());
+  const SpeechCompressor codec(small_params());
+  std::vector<ErrorGenApp::SpeechJobSpec> jobs;
+  for (std::size_t size : {96, 40, 128, 64, 7}) {
+    dsp::Rng rng(11 + size);
+    ErrorGenApp::SpeechJobSpec job;
+    job.frame = dsp::synthetic_speech(size, rng);
+    job.coeffs = codec.frame_coefficients(job.frame);
+    jobs.push_back(std::move(job));
+  }
+  core::JobInstance instance(app.system().plan());
+  std::vector<std::size_t> order;
+  std::vector<std::vector<double>> seen;
+  const auto returned = app.compute_errors_batch(
+      jobs, instance, nullptr, [&](std::size_t k, const std::vector<double>& errors) {
+        order.push_back(k);
+        seen.push_back(errors);
+        for (const obs::WorkerSnapshot& worker : instance.worker_snapshots()) {
+          EXPECT_EQ(worker.completed, static_cast<std::int64_t>(k) + 1) << "job " << k;
+          EXPECT_EQ(worker.iteration, static_cast<std::int64_t>(k))
+              << "iteration " << k + 1 << " must not have started";
+        }
+      });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  ASSERT_EQ(returned.size(), jobs.size());
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    ASSERT_EQ(seen[k].size(), returned[k].size()) << k;
+    EXPECT_EQ(std::memcmp(seen[k].data(), returned[k].data(), seen[k].size() * sizeof(double)), 0)
+        << "job " << k << " changed after on_job";
+    EXPECT_EQ(returned[k], app.compute_errors_parallel(jobs[k].frame, jobs[k].coeffs)) << k;
+  }
 }
 
 TEST(ErrorGenApp, TimedSpeedupWithMorePes) {

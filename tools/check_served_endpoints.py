@@ -5,8 +5,11 @@ Reads every `METHOD /path` row of the endpoint table in the "Endpoints"
 section of docs/serving.md and probes a running spi_served on
 127.0.0.1:PORT:
 
-  * POST /job with a small synthetic speech job answers 200 (probed
-    first, so the first sampled batch fills GET /trace/flight);
+  * POST /job with a small synthetic speech job answers 200;
+  * GET /trace/flight answers 200 once a sampled batch has run: head
+    sampling hashes the span id, so small jobs are posted, one at a
+    time, until the flight bridge holds a capture (at most
+    FLIGHT_JOB_BOUND jobs; the check fails if none was captured);
   * every documented GET answers anything but 404;
   * POST /plan, the removed plan-upload path, answers 404;
   * replies stream per batch: on one connection, one speech job
@@ -34,6 +37,9 @@ import urllib.request
 ROW = re.compile(r"^\|\s*`([A-Z]+) (/[^`\s]*)`\s*\|")
 JOB = b'{"app":"speech","frame_size":16,"order":3,"seed":1}'
 LONG_PARTICLE = b'{"app":"particle","steps":4096,"seed":%d}'
+# At the default sampling rate (1 span in 64) the first sampled span of a
+# fresh server is well inside this many jobs.
+FLIGHT_JOB_BOUND = 256
 
 
 def documented_endpoints(doc_path):
@@ -107,6 +113,20 @@ def streaming_probe(port):
     return early and answered
 
 
+def flight_probe(port):
+    """True when GET /trace/flight answers 200 within FLIGHT_JOB_BOUND jobs."""
+    for jobs in range(FLIGHT_JOB_BOUND + 1):
+        code = status(port, "GET", "/trace/flight")
+        if code != 404:
+            break
+        if jobs < FLIGHT_JOB_BOUND and status(port, "POST", "/job", JOB) != 200:
+            break
+    passed = code == 200
+    print(f"{'ok  ' if passed else 'FAIL'} GET /trace/flight -> {code} after {jobs} POST /job "
+          f"(want 200 within {FLIGHT_JOB_BOUND})")
+    return passed
+
+
 def per_job_probe(port):
     """True when a particle job's reply leaves before the next job of its batch ends."""
     early, statuses = pipelined(port, [LONG_PARTICLE % seed for seed in (1, 2)])
@@ -126,10 +146,10 @@ def main(argv):
     if ("POST", "/job") not in endpoints:
         print("check_served_endpoints: POST /job is not documented", file=sys.stderr)
         return 1
-    # POST /job first: its batch is the first sampled one, so the flight
-    # bridge has a capture before GET /trace/flight is probed.
     probes = [("POST", "/job", JOB, lambda code: code == 200, "200")]
     for method, path in endpoints:
+        if (method, path) == ("GET", "/trace/flight"):
+            continue  # flight_probe
         if method == "GET":
             probes.append((method, path, None, lambda code: code != 404, "not 404"))
         elif (method, path) != ("POST", "/job"):
@@ -142,6 +162,8 @@ def main(argv):
         passed = ok(code)
         failures += not passed
         print(f"{'ok  ' if passed else 'FAIL'} {method} {path} -> {code} (want {want})")
+    if ("GET", "/trace/flight") in endpoints:
+        failures += not flight_probe(port)
     failures += not streaming_probe(port)
     failures += not per_job_probe(port)
     return 1 if failures else 0
