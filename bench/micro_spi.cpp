@@ -1,11 +1,10 @@
 /// \file micro_spi.cpp
 /// google-benchmark microbenchmarks of the SPI library primitives (host
-/// wall-clock): wire-format encode/decode (static, dynamic, delimited),
-/// VTS packing, channel send/receive, and the functional runtime loop.
+/// wall-clock): wire-format encode/decode (static, dynamic, delimited)
+/// and VTS packing. The execution engine's own benchmarks are in
+/// micro_channel.cpp.
 #include <benchmark/benchmark.h>
 
-#include "core/channel.hpp"
-#include "core/functional.hpp"
 #include "core/message.hpp"
 #include "core/packing.hpp"
 #include "dsp/rng.hpp"
@@ -60,46 +59,6 @@ void BM_PackUnpack(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PackUnpack)->Arg(8)->Arg(64)->Arg(512);
-
-void BM_ChannelSendReceive(benchmark::State& state) {
-  core::ChannelConfig config;
-  config.edge = 1;
-  config.mode = core::SpiMode::kDynamic;
-  config.protocol = sched::SyncProtocol::kUbs;
-  config.payload_bound_bytes = 4096;
-  core::SpiChannel channel(config);
-  const Bytes payload = random_payload(static_cast<std::size_t>(state.range(0)), 6);
-  for (auto _ : state) {
-    channel.send(payload);
-    benchmark::DoNotOptimize(channel.receive());
-  }
-}
-BENCHMARK(BM_ChannelSendReceive)->Arg(64)->Arg(1024);
-
-void BM_FunctionalIteration(benchmark::State& state) {
-  // A 3-actor pipeline over 3 processors, measuring end-to-end runtime
-  // cost per graph iteration (headers + packing + routing).
-  df::Graph g("bench");
-  const df::ActorId a = g.add_actor("A");
-  const df::ActorId b = g.add_actor("B");
-  const df::ActorId c = g.add_actor("C");
-  const df::EdgeId e1 = g.connect(a, df::Rate::dynamic(64), b, df::Rate::dynamic(64), 0, 8);
-  const df::EdgeId e2 = g.connect(b, df::Rate::fixed(1), c, df::Rate::fixed(1), 0, 8);
-  sched::Assignment assignment(3, 3);
-  assignment.assign(b, 1);
-  assignment.assign(c, 2);
-  const core::SpiSystem system(g, assignment);
-  core::FunctionalRuntime runtime(system);
-  const Bytes packed = random_payload(64 * 8, 7);
-  runtime.set_compute(a, [&](core::FiringContext& ctx) {
-    ctx.outputs[ctx.output_index(e1)] = {packed};
-  });
-  runtime.set_compute(b, [&](core::FiringContext& ctx) {
-    ctx.outputs[ctx.output_index(e2)] = {Bytes(8, 1)};
-  });
-  for (auto _ : state) runtime.run(1);
-}
-BENCHMARK(BM_FunctionalIteration);
 
 }  // namespace
 

@@ -15,7 +15,7 @@
 #include <cstdio>
 
 #include "apps/serialization.hpp"
-#include "core/functional.hpp"
+#include "core/job_instance.hpp"
 #include "core/spi_system.hpp"
 #include "dsp/rng.hpp"
 
@@ -48,7 +48,7 @@ int main() {
   const core::SpiSystem system(g, assignment);
   std::printf("%s\n", system.report().c_str());
 
-  core::FunctionalRuntime runtime(system);
+  core::JobInstance runtime(system.plan());
   dsp::Rng rng(99);
   std::int64_t produced = 0, low_count = 0, high_count = 0, merged = 0;
   double low_sum = 0.0, high_sum = 0.0, merged_sum = 0.0, source_sum = 0.0;
@@ -93,7 +93,7 @@ int main() {
     }
   });
 
-  runtime.run(256);
+  runtime.run_colocated(256);
   std::printf("routed %lld samples: %lld low-band, %lld high-band, %lld merged\n",
               static_cast<long long>(produced), static_cast<long long>(low_count),
               static_cast<long long>(high_count), static_cast<long long>(merged));
@@ -101,7 +101,10 @@ int main() {
               merged_sum, std::abs(source_sum - merged_sum));
   std::printf("low-band channel avg payload %.1f B/msg (b_max %lld B) — the dynamism\n"
               "lives in token sizes while every rate stayed statically 1.\n",
-              static_cast<double>(runtime.channel(e_low).stats().payload_bytes) / 256.0,
+              static_cast<double>(runtime.metrics().counter_value(
+                  "spi_threaded_payload_bytes_total",
+                  {{"channel", system.channel_for(e_low).name}})) /
+                  256.0,
               static_cast<long long>(system.channel_for(e_low).b_max_bytes));
   const bool ok = produced == low_count + high_count && merged == produced &&
                   std::abs(source_sum - merged_sum) < 1e-9;

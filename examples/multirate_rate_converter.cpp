@@ -15,7 +15,7 @@
 #include <numbers>
 
 #include "apps/serialization.hpp"
-#include "core/functional.hpp"
+#include "core/job_instance.hpp"
 #include "core/spi_system.hpp"
 #include "dsp/fir.hpp"
 
@@ -50,7 +50,7 @@ std::vector<double> run_converter(const std::vector<double>& input, std::int32_t
   }
   const core::SpiSystem system(g, assignment);
 
-  core::FunctionalRuntime runtime(system);
+  core::JobInstance runtime(system.plan());
   const auto anti_alias = dsp::design_lowpass(31, 0.5 / kFactor * 0.8);
   auto dec_filter = std::make_shared<dsp::FirState>(anti_alias);
   auto itp_filter = std::make_shared<dsp::FirState>(anti_alias);
@@ -87,7 +87,7 @@ std::vector<double> run_converter(const std::vector<double>& input, std::int32_t
       output->push_back(apps::f64_at(token, 0));
   });
 
-  runtime.run(static_cast<std::int64_t>(input.size() / kBlock));
+  runtime.run_colocated(static_cast<std::int64_t>(input.size() / kBlock));
   return *output;
 }
 

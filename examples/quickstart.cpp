@@ -5,12 +5,13 @@
 ///   3. let SpiSystem run the compilation pipeline (VTS conversion,
 ///      schedule, synchronization graph, BBS/UBS selection, buffer
 ///      bounds, resynchronization),
-///   4. execute it functionally (real bytes through real SPI channels),
+///   4. execute it sequentially (real bytes, the PASS walked by a
+///      colocated JobInstance),
 ///   5. execute it on the timed platform model and print statistics.
 #include <cstdio>
 
 #include "apps/serialization.hpp"
-#include "core/functional.hpp"
+#include "core/job_instance.hpp"
 #include "core/spi_system.hpp"
 #include "mpi/mpi_backend.hpp"
 
@@ -38,8 +39,8 @@ int main() {
   core::SpiSystem system(graph, assignment);
   std::printf("%s\n", system.report().c_str());
 
-  // --- functional run: sum a varying number of samples per iteration ---
-  core::FunctionalRuntime runtime(system);
+  // --- sequential run: sum a varying number of samples per iteration ---
+  core::JobInstance runtime(system.plan());
   double checksum = 0.0;
   runtime.set_compute(src, [&](core::FiringContext& ctx) {
     // Iteration k ships (k % 16) + 1 samples — a dynamic rate.
@@ -59,13 +60,15 @@ int main() {
   runtime.set_compute(snk, [&](core::FiringContext& ctx) {
     checksum += apps::f64_at(ctx.inputs[ctx.input_index(e_out)][0], 0);
   });
-  runtime.run(32);
-  std::printf("functional: 32 iterations, checksum = %.2f\n", checksum);
-  const auto& ch = runtime.channel(e_dyn);
-  std::printf("  dynamic channel: %lld msgs, %lld payload B, %lld wire B (8B headers)\n\n",
-              static_cast<long long>(ch.stats().messages),
-              static_cast<long long>(ch.stats().payload_bytes),
-              static_cast<long long>(ch.stats().wire_bytes));
+  runtime.run_colocated(32);
+  std::printf("sequential: 32 iterations, checksum = %.2f\n", checksum);
+  const obs::Labels channel{{"channel", system.channel_for(e_dyn).name}};
+  const obs::MetricRegistry& metrics = runtime.metrics();
+  std::printf("  dynamic channel: %lld msgs, %lld payload B (+%lld B header each on the wire)\n\n",
+              static_cast<long long>(metrics.counter_value("spi_threaded_messages_total", channel)),
+              static_cast<long long>(
+                  metrics.counter_value("spi_threaded_payload_bytes_total", channel)),
+              static_cast<long long>(core::kDynamicHeaderBytes));
 
   // --- timed run: SPI backend vs. the generic MPI baseline -------------
   sim::TimedExecutorOptions options;

@@ -10,7 +10,7 @@
 #include <numbers>
 
 #include "apps/serialization.hpp"
-#include "core/functional.hpp"
+#include "core/job_instance.hpp"
 #include "core/spi_system.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/rng.hpp"
@@ -38,7 +38,7 @@ int main() {
   // Input: a tone hopping between bins every frame, in noise.
   dsp::Rng rng(404);
   const std::vector<std::size_t> hop_bins{12, 40, 12, 97, 55, 40, 7, 120};
-  core::FunctionalRuntime runtime(system);
+  core::JobInstance runtime(system.plan());
 
   runtime.set_compute(framer, [&](core::FiringContext& ctx) {
     const std::size_t bin = hop_bins[static_cast<std::size_t>(ctx.invocation) % hop_bins.size()];
@@ -75,11 +75,13 @@ int main() {
                 hit ? "" : "<-- MISS");
   });
 
-  runtime.run(16);
-  const auto& ch = runtime.channel(e_frame).stats();
-  std::printf("\ndetected %d/%d hops; frame channel moved %lld B payload in %lld msgs "
-              "(4B static headers)\n",
-              correct, total, static_cast<long long>(ch.payload_bytes),
-              static_cast<long long>(ch.messages));
+  runtime.run_colocated(16);
+  const obs::Labels frames{{"channel", system.channel_for(e_frame).name}};
+  const obs::MetricRegistry& metrics = runtime.metrics();
+  std::printf("\ndetected %d/%d hops; frame channel moved %lld B payload in %lld tokens\n",
+              correct, total,
+              static_cast<long long>(
+                  metrics.counter_value("spi_threaded_payload_bytes_total", frames)),
+              static_cast<long long>(metrics.counter_value("spi_threaded_messages_total", frames)));
   return correct == total ? 0 : 1;
 }

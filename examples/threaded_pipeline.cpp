@@ -1,10 +1,10 @@
 /// \file threaded_pipeline.cpp
 /// Software SPI on real threads: the same application wired once and
-/// run on both execution engines — FunctionalRuntime (sequential
-/// interleaving) and ThreadedRuntime (one std::thread per processor,
-/// blocking SPI channels). Dataflow determinacy makes the outputs
-/// identical; the channel statistics show the real back-pressure the
-/// threads exercised.
+/// run both ways — a colocated JobInstance (the sequential PASS
+/// interleaving on one thread) and ThreadedRuntime (one thread per
+/// processor, blocking SPI channels). Dataflow determinacy makes the
+/// outputs identical; the channel statistics show the real
+/// back-pressure the threads exercised.
 #include <cstdio>
 
 #include "apps/serialization.hpp"
@@ -55,10 +55,10 @@ int main() {
 
   std::vector<double> sequential, threaded;
   {
-    core::FunctionalRuntime runtime(system);
+    core::JobInstance runtime(system.plan());
     dsp::FirState state(taps);
     wire(runtime, sequential, state);
-    runtime.run(kIterations);
+    runtime.run_colocated(kIterations);
   }
   core::ThreadedRuntime runtime(system);
   dsp::FirState state(taps);

@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "apps/serialization.hpp"
-#include "core/functional.hpp"
+#include "core/job_instance.hpp"
 #include "core/packing.hpp"
 #include "core/spi_system.hpp"
 #include "dataflow/dot.hpp"
@@ -39,14 +39,14 @@ int main() {
               static_cast<long long>(cmp.vts_bytes),
               static_cast<long long>(cmp.worst_case_static_bytes));
 
-  // Functional run across two processors: A ships a varying number of
-  // 2-byte samples per firing through an SPI_dynamic channel.
+  // Sequential run of the two-processor plan: A ships a varying number
+  // of 2-byte samples per firing through an SPI_dynamic channel.
   sched::Assignment assignment(g.actor_count(), 2);
   assignment.assign(b, 1);
   const core::SpiSystem system(g, assignment);
   std::printf("%s\n", system.report().c_str());
 
-  core::FunctionalRuntime runtime(system);
+  core::JobInstance runtime(system.plan());
   const core::TokenPacker packer(2, 10);
   dsp::Rng rng(1);
   std::int64_t raw_sent = 0, raw_received = 0;
@@ -61,18 +61,14 @@ int main() {
     raw_received += static_cast<std::int64_t>(
         packer.unpack(ctx.inputs[ctx.input_index(e)][0]).size());
   });
-  runtime.run(1000);
+  runtime.run_colocated(1000);
 
-  const auto& stats = runtime.channel(e).stats();
+  const core::ThreadedRunStats& stats = runtime.stats();
   std::printf("1000 firings: %lld raw tokens sent, %lld received (must match)\n",
               static_cast<long long>(raw_sent), static_cast<long long>(raw_received));
-  std::printf("channel: %lld messages, %lld payload B, %lld wire B -> %.2f B header/msg\n",
+  std::printf("channel: %lld messages, %lld payload B (+%lld B header each on the wire)\n",
               static_cast<long long>(stats.messages),
               static_cast<long long>(stats.payload_bytes),
-              static_cast<long long>(stats.wire_bytes),
-              static_cast<double>(stats.wire_bytes - stats.payload_bytes) /
-                  static_cast<double>(stats.messages));
-  std::printf("max channel occupancy %lld message(s) — within the static bound.\n",
-              static_cast<long long>(stats.max_occupancy));
+              static_cast<long long>(core::kDynamicHeaderBytes));
   return raw_sent == raw_received ? 0 : 1;
 }

@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "apps/serialization.hpp"
-#include "core/functional.hpp"
+#include "core/job_instance.hpp"
 
 namespace spi::apps {
 
@@ -170,7 +170,7 @@ std::vector<std::size_t> BeamformerApp::sensors_on(std::int32_t pe) const {
 std::vector<double> BeamformerApp::run_functional(double steer_rad, double source_rad,
                                                   std::int64_t blocks) const {
   const BeamformerReference reference(params_);
-  core::FunctionalRuntime runtime(*system_);
+  core::JobInstance runtime(system_->plan());
   auto output = std::make_shared<std::vector<double>>();
   const auto n = static_cast<std::size_t>(pe_count_);
   const double weight = 1.0 / static_cast<double>(params_.sensors);
@@ -219,7 +219,7 @@ std::vector<double> BeamformerApp::run_functional(double steer_rad, double sourc
     output->insert(output->end(), block.begin(), block.end());
   });
 
-  runtime.run(blocks);
+  runtime.run_colocated(blocks);
   return *output;
 }
 

@@ -94,8 +94,9 @@ class BeamformerApp {
   /// Sensors handled by PE p (round-robin distribution).
   [[nodiscard]] std::vector<std::size_t> sensors_on(std::int32_t pe) const;
 
-  /// Functional distributed run: beamform `blocks` blocks of the scene;
-  /// output is bit-identical to the sequential reference (tests assert).
+  /// Distributed run, executed sequentially by a local colocated
+  /// JobInstance: beamform `blocks` blocks of the scene; output is
+  /// bit-identical to the sequential reference (tests assert).
   [[nodiscard]] std::vector<double> run_functional(double steer_rad, double source_rad,
                                                    std::int64_t blocks) const;
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "apps/serialization.hpp"
-#include "core/functional.hpp"
 
 namespace spi::apps {
 
@@ -354,39 +353,26 @@ void ParticleFilterApp::wire_tracking(Runtime& runtime,
   }
 }
 
-namespace {
-/// A single-trajectory run is a batch of one job.
-template <class Batch, class State>
-std::shared_ptr<Batch> one_job_batch(std::shared_ptr<State> state, std::size_t steps) {
-  auto batch = std::make_shared<Batch>();
-  batch->ends.push_back(static_cast<std::int64_t>(steps));
-  batch->jobs.push_back(std::move(state));
-  return batch;
-}
-}  // namespace
-
 TrackResult ParticleFilterApp::track(const dsp::CrackTrajectory& trajectory) const {
-  auto shared = make_track_state(params_, static_cast<std::size_t>(pe_count_),
-                                 trajectory.observations.size());
-  shared->traj = &trajectory;
+  const core::ExecutablePlan& plan = system_->plan();
+  core::JobInstance instance(plan);
+  // Messages per wire format: the run's growth of each channel's counter
+  // (construction already counted the delay tokens).
+  const auto messages = [&](const core::ChannelSpec& spec) {
+    return instance.metrics().counter_value("spi_threaded_messages_total",
+                                            {{"channel", spec.name}});
+  };
+  std::vector<std::int64_t> before;
+  for (const core::ChannelSpec& spec : plan.channels) before.push_back(messages(spec));
 
-  core::FunctionalRuntime runtime(*system_);
-  wire_tracking(runtime, one_job_batch<BatchTrackState>(shared, trajectory.observations.size()));
-  runtime.run(static_cast<std::int64_t>(trajectory.observations.size()));
-
-  TrackResult result;
-  result.estimates = std::move(shared->estimates);
-  result.resample_steps = shared->resample_steps;
-  result.rmse_vs_truth = dsp::rmse(trajectory.truth, result.estimates);
-  for (const auto& [edge, channel] : runtime.channels()) {
-    const bool dynamic = channel.config().mode == core::SpiMode::kDynamic;
-    if (dynamic) {
-      result.dynamic_messages += channel.stats().messages;
-      result.particles_exchanged +=
-          channel.stats().payload_bytes / static_cast<std::int64_t>(sizeof(double));
-    } else {
-      result.static_messages += channel.stats().messages;
-    }
+  const ParticleJobSpec job{trajectory, params_.seed};
+  TrackResult result = std::move(track_batch(std::span(&job, 1), instance).front());
+  for (std::size_t c = 0; c < plan.channels.size(); ++c) {
+    const std::int64_t sent = messages(plan.channels[c]) - before[c];
+    if (plan.channels[c].mode == core::SpiMode::kDynamic)
+      result.dynamic_messages += sent;
+    else
+      result.static_messages += sent;
   }
   return result;
 }
@@ -397,16 +383,20 @@ TrackResult ParticleFilterApp::track_threaded(const dsp::CrackTrajectory& trajec
 
 TrackResult ParticleFilterApp::track_threaded(const dsp::CrackTrajectory& trajectory,
                                               const core::RunOptions& run_options) const {
-  auto shared = make_track_state(params_, static_cast<std::size_t>(pe_count_),
-                                 trajectory.observations.size());
-  shared->traj = &trajectory;
+  // A single-trajectory run is a batch of one job.
+  const auto steps = static_cast<std::int64_t>(trajectory.observations.size());
+  auto batch = std::make_shared<BatchTrackState>();
+  batch->ends.push_back(steps);
+  batch->jobs.push_back(make_track_state(params_, static_cast<std::size_t>(pe_count_),
+                                         trajectory.observations.size()));
+  batch->jobs.front()->traj = &trajectory;
 
   core::ThreadedRuntime runtime(system_->plan());
-  wire_tracking(runtime, one_job_batch<BatchTrackState>(shared, trajectory.observations.size()));
+  wire_tracking(runtime, batch);
   core::RunOptions options = run_options;
-  options.iterations = static_cast<std::int64_t>(trajectory.observations.size());
+  options.iterations = steps;
   runtime.run(options);
-  return take_result(*shared);
+  return take_result(*batch->jobs.front());
 }
 
 std::shared_ptr<ParticleFilterApp::BatchTrackState> ParticleFilterApp::make_batch(

@@ -79,8 +79,10 @@ class ParticleFilterApp {
   [[nodiscard]] const ParticleParams& params() const { return params_; }
   [[nodiscard]] const core::SpiSystem& system() const { return *system_; }
 
-  /// Functional distributed tracking of a trajectory through the SPI
-  /// fabric (real packed particles, real headers, real resampling).
+  /// Distributed tracking of a trajectory, run sequentially: a one-job
+  /// track_batch on a local JobInstance (real packed particles, real
+  /// resampling), plus the run's messages per wire format, counted on the
+  /// instance's per-channel spi_threaded_messages_total series.
   [[nodiscard]] TrackResult track(const dsp::CrackTrajectory& trajectory) const;
 
   /// Same tracking on real host threads — one per PE, with the phases
@@ -182,9 +184,9 @@ class ParticleFilterApp {
   void start_job(BatchTrackState& batch, std::span<const ParticleJobSpec> jobs,
                  std::size_t k) const;
   /// Registers all compute functions on either execution engine
-  /// (FunctionalRuntime, ThreadedRuntime or JobInstance — same ComputeFn
-  /// contract). Each firing resolves its job's TrackState from
-  /// ctx.invocation (a single-trajectory run is a batch of one). Each
+  /// (ThreadedRuntime or JobInstance — same ComputeFn contract). Each
+  /// firing resolves its job's TrackState from ctx.invocation (a
+  /// single-trajectory run is a batch of one). Each
   /// PE's state is touched only by that PE's actors (all mapped to the
   /// same processor), and the shared estimate is appended only by Res0 —
   /// so the wiring is thread-safe on the threaded engine without extra

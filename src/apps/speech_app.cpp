@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "apps/serialization.hpp"
-#include "core/functional.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/linalg.hpp"
 #include "dsp/lpc.hpp"
@@ -268,13 +267,9 @@ void ErrorGenApp::wire_jobs(Runtime& runtime, std::span<const SpeechJobSpec> job
 
 std::vector<double> ErrorGenApp::compute_errors_parallel(std::span<const double> frame,
                                                          std::span<const double> coeffs) const {
-  check_bounds(frame, coeffs);
   const SpeechJobSpec job{{frame.begin(), frame.end()}, {coeffs.begin(), coeffs.end()}};
-  std::vector<std::vector<double>> result(1, std::vector<double>(frame.size(), 0.0));
-  core::FunctionalRuntime runtime(*system_);
-  wire_jobs(runtime, std::span(&job, 1), result);
-  runtime.run(1);
-  return std::move(result.front());
+  core::JobInstance instance(system_->plan());
+  return std::move(compute_errors_batch(std::span(&job, 1), instance).front());
 }
 
 std::vector<double> ErrorGenApp::compute_errors_threaded(std::span<const double> frame,

@@ -116,9 +116,11 @@ class ErrorGenApp {
   [[nodiscard]] Section section(std::int32_t pe, std::size_t sample_count,
                                 std::size_t order) const;
 
-  /// Functional parallel execution of one frame through the SPI fabric
-  /// (real packed tokens, real headers). The result is bit-identical to
-  /// SpeechCompressor::frame_errors — the integration tests assert it.
+  /// Sequential execution of one frame through the compiled plan: a
+  /// one-job compute_errors_batch on a local JobInstance, which walks the
+  /// PASS on the calling thread with real packed tokens. The result is
+  /// bit-identical to SpeechCompressor::frame_errors — the integration
+  /// tests assert it.
   [[nodiscard]] std::vector<double> compute_errors_parallel(std::span<const double> frame,
                                                             std::span<const double> coeffs) const;
 
@@ -218,9 +220,9 @@ class ErrorGenApp {
  private:
   /// Throws std::length_error when a job exceeds the compile-time bounds.
   void check_bounds(std::span<const double> frame, std::span<const double> coeffs) const;
-  /// Registers the four per-PE compute functions on any execution engine
-  /// (FunctionalRuntime, ThreadedRuntime or JobInstance — same ComputeFn
-  /// contract): invocation k fires jobs[k % jobs.size()], whose errors
+  /// Registers the four per-PE compute functions on either execution
+  /// engine (ThreadedRuntime or JobInstance — same ComputeFn contract):
+  /// invocation k fires jobs[k % jobs.size()], whose errors
   /// are written by section into results[k % jobs.size()].
   template <class Runtime>
   void wire_jobs(Runtime& runtime, std::span<const SpeechJobSpec> jobs,

@@ -12,6 +12,34 @@
 
 namespace spi::core {
 
+std::size_t slot_of(std::span<const df::EdgeId> edges, df::EdgeId edge) {
+  const auto it = std::find(edges.begin(), edges.end(), edge);
+  if (it == edges.end()) throw std::out_of_range("slot_of: edge is not a port of the actor");
+  return static_cast<std::size_t>(it - edges.begin());
+}
+
+std::size_t FiringContext::input_index(df::EdgeId e) const { return slot_of(in_edges, e); }
+
+std::size_t FiringContext::output_index(df::EdgeId e) const { return slot_of(out_edges, e); }
+
+void FiringContext::recycle_outputs() {
+  spare.resize(outputs.size());
+  for (std::size_t i = 0; i < outputs.size(); ++i) {
+    // At most one firing's worth of buffers per slot: a compute that
+    // assigns fresh tokens instead of emitting cannot grow spare[].
+    // The common case, every spare emitted last firing, trades the two
+    // lists whole.
+    if (spare[i].empty()) {
+      std::swap(spare[i], outputs[i]);
+    } else {
+      const std::size_t cap = outputs[i].size();
+      for (Bytes& token : outputs[i])
+        if (spare[i].size() < cap) spare[i].push_back(std::move(token));
+    }
+    outputs[i].clear();
+  }
+}
+
 JobInstance::JobInstance(const ExecutablePlan& plan, JobInstanceOptions options)
     : plan_(plan),
       graph_(plan.vts.graph),
@@ -35,9 +63,9 @@ void JobInstance::init() {
   for (std::size_t i = 0; i < edges_.size(); ++i) {
     EdgeState& e = edges_[i];
     e.id = static_cast<df::EdgeId>(i);
-    e.token_bytes = static_cast<std::size_t>(graph_.edge(e.id).token_bytes);
+    e.token_bytes = static_cast<std::size_t>(plan_.token_bound_bytes(e.id));
     if (plan_.vts.edges[i].converted)
-      e.max_bytes = static_cast<std::size_t>(plan_.vts.edges[i].b_max_bytes);
+      e.raw_token_bytes = static_cast<std::size_t>(plan_.vts.edges[i].raw_token_bytes);
     max_token_bytes = std::max(max_token_bytes, e.token_bytes);
   }
   zero_token_.assign(max_token_bytes, 0);
@@ -56,7 +84,6 @@ void JobInstance::init() {
     EdgeState& e = edges_[static_cast<std::size_t>(spec.edge)];
     const bool reliable = reliability_.enabled && spec.reliable;
     e.store = reliable ? Store::kReliable : Store::kRing;
-    e.max_bytes = static_cast<std::size_t>(plan_.token_bound_bytes(spec.edge));
 
     obs::Labels labels{{"channel", spec.name}};
     // The job label keeps concurrent instances' series apart when they
@@ -127,7 +154,7 @@ void JobInstance::init() {
     const std::size_t slots =
         static_cast<std::size_t>(capacity) + (reliable ? kDiscardableSlots : 0);
     const std::size_t frame_bound =
-        e.max_bytes + (reliable ? static_cast<std::size_t>(kSequencedOverheadBytes) : 0);
+        e.token_bytes + (reliable ? static_cast<std::size_t>(kSequencedOverheadBytes) : 0);
     e.ring = std::make_unique<SpscChannel>(spec.edge, slots, frame_bound, &abort_);
     e.ring->set_counters(counters.spsc());
   }
@@ -409,9 +436,13 @@ void JobInstance::fire(Firing& f, WorkerState& ws, std::int64_t iteration, bool 
       throw std::logic_error("JobInstance: wrong token count on " + graph_.edge(e.id).name);
     std::int64_t bytes = 0;
     for (const Bytes& token : tokens) {
-      if (token.size() > e.max_bytes)
-        throw std::length_error("JobInstance: token exceeds b_max on " + graph_.edge(e.id).name);
-      bytes += static_cast<std::int64_t>(token.size());
+      // A static token has the edge's exact size; a packed one is a
+      // whole number of raw tokens, at most b_max.
+      const std::size_t size = token.size();
+      if (size != e.token_bytes &&
+          (e.raw_token_bytes == 0 || size > e.token_bytes || size % e.raw_token_bytes != 0))
+        throw_token_shape(e, size);
+      bytes += static_cast<std::int64_t>(size);
     }
     if (e.store == Store::kReliable || (e.store == Store::kRing && !colocated)) {
       for (const Bytes& token : tokens) {
@@ -442,6 +473,16 @@ void JobInstance::fire(Firing& f, WorkerState& ws, std::int64_t iteration, bool 
   waiting(-1, -1);
   ws.actor.store(-1, std::memory_order_relaxed);
   if (flight) flight_->record(f.proc, obs::FlightEventKind::kFireEnd, actor, -1, 0, iteration);
+}
+
+void JobInstance::throw_token_shape(const EdgeState& e, std::size_t size) const {
+  const std::string& name = graph_.edge(e.id).name;
+  if (e.raw_token_bytes == 0)
+    throw std::logic_error("JobInstance: token size mismatch on static edge " + name);
+  if (size > e.token_bytes)
+    throw std::length_error("JobInstance: packed token exceeds b_max on " + name);
+  throw std::logic_error("JobInstance: packed token is not a whole number of raw tokens on " +
+                         name);
 }
 
 void JobInstance::flush_traffic() {

@@ -22,6 +22,11 @@
 /// the serve layer exploits that to batch many queued jobs into one
 /// program traversal without a single cross-thread handoff.
 ///
+/// run_colocated is the one sequential executor of a plan: every
+/// single-threaded run (the apps' sequential entry points, the examples,
+/// the functional tests) is a JobInstance walking the PASS. Both run
+/// kinds check each token's shape as they route it (set_compute).
+///
 /// Instances are isolated: each owns its channel slabs and freelists, so
 /// concurrent JobInstances of the same (or different) plans never share
 /// a buffer. When several instances feed one MetricRegistry, pass a
@@ -37,7 +42,8 @@
 #include <string>
 #include <vector>
 
-#include "core/functional.hpp"
+#include "core/firing_context.hpp"
+#include "core/plan.hpp"
 #include "core/reliable_link.hpp"
 #include "core/spsc_channel.hpp"
 #include "obs/flight_recorder.hpp"
@@ -136,8 +142,12 @@ class JobInstance {
   JobInstance(const JobInstance&) = delete;
   JobInstance& operator=(const JobInstance&) = delete;
 
-  /// Registers an actor's computation (same contract as
-  /// FunctionalRuntime::set_compute; must be called before run()).
+  /// Registers an actor's computation (must be called before run()).
+  /// An actor without one emits zero-filled full-rate tokens. A compute
+  /// must fill each output with the edge's rate of tokens: exactly
+  /// token-sized on a static edge, a whole number of raw tokens up to
+  /// b_max on a converted one; anything else fails the run with a
+  /// std::logic_error (std::length_error above b_max).
   /// Compute functions for actors on different processors run
   /// concurrently under run(pool, ...) — they must not share mutable
   /// state without their own synchronization. Re-registering between
@@ -278,10 +288,13 @@ class JobInstance {
   struct EdgeState {
     df::EdgeId id = -1;
     Store store = Store::kLocal;
-    std::size_t token_bytes = 0;  ///< a static token's size (default compute)
-    /// The largest token routing accepts: b_max on a converted edge, the
-    /// frame bound on a static IPC edge, unbounded on a static local one.
-    std::size_t max_bytes = SIZE_MAX;
+    /// The token size routing accepts without a closer look: a static
+    /// token's exact size, a converted edge's b_max (what the default
+    /// compute emits).
+    std::size_t token_bytes = 0;
+    /// Converted edges only (0 on static ones): a packed token is a whole
+    /// number of raw tokens of this size, at most token_bytes in all.
+    std::size_t raw_token_bytes = 0;
     LocalRing local;
     std::unique_ptr<SpscChannel> ring;           ///< IPC edges only
     std::unique_ptr<ReliableSender> sender;      ///< reliable edges: producer end
@@ -327,6 +340,11 @@ class JobInstance {
   /// thread owns both ends of every edge, so plain IPC edges use their
   /// local ring and nothing publishes a wait state.
   void fire(Firing& firing, WorkerState& ws, std::int64_t iteration, bool colocated);
+  /// Throws for a token of `size` bytes that does not fit edge `e`: on a
+  /// static edge a std::logic_error; on a converted edge a packed token
+  /// above b_max is a std::length_error, one that is not a whole number
+  /// of raw tokens a std::logic_error.
+  [[noreturn]] void throw_token_shape(const EdgeState& e, std::size_t size) const;
   /// Adds a colocated run's pending channel traffic to the registry.
   void flush_traffic();
   [[nodiscard]] ThreadedRunStats counter_totals() const;

@@ -19,13 +19,6 @@ void put_u32(Bytes& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>((v >> 24) & 0xFF));
 }
 
-void put_u32_at(std::span<std::uint8_t> out, std::size_t offset, std::uint32_t v) {
-  out[offset] = static_cast<std::uint8_t>(v & 0xFF);
-  out[offset + 1] = static_cast<std::uint8_t>((v >> 8) & 0xFF);
-  out[offset + 2] = static_cast<std::uint8_t>((v >> 16) & 0xFF);
-  out[offset + 3] = static_cast<std::uint8_t>((v >> 24) & 0xFF);
-}
-
 std::uint32_t get_u32(std::span<const std::uint8_t> in, std::size_t offset) {
   if (offset + 4 > in.size()) throw std::runtime_error("SPI message: truncated header");
   return static_cast<std::uint32_t>(in[offset]) |
@@ -63,31 +56,6 @@ Bytes encode_dynamic(df::EdgeId edge, std::span<const std::uint8_t> payload) {
   put_u32(wire, static_cast<std::uint32_t>(payload.size()));
   wire.insert(wire.end(), payload.begin(), payload.end());
   return wire;
-}
-
-std::size_t encode_static_into(df::EdgeId edge, std::span<const std::uint8_t> payload,
-                               std::span<std::uint8_t> dest) {
-  if (edge < 0) throw std::invalid_argument("encode_static_into: invalid edge id");
-  const std::size_t wire_size = static_cast<std::size_t>(kStaticHeaderBytes) + payload.size();
-  if (dest.size() < wire_size)
-    throw std::length_error("encode_static_into: destination too small for the frame");
-  put_u32_at(dest, 0, static_cast<std::uint32_t>(edge));
-  if (!payload.empty())
-    std::copy(payload.begin(), payload.end(), dest.begin() + kStaticHeaderBytes);
-  return wire_size;
-}
-
-std::size_t encode_dynamic_into(df::EdgeId edge, std::span<const std::uint8_t> payload,
-                                std::span<std::uint8_t> dest) {
-  if (edge < 0) throw std::invalid_argument("encode_dynamic_into: invalid edge id");
-  const std::size_t wire_size = static_cast<std::size_t>(kDynamicHeaderBytes) + payload.size();
-  if (dest.size() < wire_size)
-    throw std::length_error("encode_dynamic_into: destination too small for the frame");
-  put_u32_at(dest, 0, static_cast<std::uint32_t>(edge));
-  put_u32_at(dest, 4, static_cast<std::uint32_t>(payload.size()));
-  if (!payload.empty())
-    std::copy(payload.begin(), payload.end(), dest.begin() + kDynamicHeaderBytes);
-  return wire_size;
 }
 
 Message decode_dynamic(std::span<const std::uint8_t> wire) {

@@ -45,15 +45,6 @@ struct Message {
 /// Encodes a dynamic-mode message: [edge:u32le][size:u32le][payload].
 [[nodiscard]] Bytes encode_dynamic(df::EdgeId edge, std::span<const std::uint8_t> payload);
 
-/// In-place encoders: write the wire format into a caller-provided
-/// buffer — a reused freelist buffer or an SpscChannel slot span — and
-/// return the wire size, allocating nothing. Throw std::length_error
-/// when `dest` cannot hold header + payload.
-std::size_t encode_static_into(df::EdgeId edge, std::span<const std::uint8_t> payload,
-                               std::span<std::uint8_t> dest);
-std::size_t encode_dynamic_into(df::EdgeId edge, std::span<const std::uint8_t> payload,
-                                std::span<std::uint8_t> dest);
-
 /// Decodes a dynamic-mode message using the size header.
 [[nodiscard]] Message decode_dynamic(std::span<const std::uint8_t> wire);
 

@@ -859,11 +859,13 @@ void ExecutablePlan::validate() const {
   require(programs.size() == static_cast<std::size_t>(proc_count),
           "programs do not cover every processor");
   std::size_t program_steps = 0;
-  for (const auto& program : programs) {
-    program_steps += program.size();
-    for (const FiringStep& step : program) {
+  for (std::size_t p = 0; p < programs.size(); ++p) {
+    program_steps += programs[p].size();
+    for (const FiringStep& step : programs[p]) {
       require(step.actor >= 0 && static_cast<std::size_t>(step.actor) < actors,
               "program step names an unknown actor");
+      require(proc_of_actor[static_cast<std::size_t>(step.actor)] == static_cast<sched::Proc>(p),
+              "program step runs on a processor its actor is not assigned to");
       require(step.invocation >= 0 &&
                   step.invocation < repetitions.of(step.actor),
               "program step invocation exceeds the repetitions vector");
@@ -880,6 +882,16 @@ void ExecutablePlan::validate() const {
   require(program_steps == pass.firings.size(),
           "programs do not contain exactly the PASS firings");
   require(channel_index.size() == edges, "channel index does not match the graph");
+  // JobInstance gives an edge a cross-thread ring only if it has a
+  // channel: an interprocessor edge without one would be a local FIFO
+  // shared by two gang workers.
+  for (std::size_t i = 0; i < edges; ++i) {
+    const df::Edge& edge = vts.graph.edge(static_cast<df::EdgeId>(i));
+    require(proc_of_actor[static_cast<std::size_t>(edge.src)] ==
+                    proc_of_actor[static_cast<std::size_t>(edge.snk)] ||
+                channel_index[i] >= 0,
+            "interprocessor edge has no channel");
+  }
   for (std::size_t i = 0; i < channels.size(); ++i) {
     const ChannelSpec& spec = channels[i];
     require(spec.edge >= 0 && static_cast<std::size_t>(spec.edge) < edges,

@@ -15,11 +15,12 @@
 /// (`spi_compile --emit-plan`), and executed later or elsewhere
 /// (`--load-plan`) without re-running any analysis.
 ///
-/// All four execution engines construct from `const ExecutablePlan&`:
-/// FunctionalRuntime and ThreadedRuntime take it directly; the timed
-/// self-timed simulator and the fully-static executor are driven through
-/// the run_timed()/run_fully_static() wrappers below, which install the
-/// plan's payload and channel-descriptor hooks into the sim layer.
+/// Every execution engine constructs from `const ExecutablePlan&`:
+/// JobInstance (gang or colocated, and the ThreadedRuntime facade over
+/// it) takes it directly; the timed self-timed simulator and the
+/// fully-static executor are driven through the run_timed()/
+/// run_fully_static() wrappers below, which install the plan's payload
+/// and channel-descriptor hooks into the sim layer.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +30,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/channel.hpp"
 #include "core/spi_backend.hpp"
 #include "dataflow/graph.hpp"
 #include "dataflow/repetitions.hpp"
@@ -43,10 +43,17 @@
 
 namespace spi::core {
 
+/// Which SPI interface component serves the edge (paper Section 5.1).
+enum class SpiMode : std::uint8_t {
+  kStatic,   ///< SPI_static: compile-time payload size, edge-id header
+  kDynamic,  ///< SPI_dynamic: VTS packed tokens, edge-id + size header
+};
+
 /// Compile-time plan for one interprocessor dataflow edge. This is the
-/// single source of truth for channel descriptors: the functional,
-/// threaded and simulated engines all derive their per-channel
-/// configuration (including sim::ChannelInfo) from it.
+/// single source of truth for channel descriptors: JobInstance and the
+/// simulated engines derive their per-channel configuration (including
+/// sim::ChannelInfo) from it. validate() requires one for every edge
+/// whose actors sit on different processors.
 struct ChannelSpec {
   df::EdgeId edge = df::kInvalidEdge;
   std::string name;

@@ -9,9 +9,9 @@
 /// back-pressures the producer at its equation-2 capacity (a safety net
 /// the static analysis guarantees is never exercised in a correctly
 /// scheduled system); a UBS channel at its credit window. Dataflow
-/// determinacy guarantees the parallel result is identical to
-/// FunctionalRuntime's sequential interleaving, whatever the thread
-/// schedule — the tests assert it.
+/// determinacy guarantees the parallel result is identical to the
+/// sequential PASS interleaving (JobInstance::run_colocated), whatever
+/// the thread schedule — the tests assert it.
 ///
 /// Since the serving refactor this class is a thin facade over the real
 /// execution stack (docs/serving.md): a JobInstance holds the channels,
@@ -27,9 +27,9 @@
 /// Reliability-enabled edges run the retry protocol over the same ring
 /// (reliable_link.hpp).
 ///
-/// Actor compute functions are the same ComputeFn used by
-/// FunctionalRuntime, so an application wires up once and runs on either
-/// engine.
+/// Actor compute functions are the same ComputeFn a colocated
+/// JobInstance runs, so an application wires up once and runs either
+/// way.
 ///
 /// Reliability (docs/reliability.md): construct with ReliabilityOptions
 /// and every reliable interprocessor channel becomes a reliable link
@@ -54,6 +54,7 @@
 #pragma once
 
 #include "core/job_instance.hpp"
+#include "core/spi_system.hpp"
 #include "core/worker_pool.hpp"
 
 namespace spi::core {
@@ -84,7 +85,7 @@ class ThreadedRuntime {
       : ThreadedRuntime(system.plan(), reliability, metrics) {}
 
   /// Registers an actor's computation (same contract as
-  /// FunctionalRuntime::set_compute; must be called before run()).
+  /// JobInstance::set_compute; must be called before run()).
   /// Compute functions for actors on different processors run
   /// concurrently — they must not share mutable state without their own
   /// synchronization.

@@ -27,9 +27,12 @@ HsdfGraph hsdf_expand(const df::Graph& g, const df::Repetitions& reps) {
   }
 
   // For each SDF edge, trace every token produced during one iteration to
-  // the firing that consumes it; merge parallel arcs keeping min delay.
+  // the firing that consumes it; merge the edge's parallel arcs keeping
+  // the min delay. Arcs of different edges stay apart even between the
+  // same two tasks: each interprocessor edge needs its own channel.
   std::map<std::pair<std::int32_t, std::int32_t>, std::size_t> arc_index;
   for (std::size_t eid = 0; eid < g.edge_count(); ++eid) {
+    arc_index.clear();
     const df::Edge& e = g.edge(static_cast<df::EdgeId>(eid));
     const std::int64_t p = e.prod.value();
     const std::int64_t c = e.cons.value();
@@ -50,7 +53,6 @@ HsdfGraph hsdf_expand(const df::Graph& g, const df::Repetitions& reps) {
           out.arcs.push_back(TaskArc{src_task, snk_task, delay, static_cast<df::EdgeId>(eid)});
         } else if (delay < out.arcs[it->second].delay) {
           out.arcs[it->second].delay = delay;
-          out.arcs[it->second].dataflow_edge = static_cast<df::EdgeId>(eid);
         }
       }
     }

@@ -47,8 +47,10 @@ struct HsdfGraph {
   }
 };
 
-/// Expands a consistent, pure-SDF graph. Arcs between the same task pair
-/// are merged keeping the minimum delay (the binding constraint).
+/// Expands a consistent, pure-SDF graph. One edge's arcs between the same
+/// task pair are merged keeping the minimum delay (the binding
+/// constraint); arcs of different edges are never merged, so every
+/// dataflow edge keeps the arcs that give it a channel.
 [[nodiscard]] HsdfGraph hsdf_expand(const df::Graph& g, const df::Repetitions& reps);
 
 }  // namespace spi::sched

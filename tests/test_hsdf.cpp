@@ -91,6 +91,24 @@ TEST(Hsdf, ParallelArcsMergedToMinDelay) {
   EXPECT_EQ(h.arcs[0].delay, 1);
 }
 
+TEST(Hsdf, ParallelEdgesKeepTheirOwnArcs) {
+  // Two edges between the same firings: each keeps its own arc (and so
+  // its own channel when the actors sit on different processors), even
+  // where the second arc's delay is no smaller.
+  df::Graph g;
+  const df::ActorId a = g.add_actor("A");
+  const df::ActorId b = g.add_actor("B");
+  const df::EdgeId first = g.connect_simple(a, b, 0);
+  const df::EdgeId second = g.connect_simple(a, b, 1);
+  const df::Repetitions reps = df::compute_repetitions(g);
+  const HsdfGraph h = hsdf_expand(g, reps);
+  ASSERT_EQ(h.arcs.size(), 2u);
+  EXPECT_EQ(h.arcs[0].dataflow_edge, first);
+  EXPECT_EQ(h.arcs[0].delay, 0);
+  EXPECT_EQ(h.arcs[1].dataflow_edge, second);
+  EXPECT_EQ(h.arcs[1].delay, 1);
+}
+
 TEST(Hsdf, TotalTasksEqualTotalFirings) {
   df::Graph g;
   const df::ActorId a = g.add_actor("A");

@@ -1,12 +1,13 @@
 /// Cross-layer integration tests: invariants that tie the analysis
 /// layers (repetitions, sync graph, MCM, equations 1-2) to the execution
-/// layers (functional runtime, timed executor) on realistic systems.
+/// layers (JobInstance gang and colocated runs, timed executor) on
+/// realistic systems.
 #include <gtest/gtest.h>
 
 #include "apps/particle_app.hpp"
 #include "apps/serialization.hpp"
 #include "apps/speech_app.hpp"
-#include "core/functional.hpp"
+#include "core/threaded_runtime.hpp"
 #include "dsp/lpc.hpp"
 #include "mpi/mpi_backend.hpp"
 
@@ -58,9 +59,11 @@ TEST(Integration, MessageCountsAreBackendInvariant) {
 }
 
 TEST(Integration, FunctionalOccupancyWithinPlannedCapacity) {
-  // Run the speech app functionally and verify every BBS channel stayed
-  // within its equation-2 capacity (the channel would throw otherwise,
-  // but also check the recorded high-water marks explicitly).
+  // The sequential run walks the PASS, so the most tokens it ever queues
+  // on an edge is the PASS's buffer bound; every channel's ring (the
+  // equation-2 capacity plus delays) must hold that many, or a colocated
+  // run would queue more than a gang ever could. The run itself must
+  // reproduce the sequential codec.
   apps::SpeechParams params;
   params.frame_size = 256;
   const apps::ErrorGenApp app(3, params);
@@ -68,10 +71,14 @@ TEST(Integration, FunctionalOccupancyWithinPlannedCapacity) {
   const auto frame = dsp::synthetic_speech(params.frame_size, rng);
   const apps::SpeechCompressor codec(params);
   const auto coeffs = codec.frame_coefficients(frame);
-  (void)app.compute_errors_parallel(frame, coeffs);
-  for (const core::ChannelPlan& plan : app.system().channels()) {
-    ASSERT_TRUE(plan.bbs_capacity_tokens.has_value());
-    EXPECT_GE(*plan.bbs_capacity_tokens, 1);
+  EXPECT_EQ(app.compute_errors_parallel(frame, coeffs), codec.frame_errors(frame, coeffs));
+  const core::ExecutablePlan& plan = app.system().plan();
+  for (const core::ChannelPlan& spec : plan.channels) {
+    ASSERT_TRUE(spec.bbs_capacity_tokens.has_value());
+    EXPECT_GE(*spec.bbs_capacity_tokens, 1);
+    EXPECT_LE(plan.pass.buffer_bound[static_cast<std::size_t>(spec.edge)],
+              spec.capacity_tokens())
+        << "channel " << spec.name;
   }
 }
 
@@ -99,9 +106,10 @@ TEST(Integration, SystemConstructionIsDeterministic) {
 }
 
 TEST(Integration, MultirateParallelEqualsSequential) {
-  // A 1:3 expander and 3:1 collector across processors: parallel and
-  // single-processor functional runs must produce identical bytes.
-  auto run = [](std::int32_t procs) {
+  // A 1:3 expander and 3:1 collector across processors: the gang, the
+  // colocated walk of the same plan and the single-processor plan must
+  // all deliver Collect the closed form below.
+  auto run = [](std::int32_t procs, bool gang) {
     df::Graph g("multirate");
     const df::ActorId src = g.add_actor("Src");
     const df::ActorId exp = g.add_actor("Expand");
@@ -114,7 +122,7 @@ TEST(Integration, MultirateParallelEqualsSequential) {
       assignment.assign(col, 2);
     }
     const core::SpiSystem system(g, assignment);
-    core::FunctionalRuntime runtime(system);
+    core::ThreadedRuntime runtime(system);
     auto result = std::make_shared<std::vector<double>>();
     runtime.set_compute(src, [&](core::FiringContext& ctx) {
       apps::pack_f64_into(ctx.emit(ctx.output_index(e1)), static_cast<double>(ctx.invocation));
@@ -129,10 +137,21 @@ TEST(Integration, MultirateParallelEqualsSequential) {
       for (const auto& token : ctx.inputs[ctx.input_index(e2)])
         result->push_back(apps::f64_at(token, 0));
     });
-    runtime.run(8);
+    if (gang)
+      runtime.run(8);
+    else
+      runtime.job().run_colocated(8);
     return *result;
   };
-  EXPECT_EQ(run(1), run(3));
+  // Src fires twice per iteration (q = 2, 2, 1): firing i sends i, and
+  // Expand turns it into i·10, i·10 + 1, i·10 + 2.
+  std::vector<double> expected;
+  for (int i = 0; i < 16; ++i)
+    for (int k = 0; k < 3; ++k) expected.push_back(i * 10.0 + k);
+  EXPECT_EQ(run(1, false), expected);
+  EXPECT_EQ(run(1, true), expected);
+  EXPECT_EQ(run(3, false), expected);
+  EXPECT_EQ(run(3, true), expected);
 }
 
 TEST(Integration, AppsSurviveLongRuns) {

@@ -1,14 +1,14 @@
 /// Cross-engine parity from one *loaded* plan: serialize the compiled
 /// plan of the paper's two applications (speech error-generation,
-/// distributed particle filter), deserialize it, and drive the
-/// functional, threaded and timed engines from the deserialized plan
-/// alone. All engines must agree on the communication volume — the
-/// plan, not the compiler's in-memory state, is the contract.
+/// distributed particle filter), deserialize it, and drive the gang,
+/// colocated and timed engines from the deserialized plan alone. Every
+/// engine must move exactly the communication volume the plan's own
+/// arithmetic predicts — the plan, not the compiler's in-memory state,
+/// is the contract.
 #include <gtest/gtest.h>
 
 #include "apps/particle_app.hpp"
 #include "apps/speech_app.hpp"
-#include "core/functional.hpp"
 #include "core/plan.hpp"
 #include "core/threaded_runtime.hpp"
 
@@ -17,52 +17,52 @@ namespace {
 
 constexpr std::int64_t kIterations = 20;
 
-/// Runs all engines from `plan` (deserialized, no SpiSystem in sight)
-/// and checks the agreements that hold by construction:
-///  * functional: one SPI message per producing firing on every channel
-///    -> src_firings_per_iteration * iterations messages;
-///  * threaded: one token push per produced token -> identical message
-///    and byte counts wherever prod_tokens == 1 (both paper apps);
-///  * timed: every active synchronization edge transmits once per
-///    iteration -> messages_per_iteration * iterations messages total.
+/// Each channel's message and payload-byte counters, read from `registry`.
+std::map<df::EdgeId, std::pair<std::int64_t, std::int64_t>> channel_counters(
+    const core::ExecutablePlan& plan, const obs::MetricRegistry& registry) {
+  std::map<df::EdgeId, std::pair<std::int64_t, std::int64_t>> counts;
+  for (const core::ChannelSpec& spec : plan.channels) {
+    const obs::Labels labels{{"channel", spec.name}};
+    counts[spec.edge] = {registry.counter_value("spi_threaded_messages_total", labels),
+                         registry.counter_value("spi_threaded_payload_bytes_total", labels)};
+  }
+  return counts;
+}
+
+/// Runs every engine from `plan` (deserialized, no SpiSystem in sight)
+/// with the default computes and checks the counts that hold by
+/// construction:
+///  * gang and colocated: one token per produced token, each of the
+///    edge's token bound -> src_firings_per_iteration * prod_tokens *
+///    iterations messages on every channel;
+///  * timed: one IPC transmission per producing firing, so the data
+///    messages total sum(src_firings_per_iteration) * iterations, and
+///    every active synchronization edge transmits once per iteration ->
+///    messages_per_iteration * iterations messages in all.
 void expect_engines_agree(const core::ExecutablePlan& plan) {
   ASSERT_NO_THROW(plan.validate());
   ASSERT_FALSE(plan.channels.empty());
 
-  // Functional engine.
-  core::FunctionalRuntime functional(plan);
-  functional.run(kIterations);
-
-  // Threaded engine, counters snapshotted around run() because the
-  // registry also records initial-token placement at construction.
-  obs::MetricRegistry registry;
-  core::ThreadedRuntime threaded(plan, &registry);
-  std::map<df::EdgeId, std::pair<std::int64_t, std::int64_t>> before;
-  for (const core::ChannelSpec& spec : plan.channels) {
-    const obs::Labels labels{{"channel", spec.name}};
-    before[spec.edge] = {registry.counter_value("spi_threaded_messages_total", labels),
-                         registry.counter_value("spi_threaded_payload_bytes_total", labels)};
+  for (const bool gang : {true, false}) {
+    SCOPED_TRACE(gang ? "gang" : "colocated");
+    // Counters snapshotted around the run: the registry also records
+    // initial-token placement at construction.
+    obs::MetricRegistry registry;
+    core::ThreadedRuntime runtime(plan, &registry);
+    const auto before = channel_counters(plan, registry);
+    if (gang)
+      runtime.run(kIterations);
+    else
+      runtime.job().run_colocated(kIterations);
+    const auto after = channel_counters(plan, registry);
+    for (const core::ChannelSpec& spec : plan.channels) {
+      const std::int64_t messages = after.at(spec.edge).first - before.at(spec.edge).first;
+      const std::int64_t bytes = after.at(spec.edge).second - before.at(spec.edge).second;
+      EXPECT_EQ(messages, spec.src_firings_per_iteration * spec.prod_tokens * kIterations)
+          << "channel " << spec.name;
+      EXPECT_EQ(bytes, messages * plan.token_bound_bytes(spec.edge)) << "channel " << spec.name;
+    }
   }
-  threaded.run(kIterations);
-
-  std::int64_t compared = 0;
-  for (const core::ChannelSpec& spec : plan.channels) {
-    const core::SpiChannel& channel = functional.channel(spec.edge);
-    EXPECT_EQ(channel.stats().messages, kIterations * spec.src_firings_per_iteration)
-        << "channel " << spec.name;
-    if (spec.prod_tokens != 1) continue;  // threaded moves tokens, not firings
-    const obs::Labels labels{{"channel", spec.name}};
-    const std::int64_t messages =
-        registry.counter_value("spi_threaded_messages_total", labels) - before[spec.edge].first;
-    const std::int64_t bytes = registry.counter_value("spi_threaded_payload_bytes_total", labels) -
-                               before[spec.edge].second;
-    EXPECT_EQ(messages, channel.stats().messages) << "channel " << spec.name;
-    EXPECT_EQ(bytes, channel.stats().payload_bytes) << "channel " << spec.name;
-    ++compared;
-  }
-  // Both paper applications are rate-1 across every interprocessor edge,
-  // so the threaded comparison must actually have covered them all.
-  EXPECT_EQ(compared, static_cast<std::int64_t>(plan.channels.size()));
 
   // Timed engine from the same plan.
   const auto backend = plan.make_backend();
@@ -71,12 +71,10 @@ void expect_engines_agree(const core::ExecutablePlan& plan) {
   const sim::ExecStats stats = core::run_timed(plan, *backend, options);
   EXPECT_EQ(stats.data_messages + stats.sync_messages,
             kIterations * plan.messages_per_iteration);
-  // ... and it agrees with the functional engine on data messages:
-  // every functional channel message is one timed IPC transmission.
-  std::int64_t functional_messages = 0;
-  for (const auto& [edge, channel] : functional.channels())
-    functional_messages += channel.stats().messages;
-  EXPECT_EQ(stats.data_messages, functional_messages);
+  std::int64_t producing_firings = 0;
+  for (const core::ChannelSpec& spec : plan.channels)
+    producing_firings += spec.src_firings_per_iteration;
+  EXPECT_EQ(stats.data_messages, producing_firings * kIterations);
 }
 
 TEST(PlanParity, SpeechErrorGenEnginesAgreeFromLoadedPlan) {

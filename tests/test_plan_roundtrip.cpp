@@ -1,17 +1,18 @@
 /// Property test of the ExecutablePlan serialization contract: for
 /// randomized consistent dataflow systems, compile -> to_json ->
 /// from_json must reproduce the plan *exactly* — byte-identical
-/// re-serialization, and bit-identical execution on every engine
-/// (functional channel statistics, timed message counts and makespan)
-/// when the deserialized plan is run instead of the compiled one.
+/// re-serialization, and identical execution on every engine (channel
+/// counters of colocated and gang runs, timed message counts and
+/// makespan) when the deserialized plan is run instead of the compiled
+/// one.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
 
-#include "core/functional.hpp"
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
+#include "core/threaded_runtime.hpp"
 #include "dsp/rng.hpp"
 
 namespace spi {
@@ -96,22 +97,27 @@ TEST_P(PlanRoundTrip, SerializeDeserializeRunIdentical) {
     EXPECT_EQ(loaded.messages_per_iteration, compiled.messages_per_iteration);
     ASSERT_EQ(loaded.channels.size(), compiled.channels.size());
 
-    // Functional execution of both plans with the default computes:
-    // every channel must carry the same messages and the same bytes.
-    core::FunctionalRuntime original(compiled);
-    core::FunctionalRuntime reloaded(loaded);
-    original.run(4);
-    reloaded.run(4);
-    ASSERT_EQ(original.channels().size(), reloaded.channels().size());
-    for (const auto& [edge, channel] : original.channels()) {
-      const core::SpiChannel& other = reloaded.channel(edge);
-      EXPECT_EQ(other.stats().messages, channel.stats().messages)
-          << "seed " << GetParam() << " edge " << edge;
-      EXPECT_EQ(other.stats().payload_bytes, channel.stats().payload_bytes)
-          << "seed " << GetParam() << " edge " << edge;
-    }
-    for (df::ActorId a = 0; a < static_cast<df::ActorId>(rs.graph.actor_count()); ++a)
-      EXPECT_EQ(reloaded.invocations(a), original.invocations(a));
+    // Both plans run with the default computes, the compiled one
+    // colocated, the loaded one colocated and as a gang: every channel
+    // must carry the same messages and the same bytes.
+    const auto channel_traffic = [](const core::ExecutablePlan& plan, bool gang) {
+      core::ThreadedRuntime runtime(plan);
+      if (gang)
+        runtime.run(4);
+      else
+        runtime.job().run_colocated(4);
+      std::vector<std::pair<std::int64_t, std::int64_t>> traffic;
+      for (const core::ChannelSpec& spec : plan.channels) {
+        const obs::Labels labels{{"channel", spec.name}};
+        traffic.emplace_back(
+            runtime.metrics().counter_value("spi_threaded_messages_total", labels),
+            runtime.metrics().counter_value("spi_threaded_payload_bytes_total", labels));
+      }
+      return traffic;
+    };
+    const auto original = channel_traffic(compiled, false);
+    EXPECT_EQ(channel_traffic(loaded, false), original) << "seed " << GetParam();
+    EXPECT_EQ(channel_traffic(loaded, true), original) << "seed " << GetParam();
 
     // Timed execution from each plan's own backend: identical message
     // counts, wire bytes and makespan.
@@ -358,6 +364,76 @@ TEST(PlanRoundTrip, ChannelIndexMatchesLinearScan) {
   // A processor-local edge has no channel.
   EXPECT_THROW((void)plan.channel_for(static_cast<df::EdgeId>(999)), std::out_of_range);
   EXPECT_EQ(plan.find_channel(static_cast<df::EdgeId>(999)), nullptr);
+}
+
+/// Two dataflow edges between the same pair of firings on different
+/// processors: each needs its own channel, or the second one would be a
+/// local FIFO that two gang workers share. (The random sweep's seed 5005
+/// found this shape.)
+TEST(PlanRoundTrip, ParallelInterprocessorEdgesEachGetAChannel) {
+  df::Graph g("parallel");
+  const df::ActorId a = g.add_actor("a0", 10);
+  const df::ActorId b = g.add_actor("a1", 10);
+  const df::EdgeId wide = g.connect(a, df::Rate::fixed(4), b, df::Rate::fixed(2), 2, 3);
+  const df::EdgeId narrow = g.connect(a, df::Rate::fixed(2), b, df::Rate::fixed(1), 1, 5);
+  sched::Assignment assignment(2, 3);
+  assignment.assign(a, 1);
+  assignment.assign(b, 2);
+  const core::ExecutablePlan plan =
+      core::ExecutablePlan::from_json(core::compile_plan(g, assignment).to_json());
+  ASSERT_EQ(plan.channels.size(), 2u);
+  EXPECT_NE(plan.find_channel(wide), nullptr);
+  EXPECT_NE(plan.find_channel(narrow), nullptr);
+
+  // a0 stamps each token with its firing and position; a1 logs what it
+  // gets. The gang must deliver exactly what the colocated walk does.
+  const auto received = [&](bool gang) {
+    core::ThreadedRuntime runtime(plan);
+    runtime.set_compute(a, [](core::FiringContext& ctx) {
+      for (std::size_t slot = 0; slot < ctx.out_edges.size(); ++slot) {
+        const std::size_t count = slot == 0 ? 4 : 2;
+        const std::size_t bytes = slot == 0 ? 3 : 5;
+        for (std::size_t t = 0; t < count; ++t)
+          ctx.emit(slot).assign(bytes, static_cast<std::uint8_t>(ctx.invocation * 8 + t));
+      }
+    });
+    std::vector<std::uint8_t> log;
+    runtime.set_compute(b, [&log](core::FiringContext& ctx) {
+      for (const auto& tokens : ctx.inputs)
+        for (const core::Bytes& token : tokens) log.insert(log.end(), token.begin(), token.end());
+    });
+    if (gang)
+      runtime.run(12);
+    else
+      runtime.job().run_colocated(12);
+    return log;
+  };
+  const std::vector<std::uint8_t> colocated = received(false);
+  EXPECT_EQ(colocated.size(), 12u * (4 * 3 + 2 * 5));
+  for (int round = 0; round < 20; ++round) ASSERT_EQ(received(true), colocated);
+}
+
+TEST(PlanRoundTrip, ValidateRejectsAnInterprocessorEdgeWithoutAChannel) {
+  const core::ExecutablePlan golden =
+      core::ExecutablePlan::from_json(golden_plan("threaded_pipeline.plan.json"));
+  ASSERT_FALSE(golden.channels.empty());
+  core::ExecutablePlan plan = golden;
+  plan.channels.erase(plan.channels.begin());
+  plan.rebuild_channel_index();
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
+  const std::string error = load_error(plan.to_json());
+  EXPECT_NE(error.find("interprocessor edge has no channel"), std::string::npos) << error;
+
+  // Nor can an assignment that disagrees with the programs hide such an
+  // edge: the sink claims its source's processor but runs on its own.
+  core::ExecutablePlan moved = golden;
+  const df::Edge& edge = moved.vts.graph.edge(golden.channels.front().edge);
+  moved.proc_of_actor[static_cast<std::size_t>(edge.snk)] =
+      moved.proc_of_actor[static_cast<std::size_t>(edge.src)];
+  const std::string moved_error = load_error(moved.to_json());
+  EXPECT_NE(moved_error.find("program step runs on a processor its actor is not assigned to"),
+            std::string::npos)
+      << moved_error;
 }
 
 }  // namespace

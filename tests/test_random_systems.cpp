@@ -1,13 +1,13 @@
 /// Randomized end-to-end sweep: generate random consistent dataflow
 /// graphs (mixed static/dynamic rates, delays, feedback), random
 /// assignments, and push each through the entire pipeline — compile,
-/// analyze, execute functionally and timed — asserting the global
-/// invariants hold on every one. This is the fuzzer that guards the
-/// interactions no hand-written test enumerates.
+/// analyze, execute colocated, as a gang and timed — asserting the
+/// global invariants hold on every one. This is the fuzzer that guards
+/// the interactions no hand-written test enumerates.
 #include <gtest/gtest.h>
 
-#include "core/functional.hpp"
 #include "core/spi_system.hpp"
+#include "core/threaded_runtime.hpp"
 #include "dsp/rng.hpp"
 #include "mpi/mpi_backend.hpp"
 
@@ -75,6 +75,70 @@ RandomSystem make_random_system(dsp::Rng& rng) {
   return rs;
 }
 
+std::uint64_t fnv(std::uint64_t h, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i, value >>= 8) h = (h ^ (value & 0xFF)) * 0x100000001B3ull;
+  return h;
+}
+
+/// Per-actor digests of everything each actor consumed in `iterations`
+/// graph iterations, run as a gang or colocated. Every firing hashes its
+/// inputs with (actor, invocation) and emits tokens derived from that
+/// hash: the edge's exact size on a static edge, a whole number of raw
+/// tokens up to b_max on a converted one. A token delivered to the wrong
+/// firing, lost or reordered changes a digest.
+std::vector<std::uint64_t> input_digests(const core::ExecutablePlan& plan, bool gang,
+                                         std::int64_t iterations) {
+  constexpr std::uint64_t kBasis = 0xCBF29CE484222325ull;
+  const df::Graph& graph = plan.vts.graph;
+  std::vector<std::uint64_t> digests(graph.actor_count(), kBasis);
+  core::ThreadedRuntime runtime(plan);
+  for (std::size_t a = 0; a < graph.actor_count(); ++a) {
+    // Each digest is touched only by its actor's processor.
+    runtime.set_compute(static_cast<df::ActorId>(a), [&plan, &graph, &digest = digests[a]](
+                                                         core::FiringContext& ctx) {
+      std::uint64_t h = fnv(fnv(kBasis, static_cast<std::uint64_t>(ctx.actor)),
+                            static_cast<std::uint64_t>(ctx.invocation));
+      for (const std::vector<core::Bytes>& tokens : ctx.inputs)
+        for (const core::Bytes& token : tokens) {
+          h = fnv(h, token.size());
+          for (const std::uint8_t byte : token) h = fnv(h, byte);
+        }
+      digest = fnv(digest, h);
+      for (std::size_t slot = 0; slot < ctx.out_edges.size(); ++slot) {
+        const df::EdgeId e = ctx.out_edges[slot];
+        const df::VtsEdgeInfo& info = plan.vts.edges[static_cast<std::size_t>(e)];
+        for (std::int64_t t = 0; t < graph.edge(e).prod.value(); ++t) {
+          const std::uint64_t x = fnv(fnv(h, slot), static_cast<std::uint64_t>(t));
+          std::size_t size = static_cast<std::size_t>(graph.edge(e).token_bytes);
+          if (info.converted) {  // 0 .. b_max / raw raw tokens
+            const auto most = static_cast<std::uint64_t>(info.b_max_bytes / info.raw_token_bytes);
+            size = static_cast<std::size_t>(info.raw_token_bytes) * (x % (most + 1));
+          }
+          core::Bytes& token = ctx.emit(slot);
+          for (std::size_t i = 0; i < size; ++i)
+            token.push_back(static_cast<std::uint8_t>(x >> (8 * (i % 8))) ^
+                            static_cast<std::uint8_t>(i));
+        }
+      }
+    });
+  }
+  if (gang)
+    runtime.run(iterations);
+  else
+    runtime.job().run_colocated(iterations);
+  return digests;
+}
+
+/// Runs `plan` colocated and as a gang with the data-dependent computes
+/// and expects bit-identical per-actor input digests.
+void expect_gang_matches_colocated(const core::ExecutablePlan& plan, const std::string& where) {
+  constexpr std::int64_t kIterations = 6;
+  std::vector<std::uint64_t> colocated, gang;
+  ASSERT_NO_THROW(colocated = input_digests(plan, false, kIterations)) << where;
+  ASSERT_NO_THROW(gang = input_digests(plan, true, kIterations)) << where;
+  EXPECT_EQ(gang, colocated) << where;
+}
+
 class RandomSystems : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomSystems, FullPipelineInvariants) {
@@ -103,9 +167,13 @@ TEST_P(RandomSystems, FullPipelineInvariants) {
       EXPECT_GE(plan.acks_total, plan.acks_elided);
     }
 
-    // Functional execution with default (zero-token) computes.
-    core::FunctionalRuntime runtime(*system);
-    EXPECT_NO_THROW(runtime.run(3));
+    // The plan loads (every interprocessor edge has its channel) and
+    // executes data-dependent computes identically on one thread and on
+    // one thread per processor.
+    const std::string where =
+        "seed " + std::to_string(GetParam()) + " round " + std::to_string(round);
+    EXPECT_NO_THROW(system->plan().validate()) << where;
+    expect_gang_matches_colocated(system->plan(), where);
 
     // Timed execution: completes, deterministic, occupancy within bounds,
     // message counts backend-invariant.
@@ -156,8 +224,7 @@ TEST(LargeSystem, HundredsOfActorsCompileAndRun) {
   const sim::ExecStats stats = system.run_timed(options);
   EXPECT_GT(stats.makespan, 0);
 
-  core::FunctionalRuntime runtime(system);
-  EXPECT_NO_THROW(runtime.run(3));
+  expect_gang_matches_colocated(system.plan(), "large system");
 }
 
 }  // namespace

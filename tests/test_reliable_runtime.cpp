@@ -2,7 +2,7 @@
 /// retry recovery under deterministic fault injection, typed failure on
 /// persistent faults (no hangs), CRC-driven retransmission, receive
 /// timeouts, duplicate suppression, metric publication, the seeded soak
-/// test asserting threaded-lossy / functional-lossless parity, and a
+/// test asserting threaded-lossy / colocated-lossless parity, and a
 /// lossy colocated run matching a lossless gang run.
 #include <gtest/gtest.h>
 
@@ -74,9 +74,9 @@ TEST(ReliableRuntime, DropsAreRetriedAndRecovered) {
 
   std::vector<double> lossless;
   {
-    FunctionalRuntime functional(system);
-    f.wire(functional, lossless);
-    functional.run(kIters);
+    JobInstance reference(system.plan());
+    f.wire(reference, lossless);
+    reference.run_colocated(kIters);
   }
 
   sim::FaultPlan plan(42);
@@ -144,9 +144,9 @@ TEST(ReliableRuntime, CorruptionIsCaughtByCrcAndRetried) {
 
   std::vector<double> lossless;
   {
-    FunctionalRuntime functional(system);
-    f.wire(functional, lossless);
-    functional.run(kIters);
+    JobInstance reference(system.plan());
+    f.wire(reference, lossless);
+    reference.run_colocated(kIters);
   }
 
   sim::FaultPlan plan(99);
@@ -212,9 +212,9 @@ TEST(ReliableRuntime, DuplicatesAreSuppressed) {
 
   std::vector<double> lossless;
   {
-    FunctionalRuntime functional(system);
-    f.wire(functional, lossless);
-    functional.run(kIters);
+    JobInstance reference(system.plan());
+    f.wire(reference, lossless);
+    reference.run_colocated(kIters);
   }
 
   sim::FaultPlan plan(5);

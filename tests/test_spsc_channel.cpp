@@ -360,8 +360,8 @@ TEST(ThreadedRuntimeChannels, SpeechAppBitIdenticalAcrossChannelPolicies) {
 }
 
 /// Plan-parity on the second application: distributed particle tracking
-/// produces bit-identical estimates on the SPSC path and the sequential
-/// functional engine.
+/// produces bit-identical estimates on the SPSC path and in the sequential
+/// colocated run of track().
 TEST(ThreadedRuntimeChannels, ParticleAppBitIdenticalAcrossChannelPolicies) {
   apps::ParticleParams params;
   params.particles = 64;

@@ -54,16 +54,27 @@ TEST(ThreadedRuntime, MatchesSequentialFunctionalRun) {
     });
   };
 
+  // The closed form: firing k sums k·0.5 + i over i < k % 8 + 1, in the
+  // order Mid adds them.
+  std::vector<double> expected;
+  for (std::int64_t k = 0; k < kIters; ++k) {
+    double sum = 0;
+    for (std::int64_t i = 0; i <= k % 8; ++i)
+      sum += static_cast<double>(k) * 0.5 + static_cast<double>(i);
+    expected.push_back(sum);
+  }
+
   std::vector<double> sequential, threaded;
-  FunctionalRuntime functional(system);
-  wire(functional, sequential);
-  functional.run(kIters);
+  JobInstance colocated(system.plan());
+  wire(colocated, sequential);
+  colocated.run_colocated(kIters);
 
   ThreadedRuntime parallel(system);
   wire(parallel, threaded);
   parallel.run(kIters);
 
-  EXPECT_EQ(threaded, sequential);  // dataflow determinacy across real threads
+  EXPECT_EQ(sequential, expected);
+  EXPECT_EQ(threaded, expected);  // dataflow determinacy across real threads
   EXPECT_EQ(parallel.stats().messages, 2 * kIters);
   EXPECT_GT(parallel.stats().payload_bytes, 0);
 }
@@ -78,10 +89,9 @@ TEST(ThreadedRuntime, SpeechErrorsIdenticalOnThreads) {
   const auto coeffs = codec.frame_coefficients(frame);
   const auto reference = codec.frame_errors(frame, coeffs);
 
-  // Drive the app's graph through the threaded engine by reusing the
-  // functional path for wiring: simplest is to recompute via the app
-  // (FunctionalRuntime) and compare — plus run the raw threaded engine
-  // over the same system with default computes to prove it terminates.
+  // The app's sequential run against the codec, plus the raw threaded
+  // engine over the same system with default computes to prove it
+  // terminates.
   const auto parallel = app.compute_errors_parallel(frame, coeffs);
   ASSERT_EQ(parallel.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i)

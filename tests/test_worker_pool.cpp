@@ -1,8 +1,8 @@
 /// Tests of the persistent execution stack under the serving runtime:
 /// WorkerPool gang scheduling (all-or-nothing, FIFO, reusable), the
 /// JobInstance gang/colocated equivalence, and the isolation contracts
-/// that make concurrent job instances sound — separate channel slabs
-/// per JobInstance and a per-runtime SpiChannel buffer pool, so two
+/// that make concurrent job instances sound — separate channel slabs,
+/// local rings and firing-context buffers per JobInstance, so two
 /// concurrent jobs can never cross-recycle each other's Bytes buffers
 /// (run under TSan in CI).
 #include "core/worker_pool.hpp"
@@ -218,11 +218,10 @@ TEST(JobInstance, ConcurrentInstancesOfOnePlanStayIsolated) {
   EXPECT_EQ(sink_b, reference);
 }
 
-/// Regression for the per-runtime SpiChannel buffer pool: two
-/// FunctionalRuntime-backed jobs running concurrently must not recycle
-/// each other's Bytes buffers. Before the pool became per-runtime state
-/// this raced; now each runtime owns its freelist, and this test (run
-/// under TSan in CI) pins the isolation.
+/// Two apps' sequential runs on concurrent threads — each a colocated
+/// JobInstance of its own — must not recycle each other's Bytes buffers:
+/// every instance owns its token storage, and this test (run under TSan
+/// in CI) pins the isolation against the sequential codec.
 TEST(JobInstance, ConcurrentFunctionalJobsDoNotCrossRecycleBuffers) {
   apps::SpeechParams params;
   params.frame_size = 64;
@@ -235,8 +234,8 @@ TEST(JobInstance, ConcurrentFunctionalJobsDoNotCrossRecycleBuffers) {
   const auto frame_b = dsp::synthetic_speech(params.frame_size, rng_b);
   const auto coeffs_a = codec.frame_coefficients(frame_a);
   const auto coeffs_b = codec.frame_coefficients(frame_b);
-  const auto reference_a = app.compute_errors_parallel(frame_a, coeffs_a);
-  const auto reference_b = app.compute_errors_parallel(frame_b, coeffs_b);
+  const auto reference_a = codec.frame_errors(frame_a, coeffs_a);
+  const auto reference_b = codec.frame_errors(frame_b, coeffs_b);
 
   constexpr int kRounds = 20;
   std::atomic<int> mismatches{0};
