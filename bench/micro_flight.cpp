@@ -8,12 +8,13 @@
 /// critical-path analyzer itself.
 #include <benchmark/benchmark.h>
 
+#include "core/job_instance.hpp"
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
 #include "core/text_format.hpp"
-#include "core/threaded_runtime.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/flight_recorder.hpp"
+#include "spin_computes.hpp"
 
 namespace {
 
@@ -75,38 +76,12 @@ void BM_FlightRingPushDrain(benchmark::State& state) {
 BENCHMARK(BM_FlightRingPushDrain);
 
 constexpr std::int64_t kRunIterations = 100;
-/// Actors busy-spin their modeled WCET at 1 cycle -> 250 ns, so the
-/// run carries representative per-firing compute instead of being pure
-/// channel ping-pong (which would measure the recorder against an
-/// empty workload no real application resembles).
-constexpr std::int64_t kNsPerCycle = 250;
-
-void spin_for_ns(std::int64_t ns) {
-  const std::int64_t deadline = obs::monotonic_ns() + ns;
-  while (obs::monotonic_ns() < deadline) benchmark::DoNotOptimize(deadline);
-}
-
-void install_spin_computes(core::ThreadedRuntime& runtime, const core::ExecutablePlan& plan) {
-  const df::Graph& graph = plan.vts.graph;
-  for (df::ActorId a = 0; a < static_cast<df::ActorId>(graph.actor_count()); ++a) {
-    const std::int64_t spin_ns = graph.actor(a).exec_cycles * kNsPerCycle;
-    runtime.set_compute(a, [&graph, spin_ns](core::FiringContext& ctx) {
-      spin_for_ns(spin_ns);
-      for (std::size_t i = 0; i < ctx.out_edges.size(); ++i) {
-        const df::Edge& e = graph.edge(ctx.out_edges[i]);
-        for (std::int64_t t = 0; t < e.prod.value(); ++t)
-          ctx.outputs[i].emplace_back(static_cast<std::size_t>(e.token_bytes), 0);
-      }
-    });
-  }
-}
-
 /// Baseline: the threaded pipeline with no recorder attached.
 void BM_ThreadedPipeline(benchmark::State& state) {
   const core::ExecutablePlan& plan = pipeline_plan();
   for (auto _ : state) {
-    core::ThreadedRuntime runtime(plan);
-    install_spin_computes(runtime, plan);
+    core::JobInstance runtime(plan);
+    bench::install_spin_computes(runtime, plan);
     runtime.run(kRunIterations);
     benchmark::DoNotOptimize(runtime.stats().messages);
   }
@@ -123,8 +98,8 @@ void BM_ThreadedPipelineRecorded(benchmark::State& state) {
   obs::FlightRecorder recorder(static_cast<std::int32_t>(plan.proc_count));
   std::vector<obs::FlightEvent> drained;
   for (auto _ : state) {
-    core::ThreadedRuntime runtime(plan);
-    install_spin_computes(runtime, plan);
+    core::JobInstance runtime(plan);
+    bench::install_spin_computes(runtime, plan);
     runtime.set_flight_recorder(&recorder);
     runtime.run(kRunIterations);
     benchmark::DoNotOptimize(recorder.dropped_total());
@@ -142,7 +117,7 @@ BENCHMARK(BM_ThreadedPipelineRecorded)->Unit(benchmark::kMillisecond)->MinTime(0
 /// recorded iteration count).
 void BM_AnalyzeCriticalPath(benchmark::State& state) {
   const core::ExecutablePlan& plan = pipeline_plan();
-  core::ThreadedRuntime runtime(plan);
+  core::JobInstance runtime(plan);
   obs::FlightRecorder recorder(static_cast<std::int32_t>(plan.proc_count));
   runtime.set_flight_recorder(&recorder);
   runtime.run(state.range(0));

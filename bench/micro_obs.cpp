@@ -14,14 +14,15 @@
 #include <string>
 #include <vector>
 
+#include "core/job_instance.hpp"
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
 #include "core/text_format.hpp"
-#include "core/threaded_runtime.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs_server.hpp"
 #include "serve/plan_server.hpp"
+#include "spin_computes.hpp"
 
 namespace {
 
@@ -69,7 +70,7 @@ BENCHMARK(BM_HeartbeatStore);
 void BM_ObsSnapshot(benchmark::State& state) {
   const core::ExecutablePlan& plan = pipeline_plan();
   obs::MetricRegistry registry;
-  core::ThreadedRuntime runtime(plan, &registry);
+  core::JobInstance runtime(plan, {{}, &registry, {}});
   runtime.run(8);  // populate counters, gauges and watermarks
 
   obs::ObsServer::Options options;
@@ -93,34 +94,12 @@ BENCHMARK(BM_ObsSnapshot)->Unit(benchmark::kMicrosecond);
 /// a real observed run — the steady-state overhead is the heartbeat
 /// store plus the monitor thread's periodic sampling, not the setup.
 constexpr std::int64_t kRunIterations = 500;
-constexpr std::int64_t kNsPerCycle = 250;
-
-void spin_for_ns(std::int64_t ns) {
-  const std::int64_t deadline = obs::monotonic_ns() + ns;
-  while (obs::monotonic_ns() < deadline) benchmark::DoNotOptimize(deadline);
-}
-
-void install_spin_computes(core::ThreadedRuntime& runtime, const core::ExecutablePlan& plan) {
-  const df::Graph& graph = plan.vts.graph;
-  for (df::ActorId a = 0; a < static_cast<df::ActorId>(graph.actor_count()); ++a) {
-    const std::int64_t spin_ns = graph.actor(a).exec_cycles * kNsPerCycle;
-    runtime.set_compute(a, [&graph, spin_ns](core::FiringContext& ctx) {
-      spin_for_ns(spin_ns);
-      for (std::size_t i = 0; i < ctx.out_edges.size(); ++i) {
-        const df::Edge& e = graph.edge(ctx.out_edges[i]);
-        for (std::int64_t t = 0; t < e.prod.value(); ++t)
-          ctx.outputs[i].emplace_back(static_cast<std::size_t>(e.token_bytes), 0);
-      }
-    });
-  }
-}
-
 /// Baseline: the threaded pipeline with no observer attached.
 void BM_ThreadedRunBare(benchmark::State& state) {
   const core::ExecutablePlan& plan = pipeline_plan();
   for (auto _ : state) {
-    core::ThreadedRuntime runtime(plan);
-    install_spin_computes(runtime, plan);
+    core::JobInstance runtime(plan);
+    bench::install_spin_computes(runtime, plan);
     runtime.run(kRunIterations);
     benchmark::DoNotOptimize(runtime.stats().messages);
   }
@@ -136,8 +115,8 @@ void BM_ThreadedRunWatched(benchmark::State& state) {
   const core::ExecutablePlan& plan = pipeline_plan();
   obs::MetricRegistry registry;
   for (auto _ : state) {
-    core::ThreadedRuntime runtime(plan, &registry);
-    install_spin_computes(runtime, plan);
+    core::JobInstance runtime(plan, {{}, &registry, {}});
+    bench::install_spin_computes(runtime, plan);
     core::RunOptions options;
     options.iterations = kRunIterations;
     options.obs_port = 0;

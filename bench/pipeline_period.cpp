@@ -32,8 +32,8 @@
 
 #include "apps/particle_app.hpp"
 #include "apps/speech_app.hpp"
+#include "core/job_instance.hpp"
 #include "core/spi_system.hpp"
-#include "core/threaded_runtime.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/flight_recorder.hpp"
 
@@ -63,7 +63,7 @@ struct PeriodSample {
 /// steady-state period.
 PeriodSample run_once(const core::ExecutablePlan& plan, std::int64_t cycle_ns,
                       std::int64_t iterations) {
-  core::ThreadedRuntime runtime(plan);
+  core::JobInstance runtime(plan);
   const df::Graph& graph = plan.vts.graph;
   for (df::ActorId a = 0; a < static_cast<df::ActorId>(graph.actor_count()); ++a) {
     const std::int64_t wcet_ns = graph.actor(a).exec_cycles * cycle_ns;

@@ -17,9 +17,9 @@
 #include <cstdio>
 #include <thread>
 
+#include "core/job_instance.hpp"
 #include "core/pipeline.hpp"
 #include "core/text_format.hpp"
-#include "core/threaded_runtime.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -57,7 +57,7 @@ int main() {
   // Real-thread run: every actor sleeps its modeled WCET at 1 cycle ->
   // 1 us, so the realized period has a hard floor at the predicted MCM
   // and the attribution is legible.
-  core::ThreadedRuntime runtime(plan);
+  core::JobInstance runtime(plan);
   const df::Graph& graph = plan.vts.graph;
   for (df::ActorId a = 0; a < static_cast<df::ActorId>(graph.actor_count()); ++a) {
     const std::int64_t wcet_us = graph.actor(a).exec_cycles;

@@ -11,7 +11,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
+#include "core/spi_system.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -40,7 +41,7 @@ int main() {
   // Run on real threads with the same registry: per-channel message,
   // byte and block counters land beside the compile metrics. The
   // flight recorder captures every firing for Perfetto.
-  core::ThreadedRuntime runtime(system, &registry);
+  core::JobInstance runtime(system.plan(), {{}, &registry, {}});
   obs::FlightRecorder flight(3);
   runtime.set_flight_recorder(&flight);
 

@@ -1,14 +1,15 @@
 /// \file threaded_pipeline.cpp
 /// Software SPI on real threads: the same application wired once and
-/// run both ways — a colocated JobInstance (the sequential PASS
-/// interleaving on one thread) and ThreadedRuntime (one thread per
-/// processor, blocking SPI channels). Dataflow determinacy makes the
+/// run both ways on a JobInstance — colocated (the sequential PASS
+/// interleaving on one thread) and as a gang (one thread per processor,
+/// bounded SPSC channels). Dataflow determinacy makes the
 /// outputs identical; the channel statistics show the real
 /// back-pressure the threads exercised.
 #include <cstdio>
 
 #include "apps/serialization.hpp"
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
+#include "core/spi_system.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/rng.hpp"
 
@@ -32,7 +33,8 @@ int main() {
   const core::SpiSystem system(g, assignment);
 
   const auto taps = dsp::design_lowpass(21, 0.2);
-  auto wire = [&](auto& runtime, std::vector<double>& sink, auto& filter_state) {
+  auto wire = [&](core::JobInstance& runtime, std::vector<double>& sink,
+                  dsp::FirState& filter_state) {
     runtime.set_compute(src, [&, e_raw](core::FiringContext& ctx) {
       dsp::Rng rng(static_cast<std::uint64_t>(ctx.invocation) + 1);
       const std::size_t out = ctx.output_index(e_raw);
@@ -60,7 +62,7 @@ int main() {
     wire(runtime, sequential, state);
     runtime.run_colocated(kIterations);
   }
-  core::ThreadedRuntime runtime(system);
+  core::JobInstance runtime(system.plan());
   dsp::FirState state(taps);
   wire(runtime, threaded, state);
   runtime.run(kIterations);

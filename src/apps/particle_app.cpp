@@ -117,7 +117,7 @@ ParticleFilterApp::ParticleFilterApp(std::int32_t pe_count, ParticleParams param
 }
 
 /// Per-PE mutable tracking state. Each instance is touched only by its
-/// PE's actors — on the threaded engine, only by that PE's thread. The
+/// PE's actors — in a gang run, only by that PE's thread. The
 /// scratch vectors are reserved to their bounds up front, so a firing
 /// never grows them.
 struct ParticleFilterApp::TrackState {
@@ -199,8 +199,7 @@ TrackResult ParticleFilterApp::take_result(TrackState& state) {
   return result;
 }
 
-template <class Runtime>
-void ParticleFilterApp::wire_tracking(Runtime& runtime,
+void ParticleFilterApp::wire_tracking(core::JobInstance& instance,
                                       const std::shared_ptr<BatchTrackState>& batch) const {
   const auto n = static_cast<std::size_t>(pe_count_);
   const std::size_t quota = params_.particles / n;
@@ -208,7 +207,7 @@ void ParticleFilterApp::wire_tracking(Runtime& runtime,
   const auto total = static_cast<std::int64_t>(params_.particles);
   const double ess_fraction = params_.resample_ess_fraction;
 
-  // Port slots resolved once here: both engines present an actor's edges
+  // Port slots resolved once here: both run kinds present an actor's edges
   // in graph order, so a firing indexes its tokens directly.
   const df::Graph& graph = system_->plan().vts.graph;
   const auto in_slot = [&graph](df::ActorId a, df::EdgeId e) {
@@ -220,7 +219,7 @@ void ParticleFilterApp::wire_tracking(Runtime& runtime,
 
   std::vector<std::size_t> obs_out(n);
   for (std::size_t i = 0; i < n; ++i) obs_out[i] = out_slot(obs_, obs_edge_[i]);
-  runtime.set_compute(obs_, [batch, obs_out](core::FiringContext& ctx) {
+  instance.set_compute(obs_, [batch, obs_out](core::FiringContext& ctx) {
     const TrackState& shared = batch->at(ctx.invocation);
     const double obs =
         shared.traj->observations.at(static_cast<std::size_t>(batch->local_step(ctx.invocation)));
@@ -229,7 +228,7 @@ void ParticleFilterApp::wire_tracking(Runtime& runtime,
 
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t eu_out = out_slot(est_[i], chain_eu_[i]);
-    runtime.set_compute(est_[i], [batch, i, model, eu_out](core::FiringContext& ctx) {
+    instance.set_compute(est_[i], [batch, i, model, eu_out](core::FiringContext& ctx) {
       auto& st = batch->at(ctx.invocation).pe[i];
       for (double& p : st.particles) p = model.step(p, st.rng);
       ctx.emit(eu_out).assign(4, 0);
@@ -237,7 +236,7 @@ void ParticleFilterApp::wire_tracking(Runtime& runtime,
 
     const std::size_t upd_obs_in = in_slot(upd_[i], obs_edge_[i]);
     const std::size_t ul_out = out_slot(upd_[i], chain_ul_[i]);
-    runtime.set_compute(upd_[i], [batch, i, model, upd_obs_in, ul_out](core::FiringContext& ctx) {
+    instance.set_compute(upd_[i], [batch, i, model, upd_obs_in, ul_out](core::FiringContext& ctx) {
       auto& st = batch->at(ctx.invocation).pe[i];
       const double obs = f64_at(ctx.in(upd_obs_in), 0);
       // Weight accumulation (weights are globally normalized after every
@@ -249,7 +248,7 @@ void ParticleFilterApp::wire_tracking(Runtime& runtime,
 
     std::vector<std::size_t> lws_out(n);
     for (std::size_t j = 0; j < n; ++j) lws_out[j] = out_slot(lws_[i], lws_edge_[i][j]);
-    runtime.set_compute(lws_[i], [batch, i, lws_out](core::FiringContext& ctx) {
+    instance.set_compute(lws_[i], [batch, i, lws_out](core::FiringContext& ctx) {
       auto& st = batch->at(ctx.invocation).pe[i];
       double sums[3] = {0.0, 0.0, 0.0};  // weight, weighted-particle, squared-weight
       for (std::size_t p = 0; p < st.particles.size(); ++p) {
@@ -266,8 +265,8 @@ void ParticleFilterApp::wire_tracking(Runtime& runtime,
     for (std::size_t j = 0; j < n; ++j)
       if (j != i) res_particle_out[j] = out_slot(res_[i], particle_edge_[i][j]);
     const std::size_t rx_out = out_slot(res_[i], chain_rx_[i]);
-    runtime.set_compute(res_[i], [batch, i, n, quota, total, ess_fraction, res_lws_in,
-                                  res_particle_out, rx_out](core::FiringContext& ctx) {
+    instance.set_compute(res_[i], [batch, i, n, quota, total, ess_fraction, res_lws_in,
+                                   res_particle_out, rx_out](core::FiringContext& ctx) {
       TrackState& shared = batch->at(ctx.invocation);
       auto& st = shared.pe[i];
       st.w_sums.resize(n);
@@ -336,8 +335,8 @@ void ParticleFilterApp::wire_tracking(Runtime& runtime,
     for (std::size_t j = 0; j < n; ++j)
       if (j != i) xch_particle_in[j] = in_slot(xch_[i], particle_edge_[j][i]);
     const std::size_t xe_out = out_slot(xch_[i], loop_xe_[i]);
-    runtime.set_compute(xch_[i], [batch, i, n, quota, total, xch_rx_in, xch_particle_in,
-                                  xe_out](core::FiringContext& ctx) {
+    instance.set_compute(xch_[i], [batch, i, n, quota, total, xch_rx_in, xch_particle_in,
+                                   xe_out](core::FiringContext& ctx) {
       auto& st = batch->at(ctx.invocation).pe[i];
       const bool resampled = ctx.in(xch_rx_in)[0] != 0;
       // The survivors become the particle set; the old set's buffer is
@@ -391,11 +390,11 @@ TrackResult ParticleFilterApp::track_threaded(const dsp::CrackTrajectory& trajec
                                          trajectory.observations.size()));
   batch->jobs.front()->traj = &trajectory;
 
-  core::ThreadedRuntime runtime(system_->plan());
-  wire_tracking(runtime, batch);
+  core::JobInstance instance(system_->plan());
+  wire_tracking(instance, batch);
   core::RunOptions options = run_options;
   options.iterations = steps;
-  runtime.run(options);
+  instance.run(options);
   return take_result(*batch->jobs.front());
 }
 

@@ -20,8 +20,8 @@
 #include <span>
 #include <vector>
 
+#include "core/job_instance.hpp"
 #include "core/spi_system.hpp"
-#include "core/threaded_runtime.hpp"
 #include "dsp/particle_filter.hpp"
 #include "sim/fpga_area.hpp"
 
@@ -85,12 +85,13 @@ class ParticleFilterApp {
   /// instance's per-channel spi_threaded_messages_total series.
   [[nodiscard]] TrackResult track(const dsp::CrackTrajectory& trajectory) const;
 
-  /// Same tracking on real host threads — one per PE, with the phases
-  /// communicating through runtime channels. Dataflow determinacy makes
-  /// the estimates bit-identical to track() whatever the thread schedule
-  /// (the parity tests assert it). static_messages/dynamic_messages are zero here — the threaded
-  /// engine aggregates per-channel counters in its MetricRegistry
-  /// instead of per wire format.
+  /// Same tracking as a gang run on real host threads — one per PE, with
+  /// the phases communicating through the instance's channels. Dataflow
+  /// determinacy makes the estimates bit-identical to track() whatever
+  /// the thread schedule (the parity tests assert it).
+  /// static_messages/dynamic_messages are zero here — the gang run
+  /// aggregates per-channel counters in its MetricRegistry instead of
+  /// per wire format.
   [[nodiscard]] TrackResult track_threaded(const dsp::CrackTrajectory& trajectory) const;
 
   /// track_threaded with full control of the run — watchdog, flight
@@ -183,16 +184,14 @@ class ParticleFilterApp {
   /// a synthetic one.
   void start_job(BatchTrackState& batch, std::span<const ParticleJobSpec> jobs,
                  std::size_t k) const;
-  /// Registers all compute functions on either execution engine
-  /// (ThreadedRuntime or JobInstance — same ComputeFn contract). Each
-  /// firing resolves its job's TrackState from ctx.invocation (a
-  /// single-trajectory run is a batch of one). Each
+  /// Registers all compute functions on `instance`, for a gang or a
+  /// colocated run. Each firing resolves its job's TrackState from
+  /// ctx.invocation (a single-trajectory run is a batch of one). Each
   /// PE's state is touched only by that PE's actors (all mapped to the
   /// same processor), and the shared estimate is appended only by Res0 —
-  /// so the wiring is thread-safe on the threaded engine without extra
-  /// locks.
-  template <class Runtime>
-  void wire_tracking(Runtime& runtime, const std::shared_ptr<BatchTrackState>& batch) const;
+  /// so the wiring is thread-safe in a gang run without extra locks.
+  void wire_tracking(core::JobInstance& instance,
+                     const std::shared_ptr<BatchTrackState>& batch) const;
 
   std::int32_t pe_count_;
   ParticleParams params_;

@@ -205,8 +205,7 @@ void ErrorGenApp::check_bounds(std::span<const double> frame,
     throw std::length_error("ErrorGenApp: order exceeds the declared bound");
 }
 
-template <class Runtime>
-void ErrorGenApp::wire_jobs(Runtime& runtime, std::span<const SpeechJobSpec> jobs,
+void ErrorGenApp::wire_jobs(core::JobInstance& instance, std::span<const SpeechJobSpec> jobs,
                             std::span<std::vector<double>> results) const {
   // Every speech actor fires exactly once per graph iteration, so
   // invocation k fires job k % jobs.size(): after reset_invocations() a
@@ -224,20 +223,20 @@ void ErrorGenApp::wire_jobs(Runtime& runtime, std::span<const SpeechJobSpec> job
     const std::size_t err_out = core::slot_of(graph.out_edges(pe_[idx]), err_edge_[idx]);
     const std::size_t err_in = core::slot_of(graph.in_edges(recv_err_[idx]), err_edge_[idx]);
 
-    runtime.set_compute(send_frame_[idx], [this, i, jobs, count, frame_out](core::FiringContext& ctx) {
+    instance.set_compute(send_frame_[idx], [this, i, jobs, count, frame_out](core::FiringContext& ctx) {
       const SpeechJobSpec& job = jobs[static_cast<std::size_t>(ctx.invocation) % count];
       const Section sec = section(i, job.frame.size(), job.coeffs.size());
       const std::span<const double> data(job.frame);
       pack_f64_into(ctx.emit(frame_out),
                     data.subspan(sec.begin - sec.history, sec.history + sec.count));
     });
-    runtime.set_compute(send_coeff_[idx], [jobs, count, coeff_out](core::FiringContext& ctx) {
+    instance.set_compute(send_coeff_[idx], [jobs, count, coeff_out](core::FiringContext& ctx) {
       const SpeechJobSpec& job = jobs[static_cast<std::size_t>(ctx.invocation) % count];
       pack_f64_into(ctx.emit(coeff_out), job.coeffs);
     });
     // D's unpacked inputs and its errors live in the lambda: one PE
     // fires it, and the buffers stay warm across the batch.
-    runtime.set_compute(
+    instance.set_compute(
         pe_[idx], [this, i, jobs, count, frame_in, coeff_in, err_out, samples = std::vector<double>(),
                    coeffs = std::vector<double>(),
                    errors = std::vector<double>()](core::FiringContext& ctx) mutable {
@@ -252,9 +251,9 @@ void ErrorGenApp::wire_jobs(Runtime& runtime, std::span<const SpeechJobSpec> job
           pack_f64_into(ctx.emit(err_out), errors);
         });
     // All RecvErr actors live on processor 0, so `results` is written by
-    // one thread; the runtime's join orders the writes before the read.
-    runtime.set_compute(recv_err_[idx], [this, i, jobs, results, count,
-                                         err_in](core::FiringContext& ctx) {
+    // one thread; the gang's join orders the writes before the read.
+    instance.set_compute(recv_err_[idx], [this, i, jobs, results, count,
+                                          err_in](core::FiringContext& ctx) {
       const std::size_t k = static_cast<std::size_t>(ctx.invocation) % count;
       const Section sec = section(i, jobs[k].frame.size(), jobs[k].coeffs.size());
       const std::span<const std::uint8_t> errors = ctx.in(err_in);
@@ -287,9 +286,9 @@ std::vector<double> ErrorGenApp::compute_errors_threaded(std::span<const double>
   check_bounds(frame, coeffs);
   const SpeechJobSpec job{{frame.begin(), frame.end()}, {coeffs.begin(), coeffs.end()}};
   std::vector<std::vector<double>> result(1, std::vector<double>(frame.size(), 0.0));
-  core::ThreadedRuntime runtime(system_->plan(), reliability, metrics);
-  wire_jobs(runtime, std::span(&job, 1), result);
-  runtime.run(run_options);
+  core::JobInstance instance(system_->plan(), {reliability, metrics, {}});
+  wire_jobs(instance, std::span(&job, 1), result);
+  instance.run(run_options);
   return std::move(result.front());
 }
 

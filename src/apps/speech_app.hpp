@@ -25,8 +25,8 @@
 #include <span>
 #include <vector>
 
+#include "core/job_instance.hpp"
 #include "core/spi_system.hpp"
-#include "core/threaded_runtime.hpp"
 #include "dsp/huffman.hpp"
 #include "dsp/quantize.hpp"
 #include "sim/fpga_area.hpp"
@@ -220,12 +220,10 @@ class ErrorGenApp {
  private:
   /// Throws std::length_error when a job exceeds the compile-time bounds.
   void check_bounds(std::span<const double> frame, std::span<const double> coeffs) const;
-  /// Registers the four per-PE compute functions on either execution
-  /// engine (ThreadedRuntime or JobInstance — same ComputeFn contract):
-  /// invocation k fires jobs[k % jobs.size()], whose errors
-  /// are written by section into results[k % jobs.size()].
-  template <class Runtime>
-  void wire_jobs(Runtime& runtime, std::span<const SpeechJobSpec> jobs,
+  /// Registers the four per-PE compute functions on `instance`, for a
+  /// gang or a colocated run: invocation k fires jobs[k % jobs.size()],
+  /// whose errors are written by section into results[k % jobs.size()].
+  void wire_jobs(core::JobInstance& instance, std::span<const SpeechJobSpec> jobs,
                  std::span<std::vector<double>> results) const;
 
   std::int32_t pe_count_;

@@ -4,9 +4,9 @@
 #include <fstream>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
-#include "core/worker_pool.hpp"
 #include "obs/obs_server.hpp"
 #include "obs/text_escape.hpp"
 
@@ -616,18 +616,28 @@ void JobInstance::ensure_watchdog(const obs::WatchdogOptions& options) {
   watchdog_.emplace(options, std::move(hooks));
 }
 
-void JobInstance::run(WorkerPool& pool, const RunOptions& options) {
+void JobInstance::run(std::int64_t iterations) {
+  RunOptions options;
+  options.iterations = iterations;
+  run(options);
+}
+
+void JobInstance::run(const RunOptions& options) {
   const std::int64_t iterations = options.iterations;
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(worker_count_);
-  for (std::size_t p = 0; p < worker_count_; ++p)
-    tasks.emplace_back([this, p, iterations] {
-      worker(static_cast<std::int32_t>(p), iterations);
-    });
-  // Worker bodies trap their own exceptions (first_error_); the only
-  // throws out of pool.run() are pool-level (too-wide gang, shutdown),
-  // which run_with's unwind path turns into a clean teardown.
-  run_with(options, [&] { pool.run(tasks); });
+  run_with(options, [&] {
+    std::vector<std::thread> threads;
+    try {
+      threads.reserve(worker_count_);
+      for (std::size_t p = 0; p < worker_count_; ++p)
+        threads.emplace_back(
+            [this, p, iterations] { worker(static_cast<std::int32_t>(p), iterations); });
+    } catch (...) {
+      // The started workers may be waiting on peers that never started:
+      // abort and wake them before the join, which would otherwise hang.
+      fail(std::current_exception());
+    }
+    for (std::thread& t : threads) t.join();
+  });
 }
 
 void JobInstance::run_colocated(std::int64_t iterations) {
@@ -704,11 +714,6 @@ void JobInstance::run_with(const RunOptions& options, const std::function<void()
   }
   running_.store(true, std::memory_order_relaxed);
 
-  // The execute callable must leave every worker body finished on every
-  // normal return (the gang joins; the colocated body is synchronous).
-  // If it throws at the pool level instead, abort + interrupt first so
-  // any started bodies unwind, then let the stack objects disarm the
-  // watchdog and tear down the server before the exception escapes.
   // Serve-batch bracketing (request_trace.hpp): when the caller tagged
   // this run with a batch id, bookend the firing stream with batch
   // markers so a sampled request's span can be matched to its causal
@@ -716,14 +721,7 @@ void JobInstance::run_with(const RunOptions& options, const std::function<void()
   if (flight_ && options.batch_id >= 0)
     flight_->record(0, obs::FlightEventKind::kBatchBegin, -1, -1, options.batch_id, 0,
                     static_cast<std::int32_t>(iterations));
-  try {
-    execute();
-  } catch (...) {
-    abort_.store(true);
-    interrupt_all();
-    running_.store(false, std::memory_order_relaxed);
-    throw;
-  }
+  execute();
   if (flight_ && options.batch_id >= 0)
     flight_->record(0, obs::FlightEventKind::kBatchEnd, -1, -1, options.batch_id, 0,
                     static_cast<std::int32_t>(iterations));

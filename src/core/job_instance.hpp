@@ -1,26 +1,21 @@
 /// \file job_instance.hpp
-/// Per-job execution state of a compiled plan: channels, firing
-/// contexts, worker heartbeats, statistics — everything one run of one
-/// plan instance needs, separated from the threads that execute it.
-///
-/// The execution stack is three layers (docs/serving.md):
-///
-///   WorkerPool      persistent threads, gang-scheduled (worker_pool.hpp)
-///   JobInstance     this file — one plan instance's channels + contexts
-///   ThreadedRuntime facade for the classic one-plan/one-runtime API
-///                   (threaded_runtime.hpp)
+/// One compiled plan instance and its executor: channels, firing
+/// contexts, worker heartbeats, statistics, and the two ways to run
+/// them (docs/serving.md, "The execution stack").
 ///
 /// A JobInstance is built once from an ExecutablePlan and executed many
-/// times: `run(pool, options)` borrows plan.programs.size() pool workers
-/// as a gang (the pre-serving one-thread-per-processor behavior without
-/// the thread churn), while `run_colocated(...)` executes the whole
-/// iteration on the *calling* thread by walking the plan's PASS in its
-/// admissible sequential order. Both run the same resolved firing
-/// records; with one thread at both ends, a plain interprocessor edge is
-/// a local ring whose tokens are swapped, not copied. Dataflow
-/// determinacy makes both orders produce bit-identical token streams —
-/// the serve layer exploits that to batch many queued jobs into one
-/// program traversal without a single cross-thread handoff.
+/// times. `run(options)` is the paper's self-timed execution: it starts
+/// one thread per processor (plan.programs.size() of them) from the
+/// calling thread, each running its own program, and joins them all
+/// before it returns — only the channels couple the threads.
+/// `run_colocated(...)` executes the whole iteration on the *calling*
+/// thread by walking the plan's PASS in its admissible sequential order.
+/// Both run the same resolved firing records; with one thread at both
+/// ends, a plain interprocessor edge is a local ring whose tokens are
+/// swapped, not copied. Dataflow determinacy makes both orders produce
+/// bit-identical token streams — the serve layer exploits that to batch
+/// many queued jobs into one program traversal without a single
+/// cross-thread handoff. Constructing an instance starts no thread.
 ///
 /// run_colocated is the one sequential executor of a plan: every
 /// single-threaded run (the apps' sequential entry points, the examples,
@@ -52,8 +47,6 @@
 #include "sim/fault.hpp"
 
 namespace spi::core {
-
-class WorkerPool;
 
 /// Retry/backoff/timeout knobs of a reliable run without a fault plan.
 inline const sim::RetryPolicy kDefaultRetryPolicy{};
@@ -97,7 +90,7 @@ struct ThreadedRunStats {
 /// telemetry endpoint and the progress watchdog (docs/observability.md,
 /// "Live telemetry"). The plain-iteration overload run(n) is equivalent
 /// to run({.iterations = n}). There is no iteration gate: under
-/// run(pool, ...) every worker free-runs into its next iteration as soon
+/// run(...) every worker free-runs into its next iteration as soon
 /// as its own channels permit, so the eq.-2 channel capacities are the
 /// only bound on cross-iteration overlap (docs/architecture.md).
 struct RunOptions {
@@ -149,7 +142,7 @@ class JobInstance {
   /// b_max on a converted one; anything else fails the run with a
   /// std::logic_error (std::length_error above b_max).
   /// Compute functions for actors on different processors run
-  /// concurrently under run(pool, ...) — they must not share mutable
+  /// concurrently under run() — they must not share mutable
   /// state without their own synchronization. Re-registering between
   /// runs is allowed (the serve layer rewires per batch).
   void set_compute(df::ActorId actor, ComputeFn fn);
@@ -159,16 +152,20 @@ class JobInstance {
   /// Null detaches.
   void set_flight_recorder(obs::FlightRecorder* recorder);
 
-  /// Runs `options.iterations` graph iterations as a gang of
-  /// plan.programs.size() workers borrowed from `pool`, joining the gang
-  /// on every exit path. Exceptions thrown by compute functions or by
-  /// the reliable transport (sim::ChannelError) are rethrown on the
-  /// caller thread (first one wins), after every edge is restored to
-  /// its delay tokens, so the instance runs again cleanly. stats() is
-  /// reset on entry and aggregated on every exit path. Optionally
-  /// mounts the embedded telemetry server (options.obs_port) and the
-  /// progress watchdog (options.watchdog) for the duration of the run.
-  void run(WorkerPool& pool, const RunOptions& options);
+  /// Runs `options.iterations` graph iterations on proc_count() threads
+  /// started from the calling thread (so they inherit its CPU affinity),
+  /// one per processor, and joins every one of them on every exit path.
+  /// Exceptions thrown by compute functions or by the reliable transport
+  /// (sim::ChannelError) — or by starting a thread — are rethrown on the
+  /// caller thread (first one wins), after every edge is restored to its
+  /// delay tokens, so the instance runs again cleanly. stats() is reset
+  /// on entry and aggregated on every exit path. Optionally mounts the
+  /// embedded telemetry server (options.obs_port) and the progress
+  /// watchdog (options.watchdog) for the duration of the run; a
+  /// watchdog stall with abort_on_stall interrupts the workers and
+  /// throws obs::StallError after writing the post-mortems.
+  void run(const RunOptions& options);
+  void run(std::int64_t iterations);
 
   /// Colocated execution: the *calling* thread walks the plan's PASS —
   /// its admissible sequential order — over the same firing records, so
@@ -200,9 +197,9 @@ class JobInstance {
                      const SegmentFn& on_segment);
 
   /// Resets the per-actor invocation counters that feed
-  /// FiringContext::invocation. The classic runtime never calls this
-  /// (invocations stay cumulative across runs); the serve layer resets
-  /// per batch so computes can index batch inputs by invocation.
+  /// FiringContext::invocation. No run calls this itself (invocations
+  /// stay cumulative across runs); the serve layer resets per batch so
+  /// computes can index batch inputs by invocation.
   void reset_invocations();
 
   /// The current per-worker heartbeat/state snapshot (relaxed reads of
@@ -326,7 +323,8 @@ class JobInstance {
   void reset_tokens();
   /// Shared run prologue/epilogue (abort/error/stats/heartbeat reset,
   /// watchdog + telemetry mounts, error rethrow) around `execute`,
-  /// which must leave every worker body finished on every exit path.
+  /// which records its errors through fail() instead of throwing and
+  /// returns only once every worker body has finished.
   void run_with(const RunOptions& options, const std::function<void()>& execute);
   /// Creates the instance's watchdog on the first watched run; every
   /// later run re-arms the same monitor thread.

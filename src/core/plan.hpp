@@ -16,8 +16,7 @@
 /// (`--load-plan`) without re-running any analysis.
 ///
 /// Every execution engine constructs from `const ExecutablePlan&`:
-/// JobInstance (gang or colocated, and the ThreadedRuntime facade over
-/// it) takes it directly; the timed self-timed simulator and the
+/// JobInstance (gang or colocated) takes it directly; the timed self-timed simulator and the
 /// fully-static executor are driven through the run_timed()/
 /// run_fully_static() wrappers below, which install the plan's payload
 /// and channel-descriptor hooks into the sim layer.

@@ -20,7 +20,7 @@
 ///    discards duplicates by sequence number, and releases payloads
 ///    exactly once, in order.
 ///
-/// Over a threaded runtime's SpscChannel the protocol is two free
+/// Over a JobInstance's SpscChannel the protocol is two free
 /// functions: play_transmit plays a sender's script onto the ring and
 /// receive_reliable runs the receiver over it, the ring knowing nothing
 /// of the protocol beyond a deadline on the consumer's wait.

@@ -34,7 +34,7 @@
 /// A consumer may bound its wait with a deadline (front_until); the park
 /// then ends at the deadline.
 ///
-/// ThreadedRuntime builds one of these for every IPC edge of the plan.
+/// A JobInstance builds one of these for every IPC edge of the plan.
 /// Reliability-enabled edges carry sequenced frames over the same ring;
 /// the protocol itself lives in reliable_link.hpp (docs/architecture.md,
 /// "Threaded-runtime channels").

@@ -146,7 +146,7 @@ struct CriticalPathReport {
 };
 
 /// Reconstructs the realized critical path from a flight log.
-/// The log may come from ThreadedRuntime (wall clock) or from the timed
+/// The log may come from a JobInstance run (wall clock) or from the timed
 /// simulator via sim/flight_adapter.hpp (modeled time) — same schema.
 /// Tolerates truncated logs (ring overflow): unmatched events degrade
 /// to idle/blocked attribution, never UB. Throws std::invalid_argument

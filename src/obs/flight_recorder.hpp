@@ -154,8 +154,8 @@ class FlightRecorder {
   void set_names(std::vector<std::string> actor_names, std::vector<std::string> edge_names);
   void set_time_unit(std::string unit) { time_unit_ = std::move(unit); }
 
-  /// When set, the owning runtime writes a post-mortem JSON dump here if
-  /// a run dies on sim::ChannelError (see ThreadedRuntime::run).
+  /// When set, the owning JobInstance writes a post-mortem JSON dump here
+  /// if a run dies on sim::ChannelError (see JobInstance::run).
   void set_postmortem_path(std::string path) { postmortem_path_ = std::move(path); }
   [[nodiscard]] const std::string& postmortem_path() const { return postmortem_path_; }
 

@@ -1,7 +1,7 @@
 /// \file watchdog.hpp
-/// Stall-detecting progress watchdog for the threaded runtime.
+/// Stall-detecting progress watchdog for core::JobInstance runs.
 ///
-/// ThreadedRuntime publishes one heartbeat epoch per worker — a relaxed
+/// A JobInstance publishes one heartbeat epoch per worker — a relaxed
 /// atomic counter bumped once per firing (the only hot-path cost is that
 /// single store to a worker-private cache line). The watchdog samples
 /// those epochs from its own monitor thread: when *no* live worker's
@@ -103,7 +103,7 @@ struct WatchdogOptions {
   std::int64_t window_ms = 1000;  ///< no-progress window before a stall fires
   std::int64_t poll_ms = 0;       ///< epoch sampling period; 0 = max(10, window/4)
   /// Directory for the stall post-mortem (flight dump + runtime
-  /// snapshot), written by ThreadedRuntime when the watchdog fires.
+  /// snapshot), written by the JobInstance when the watchdog fires.
   /// Empty = current directory.
   std::string dump_dir;
   /// When true (default) a stall aborts the run: workers are
@@ -121,7 +121,7 @@ struct WatchdogOptions {
   }
 };
 
-/// Thrown out of ThreadedRuntime::run() when the watchdog aborts a
+/// Thrown out of JobInstance::run() when the watchdog aborts a
 /// stalled run (abort_on_stall). Carries the full report.
 class StallError : public std::runtime_error {
  public:
@@ -142,8 +142,8 @@ class StallError : public std::runtime_error {
 class ProgressWatchdog {
  public:
   struct Hooks {
-    /// Required: the current per-worker state (ThreadedRuntime reads
-    /// its relaxed worker atomics).
+    /// Required: the current per-worker state (a JobInstance reads its
+    /// relaxed worker atomics).
     std::function<std::vector<WorkerSnapshot>()> snapshot;
     /// Optional name resolvers for the report.
     std::function<std::string(std::int32_t)> actor_name;

@@ -1,7 +1,7 @@
 /// \file flight_adapter.hpp
 /// Timed-simulator bridge into the flight-recorder event schema.
 ///
-/// The threaded runtime records flight events natively (wall clock);
+/// A JobInstance records flight events natively (wall clock);
 /// this adapter derives the *same* event stream from a timed-simulation
 /// trace, in modeled time ("cycles" as the log's time_unit). The
 /// critical-path analyzer then runs identically on both, so the

@@ -18,7 +18,6 @@
 #include "apps/serialization.hpp"
 #include "apps/speech_app.hpp"
 #include "core/job_instance.hpp"
-#include "core/worker_pool.hpp"
 #include "dsp/lpc.hpp"
 #include "dsp/rng.hpp"
 #include "serve/plan_server.hpp"
@@ -62,8 +61,7 @@ void expect_counted_like_a_gang(const ExecutablePlan& plan, std::int64_t iters,
   bind(colocated);
   colocated.run_colocated(iters);
   bind(gang);
-  WorkerPool pool(plan.programs.size());
-  gang.run(pool, iterations(iters));
+  gang.run(iterations(iters));
 
   colocated.refresh_channel_gauges();
   ASSERT_FALSE(plan.channels.empty());
@@ -150,7 +148,6 @@ TEST(ColocatedRecords, DelayTokensMoveBetweenGangAndColocatedRuns) {
   const ExecutablePlan& plan = f.system->plan();
   const ChannelSpec* back = plan.find_channel(f.back);
   ASSERT_NE(back, nullptr) << "the delayed edge must be interprocessor";
-  WorkerPool pool(2);
   // A gang run that finds no delay token would wait forever: the
   // watchdog turns that into a StallError.
   RunOptions guarded = iterations(10);
@@ -161,7 +158,7 @@ TEST(ColocatedRecords, DelayTokensMoveBetweenGangAndColocatedRuns) {
   std::vector<double> reference;
   JobInstance gang_only(plan);
   f.wire(gang_only, reference);
-  gang_only.run(pool, iterations(30));
+  gang_only.run(iterations(30));
 
   // Colocated runs alone hand the delay tokens back and forth without
   // the ring ever holding more than them.
@@ -178,9 +175,9 @@ TEST(ColocatedRecords, DelayTokensMoveBetweenGangAndColocatedRuns) {
   std::vector<double> mixed;
   JobInstance instance(plan);
   f.wire(instance, mixed);
-  instance.run(pool, guarded);
+  instance.run(guarded);
   instance.run_colocated(10);
-  EXPECT_NO_THROW(instance.run(pool, guarded));
+  EXPECT_NO_THROW(instance.run(guarded));
   EXPECT_EQ(mixed, reference);
 
   // A failed run of either kind leaves an instance that the other kind
@@ -192,13 +189,13 @@ TEST(ColocatedRecords, DelayTokensMoveBetweenGangAndColocatedRuns) {
     if (colocated_fails) {
       EXPECT_THROW(broken.run_colocated(10), std::runtime_error);
     } else {
-      EXPECT_THROW(broken.run(pool, iterations(10)), std::runtime_error);
+      EXPECT_THROW(broken.run(iterations(10)), std::runtime_error);
     }
     f.wire(broken, after);
     broken.reset_invocations();
     if (colocated_fails) {
       guarded.iterations = 30;
-      EXPECT_NO_THROW(broken.run(pool, guarded));
+      EXPECT_NO_THROW(broken.run(guarded));
     } else {
       broken.run_colocated(30);
     }
@@ -227,13 +224,12 @@ TEST(ColocatedRecords, ArmedColocatedIterationRecordsWhatAGangIterationRecords) 
   const ExecutablePlan& plan = app.system().plan();
   std::vector<apps::ParticleFilterApp::ParticleJobSpec> jobs(1);
   jobs[0].synthetic_steps = 4;
-  WorkerPool pool(plan.programs.size());
   obs::FlightRecorder recorder(plan.proc_count);
   JobInstance instance(plan);
   instance.set_flight_recorder(&recorder);
   app.bind_batch(jobs, instance);
 
-  instance.run(pool, iterations(1));
+  instance.run(iterations(1));
   const std::vector<EventKey> gang = token_events(recorder);
   instance.run_colocated(1);
   const std::vector<EventKey> colocated = token_events(recorder);
@@ -250,7 +246,7 @@ TEST(ColocatedRecords, ArmedColocatedIterationRecordsWhatAGangIterationRecords) 
   // Disarmed, neither run kind records anything.
   recorder.set_armed(false);
   instance.run_colocated(1);
-  instance.run(pool, iterations(1));
+  instance.run(iterations(1));
   EXPECT_TRUE(token_events(recorder).empty());
 }
 
@@ -260,15 +256,14 @@ TEST(ColocatedRecords, FlightSequencesContinueAcrossRunKinds) {
   // placed before recording started, have no send.
   FeedbackFixture f;
   const ExecutablePlan& plan = f.system->plan();
-  WorkerPool pool(2);
   obs::FlightRecorder recorder(plan.proc_count);
   std::vector<double> sink;
   JobInstance instance(plan);
   instance.set_flight_recorder(&recorder);
   f.wire(instance, sink);
-  instance.run(pool, iterations(3));
+  instance.run(iterations(3));
   instance.run_colocated(4);
-  instance.run(pool, iterations(2));
+  instance.run(iterations(2));
   instance.run_colocated(1);
 
   std::vector<std::pair<std::int32_t, std::int64_t>> sends, receives;

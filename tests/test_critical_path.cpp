@@ -17,10 +17,10 @@
 
 #include "apps/particle_app.hpp"
 #include "apps/speech_app.hpp"
+#include "core/job_instance.hpp"
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
 #include "core/text_format.hpp"
-#include "core/threaded_runtime.hpp"
 #include "obs/flight_recorder.hpp"
 #include "sim/flight_adapter.hpp"
 #include "sim/trace.hpp"
@@ -121,7 +121,7 @@ TEST(CriticalPath, ThreadedRealizedPeriodDominatesPredictedMcm) {
   const core::ExecutablePlan plan = core::compile_plan(parsed.graph, parsed.assignment);
   ASSERT_NEAR(plan.predicted_mcm(), 500.0, 1e-6);
 
-  core::ThreadedRuntime runtime(plan);
+  core::JobInstance runtime(plan);
   const df::Graph& graph = plan.vts.graph;
   for (df::ActorId a = 0; a < static_cast<df::ActorId>(graph.actor_count()); ++a) {
     const std::int64_t wcet_us = graph.actor(a).exec_cycles;

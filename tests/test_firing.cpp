@@ -8,7 +8,6 @@
 #include "apps/serialization.hpp"
 #include "core/job_instance.hpp"
 #include "core/spi_system.hpp"
-#include "core/worker_pool.hpp"
 
 namespace spi::core {
 namespace {
@@ -31,8 +30,7 @@ void run(JobInstance& job, Mode mode, std::int64_t iterations) {
     job.run_colocated(options);
     return;
   }
-  WorkerPool pool(job.proc_count());
-  job.run(pool, options);
+  job.run(options);
 }
 
 struct Fixture {

@@ -12,8 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/job_instance.hpp"
 #include "core/spi_system.hpp"
-#include "core/threaded_runtime.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/metrics.hpp"
 
@@ -220,7 +220,7 @@ TEST(FlightRecorder, ThreadedRuntimeRecordsOneFirePairPerFiring) {
   assignment.assign(c, 2);
   const core::SpiSystem system(g, assignment);
 
-  core::ThreadedRuntime runtime(system);
+  core::JobInstance runtime(system.plan());
   FlightRecorder recorder(3);
   runtime.set_flight_recorder(&recorder);
   runtime.run(kIterations);

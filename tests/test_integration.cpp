@@ -7,7 +7,8 @@
 #include "apps/particle_app.hpp"
 #include "apps/serialization.hpp"
 #include "apps/speech_app.hpp"
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
+#include "core/spi_system.hpp"
 #include "dsp/lpc.hpp"
 #include "mpi/mpi_backend.hpp"
 
@@ -122,7 +123,7 @@ TEST(Integration, MultirateParallelEqualsSequential) {
       assignment.assign(col, 2);
     }
     const core::SpiSystem system(g, assignment);
-    core::ThreadedRuntime runtime(system);
+    core::JobInstance runtime(system.plan());
     auto result = std::make_shared<std::vector<double>>();
     runtime.set_compute(src, [&](core::FiringContext& ctx) {
       apps::pack_f64_into(ctx.emit(ctx.output_index(e1)), static_cast<double>(ctx.invocation));
@@ -140,7 +141,7 @@ TEST(Integration, MultirateParallelEqualsSequential) {
     if (gang)
       runtime.run(8);
     else
-      runtime.job().run_colocated(8);
+      runtime.run_colocated(8);
     return *result;
   };
   // Src fires twice per iteration (q = 2, 2, 1): firing i sends i, and

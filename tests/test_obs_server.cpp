@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "apps/speech_app.hpp"
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
 #include "dsp/lpc.hpp"
 #include "obs/json_lint.hpp"
 #include "obs/obs_server.hpp"

@@ -20,8 +20,7 @@
 #include "apps/serialization.hpp"
 #include "apps/speech_app.hpp"
 #include "core/job_instance.hpp"
-#include "core/threaded_runtime.hpp"
-#include "core/worker_pool.hpp"
+#include "core/spi_system.hpp"
 #include "dsp/lpc.hpp"
 #include "dsp/particle_filter.hpp"
 #include "obs/watchdog.hpp"
@@ -51,8 +50,7 @@ struct PipelineFixture {
     system = std::make_unique<SpiSystem>(g, assignment);
   }
 
-  template <typename Runtime>
-  void wire(Runtime& runtime, std::vector<double>& sink) const {
+  void wire(JobInstance& runtime, std::vector<double>& sink) const {
     runtime.set_compute(src, [this](FiringContext& ctx) {
       const double v = static_cast<double>(ctx.invocation) * 1.25 + 0.5;
       apps::pack_f64_into(ctx.emit(ctx.output_index(first)), v);
@@ -79,7 +77,7 @@ TEST(PipelinedRuntime, PipelinedRunsAreBitIdenticalToColocatedAtEveryCap) {
   }
   ASSERT_EQ(reference.size(), static_cast<std::size_t>(kIters));
 
-  ThreadedRuntime runtime(*f.system);
+  JobInstance runtime(f.system->plan());
   std::vector<double> sink;
   f.wire(runtime, sink);
   runtime.run(kIters);
@@ -115,7 +113,7 @@ TEST(PipelinedRuntime, SourceRunsAheadOfAHeldSinkByExactlyTheRingCapacities) {
   const std::int64_t expected = c1 + c2 + 3;
   ASSERT_LT(expected, kIters);
 
-  ThreadedRuntime runtime(*f.system);
+  JobInstance runtime(f.system->plan());
   std::vector<double> sink;
   f.wire(runtime, sink);
   std::atomic<std::int64_t> src_firings{0};
@@ -172,7 +170,7 @@ TEST(PipelinedRuntime, HundredThousandIterationSoakStaysBitIdentical) {
     oracle.run_colocated(kIters);
   }
 
-  ThreadedRuntime runtime(*f.system);
+  JobInstance runtime(f.system->plan());
   std::vector<double> sink;
   sink.reserve(kIters);
   f.wire(runtime, sink);
@@ -290,7 +288,7 @@ TEST(PipelinedWatchdog, DeadEdgeAbortsPipelinedRunWithDeadlockVerdict) {
   core::ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  core::ThreadedRuntime runtime(*f.system, rel);
+  core::JobInstance runtime(f.system->plan(), {rel, nullptr, {}});
   std::vector<double> sink;
   f.wire(runtime, sink);
 

@@ -9,8 +9,9 @@
 
 #include "apps/particle_app.hpp"
 #include "apps/speech_app.hpp"
+#include "core/job_instance.hpp"
 #include "core/plan.hpp"
-#include "core/threaded_runtime.hpp"
+#include "core/spi_system.hpp"
 
 namespace spi {
 namespace {
@@ -48,12 +49,12 @@ void expect_engines_agree(const core::ExecutablePlan& plan) {
     // Counters snapshotted around the run: the registry also records
     // initial-token placement at construction.
     obs::MetricRegistry registry;
-    core::ThreadedRuntime runtime(plan, &registry);
+    core::JobInstance runtime(plan, {{}, &registry, {}});
     const auto before = channel_counters(plan, registry);
     if (gang)
       runtime.run(kIterations);
     else
-      runtime.job().run_colocated(kIterations);
+      runtime.run_colocated(kIterations);
     const auto after = channel_counters(plan, registry);
     for (const core::ChannelSpec& spec : plan.channels) {
       const std::int64_t messages = after.at(spec.edge).first - before.at(spec.edge).first;

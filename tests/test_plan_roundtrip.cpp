@@ -10,9 +10,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/job_instance.hpp"
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
-#include "core/threaded_runtime.hpp"
 #include "dsp/rng.hpp"
 
 namespace spi {
@@ -101,11 +101,11 @@ TEST_P(PlanRoundTrip, SerializeDeserializeRunIdentical) {
     // colocated, the loaded one colocated and as a gang: every channel
     // must carry the same messages and the same bytes.
     const auto channel_traffic = [](const core::ExecutablePlan& plan, bool gang) {
-      core::ThreadedRuntime runtime(plan);
+      core::JobInstance runtime(plan);
       if (gang)
         runtime.run(4);
       else
-        runtime.job().run_colocated(4);
+        runtime.run_colocated(4);
       std::vector<std::pair<std::int64_t, std::int64_t>> traffic;
       for (const core::ChannelSpec& spec : plan.channels) {
         const obs::Labels labels{{"channel", spec.name}};
@@ -388,7 +388,7 @@ TEST(PlanRoundTrip, ParallelInterprocessorEdgesEachGetAChannel) {
   // a0 stamps each token with its firing and position; a1 logs what it
   // gets. The gang must deliver exactly what the colocated walk does.
   const auto received = [&](bool gang) {
-    core::ThreadedRuntime runtime(plan);
+    core::JobInstance runtime(plan);
     runtime.set_compute(a, [](core::FiringContext& ctx) {
       for (std::size_t slot = 0; slot < ctx.out_edges.size(); ++slot) {
         const std::size_t count = slot == 0 ? 4 : 2;
@@ -405,7 +405,7 @@ TEST(PlanRoundTrip, ParallelInterprocessorEdgesEachGetAChannel) {
     if (gang)
       runtime.run(12);
     else
-      runtime.job().run_colocated(12);
+      runtime.run_colocated(12);
     return log;
   };
   const std::vector<std::uint8_t> colocated = received(false);

@@ -6,8 +6,8 @@
 /// the interactions no hand-written test enumerates.
 #include <gtest/gtest.h>
 
+#include "core/job_instance.hpp"
 #include "core/spi_system.hpp"
-#include "core/threaded_runtime.hpp"
 #include "dsp/rng.hpp"
 #include "mpi/mpi_backend.hpp"
 
@@ -91,7 +91,7 @@ std::vector<std::uint64_t> input_digests(const core::ExecutablePlan& plan, bool 
   constexpr std::uint64_t kBasis = 0xCBF29CE484222325ull;
   const df::Graph& graph = plan.vts.graph;
   std::vector<std::uint64_t> digests(graph.actor_count(), kBasis);
-  core::ThreadedRuntime runtime(plan);
+  core::JobInstance runtime(plan);
   for (std::size_t a = 0; a < graph.actor_count(); ++a) {
     // Each digest is touched only by its actor's processor.
     runtime.set_compute(static_cast<df::ActorId>(a), [&plan, &graph, &digest = digests[a]](
@@ -125,7 +125,7 @@ std::vector<std::uint64_t> input_digests(const core::ExecutablePlan& plan, bool 
   if (gang)
     runtime.run(iterations);
   else
-    runtime.job().run_colocated(iterations);
+    runtime.run_colocated(iterations);
   return digests;
 }
 

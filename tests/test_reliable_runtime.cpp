@@ -1,4 +1,4 @@
-/// End-to-end tests of the reliable transport inside ThreadedRuntime:
+/// End-to-end tests of the reliable transport inside JobInstance gang runs:
 /// retry recovery under deterministic fault injection, typed failure on
 /// persistent faults (no hangs), CRC-driven retransmission, receive
 /// timeouts, duplicate suppression, metric publication, the seeded soak
@@ -10,7 +10,8 @@
 
 #include "apps/serialization.hpp"
 #include "apps/speech_app.hpp"
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
+#include "core/spi_system.hpp"
 #include "dsp/lpc.hpp"
 
 namespace spi::core {
@@ -32,8 +33,7 @@ struct Fixture {
     assignment.assign(dst, 2);
   }
 
-  template <class Runtime>
-  void wire(Runtime& runtime, std::vector<double>& sink) const {
+  void wire(JobInstance& runtime, std::vector<double>& sink) const {
     runtime.set_compute(src, [this](FiringContext& ctx) {
       const std::size_t count = static_cast<std::size_t>(ctx.invocation % 8) + 1;
       std::vector<double> values(count);
@@ -88,7 +88,7 @@ TEST(ReliableRuntime, DropsAreRetriedAndRecovered) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  ThreadedRuntime runtime(system, rel);
+  JobInstance runtime(system.plan(), {rel, nullptr, {}});
   std::vector<double> lossy;
   f.wire(runtime, lossy);
   runtime.run(kIters);
@@ -117,7 +117,7 @@ TEST(ReliableRuntime, PersistentDropFailsTypedWithinDeadline) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  ThreadedRuntime runtime(system, rel);
+  JobInstance runtime(system.plan(), {rel, nullptr, {}});
   std::vector<double> sink;
   f.wire(runtime, sink);
 
@@ -158,7 +158,7 @@ TEST(ReliableRuntime, CorruptionIsCaughtByCrcAndRetried) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  ThreadedRuntime runtime(system, rel);
+  JobInstance runtime(system.plan(), {rel, nullptr, {}});
   std::vector<double> lossy;
   f.wire(runtime, lossy);
   runtime.run(kIters);
@@ -191,7 +191,7 @@ TEST(ReliableRuntime, DelayBeyondDeadlineTimesOutTyped) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  ThreadedRuntime runtime(system, rel);
+  JobInstance runtime(system.plan(), {rel, nullptr, {}});
 
   const auto start = std::chrono::steady_clock::now();
   try {
@@ -226,7 +226,7 @@ TEST(ReliableRuntime, DuplicatesAreSuppressed) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  ThreadedRuntime runtime(system, rel);
+  JobInstance runtime(system.plan(), {rel, nullptr, {}});
   std::vector<double> lossy;
   f.wire(runtime, lossy);
   runtime.run(kIters);
@@ -243,14 +243,14 @@ TEST(ReliableRuntime, ReliabilityWithoutPlanIsTransparent) {
 
   std::vector<double> plain, framed;
   {
-    ThreadedRuntime runtime(system);
+    JobInstance runtime(system.plan());
     f.wire(runtime, plain);
     runtime.run(kIters);
   }
   {
     ReliabilityOptions rel;
     rel.enabled = true;  // sequenced CRC framing over a perfect wire
-    ThreadedRuntime runtime(system, rel);
+    JobInstance runtime(system.plan(), {rel, nullptr, {}});
     f.wire(runtime, framed);
     runtime.run(kIters);
     EXPECT_EQ(runtime.stats().retries, 0);
@@ -275,7 +275,7 @@ TEST(ReliableRuntime, MetricsPublishedToSharedRegistry) {
   rel.enabled = true;
   rel.faults = &plan;
   obs::MetricRegistry registry;
-  ThreadedRuntime runtime(system, rel, &registry);
+  JobInstance runtime(system.plan(), {rel, &registry, {}});
   std::vector<double> sink;
   f.wire(runtime, sink);
   runtime.run(100);
@@ -309,7 +309,7 @@ TEST(ReliableRuntime, SeededSoakRunsAreReproducible) {
     ReliabilityOptions rel;
     rel.enabled = true;
     rel.faults = &plan;
-    ThreadedRuntime runtime(system, rel);
+    JobInstance runtime(system.plan(), {rel, nullptr, {}});
     f.wire(runtime, sink);
     runtime.run(300);
     stats = runtime.stats();
@@ -338,7 +338,7 @@ TEST(ReliableRuntime, ColocatedLossyRunMatchesLosslessGangRun) {
 
   std::vector<double> lossless;
   {
-    ThreadedRuntime gang(system);
+    JobInstance gang(system.plan());
     f.wire(gang, lossless);
     gang.run(kIters);
   }

@@ -11,7 +11,7 @@
 
 #include "apps/particle_app.hpp"
 #include "apps/speech_app.hpp"
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
 #include "dsp/particle_filter.hpp"
 #include "obs/flight_recorder.hpp"
 
@@ -319,7 +319,7 @@ TEST(ThreadedRuntimeChannels, RuntimeListsEveryPlanChannelWithItsReliability) {
   for (const bool enabled : {false, true}) {
     ReliabilityOptions reliability;
     reliability.enabled = enabled;
-    ThreadedRuntime runtime(plan, reliability);
+    JobInstance runtime(plan, {reliability, nullptr, {}});
     runtime.run(3);
     const std::string status = runtime.runtime_status_json();
     for (const ChannelSpec& spec : plan.channels) {

@@ -1,4 +1,4 @@
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
 
 #include <gtest/gtest.h>
 
@@ -6,6 +6,7 @@
 
 #include "apps/serialization.hpp"
 #include "apps/speech_app.hpp"
+#include "core/spi_system.hpp"
 #include "dsp/lpc.hpp"
 #include "obs/metrics.hpp"
 
@@ -34,7 +35,7 @@ TEST(ThreadedRuntime, MatchesSequentialFunctionalRun) {
   const SpiSystem system(f.g, f.assignment);
   constexpr std::int64_t kIters = 200;
 
-  auto wire = [&](auto& runtime, std::vector<double>& sink) {
+  auto wire = [&](JobInstance& runtime, std::vector<double>& sink) {
     runtime.set_compute(f.src, [&f](FiringContext& ctx) {
       const std::size_t count = static_cast<std::size_t>(ctx.invocation % 8) + 1;
       std::vector<double> values(count);
@@ -69,7 +70,7 @@ TEST(ThreadedRuntime, MatchesSequentialFunctionalRun) {
   wire(colocated, sequential);
   colocated.run_colocated(kIters);
 
-  ThreadedRuntime parallel(system);
+  JobInstance parallel(system.plan());
   wire(parallel, threaded);
   parallel.run(kIters);
 
@@ -97,7 +98,7 @@ TEST(ThreadedRuntime, SpeechErrorsIdenticalOnThreads) {
   for (std::size_t i = 0; i < reference.size(); ++i)
     EXPECT_DOUBLE_EQ(parallel[i], reference[i]);
 
-  ThreadedRuntime threaded(app.system());
+  JobInstance threaded(app.system().plan());
   EXPECT_NO_THROW(threaded.run(5));  // default zero computes across 4 threads
 }
 
@@ -112,7 +113,7 @@ TEST(ThreadedRuntime, BackPressureBlocksFastProducer) {
   assignment.assign(b, 1);
   const SpiSystem system(g, assignment);
 
-  ThreadedRuntime runtime(system);
+  JobInstance runtime(system.plan());
   std::atomic<std::int64_t> consumed{0};
   runtime.set_compute(b, [&](FiringContext& ctx) {
     (void)ctx;
@@ -127,7 +128,7 @@ TEST(ThreadedRuntime, BackPressureBlocksFastProducer) {
 TEST(ThreadedRuntime, ComputeExceptionPropagatesAndUnblocks) {
   Fixture f;
   const SpiSystem system(f.g, f.assignment);
-  ThreadedRuntime runtime(system);
+  JobInstance runtime(system.plan());
   runtime.set_compute(f.mid, [](FiringContext& ctx) {
     if (ctx.invocation == 3) throw std::runtime_error("injected failure");
     ctx.outputs[0] = {Bytes(8, 0)};
@@ -138,7 +139,7 @@ TEST(ThreadedRuntime, ComputeExceptionPropagatesAndUnblocks) {
 TEST(ThreadedRuntime, BmaxViolationSurfaces) {
   Fixture f;
   const SpiSystem system(f.g, f.assignment);
-  ThreadedRuntime runtime(system);
+  JobInstance runtime(system.plan());
   runtime.set_compute(f.src, [&f](FiringContext& ctx) {
     ctx.outputs[ctx.output_index(f.dyn)] = {Bytes(9 * sizeof(double), 0)};  // bound is 8
   });
@@ -148,7 +149,7 @@ TEST(ThreadedRuntime, BmaxViolationSurfaces) {
 TEST(ThreadedRuntime, StatsAggregatedWhenRunThrows) {
   Fixture f;
   const SpiSystem system(f.g, f.assignment);
-  ThreadedRuntime runtime(system);
+  JobInstance runtime(system.plan());
 
   // A full successful run first, so stale stats would be detectable.
   runtime.run(50);
@@ -172,7 +173,7 @@ TEST(ThreadedRuntime, StatsAggregatedWhenRunThrows) {
 TEST(ThreadedRuntime, RepeatedRunsAccumulateInvocations) {
   Fixture f;
   const SpiSystem system(f.g, f.assignment);
-  ThreadedRuntime runtime(system);
+  JobInstance runtime(system.plan());
   std::atomic<std::int64_t> last{-1};
   runtime.set_compute(f.dst, [&](FiringContext& ctx) { last.store(ctx.invocation); });
   runtime.run(10);
@@ -210,7 +211,7 @@ TEST(ThreadedRuntime, ThreadedRegistryCountersMatchSimulatorMessages) {
 
   // Real-thread execution of the same system and iteration count.
   obs::MetricRegistry registry;
-  ThreadedRuntime runtime(system, &registry);
+  JobInstance runtime(system.plan(), {{}, &registry, {}});
   runtime.run(PipelineFixture::kIterations);
 
   EXPECT_EQ(registry.counter_total("spi_threaded_messages_total"), sim_stats.data_messages);

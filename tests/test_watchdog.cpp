@@ -20,7 +20,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/threaded_runtime.hpp"
+#include "core/job_instance.hpp"
+#include "core/spi_system.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/json_lint.hpp"
 #include "obs/watchdog.hpp"
@@ -192,7 +193,7 @@ struct Fixture {
     assignment.assign(dst, 2);
   }
 
-  void wire(ThreadedRuntime& runtime) const {
+  void wire(JobInstance& runtime) const {
     runtime.set_compute(src, [this](FiringContext& ctx) {
       ctx.outputs[ctx.output_index(first)] = {std::vector<std::uint8_t>(sizeof(double))};
     });
@@ -219,7 +220,7 @@ sim::RetryPolicy stubborn_policy() {
 TEST(WatchdogRuntime, HealthyRunNeverFires) {
   Fixture f;
   const SpiSystem system(f.g, f.assignment);
-  ThreadedRuntime runtime(system);
+  JobInstance runtime(system.plan());
   f.wire(runtime);
 
   std::atomic<int> fired{0};
@@ -251,7 +252,7 @@ TEST(WatchdogRuntime, DeadEdgeDeadlockIsDetectedClassifiedAndDumped) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  ThreadedRuntime runtime(system, rel);
+  JobInstance runtime(system.plan(), {rel, nullptr, {}});
   f.wire(runtime);
 
   const std::string dir = ::testing::TempDir();
@@ -325,7 +326,7 @@ TEST(WatchdogRuntime, NonAbortingWatchdogObservesStallAndLetsTransportFail) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  ThreadedRuntime runtime(system, rel);
+  JobInstance runtime(system.plan(), {rel, nullptr, {}});
   f.wire(runtime);
 
   std::atomic<int> fired{0};

@@ -67,10 +67,10 @@
 #include <string_view>
 #include <vector>
 
+#include "core/job_instance.hpp"
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
 #include "core/text_format.hpp"
-#include "core/threaded_runtime.hpp"
 #include "dataflow/dot.hpp"
 #include "mpi/mpi_backend.hpp"
 #include "obs/critical_path.hpp"
@@ -449,10 +449,8 @@ int main(int argc, char** argv) {
     }
 
     if (thread_iterations > 0) {
-      spi::core::ReliabilityOptions rel;
-      rel.enabled = reliability;
-      rel.faults = fault_plan ? &*fault_plan : nullptr;
-      spi::core::ThreadedRuntime runtime(plan, rel, &registry);
+      const spi::core::ReliabilityOptions rel{reliability, fault_plan ? &*fault_plan : nullptr};
+      spi::core::JobInstance job(plan, {rel, &registry, {}});
       // The flight recorder is the one wall-clock trace producer: it
       // serves --flight-out directly and --trace-out through its
       // critical-path Chrome export.
@@ -460,10 +458,10 @@ int main(int argc, char** argv) {
       const std::string flight_path = engine_path(flight_out, "wallclock", both_engines);
       if (!flight_out.empty() || !trace_out.empty()) {
         flight.emplace(static_cast<std::int32_t>(plan.proc_count));
-        // On a ChannelError the runtime dumps the log post-mortem to the
+        // On a ChannelError the instance dumps the log post-mortem to the
         // same path the success case would have used.
         if (!flight_out.empty()) flight->set_postmortem_path(flight_path);
-        runtime.set_flight_recorder(&*flight);
+        job.set_flight_recorder(&*flight);
       }
       spi::core::RunOptions run_options;
       run_options.iterations = thread_iterations;
@@ -481,7 +479,7 @@ int main(int argc, char** argv) {
         run_options.watchdog.window_ms = watchdog_ms;
       }
       try {
-        runtime.run(run_options);
+        job.run(run_options);
       } catch (const spi::sim::ChannelError& e) {
         // Graceful degradation: the reliable transport gave up on one
         // channel within its deadline instead of hanging the pipeline.
@@ -502,7 +500,7 @@ int main(int argc, char** argv) {
                                                      : registry.to_prometheus().c_str());
         return 4;
       }
-      const spi::core::ThreadedRunStats& ts = runtime.stats();
+      const spi::core::ThreadedRunStats& ts = job.stats();
       std::fprintf(report_out,
                    "\nthreaded run (%lld iterations, default computes%s):\n"
                    "  messages        : %lld\n  payload bytes   : %lld\n"

@@ -1,7 +1,7 @@
 /// \file spi_trace_analyze.cpp
 /// Post-mortem bottleneck attribution over a flight-recorder dump: reads
-/// the event log written by `spi_compile --flight-out` (or by
-/// ThreadedRuntime / sim::to_flight_log directly), reconstructs the
+/// the event log written by `spi_compile --flight-out` (or by a
+/// JobInstance's recorder / sim::to_flight_log directly), reconstructs the
 /// causal DAG, and reports the realized critical path with per-channel
 /// and per-actor attribution.
 ///
