@@ -11,11 +11,11 @@
 ///   (c) ack traffic comparison.
 #include <cstdio>
 
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 
 namespace {
 
-spi::core::SpiSystem make_pipeline(std::int64_t feedback_delay, std::int64_t credit) {
+spi::core::ExecutablePlan make_pipeline(std::int64_t feedback_delay, std::int64_t credit) {
   using namespace spi;
   df::Graph g("pipe3");
   const df::ActorId a = g.add_actor("A", 40);
@@ -30,7 +30,7 @@ spi::core::SpiSystem make_pipeline(std::int64_t feedback_delay, std::int64_t cre
   assignment.assign(c, 2);
   core::SpiSystemOptions options;
   options.sync.ubs_credit_window = credit;
-  return core::SpiSystem(g, assignment, options);
+  return core::compile_plan(g, assignment, options);
 }
 
 }  // namespace
@@ -43,11 +43,11 @@ int main() {
   std::printf("(a) feedforward pipeline (UBS): credit window vs steady period\n");
   std::printf("%8s %12s %12s %14s\n", "credit", "period(cyc)", "sync/iter", "protocol");
   for (std::int64_t credit : {1, 2, 4, 8}) {
-    const core::SpiSystem system = make_pipeline(0, credit);
-    const auto stats = system.run_timed(run);
+    const core::ExecutablePlan plan = make_pipeline(0, credit);
+    const auto stats = core::run_timed(plan, *plan.make_backend(), run);
     std::size_t ubs = 0;
-    for (const auto& plan : system.channels())
-      if (plan.protocol == sched::SyncProtocol::kUbs) ++ubs;
+    for (const auto& channel : plan.channels)
+      if (channel.protocol == sched::SyncProtocol::kUbs) ++ubs;
     std::printf("%8lld %12.1f %12.2f %10zu UBS\n", static_cast<long long>(credit),
                 stats.steady_period_cycles, static_cast<double>(stats.sync_messages) / 400.0,
                 ubs);
@@ -56,11 +56,11 @@ int main() {
   std::printf("\n(b) same pipeline with feedback delay 2 (BBS path)\n");
   std::printf("%8s %12s %12s %22s\n", "credit", "period(cyc)", "sync/iter", "channels");
   for (std::int64_t credit : {1, 4}) {
-    const core::SpiSystem system = make_pipeline(2, credit);
-    const auto stats = system.run_timed(run);
+    const core::ExecutablePlan plan = make_pipeline(2, credit);
+    const auto stats = core::run_timed(plan, *plan.make_backend(), run);
     std::size_t bbs = 0, ubs = 0;
-    for (const auto& plan : system.channels())
-      (plan.protocol == sched::SyncProtocol::kBbs ? bbs : ubs) += 1;
+    for (const auto& channel : plan.channels)
+      (channel.protocol == sched::SyncProtocol::kBbs ? bbs : ubs) += 1;
     std::printf("%8lld %12.1f %12.2f %11zu BBS, %zu UBS\n", static_cast<long long>(credit),
                 stats.steady_period_cycles, static_cast<double>(stats.sync_messages) / 400.0,
                 bbs, ubs);
@@ -68,12 +68,12 @@ int main() {
 
   std::printf("\n(c) static buffer bytes bought by BBS (equation 2)\n");
   {
-    const core::SpiSystem system = make_pipeline(2, 1);
-    for (const auto& plan : system.channels()) {
-      std::printf("  %-10s %s  B(e)=%s\n", plan.name.c_str(),
-                  plan.protocol == sched::SyncProtocol::kBbs ? "BBS" : "UBS",
-                  plan.bbs_capacity_bytes
-                      ? (std::to_string(*plan.bbs_capacity_bytes) + " bytes").c_str()
+    const core::ExecutablePlan plan = make_pipeline(2, 1);
+    for (const auto& channel : plan.channels) {
+      std::printf("  %-10s %s  B(e)=%s\n", channel.name.c_str(),
+                  channel.protocol == sched::SyncProtocol::kBbs ? "BBS" : "UBS",
+                  channel.bbs_capacity_bytes
+                      ? (std::to_string(*channel.bbs_capacity_bytes) + " bytes").c_str()
                       : "unbounded without acks");
     }
   }

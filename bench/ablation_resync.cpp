@@ -53,8 +53,8 @@ int main() {
       const auto stats = app.run_timed(1024, 10, timing, 200);
       Row& row = rows[resync ? 1 : 0];
       row.config = resync ? "with resync" : "without resync";
-      row.acks = app.system().sync_graph().count_active(sched::SyncEdgeKind::kAck);
-      row.msgs_per_iter = app.system().messages_per_iteration();
+      row.acks = app.system().plan().sync_graph.count_active(sched::SyncEdgeKind::kAck);
+      row.msgs_per_iter = app.system().plan().messages_per_iteration;
       row.sync_msgs_per_iter = static_cast<double>(stats.sync_messages) / 200.0;
       row.period_us =
           clock.to_microseconds(static_cast<sim::SimTime>(stats.steady_period_cycles));
@@ -77,8 +77,8 @@ int main() {
       const auto stats = app.run_timed(200, timing, 200);
       Row& row = rows[resync ? 1 : 0];
       row.config = resync ? "with resync" : "without resync";
-      row.acks = app.system().sync_graph().count_active(sched::SyncEdgeKind::kAck);
-      row.msgs_per_iter = app.system().messages_per_iteration();
+      row.acks = app.system().plan().sync_graph.count_active(sched::SyncEdgeKind::kAck);
+      row.msgs_per_iter = app.system().plan().messages_per_iteration;
       row.sync_msgs_per_iter = static_cast<double>(stats.sync_messages) / 200.0;
       row.period_us =
           clock.to_microseconds(static_cast<sim::SimTime>(stats.steady_period_cycles));

@@ -35,7 +35,8 @@ int main() {
   apps::SpeechParams params;
   const apps::SpeechTimingModel timing;
   const apps::ErrorGenApp app(4, params);
-  const core::SpiSystem& system = app.system();
+  const core::ExecutablePlan& plan = app.system().plan();
+  const auto backend = plan.make_backend();
   const sim::ClockModel clock{timing.clock_mhz};
 
   // WCET workload: the figure-6 cost model at 1024 samples.
@@ -45,8 +46,8 @@ int main() {
     // cost formulas live in run_timed, so rebuild them here via a probe.
     // The graph's actor exec times are placeholders; define WCET directly:
     wcet.exec_cycles = [&](std::int32_t task, std::int64_t) -> std::int64_t {
-      const df::ActorId actor = system.sync_graph().task(task).actor;
-      const std::string& name = system.application().actor(actor).name;
+      const df::ActorId actor = plan.sync_graph.task(task).actor;
+      const std::string& name = app.system().application().actor(actor).name;
       if (name.starts_with("D")) return 24 + (1024 / 4) * 10;        // PE MACs
       if (name.starts_with("SendFrame")) return 12 + (1024 / 4 + 10) * 2;
       if (name.starts_with("SendCoef")) return 12 + 10 * 4;
@@ -82,9 +83,9 @@ int main() {
     };
 
     const sim::ExecStats self_timed =
-        core::run_timed(system.plan(), system.backend(), options, actual);
+        core::run_timed(plan, *backend, options, actual);
     const sim::StaticRunResult fully_static =
-        core::run_fully_static(system.plan(), system.backend(), wcet, actual, options);
+        core::run_fully_static(plan, *backend, wcet, actual, options);
 
     std::printf("%-34s %12.1f %12.1f %12lld %12.1f\n", s.name,
                 clock.to_microseconds(

@@ -29,12 +29,12 @@ int main() {
     assignment.assign(b, 1);
     core::SpiSystemOptions options;
     options.sync.ubs_credit_window = 4;  // keep the pipeline flowing
-    const core::SpiSystem system(g, assignment, options);
+    const core::ExecutablePlan plan = core::compile_plan(g, assignment, options);
 
     sim::TimedExecutorOptions run;
     run.iterations = 400;
-    const auto spi_stats = system.run_timed(run);
-    const auto mpi_stats = system.run_timed_with(mpi_backend, run);
+    const auto spi_stats = core::run_timed(plan, *plan.make_backend(), run);
+    const auto mpi_stats = core::run_timed(plan, mpi_backend, run);
     std::printf("%12lld %10.1f %10.1f %9.2fx %14.1f %14.1f\n",
                 static_cast<long long>(payload), spi_stats.steady_period_cycles,
                 mpi_stats.steady_period_cycles,

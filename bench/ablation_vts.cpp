@@ -53,7 +53,7 @@ int main() {
   {
     const apps::ErrorGenApp app(4, apps::SpeechParams{});
     const df::VtsMemoryComparison cmp =
-        df::compare_vts_memory(app.system().application(), app.system().vts());
+        df::compare_vts_memory(app.system().application(), app.system().plan().vts);
     std::printf("%-40s %14lld %20lld\n", "speech error-gen, 4 PE",
                 static_cast<long long>(cmp.vts_bytes),
                 static_cast<long long>(cmp.worst_case_static_bytes));
@@ -63,7 +63,7 @@ int main() {
     params.particles = 200;
     const apps::ParticleFilterApp app(2, params);
     const df::VtsMemoryComparison cmp =
-        df::compare_vts_memory(app.system().application(), app.system().vts());
+        df::compare_vts_memory(app.system().application(), app.system().plan().vts);
     std::printf("%-40s %14lld %20lld\n", "particle filter, 2 PE",
                 static_cast<long long>(cmp.vts_bytes),
                 static_cast<long long>(cmp.worst_case_static_bytes));

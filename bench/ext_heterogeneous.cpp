@@ -21,10 +21,11 @@ int main() {
   // possible with custom pe_speed (the app owns the options), so drive
   // the system directly with default workloads scaled to the operating
   // point: the host executes the I/O actors, PEs 1..4 the D actors.
+  const core::ExecutablePlan& plan = app.system().plan();
   auto run_with_speeds = [&](std::vector<double> speeds) {
     sim::WorkloadModel workload;
     workload.exec_cycles = [&](std::int32_t task, std::int64_t) -> std::int64_t {
-      const df::ActorId actor = app.system().sync_graph().task(task).actor;
+      const df::ActorId actor = plan.sync_graph.task(task).actor;
       const std::string& name = app.system().application().actor(actor).name;
       if (name.starts_with("D")) return 24 + (1024 / 4) * 10;
       if (name.starts_with("SendFrame")) return 12 + (1024 / 4 + 10) * 2;
@@ -35,7 +36,7 @@ int main() {
     options.iterations = 120;
     options.clock.mhz = timing.clock_mhz;
     options.pe_speed = std::move(speeds);
-    const auto stats = app.system().run_timed(options, workload);
+    const auto stats = core::run_timed(plan, *plan.make_backend(), options, workload);
     return clock.to_microseconds(static_cast<sim::SimTime>(stats.steady_period_cycles));
   };
 

@@ -19,7 +19,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/huffman.hpp"
@@ -41,13 +41,13 @@ double run_batched(std::int64_t batch, std::int64_t logical_iterations, bool use
   assignment.assign(b, 1);
   core::SpiSystemOptions options;
   options.sync.ubs_credit_window = 4;
-  const core::SpiSystem system(g, assignment, options);
+  const core::ExecutablePlan plan = core::compile_plan(g, assignment, options);
 
   sim::TimedExecutorOptions run;
   run.iterations = logical_iterations / batch;
   const mpi::MpiBackend mpi_backend;
-  const auto stats =
-      use_mpi ? system.run_timed_with(mpi_backend, run) : system.run_timed(run);
+  const auto stats = use_mpi ? core::run_timed(plan, mpi_backend, run)
+                             : core::run_timed(plan, *plan.make_backend(), run);
   // Normalize to time per logical token.
   return stats.steady_period_cycles / static_cast<double>(batch);
 }

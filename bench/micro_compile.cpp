@@ -1,13 +1,12 @@
 /// \file micro_compile.cpp
-/// google-benchmark microbenchmarks of the *compiler* itself: SpiSystem
-/// construction (VTS + repetitions + PASS + HSDF + sync graph + protocol
-/// selection + resynchronization) and the individual analyses, as a
-/// function of graph size. Guards the pipeline's asymptotics.
+/// google-benchmark microbenchmarks of the *compiler* itself: the whole
+/// compile_plan() pipeline (VTS + repetitions + PASS + HSDF + sync graph
+/// + protocol selection + resynchronization) and the individual analyses,
+/// as a function of graph size. Guards the pipeline's asymptotics.
 #include <benchmark/benchmark.h>
 
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
-#include "core/spi_system.hpp"
 #include "dataflow/looped_schedule.hpp"
 #include "sched/resync.hpp"
 
@@ -32,11 +31,13 @@ struct Chain {
   }
 };
 
+/// compile_plan() end to end (the name predates the plan API and is kept
+/// so the regression baseline rows still match).
 void BM_SpiSystemCompile(benchmark::State& state) {
   const Chain chain(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    const core::SpiSystem system(chain.g, chain.assignment);
-    benchmark::DoNotOptimize(system.channels().size());
+    const core::ExecutablePlan plan = core::compile_plan(chain.g, chain.assignment);
+    benchmark::DoNotOptimize(plan.channels.size());
   }
   state.SetComplexityN(state.range(0));
 }
@@ -52,8 +53,8 @@ void BM_McmAnalysis(benchmark::State& state) {
   const Chain chain(static_cast<int>(state.range(0)));
   core::SpiSystemOptions options;
   options.resynchronize = false;
-  const core::SpiSystem system(chain.g, chain.assignment, options);
-  for (auto _ : state) benchmark::DoNotOptimize(system.sync_graph().max_cycle_mean());
+  const core::ExecutablePlan plan = core::compile_plan(chain.g, chain.assignment, options);
+  for (auto _ : state) benchmark::DoNotOptimize(plan.sync_graph.max_cycle_mean());
 }
 BENCHMARK(BM_McmAnalysis)->Arg(32)->Arg(96);
 
@@ -234,10 +235,11 @@ BENCHMARK(BM_FullRecompile)->Arg(512)->Arg(10000)->Unit(benchmark::kMicrosecond)
 
 void BM_TimedRunPerIteration(benchmark::State& state) {
   const Chain chain(32);
-  const core::SpiSystem system(chain.g, chain.assignment);
+  const core::ExecutablePlan plan = core::compile_plan(chain.g, chain.assignment);
+  const auto backend = plan.make_backend();
   sim::TimedExecutorOptions options;
   options.iterations = static_cast<std::int64_t>(state.range(0));
-  for (auto _ : state) benchmark::DoNotOptimize(system.run_timed(options).makespan);
+  for (auto _ : state) benchmark::DoNotOptimize(core::run_timed(plan, *backend, options).makespan);
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TimedRunPerIteration)->Arg(100);

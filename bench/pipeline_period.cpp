@@ -33,7 +33,7 @@
 #include "apps/particle_app.hpp"
 #include "apps/speech_app.hpp"
 #include "core/job_instance.hpp"
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/flight_recorder.hpp"
 
@@ -221,14 +221,14 @@ int main(int argc, char** argv) {
   sched::Assignment chain_assignment(chain.actor_count(), 4);
   for (df::ActorId a = 0; a < static_cast<df::ActorId>(chain.actor_count()); ++a)
     chain_assignment.assign(a, a);
-  const core::SpiSystem chain4(chain, chain_assignment);
+  const core::ExecutablePlan chain4 = core::compile_plan(chain, chain_assignment);
 
   std::vector<PlanResult> results{describe("speech", speech.system().plan(), cycle_ns),
                                   describe("particle", particle.system().plan(), cycle_ns),
-                                  describe("chain4", chain4.plan(), cycle_ns)};
+                                  describe("chain4", chain4, cycle_ns)};
   sim::TimedExecutorOptions one_iteration;
   one_iteration.iterations = 1;
-  results.back().makespan_ns = static_cast<double>(chain4.run_timed(one_iteration).makespan) *
+  results.back().makespan_ns = static_cast<double>(core::run_timed(chain4, *chain4.make_backend(), one_iteration).makespan) *
                                static_cast<double>(cycle_ns);
   // Interleaved repetitions: slow drift (frequency ramp, a noisy
   // neighbour) spreads over every plan instead of biasing one.

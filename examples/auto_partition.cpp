@@ -6,7 +6,7 @@
 /// the sched-layer API a mapping tool would build on.
 #include <cstdio>
 
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 
 namespace {
 
@@ -37,10 +37,10 @@ struct Metrics {
 };
 
 Metrics measure(const spi::df::Graph& g, const spi::sched::Assignment& assignment) {
-  const spi::core::SpiSystem system(g, assignment);
+  const spi::core::ExecutablePlan plan = spi::core::compile_plan(g, assignment);
   spi::sim::TimedExecutorOptions options;
   options.iterations = 300;
-  const spi::sim::ExecStats stats = system.run_timed(options);
+  const spi::sim::ExecStats stats = spi::core::run_timed(plan, *plan.make_backend(), options);
   return Metrics{stats.steady_period_cycles,
                  static_cast<double>(stats.iteration_complete.front())};
 }

@@ -28,7 +28,7 @@ int main() {
   }
 
   const apps::BeamformerApp app(4, params);
-  std::printf("\n%s\n", app.system().report().c_str());
+  std::printf("\n%s\n", app.system().plan().report().c_str());
 
   const std::vector<double> out = app.run_functional(kSource, kSource, 4);
   std::vector<double> ref_out;

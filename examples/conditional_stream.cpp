@@ -16,7 +16,7 @@
 
 #include "apps/serialization.hpp"
 #include "core/job_instance.hpp"
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "dsp/rng.hpp"
 
 int main() {
@@ -45,10 +45,10 @@ int main() {
   sched::Assignment assignment(g.actor_count(), 3);
   assignment.assign(low, 1);
   assignment.assign(high, 2);
-  const core::SpiSystem system(g, assignment);
-  std::printf("%s\n", system.report().c_str());
+  const core::ExecutablePlan plan = core::compile_plan(g, assignment);
+  std::printf("%s\n", plan.report().c_str());
 
-  core::JobInstance runtime(system.plan());
+  core::JobInstance runtime(plan);
   dsp::Rng rng(99);
   std::int64_t produced = 0, low_count = 0, high_count = 0, merged = 0;
   double low_sum = 0.0, high_sum = 0.0, merged_sum = 0.0, source_sum = 0.0;
@@ -103,9 +103,9 @@ int main() {
               "lives in token sizes while every rate stayed statically 1.\n",
               static_cast<double>(runtime.metrics().counter_value(
                   "spi_threaded_payload_bytes_total",
-                  {{"channel", system.channel_for(e_low).name}})) /
+                  {{"channel", plan.channel_for(e_low).name}})) /
                   256.0,
-              static_cast<long long>(system.channel_for(e_low).b_max_bytes));
+              static_cast<long long>(plan.channel_for(e_low).b_max_bytes));
   const bool ok = produced == low_count + high_count && merged == produced &&
                   std::abs(source_sum - merged_sum) < 1e-9;
   return ok ? 0 : 1;

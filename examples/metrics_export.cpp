@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/job_instance.hpp"
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -36,12 +36,12 @@ int main() {
   assignment.assign(snk, 2);
   core::SpiSystemOptions options;
   options.metrics = &registry;
-  const core::SpiSystem system(g, assignment, options);
+  const core::ExecutablePlan plan = core::compile_plan(g, assignment, options);
 
   // Run on real threads with the same registry: per-channel message,
   // byte and block counters land beside the compile metrics. The
   // flight recorder captures every firing for Perfetto.
-  core::JobInstance runtime(system.plan(), {{}, &registry, {}});
+  core::JobInstance runtime(plan, {{}, &registry, {}});
   obs::FlightRecorder flight(3);
   runtime.set_flight_recorder(&flight);
 

@@ -16,7 +16,7 @@
 
 #include "apps/serialization.hpp"
 #include "core/job_instance.hpp"
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "dsp/fir.hpp"
 
 namespace {
@@ -48,9 +48,9 @@ std::vector<double> run_converter(const std::vector<double>& input, std::int32_t
     assignment.assign(itp, 2);
     assignment.assign(snk, 3);
   }
-  const core::SpiSystem system(g, assignment);
+  const core::ExecutablePlan plan = core::compile_plan(g, assignment);
 
-  core::JobInstance runtime(system.plan());
+  core::JobInstance runtime(plan);
   const auto anti_alias = dsp::design_lowpass(31, 0.5 / kFactor * 0.8);
   auto dec_filter = std::make_shared<dsp::FirState>(anti_alias);
   auto itp_filter = std::make_shared<dsp::FirState>(anti_alias);

@@ -40,7 +40,7 @@ int main() {
               static_cast<long long>(distributed.dynamic_messages));
   std::printf("  SPI_static msgs (sums + obs)    : %lld\n\n",
               static_cast<long long>(distributed.static_messages));
-  std::printf("%s\n", app.system().report().c_str());
+  std::printf("%s\n", app.system().plan().report().c_str());
 
   // Timed operating point (figure 7 midpoint).
   const apps::ParticleTimingModel timing;

@@ -2,9 +2,9 @@
 /// Minimal end-to-end tour of the SPI library:
 ///   1. describe an application as a dataflow graph (one edge dynamic),
 ///   2. assign actors to processors,
-///   3. let SpiSystem run the compilation pipeline (VTS conversion,
-///      schedule, synchronization graph, BBS/UBS selection, buffer
-///      bounds, resynchronization),
+///   3. compile it with compile_plan() into an ExecutablePlan (VTS
+///      conversion, schedule, synchronization graph, BBS/UBS selection,
+///      buffer bounds, resynchronization),
 ///   4. execute it sequentially (real bytes, the PASS walked by a
 ///      colocated JobInstance),
 ///   5. execute it on the timed platform model and print statistics.
@@ -12,7 +12,7 @@
 
 #include "apps/serialization.hpp"
 #include "core/job_instance.hpp"
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "mpi/mpi_backend.hpp"
 
 int main() {
@@ -36,11 +36,11 @@ int main() {
   assignment.assign(flt, 1);
   assignment.assign(snk, 2);
 
-  core::SpiSystem system(graph, assignment);
-  std::printf("%s\n", system.report().c_str());
+  const core::ExecutablePlan plan = core::compile_plan(graph, assignment);
+  std::printf("%s\n", plan.report().c_str());
 
   // --- sequential run: sum a varying number of samples per iteration ---
-  core::JobInstance runtime(system.plan());
+  core::JobInstance runtime(plan);
   double checksum = 0.0;
   runtime.set_compute(src, [&](core::FiringContext& ctx) {
     // Iteration k ships (k % 16) + 1 samples — a dynamic rate.
@@ -62,7 +62,7 @@ int main() {
   });
   runtime.run_colocated(32);
   std::printf("sequential: 32 iterations, checksum = %.2f\n", checksum);
-  const obs::Labels channel{{"channel", system.channel_for(e_dyn).name}};
+  const obs::Labels channel{{"channel", plan.channel_for(e_dyn).name}};
   const obs::MetricRegistry& metrics = runtime.metrics();
   std::printf("  dynamic channel: %lld msgs, %lld payload B (+%lld B header each on the wire)\n\n",
               static_cast<long long>(metrics.counter_value("spi_threaded_messages_total", channel)),
@@ -73,9 +73,9 @@ int main() {
   // --- timed run: SPI backend vs. the generic MPI baseline -------------
   sim::TimedExecutorOptions options;
   options.iterations = 1000;
-  const sim::ExecStats spi_stats = system.run_timed(options);
+  const sim::ExecStats spi_stats = core::run_timed(plan, *plan.make_backend(), options);
   const mpi::MpiBackend mpi_backend;
-  const sim::ExecStats mpi_stats = system.run_timed_with(mpi_backend, options);
+  const sim::ExecStats mpi_stats = core::run_timed(plan, mpi_backend, options);
   std::printf("timed (1000 iterations @ %.0f MHz):\n", options.clock.mhz);
   std::printf("  SPI : period %8.1f cycles  (%7.3f us/iter), %lld data + %lld sync msgs\n",
               spi_stats.steady_period_cycles,

@@ -6,7 +6,7 @@
 /// trip through the host's schedule loop already enforces them.
 #include <cstdio>
 
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "sched/resync.hpp"
 
 namespace {
@@ -61,18 +61,18 @@ int main() {
 
   core::SpiSystemOptions options;
   options.resynchronize = false;  // inspect the raw graph first
-  const core::SpiSystem before(g, assignment, options);
+  const core::ExecutablePlan before = core::compile_plan(g, assignment, options);
   std::printf("BEFORE RESYNCHRONIZATION (%zu sync messages/iteration):\n",
-              before.messages_per_iteration());
-  print_sync_graph(before.sync_graph());
+              before.messages_per_iteration);
+  print_sync_graph(before.sync_graph);
 
   options.resynchronize = true;
-  const core::SpiSystem after(g, assignment, options);
+  const core::ExecutablePlan after = core::compile_plan(g, assignment, options);
   std::printf("\nAFTER RESYNCHRONIZATION (%zu sync messages/iteration):\n",
-              after.messages_per_iteration());
-  print_sync_graph(after.sync_graph());
+              after.messages_per_iteration);
+  print_sync_graph(after.sync_graph);
 
-  const auto& report = *after.resync_report();
+  const auto& report = *after.resync;
   std::printf("\nresynchronization: %zu ack edges -> %zu (removed %zu, added %zu), "
               "MCM %.1f -> %.1f cycles\n",
               report.acks_before, report.acks_after, report.edges_removed,
@@ -80,8 +80,8 @@ int main() {
 
   sim::TimedExecutorOptions run;
   run.iterations = 300;
-  const auto stats_before = before.run_timed(run);
-  const auto stats_after = after.run_timed(run);
+  const auto stats_before = core::run_timed(before, *before.make_backend(), run);
+  const auto stats_after = core::run_timed(after, *after.make_backend(), run);
   std::printf("simulated period: %.1f cycles before, %.1f after; sync messages "
               "%lld -> %lld over the run\n",
               stats_before.steady_period_cycles, stats_after.steady_period_cycles,

@@ -11,7 +11,7 @@
 
 #include "apps/serialization.hpp"
 #include "core/job_instance.hpp"
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/rng.hpp"
 
@@ -32,13 +32,13 @@ int main() {
 
   sched::Assignment assignment(g.actor_count(), 2);
   assignment.assign(analyzer, 1);
-  const core::SpiSystem system(g, assignment);
-  std::printf("%s\n", system.report().c_str());
+  const core::ExecutablePlan plan = core::compile_plan(g, assignment);
+  std::printf("%s\n", plan.report().c_str());
 
   // Input: a tone hopping between bins every frame, in noise.
   dsp::Rng rng(404);
   const std::vector<std::size_t> hop_bins{12, 40, 12, 97, 55, 40, 7, 120};
-  core::JobInstance runtime(system.plan());
+  core::JobInstance runtime(plan);
 
   runtime.set_compute(framer, [&](core::FiringContext& ctx) {
     const std::size_t bin = hop_bins[static_cast<std::size_t>(ctx.invocation) % hop_bins.size()];
@@ -76,7 +76,7 @@ int main() {
   });
 
   runtime.run_colocated(16);
-  const obs::Labels frames{{"channel", system.channel_for(e_frame).name}};
+  const obs::Labels frames{{"channel", plan.channel_for(e_frame).name}};
   const obs::MetricRegistry& metrics = runtime.metrics();
   std::printf("\ndetected %d/%d hops; frame channel moved %lld B payload in %lld tokens\n",
               correct, total,

@@ -52,7 +52,7 @@ int main() {
                 clock.to_microseconds(static_cast<sim::SimTime>(stats.steady_period_cycles)),
                 static_cast<long long>((stats.data_messages + stats.sync_messages) /
                                        stats.iteration_complete.size()));
-    std::printf("%s", app.system().report().c_str());
+    std::printf("%s", app.system().plan().report().c_str());
   }
   return 0;
 }

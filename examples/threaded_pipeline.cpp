@@ -9,7 +9,7 @@
 
 #include "apps/serialization.hpp"
 #include "core/job_instance.hpp"
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/rng.hpp"
 
@@ -30,7 +30,7 @@ int main() {
   sched::Assignment assignment(g.actor_count(), 3);
   assignment.assign(flt, 1);
   assignment.assign(snk, 2);
-  const core::SpiSystem system(g, assignment);
+  const core::ExecutablePlan plan = core::compile_plan(g, assignment);
 
   const auto taps = dsp::design_lowpass(21, 0.2);
   auto wire = [&](core::JobInstance& runtime, std::vector<double>& sink,
@@ -57,12 +57,12 @@ int main() {
 
   std::vector<double> sequential, threaded;
   {
-    core::JobInstance runtime(system.plan());
+    core::JobInstance runtime(plan);
     dsp::FirState state(taps);
     wire(runtime, sequential, state);
     runtime.run_colocated(kIterations);
   }
-  core::JobInstance runtime(system.plan());
+  core::JobInstance runtime(plan);
   dsp::FirState state(taps);
   wire(runtime, threaded, state);
   runtime.run(kIterations);

@@ -18,20 +18,18 @@ int main() {
   const apps::ErrorGenApp app(4, params);
   const apps::SpeechTimingModel timing;
 
-  // Re-run the timed experiment with a recorder attached. The app's
-  // run_timed wraps SpiSystem::run_timed, so we drive the system directly
-  // to control the options.
+  // Run the timed experiment with a recorder attached. The app's own
+  // run_timed fixes the options, so this drives the app's compiled plan
+  // through core::run_timed directly, with the graph's exec times and
+  // worst-case payloads as the workload.
   sim::TraceRecorder trace;
   sim::TimedExecutorOptions options;
   options.iterations = 6;
   options.clock.mhz = timing.clock_mhz;
   options.trace = &trace;
 
-  // Reuse the app's workload by calling its run_timed via the system with
-  // the same callbacks: simplest is to call run_timed once for stats and
-  // again traced through the raw system API.
-  sim::WorkloadModel workload;  // defaults: graph exec times, worst-case payloads
-  const sim::ExecStats stats = app.system().run_timed(options, workload);
+  const core::ExecutablePlan& plan = app.system().plan();
+  const sim::ExecStats stats = core::run_timed(plan, *plan.make_backend(), options);
 
   std::printf("4-PE speech error generation, %lld iterations, makespan %lld cycles\n\n",
               static_cast<long long>(options.iterations),

@@ -2,14 +2,14 @@
 /// Walkthrough of the paper's Section 3 on the figure-1 example: an edge
 /// whose production rate varies with bound 10 and consumption rate with
 /// bound 8. Shows the VTS conversion, the equation-1 buffer bound, the
-/// memory comparison against worst-case static sizing, and a functional
-/// run where the true rates vary every firing.
+/// memory comparison against worst-case static sizing, and a sequential
+/// JobInstance run where the true rates vary every firing.
 #include <cstdio>
 
 #include "apps/serialization.hpp"
 #include "core/job_instance.hpp"
 #include "core/packing.hpp"
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "dataflow/dot.hpp"
 #include "dataflow/vts.hpp"
 #include "dsp/rng.hpp"
@@ -43,10 +43,10 @@ int main() {
   // of 2-byte samples per firing through an SPI_dynamic channel.
   sched::Assignment assignment(g.actor_count(), 2);
   assignment.assign(b, 1);
-  const core::SpiSystem system(g, assignment);
-  std::printf("%s\n", system.report().c_str());
+  const core::ExecutablePlan plan = core::compile_plan(g, assignment);
+  std::printf("%s\n", plan.report().c_str());
 
-  core::JobInstance runtime(system.plan());
+  core::JobInstance runtime(plan);
   const core::TokenPacker packer(2, 10);
   dsp::Rng rng(1);
   std::int64_t raw_sent = 0, raw_received = 0;

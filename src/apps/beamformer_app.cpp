@@ -229,7 +229,7 @@ sim::ExecStats BeamformerApp::run_timed(const BeamformerTimingModel& timing,
   const auto block = static_cast<std::int64_t>(params_.block);
   sim::WorkloadModel workload;
   workload.exec_cycles = [this, block, timing](std::int32_t task, std::int64_t) -> std::int64_t {
-    const df::ActorId actor = system_->sync_graph().task(task).actor;
+    const df::ActorId actor = system_->plan().sync_graph.task(task).actor;
     const std::string& name = system_->application().actor(actor).name;
     if (name.starts_with("Sensor"))
       return timing.setup_cycles + block * timing.sensor_cycles_per_sample;
@@ -254,8 +254,9 @@ sim::ExecStats BeamformerApp::run_timed(const BeamformerTimingModel& timing,
   options.iterations = iterations;
   options.clock.mhz = timing.clock_mhz;
   options.link = timing.link;
-  if (backend) return system_->run_timed_with(*backend, options, std::move(workload));
-  return system_->run_timed(options, std::move(workload));
+  const core::ExecutablePlan& plan = system_->plan();
+  return core::run_timed(plan, backend ? *backend : *plan.make_backend(), options,
+                         std::move(workload));
 }
 
 sim::AreaReport BeamformerApp::area_report() const {

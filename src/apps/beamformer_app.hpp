@@ -21,7 +21,7 @@
 #include <span>
 #include <vector>
 
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "dsp/rng.hpp"
 #include "sim/fpga_area.hpp"
 

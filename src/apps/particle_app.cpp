@@ -488,7 +488,7 @@ sim::ExecStats ParticleFilterApp::run_timed(std::size_t particles,
   sim::WorkloadModel workload;
   workload.exec_cycles = [this, per_pe, timing, role](std::int32_t task,
                                                       std::int64_t iter) -> std::int64_t {
-    const df::ActorId actor = system_->sync_graph().task(task).actor;
+    const df::ActorId actor = system_->plan().sync_graph.task(task).actor;
     const auto count = static_cast<std::int64_t>(per_pe);
     switch (role[static_cast<std::size_t>(actor)]) {
       case Role::kObs: return timing.phase_setup_cycles;
@@ -521,8 +521,9 @@ sim::ExecStats ParticleFilterApp::run_timed(std::size_t particles,
   options.iterations = iterations;
   options.clock.mhz = timing.clock_mhz;
   options.link = timing.link;
-  if (backend) return system_->run_timed_with(*backend, options, std::move(workload));
-  return system_->run_timed(options, std::move(workload));
+  const core::ExecutablePlan& plan = system_->plan();
+  return core::run_timed(plan, backend ? *backend : *plan.make_backend(), options,
+                         std::move(workload));
 }
 
 sim::AreaReport ParticleFilterApp::area_report() const {

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "core/job_instance.hpp"
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "dsp/particle_filter.hpp"
 #include "sim/fpga_area.hpp"
 

@@ -347,7 +347,7 @@ sim::ExecStats ErrorGenApp::run_timed(std::size_t sample_size, std::size_t order
   sim::WorkloadModel workload;
   workload.exec_cycles = [this, sample_size, order, timing, role](std::int32_t task,
                                                                   std::int64_t) -> std::int64_t {
-    const df::ActorId actor = system_->sync_graph().task(task).actor;
+    const df::ActorId actor = system_->plan().sync_graph.task(task).actor;
     const auto [kind, pe] = role[static_cast<std::size_t>(actor)];
     const Section sec = section(pe, sample_size, order);
     switch (kind) {
@@ -390,8 +390,9 @@ sim::ExecStats ErrorGenApp::run_timed(std::size_t sample_size, std::size_t order
   options.iterations = iterations;
   options.clock.mhz = timing.clock_mhz;
   options.link = timing.link;
-  if (backend) return system_->run_timed_with(*backend, options, std::move(workload));
-  return system_->run_timed(options, std::move(workload));
+  const core::ExecutablePlan& plan = system_->plan();
+  return core::run_timed(plan, backend ? *backend : *plan.make_backend(), options,
+                         std::move(workload));
 }
 
 sim::AreaReport ErrorGenApp::area_report() const {

@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "core/job_instance.hpp"
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "dsp/huffman.hpp"
 #include "dsp/quantize.hpp"
 #include "sim/fpga_area.hpp"
@@ -191,7 +191,7 @@ class ErrorGenApp {
 
   /// Figure 6: timed execution at a given run-time sample size and
   /// predictor order; returns per-iteration statistics. `backend`
-  /// defaults to this system's SPI backend (pass an MpiBackend for the
+  /// defaults to the plan's SPI backend (pass an MpiBackend for the
   /// comparison ablation).
   [[nodiscard]] sim::ExecStats run_timed(std::size_t sample_size, std::size_t order,
                                          const SpeechTimingModel& timing,

@@ -17,7 +17,7 @@ df::Repetitions checked_repetitions(const df::Graph& g) {
     std::string edge = reps.conflict_edge != df::kInvalidEdge
                            ? g.edge(reps.conflict_edge).name
                            : std::string("<structural>");
-    throw std::invalid_argument("SpiSystem: inconsistent dataflow graph after VTS conversion"
+    throw std::invalid_argument("compile_plan: inconsistent dataflow graph after VTS conversion"
                                 " (balance equation fails at edge " + edge + ")");
   }
   return reps;
@@ -27,7 +27,7 @@ df::SequentialSchedule checked_pass(const df::Graph& g, const df::Repetitions& r
                                     df::SchedulePolicy policy) {
   df::SequentialSchedule s = df::build_sequential_schedule(g, reps, policy);
   if (!s.admissible)
-    throw std::invalid_argument("SpiSystem: graph deadlocks (insufficient delay on a cycle)");
+    throw std::invalid_argument("compile_plan: graph deadlocks (insufficient delay on a cycle)");
   return s;
 }
 
@@ -201,7 +201,7 @@ ExecutablePlan compile_with_trace(const df::Graph& application,
                                   sched::ResyncTrace* out_trace) {
   const std::int64_t compile_start_ns = obs::monotonic_ns();
   if (assignment.actor_count() != application.actor_count())
-    throw std::invalid_argument("SpiSystem: assignment size does not match the graph");
+    throw std::invalid_argument("compile_plan: assignment size does not match the graph");
 
   VtsStage vts = run_vts_stage(application, options);
   ScheduleStage sched = run_schedule_stage(vts, assignment, options);

@@ -6,8 +6,8 @@
 ///
 /// Each stage function consumes the previous stage's typed result and
 /// produces its own; compile_plan() chains them all and returns the
-/// serializable ExecutablePlan (core/plan.hpp). SpiSystem is a thin
-/// facade over compile_plan() that keeps the historical accessor API.
+/// serializable ExecutablePlan (core/plan.hpp), the one compiled
+/// artifact every caller reads and every engine executes.
 ///
 /// Stage boundaries match the paper's structure: VTS conversion
 /// (Section 3), repetitions/PASS/HSDF/self-timed order, the IPC and
@@ -17,6 +17,7 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/plan.hpp"
@@ -84,7 +85,7 @@ struct ProtocolStage {
 };
 
 /// Throws std::invalid_argument on inconsistent graphs (repetitions) or
-/// deadlock (PASS), like the historical SpiSystem constructor.
+/// deadlock (PASS), like compile_plan().
 [[nodiscard]] VtsStage run_vts_stage(const df::Graph& application,
                                      const SpiSystemOptions& options = {});
 [[nodiscard]] ScheduleStage run_schedule_stage(const VtsStage& stage,
@@ -184,6 +185,29 @@ class IncrementalCompiler {
   sched::ResyncTrace trace_;
   bool compiled_ = false;
   bool last_incremental_ = false;
+};
+
+/// An application's compiled plan together with the graph and assignment
+/// it was compiled from, as the paper apps (ErrorGenApp,
+/// ParticleFilterApp, BeamformerApp) hold it: plan() for execution, the
+/// inputs for callers that recompile or time the stages. Everything else
+/// reads the plan's fields.
+class SpiSystem {
+ public:
+  SpiSystem(df::Graph application, sched::Assignment assignment,
+            const SpiSystemOptions& options = {})
+      : app_(std::move(application)),
+        assignment_(std::move(assignment)),
+        plan_(compile_plan(app_, assignment_, options)) {}
+
+  [[nodiscard]] const ExecutablePlan& plan() const { return plan_; }
+  [[nodiscard]] const df::Graph& application() const { return app_; }
+  [[nodiscard]] const sched::Assignment& assignment() const { return assignment_; }
+
+ private:
+  df::Graph app_;
+  sched::Assignment assignment_;
+  ExecutablePlan plan_;
 };
 
 }  // namespace spi::core

@@ -98,10 +98,6 @@ struct ChannelSpec {
 /// make the runtime allocate (or miscompute) an absurd slab.
 inline constexpr std::int64_t kMaxChannelSlabBytes = std::int64_t{1} << 30;
 
-/// Historical name, kept so existing callers of SpiSystem::channels()
-/// keep compiling; the plan IR superset is the same type.
-using ChannelPlan = ChannelSpec;
-
 /// One firing in a processor's per-iteration program: which actor fires,
 /// its invocation index within the iteration, and the edge bindings its
 /// FiringContext sees.

@@ -117,11 +117,11 @@ INSTANTIATE_TEST_SUITE_P(PeCounts, BeamformerEquivalence, ::testing::Values(1, 2
 
 TEST(BeamformerApp, AllChannelsStatic) {
   const BeamformerApp app(3, small_params());
-  for (const auto& plan : app.system().channels())
+  for (const auto& plan : app.system().plan().channels)
     EXPECT_EQ(plan.mode, core::SpiMode::kStatic);
   // Hierarchical reduction: partial-block channels from PEs 1, 2 plus
   // steering channels to them (PE0 traffic is processor-local).
-  EXPECT_EQ(app.system().channels().size(), 4u);
+  EXPECT_EQ(app.system().plan().channels.size(), 4u);
 }
 
 TEST(BeamformerApp, TimedScalesWithPes) {

@@ -115,7 +115,7 @@ struct FeedbackFixture {
   df::ActorId a, b;
   df::EdgeId forward, back;
   sched::Assignment assignment{2, 2};
-  std::unique_ptr<SpiSystem> system;
+  ExecutablePlan plan;
 
   FeedbackFixture() {
     a = g.add_actor("A");
@@ -123,7 +123,7 @@ struct FeedbackFixture {
     forward = g.connect_simple(a, b, 0, sizeof(double));
     back = g.connect_simple(b, a, 2, sizeof(double));
     assignment.assign(b, 1);
-    system = std::make_unique<SpiSystem>(g, assignment);
+    plan = compile_plan(g, assignment);
   }
 
   /// B throws on its `poison_at`-th firing (-1 = never).
@@ -145,7 +145,7 @@ struct FeedbackFixture {
 
 TEST(ColocatedRecords, DelayTokensMoveBetweenGangAndColocatedRuns) {
   FeedbackFixture f;
-  const ExecutablePlan& plan = f.system->plan();
+  const ExecutablePlan& plan = f.plan;
   const ChannelSpec* back = plan.find_channel(f.back);
   ASSERT_NE(back, nullptr) << "the delayed edge must be interprocessor";
   // A gang run that finds no delay token would wait forever: the
@@ -255,7 +255,7 @@ TEST(ColocatedRecords, FlightSequencesContinueAcrossRunKinds) {
   // (edge, seq), however the runs alternate; only the two delay tokens,
   // placed before recording started, have no send.
   FeedbackFixture f;
-  const ExecutablePlan& plan = f.system->plan();
+  const ExecutablePlan& plan = f.plan;
   obs::FlightRecorder recorder(plan.proc_count);
   std::vector<double> sink;
   JobInstance instance(plan);

@@ -7,7 +7,7 @@
 
 #include "apps/serialization.hpp"
 #include "core/job_instance.hpp"
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 
 namespace spi::core {
 namespace {
@@ -53,10 +53,10 @@ struct Fixture {
 
 TEST(Functional, DataFlowsCorrectly) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
   for (const Mode mode : kModes) {
     SCOPED_TRACE(mode_name(mode));
-    JobInstance job(system.plan());
+    JobInstance job(plan);
     std::vector<double> sums;
     job.set_compute(f.src, [&](FiringContext& ctx) {
       const std::size_t count = static_cast<std::size_t>(ctx.invocation % 8) + 1;
@@ -82,11 +82,11 @@ TEST(Functional, DataFlowsCorrectly) {
 
 TEST(Functional, ChannelStatsReflectTraffic) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
-  const obs::Labels dyn{{"channel", system.plan().channel_for(f.dyn).name}};
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
+  const obs::Labels dyn{{"channel", plan.channel_for(f.dyn).name}};
   for (const Mode mode : kModes) {
     SCOPED_TRACE(mode_name(mode));
-    JobInstance job(system.plan());
+    JobInstance job(plan);
     job.set_compute(f.src, [&](FiringContext& ctx) {
       pack_f64_into(ctx.emit(ctx.output_index(f.dyn)), std::vector<double>{1.0, 2.0});
     });
@@ -136,10 +136,10 @@ TEST(FiringContext, SlotOfResolvesPortOrder) {
 
 TEST(Functional, DefaultComputeProducesZeroTokens) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
   for (const Mode mode : kModes) {
     SCOPED_TRACE(mode_name(mode));
-    JobInstance job(system.plan());
+    JobInstance job(plan);
     // Only the sink is wired: Src and Mid emit full-rate zero tokens.
     std::vector<double> seen;
     job.set_compute(f.dst, [&](FiringContext& ctx) {
@@ -153,10 +153,10 @@ TEST(Functional, DefaultComputeProducesZeroTokens) {
 /// Runs a plan whose `actor` computes with `compute` and expects the run
 /// to fail with exactly `Expected` (not a subclass of it) in both modes.
 template <class Expected>
-void expect_rejected(const SpiSystem& system, df::ActorId actor, const ComputeFn& compute) {
+void expect_rejected(const ExecutablePlan& plan, df::ActorId actor, const ComputeFn& compute) {
   for (const Mode mode : kModes) {
     SCOPED_TRACE(mode_name(mode));
-    JobInstance job(system.plan());
+    JobInstance job(plan);
     job.set_compute(actor, compute);
     try {
       run(job, mode, 1);
@@ -169,43 +169,43 @@ void expect_rejected(const SpiSystem& system, df::ActorId actor, const ComputeFn
 
 TEST(Functional, BmaxViolationDetected) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
-  expect_rejected<std::length_error>(system, f.src, [&](FiringContext& ctx) {
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
+  expect_rejected<std::length_error>(plan, f.src, [&](FiringContext& ctx) {
     pack_f64_into(ctx.emit(ctx.output_index(f.dyn)), std::vector<double>(9, 0.0));  // bound is 8
   });
 }
 
 TEST(Functional, NonWholeTokenPayloadDetected) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
-  expect_rejected<std::logic_error>(system, f.src, [&](FiringContext& ctx) {
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
+  expect_rejected<std::logic_error>(plan, f.src, [&](FiringContext& ctx) {
     ctx.outputs[ctx.output_index(f.dyn)] = {Bytes(7, 0)};  // not a multiple of 8
   });
 }
 
 TEST(Functional, WrongTokenCountDetected) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
-  expect_rejected<std::logic_error>(system, f.mid, [&](FiringContext& ctx) {
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
+  expect_rejected<std::logic_error>(plan, f.mid, [&](FiringContext& ctx) {
     ctx.outputs[ctx.output_index(f.stat)] = {};  // must produce exactly 1
   });
 }
 
 TEST(Functional, StaticTokenSizeEnforced) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
   // Mid -> Dst crosses processors; a short and a long token both fail.
   for (const std::size_t size : {4u, 12u}) {
     SCOPED_TRACE(size);
-    expect_rejected<std::logic_error>(system, f.mid, [&](FiringContext& ctx) {
+    expect_rejected<std::logic_error>(plan, f.mid, [&](FiringContext& ctx) {
       ctx.outputs[ctx.output_index(f.stat)] = {Bytes(size, 0)};  // edge carries 8-byte tokens
     });
   }
   // The same edge on one processor is a local ring: still checked.
   sched::Assignment local(3, 2);
   local.assign(f.src, 1);  // Mid and Dst share processor 0
-  const SpiSystem colocated(f.g, local);
-  ASSERT_THROW((void)colocated.plan().channel_for(f.stat), std::out_of_range);
+  const ExecutablePlan colocated = compile_plan(f.g, local);
+  ASSERT_THROW((void)colocated.channel_for(f.stat), std::out_of_range);
   expect_rejected<std::logic_error>(colocated, f.mid, [&](FiringContext& ctx) {
     ctx.outputs[ctx.output_index(f.stat)] = {Bytes(4, 0)};
   });
@@ -219,10 +219,10 @@ TEST(Functional, InitialDelayTokensAvailable) {
   const df::EdgeId back = g.connect_simple(b, a, 1, 4);
   sched::Assignment assignment(2, 2);
   assignment.assign(b, 1);
-  const SpiSystem system(g, assignment);
+  const ExecutablePlan plan = compile_plan(g, assignment);
   for (const Mode mode : kModes) {
     SCOPED_TRACE(mode_name(mode));
-    JobInstance job(system.plan());
+    JobInstance job(plan);
     std::int64_t a_count = 0;
     std::vector<std::uint8_t> feedback;
     job.set_compute(a, [&](FiringContext& ctx) {
@@ -248,10 +248,10 @@ TEST(Functional, MultirateLocalEdges) {
   const df::ActorId a = g.add_actor("A");
   const df::ActorId b = g.add_actor("B");
   const df::EdgeId e = g.connect(a, df::Rate::fixed(3), b, df::Rate::fixed(2), 0, 4);
-  const SpiSystem system(g, sched::Assignment(2, 1));  // same processor
+  const ExecutablePlan plan = compile_plan(g, sched::Assignment(2, 1));  // same processor
   for (const Mode mode : kModes) {
     SCOPED_TRACE(mode_name(mode));
-    JobInstance job(system.plan());
+    JobInstance job(plan);
     std::int64_t produced = 0, consumed = 0;
     std::vector<std::uint8_t> order;
     job.set_compute(a, [&](FiringContext& ctx) {
@@ -274,17 +274,17 @@ TEST(Functional, MultirateLocalEdges) {
 
 TEST(Functional, ChannelLookupValidation) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
-  EXPECT_EQ(system.plan().channel_for(f.dyn).edge, f.dyn);
-  EXPECT_THROW((void)system.plan().channel_for(999), std::out_of_range);
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
+  EXPECT_EQ(plan.channel_for(f.dyn).edge, f.dyn);
+  EXPECT_THROW((void)plan.channel_for(999), std::out_of_range);
 }
 
 TEST(Functional, NegativeIterationsRejected) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
   for (const Mode mode : kModes) {
     SCOPED_TRACE(mode_name(mode));
-    JobInstance job(system.plan());
+    JobInstance job(plan);
     EXPECT_THROW(run(job, mode, -1), std::invalid_argument);
   }
 }

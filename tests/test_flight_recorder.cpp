@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/job_instance.hpp"
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/metrics.hpp"
 
@@ -218,9 +218,9 @@ TEST(FlightRecorder, ThreadedRuntimeRecordsOneFirePairPerFiring) {
   sched::Assignment assignment{3, 3};
   assignment.assign(b, 1);
   assignment.assign(c, 2);
-  const core::SpiSystem system(g, assignment);
+  const core::ExecutablePlan plan = core::compile_plan(g, assignment);
 
-  core::JobInstance runtime(system.plan());
+  core::JobInstance runtime(plan);
   FlightRecorder recorder(3);
   runtime.set_flight_recorder(&recorder);
   runtime.run(kIterations);

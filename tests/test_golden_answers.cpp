@@ -189,5 +189,26 @@ TEST(GoldenAnswers, ServedModelsMatchThePinnedBits) {
       << "compute_errors_parallel drifted from the golden bits";
 }
 
+/// The served models' plans are exactly what compile_plan() gives on
+/// each app's own graph and assignment under the options the
+/// compile-stage timings (perfbench's compile_stages) recompile with:
+/// the kFirstFireable PASS for speech, the defaults for particle. If an
+/// app's compile options drifted, those timings would quietly time a
+/// different compile.
+TEST(ServedPlans, CompileUnderTheOptionsTheStageTimingsUse) {
+  const serve::PlanServerOptions served;
+  const apps::ErrorGenApp speech(served.speech_pes, served.speech_params);
+  const apps::ParticleFilterApp particle(served.particle_pes, served.particle_params);
+  core::SpiSystemOptions speech_options;
+  speech_options.pass_policy = df::SchedulePolicy::kFirstFireable;
+  const std::pair<const core::SpiSystem*, core::SpiSystemOptions> systems[] = {
+      {&speech.system(), speech_options}, {&particle.system(), core::SpiSystemOptions{}}};
+  for (const auto& [system, options] : systems) {
+    const core::ExecutablePlan recompiled =
+        core::compile_plan(system->application(), system->assignment(), options);
+    EXPECT_EQ(system->plan().to_json(), recompiled.to_json()) << system->plan().graph_name;
+  }
+}
+
 }  // namespace
 }  // namespace spi

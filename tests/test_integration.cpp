@@ -8,7 +8,7 @@
 #include "apps/serialization.hpp"
 #include "apps/speech_app.hpp"
 #include "core/job_instance.hpp"
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "dsp/lpc.hpp"
 #include "mpi/mpi_backend.hpp"
 
@@ -17,7 +17,7 @@ namespace {
 
 /// A system with meaningful actor exec times and a feedback loop so the
 /// MCM is non-trivial.
-core::SpiSystem feedback_system() {
+core::ExecutablePlan feedback_plan() {
   df::Graph g("feedback");
   const df::ActorId a = g.add_actor("A", 30);
   const df::ActorId b = g.add_actor("B", 70);
@@ -28,16 +28,16 @@ core::SpiSystem feedback_system() {
   sched::Assignment assignment(3, 3);
   assignment.assign(b, 1);
   assignment.assign(c, 2);
-  return core::SpiSystem(g, assignment);
+  return core::compile_plan(g, assignment);
 }
 
 TEST(Integration, McmLowerBoundsSimulatedPeriod) {
-  const core::SpiSystem system = feedback_system();
-  const double mcm = system.sync_graph().max_cycle_mean();
+  const core::ExecutablePlan plan = feedback_plan();
+  const double mcm = plan.sync_graph.max_cycle_mean();
   ASSERT_GT(mcm, 0.0);
   sim::TimedExecutorOptions options;
   options.iterations = 300;
-  const sim::ExecStats stats = system.run_timed(options);
+  const sim::ExecStats stats = core::run_timed(plan, *plan.make_backend(), options);
   // The maximum cycle mean is the zero-communication-latency bound; the
   // simulated period can only be slower.
   EXPECT_GE(stats.steady_period_cycles, mcm - 1e-6);
@@ -48,12 +48,12 @@ TEST(Integration, McmLowerBoundsSimulatedPeriod) {
 TEST(Integration, MessageCountsAreBackendInvariant) {
   // The protocol backend prices messages but must not change how many
   // flow: counts are a property of the synchronization graph.
-  const core::SpiSystem system = feedback_system();
+  const core::ExecutablePlan plan = feedback_plan();
   sim::TimedExecutorOptions options;
   options.iterations = 100;
-  const sim::ExecStats spi = system.run_timed(options);
+  const sim::ExecStats spi = core::run_timed(plan, *plan.make_backend(), options);
   const mpi::MpiBackend mpi_backend;
-  const sim::ExecStats mpi = system.run_timed_with(mpi_backend, options);
+  const sim::ExecStats mpi = core::run_timed(plan, mpi_backend, options);
   EXPECT_EQ(spi.data_messages, mpi.data_messages);
   EXPECT_EQ(spi.sync_messages, mpi.sync_messages);
   EXPECT_LT(spi.wire_bytes, mpi.wire_bytes);
@@ -74,7 +74,7 @@ TEST(Integration, FunctionalOccupancyWithinPlannedCapacity) {
   const auto coeffs = codec.frame_coefficients(frame);
   EXPECT_EQ(app.compute_errors_parallel(frame, coeffs), codec.frame_errors(frame, coeffs));
   const core::ExecutablePlan& plan = app.system().plan();
-  for (const core::ChannelPlan& spec : plan.channels) {
+  for (const core::ChannelSpec& spec : plan.channels) {
     ASSERT_TRUE(spec.bbs_capacity_tokens.has_value());
     EXPECT_GE(*spec.bbs_capacity_tokens, 1);
     EXPECT_LE(plan.pass.buffer_bound[static_cast<std::size_t>(spec.edge)],
@@ -84,26 +84,27 @@ TEST(Integration, FunctionalOccupancyWithinPlannedCapacity) {
 }
 
 TEST(Integration, TimedOccupancyWithinEquation2) {
-  const core::SpiSystem system = feedback_system();
+  const core::ExecutablePlan plan = feedback_plan();
   sim::TimedExecutorOptions options;
   options.iterations = 200;
-  const sim::ExecStats stats = system.run_timed(options);
-  for (const core::ChannelPlan& plan : system.channels()) {
-    if (!plan.bbs_capacity_tokens) continue;
-    for (std::size_t sync_edge : plan.sync_edges) {
-      EXPECT_LE(stats.max_occupancy[sync_edge], *plan.bbs_capacity_tokens)
-          << "channel " << plan.name;
+  const sim::ExecStats stats = core::run_timed(plan, *plan.make_backend(), options);
+  for (const core::ChannelSpec& channel : plan.channels) {
+    if (!channel.bbs_capacity_tokens) continue;
+    for (std::size_t sync_edge : channel.sync_edges) {
+      EXPECT_LE(stats.max_occupancy[sync_edge], *channel.bbs_capacity_tokens)
+          << "channel " << channel.name;
     }
   }
 }
 
 TEST(Integration, SystemConstructionIsDeterministic) {
-  const core::SpiSystem a = feedback_system();
-  const core::SpiSystem b = feedback_system();
+  const core::ExecutablePlan a = feedback_plan();
+  const core::ExecutablePlan b = feedback_plan();
   EXPECT_EQ(a.report(), b.report());
   sim::TimedExecutorOptions options;
   options.iterations = 50;
-  EXPECT_EQ(a.run_timed(options).makespan, b.run_timed(options).makespan);
+  EXPECT_EQ(core::run_timed(a, *a.make_backend(), options).makespan,
+            core::run_timed(b, *b.make_backend(), options).makespan);
 }
 
 TEST(Integration, MultirateParallelEqualsSequential) {
@@ -122,8 +123,8 @@ TEST(Integration, MultirateParallelEqualsSequential) {
       assignment.assign(exp, 1);
       assignment.assign(col, 2);
     }
-    const core::SpiSystem system(g, assignment);
-    core::JobInstance runtime(system.plan());
+    const core::ExecutablePlan plan = core::compile_plan(g, assignment);
+    core::JobInstance runtime(plan);
     auto result = std::make_shared<std::vector<double>>();
     runtime.set_compute(src, [&](core::FiringContext& ctx) {
       apps::pack_f64_into(ctx.emit(ctx.output_index(e1)), static_cast<double>(ctx.invocation));
@@ -188,12 +189,13 @@ TEST(Integration, ResyncNeverSlowsTheSystem) {
 
     core::SpiSystemOptions with, without;
     without.resynchronize = false;
-    const core::SpiSystem sys_with(g, assignment, with);
-    const core::SpiSystem sys_without(g, assignment, without);
+    const core::ExecutablePlan plan_with = core::compile_plan(g, assignment, with);
+    const core::ExecutablePlan plan_without = core::compile_plan(g, assignment, without);
     sim::TimedExecutorOptions options;
     options.iterations = 150;
-    const auto stats_with = sys_with.run_timed(options);
-    const auto stats_without = sys_without.run_timed(options);
+    const auto stats_with = core::run_timed(plan_with, *plan_with.make_backend(), options);
+    const auto stats_without =
+        core::run_timed(plan_without, *plan_without.make_backend(), options);
     EXPECT_LE(stats_with.steady_period_cycles,
               stats_without.steady_period_cycles * 1.02 + 1.0)
         << "seed " << seed;

@@ -37,7 +37,7 @@ struct PlanFixture {
   df::ActorId src, mid, dst;
   df::EdgeId dyn, stat;
   sched::Assignment assignment{3, 3};
-  std::unique_ptr<SpiSystem> system;
+  ExecutablePlan plan;
 
   PlanFixture() {
     src = g.add_actor("Src");
@@ -47,7 +47,7 @@ struct PlanFixture {
     stat = g.connect(mid, df::Rate::fixed(1), dst, df::Rate::fixed(1), 0, sizeof(double));
     assignment.assign(mid, 1);
     assignment.assign(dst, 2);
-    system = std::make_unique<SpiSystem>(g, assignment);
+    plan = compile_plan(g, assignment);
   }
 
   void wire(JobInstance& instance, std::vector<double>& sink) const {
@@ -76,11 +76,11 @@ TEST(JobInstance, GangAndColocatedRunsAreBitIdentical) {
   constexpr std::int64_t kIters = 100;
 
   std::vector<double> gang_sink, colocated_sink;
-  JobInstance gang_instance(f.system->plan());
+  JobInstance gang_instance(f.plan);
   f.wire(gang_instance, gang_sink);
   gang_instance.run(iterations(kIters));
 
-  JobInstance colocated_instance(f.system->plan());
+  JobInstance colocated_instance(f.plan);
   f.wire(colocated_instance, colocated_sink);
   colocated_instance.run_colocated(kIters);
 
@@ -95,7 +95,7 @@ TEST(JobInstance, GangAndColocatedRunsAreBitIdentical) {
 TEST(JobInstance, SegmentedColocatedRunFiresAtEachSegmentEnd) {
   PlanFixture f;
   std::vector<double> sink;
-  JobInstance instance(f.system->plan());
+  JobInstance instance(f.plan);
   f.wire(instance, sink);
 
   const std::vector<std::int64_t> ends = {3, 4, 9, 10};
@@ -130,12 +130,12 @@ TEST(JobInstance, InstanceIsReusableAcrossRunsWithCumulativeInvocations) {
   PlanFixture f;
   std::vector<double> split_sink, once_sink;
 
-  JobInstance split(f.system->plan());
+  JobInstance split(f.plan);
   f.wire(split, split_sink);
   split.run(iterations(40));
   split.run(iterations(60));  // invocations continue at 40
 
-  JobInstance once(f.system->plan());
+  JobInstance once(f.plan);
   f.wire(once, once_sink);
   once.run(iterations(100));
 
@@ -156,7 +156,7 @@ TEST(JobInstance, ConcurrentInstancesOfOnePlanStayIsolated) {
 
   std::vector<double> reference;
   {
-    JobInstance instance(f.system->plan());
+    JobInstance instance(f.plan);
     f.wire(instance, reference);
     instance.run_colocated(kIters);
   }
@@ -164,7 +164,7 @@ TEST(JobInstance, ConcurrentInstancesOfOnePlanStayIsolated) {
   // Two instances of the same plan running concurrently (each colocated
   // on its own thread) must each reproduce the sequential bits — they
   // share the plan but never a channel slab or buffer.
-  JobInstance a(f.system->plan()), b(f.system->plan());
+  JobInstance a(f.plan), b(f.plan);
   std::vector<double> sink_a, sink_b;
   f.wire(a, sink_a);
   f.wire(b, sink_b);
@@ -185,12 +185,12 @@ TEST(JobInstance, ConcurrentGangRunsOfTwoInstancesStayIsolated) {
 
   std::vector<double> reference;
   {
-    JobInstance instance(f.system->plan());
+    JobInstance instance(f.plan);
     f.wire(instance, reference);
     instance.run_colocated(kIters);
   }
 
-  JobInstance a(f.system->plan()), b(f.system->plan());
+  JobInstance a(f.plan), b(f.plan);
   std::vector<double> sink_a, sink_b;
   f.wire(a, sink_a);
   f.wire(b, sink_b);
@@ -232,7 +232,7 @@ TEST(JobInstance, GangRunLeavesNoThreadBehind) {
     // The sink's 3 ms per firing keeps the gang busy for 300 ms: a gang
     // that returned before its threads ended would still show them.
     std::vector<double> sink;
-    JobInstance clean(f.system->plan());
+    JobInstance clean(f.plan);
     EXPECT_EQ(thread_count(), before);
     f.wire(clean, sink);
     clean.set_compute(f.dst, [&f, &sink](FiringContext& ctx) {
@@ -246,7 +246,7 @@ TEST(JobInstance, GangRunLeavesNoThreadBehind) {
 
   {
     std::vector<double> sink;
-    JobInstance throwing(f.system->plan());
+    JobInstance throwing(f.plan);
     f.wire(throwing, sink);
     throwing.set_compute(f.mid, [](FiringContext& ctx) {
       if (ctx.invocation == 5) throw std::runtime_error("compute failed");
@@ -261,7 +261,7 @@ TEST(JobInstance, GangRunLeavesNoThreadBehind) {
     // stall; the abort then unwinds Src and Dst from their channel waits.
     std::vector<double> sink;
     std::atomic<bool> stalled{false};
-    JobInstance wedged(f.system->plan());
+    JobInstance wedged(f.plan);
     f.wire(wedged, sink);
     wedged.set_compute(f.mid, [&stalled](FiringContext& ctx) {
       while (ctx.invocation == 5 && !stalled.load())

@@ -121,7 +121,7 @@ TEST(ParticleFilterApp, ChannelPlanMatchesPaper) {
   // known-length -> SPI_static; particle exchange varies -> SPI_dynamic.
   const ParticleFilterApp app(2, small_params());
   std::size_t static_channels = 0, dynamic_channels = 0;
-  for (const auto& plan : app.system().channels()) {
+  for (const auto& plan : app.system().plan().channels) {
     if (plan.mode == core::SpiMode::kStatic)
       ++static_channels;
     else
@@ -151,7 +151,7 @@ TEST(ParticleFilterApp, TracksAsWellAsSequentialReference) {
 
 TEST(ParticleFilterApp, SinglePeHasNoCommunication) {
   const ParticleFilterApp app(1, small_params());
-  EXPECT_TRUE(app.system().channels().empty());
+  EXPECT_TRUE(app.system().plan().channels.empty());
   const TrackResult result = app.track(trajectory(40));
   EXPECT_EQ(result.static_messages, 0);
   EXPECT_EQ(result.dynamic_messages, 0);

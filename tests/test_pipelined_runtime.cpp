@@ -20,7 +20,7 @@
 #include "apps/serialization.hpp"
 #include "apps/speech_app.hpp"
 #include "core/job_instance.hpp"
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "dsp/lpc.hpp"
 #include "dsp/particle_filter.hpp"
 #include "obs/watchdog.hpp"
@@ -37,7 +37,7 @@ struct PipelineFixture {
   df::ActorId src, mid, dst;
   df::EdgeId first, second;
   sched::Assignment assignment{3, 3};
-  std::unique_ptr<SpiSystem> system;
+  ExecutablePlan plan;
 
   PipelineFixture() {
     src = g.add_actor("Src");
@@ -47,7 +47,7 @@ struct PipelineFixture {
     second = g.connect_simple(mid, dst, 0, sizeof(double));
     assignment.assign(mid, 1);
     assignment.assign(dst, 2);
-    system = std::make_unique<SpiSystem>(g, assignment);
+    plan = compile_plan(g, assignment);
   }
 
   void wire(JobInstance& runtime, std::vector<double>& sink) const {
@@ -71,13 +71,13 @@ TEST(PipelinedRuntime, PipelinedRunsAreBitIdenticalToColocatedAtEveryCap) {
 
   std::vector<double> reference;
   {
-    JobInstance oracle(f.system->plan());
+    JobInstance oracle(f.plan);
     f.wire(oracle, reference);
     oracle.run_colocated(kIters);
   }
   ASSERT_EQ(reference.size(), static_cast<std::size_t>(kIters));
 
-  JobInstance runtime(f.system->plan());
+  JobInstance runtime(f.plan);
   std::vector<double> sink;
   f.wire(runtime, sink);
   runtime.run(kIters);
@@ -97,14 +97,14 @@ TEST(PipelinedRuntime, SourceRunsAheadOfAHeldSinkByExactlyTheRingCapacities) {
 
   std::vector<double> reference;
   {
-    JobInstance oracle(f.system->plan());
+    JobInstance oracle(f.plan);
     f.wire(oracle, reference);
     oracle.run_colocated(kIters);
   }
 
   std::int64_t c1 = -1;
   std::int64_t c2 = -1;
-  for (const ChannelSpec& spec : f.system->plan().channels) {
+  for (const ChannelSpec& spec : f.plan.channels) {
     if (spec.edge == f.first) c1 = spec.capacity_tokens();
     if (spec.edge == f.second) c2 = spec.capacity_tokens();
   }
@@ -113,7 +113,7 @@ TEST(PipelinedRuntime, SourceRunsAheadOfAHeldSinkByExactlyTheRingCapacities) {
   const std::int64_t expected = c1 + c2 + 3;
   ASSERT_LT(expected, kIters);
 
-  JobInstance runtime(f.system->plan());
+  JobInstance runtime(f.plan);
   std::vector<double> sink;
   f.wire(runtime, sink);
   std::atomic<std::int64_t> src_firings{0};
@@ -165,12 +165,12 @@ TEST(PipelinedRuntime, HundredThousandIterationSoakStaysBitIdentical) {
   std::vector<double> reference;
   reference.reserve(kIters);
   {
-    JobInstance oracle(f.system->plan());
+    JobInstance oracle(f.plan);
     f.wire(oracle, reference);
     oracle.run_colocated(kIters);
   }
 
-  JobInstance runtime(f.system->plan());
+  JobInstance runtime(f.plan);
   std::vector<double> sink;
   sink.reserve(kIters);
   f.wire(runtime, sink);
@@ -288,7 +288,7 @@ TEST(PipelinedWatchdog, DeadEdgeAbortsPipelinedRunWithDeadlockVerdict) {
   core::ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  core::JobInstance runtime(f.system->plan(), {rel, nullptr, {}});
+  core::JobInstance runtime(f.plan, {rel, nullptr, {}});
   std::vector<double> sink;
   f.wire(runtime, sink);
 

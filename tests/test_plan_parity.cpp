@@ -11,7 +11,6 @@
 #include "apps/speech_app.hpp"
 #include "core/job_instance.hpp"
 #include "core/plan.hpp"
-#include "core/spi_system.hpp"
 
 namespace spi {
 namespace {
@@ -30,7 +29,7 @@ std::map<df::EdgeId, std::pair<std::int64_t, std::int64_t>> channel_counters(
   return counts;
 }
 
-/// Runs every engine from `plan` (deserialized, no SpiSystem in sight)
+/// Runs every engine from `plan` (deserialized from its JSON)
 /// with the default computes and checks the counts that hold by
 /// construction:
 ///  * gang and colocated: one token per produced token, each of the

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/job_instance.hpp"
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "dsp/rng.hpp"
 #include "mpi/mpi_backend.hpp"
 
@@ -149,22 +149,22 @@ TEST_P(RandomSystems, FullPipelineInvariants) {
     // Compilation must succeed (graphs are consistent and deadlock-free
     // by construction) or be rejected with a clean diagnostic in the
     // rare compositions where an extra edge breaks consistency.
-    std::unique_ptr<core::SpiSystem> system;
+    core::ExecutablePlan plan;
     try {
-      system = std::make_unique<core::SpiSystem>(rs.graph, rs.assignment);
+      plan = core::compile_plan(rs.graph, rs.assignment);
     } catch (const std::invalid_argument&) {
       continue;  // cleanly rejected; acceptable
     }
 
     // Analysis invariants.
-    EXPECT_TRUE(system->sync_graph().is_deadlock_free());
-    for (const core::ChannelPlan& plan : system->channels()) {
-      EXPECT_GT(plan.b_max_bytes, 0);
-      EXPECT_GE(plan.c_bytes, plan.b_max_bytes);
-      if (plan.bbs_capacity_tokens) {
-        EXPECT_GE(*plan.bbs_capacity_tokens, 1);
+    EXPECT_TRUE(plan.sync_graph.is_deadlock_free());
+    for (const core::ChannelSpec& channel : plan.channels) {
+      EXPECT_GT(channel.b_max_bytes, 0);
+      EXPECT_GE(channel.c_bytes, channel.b_max_bytes);
+      if (channel.bbs_capacity_tokens) {
+        EXPECT_GE(*channel.bbs_capacity_tokens, 1);
       }
-      EXPECT_GE(plan.acks_total, plan.acks_elided);
+      EXPECT_GE(channel.acks_total, channel.acks_elided);
     }
 
     // The plan loads (every interprocessor edge has its channel) and
@@ -172,25 +172,26 @@ TEST_P(RandomSystems, FullPipelineInvariants) {
     // one thread per processor.
     const std::string where =
         "seed " + std::to_string(GetParam()) + " round " + std::to_string(round);
-    EXPECT_NO_THROW(system->plan().validate()) << where;
-    expect_gang_matches_colocated(system->plan(), where);
+    EXPECT_NO_THROW(plan.validate()) << where;
+    expect_gang_matches_colocated(plan, where);
 
     // Timed execution: completes, deterministic, occupancy within bounds,
     // message counts backend-invariant.
     sim::TimedExecutorOptions options;
     options.iterations = 40;
-    const sim::ExecStats spi_stats = system->run_timed(options);
-    const sim::ExecStats again = system->run_timed(options);
+    const auto spi_backend = plan.make_backend();
+    const sim::ExecStats spi_stats = core::run_timed(plan, *spi_backend, options);
+    const sim::ExecStats again = core::run_timed(plan, *spi_backend, options);
     EXPECT_EQ(spi_stats.makespan, again.makespan);
     const mpi::MpiBackend mpi_backend;
-    const sim::ExecStats mpi_stats = system->run_timed_with(mpi_backend, options);
+    const sim::ExecStats mpi_stats = core::run_timed(plan, mpi_backend, options);
     EXPECT_EQ(spi_stats.data_messages, mpi_stats.data_messages);
 
-    for (const core::ChannelPlan& plan : system->channels()) {
-      if (!plan.bbs_capacity_tokens) continue;
-      for (std::size_t idx : plan.sync_edges)
-        EXPECT_LE(spi_stats.max_occupancy[idx], *plan.bbs_capacity_tokens)
-            << "seed " << GetParam() << " channel " << plan.name;
+    for (const core::ChannelSpec& channel : plan.channels) {
+      if (!channel.bbs_capacity_tokens) continue;
+      for (std::size_t idx : channel.sync_edges)
+        EXPECT_LE(spi_stats.max_occupancy[idx], *channel.bbs_capacity_tokens)
+            << "seed " << GetParam() << " channel " << channel.name;
     }
   }
 }
@@ -215,16 +216,16 @@ TEST(LargeSystem, HundredsOfActorsCompileAndRun) {
   for (int i = 0; i < kActors; ++i)
     assignment.assign(static_cast<df::ActorId>(i), static_cast<sched::Proc>((i / 25) % 6));
 
-  const core::SpiSystem system(g, assignment);
-  EXPECT_GT(system.channels().size(), 4u);
-  EXPECT_TRUE(system.sync_graph().is_deadlock_free());
+  const core::ExecutablePlan plan = core::compile_plan(g, assignment);
+  EXPECT_GT(plan.channels.size(), 4u);
+  EXPECT_TRUE(plan.sync_graph.is_deadlock_free());
 
   sim::TimedExecutorOptions options;
   options.iterations = 30;
-  const sim::ExecStats stats = system.run_timed(options);
+  const sim::ExecStats stats = core::run_timed(plan, *plan.make_backend(), options);
   EXPECT_GT(stats.makespan, 0);
 
-  expect_gang_matches_colocated(system.plan(), "large system");
+  expect_gang_matches_colocated(plan, "large system");
 }
 
 }  // namespace

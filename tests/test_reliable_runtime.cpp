@@ -11,7 +11,7 @@
 #include "apps/serialization.hpp"
 #include "apps/speech_app.hpp"
 #include "core/job_instance.hpp"
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "dsp/lpc.hpp"
 
 namespace spi::core {
@@ -69,12 +69,12 @@ sim::RetryPolicy fast_policy() {
 
 TEST(ReliableRuntime, DropsAreRetriedAndRecovered) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
+  const ExecutablePlan compiled = compile_plan(f.g, f.assignment);
   constexpr std::int64_t kIters = 100;
 
   std::vector<double> lossless;
   {
-    JobInstance reference(system.plan());
+    JobInstance reference(compiled);
     f.wire(reference, lossless);
     reference.run_colocated(kIters);
   }
@@ -88,7 +88,7 @@ TEST(ReliableRuntime, DropsAreRetriedAndRecovered) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  JobInstance runtime(system.plan(), {rel, nullptr, {}});
+  JobInstance runtime(compiled, {rel, nullptr, {}});
   std::vector<double> lossy;
   f.wire(runtime, lossy);
   runtime.run(kIters);
@@ -105,7 +105,7 @@ TEST(ReliableRuntime, DropsAreRetriedAndRecovered) {
 
 TEST(ReliableRuntime, PersistentDropFailsTypedWithinDeadline) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
+  const ExecutablePlan compiled = compile_plan(f.g, f.assignment);
 
   sim::FaultPlan plan(7);
   plan.retry() = fast_policy();  // huge receive timeout: the sender loses first
@@ -117,7 +117,7 @@ TEST(ReliableRuntime, PersistentDropFailsTypedWithinDeadline) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  JobInstance runtime(system.plan(), {rel, nullptr, {}});
+  JobInstance runtime(compiled, {rel, nullptr, {}});
   std::vector<double> sink;
   f.wire(runtime, sink);
 
@@ -139,12 +139,12 @@ TEST(ReliableRuntime, PersistentDropFailsTypedWithinDeadline) {
 
 TEST(ReliableRuntime, CorruptionIsCaughtByCrcAndRetried) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
+  const ExecutablePlan compiled = compile_plan(f.g, f.assignment);
   constexpr std::int64_t kIters = 100;
 
   std::vector<double> lossless;
   {
-    JobInstance reference(system.plan());
+    JobInstance reference(compiled);
     f.wire(reference, lossless);
     reference.run_colocated(kIters);
   }
@@ -158,7 +158,7 @@ TEST(ReliableRuntime, CorruptionIsCaughtByCrcAndRetried) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  JobInstance runtime(system.plan(), {rel, nullptr, {}});
+  JobInstance runtime(compiled, {rel, nullptr, {}});
   std::vector<double> lossy;
   f.wire(runtime, lossy);
   runtime.run(kIters);
@@ -178,7 +178,7 @@ TEST(ReliableRuntime, DelayBeyondDeadlineTimesOutTyped) {
   const df::EdgeId e = g.connect_simple(a, b, 0, 8);
   sched::Assignment assignment(2, 2);
   assignment.assign(b, 1);
-  const SpiSystem system(g, assignment);
+  const ExecutablePlan compiled = compile_plan(g, assignment);
 
   sim::FaultPlan plan(3);
   plan.retry().attempts = 2;
@@ -191,7 +191,7 @@ TEST(ReliableRuntime, DelayBeyondDeadlineTimesOutTyped) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  JobInstance runtime(system.plan(), {rel, nullptr, {}});
+  JobInstance runtime(compiled, {rel, nullptr, {}});
 
   const auto start = std::chrono::steady_clock::now();
   try {
@@ -207,12 +207,12 @@ TEST(ReliableRuntime, DelayBeyondDeadlineTimesOutTyped) {
 
 TEST(ReliableRuntime, DuplicatesAreSuppressed) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
+  const ExecutablePlan compiled = compile_plan(f.g, f.assignment);
   constexpr std::int64_t kIters = 100;
 
   std::vector<double> lossless;
   {
-    JobInstance reference(system.plan());
+    JobInstance reference(compiled);
     f.wire(reference, lossless);
     reference.run_colocated(kIters);
   }
@@ -226,7 +226,7 @@ TEST(ReliableRuntime, DuplicatesAreSuppressed) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  JobInstance runtime(system.plan(), {rel, nullptr, {}});
+  JobInstance runtime(compiled, {rel, nullptr, {}});
   std::vector<double> lossy;
   f.wire(runtime, lossy);
   runtime.run(kIters);
@@ -238,19 +238,19 @@ TEST(ReliableRuntime, DuplicatesAreSuppressed) {
 
 TEST(ReliableRuntime, ReliabilityWithoutPlanIsTransparent) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
+  const ExecutablePlan compiled = compile_plan(f.g, f.assignment);
   constexpr std::int64_t kIters = 100;
 
   std::vector<double> plain, framed;
   {
-    JobInstance runtime(system.plan());
+    JobInstance runtime(compiled);
     f.wire(runtime, plain);
     runtime.run(kIters);
   }
   {
     ReliabilityOptions rel;
     rel.enabled = true;  // sequenced CRC framing over a perfect wire
-    JobInstance runtime(system.plan(), {rel, nullptr, {}});
+    JobInstance runtime(compiled, {rel, nullptr, {}});
     f.wire(runtime, framed);
     runtime.run(kIters);
     EXPECT_EQ(runtime.stats().retries, 0);
@@ -262,7 +262,7 @@ TEST(ReliableRuntime, ReliabilityWithoutPlanIsTransparent) {
 
 TEST(ReliableRuntime, MetricsPublishedToSharedRegistry) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
+  const ExecutablePlan compiled = compile_plan(f.g, f.assignment);
 
   sim::FaultPlan plan(42);
   plan.retry() = fast_policy();
@@ -275,7 +275,7 @@ TEST(ReliableRuntime, MetricsPublishedToSharedRegistry) {
   rel.enabled = true;
   rel.faults = &plan;
   obs::MetricRegistry registry;
-  JobInstance runtime(system.plan(), {rel, &registry, {}});
+  JobInstance runtime(compiled, {rel, &registry, {}});
   std::vector<double> sink;
   f.wire(runtime, sink);
   runtime.run(100);
@@ -295,7 +295,7 @@ TEST(ReliableRuntime, SeededSoakRunsAreReproducible) {
   // fault counters — the plan is keyed by (edge, seq, attempt), not by
   // the thread schedule.
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
+  const ExecutablePlan compiled = compile_plan(f.g, f.assignment);
 
   sim::FaultPlan plan(1234);
   plan.retry() = fast_policy();
@@ -309,7 +309,7 @@ TEST(ReliableRuntime, SeededSoakRunsAreReproducible) {
     ReliabilityOptions rel;
     rel.enabled = true;
     rel.faults = &plan;
-    JobInstance runtime(system.plan(), {rel, nullptr, {}});
+    JobInstance runtime(compiled, {rel, nullptr, {}});
     f.wire(runtime, sink);
     runtime.run(300);
     stats = runtime.stats();
@@ -333,12 +333,12 @@ TEST(ReliableRuntime, ColocatedLossyRunMatchesLosslessGangRun) {
   // receiver discards must never take a slot an intact frame needs, or
   // the run would wait on itself.
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
+  const ExecutablePlan compiled = compile_plan(f.g, f.assignment);
   constexpr std::int64_t kIters = 400;
 
   std::vector<double> lossless;
   {
-    JobInstance gang(system.plan());
+    JobInstance gang(compiled);
     f.wire(gang, lossless);
     gang.run(kIters);
   }
@@ -351,7 +351,7 @@ TEST(ReliableRuntime, ColocatedLossyRunMatchesLosslessGangRun) {
   JobInstanceOptions options;
   options.reliability.enabled = true;
   options.reliability.faults = &plan;
-  JobInstance colocated(system.plan(), options);
+  JobInstance colocated(compiled, options);
   std::vector<double> lossy;
   f.wire(colocated, lossy);
   colocated.run_colocated(kIters);

@@ -121,16 +121,16 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ErrorGenApp, AllChannelsDynamic) {
   const ErrorGenApp app(2, small_params());
-  EXPECT_EQ(app.system().channels().size(), 6u);
-  for (const auto& plan : app.system().channels())
+  EXPECT_EQ(app.system().plan().channels.size(), 6u);
+  for (const auto& plan : app.system().plan().channels)
     EXPECT_EQ(plan.mode, core::SpiMode::kDynamic);
 }
 
 TEST(ErrorGenApp, ResynchronizationElidesEveryAck) {
   const ErrorGenApp app(4, small_params());
-  ASSERT_TRUE(app.system().resync_report().has_value());
-  EXPECT_GT(app.system().resync_report()->acks_before, 0u);
-  EXPECT_EQ(app.system().resync_report()->acks_after, 0u);
+  ASSERT_TRUE(app.system().plan().resync.has_value());
+  EXPECT_GT(app.system().plan().resync->acks_before, 0u);
+  EXPECT_EQ(app.system().plan().resync->acks_after, 0u);
 }
 
 TEST(ErrorGenApp, BoundsEnforced) {

@@ -1,4 +1,6 @@
-#include "core/spi_system.hpp"
+/// The compile pipeline end to end: compile_plan() on small mixed
+/// static/dynamic systems, read back through the ExecutablePlan.
+#include "core/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
@@ -29,10 +31,10 @@ struct Fixture {
 
 TEST(SpiSystem, ChannelPlanModesAndProtocols) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
-  ASSERT_EQ(system.channels().size(), 2u);
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
+  ASSERT_EQ(plan.channels.size(), 2u);
 
-  const ChannelPlan& dyn = system.channel_for(f.to_work);
+  const ChannelSpec& dyn = plan.channel_for(f.to_work);
   EXPECT_EQ(dyn.mode, SpiMode::kDynamic);
   EXPECT_EQ(dyn.b_max_bytes, 32 * 4);
   EXPECT_EQ(dyn.protocol, sched::SyncProtocol::kBbs);  // round trip bounds it
@@ -40,37 +42,37 @@ TEST(SpiSystem, ChannelPlanModesAndProtocols) {
   EXPECT_EQ(*dyn.bbs_capacity_tokens, 1);
   EXPECT_EQ(*dyn.bbs_capacity_bytes, 128);
 
-  const ChannelPlan& stat = system.channel_for(f.from_work);
+  const ChannelSpec& stat = plan.channel_for(f.from_work);
   EXPECT_EQ(stat.mode, SpiMode::kStatic);
   EXPECT_EQ(stat.b_max_bytes, 8);
 }
 
 TEST(SpiSystem, ResynchronizationElidesRoundTripAcks) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
-  ASSERT_TRUE(system.resync_report().has_value());
-  EXPECT_EQ(system.resync_report()->acks_after, 0u);
-  for (const ChannelPlan& plan : system.channels()) {
-    EXPECT_EQ(plan.acks_total, 1u);
-    EXPECT_EQ(plan.acks_elided, 1u);
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
+  ASSERT_TRUE(plan.resync.has_value());
+  EXPECT_EQ(plan.resync->acks_after, 0u);
+  for (const ChannelSpec& channel : plan.channels) {
+    EXPECT_EQ(channel.acks_total, 1u);
+    EXPECT_EQ(channel.acks_elided, 1u);
   }
   // 2 data messages, 0 acks.
-  EXPECT_EQ(system.messages_per_iteration(), 2u);
+  EXPECT_EQ(plan.messages_per_iteration, 2u);
 }
 
 TEST(SpiSystem, ResynchronizationCanBeDisabled) {
   Fixture f;
   SpiSystemOptions options;
   options.resynchronize = false;
-  const SpiSystem system(f.g, f.assignment, options);
-  EXPECT_FALSE(system.resync_report().has_value());
-  EXPECT_EQ(system.messages_per_iteration(), 4u);  // 2 data + 2 acks
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment, options);
+  EXPECT_FALSE(plan.resync.has_value());
+  EXPECT_EQ(plan.messages_per_iteration, 4u);  // 2 data + 2 acks
 }
 
 TEST(SpiSystem, ReportMentionsEverything) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
-  const std::string report = system.report();
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
+  const std::string report = plan.report();
   EXPECT_NE(report.find("SPI_dynamic"), std::string::npos);
   EXPECT_NE(report.find("SPI_static"), std::string::npos);
   EXPECT_NE(report.find("BBS"), std::string::npos);
@@ -85,7 +87,7 @@ TEST(SpiSystem, RejectsInconsistentGraph) {
   g.connect(a, df::Rate::fixed(1), b, df::Rate::fixed(1));
   sched::Assignment assignment(2, 2);
   assignment.assign(b, 1);
-  EXPECT_THROW(SpiSystem(g, assignment), std::invalid_argument);
+  EXPECT_THROW((void)compile_plan(g, assignment), std::invalid_argument);
 }
 
 TEST(SpiSystem, RejectsDeadlockedGraph) {
@@ -96,14 +98,14 @@ TEST(SpiSystem, RejectsDeadlockedGraph) {
   g.connect_simple(b, a, 0);
   sched::Assignment assignment(2, 2);
   assignment.assign(b, 1);
-  EXPECT_THROW(SpiSystem(g, assignment), std::invalid_argument);
+  EXPECT_THROW((void)compile_plan(g, assignment), std::invalid_argument);
 }
 
 TEST(SpiSystem, RejectsMismatchedAssignment) {
   df::Graph g;
   g.add_actor("A");
   sched::Assignment assignment(2, 1);  // size 2 vs 1 actor
-  EXPECT_THROW(SpiSystem(g, assignment), std::invalid_argument);
+  EXPECT_THROW((void)compile_plan(g, assignment), std::invalid_argument);
 }
 
 TEST(SpiSystem, ChannelForRequiresIpcEdge) {
@@ -112,17 +114,17 @@ TEST(SpiSystem, ChannelForRequiresIpcEdge) {
   const df::ActorId b = g.add_actor("B");
   const df::EdgeId e = g.connect_simple(a, b);
   sched::Assignment assignment(2, 1);  // same processor: no channels
-  const SpiSystem system(g, assignment);
-  EXPECT_TRUE(system.channels().empty());
-  EXPECT_THROW((void)system.channel_for(e), std::out_of_range);
+  const ExecutablePlan plan = compile_plan(g, assignment);
+  EXPECT_TRUE(plan.channels.empty());
+  EXPECT_THROW((void)plan.channel_for(e), std::out_of_range);
 }
 
 TEST(SpiSystem, TimedRunProducesStats) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
   sim::TimedExecutorOptions options;
   options.iterations = 100;
-  const sim::ExecStats stats = system.run_timed(options);
+  const sim::ExecStats stats = run_timed(plan, *plan.make_backend(), options);
   EXPECT_GT(stats.makespan, 0);
   EXPECT_EQ(stats.data_messages, 200);  // 2 channels x 100 iterations
   EXPECT_EQ(stats.sync_messages, 0);    // acks all elided
@@ -131,12 +133,12 @@ TEST(SpiSystem, TimedRunProducesStats) {
 
 TEST(SpiSystem, SpiBeatsGenericMpiOnSmallMessages) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
   sim::TimedExecutorOptions options;
   options.iterations = 200;
-  const sim::ExecStats spi = system.run_timed(options);
+  const sim::ExecStats spi = run_timed(plan, *plan.make_backend(), options);
   const mpi::MpiBackend mpi_backend;
-  const sim::ExecStats mpi = system.run_timed_with(mpi_backend, options);
+  const sim::ExecStats mpi = run_timed(plan, mpi_backend, options);
   // The paper's motivation: domain specialization shrinks per-message
   // overhead; with 40-cycle work per 3-message iteration, protocol cost
   // dominates and SPI must win.
@@ -151,14 +153,14 @@ TEST(SpiSystem, MultirateGraphCompiles) {
   g.connect(a, df::Rate::fixed(3), b, df::Rate::fixed(2));
   sched::Assignment assignment(2, 2);
   assignment.assign(b, 1);
-  const SpiSystem system(g, assignment);
+  const ExecutablePlan plan = compile_plan(g, assignment);
   // q = (2,3): the one dataflow edge expands to multiple HSDF arcs but
   // stays a single channel.
-  ASSERT_EQ(system.channels().size(), 1u);
-  EXPECT_GE(system.channels()[0].sync_edges.size(), 2u);
+  ASSERT_EQ(plan.channels.size(), 1u);
+  EXPECT_GE(plan.channels[0].sync_edges.size(), 2u);
   sim::TimedExecutorOptions options;
   options.iterations = 50;
-  EXPECT_NO_THROW((void)system.run_timed(options));
+  EXPECT_NO_THROW((void)run_timed(plan, *plan.make_backend(), options));
 }
 
 }  // namespace

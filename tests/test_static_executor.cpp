@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/plan.hpp"
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 
 namespace spi::sim {
 namespace {
@@ -15,7 +15,8 @@ struct Fixture {
   df::Graph g{"static"};
   df::ActorId send, work, recv;
   sched::Assignment assignment{3, 2};
-  std::unique_ptr<core::SpiSystem> system;
+  core::ExecutablePlan plan;
+  std::unique_ptr<core::SpiBackend> backend;
 
   Fixture() {
     send = g.add_actor("Send", 10);
@@ -24,7 +25,8 @@ struct Fixture {
     g.connect_simple(send, work, 0, 64);
     g.connect_simple(work, recv, 0, 64);
     assignment.assign(work, 1);
-    system = std::make_unique<core::SpiSystem>(g, assignment);
+    plan = core::compile_plan(g, assignment);
+    backend = plan.make_backend();
   }
 };
 
@@ -33,9 +35,9 @@ TEST(StaticExecutor, MatchesSelfTimedWhenActualEqualsWcet) {
   TimedExecutorOptions options;
   options.iterations = 100;
   const ExecStats self_timed =
-      core::run_timed(f.system->plan(), f.system->backend(), options);
+      core::run_timed(f.plan, *f.backend, options);
   const StaticRunResult fully_static =
-      core::run_fully_static(f.system->plan(), f.system->backend(), {}, {}, options);
+      core::run_fully_static(f.plan, *f.backend, {}, {}, options);
   EXPECT_EQ(fully_static.precedence_violations, 0);
   // With identical times the static schedule cannot beat self-timed and
   // should be close to it (transport is contention-free there, so allow
@@ -50,18 +52,18 @@ TEST(StaticExecutor, WcetLockedPeriodIgnoresEarlyCompletion) {
   options.iterations = 100;
   WorkloadModel fast;  // actual runs at half the budget
   fast.exec_cycles = [&](std::int32_t task, std::int64_t) {
-    return std::max<std::int64_t>(1, f.system->sync_graph().task(task).exec_cycles / 2);
+    return std::max<std::int64_t>(1, f.plan.sync_graph.task(task).exec_cycles / 2);
   };
   const StaticRunResult fully_static =
-      core::run_fully_static(f.system->plan(), f.system->backend(), {}, fast, options);
+      core::run_fully_static(f.plan, *f.backend, {}, fast, options);
   const StaticRunResult budget_run =
-      core::run_fully_static(f.system->plan(), f.system->backend(), {}, {}, options);
+      core::run_fully_static(f.plan, *f.backend, {}, {}, options);
   // Same scheduled period regardless of the actual speeds...
   EXPECT_NEAR(fully_static.stats.steady_period_cycles,
               budget_run.stats.steady_period_cycles, 1e-9);
   // ...while the self-timed run with the fast times is strictly faster.
   const ExecStats self_timed =
-      core::run_timed(f.system->plan(), f.system->backend(), options, fast);
+      core::run_timed(f.plan, *f.backend, options, fast);
   EXPECT_LT(self_timed.steady_period_cycles, fully_static.stats.steady_period_cycles);
   // Early completion shows up as processor padding.
   EXPECT_GT(fully_static.padding_cycles, budget_run.padding_cycles);
@@ -73,13 +75,13 @@ TEST(StaticExecutor, OverrunsAreDetected) {
   options.iterations = 50;
   WorkloadModel slow;  // actual exceeds the WCET budget by 50%
   slow.exec_cycles = [&](std::int32_t task, std::int64_t) {
-    return f.system->sync_graph().task(task).exec_cycles * 3 / 2;
+    return f.plan.sync_graph.task(task).exec_cycles * 3 / 2;
   };
   const StaticRunResult result =
-      core::run_fully_static(f.system->plan(), f.system->backend(), {}, slow, options);
+      core::run_fully_static(f.plan, *f.backend, {}, slow, options);
   EXPECT_GT(result.precedence_violations, 0);
   // Self-timed execution with the same times stays correct (no throw).
-  EXPECT_NO_THROW((void)core::run_timed(f.system->plan(), f.system->backend(), options, slow));
+  EXPECT_NO_THROW((void)core::run_timed(f.plan, *f.backend, options, slow));
 }
 
 TEST(StaticExecutor, DeterministicAndValidated) {
@@ -87,15 +89,15 @@ TEST(StaticExecutor, DeterministicAndValidated) {
   TimedExecutorOptions options;
   options.iterations = 40;
   const StaticRunResult a =
-      core::run_fully_static(f.system->plan(), f.system->backend(), {}, {}, options);
+      core::run_fully_static(f.plan, *f.backend, {}, {}, options);
   const StaticRunResult b =
-      core::run_fully_static(f.system->plan(), f.system->backend(), {}, {}, options);
+      core::run_fully_static(f.plan, *f.backend, {}, {}, options);
   EXPECT_EQ(a.stats.makespan, b.stats.makespan);
   EXPECT_EQ(a.padding_cycles, b.padding_cycles);
 
   TimedExecutorOptions bad;
   bad.iterations = 0;
-  EXPECT_THROW((void)core::run_fully_static(f.system->plan(), f.system->backend(), {}, {}, bad),
+  EXPECT_THROW((void)core::run_fully_static(f.plan, *f.backend, {}, {}, bad),
                std::invalid_argument);
 }
 

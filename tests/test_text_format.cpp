@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "sched/sync_dot.hpp"
 
 namespace spi::core {
@@ -107,14 +107,14 @@ TEST(TextFormat, RoundTripsThroughToText) {
 
 TEST(TextFormat, ParsedSystemCompiles) {
   const ParsedSystem parsed = parse_system(kSample);
-  const SpiSystem system(parsed.graph, parsed.assignment);
-  EXPECT_EQ(system.channels().size(), 2u);
+  const ExecutablePlan plan = compile_plan(parsed.graph, parsed.assignment);
+  EXPECT_EQ(plan.channels.size(), 2u);
 }
 
 TEST(TextFormat, PlanJsonIsWellFormed) {
   const ParsedSystem parsed = parse_system(kSample);
-  const SpiSystem system(parsed.graph, parsed.assignment);
-  const std::string json = system.plan_json();
+  const ExecutablePlan plan = compile_plan(parsed.graph, parsed.assignment);
+  const std::string json = plan.to_json();
   EXPECT_NE(json.find("\"graph\": \"frontend\""), std::string::npos);
   EXPECT_NE(json.find("\"SPI_dynamic\""), std::string::npos);
   EXPECT_NE(json.find("\"channels\": ["), std::string::npos);
@@ -130,15 +130,15 @@ TEST(TextFormat, PlanJsonIsWellFormed) {
 
 TEST(SyncDot, RendersClustersAndKinds) {
   const ParsedSystem parsed = parse_system(kSample);
-  const SpiSystem system(parsed.graph, parsed.assignment);
-  const std::string dot = sched::to_dot(system.sync_graph());
+  const ExecutablePlan plan = compile_plan(parsed.graph, parsed.assignment);
+  const std::string dot = sched::to_dot(plan.sync_graph);
   EXPECT_NE(dot.find("cluster_p0"), std::string::npos);
   EXPECT_NE(dot.find("cluster_p2"), std::string::npos);
   EXPECT_NE(dot.find("color=blue"), std::string::npos);  // IPC edges present
   EXPECT_NE(dot.find("digraph sync"), std::string::npos);
   // Elided edges appear grey when shown, disappear when hidden.
   if (dot.find("elided") != std::string::npos) {
-    const std::string hidden = sched::to_dot(system.sync_graph(), /*show_removed=*/false);
+    const std::string hidden = sched::to_dot(plan.sync_graph, /*show_removed=*/false);
     EXPECT_EQ(hidden.find("elided"), std::string::npos);
   }
 }

@@ -6,7 +6,7 @@
 
 #include "apps/serialization.hpp"
 #include "apps/speech_app.hpp"
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "dsp/lpc.hpp"
 #include "obs/metrics.hpp"
 
@@ -32,7 +32,7 @@ struct Fixture {
 
 TEST(ThreadedRuntime, MatchesSequentialFunctionalRun) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
   constexpr std::int64_t kIters = 200;
 
   auto wire = [&](JobInstance& runtime, std::vector<double>& sink) {
@@ -66,11 +66,11 @@ TEST(ThreadedRuntime, MatchesSequentialFunctionalRun) {
   }
 
   std::vector<double> sequential, threaded;
-  JobInstance colocated(system.plan());
+  JobInstance colocated(plan);
   wire(colocated, sequential);
   colocated.run_colocated(kIters);
 
-  JobInstance parallel(system.plan());
+  JobInstance parallel(plan);
   wire(parallel, threaded);
   parallel.run(kIters);
 
@@ -111,9 +111,9 @@ TEST(ThreadedRuntime, BackPressureBlocksFastProducer) {
   g.connect_simple(a, b, 0, 8);
   sched::Assignment assignment(2, 2);
   assignment.assign(b, 1);
-  const SpiSystem system(g, assignment);
+  const ExecutablePlan plan = compile_plan(g, assignment);
 
-  JobInstance runtime(system.plan());
+  JobInstance runtime(plan);
   std::atomic<std::int64_t> consumed{0};
   runtime.set_compute(b, [&](FiringContext& ctx) {
     (void)ctx;
@@ -127,8 +127,8 @@ TEST(ThreadedRuntime, BackPressureBlocksFastProducer) {
 
 TEST(ThreadedRuntime, ComputeExceptionPropagatesAndUnblocks) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
-  JobInstance runtime(system.plan());
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
+  JobInstance runtime(plan);
   runtime.set_compute(f.mid, [](FiringContext& ctx) {
     if (ctx.invocation == 3) throw std::runtime_error("injected failure");
     ctx.outputs[0] = {Bytes(8, 0)};
@@ -138,8 +138,8 @@ TEST(ThreadedRuntime, ComputeExceptionPropagatesAndUnblocks) {
 
 TEST(ThreadedRuntime, BmaxViolationSurfaces) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
-  JobInstance runtime(system.plan());
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
+  JobInstance runtime(plan);
   runtime.set_compute(f.src, [&f](FiringContext& ctx) {
     ctx.outputs[ctx.output_index(f.dyn)] = {Bytes(9 * sizeof(double), 0)};  // bound is 8
   });
@@ -148,8 +148,8 @@ TEST(ThreadedRuntime, BmaxViolationSurfaces) {
 
 TEST(ThreadedRuntime, StatsAggregatedWhenRunThrows) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
-  JobInstance runtime(system.plan());
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
+  JobInstance runtime(plan);
 
   // A full successful run first, so stale stats would be detectable.
   runtime.run(50);
@@ -172,8 +172,8 @@ TEST(ThreadedRuntime, StatsAggregatedWhenRunThrows) {
 
 TEST(ThreadedRuntime, RepeatedRunsAccumulateInvocations) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
-  JobInstance runtime(system.plan());
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
+  JobInstance runtime(plan);
   std::atomic<std::int64_t> last{-1};
   runtime.set_compute(f.dst, [&](FiringContext& ctx) { last.store(ctx.invocation); });
   runtime.run(10);
@@ -202,16 +202,16 @@ struct PipelineFixture {
 
 TEST(ThreadedRuntime, ThreadedRegistryCountersMatchSimulatorMessages) {
   PipelineFixture f;
-  const SpiSystem system(f.g, f.assignment);
+  const ExecutablePlan plan = compile_plan(f.g, f.assignment);
 
   // Simulated execution: data messages of the timed platform model.
   sim::TimedExecutorOptions options;
   options.iterations = PipelineFixture::kIterations;
-  const sim::ExecStats sim_stats = system.run_timed(options);
+  const sim::ExecStats sim_stats = run_timed(plan, *plan.make_backend(), options);
 
   // Real-thread execution of the same system and iteration count.
   obs::MetricRegistry registry;
-  JobInstance runtime(system.plan(), {{}, &registry, {}});
+  JobInstance runtime(plan, {{}, &registry, {}});
   runtime.run(PipelineFixture::kIterations);
 
   EXPECT_EQ(registry.counter_total("spi_threaded_messages_total"), sim_stats.data_messages);

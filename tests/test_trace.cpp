@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 
 namespace spi::sim {
 namespace {
@@ -23,11 +23,11 @@ struct TracedRun {
     sched::Assignment assignment(3, 3);
     assignment.assign(b, 1);
     assignment.assign(c, 2);
-    const core::SpiSystem system(g, assignment);
+    const core::ExecutablePlan plan = core::compile_plan(g, assignment);
     TimedExecutorOptions options;
     options.iterations = iterations;
     options.trace = &trace;
-    stats = system.run_timed(options);
+    stats = core::run_timed(plan, *plan.make_backend(), options);
   }
 };
 

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "core/job_instance.hpp"
-#include "core/spi_system.hpp"
+#include "core/pipeline.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/json_lint.hpp"
 #include "obs/watchdog.hpp"
@@ -219,8 +219,8 @@ sim::RetryPolicy stubborn_policy() {
 
 TEST(WatchdogRuntime, HealthyRunNeverFires) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
-  JobInstance runtime(system.plan());
+  const ExecutablePlan compiled = compile_plan(f.g, f.assignment);
+  JobInstance runtime(compiled);
   f.wire(runtime);
 
   std::atomic<int> fired{0};
@@ -241,7 +241,7 @@ TEST(WatchdogRuntime, HealthyRunNeverFires) {
 // post-mortem plus the /runtime snapshot on disk.
 TEST(WatchdogRuntime, DeadEdgeDeadlockIsDetectedClassifiedAndDumped) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
+  const ExecutablePlan compiled = compile_plan(f.g, f.assignment);
 
   sim::FaultPlan plan(7);
   plan.retry() = stubborn_policy();
@@ -252,7 +252,7 @@ TEST(WatchdogRuntime, DeadEdgeDeadlockIsDetectedClassifiedAndDumped) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  JobInstance runtime(system.plan(), {rel, nullptr, {}});
+  JobInstance runtime(compiled, {rel, nullptr, {}});
   f.wire(runtime);
 
   const std::string dir = ::testing::TempDir();
@@ -314,7 +314,7 @@ TEST(WatchdogRuntime, DeadEdgeDeadlockIsDetectedClassifiedAndDumped) {
 
 TEST(WatchdogRuntime, NonAbortingWatchdogObservesStallAndLetsTransportFail) {
   Fixture f;
-  const SpiSystem system(f.g, f.assignment);
+  const ExecutablePlan compiled = compile_plan(f.g, f.assignment);
 
   sim::FaultPlan plan(7);
   plan.retry() = stubborn_policy();
@@ -326,7 +326,7 @@ TEST(WatchdogRuntime, NonAbortingWatchdogObservesStallAndLetsTransportFail) {
   ReliabilityOptions rel;
   rel.enabled = true;
   rel.faults = &plan;
-  JobInstance runtime(system.plan(), {rel, nullptr, {}});
+  JobInstance runtime(compiled, {rel, nullptr, {}});
   f.wire(runtime);
 
   std::atomic<int> fired{0};
@@ -353,8 +353,8 @@ TEST(WatchdogRuntime, NonAbortingWatchdogObservesStallAndLetsTransportFail) {
 /// test asks, on the colocated path the serve layer uses.
 struct SlowMidInstance {
   Fixture f;
-  SpiSystem system{f.g, f.assignment};
-  JobInstance instance{system.plan()};
+  const ExecutablePlan compiled = compile_plan(f.g, f.assignment);
+  JobInstance instance{compiled};
   std::atomic<int> mid_sleep_ms{0};
 
   SlowMidInstance() {
