@@ -5,7 +5,9 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sched.h>
 #include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -23,6 +25,9 @@ namespace {
 // attack), not traffic we want to buffer.
 constexpr std::size_t kMaxHeadBytes = 8 * 1024;
 constexpr std::size_t kMaxBodyBytes = 8 * 1024 * 1024;
+
+// How long a blocking poll sleeps before it re-checks the stop flag.
+constexpr int kBlockingPollMs = 200;
 
 const char* reason_phrase(int status) {
   switch (status) {
@@ -70,9 +75,11 @@ std::string_view trimmed(std::string_view s) {
 
 enum class ParseResult { kRequest, kNeedMore, kBad };
 
-/// Parses one request off the front of `inbox` (erasing what it
-/// consumed). kNeedMore = the head or the declared body is incomplete.
-ParseResult parse_request(std::string& inbox, HttpRequest& out) {
+/// Parses one request off data[offset, size), advancing `offset` past
+/// what it consumed. kNeedMore = the head or the declared body is
+/// incomplete.
+ParseResult parse_request(std::string_view data, std::size_t& offset, HttpRequest& out) {
+  const std::string_view inbox = data.substr(offset);
   const std::size_t head_end = inbox.find("\r\n\r\n");
   if (head_end == std::string::npos)
     return inbox.size() > kMaxHeadBytes ? ParseResult::kBad : ParseResult::kNeedMore;
@@ -132,14 +139,14 @@ ParseResult parse_request(std::string& inbox, HttpRequest& out) {
 
   const std::size_t total = head_end + 4 + content_length;
   if (inbox.size() < total) return ParseResult::kNeedMore;
-  out.body = inbox.substr(head_end + 4, content_length);
+  out.body = std::string(inbox.substr(head_end + 4, content_length));
 
   // Keep-alive: the HTTP/1.1 default, opt-out via "Connection: close".
   // HTTP/1.0 stays single-request even if the client asks — old clients
   // of the telemetry server read to EOF, and that contract is kept.
   out.keep_alive = out.version == "HTTP/1.1" &&
                    !(have_connection && iequals(connection, "close"));
-  inbox.erase(0, total);
+  offset += total;
   return ParseResult::kRequest;
 }
 
@@ -163,7 +170,27 @@ void serialize_response(std::string& out, const HttpRequest& request,
 
 }  // namespace
 
-HttpServer::HttpServer(Options options) : options_(std::move(options)) {}
+HttpServer::HttpServer(Options options) : options_(std::move(options)) {
+  MetricRegistry* registry = options_.metrics;
+  if (registry == nullptr) {
+    owned_metrics_ = std::make_unique<MetricRegistry>();
+    registry = owned_metrics_.get();
+  }
+  series_.empty_polls = &registry->counter("spi_http_empty_polls_total", {},
+                                           "serve-loop polls of the spin that found no event");
+  series_.blocking_waits = &registry->counter("spi_http_blocking_waits_total", {},
+                                              "serve-loop polls that blocked");
+  const auto stage = [registry](const char* name, const char* help) {
+    return &registry->histogram("spi_http_stage_seconds",
+                                Histogram::exponential_bounds(1e-6, 2.0, 21), {{"stage", name}},
+                                help);
+  };
+  series_.wake = stage("wake", "per read: kernel receive stamp to the read's start");
+  series_.read = stage("read", "per read: the recvmsg call");
+  series_.parse = stage("parse", "per read that completed a request: framing its requests");
+  series_.handler = stage("handler", "per read that completed a request: the handler, less sends");
+  series_.write = stage("write", "per read that completed a request: serializing and sending");
+}
 
 HttpServer::~HttpServer() { stop(); }
 
@@ -221,15 +248,16 @@ void HttpServer::stop() {
   port_ = 0;
 }
 
-bool HttpServer::process_input(Connection& conn) {
-  // Drain every complete pipelined request out of the inbox and dispatch
+bool HttpServer::process_input(Connection& conn, std::string_view data, std::size_t& offset) {
+  // Drain every complete pipelined request out of the read and dispatch
   // them as one batch. The burst size is the client's pipeline depth —
   // this is where the per-request cost amortizes.
+  const std::int64_t parse_start = monotonic_ns();
   std::vector<HttpRequest> requests;
   bool bad = false;
   for (;;) {
     HttpRequest request;
-    const ParseResult result = parse_request(conn.inbox, request);
+    const ParseResult result = parse_request(data, offset, request);
     if (result == ParseResult::kNeedMore) break;
     if (result == ParseResult::kBad) {
       bad = true;
@@ -240,8 +268,12 @@ bool HttpServer::process_input(Connection& conn) {
     if (!keep) break;  // anything pipelined after "close" is ignored
   }
 
+  if (requests.empty() && !bad) return true;  // the request is still arriving
+
+  const std::int64_t handler_start = monotonic_ns();
+  series_.parse->observe(static_cast<double>(handler_start - parse_start) * 1e-9);
   std::vector<HttpResponse> responses;
-  call_ = {&conn, requests, &responses, 0, false};
+  call_ = {&conn, requests, &responses};
   if (!requests.empty()) {
     responses.reserve(requests.size());
     if (options_.batch_handler) {
@@ -261,7 +293,12 @@ bool HttpServer::process_input(Connection& conn) {
     }
   }
 
+  // The handler's own time excludes the sends of its releases: those
+  // count as write, so the five stages of a read never overlap.
+  const std::int64_t handler_ns = monotonic_ns() - handler_start - call_.write_ns;
   const bool sent = send_through(requests.size(), bad);
+  series_.handler->observe(static_cast<double>(handler_ns) * 1e-9);
+  series_.write->observe(static_cast<double>(call_.write_ns) * 1e-9);
   call_ = {};
   if (!sent || bad) return false;
   return requests.empty() || requests.back().keep_alive;
@@ -275,6 +312,7 @@ void HttpServer::release(std::size_t n) {
 
 bool HttpServer::send_through(std::size_t n, bool bad) {
   if (call_.failed) return false;
+  const std::int64_t start = monotonic_ns();
   wire_.clear();
   for (std::size_t i = call_.sent; i < n; ++i)
     serialize_response(wire_, call_.requests[i], (*call_.responses)[i]);
@@ -289,26 +327,45 @@ bool HttpServer::send_through(std::size_t n, bool bad) {
                       std::memory_order_relaxed);
   call_.sent = n;
   if (!wire_.empty() && !send_all(call_.conn->fd, wire_)) call_.failed = true;
+  call_.write_ns += monotonic_ns() - start;
   return !call_.failed;
 }
 
 void HttpServer::serve() {
   std::vector<Connection> connections;
-  std::vector<pollfd> pfds;
+  // pfds[0] watches the listener and pfds[i + 1] connections[i]. The two
+  // change together, only when the connection set does.
+  std::vector<pollfd> pfds{{listen_fd_, POLLIN, 0}};
   char buf[64 * 1024];
+  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(timespec))];
+  constexpr std::int64_t kSpinWindowNs =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(kSpinWindow).count();
+  bool spinning = false;
+  std::int64_t spin_until_ns = 0;
 
   const auto close_connection = [&](std::size_t index) {
     ::close(connections[index].fd);
     connections.erase(connections.begin() + static_cast<std::ptrdiff_t>(index));
+    pfds.erase(pfds.begin() + static_cast<std::ptrdiff_t>(index) + 1);
   };
 
   while (!stop_.load(std::memory_order_relaxed)) {
-    pfds.clear();
-    pfds.push_back({listen_fd_, POLLIN, 0});
-    for (const Connection& conn : connections) pfds.push_back({conn.fd, POLLIN, 0});
-
-    const int ready = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), /*timeout_ms=*/200);
+    if (!spinning) series_.blocking_waits->inc();
+    const int ready =
+        ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), spinning ? 0 : kBlockingPollMs);
     if (stop_.load(std::memory_order_relaxed)) break;
+    if (ready == 0 && spinning) {
+      // The yield lets a thread waiting for this CPU (a client woken by
+      // the last reply, a gang worker) run at once instead of at the end
+      // of a time slice.
+      series_.empty_polls->inc();
+      if (monotonic_ns() >= spin_until_ns) {
+        spinning = false;
+      } else {
+        ::sched_yield();
+      }
+      continue;
+    }
     if (ready <= 0) continue;
 
     if (pfds[0].revents != 0) {
@@ -331,26 +388,74 @@ void HttpServer::serve() {
         ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
         const int one = 1;
         ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+        ::setsockopt(conn, SOL_SOCKET, SO_TIMESTAMPNS, &one, sizeof one);
         connections.push_back({conn, {}});
+        pfds.push_back({conn, POLLIN, 0});
       }
     }
 
     // Walk backwards so closing a connection does not disturb the
     // pfds<->connections correspondence of entries not yet visited.
+    // Entries accepted above have no revents yet.
+    bool read_requests = false;
     for (std::size_t i = pfds.size(); i-- > 1;) {
       if (pfds[i].revents == 0) continue;
       const std::size_t ci = i - 1;
-      if (ci >= connections.size()) continue;
       Connection& conn = connections[ci];
-      const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
+      iovec iov{buf, sizeof buf};
+      msghdr msg{};
+      msg.msg_iov = &iov;
+      msg.msg_iovlen = 1;
+      msg.msg_control = control;
+      msg.msg_controllen = sizeof control;
+      timespec now{};
+      ::clock_gettime(CLOCK_REALTIME, &now);
+      const std::int64_t read_start = monotonic_ns();
+      const ssize_t n = ::recvmsg(conn.fd, &msg, 0);
+      const std::int64_t read_end = monotonic_ns();
       if (n <= 0) {
         if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) continue;
         close_connection(ci);
         continue;
       }
-      conn.inbox.append(buf, static_cast<std::size_t>(n));
-      if (!process_input(conn)) close_connection(ci);
+      read_requests = true;
+      series_.read->observe(static_cast<double>(read_end - read_start) * 1e-9);
+      for (cmsghdr* c = CMSG_FIRSTHDR(&msg); c != nullptr; c = CMSG_NXTHDR(&msg, c)) {
+        if (c->cmsg_level != SOL_SOCKET || c->cmsg_type != SCM_TIMESTAMPNS) continue;
+        timespec stamp{};
+        std::memcpy(&stamp, CMSG_DATA(c), sizeof stamp);
+        const std::int64_t wake_ns = (now.tv_sec - stamp.tv_sec) * 1'000'000'000LL +
+                                     (now.tv_nsec - stamp.tv_nsec);
+        series_.wake->observe(static_cast<double>(std::max<std::int64_t>(wake_ns, 0)) * 1e-9);
+      }
+
+      // Parse in place from the receive buffer when nothing is left
+      // over from the last read, and compact the leftover once per read.
+      std::string_view data(buf, static_cast<std::size_t>(n));
+      const bool carried = !conn.inbox.empty();
+      if (carried) {
+        conn.inbox.append(data);
+        data = conn.inbox;
+      }
+      std::size_t consumed = 0;
+      if (!process_input(conn, data, consumed)) {
+        close_connection(ci);
+        continue;
+      }
+      if (carried) {
+        conn.inbox.erase(0, consumed);
+      } else {
+        conn.inbox.assign(data.substr(consumed));
+      }
     }
+
+    // Spin only after a wake that read request bytes, and only while a
+    // connection is open to send more.
+    if (read_requests) {
+      spinning = true;
+      spin_until_ns = monotonic_ns() + kSpinWindowNs;
+    }
+    if (connections.empty()) spinning = false;
   }
 
   for (const Connection& conn : connections) ::close(conn.fd);

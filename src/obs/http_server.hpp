@@ -22,6 +22,16 @@
 /// and the handler is invoked once per burst instead of once per
 /// request (docs/serving.md, "Batched firing").
 ///
+/// Between bursts the loop does not go straight back to sleep. After a
+/// wake that read request bytes it polls without blocking, yielding its
+/// CPU between empty polls, for kSpinWindow while a connection is open;
+/// only then does it block again. A burst that arrives inside the window
+/// does not pay for waking a sleeping thread, and a burst that arrives
+/// later pays what it paid before. Each read is stamped: `wake` is the
+/// time from the kernel's receive stamp (SO_TIMESTAMPNS) to the read,
+/// and `read`, `parse`, `handler` and `write` cover the rest of the
+/// read's turn without overlap (docs/observability.md, "The serve loop").
+///
 /// Binding port 0 (the default) asks the kernel for an ephemeral port;
 /// `port()` reports the bound one. The server owns no data: it renders
 /// through the installed handler(s), which must stay valid between
@@ -30,12 +40,17 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace spi::obs {
 
@@ -75,7 +90,14 @@ class HttpServer {
     /// Connections beyond this are accepted and immediately shed with
     /// 503 + close (the poll set stays bounded).
     std::size_t max_connections = 64;
+    /// Registry for the loop's series (spi_http_*); the server keeps a
+    /// private one when this is null.
+    MetricRegistry* metrics = nullptr;
   };
+
+  /// How long the loop keeps polling without blocking after a wake that
+  /// read request bytes: at most one window of spinning per such wake.
+  static constexpr std::chrono::milliseconds kSpinWindow{10};
 
   explicit HttpServer(Options options);
   HttpServer(const HttpServer&) = delete;
@@ -105,10 +127,22 @@ class HttpServer {
   void release(std::size_t n);
 
  private:
-  /// Per-connection parse state: bytes read but not yet consumed.
+  /// Per-connection parse state: the bytes of an unfinished request,
+  /// carried from one read to the next.
   struct Connection {
     int fd = -1;
     std::string inbox;
+  };
+
+  /// The loop's instruments, resolved once at construction.
+  struct Series {
+    Counter* empty_polls = nullptr;
+    Counter* blocking_waits = nullptr;
+    Histogram* wake = nullptr;     ///< kernel receive stamp -> read start
+    Histogram* read = nullptr;     ///< the recvmsg call
+    Histogram* parse = nullptr;    ///< framing the read's complete requests
+    Histogram* handler = nullptr;  ///< the handler call, less its sends
+    Histogram* write = nullptr;    ///< serializing and sending the replies
   };
 
   /// One dispatch of a read burst: the responses already sent and
@@ -119,18 +153,22 @@ class HttpServer {
     const std::vector<HttpResponse>* responses = nullptr;
     std::size_t sent = 0;  ///< responses [0, sent) have left
     bool failed = false;   ///< a send failed: nothing more leaves
+    std::int64_t write_ns = 0;  ///< time spent in send_through so far
   };
 
   void serve();
-  /// Parses every complete request out of conn.inbox (consuming them),
-  /// dispatches, and sends the responses the handler did not release,
-  /// in one send. Returns false when the connection must be closed.
-  bool process_input(Connection& conn);
+  /// Parses every complete request of data[offset, size), advancing
+  /// `offset` past them, dispatches, and sends the responses the handler
+  /// did not release, in one send. Returns false when the connection
+  /// must be closed.
+  bool process_input(Connection& conn, std::string_view data, std::size_t& offset);
   /// Serializes responses [call_.sent, n), plus a 400 when `bad`, and
   /// sends them in one send. Returns false once a send of the call failed.
   bool send_through(std::size_t n, bool bad);
 
   Options options_;
+  std::unique_ptr<MetricRegistry> owned_metrics_;  ///< when options_.metrics is null
+  Series series_;
   int listen_fd_ = -1;
   int port_ = 0;
   std::thread thread_;

@@ -13,6 +13,7 @@ void ObsServer::start() {
   HttpServer::Options http_options;
   http_options.port = options_.port;
   http_options.bind_address = options_.bind_address;
+  http_options.metrics = options_.registry;
   http_options.handler = [this](const HttpRequest& request) {
     return handle(request.method, request.target);
   };

@@ -316,6 +316,7 @@ void PlanServer::start() {
   obs::HttpServer::Options http;
   http.port = options_.port;
   http.bind_address = options_.bind_address;
+  http.metrics = metrics_;
   http.batch_handler = [this](std::span<obs::HttpRequest> requests,
                               std::vector<obs::HttpResponse>& responses) {
     handle_burst(requests, responses, [this](std::size_t n) { http_->release(n); });

@@ -215,13 +215,7 @@ std::optional<std::string> json_string_field(std::string_view body, std::string_
 std::optional<std::vector<double>> json_array_field(std::string_view body, std::string_view key) {
   const std::size_t p = value_start(body, key);
   if (p == std::string_view::npos || p >= body.size() || body[p] != '[') return std::nullopt;
-  const std::size_t close = body.find(']', p);
-  if (close == std::string_view::npos) return std::nullopt;  // unterminated array
   std::vector<double> values;
-  values.reserve(static_cast<std::size_t>(
-                     std::count(body.begin() + static_cast<std::ptrdiff_t>(p),
-                                body.begin() + static_cast<std::ptrdiff_t>(close), ',')) +
-                 1);
   std::size_t at = skip_space(body, p + 1);
   if (at < body.size() && body[at] == ']') return values;
   // Elements are separated by exactly one ',': no leading, doubled or

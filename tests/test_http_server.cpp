@@ -2,8 +2,9 @@
 /// HTTP/1.1 keep-alive with correct Content-Length framing, ambiguous
 /// framing answered 400, request pipelining dispatched as one batch,
 /// early release of a batch's in-order reply prefix, POST body
-/// assembly, the preserved HTTP/1.0 one-request/close contract, and the
-/// bounded-poll 503 connection shed.
+/// assembly, the preserved HTTP/1.0 one-request/close contract, the
+/// bounded-poll 503 connection shed, and the loop's bounded spin between
+/// bursts with its per-read stage stamps.
 #include "obs/http_server.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +22,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace spi::obs {
 namespace {
@@ -103,6 +106,17 @@ std::vector<ParsedResponse> read_until_eof(int fd, std::string& inbox) {
 /// Waits for `future` for a few seconds; false when it never became ready.
 bool arrives(const std::future<void>& future) {
   return future.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+}
+
+/// Checks `done` every millisecond for a few seconds; false when it never held.
+template <class Predicate>
+bool eventually(const Predicate& done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 /// An echo server: the response body names the method, target and body,
@@ -398,6 +412,118 @@ TEST(HttpServer, ShedsConnectionsBeyondTheLimitWith503) {
   ::close(first);
   ::close(second);
   server.stop();
+}
+
+/// An echo server whose loop counts its polls into a test-local registry.
+struct CountingServer {
+  MetricRegistry registry;
+  HttpServer server{[this] {
+    HttpServer::Options options = echo_options();
+    options.metrics = &registry;
+    return options;
+  }()};
+
+  std::int64_t empty_polls() const { return registry.counter_total("spi_http_empty_polls_total"); }
+  std::int64_t blocking_waits() const {
+    return registry.counter_total("spi_http_blocking_waits_total");
+  }
+  Histogram& stage(const char* name) {
+    return registry.histogram("spi_http_stage_seconds", {}, {{"stage", name}});
+  }
+};
+
+TEST(HttpServer, SpinEndsAfterItsWindowAndTheLoopBlocksAgain) {
+  CountingServer counting;
+  HttpServer& server = counting.server;
+  server.start();
+  const int fd = connect_to(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, "GET /a HTTP/1.1\r\n\r\n"));
+  ASSERT_EQ(read_responses(fd, 1).size(), 1u);
+
+  // The next blocking poll after the reply comes only once the window
+  // has run out.
+  const std::int64_t waits = counting.blocking_waits();
+  ASSERT_TRUE(eventually([&] { return counting.blocking_waits() > waits; }));
+  const std::int64_t spun = counting.empty_polls();
+  EXPECT_GT(spun, 0) << "a wake that read a request spins while its connection is open";
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(counting.empty_polls(), spun) << "the spin outlived its window";
+  ::close(fd);
+  server.stop();
+}
+
+TEST(HttpServer, NeverSpinsWithoutAnOpenConnection) {
+  CountingServer counting;
+  HttpServer& server = counting.server;
+  server.start();
+  // Before the first request, an idle connection, a closing request.
+  std::this_thread::sleep_for(HttpServer::kSpinWindow * 2);
+  const int idle = connect_to(server.port());
+  ASSERT_GE(idle, 0);
+  std::this_thread::sleep_for(HttpServer::kSpinWindow * 2);
+  ::close(idle);
+  const int fd = connect_to(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, "GET /a HTTP/1.1\r\nConnection: close\r\n\r\n"));
+  std::string inbox;
+  ASSERT_EQ(read_until_eof(fd, inbox).size(), 1u);
+  ::close(fd);
+  std::this_thread::sleep_for(HttpServer::kSpinWindow * 2);
+  EXPECT_EQ(counting.empty_polls(), 0);
+  EXPECT_GT(counting.blocking_waits(), 0);
+  server.stop();
+}
+
+TEST(HttpServer, RequestAfterAnIdleIsStampedFromTheKernelsReceiveTime) {
+  CountingServer counting;
+  HttpServer& server = counting.server;
+  server.start();
+  const int fd = connect_to(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, "GET /a HTTP/1.1\r\n\r\n"));
+  ASSERT_EQ(read_responses(fd, 1).size(), 1u);
+
+  // Idle until the loop blocks, and a while more.
+  const std::int64_t waits = counting.blocking_waits();
+  ASSERT_TRUE(eventually([&] { return counting.blocking_waits() > waits; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::int64_t wakes = counting.stage("wake").count();
+  const double wake_sum = counting.stage("wake").sum();
+  ASSERT_TRUE(send_all(fd, "GET /b HTTP/1.1\r\n\r\n"));
+  ASSERT_EQ(read_responses(fd, 1).size(), 1u);
+  ::close(fd);
+  server.stop();
+
+  EXPECT_GT(counting.stage("wake").count(), wakes) << "the read carried no kernel receive stamp";
+  EXPECT_GE(counting.stage("wake").sum() - wake_sum, 0.0);
+  for (const char* name : {"read", "parse", "handler", "write"})
+    EXPECT_GE(counting.stage(name).count(), 2)
+        << name << ": one observation per read with a request";
+}
+
+TEST(HttpServer, StopReturnsPromptlyWhileTheLoopSpins) {
+  CountingServer counting;
+  HttpServer& server = counting.server;
+  server.start();
+  // A client that keeps the loop inside its window until the server
+  // closes its connection.
+  std::atomic<bool> done{false};
+  std::thread client([&] {
+    const int fd = connect_to(server.port());
+    while (fd >= 0 && !done.load()) {
+      if (!send_all(fd, "GET /a HTTP/1.1\r\n\r\n") || read_responses(fd, 1).size() != 1) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (fd >= 0) ::close(fd);
+  });
+  EXPECT_TRUE(eventually([&] { return counting.empty_polls() > 0; }));
+  const auto start = std::chrono::steady_clock::now();
+  server.stop();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  done = true;
+  client.join();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100));
 }
 
 }  // namespace

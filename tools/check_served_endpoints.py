@@ -12,6 +12,10 @@ section of docs/serving.md and probes a running spi_served on
     FLIGHT_JOB_BOUND jobs; the check fails if none was captured);
   * every documented GET answers anything but 404;
   * POST /plan, the removed plan-upload path, answers 404;
+  * after those jobs, GET /metrics carries the serve loop's series: the
+    per-read stage histograms (spi_http_stage_seconds, the kernel-stamped
+    `wake` among them, with at least one observation) and the
+    empty-poll and blocking-wait counters;
   * replies stream per batch: on one connection, one speech job
     pipelined ahead of 8 particle jobs of 4096 steps gets its reply
     while the particle batch is still running (a zero-timeout select
@@ -113,6 +117,24 @@ def streaming_probe(port):
     return early and answered
 
 
+def metrics_probe(port):
+    """True when /metrics shows the serve loop's stage histograms and poll counters."""
+    with urllib.request.urlopen(f"http://127.0.0.1:{port}/metrics", timeout=10) as response:
+        text = response.read().decode()
+    passed = True
+    for stage in ("wake", "read", "parse", "handler", "write"):
+        match = re.search(rf'^spi_http_stage_seconds_count\{{stage="{stage}"\}} (\d+)$', text, re.M)
+        seen = bool(match) and int(match.group(1)) >= 1
+        passed &= seen
+        print(f"{'ok  ' if seen else 'FAIL'} /metrics spi_http_stage_seconds{{stage=\"{stage}\"}} "
+              f"-> {match.group(1) if match else 'absent'} observations (want >= 1)")
+    for counter in ("spi_http_empty_polls_total", "spi_http_blocking_waits_total"):
+        seen = re.search(rf"^{counter} \d+$", text, re.M) is not None
+        passed &= seen
+        print(f"{'ok  ' if seen else 'FAIL'} /metrics {counter} {'present' if seen else 'absent'}")
+    return passed
+
+
 def flight_probe(port):
     """True when GET /trace/flight answers 200 within FLIGHT_JOB_BOUND jobs."""
     for jobs in range(FLIGHT_JOB_BOUND + 1):
@@ -162,6 +184,7 @@ def main(argv):
         passed = ok(code)
         failures += not passed
         print(f"{'ok  ' if passed else 'FAIL'} {method} {path} -> {code} (want {want})")
+    failures += not metrics_probe(port)
     if ("GET", "/trace/flight") in endpoints:
         failures += not flight_probe(port)
     failures += not streaming_probe(port)
