@@ -56,6 +56,17 @@ void BM_FlightRecordEvent(benchmark::State& state) {
 }
 BENCHMARK(BM_FlightRecordEvent);
 
+/// Construction of a recorder with the default ring capacity, one ring
+/// per processor (2 = particle's served plan, 3 = speech's).
+void BM_FlightRecorderConstruct(benchmark::State& state) {
+  const auto procs = static_cast<std::int32_t>(state.range(0));
+  for (auto _ : state) {
+    obs::FlightRecorder recorder(procs);
+    benchmark::DoNotOptimize(&recorder);
+  }
+}
+BENCHMARK(BM_FlightRecorderConstruct)->Arg(2)->Arg(3)->Unit(benchmark::kMicrosecond);
+
 /// Raw ring throughput without the clock read, drained in batches.
 void BM_FlightRingPushDrain(benchmark::State& state) {
   obs::FlightRing ring(1u << 12);

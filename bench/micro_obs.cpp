@@ -166,6 +166,17 @@ BENCHMARK(BM_ServeBurstBare)->Unit(benchmark::kMicrosecond)->MinTime(0.5);
 void BM_ServeBurstTraced(benchmark::State& state) { serve_burst_benchmark(state, true); }
 BENCHMARK(BM_ServeBurstTraced)->Unit(benchmark::kMicrosecond)->MinTime(0.5);
 
+/// Socketless PlanServer construction with default options: both
+/// models' compile, instances and flight recorders — the part of the
+/// daemon's start-up that spi_serve_construct_seconds reports.
+void BM_PlanServerConstruct(benchmark::State& state) {
+  for (auto _ : state) {
+    serve::PlanServer server{serve::PlanServerOptions{}};
+    benchmark::DoNotOptimize(&server);
+  }
+}
+BENCHMARK(BM_PlanServerConstruct)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 
@@ -100,12 +101,15 @@ class Cursor {
 // --- FlightRing ----------------------------------------------------------
 
 FlightRing::FlightRing(std::size_t capacity)
-    : slots_(round_up_pow2(std::max<std::size_t>(2, capacity))), mask_(slots_.size() - 1) {}
+    : mask_(round_up_pow2(std::max<std::size_t>(2, capacity)) - 1) {
+  slots_.reset(static_cast<FlightEvent*>(std::malloc((mask_ + 1) * sizeof(FlightEvent))));
+  if (!slots_) throw std::bad_alloc();
+}
 
 bool FlightRing::try_push(const FlightEvent& event) noexcept {
   const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
   const std::uint64_t head = head_.load(std::memory_order_acquire);
-  if (tail - head >= slots_.size()) {
+  if (tail - head >= capacity()) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }

@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -85,6 +86,9 @@ struct FlightLog {
 /// The owning worker thread pushes; the collector drains after the
 /// workers quiesce (or concurrently — the SPSC contract only requires
 /// one thread per side). Capacity is rounded up to a power of two.
+/// The kernel commits a page of the ring only when try_push first writes
+/// into it; drain reads only the pushed range, so no slot is read
+/// before it is written.
 class FlightRing {
  public:
   explicit FlightRing(std::size_t capacity);
@@ -104,7 +108,7 @@ class FlightRing {
   [[nodiscard]] std::int64_t dropped() const noexcept {
     return dropped_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
   /// Events pushed and not yet drained or discarded.
   [[nodiscard]] std::size_t size() const noexcept {
     return static_cast<std::size_t>(tail_.load(std::memory_order_acquire) -
@@ -112,7 +116,13 @@ class FlightRing {
   }
 
  private:
-  std::vector<FlightEvent> slots_;
+  struct FreeSlots {
+    void operator()(FlightEvent* slots) const noexcept { std::free(slots); }
+  };
+  /// malloc'd, never value-initialized (FlightEvent is an aggregate, so
+  /// the allocation implicitly creates its objects): a std::vector or
+  /// make_unique would write every slot and commit the whole ring.
+  std::unique_ptr<FlightEvent[], FreeSlots> slots_;
   std::size_t mask_;
   alignas(64) std::atomic<std::uint64_t> tail_{0};  ///< producer writes
   alignas(64) std::atomic<std::uint64_t> head_{0};  ///< consumer reads
@@ -125,7 +135,10 @@ class FlightRing {
 class FlightRecorder {
  public:
   /// `ring_capacity` is per processor, in events (default 64Ki ≈ 3 MiB
-  /// per processor at 48 bytes/event).
+  /// of address space per processor at 48 bytes/event). Construction
+  /// writes no slot, so a ring's memory becomes resident only as events
+  /// are recorded into it: a recorder that stays disarmed — the serve
+  /// layer's, between captured batches — costs no resident memory.
   explicit FlightRecorder(std::int32_t proc_count, std::size_t ring_capacity = 1u << 16);
 
   [[nodiscard]] std::int32_t proc_count() const {

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
+
+#include <unistd.h>
 
 #include "obs/text_escape.hpp"
 
@@ -397,6 +400,15 @@ std::int64_t monotonic_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+std::int64_t resident_memory_bytes() {
+  std::FILE* statm = std::fopen("/proc/self/statm", "r");
+  if (statm == nullptr) return 0;
+  long long resident_pages = 0;
+  const bool read = std::fscanf(statm, "%*s %lld", &resident_pages) == 1;
+  std::fclose(statm);
+  return read ? resident_pages * static_cast<long long>(sysconf(_SC_PAGESIZE)) : 0;
 }
 
 ScopedTimer::ScopedTimer(Gauge* gauge, Histogram* histogram)

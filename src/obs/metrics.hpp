@@ -199,4 +199,8 @@ class ScopedTimer {
 /// Monotonic wall-clock now, nanoseconds (steady_clock).
 [[nodiscard]] std::int64_t monotonic_ns();
 
+/// This process's resident set size in bytes, read from /proc/self/statm
+/// (0 where that file cannot be read).
+[[nodiscard]] std::int64_t resident_memory_bytes();
+
 }  // namespace spi::obs

@@ -276,6 +276,7 @@ struct PlanServer::Model {
 
 PlanServer::PlanServer(PlanServerOptions options)
     : options_(std::move(options)), admission_(options_.admission) {
+  const std::int64_t construct_start_ns = obs::monotonic_ns();
   if (options_.metrics) {
     metrics_ = options_.metrics;
   } else {
@@ -307,6 +308,10 @@ PlanServer::PlanServer(PlanServerOptions options)
       };
     }
   }
+  metrics_
+      ->gauge("spi_serve_construct_seconds", {},
+              "Seconds the PlanServer constructor took (models, instances, recorders)")
+      .set(static_cast<double>(obs::monotonic_ns() - construct_start_ns) * 1e-9);
 }
 
 PlanServer::~PlanServer() { stop(); }
@@ -341,6 +346,8 @@ obs::HttpResponse PlanServer::handle_get(const obs::HttpRequest& request) {
   }
   if (path == "/metrics" || path == "/metrics.json") {
     route_requests_.metrics->inc();
+    metrics_->gauge("process_resident_memory_bytes", {}, "Resident memory size in bytes")
+        .set(static_cast<double>(obs::resident_memory_bytes()));
     speech_->instance.refresh_channel_gauges();
     particle_->instance.refresh_channel_gauges();
     for (const auto& [tenant, state] : tenants_) {

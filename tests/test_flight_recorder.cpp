@@ -12,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/job_instance.hpp"
 #include "core/pipeline.hpp"
 #include "obs/critical_path.hpp"
@@ -132,6 +134,37 @@ TEST(FlightRecorder, RejectsBadProcIndexQuietly) {
   rec.record(7, FlightEventKind::kSend, -1, 0, 0, 0);  // out of range: ignored
   EXPECT_EQ(rec.collect().events.size(), 0u);
   EXPECT_THROW(FlightRecorder(0), std::invalid_argument);
+}
+
+// Each 1<<20-event ring is 48 MiB, above glibc's largest mmap threshold
+// (32 MiB), so it is always a fresh mapping whose pages become resident
+// only when written: construction must commit next to nothing, recording
+// must commit at least the bytes it writes.
+TEST(FlightRecorder, ConstructionCommitsNoRingMemory) {
+  constexpr std::size_t kRingEvents = std::size_t{1} << 20;
+  constexpr std::int64_t kRingBytes = kRingEvents * sizeof(FlightEvent);
+  constexpr std::int64_t kRecorded = 200'000;
+
+  const std::int64_t before = resident_memory_bytes();
+  ASSERT_GT(before, 0) << "/proc/self/statm unreadable";
+  FlightRecorder rec(2, kRingEvents);
+  const std::int64_t constructed = resident_memory_bytes();
+  EXPECT_LT(constructed - before, 2 * kRingBytes / 4)
+      << "construction committed " << constructed - before << " bytes of two " << kRingBytes
+      << "-byte rings";
+
+  for (std::int64_t i = 0; i < kRecorded; ++i)
+    rec.record(0, FlightEventKind::kSend, /*actor=*/-1, /*edge=*/0, /*seq=*/i, /*iteration=*/0);
+  // The allocator's chunk header already committed the ring's first page.
+  const std::int64_t recorded = resident_memory_bytes();
+  EXPECT_GE(recorded - constructed,
+            kRecorded * static_cast<std::int64_t>(sizeof(FlightEvent)) - sysconf(_SC_PAGESIZE));
+
+  const FlightLog log = rec.collect();
+  ASSERT_EQ(log.events.size(), static_cast<std::size_t>(kRecorded));
+  for (std::int64_t i = 0; i < kRecorded; ++i)
+    ASSERT_EQ(log.events[static_cast<std::size_t>(i)].seq, i);
+  EXPECT_EQ(log.dropped, 0);
 }
 
 TEST(FlightLog, JsonRoundTripPreservesEverything) {

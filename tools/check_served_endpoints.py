@@ -14,8 +14,10 @@ section of docs/serving.md and probes a running spi_served on
   * POST /plan, the removed plan-upload path, answers 404;
   * after those jobs, GET /metrics carries the serve loop's series: the
     per-read stage histograms (spi_http_stage_seconds, the kernel-stamped
-    `wake` among them, with at least one observation) and the
-    empty-poll and blocking-wait counters;
+    `wake` among them, with at least one observation), the
+    empty-poll and blocking-wait counters, and the start-up and memory
+    gauges (spi_serve_construct_seconds, process_resident_memory_bytes),
+    both positive;
   * replies stream per batch: on one connection, one speech job
     pipelined ahead of 8 particle jobs of 4096 steps gets its reply
     while the particle batch is still running (a zero-timeout select
@@ -118,7 +120,8 @@ def streaming_probe(port):
 
 
 def metrics_probe(port):
-    """True when /metrics shows the serve loop's stage histograms and poll counters."""
+    """True when /metrics shows the serve loop's stage histograms, poll counters
+    and start-up and memory gauges."""
     with urllib.request.urlopen(f"http://127.0.0.1:{port}/metrics", timeout=10) as response:
         text = response.read().decode()
     passed = True
@@ -132,6 +135,12 @@ def metrics_probe(port):
         seen = re.search(rf"^{counter} \d+$", text, re.M) is not None
         passed &= seen
         print(f"{'ok  ' if seen else 'FAIL'} /metrics {counter} {'present' if seen else 'absent'}")
+    for gauge in ("spi_serve_construct_seconds", "process_resident_memory_bytes"):
+        match = re.search(rf"^{gauge} (\S+)$", text, re.M)
+        positive = bool(match) and float(match.group(1)) > 0
+        passed &= positive
+        print(f"{'ok  ' if positive else 'FAIL'} /metrics {gauge} -> "
+              f"{match.group(1) if match else 'absent'} (want > 0)")
     return passed
 
 
